@@ -221,6 +221,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _needs_cache(args) -> "list[str]":
+    """The flags given that only the sweep executor honours.
+
+    The executor runs only with the result cache on, so under
+    ``REPRO_CACHE=off`` these would be accepted and silently ignored.
+    The CPU-count default of ``--jobs`` is not a flag given.
+    """
+    flags = []
+    if args.jobs is not None:
+        if args.jobs > 1:
+            flags.append(f"--jobs {args.jobs}")
+    else:
+        raw = os.environ.get("REPRO_JOBS", "").strip()
+        try:
+            if int(raw) > 1:
+                flags.append(f"REPRO_JOBS={raw}")
+        except ValueError:
+            pass  # unset or not a number: resolve_jobs uses the CPU count
+    if args.profile:
+        flags.append("--profile")
+    if args.resume:
+        flags.append("--resume")
+    return flags
+
+
 def _prewarm(names, scale, args, policy, jobs: int) -> None:
     """Plan the figures' point lists and fan them out over the pool.
 
@@ -284,6 +309,16 @@ def main(argv: "list[str] | None" = None) -> int:
     unknown = [name for name in names if name not in FIGURES]
     if unknown:
         print(f"unknown figures: {', '.join(unknown)} (try --list)", file=sys.stderr)
+        return 2
+    ignored = [] if cache_enabled() else _needs_cache(args)
+    if ignored:
+        print(
+            f"repro: {', '.join(ignored)} cannot work with REPRO_CACHE=off: "
+            "the sweep executor needs the result cache. For a cold run, set "
+            "REPRO_CACHE_DIR to a fresh directory instead, e.g. "
+            "REPRO_CACHE_DIR=$(mktemp -d)",
+            file=sys.stderr,
+        )
         return 2
     if args.audit:
         os.environ["REPRO_AUDIT"] = "on"

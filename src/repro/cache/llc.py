@@ -28,7 +28,7 @@ from __future__ import annotations
 from repro.coherence.info import CohInfo
 from repro.core.stra import StraCounters
 from repro.errors import ConfigError, ProtocolError
-from repro.types import LLCState
+from repro.types import LLC_SPILLED_ENTRY, LLCState
 
 
 class LLCLine:
@@ -157,7 +157,7 @@ class LLCBank:
         more recent.
         """
         self.tag_lookups += 1
-        lines = self._sets.get(self.set_index(addr))
+        lines = self._sets.get((addr // self.bank_stride) % self.num_sets)
         if not lines:
             return None, None
         data_line = None
@@ -210,10 +210,9 @@ class LLCBank:
         victim: writing back dirty data, reconstructing corrupted blocks,
         transferring or dropping spilled entries.
         """
-        if state is LLCState.SPILLED_ENTRY:
+        if state is LLC_SPILLED_ENTRY:
             raise ProtocolError("use insert_spill for spilled tracking entries")
-        set_index = self.set_index(addr)
-        lines = self._sets.setdefault(set_index, [])
+        lines = self._sets.setdefault((addr // self.bank_stride) % self.num_sets, [])
         victim = None
         if len(lines) >= self.assoc:
             victim = lines.pop(0)
@@ -238,7 +237,7 @@ class LLCBank:
         victim = None
         if len(lines) >= self.assoc:
             victim = lines.pop(0)
-        spill = LLCLine(addr, LLCState.SPILLED_ENTRY, is_spill=True)
+        spill = LLCLine(addr, LLC_SPILLED_ENTRY, is_spill=True)
         spill.coh = coh
         spill.stra = stra
         # Keep E_B just below B in recency order wherever B currently is,

@@ -14,7 +14,16 @@ from dataclasses import dataclass
 
 from repro.cache.sets import SetAssocArray
 from repro.errors import ProtocolError
-from repro.types import AccessKind, PrivateState
+from repro.types import (
+    EXCLUSIVE,
+    IFETCH,
+    INVALID,
+    MODIFIED,
+    SHARED,
+    WRITE,
+    AccessKind,
+    PrivateState,
+)
 
 
 @dataclass(frozen=True)
@@ -87,7 +96,7 @@ class PrivateCore:
         into the L1), ``UPGRADE_L1``/``UPGRADE_L2`` (3/4: held in S but
         the access is a write, so the home must serve an upgrade).
         """
-        l1 = self.il1 if kind is AccessKind.IFETCH else self.dl1
+        l1 = self.il1 if kind is IFETCH else self.dl1
         lines = l1._sets.get(addr % l1.num_sets)
         l1_line = None
         if lines:
@@ -116,11 +125,11 @@ class PrivateCore:
                 )
             return 0
         state = l2_line.payload
-        if kind is AccessKind.WRITE:
-            if state is PrivateState.SHARED:
+        if kind is WRITE:
+            if state is SHARED:
                 return 3 if l1_line is not None else 4
-            if state is PrivateState.EXCLUSIVE:
-                l2_line.payload = PrivateState.MODIFIED
+            if state is EXCLUSIVE:
+                l2_line.payload = MODIFIED
         if l1_line is not None:
             return 1
         # L2 hit: promote into L1 (inclusive, so no notice is needed for
@@ -146,8 +155,11 @@ class PrivateCore:
             return ProbeResult("l2", needs_upgrade=True)
         return ProbeResult("l1" if code == 1 else "l2")
 
+    # The private arrays map block ``addr`` to set ``addr % num_sets``
+    # (SetAssocArray.set_index); the paths below inline that mapping.
+
     def _l1_fill(self, l1: SetAssocArray, addr: int) -> None:
-        l1.insert(l1.set_index(addr), addr, None)
+        l1.insert(addr % l1.num_sets, addr, None)
 
     # ------------------------------------------------------------------
     # Fill and state-change paths (driven by the home controller)
@@ -159,26 +171,28 @@ class PrivateCore:
         At most one L2 victim is produced; its L1 copies are removed to
         preserve inclusion.
         """
-        if state is PrivateState.INVALID:
+        if state is INVALID:
             raise ProtocolError("cannot fill a block in state I")
         notices = []
-        evicted = self.l2.insert(self.l2.set_index(addr), addr, state)
+        l2 = self.l2
+        evicted = l2.insert(addr % l2.num_sets, addr, state)
         if evicted is not None:
             self._drop_from_l1s(evicted.tag)
             notices.append(EvictionNotice(evicted.tag, evicted.payload))
-        l1 = self.il1 if kind is AccessKind.IFETCH else self.dl1
+        l1 = self.il1 if kind is IFETCH else self.dl1
         self._l1_fill(l1, addr)
         return notices
 
     def complete_upgrade(self, addr: int) -> None:
         """Transition a block held in S to M after an upgrade response."""
-        line = self.l2.lookup(self.l2.set_index(addr), addr, touch=False)
-        if line is None or line.payload is not PrivateState.SHARED:
+        l2 = self.l2
+        line = l2.lookup(addr % l2.num_sets, addr, touch=False)
+        if line is None or line.payload is not SHARED:
             raise ProtocolError(
                 f"core {self.core_id}: upgrade completion for block {addr:#x} "
                 f"not held in S"
             )
-        line.payload = PrivateState.MODIFIED
+        line.payload = MODIFIED
 
     def invalidate(self, addr: int) -> PrivateState:
         """Invalidate a block everywhere in this hierarchy.
@@ -187,10 +201,11 @@ class PrivateCore:
         block was not present, which callers treat as a stale-tracker
         protocol error where appropriate).
         """
-        line = self.l2.remove(self.l2.set_index(addr), addr)
+        l2 = self.l2
+        line = l2.remove(addr % l2.num_sets, addr)
         self._drop_from_l1s(addr)
         if line is None:
-            return PrivateState.INVALID
+            return INVALID
         return line.payload
 
     def downgrade(self, addr: int) -> PrivateState:
@@ -199,19 +214,22 @@ class PrivateCore:
         Returns the prior state (M or E) so the caller can account for a
         dirty writeback.
         """
-        line = self.l2.lookup(self.l2.set_index(addr), addr, touch=False)
+        l2 = self.l2
+        line = l2.lookup(addr % l2.num_sets, addr, touch=False)
         if line is None or not line.payload.is_exclusive:
             raise ProtocolError(
                 f"core {self.core_id}: downgrade of block {addr:#x} "
                 f"not held exclusively"
             )
         prior = line.payload
-        line.payload = PrivateState.SHARED
+        line.payload = SHARED
         return prior
 
     def _drop_from_l1s(self, addr: int) -> None:
-        self.il1.remove(self.il1.set_index(addr), addr)
-        self.dl1.remove(self.dl1.set_index(addr), addr)
+        il1 = self.il1
+        il1.remove(addr % il1.num_sets, addr)
+        dl1 = self.dl1
+        dl1.remove(addr % dl1.num_sets, addr)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -219,14 +237,15 @@ class PrivateCore:
 
     def state_of(self, addr: int) -> PrivateState:
         """The MESI state of ``addr`` in this hierarchy (I if absent)."""
-        line = self.l2.lookup(self.l2.set_index(addr), addr, touch=False)
+        l2 = self.l2
+        line = l2.lookup(addr % l2.num_sets, addr, touch=False)
         if line is None:
-            return PrivateState.INVALID
+            return INVALID
         return line.payload
 
     def holds(self, addr: int) -> bool:
         """True when the block is valid anywhere in this hierarchy."""
-        return self.state_of(addr) is not PrivateState.INVALID
+        return self.state_of(addr) is not INVALID
 
     def resident_blocks(self):
         """Yield (addr, state) for every valid block (for invariants)."""

@@ -22,13 +22,20 @@ from repro.coherence.info import CohInfo
 from repro.coherence.transaction import AccessOutcome
 from repro.errors import InvariantViolation, RecoveryError
 from repro.interconnect.mesh import Mesh2D
-from repro.interconnect.traffic import MessageClass, TrafficMeter
+from repro.interconnect.traffic import COHERENCE, TrafficMeter
 from repro.memory.dram import DramModel
 from repro.core.stra import stra_category
 from repro.resilience.recorder import NullRecorder
 from repro.sim.config import SystemConfig
 from repro.telemetry import NULL_TRACER
-from repro.types import AccessKind, LLCState, PrivateState
+from repro.types import (
+    INVALID,
+    LLC_CLEAN,
+    LLC_DIRTY,
+    MODIFIED,
+    AccessKind,
+    PrivateState,
+)
 
 
 class NullCoverage:
@@ -108,7 +115,10 @@ class BaseHome:
     # ------------------------------------------------------------------
 
     def bank_of(self, addr: int) -> int:
-        """Home bank (== home tile) of block ``addr``."""
+        """Home bank (== home tile) of block ``addr``.
+
+        The per-transaction paths inline this as ``addr % self.num_banks``.
+        """
         return addr % self.num_banks
 
     def _llc_hit_latency(self, with_data: bool = True) -> int:
@@ -157,7 +167,7 @@ class BaseHome:
 
     def _dram_fetch(self, addr: int, now: int, out: AccessOutcome) -> int:
         """Fetch a block from memory; returns the added latency."""
-        home = self.bank_of(addr)
+        home = addr % self.num_banks
         latency = (
             2 * self.mesh.memory_latency(home)
             + self.dram.access(addr, now, is_write=False)
@@ -197,7 +207,7 @@ class BaseHome:
             if self.recorder.enabled:
                 self.recorder.record(addr, "invalidate", core=holder)
             prior = self.cores[holder].invalidate(addr)
-            if prior is PrivateState.INVALID:
+            if prior is INVALID:
                 # A recorded holder without a copy: the tracking entry is
                 # stale (lost notice, dropped copy, phantom sharer). Flag
                 # it at the access that trips over it instead of silently
@@ -215,27 +225,27 @@ class BaseHome:
                     "inval", cycle=now, core=holder, addr=addr,
                     prior=prior.value,
                 )
-            self.traffic.control(MessageClass.COHERENCE)  # invalidation
-            if prior is PrivateState.MODIFIED:
+            self.traffic.control(COHERENCE)  # invalidation
+            if prior is MODIFIED:
                 had_dirty = True
-                self.traffic.data(MessageClass.COHERENCE)  # ack + data
+                self.traffic.data(COHERENCE)  # ack + data
                 if not data_to_requester:
                     self._store_dirty_data(addr, now)
             else:
-                self.traffic.control(MessageClass.COHERENCE)  # ack
+                self.traffic.control(COHERENCE)  # ack
             self.stats.invalidations += 1
         coh.clear()
         return had_dirty
 
     def _store_dirty_data(self, addr: int, now: int) -> None:
         """Deposit retrieved dirty data in the LLC line or in memory."""
-        bank = self.banks[self.bank_of(addr)]
+        bank = self.banks[addr % self.num_banks]
         line, _ = bank.lookup(addr, touch=False)
         if line is not None and not line.is_spill and line.state in (
-            LLCState.CLEAN,
-            LLCState.DIRTY,
+            LLC_CLEAN,
+            LLC_DIRTY,
         ):
-            line.state = LLCState.DIRTY
+            line.state = LLC_DIRTY
             bank.data_writes += 1
         elif line is not None and not line.is_spill:
             # Corrupted line: the data portion is updated in place; the
@@ -291,7 +301,7 @@ class BaseHome:
         exclusive: "list[int]" = []
         for core in self.cores:
             state = core.state_of(addr)
-            if state is PrivateState.INVALID:
+            if state is INVALID:
                 continue
             if state.is_exclusive:
                 exclusive.append(core.core_id)

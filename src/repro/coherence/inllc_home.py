@@ -24,8 +24,20 @@ from repro.core.spill import DynamicSpillPolicy, SpillConfig
 from repro.core.stra import StraCounters
 from repro.core.tiny_directory import TinyDirectory
 from repro.errors import InvariantViolation, ProtocolError
-from repro.interconnect.traffic import MessageClass
-from repro.types import AccessKind, LLCState, PrivateState
+from repro.interconnect.traffic import COHERENCE, PROCESSOR, WRITEBACK
+from repro.types import (
+    EXCLUSIVE,
+    IFETCH,
+    INVALID,
+    LLC_CLEAN,
+    LLC_CORRUPTED,
+    LLC_DIRTY,
+    MODIFIED,
+    SHARED,
+    WRITE,
+    AccessKind,
+    PrivateState,
+)
 
 
 class InLLCHome(BaseHome):
@@ -47,7 +59,7 @@ class InLLCHome(BaseHome):
     def _corrupted_extra(self, line: LLCLine) -> int:
         """Extra LLC serialization for decoding a corrupted block (§IV-C):
         the data read plus the state-decoder cycle."""
-        if self.tag_extended or line.state is not LLCState.CORRUPTED:
+        if self.tag_extended or line.state is not LLC_CORRUPTED:
             return 0
         return self.config.llc_data_latency + self.config.corrupted_decode_latency
 
@@ -57,8 +69,8 @@ class InLLCHome(BaseHome):
             self.coverage.note("llc:mark_tracked")
         if self.tag_extended:
             return
-        line.underlying_dirty = line.underlying_dirty or line.state is LLCState.DIRTY
-        line.state = LLCState.CORRUPTED
+        line.underlying_dirty = line.underlying_dirty or line.state is LLC_DIRTY
+        line.state = LLC_CORRUPTED
         bank.data_writes += 1  # the borrowed bits are written in the data array
 
     def _restore_line(self, line: LLCLine, bank) -> None:
@@ -69,13 +81,13 @@ class InLLCHome(BaseHome):
         line.stra = None
         if self.tag_extended:
             return
-        line.state = LLCState.DIRTY if line.underlying_dirty else LLCState.CLEAN
+        line.state = LLC_DIRTY if line.underlying_dirty else LLC_CLEAN
         line.underlying_dirty = False
         bank.data_writes += 1
 
     def _fill_llc(self, addr: int, now: int) -> LLCLine:
-        bank = self.banks[self.bank_of(addr)]
-        line, victim = bank.insert_block(addr, LLCState.CLEAN)
+        bank = self.banks[addr % self.num_banks]
+        line, victim = bank.insert_block(addr, LLC_CLEAN)
         if victim is not None:
             self._handle_llc_victim(victim, now)
         return line
@@ -86,7 +98,7 @@ class InLLCHome(BaseHome):
             if self.coverage.enabled:
                 self.coverage.note("llc:evict_tracked")
             self._evict_tracked_victim(victim, now)
-        elif victim.state is LLCState.DIRTY or victim.underlying_dirty:
+        elif victim.state is LLC_DIRTY or victim.underlying_dirty:
             if self.coverage.enabled:
                 self.coverage.note("llc:evict_dirty")
             self._dram_write(victim.tag, now)
@@ -102,17 +114,17 @@ class InLLCHome(BaseHome):
         had_modified = False
         for holder in holders:
             prior = self.cores[holder].invalidate(addr)
-            self.traffic.control(MessageClass.COHERENCE)  # invalidation
-            if prior is PrivateState.MODIFIED:
+            self.traffic.control(COHERENCE)  # invalidation
+            if prior is MODIFIED:
                 had_modified = True
-                self.traffic.data(MessageClass.COHERENCE)  # data response
+                self.traffic.data(COHERENCE)  # data response
             else:
-                self.traffic.control(MessageClass.COHERENCE)  # ack
+                self.traffic.control(COHERENCE)  # ack
             self.stats.invalidations += 1
             self.stats.back_invalidations += 1
         if not self.tag_extended and not had_modified and holders:
             # One holder supplies the borrowed bits for reconstruction.
-            self.traffic.partial(MessageClass.COHERENCE)
+            self.traffic.partial(COHERENCE)
         if dirty or had_modified:
             self._dram_write(addr, now)
         coh.clear()
@@ -130,13 +142,13 @@ class InLLCHome(BaseHome):
         upgrade: bool = False,
     ) -> AccessOutcome:
         out = AccessOutcome()
-        home = self.bank_of(addr)
+        home = addr % self.num_banks
         bank = self.banks[home]
         if self.recorder.enabled:
             self.recorder.record(
                 addr, "upgrade" if upgrade else kind.name.lower(), core=core
             )
-        self.traffic.control(MessageClass.PROCESSOR)
+        self.traffic.control(PROCESSOR)
         line, _ = bank.lookup(addr)
 
         if upgrade:
@@ -179,15 +191,15 @@ class InLLCHome(BaseHome):
     def _take_ownership(self, core, kind, line, bank, out) -> None:
         """A request to an unowned valid block: the requester takes it."""
         coh = CohInfo()
-        if kind is AccessKind.WRITE:
+        if kind is WRITE:
             coh.set_owner(core)
-            out.fill_state = PrivateState.MODIFIED
-        elif kind is AccessKind.IFETCH:
+            out.fill_state = MODIFIED
+        elif kind is IFETCH:
             coh.add_sharer(core)
-            out.fill_state = PrivateState.SHARED
+            out.fill_state = SHARED
         else:
             coh.set_owner(core)
-            out.fill_state = PrivateState.EXCLUSIVE
+            out.fill_state = EXCLUSIVE
         line.coh = coh
         line.stra = StraCounters(limit=self.stra_limit)
         line.stra.record_other()
@@ -195,7 +207,7 @@ class InLLCHome(BaseHome):
         line.note_holders(coh)
         if kind.is_read:
             line.total_reads += 1
-        self.traffic.data(MessageClass.PROCESSOR)
+        self.traffic.data(PROCESSOR)
 
     def _serve_tracked_exclusive(self, core, addr, kind, line, bank, home, now, out) -> None:
         coh = line.coh
@@ -206,31 +218,31 @@ class InLLCHome(BaseHome):
             )
         out.hops = 3
         out.latency = self._three_hop(core, home, owner, self._corrupted_extra(line))
-        self.traffic.control(MessageClass.COHERENCE)  # forward
-        self.traffic.data(MessageClass.PROCESSOR)  # owner -> requester
-        self.traffic.control(MessageClass.COHERENCE)  # busy-clear
-        if kind is AccessKind.WRITE:
+        self.traffic.control(COHERENCE)  # forward
+        self.traffic.data(PROCESSOR)  # owner -> requester
+        self.traffic.control(COHERENCE)  # busy-clear
+        if kind is WRITE:
             prior = self.cores[owner].invalidate(addr)
-            if prior is PrivateState.INVALID:
+            if prior is INVALID:
                 raise ProtocolError(f"stale owner for block {addr:#x}")
             self.stats.invalidations += 1
             coh.set_owner(core)
-            out.fill_state = PrivateState.MODIFIED
+            out.fill_state = MODIFIED
         else:
             prior = self.cores[owner].downgrade(addr)
-            if prior is PrivateState.MODIFIED:
+            if prior is MODIFIED:
                 # Dirty data is deposited in the (corrupted) LLC line's
                 # intact data portion.
-                self.traffic.data(MessageClass.WRITEBACK)
+                self.traffic.data(WRITEBACK)
                 line.underlying_dirty = True
                 bank.data_writes += 1
             coh.add_sharer(core)
-            out.fill_state = PrivateState.SHARED
+            out.fill_state = SHARED
 
     def _serve_tracked_shared(self, core, addr, kind, line, bank, home, now, out) -> None:
         coh = line.coh
         extra = self._corrupted_extra(line)
-        if kind is AccessKind.WRITE:
+        if kind is WRITE:
             holders = coh.sharer_list()
             forwarder = self._closest_sharer(coh, home)
             inval_path = self._invalidation_latency(home, holders, core)
@@ -245,21 +257,21 @@ class InLLCHome(BaseHome):
             )
             for holder in holders:
                 prior = self.cores[holder].invalidate(addr)
-                if prior is PrivateState.INVALID:
+                if prior is INVALID:
                     raise ProtocolError(f"stale sharer for block {addr:#x}")
                 self.stats.invalidations += 1
-                self.traffic.control(MessageClass.COHERENCE)  # invalidation
+                self.traffic.control(COHERENCE)  # invalidation
                 if holder == forwarder:
-                    self.traffic.data(MessageClass.PROCESSOR)  # special ack
+                    self.traffic.data(PROCESSOR)  # special ack
                 else:
-                    self.traffic.control(MessageClass.COHERENCE)  # ack
+                    self.traffic.control(COHERENCE)  # ack
             coh.set_owner(core)
-            out.fill_state = PrivateState.MODIFIED
+            out.fill_state = MODIFIED
         else:
             if self.tag_extended:
                 # The LLC data is intact: serve in two hops.
                 out.latency = self._two_hop(core, home)
-                self.traffic.data(MessageClass.PROCESSOR)
+                self.traffic.data(PROCESSOR)
             else:
                 if self.coverage.enabled:
                     self.coverage.note("llc:lengthened_read")
@@ -267,11 +279,11 @@ class InLLCHome(BaseHome):
                 out.hops = 3
                 out.lengthened = True
                 out.latency = self._three_hop(core, home, forwarder, extra)
-                self.traffic.control(MessageClass.COHERENCE)
-                self.traffic.data(MessageClass.PROCESSOR)
-                self.traffic.control(MessageClass.COHERENCE)
+                self.traffic.control(COHERENCE)
+                self.traffic.data(PROCESSOR)
+                self.traffic.control(COHERENCE)
             coh.add_sharer(core)
-            out.fill_state = PrivateState.SHARED
+            out.fill_state = SHARED
 
     def _serve_upgrade(self, core, addr, line, bank, home, now, out) -> None:
         coh = line.coh
@@ -286,13 +298,13 @@ class InLLCHome(BaseHome):
         inval_path = self._invalidation_latency(home, holders, core)
         for holder in holders:
             prior = self.cores[holder].invalidate(addr)
-            if prior is PrivateState.INVALID:
+            if prior is INVALID:
                 raise ProtocolError(f"stale sharer for block {addr:#x}")
             self.stats.invalidations += 1
-            self.traffic.control(MessageClass.COHERENCE)
-            self.traffic.control(MessageClass.COHERENCE)
+            self.traffic.control(COHERENCE)
+            self.traffic.control(COHERENCE)
         coh.set_owner(core)
-        self.traffic.control(MessageClass.PROCESSOR)
+        self.traffic.control(PROCESSOR)
         request_leg = (
             self.mesh.latency(core, home) + self.config.llc_tag_latency + extra
         )
@@ -309,35 +321,35 @@ class InLLCHome(BaseHome):
     ) -> None:
         if self.recorder.enabled:
             self.recorder.record(addr, "evict_notice", core=core, detail=state.name)
-        bank = self.banks[self.bank_of(addr)]
+        bank = self.banks[addr % self.num_banks]
         line, _ = bank.lookup(addr, touch=False)
         if line is None or line.coh is None:
             # The line (and its tracking) was concurrently evicted and the
             # holders back-invalidated; nothing to update.
-            self.traffic.control(MessageClass.WRITEBACK)
-            self.traffic.control(MessageClass.WRITEBACK)
+            self.traffic.control(WRITEBACK)
+            self.traffic.control(WRITEBACK)
             return
         coh = line.coh
-        if state is PrivateState.MODIFIED:
-            self.traffic.data(MessageClass.WRITEBACK)
+        if state is MODIFIED:
+            self.traffic.data(WRITEBACK)
             line.underlying_dirty = True
             bank.data_writes += 1
-        elif state is PrivateState.EXCLUSIVE and not self.tag_extended:
+        elif state is EXCLUSIVE and not self.tag_extended:
             # The notice carries the borrowed bits for reconstruction.
-            self.traffic.partial(MessageClass.WRITEBACK)
+            self.traffic.partial(WRITEBACK)
         else:
-            self.traffic.control(MessageClass.WRITEBACK)
+            self.traffic.control(WRITEBACK)
         coh.remove(core)
         if coh.is_idle:
             if (
-                state is PrivateState.SHARED
+                state is SHARED
                 and not self.tag_extended
             ):
                 # Last sharer: the LLC requests the borrowed bits back.
-                self.traffic.control(MessageClass.WRITEBACK)
-                self.traffic.partial(MessageClass.WRITEBACK)
+                self.traffic.control(WRITEBACK)
+                self.traffic.partial(WRITEBACK)
             self._restore_line(line, bank)
-        self.traffic.control(MessageClass.WRITEBACK)  # acknowledgement
+        self.traffic.control(WRITEBACK)  # acknowledgement
 
     # ------------------------------------------------------------------
     # Recovery
@@ -411,7 +423,7 @@ class InLLCHome(BaseHome):
                     continue
                 for holder in line.coh.holders():
                     state = self.cores[holder].state_of(line.tag)
-                    if state is PrivateState.INVALID:
+                    if state is INVALID:
                         raise InvariantViolation(
                             f"LLC tracks core {holder} holding {line.tag:#x} "
                             f"but its cache does not",
@@ -468,13 +480,13 @@ class TinyHome(InLLCHome):
         upgrade: bool = False,
     ) -> AccessOutcome:
         out = AccessOutcome()
-        home = self.bank_of(addr)
+        home = addr % self.num_banks
         bank = self.banks[home]
         if self.recorder.enabled:
             self.recorder.record(
                 addr, "upgrade" if upgrade else kind.name.lower(), core=core
             )
-        self.traffic.control(MessageClass.PROCESSOR)
+        self.traffic.control(PROCESSOR)
         entry = self.tiny.lookup(addr, now)
         line, spill = bank.lookup(addr)
         shared_read = False
@@ -511,7 +523,7 @@ class TinyHome(InLLCHome):
                 core, addr, kind, spill.coh, spill.stra, line, bank, home, now, out,
                 via_spill=True,
             )
-            if kind is AccessKind.WRITE:
+            if kind is WRITE:
                 out.latency += self.config.llc_data_latency
                 self._unspill_into_line(spill, line, bank)
             elif spill.coh.is_idle:
@@ -525,7 +537,7 @@ class TinyHome(InLLCHome):
             else:
                 out.latency = self._two_hop(core, home)
             self._take_ownership(core, kind, line, bank, out)
-            if kind is AccessKind.IFETCH:
+            if kind is IFETCH:
                 # Allocation situation (ii): an instruction read to an
                 # unowned block (§IV).
                 self._consider_tracking(addr, line, bank, home, now)
@@ -572,7 +584,7 @@ class TinyHome(InLLCHome):
             line.total_reads += 1
             if shared_read:
                 line.fwd_reads += 1
-        if kind is AccessKind.WRITE:
+        if kind is WRITE:
             if coh.is_exclusive:
                 owner = coh.owner
                 if owner == core:
@@ -581,11 +593,11 @@ class TinyHome(InLLCHome):
                     )
                 out.hops = 3
                 out.latency = self._three_hop(core, home, owner)
-                self.traffic.control(MessageClass.COHERENCE)
-                self.traffic.data(MessageClass.PROCESSOR)
-                self.traffic.control(MessageClass.COHERENCE)
+                self.traffic.control(COHERENCE)
+                self.traffic.data(PROCESSOR)
+                self.traffic.control(COHERENCE)
                 prior = self.cores[owner].invalidate(addr)
-                if prior is PrivateState.INVALID:
+                if prior is INVALID:
                     raise ProtocolError(f"stale owner for block {addr:#x}")
                 self.stats.invalidations += 1
             else:
@@ -596,14 +608,14 @@ class TinyHome(InLLCHome):
                     if line_valid
                     else self._three_hop(core, home, self._closest_sharer(coh, home))
                 )
-                self.traffic.data(MessageClass.PROCESSOR)
+                self.traffic.data(PROCESSOR)
                 for holder in holders:
                     prior = self.cores[holder].invalidate(addr)
-                    if prior is PrivateState.INVALID:
+                    if prior is INVALID:
                         raise ProtocolError(f"stale sharer for block {addr:#x}")
                     self.stats.invalidations += 1
-                    self.traffic.control(MessageClass.COHERENCE)
-                    self.traffic.control(MessageClass.COHERENCE)
+                    self.traffic.control(COHERENCE)
+                    self.traffic.control(COHERENCE)
                 out.latency = max(
                     base,
                     self.mesh.latency(core, home)
@@ -611,30 +623,30 @@ class TinyHome(InLLCHome):
                     + inval_path,
                 )
             coh.set_owner(core)
-            out.fill_state = PrivateState.MODIFIED
+            out.fill_state = MODIFIED
         elif coh.is_exclusive:
             owner = coh.owner
             if owner == core:
                 raise ProtocolError(f"core {core} missed on owned block {addr:#x}")
             out.hops = 3
             out.latency = self._three_hop(core, home, owner)
-            self.traffic.control(MessageClass.COHERENCE)
-            self.traffic.data(MessageClass.PROCESSOR)
-            self.traffic.control(MessageClass.COHERENCE)
+            self.traffic.control(COHERENCE)
+            self.traffic.data(PROCESSOR)
+            self.traffic.control(COHERENCE)
             prior = self.cores[owner].downgrade(addr)
-            if prior is PrivateState.MODIFIED:
-                self.traffic.data(MessageClass.WRITEBACK)
+            if prior is MODIFIED:
+                self.traffic.data(WRITEBACK)
                 if line is not None:
                     line.underlying_dirty = True
                     bank.data_writes += 1
                 else:
                     self._dram_write(addr, now)
             coh.add_sharer(core)
-            out.fill_state = PrivateState.SHARED
+            out.fill_state = SHARED
         else:
             if line_valid:
                 out.latency = self._two_hop(core, home)
-                self.traffic.data(MessageClass.PROCESSOR)
+                self.traffic.data(PROCESSOR)
                 if via_spill and shared_read:
                     out.spill_saved = True
             else:
@@ -645,11 +657,11 @@ class TinyHome(InLLCHome):
                 forwarder = self._closest_sharer(coh, home)
                 out.hops = 3
                 out.latency = self._three_hop(core, home, forwarder)
-                self.traffic.control(MessageClass.COHERENCE)
-                self.traffic.data(MessageClass.PROCESSOR)
-                self.traffic.control(MessageClass.COHERENCE)
+                self.traffic.control(COHERENCE)
+                self.traffic.data(PROCESSOR)
+                self.traffic.control(COHERENCE)
             coh.add_sharer(core)
-            out.fill_state = PrivateState.SHARED
+            out.fill_state = SHARED
         if line is not None:
             line.note_holders(coh)
         return shared_read
@@ -665,13 +677,13 @@ class TinyHome(InLLCHome):
         inval_path = self._invalidation_latency(home, holders, core)
         for holder in holders:
             prior = self.cores[holder].invalidate(addr)
-            if prior is PrivateState.INVALID:
+            if prior is INVALID:
                 raise ProtocolError(f"stale sharer for block {addr:#x}")
             self.stats.invalidations += 1
-            self.traffic.control(MessageClass.COHERENCE)
-            self.traffic.control(MessageClass.COHERENCE)
+            self.traffic.control(COHERENCE)
+            self.traffic.control(COHERENCE)
         coh.set_owner(core)
-        self.traffic.control(MessageClass.PROCESSOR)
+        self.traffic.control(PROCESSOR)
         request_leg = self.mesh.latency(core, home) + self.config.llc_tag_latency
         out.latency = request_leg + max(self.mesh.latency(home, core), inval_path)
         out.hops = 2 if not holders else 3
@@ -744,14 +756,14 @@ class TinyHome(InLLCHome):
 
     def _detach_tracking(self, line, bank) -> None:
         """Reconstruct the data block after its tracking moved elsewhere."""
-        was_corrupted = line.state is LLCState.CORRUPTED
+        was_corrupted = line.state is LLC_CORRUPTED
         line.coh = None
         line.stra = None
-        line.state = LLCState.DIRTY if line.underlying_dirty else LLCState.CLEAN
+        line.state = LLC_DIRTY if line.underlying_dirty else LLC_CLEAN
         line.underlying_dirty = False
         if was_corrupted:
             # The forwarded target also ships the borrowed bits to the LLC.
-            self.traffic.partial(MessageClass.COHERENCE)
+            self.traffic.partial(COHERENCE)
             bank.data_writes += 1
 
     def _rehome_victim(self, victim_entry, now) -> None:
@@ -764,7 +776,7 @@ class TinyHome(InLLCHome):
             return
         if self.recorder.enabled:
             self.recorder.record(vaddr, "tiny_rehome", detail=f"holders={coh.holders()}")
-        bank = self.banks[self.bank_of(vaddr)]
+        bank = self.banks[vaddr % self.num_banks]
         vline, vspill = bank.lookup(vaddr, touch=False)
         if vspill is not None:
             raise ProtocolError(
@@ -774,7 +786,7 @@ class TinyHome(InLLCHome):
             self._back_invalidate_untracked(vaddr, coh, now)
             return
         if self.spill_enabled and coh.is_shared:
-            home = self.bank_of(vaddr)
+            home = vaddr % self.num_banks
             if self.spill_policies[home].allows(stra.category()):
                 spill_line, svictim = bank.insert_spill(vaddr, coh, stra)
                 if spill_line is not None:
@@ -808,12 +820,12 @@ class TinyHome(InLLCHome):
         had_dirty = False
         for holder in coh.holders():
             prior = self.cores[holder].invalidate(addr)
-            self.traffic.control(MessageClass.COHERENCE)
-            if prior is PrivateState.MODIFIED:
+            self.traffic.control(COHERENCE)
+            if prior is MODIFIED:
                 had_dirty = True
-                self.traffic.data(MessageClass.COHERENCE)
+                self.traffic.data(COHERENCE)
             else:
-                self.traffic.control(MessageClass.COHERENCE)
+                self.traffic.control(COHERENCE)
             self.stats.invalidations += 1
             self.stats.back_invalidations += 1
         if had_dirty:
@@ -825,7 +837,7 @@ class TinyHome(InLLCHome):
     # ------------------------------------------------------------------
 
     def _handle_llc_victim(self, victim: LLCLine, now: int) -> None:
-        bank = self.banks[self.bank_of(victim.tag)]
+        bank = self.banks[victim.tag % self.num_banks]
         if victim.is_spill:
             # Transfer the tracking back into the companion data block.
             b_line, _ = bank.lookup(victim.tag, touch=False)
@@ -844,7 +856,7 @@ class TinyHome(InLLCHome):
             bank.remove(spill)
             self._back_invalidate_untracked(victim.tag, spill.coh, now)
             self._flush_residency(victim)
-            if victim.state is LLCState.DIRTY or victim.underlying_dirty:
+            if victim.state is LLC_DIRTY or victim.underlying_dirty:
                 self._dram_write(victim.tag, now)
             return
         super()._handle_llc_victim(victim, now)
@@ -859,13 +871,13 @@ class TinyHome(InLLCHome):
         if self.recorder.enabled:
             self.recorder.record(addr, "evict_notice", core=core, detail=state.name)
         entry = self.tiny.find_quiet(addr)
-        bank = self.banks[self.bank_of(addr)]
+        bank = self.banks[addr % self.num_banks]
         if entry is not None:
             self._notice_traffic(state, partial=False)
             entry.coh.remove(core)
             if entry.coh.is_idle:
                 self.tiny.remove(addr)
-            if state is PrivateState.MODIFIED:
+            if state is MODIFIED:
                 self._deposit_dirty(addr, bank, now)
             return
         line, spill = bank.lookup(addr, touch=False)
@@ -874,27 +886,27 @@ class TinyHome(InLLCHome):
             spill.coh.remove(core)
             if spill.coh.is_idle:
                 bank.remove(spill)
-            if state is PrivateState.MODIFIED:
+            if state is MODIFIED:
                 self._deposit_dirty(addr, bank, now)
             return
         super().handle_private_eviction(core, addr, state, now)
 
     def _notice_traffic(self, state: PrivateState, partial: bool) -> None:
-        if state is PrivateState.MODIFIED:
-            self.traffic.data(MessageClass.WRITEBACK)
+        if state is MODIFIED:
+            self.traffic.data(WRITEBACK)
         elif partial:
-            self.traffic.partial(MessageClass.WRITEBACK)
+            self.traffic.partial(WRITEBACK)
         else:
-            self.traffic.control(MessageClass.WRITEBACK)
-        self.traffic.control(MessageClass.WRITEBACK)  # acknowledgement
+            self.traffic.control(WRITEBACK)
+        self.traffic.control(WRITEBACK)  # acknowledgement
 
     def _deposit_dirty(self, addr, bank, now) -> None:
         line, _ = bank.lookup(addr, touch=False)
         if line is not None and not line.is_spill:
-            if line.state is LLCState.CORRUPTED:
+            if line.state is LLC_CORRUPTED:
                 line.underlying_dirty = True
             else:
-                line.state = LLCState.DIRTY
+                line.state = LLC_DIRTY
             bank.data_writes += 1
         else:
             self._dram_write(addr, now)

@@ -23,8 +23,21 @@ from repro.coherence.transaction import AccessOutcome
 from repro.directory.mgd import BLOCKS_PER_REGION, MultiGrainDirectory, RegionEntry
 from repro.directory.stash import StashState
 from repro.errors import InvariantViolation, ProtocolError
-from repro.interconnect.traffic import MessageClass
-from repro.types import AccessKind, LLCState, PrivateState
+from repro.interconnect.traffic import COHERENCE, PROCESSOR, WRITEBACK
+from repro.types import (
+    EXCLUSIVE,
+    IFETCH,
+    INVALID,
+    LLC_CLEAN,
+    LLC_DIRTY,
+    LLC_INVALID,
+    MODIFIED,
+    SHARED,
+    WRITE,
+    AccessKind,
+    LLCState,
+    PrivateState,
+)
 
 
 class SparseHome(BaseHome):
@@ -102,7 +115,7 @@ class SparseHome(BaseHome):
     # ------------------------------------------------------------------
 
     def _fill_llc(self, addr: int, state: LLCState, now: int):
-        bank = self.banks[self.bank_of(addr)]
+        bank = self.banks[addr % self.num_banks]
         line, victim = bank.insert_block(addr, state)
         if victim is not None:
             self._handle_llc_victim(victim, now)
@@ -110,18 +123,18 @@ class SparseHome(BaseHome):
 
     def _handle_llc_victim(self, victim, now: int) -> None:
         self._flush_residency(victim)
-        if victim.state is LLCState.DIRTY:
+        if victim.state is LLC_DIRTY:
             self._dram_write(victim.tag, now)
 
     def _ensure_llc_data(self, addr: int, dirty: bool, now: int) -> None:
         """Deposit written-back data into the LLC (allocate on absence)."""
-        bank = self.banks[self.bank_of(addr)]
+        bank = self.banks[addr % self.num_banks]
         line, _ = bank.lookup(addr, touch=False)
         if line is None:
-            self._fill_llc(addr, LLCState.DIRTY if dirty else LLCState.CLEAN, now)
+            self._fill_llc(addr, LLC_DIRTY if dirty else LLC_CLEAN, now)
         else:
             if dirty:
-                line.state = LLCState.DIRTY
+                line.state = LLC_DIRTY
             bank.data_writes += 1
 
     # ------------------------------------------------------------------
@@ -137,13 +150,13 @@ class SparseHome(BaseHome):
         upgrade: bool = False,
     ) -> AccessOutcome:
         out = AccessOutcome()
-        home = self.bank_of(addr)
+        home = addr % self.num_banks
         bank = self.banks[home]
         if self.recorder.enabled:
             self.recorder.record(
                 addr, "upgrade" if upgrade else kind.name.lower(), core=core
             )
-        self.traffic.control(MessageClass.PROCESSOR)  # the request
+        self.traffic.control(PROCESSOR)  # the request
         coh = self._find(addr, core, now, out)
         line, _ = bank.lookup(addr)
 
@@ -170,24 +183,24 @@ class SparseHome(BaseHome):
 
     def _serve_untracked(self, core, addr, kind, line, home, now, out) -> None:
         latency = self._two_hop(core, home)
-        if line is None or line.state is LLCState.INVALID:
+        if line is None or line.state is LLC_INVALID:
             latency += self._dram_fetch(addr, now, out)
-            line = self._fill_llc(addr, LLCState.CLEAN, now)
+            line = self._fill_llc(addr, LLC_CLEAN, now)
             if kind.is_read:
                 line.total_reads += 1
         coh = CohInfo()
-        if kind is AccessKind.WRITE:
+        if kind is WRITE:
             coh.set_owner(core)
-            out.fill_state = PrivateState.MODIFIED
-        elif kind is AccessKind.IFETCH:
+            out.fill_state = MODIFIED
+        elif kind is IFETCH:
             coh.add_sharer(core)
-            out.fill_state = PrivateState.SHARED
+            out.fill_state = SHARED
         else:
             coh.set_owner(core)
-            out.fill_state = PrivateState.EXCLUSIVE
+            out.fill_state = EXCLUSIVE
         self._install(addr, coh, now)
         line.note_holders(coh)
-        self.traffic.data(MessageClass.PROCESSOR)  # the data response
+        self.traffic.data(PROCESSOR)  # the data response
         out.latency = latency
 
     # -- exclusively owned by another core -------------------------------
@@ -202,34 +215,34 @@ class SparseHome(BaseHome):
         out.latency = self._three_hop(core, home, owner)
         if self.coverage.enabled:
             self.coverage.note("dir:fwd_exclusive")
-        self.traffic.control(MessageClass.COHERENCE)  # forwarded request
-        self.traffic.data(MessageClass.PROCESSOR)  # owner -> requester data
-        self.traffic.control(MessageClass.COHERENCE)  # busy-clear to home
-        if kind is AccessKind.WRITE:
+        self.traffic.control(COHERENCE)  # forwarded request
+        self.traffic.data(PROCESSOR)  # owner -> requester data
+        self.traffic.control(COHERENCE)  # busy-clear to home
+        if kind is WRITE:
             prior = self.cores[owner].invalidate(addr)
-            if prior is PrivateState.INVALID:
+            if prior is INVALID:
                 raise ProtocolError(f"stale owner for block {addr:#x}")
             self.stats.invalidations += 1
             coh.set_owner(core)
-            out.fill_state = PrivateState.MODIFIED
+            out.fill_state = MODIFIED
         else:
             prior = self.cores[owner].downgrade(addr)
-            if prior is PrivateState.MODIFIED:
+            if prior is MODIFIED:
                 # The downgrade deposits the dirty block at the home LLC.
-                self.traffic.data(MessageClass.WRITEBACK)
+                self.traffic.data(WRITEBACK)
                 self._ensure_llc_data(addr, dirty=True, now=now)
             coh.add_sharer(core)
-            out.fill_state = PrivateState.SHARED
+            out.fill_state = SHARED
         self._after_update(addr, coh, now)
 
     # -- shared by one or more cores --------------------------------------
 
     def _serve_shared(self, core, addr, kind, coh, line, home, now, out) -> None:
         line_valid = line is not None and line.state in (
-            LLCState.CLEAN,
-            LLCState.DIRTY,
+            LLC_CLEAN,
+            LLC_DIRTY,
         )
-        if kind is AccessKind.WRITE:
+        if kind is WRITE:
             if self.coverage.enabled:
                 self.coverage.note("dir:write_shared")
             holders = coh.sharer_list()
@@ -240,31 +253,31 @@ class SparseHome(BaseHome):
                 forwarder = self._closest_sharer(coh, home)
                 base = self._three_hop(core, home, forwarder)
                 out.hops = 3
-                self.traffic.control(MessageClass.COHERENCE)
-            self.traffic.data(MessageClass.PROCESSOR)
+                self.traffic.control(COHERENCE)
+            self.traffic.data(PROCESSOR)
             self._invalidate_holders(addr, coh, now, data_to_requester=True)
             coh.set_owner(core)
-            out.fill_state = PrivateState.MODIFIED
+            out.fill_state = MODIFIED
             out.latency = max(
                 base, self.mesh.latency(core, home) + self.config.llc_tag_latency + inval_path
             )
         else:
             if line_valid:
                 out.latency = self._two_hop(core, home)
-                self.traffic.data(MessageClass.PROCESSOR)
+                self.traffic.data(PROCESSOR)
             else:
                 # Non-inclusive LLC lost the clean copy: forward to the
                 # elected sharer and refill the LLC alongside.
                 forwarder = self._closest_sharer(coh, home)
                 out.hops = 3
                 out.latency = self._three_hop(core, home, forwarder)
-                self.traffic.control(MessageClass.COHERENCE)
-                self.traffic.data(MessageClass.PROCESSOR)
-                self.traffic.control(MessageClass.COHERENCE)
-                self.traffic.data(MessageClass.WRITEBACK)  # LLC refill
-                line = self._fill_llc(addr, LLCState.CLEAN, now)
+                self.traffic.control(COHERENCE)
+                self.traffic.data(PROCESSOR)
+                self.traffic.control(COHERENCE)
+                self.traffic.data(WRITEBACK)  # LLC refill
+                line = self._fill_llc(addr, LLC_CLEAN, now)
             coh.add_sharer(core)
-            out.fill_state = PrivateState.SHARED
+            out.fill_state = SHARED
         if line is not None:
             line.note_holders(coh)
         self._after_update(addr, coh, now)
@@ -284,13 +297,13 @@ class SparseHome(BaseHome):
         inval_path = self._invalidation_latency(home, holders, core)
         for holder in holders:
             prior = self.cores[holder].invalidate(addr)
-            if prior is PrivateState.INVALID:
+            if prior is INVALID:
                 raise ProtocolError(f"stale sharer for block {addr:#x}")
-            self.traffic.control(MessageClass.COHERENCE)
-            self.traffic.control(MessageClass.COHERENCE)
+            self.traffic.control(COHERENCE)
+            self.traffic.control(COHERENCE)
             self.stats.invalidations += 1
         coh.set_owner(core)
-        self.traffic.control(MessageClass.PROCESSOR)  # grant
+        self.traffic.control(PROCESSOR)  # grant
         request_leg = self.mesh.latency(core, home) + self.config.llc_tag_latency
         out.latency = request_leg + max(self.mesh.latency(home, core), inval_path)
         out.hops = 2 if not holders else 3
@@ -305,12 +318,12 @@ class SparseHome(BaseHome):
     ) -> None:
         if self.recorder.enabled:
             self.recorder.record(addr, "evict_notice", core=core, detail=state.name)
-        if state is PrivateState.MODIFIED:
-            self.traffic.data(MessageClass.WRITEBACK)
+        if state is MODIFIED:
+            self.traffic.data(WRITEBACK)
             self._ensure_llc_data(addr, dirty=True, now=now)
         else:
-            self.traffic.control(MessageClass.WRITEBACK)
-        self.traffic.control(MessageClass.WRITEBACK)  # acknowledgement
+            self.traffic.control(WRITEBACK)
+        self.traffic.control(WRITEBACK)  # acknowledgement
         coh = self._find(addr, core, now, None)
         if coh is None:
             return
@@ -333,7 +346,7 @@ class SparseHome(BaseHome):
             for addr, coh in self.directory.iter_entries():
                 for holder in coh.holders():
                     state = self.cores[holder].state_of(addr)
-                    if state is PrivateState.INVALID:
+                    if state is INVALID:
                         raise InvariantViolation(
                             f"directory records core {holder} holding "
                             f"{addr:#x} but its cache does not",
@@ -466,7 +479,7 @@ class SharedOnlyHome(SparseHome):
                     cores=tuple(coh.holders()),
                 )
             for holder in coh.holders():
-                if self.cores[holder].state_of(addr) is PrivateState.INVALID:
+                if self.cores[holder].state_of(addr) is INVALID:
                     raise InvariantViolation(
                         f"unbounded tracker records core {holder} holding "
                         f"{addr:#x} but its cache does not",
@@ -516,8 +529,8 @@ class StashHome(SparseHome):
         self.stash.unstash(addr)
         self.stats.broadcasts += 1
         num_cores = self.config.num_cores
-        self.traffic.control(MessageClass.COHERENCE, count=num_cores)
-        self.traffic.control(MessageClass.COHERENCE, count=num_cores)
+        self.traffic.control(COHERENCE, count=num_cores)
+        self.traffic.control(COHERENCE, count=num_cores)
         if out is not None:
             max_span = (
                 (self.mesh.width - 1 + self.mesh.height - 1) * self.mesh.hop_cycles
@@ -608,9 +621,9 @@ class MgdHome(SparseHome):
         owner = region_entry.owner
         for baddr in region_entry.blocks(region):
             state = self.cores[owner].state_of(baddr)
-            if state is PrivateState.INVALID:
+            if state is INVALID:
                 continue
-            self.traffic.control(MessageClass.COHERENCE)
+            self.traffic.control(COHERENCE)
             victim = self.directory.allocate_block(baddr, CohInfo(owner=owner))
             self._handle_mgd_victim(victim, now)
         if out is not None:
@@ -656,16 +669,16 @@ class MgdHome(SparseHome):
             owner = payload.owner
             for baddr in payload.blocks(key):
                 state = self.cores[owner].invalidate(baddr)
-                if state is PrivateState.INVALID:
+                if state is INVALID:
                     continue
                 self.stats.invalidations += 1
                 self.stats.back_invalidations += 1
-                self.traffic.control(MessageClass.COHERENCE)
-                if state is PrivateState.MODIFIED:
-                    self.traffic.data(MessageClass.COHERENCE)
+                self.traffic.control(COHERENCE)
+                if state is MODIFIED:
+                    self.traffic.data(COHERENCE)
                     self._store_dirty_data(baddr, now)
                 else:
-                    self.traffic.control(MessageClass.COHERENCE)
+                    self.traffic.control(COHERENCE)
 
     def _drop(self, addr, coh):
         self.directory.remove_block(addr)
@@ -677,12 +690,12 @@ class MgdHome(SparseHome):
     def handle_private_eviction(self, core, addr, state, now):
         if self.recorder.enabled:
             self.recorder.record(addr, "evict_notice", core=core, detail=state.name)
-        if state is PrivateState.MODIFIED:
-            self.traffic.data(MessageClass.WRITEBACK)
+        if state is MODIFIED:
+            self.traffic.data(WRITEBACK)
             self._ensure_llc_data(addr, dirty=True, now=now)
         else:
-            self.traffic.control(MessageClass.WRITEBACK)
-        self.traffic.control(MessageClass.WRITEBACK)
+            self.traffic.control(WRITEBACK)
+        self.traffic.control(WRITEBACK)
         coh = self.directory.lookup_block(addr)
         if coh is not None:
             coh.remove(core)
@@ -737,7 +750,7 @@ class MgdHome(SparseHome):
         self._check_single_writer()
         for addr, coh in self.directory.iter_blocks():
             for holder in coh.holders():
-                if self.cores[holder].state_of(addr) is PrivateState.INVALID:
+                if self.cores[holder].state_of(addr) is INVALID:
                     raise InvariantViolation(
                         f"MgD block entry records core {holder} holding "
                         f"{addr:#x} but its cache does not",
@@ -746,7 +759,7 @@ class MgdHome(SparseHome):
                     )
         for region, entry in self.directory.iter_regions():
             for baddr in entry.blocks(region):
-                if self.cores[entry.owner].state_of(baddr) is PrivateState.INVALID:
+                if self.cores[entry.owner].state_of(baddr) is INVALID:
                     raise InvariantViolation(
                         f"MgD region {region:#x} marks block {baddr:#x} "
                         f"present at core {entry.owner} but its cache "

@@ -38,58 +38,88 @@ class MessageClass(enum.Enum):
     COHERENCE = "coherence"
 
 
+# The members under module-level names, for per-transaction code (see
+# repro.types: class-attribute access to an enum member is slow).
+PROCESSOR = MessageClass.PROCESSOR
+WRITEBACK = MessageClass.WRITEBACK
+COHERENCE = MessageClass.COHERENCE
+
+# Each class's index into a meter's counter lists. An attribute on the
+# member, because hashing an Enum member runs ``Enum.__hash__`` in Python.
+for _slot, _member in enumerate(MessageClass):
+    _member.slot = _slot
+del _slot, _member
+
+
 class TrafficMeter:
-    """Accumulates interconnect bytes per :class:`MessageClass`."""
+    """Accumulates interconnect bytes per :class:`MessageClass`.
+
+    Counters live in two lists indexed by ``MessageClass.slot``, not in
+    dicts keyed by the class: the home controllers count several
+    messages per transaction.
+    """
+
+    __slots__ = ("_bytes", "_messages")
 
     def __init__(self) -> None:
-        self._bytes = {cls: 0 for cls in MessageClass}
-        self._messages = {cls: 0 for cls in MessageClass}
+        self._bytes = [0] * len(MessageClass)
+        self._messages = [0] * len(MessageClass)
 
     def clear(self) -> None:
         """Zero all counters in place (warmup boundary)."""
-        for cls in MessageClass:
-            self._bytes[cls] = 0
-            self._messages[cls] = 0
+        for slot in range(len(MessageClass)):
+            self._bytes[slot] = 0
+            self._messages[slot] = 0
 
     def record(self, message_class: MessageClass, size_bytes: int, count: int = 1) -> None:
         """Record ``count`` messages of ``size_bytes`` each."""
-        self._bytes[message_class] += size_bytes * count
-        self._messages[message_class] += count
+        slot = message_class.slot
+        self._bytes[slot] += size_bytes * count
+        self._messages[slot] += count
+
+    # control/data/partial repeat record's two lines instead of calling
+    # it: they run several times per home transaction.
 
     def control(self, message_class: MessageClass, count: int = 1) -> None:
         """Record control (header-only) messages."""
-        self.record(message_class, CONTROL_BYTES, count)
+        slot = message_class.slot
+        self._bytes[slot] += CONTROL_BYTES * count
+        self._messages[slot] += count
 
     def data(self, message_class: MessageClass, count: int = 1) -> None:
         """Record full data messages."""
-        self.record(message_class, DATA_BYTES, count)
+        slot = message_class.slot
+        self._bytes[slot] += DATA_BYTES * count
+        self._messages[slot] += count
 
     def partial(self, message_class: MessageClass, count: int = 1) -> None:
         """Record partial-block reconstruction messages."""
-        self.record(message_class, PARTIAL_BYTES, count)
+        slot = message_class.slot
+        self._bytes[slot] += PARTIAL_BYTES * count
+        self._messages[slot] += count
 
     def bytes_for(self, message_class: MessageClass) -> int:
         """Total bytes recorded for ``message_class``."""
-        return self._bytes[message_class]
+        return self._bytes[message_class.slot]
 
     def messages_for(self, message_class: MessageClass) -> int:
         """Total message count recorded for ``message_class``."""
-        return self._messages[message_class]
+        return self._messages[message_class.slot]
 
     @property
     def total_bytes(self) -> int:
         """Total bytes across all classes."""
-        return sum(self._bytes.values())
+        return sum(self._bytes)
 
     def as_dict(self) -> "dict[str, int]":
         """Bytes per class keyed by the class value (for reports)."""
-        return {cls.value: self._bytes[cls] for cls in MessageClass}
+        return {cls.value: self._bytes[cls.slot] for cls in MessageClass}
 
     def dump(self) -> "dict[str, dict[str, int]]":
         """Full serializable snapshot (bytes and message counts)."""
         return {
-            "bytes": {cls.value: self._bytes[cls] for cls in MessageClass},
-            "messages": {cls.value: self._messages[cls] for cls in MessageClass},
+            "bytes": {cls.value: self._bytes[cls.slot] for cls in MessageClass},
+            "messages": {cls.value: self._messages[cls.slot] for cls in MessageClass},
         }
 
     @classmethod
@@ -97,7 +127,7 @@ class TrafficMeter:
         """Rebuild a meter from :meth:`dump` output."""
         meter = cls()
         for name, value in payload.get("bytes", {}).items():
-            meter._bytes[MessageClass(name)] = value
+            meter._bytes[MessageClass(name).slot] = value
         for name, value in payload.get("messages", {}).items():
-            meter._messages[MessageClass(name)] = value
+            meter._messages[MessageClass(name).slot] = value
         return meter

@@ -47,6 +47,8 @@ class DramModel:
             raise ConfigError("DRAM channels and banks must be positive")
         self.num_channels = num_channels
         self.banks_per_channel = banks_per_channel
+        self._num_banks = num_channels * banks_per_channel
+        #: Open row per bank, keyed by ``bank * num_channels + channel``.
         self._open_row = {}
         self._channel_free_at = [0] * num_channels
         self.reads = 0
@@ -54,7 +56,11 @@ class DramModel:
         self.row_hits = 0
 
     def _map(self, block_addr: int) -> "tuple[int, int, int]":
-        """Map a block address to (channel, bank, row)."""
+        """Map a block address to (channel, bank, row).
+
+        :meth:`access` inlines this mapping: ``row_id % (channels *
+        banks)`` is ``bank * channels + channel``, one int per bank.
+        """
         row_id = block_addr // BLOCKS_PER_ROW
         channel = row_id % self.num_channels
         bank = (row_id // self.num_channels) % self.banks_per_channel
@@ -67,8 +73,11 @@ class DramModel:
         Returns the access latency in core cycles, including any queueing
         delay behind earlier requests on the same channel.
         """
-        channel, bank, row = self._map(block_addr)
-        key = (channel, bank)
+        row_id = block_addr // BLOCKS_PER_ROW
+        num_banks = self._num_banks
+        key = row_id % num_banks
+        row = row_id // num_banks
+        channel = key % self.num_channels
         open_row = self._open_row.get(key)
         if open_row is None:
             core_latency = ROW_CLOSED_CYCLES

@@ -32,7 +32,16 @@ class AccessKind(enum.Enum):
     @property
     def is_read(self) -> bool:
         """True for accesses that do not require exclusive ownership."""
-        return self is not AccessKind.WRITE
+        return self is not WRITE
+
+
+# The members under module-level names, for per-transaction code. On
+# Python 3.10 and 3.11 the enum metaclass defines ``__getattr__``, which
+# puts every ``AccessKind.WRITE`` on the interpreter's slow attribute
+# path: about ten times the cost of a global lookup.
+READ = AccessKind.READ
+WRITE = AccessKind.WRITE
+IFETCH = AccessKind.IFETCH
 
 
 class PrivateState(enum.Enum):
@@ -46,7 +55,13 @@ class PrivateState(enum.Enum):
     @property
     def is_exclusive(self) -> bool:
         """True when the holder owns the only valid private copy."""
-        return self in (PrivateState.MODIFIED, PrivateState.EXCLUSIVE)
+        return self is MODIFIED or self is EXCLUSIVE
+
+
+MODIFIED = PrivateState.MODIFIED
+EXCLUSIVE = PrivateState.EXCLUSIVE
+SHARED = PrivateState.SHARED
+INVALID = PrivateState.INVALID
 
 
 class LLCState(enum.Enum):
@@ -67,6 +82,13 @@ class LLCState(enum.Enum):
     DIRTY = "dirty"  # V=1, D=1: valid, modified, unowned, not shared
     CORRUPTED = "corrupted"  # V=0, D=1: owned/shared, data bits borrowed
     SPILLED_ENTRY = "spilled"  # V=0, D=1: holds another block's tracking entry
+
+
+LLC_INVALID = LLCState.INVALID
+LLC_CLEAN = LLCState.CLEAN
+LLC_DIRTY = LLCState.DIRTY
+LLC_CORRUPTED = LLCState.CORRUPTED
+LLC_SPILLED_ENTRY = LLCState.SPILLED_ENTRY
 
 
 def block_address(byte_address: int) -> int:

@@ -75,3 +75,40 @@ class TestResilienceFlags:
         monkeypatch.setenv("REPRO_AUDIT", "on")
         code = main(["fig07", "--scale", "quick", "--apps", "compress"])
         assert code == 0
+
+
+class TestCacheOff:
+    """With ``REPRO_CACHE=off`` the sweep executor never runs, so the
+    flags only it honours are refused instead of silently ignored."""
+
+    @pytest.mark.parametrize(
+        "extra, env, flag",
+        [
+            (["--jobs", "2"], {}, "--jobs 2"),
+            ([], {"REPRO_JOBS": "2"}, "REPRO_JOBS=2"),
+            (["--profile"], {}, "--profile"),
+            (["--resume"], {}, "--resume"),
+            ([], {}, None),
+        ],
+        ids=["jobs-flag", "jobs-env", "profile", "resume", "default-jobs"],
+    )
+    def test_executor_flags_need_the_cache(
+        self, capsys, monkeypatch, extra, env, flag
+    ):
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code = main(["fig07", "--scale", "quick", "--apps", "compress", *extra])
+        captured = capsys.readouterr()
+        if flag is None:
+            # The CPU-count default of --jobs stays silent.
+            assert code == 0
+            assert "Fig. 7" in captured.out
+            assert "REPRO_CACHE" not in captured.err
+        else:
+            assert code == 2
+            assert captured.out == ""
+            assert flag in captured.err
+            assert "REPRO_CACHE_DIR" in captured.err
+

@@ -28,6 +28,19 @@ class TestDramMapping:
         with pytest.raises(ConfigError):
             DramModel(num_channels=0)
 
+    def test_access_tracks_open_rows_per_mapped_bank(self):
+        # access() inlines _map: a row hit must mean the same (channel,
+        # bank) last opened the same row.
+        dram = DramModel(num_channels=4, banks_per_channel=2)
+        open_rows = {}
+        for step in range(500):
+            addr = step * 7919 % (BLOCKS_PER_ROW * 4 * 2 * 6)
+            channel, bank, row = dram._map(addr)
+            hits = dram.row_hits
+            dram.access(addr, now=step * 1_000)
+            assert (dram.row_hits > hits) == (open_rows.get((channel, bank)) == row)
+            open_rows[(channel, bank)] = row
+
 
 class TestDramTiming:
     def test_first_access_is_closed_row(self):

@@ -1,5 +1,7 @@
 """Unit tests for interconnect traffic accounting."""
 
+import json
+
 from repro.interconnect.traffic import (
     CONTROL_BYTES,
     DATA_BYTES,
@@ -69,3 +71,16 @@ class TestTrafficMeter:
 
     def test_data_message_carries_block_plus_header(self):
         assert DATA_BYTES == 64 + CONTROL_BYTES
+
+    def test_dump_keeps_the_cached_wire_format(self):
+        # The format result-cache entries hold, key order included.
+        cached = {
+            "bytes": {"processor": 152, "writeback": 80, "coherence": 26},
+            "messages": {"processor": 3, "writeback": 2, "coherence": 3},
+        }
+        meter = TrafficMeter.load(cached)
+        assert json.dumps(meter.dump()) == json.dumps(cached)
+        for cls in MessageClass:
+            assert meter.bytes_for(cls) == cached["bytes"][cls.value]
+            assert meter.messages_for(cls) == cached["messages"][cls.value]
+
