@@ -97,7 +97,7 @@ from repro.telemetry import (
     RingBufferSink,
     TraceEvent,
     Tracer,
-    install_tracer,
+    attach_observer,
     merge_snapshots,
     merge_worker_traces,
     metrics_from_env,
@@ -173,6 +173,7 @@ __all__ = [
     "ValueOracle",
     "Watchdog",
     "WorkloadProfile",
+    "attach_observer",
     "budget_from_env",
     "cached_run",
     "check_watchdog",
@@ -185,7 +186,6 @@ __all__ = [
     "graceful_scope",
     "guard_scope",
     "harness",
-    "install_tracer",
     "load_capture",
     "load_streams",
     "merge_snapshots",

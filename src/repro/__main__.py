@@ -50,11 +50,14 @@ Sweeps journal per-point completion next to the result cache, and
 ``--resume`` skips the journaled points of an interrupted sweep; see
 ``docs/harness.md``.
 
-``--trace`` writes a structured JSONL event trace of every *computed*
-run (cache hits re-run nothing, so trace a cold cache or set
-``REPRO_CACHE=off``), ``--metrics`` snapshots counters and phase timers
-into the stats telemetry section; render traces with
-``python tools/trace_report.py``. See ``docs/telemetry.md``.
+``--trace`` writes a structured JSONL event trace of every run,
+``--metrics`` snapshots counters and phase timers into the stats
+telemetry section; render traces with ``python tools/trace_report.py``.
+See ``docs/telemetry.md``. A cached point is replayed, not simulated,
+so ``--trace``, ``--trace-out`` and ``--audit`` (or ``REPRO_TRACE`` /
+``REPRO_AUDIT`` turning them on) exit 2 when any requested point is
+already in the result cache: point ``REPRO_CACHE_DIR`` at a fresh
+directory, or set ``REPRO_CACHE=off``.
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ from repro.parallel import (
     resolve_jobs,
     run_sweep,
 )
+from repro.resilience import auditor_from_env
+from repro.telemetry import tracer_from_env
 
 #: CLI name -> (experiment callable, positional args).
 FIGURES = {
@@ -246,15 +251,29 @@ def _needs_cache(args) -> "list[str]":
     return flags
 
 
-def _prewarm(names, scale, args, policy, jobs: int) -> None:
-    """Plan the figures' point lists and fan them out over the pool.
+def _observing(args) -> "list[str]":
+    """The tracing and auditing requests given.
 
-    Collects every (app, scheme, scale) point the requested figures
-    will ask the result cache for, drops the already-cached ones, and
-    executes the rest through :func:`repro.parallel.run_sweep`. The
-    figure-render pass that follows then runs entirely from cache, so
-    figure output (and failure reporting) is identical to a serial run.
+    A cached point is replayed from the result cache, not simulated, so
+    neither could observe it.
     """
+    flags = []
+    if args.trace:
+        flags.append("--trace")
+    if args.trace_out:
+        flags.append("--trace-out")
+    if not flags and tracer_from_env() is not None:
+        flags.append(f"REPRO_TRACE={os.environ['REPRO_TRACE']}")
+    if args.audit:
+        flags.append("--audit")
+    elif auditor_from_env() is not None:
+        flags.append(f"REPRO_AUDIT={os.environ['REPRO_AUDIT']}")
+    return flags
+
+
+def _plan(names, scale, args) -> list:
+    """Every (app, scheme, scale) point the requested figures will ask
+    the result cache for, deduplicated."""
     points = []
     for name in names:
         fn, extra = FIGURES[name]
@@ -262,7 +281,18 @@ def _prewarm(names, scale, args, policy, jobs: int) -> None:
         if name == "fig03z":
             kwargs["zcache"] = True
         points.extend(collect_points(fn, *extra, scale, **kwargs))
-    points = pending_points(dedupe_points(points))
+    return dedupe_points(points)
+
+
+def _prewarm(names, scale, args, policy, jobs: int) -> None:
+    """Plan the figures' point lists and fan them out over the pool.
+
+    Drops the already-cached points of :func:`_plan` and executes the
+    rest through :func:`repro.parallel.run_sweep`. The figure-render
+    pass that follows then runs entirely from cache, so figure output
+    (and failure reporting) is identical to a serial run.
+    """
+    points = pending_points(_plan(names, scale, args))
     if not points and not args.profile:
         return
     profile_dir = str(cache_dir() / "profiles") if args.profile else None
@@ -320,6 +350,7 @@ def main(argv: "list[str] | None" = None) -> int:
             file=sys.stderr,
         )
         return 2
+    observing = _observing(args) if cache_enabled() else []
     if args.audit:
         os.environ["REPRO_AUDIT"] = "on"
     if args.recovery:
@@ -333,6 +364,19 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.metrics:
         os.environ["REPRO_METRICS"] = "on"
     scale = _SCALES[args.scale]()
+    if observing:
+        # Planned after the environment is final: it is part of the keys.
+        points = _plan(names, scale, args)
+        cached = len(points) - len(pending_points(points))
+        if cached:
+            print(
+                f"repro: {', '.join(observing)} cannot observe the {cached} "
+                f"point(s) already in the result cache: cached points are "
+                "replayed, not simulated. Set REPRO_CACHE_DIR to a fresh "
+                "directory instead, e.g. REPRO_CACHE_DIR=$(mktemp -d)",
+                file=sys.stderr,
+            )
+            return 2
     policy = HarnessPolicy(
         keep_going=args.keep_going,
         timeout_s=args.timeout,

@@ -25,7 +25,6 @@ from repro.interconnect.mesh import Mesh2D
 from repro.interconnect.traffic import COHERENCE, TrafficMeter
 from repro.memory.dram import DramModel
 from repro.core.stra import stra_category
-from repro.resilience.recorder import NullRecorder
 from repro.sim.config import SystemConfig
 from repro.telemetry import NULL_TRACER
 from repro.types import (
@@ -38,21 +37,6 @@ from repro.types import (
 )
 
 
-class NullCoverage:
-    """Disabled transition-coverage sink (the default).
-
-    The verify subsystem (:mod:`repro.verify.coverage`) swaps in a real
-    collector; everywhere else the ``coverage.enabled`` guard keeps the
-    hooks free. Defined here rather than in ``repro.verify`` so the
-    coherence layer never imports upward.
-    """
-
-    enabled = False
-
-    def note(self, transition: str) -> None:  # pragma: no cover - never called
-        pass
-
-
 class BaseHome:
     """Shared state and helpers for all home controllers."""
 
@@ -63,9 +47,7 @@ class BaseHome:
         "cores",
         "stats",
         "traffic",
-        "recorder",
-        "coverage",
-        "tracer",
+        "observer",
         "num_banks",
         "banks",
         "_hit_latency_data",
@@ -86,15 +68,10 @@ class BaseHome:
         self.cores = cores
         self.stats = stats
         self.traffic: TrafficMeter = stats.traffic
-        #: Transaction flight recorder; a no-op unless online auditing is
-        #: enabled (the auditor swaps in a real FlightRecorder).
-        self.recorder = NullRecorder()
-        #: Transition-coverage sink; a no-op unless a conformance run
-        #: installs a real CoverageMap (see repro.verify.coverage).
-        self.coverage = NullCoverage()
-        #: Structured trace sink; the shared disabled tracer unless a
-        #: traced run installs a real one (see repro.telemetry).
-        self.tracer = NULL_TRACER
+        #: Where protocol transitions are announced: the shared disabled
+        #: tracer unless attach_observer installs a tracer, coverage map
+        #: or flight recorder (see repro.telemetry.sinks).
+        self.observer = NULL_TRACER
         self.num_banks = config.num_banks
         # Precomputed LLC hit latencies; these feed every _two_hop /
         # _three_hop call on the transaction critical path.
@@ -204,8 +181,6 @@ class BaseHome:
         for holder in coh.holders():
             if holder == except_core:
                 continue
-            if self.recorder.enabled:
-                self.recorder.record(addr, "invalidate", core=holder)
             prior = self.cores[holder].invalidate(addr)
             if prior is INVALID:
                 # A recorded holder without a copy: the tracking entry is
@@ -218,12 +193,9 @@ class BaseHome:
                     addr=addr,
                     cores=(holder,),
                 )
-            if self.coverage.enabled:
-                self.coverage.note(f"inval:{prior.value}->I")
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "inval", cycle=now, core=holder, addr=addr,
-                    prior=prior.value,
+            if self.observer.enabled:
+                self.observer.emit(
+                    f"inval:{prior.value}->I", cycle=now, core=holder, addr=addr
                 )
             self.traffic.control(COHERENCE)  # invalidation
             if prior is MODIFIED:
@@ -261,13 +233,13 @@ class BaseHome:
 
     def _flush_residency(self, line: LLCLine) -> None:
         if not line.is_spill:
-            if self.tracer.enabled and line.fwd_reads > 0:
+            if self.observer.enabled and line.fwd_reads > 0:
                 ratio = (
                     line.fwd_reads / line.total_reads
                     if line.total_reads
                     else 1.0
                 )
-                self.tracer.emit(
+                self.observer.emit(
                     "stra:classify",
                     addr=line.tag,
                     category=stra_category(ratio),

@@ -63,20 +63,20 @@ class InLLCHome(BaseHome):
             return 0
         return self.config.llc_data_latency + self.config.corrupted_decode_latency
 
-    def _mark_tracked(self, line: LLCLine, bank) -> None:
+    def _mark_tracked(self, line: LLCLine, bank, now: int) -> None:
         """Move a valid line into the corrupted (tracking) state."""
-        if self.coverage.enabled:
-            self.coverage.note("llc:mark_tracked")
+        if self.observer.enabled:
+            self.observer.emit("llc:mark_tracked", cycle=now, addr=line.tag)
         if self.tag_extended:
             return
         line.underlying_dirty = line.underlying_dirty or line.state is LLC_DIRTY
         line.state = LLC_CORRUPTED
         bank.data_writes += 1  # the borrowed bits are written in the data array
 
-    def _restore_line(self, line: LLCLine, bank) -> None:
+    def _restore_line(self, line: LLCLine, bank, now: int) -> None:
         """Return a line to the unowned valid state (last copy gone)."""
-        if self.coverage.enabled:
-            self.coverage.note("llc:restore")
+        if self.observer.enabled:
+            self.observer.emit("llc:restore", cycle=now, addr=line.tag)
         line.coh = None
         line.stra = None
         if self.tag_extended:
@@ -95,12 +95,10 @@ class InLLCHome(BaseHome):
     def _handle_llc_victim(self, victim: LLCLine, now: int) -> None:
         self._flush_residency(victim)
         if victim.coh is not None and not victim.coh.is_idle:
-            if self.coverage.enabled:
-                self.coverage.note("llc:evict_tracked")
             self._evict_tracked_victim(victim, now)
         elif victim.state is LLC_DIRTY or victim.underlying_dirty:
-            if self.coverage.enabled:
-                self.coverage.note("llc:evict_dirty")
+            if self.observer.enabled:
+                self.observer.emit("llc:evict_dirty", cycle=now, addr=victim.tag)
             self._dram_write(victim.tag, now)
 
     def _evict_tracked_victim(self, victim: LLCLine, now: int) -> None:
@@ -109,8 +107,10 @@ class InLLCHome(BaseHome):
         coh = victim.coh
         dirty = victim.underlying_dirty
         holders = coh.holders()
-        if self.recorder.enabled:
-            self.recorder.record(addr, "back_invalidate", detail=f"holders={holders}")
+        if self.observer.enabled:
+            self.observer.emit(
+                "llc:evict_tracked", cycle=now, addr=addr, holders=holders
+            )
         had_modified = False
         for holder in holders:
             prior = self.cores[holder].invalidate(addr)
@@ -144,9 +144,10 @@ class InLLCHome(BaseHome):
         out = AccessOutcome()
         home = addr % self.num_banks
         bank = self.banks[home]
-        if self.recorder.enabled:
-            self.recorder.record(
-                addr, "upgrade" if upgrade else kind.name.lower(), core=core
+        if self.observer.enabled:
+            self.observer.emit(
+                "req:upgrade" if upgrade else f"req:{kind.name.lower()}",
+                cycle=now, core=core, addr=addr,
             )
         self.traffic.control(PROCESSOR)
         line, _ = bank.lookup(addr)
@@ -161,10 +162,10 @@ class InLLCHome(BaseHome):
         if line is None:
             out.latency = self._two_hop(core, home) + self._dram_fetch(addr, now, out)
             line = self._fill_llc(addr, now)
-            self._take_ownership(core, kind, line, bank, out)
+            self._take_ownership(core, kind, line, bank, now, out)
         elif line.coh is None:
             out.latency = self._two_hop(core, home)
-            self._take_ownership(core, kind, line, bank, out)
+            self._take_ownership(core, kind, line, bank, now, out)
         else:
             shared_read = kind.is_read and line.coh.is_shared
             self._record_stra(line, shared_read)
@@ -188,7 +189,7 @@ class InLLCHome(BaseHome):
         else:
             line.stra.record_other()
 
-    def _take_ownership(self, core, kind, line, bank, out) -> None:
+    def _take_ownership(self, core, kind, line, bank, now, out) -> None:
         """A request to an unowned valid block: the requester takes it."""
         coh = CohInfo()
         if kind is WRITE:
@@ -203,7 +204,7 @@ class InLLCHome(BaseHome):
         line.coh = coh
         line.stra = StraCounters(limit=self.stra_limit)
         line.stra.record_other()
-        self._mark_tracked(line, bank)
+        self._mark_tracked(line, bank, now)
         line.note_holders(coh)
         if kind.is_read:
             line.total_reads += 1
@@ -273,8 +274,10 @@ class InLLCHome(BaseHome):
                 out.latency = self._two_hop(core, home)
                 self.traffic.data(PROCESSOR)
             else:
-                if self.coverage.enabled:
-                    self.coverage.note("llc:lengthened_read")
+                if self.observer.enabled:
+                    self.observer.emit(
+                        "llc:lengthened_read", cycle=now, core=core, addr=addr
+                    )
                 forwarder = self._closest_sharer(coh, home)
                 out.hops = 3
                 out.lengthened = True
@@ -310,7 +313,7 @@ class InLLCHome(BaseHome):
         )
         out.latency = request_leg + max(self.mesh.latency(home, core), inval_path)
         out.hops = 2 if not holders else 3
-        self._mark_tracked(line, bank)
+        self._mark_tracked(line, bank, now)
 
     # ------------------------------------------------------------------
     # Eviction notices
@@ -319,8 +322,10 @@ class InLLCHome(BaseHome):
     def handle_private_eviction(
         self, core: int, addr: int, state: PrivateState, now: int
     ) -> None:
-        if self.recorder.enabled:
-            self.recorder.record(addr, "evict_notice", core=core, detail=state.name)
+        if self.observer.enabled:
+            self.observer.emit(
+                "req:evict_notice", cycle=now, core=core, addr=addr, state=state.name
+            )
         bank = self.banks[addr % self.num_banks]
         line, _ = bank.lookup(addr, touch=False)
         if line is None or line.coh is None:
@@ -348,7 +353,7 @@ class InLLCHome(BaseHome):
                 # Last sharer: the LLC requests the borrowed bits back.
                 self.traffic.control(WRITEBACK)
                 self.traffic.partial(WRITEBACK)
-            self._restore_line(line, bank)
+            self._restore_line(line, bank, now)
         self.traffic.control(WRITEBACK)  # acknowledgement
 
     # ------------------------------------------------------------------
@@ -367,13 +372,13 @@ class InLLCHome(BaseHome):
             line = self._fill_llc(addr, now)
         if truth.is_idle:
             if line.coh is not None:
-                self._restore_line(line, bank)
+                self._restore_line(line, bank, now)
                 return "llc:restored"
             return "llc:already-untracked"
         if line.coh is None:
             line.coh = truth.copy()
             line.stra = StraCounters(limit=self.stra_limit)
-            self._mark_tracked(line, bank)
+            self._mark_tracked(line, bank, now)
         else:
             line.coh.owner = truth.owner
             line.coh.sharers = truth.sharers
@@ -482,9 +487,10 @@ class TinyHome(InLLCHome):
         out = AccessOutcome()
         home = addr % self.num_banks
         bank = self.banks[home]
-        if self.recorder.enabled:
-            self.recorder.record(
-                addr, "upgrade" if upgrade else kind.name.lower(), core=core
+        if self.observer.enabled:
+            self.observer.emit(
+                "req:upgrade" if upgrade else f"req:{kind.name.lower()}",
+                cycle=now, core=core, addr=addr,
             )
         self.traffic.control(PROCESSOR)
         entry = self.tiny.lookup(addr, now)
@@ -501,15 +507,15 @@ class TinyHome(InLLCHome):
                 # A write transfers the spilled info back into the data
                 # block, which switches to corrupted exclusive (§IV-B1).
                 out.latency += self.config.llc_data_latency
-                self._unspill_into_line(spill, line, bank)
+                self._unspill_into_line(spill, line, bank, now)
             else:
                 if line is None or line.coh is None:
                     raise ProtocolError(f"upgrade for untracked block {addr:#x}")
                 self._record_stra(line, shared_read=False)
                 self._serve_upgrade(core, addr, line, bank, home, now, out)
         elif entry is not None:
-            if self.coverage.enabled:
-                self.coverage.note("tiny:hit")
+            if self.observer.enabled:
+                self.observer.emit("tiny:hit", cycle=now, core=core, addr=addr)
             shared_read = self._serve_via_tracker(
                 core, addr, kind, entry.coh, entry.stra, line, bank, home, now, out,
                 via_spill=False,
@@ -517,15 +523,15 @@ class TinyHome(InLLCHome):
             if entry.coh.is_idle:
                 self.tiny.remove(addr)
         elif spill is not None:
-            if self.coverage.enabled:
-                self.coverage.note("tiny:spill_hit")
+            if self.observer.enabled:
+                self.observer.emit("tiny:spill_hit", cycle=now, core=core, addr=addr)
             shared_read = self._serve_via_tracker(
                 core, addr, kind, spill.coh, spill.stra, line, bank, home, now, out,
                 via_spill=True,
             )
             if kind is WRITE:
                 out.latency += self.config.llc_data_latency
-                self._unspill_into_line(spill, line, bank)
+                self._unspill_into_line(spill, line, bank, now)
             elif spill.coh.is_idle:
                 bank.remove(spill)
         elif line is None or line.coh is None:
@@ -536,7 +542,7 @@ class TinyHome(InLLCHome):
                 line = self._fill_llc(addr, now)
             else:
                 out.latency = self._two_hop(core, home)
-            self._take_ownership(core, kind, line, bank, out)
+            self._take_ownership(core, kind, line, bank, now, out)
             if kind is IFETCH:
                 # Allocation situation (ii): an instruction read to an
                 # unowned block (§IV).
@@ -652,8 +658,10 @@ class TinyHome(InLLCHome):
             else:
                 # Tracked in the tiny directory but the LLC data line was
                 # evicted: forward to a sharer and refill.
-                if self.coverage.enabled:
-                    self.coverage.note("tiny:fwd_refill")
+                if self.observer.enabled:
+                    self.observer.emit(
+                        "tiny:fwd_refill", cycle=now, core=core, addr=addr
+                    )
                 forwarder = self._closest_sharer(coh, home)
                 out.hops = 3
                 out.latency = self._three_hop(core, home, forwarder)
@@ -688,20 +696,18 @@ class TinyHome(InLLCHome):
         out.latency = request_leg + max(self.mesh.latency(home, core), inval_path)
         out.hops = 2 if not holders else 3
 
-    def _unspill_into_line(self, spill, line, bank) -> None:
+    def _unspill_into_line(self, spill, line, bank, now) -> None:
         """Invalidate a spilled entry, moving its info into the data block
         (which becomes corrupted exclusive)."""
-        if self.coverage.enabled:
-            self.coverage.note("tiny:unspill")
-        if self.tracer.enabled:
-            self.tracer.emit("tiny:unspill", addr=spill.tag)
+        if self.observer.enabled:
+            self.observer.emit("tiny:unspill", cycle=now, addr=spill.tag)
         coh, stra = spill.coh, spill.stra
         bank.remove(spill)
         if line is None:
             return
         line.coh = coh
         line.stra = stra
-        self._mark_tracked(line, bank)
+        self._mark_tracked(line, bank, now)
 
     # ------------------------------------------------------------------
     # Tracking placement: tiny-directory allocation and spilling
@@ -715,24 +721,19 @@ class TinyHome(InLLCHome):
         category = stra.category()
         entry, victim = self.tiny.try_allocate(addr, category, coh, stra, now)
         if entry is not None:
-            if self.coverage.enabled:
-                self.coverage.note("tiny:alloc")
-            if self.tracer.enabled:
-                self.tracer.emit("tiny:alloc", cycle=now, addr=addr)
-            if victim is not None:
-                if self.coverage.enabled:
-                    self.coverage.note("tiny:evict")
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "tiny:evict", cycle=now, addr=victim.addr
+            if self.observer.enabled:
+                self.observer.emit("tiny:alloc", cycle=now, addr=addr)
+                if victim is not None:
+                    self.observer.emit(
+                        "tiny:evict", cycle=now, addr=victim.addr,
+                        holders=victim.coh.holders(),
                     )
+            if victim is not None:
                 self._rehome_victim(victim, now)
             self._detach_tracking(line, bank)
             return
-        if self.coverage.enabled:
-            self.coverage.note("tiny:decline")
-        if self.tracer.enabled:
-            self.tracer.emit("tiny:decline", cycle=now, addr=addr)
+        if self.observer.enabled:
+            self.observer.emit("tiny:decline", cycle=now, addr=addr)
         if not self.spill_enabled:
             return
         if not self.spill_policies[home].allows(category):
@@ -747,10 +748,8 @@ class TinyHome(InLLCHome):
                 self._handle_llc_victim(svictim, now)
                 return
             self._handle_llc_victim(svictim, now)
-        if self.coverage.enabled:
-            self.coverage.note("tiny:spill")
-        if self.tracer.enabled:
-            self.tracer.emit("tiny:spill", cycle=now, addr=addr)
+        if self.observer.enabled:
+            self.observer.emit("tiny:spill", cycle=now, addr=addr)
         self.stats.spills += 1
         self._detach_tracking(line, bank)
 
@@ -774,8 +773,6 @@ class TinyHome(InLLCHome):
         coh, stra = victim_entry.coh, victim_entry.stra
         if coh.is_idle:
             return
-        if self.recorder.enabled:
-            self.recorder.record(vaddr, "tiny_rehome", detail=f"holders={coh.holders()}")
         bank = self.banks[vaddr % self.num_banks]
         vline, vspill = bank.lookup(vaddr, touch=False)
         if vspill is not None:
@@ -797,25 +794,21 @@ class TinyHome(InLLCHome):
                         return
                     if svictim is not None:
                         self._handle_llc_victim(svictim, now)
-                    if self.coverage.enabled:
-                        self.coverage.note("tiny:rehome_spill")
+                    if self.observer.enabled:
+                        self.observer.emit("tiny:rehome_spill", cycle=now, addr=vaddr)
                     self.stats.spills += 1
                     return
         # Corrupt the victim's data line with the transferred state.
-        if self.coverage.enabled:
-            self.coverage.note("tiny:rehome_corrupt")
+        if self.observer.enabled:
+            self.observer.emit("tiny:rehome_corrupt", cycle=now, addr=vaddr)
         vline.coh = coh
         vline.stra = stra
-        self._mark_tracked(vline, bank)
+        self._mark_tracked(vline, bank, now)
 
     def _back_invalidate_untracked(self, addr, coh, now) -> None:
-        if self.recorder.enabled:
-            self.recorder.record(addr, "back_invalidate", detail=f"holders={coh.holders()}")
-        if self.coverage.enabled:
-            self.coverage.note("llc:back_invalidate")
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "back_inval", cycle=now, addr=addr, holders=coh.holders()
+        if self.observer.enabled:
+            self.observer.emit(
+                "llc:back_invalidate", cycle=now, addr=addr, holders=coh.holders()
             )
         had_dirty = False
         for holder in coh.holders():
@@ -842,11 +835,11 @@ class TinyHome(InLLCHome):
             # Transfer the tracking back into the companion data block.
             b_line, _ = bank.lookup(victim.tag, touch=False)
             if b_line is not None and b_line.coh is None:
-                if self.coverage.enabled:
-                    self.coverage.note("tiny:recall")
+                if self.observer.enabled:
+                    self.observer.emit("tiny:recall", cycle=now, addr=victim.tag)
                 b_line.coh = victim.coh
                 b_line.stra = victim.stra
-                self._mark_tracked(b_line, bank)
+                self._mark_tracked(b_line, bank, now)
             else:
                 self._back_invalidate_untracked(victim.tag, victim.coh, now)
             return
@@ -868,28 +861,29 @@ class TinyHome(InLLCHome):
     def handle_private_eviction(
         self, core: int, addr: int, state: PrivateState, now: int
     ) -> None:
-        if self.recorder.enabled:
-            self.recorder.record(addr, "evict_notice", core=core, detail=state.name)
         entry = self.tiny.find_quiet(addr)
         bank = self.banks[addr % self.num_banks]
+        if entry is None:
+            _, spill = bank.lookup(addr, touch=False)
+            if spill is None:
+                # Tracked in the LLC line (or untracked): the in-LLC path.
+                super().handle_private_eviction(core, addr, state, now)
+                return
+        if self.observer.enabled:
+            self.observer.emit(
+                "req:evict_notice", cycle=now, core=core, addr=addr, state=state.name
+            )
+        self._notice_traffic(state, partial=False)
         if entry is not None:
-            self._notice_traffic(state, partial=False)
             entry.coh.remove(core)
             if entry.coh.is_idle:
                 self.tiny.remove(addr)
-            if state is MODIFIED:
-                self._deposit_dirty(addr, bank, now)
-            return
-        line, spill = bank.lookup(addr, touch=False)
-        if spill is not None:
-            self._notice_traffic(state, partial=False)
+        else:
             spill.coh.remove(core)
             if spill.coh.is_idle:
                 bank.remove(spill)
-            if state is MODIFIED:
-                self._deposit_dirty(addr, bank, now)
-            return
-        super().handle_private_eviction(core, addr, state, now)
+        if state is MODIFIED:
+            self._deposit_dirty(addr, bank, now)
 
     def _notice_traffic(self, state: PrivateState, partial: bool) -> None:
         if state is MODIFIED:

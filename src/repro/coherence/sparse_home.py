@@ -59,34 +59,30 @@ class SparseHome(BaseHome):
 
     def _install(self, addr: int, coh: CohInfo, now: int) -> None:
         """Start tracking ``addr``; back-invalidates any directory victim."""
-        if self.coverage.enabled:
-            self.coverage.note("dir:alloc")
         victim = self.directory.allocate(addr, coh)
+        if self.observer.enabled:
+            self.observer.emit("dir:alloc", cycle=now, addr=addr)
+            if victim is not None:
+                self.observer.emit("dir:evict", cycle=now, addr=victim[0])
         if victim is not None:
-            if self.coverage.enabled:
-                self.coverage.note("dir:evict")
             self._back_invalidate(*victim, now)
 
-    def _drop(self, addr: int, coh: CohInfo) -> None:
+    def _drop(self, addr: int, coh: CohInfo, now: int) -> None:
         """Stop tracking ``addr`` (no private copies remain)."""
-        if self.coverage.enabled:
-            self.coverage.note("dir:drop")
+        if self.observer.enabled:
+            self.observer.emit("dir:drop", cycle=now, addr=addr)
         self.directory.remove(addr)
 
     def _after_update(self, addr: int, coh: CohInfo, now: int) -> None:
         """Hook called after mutating a tracked block's CohInfo."""
         if coh.is_idle:
-            self._drop(addr, coh)
+            self._drop(addr, coh, now)
 
     def _back_invalidate(self, addr: int, coh: CohInfo, now: int) -> None:
         """Invalidate every private copy of an evicted tracking entry."""
-        if self.recorder.enabled:
-            self.recorder.record(addr, "back_invalidate", detail=f"holders={coh.holders()}")
-        if self.coverage.enabled:
-            self.coverage.note("dir:back_invalidate")
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "back_inval", cycle=now, addr=addr, holders=coh.holders()
+        if self.observer.enabled:
+            self.observer.emit(
+                "dir:back_invalidate", cycle=now, addr=addr, holders=coh.holders()
             )
         self.stats.back_invalidations += len(coh.holders())
         self._invalidate_holders(addr, coh, now)
@@ -152,9 +148,10 @@ class SparseHome(BaseHome):
         out = AccessOutcome()
         home = addr % self.num_banks
         bank = self.banks[home]
-        if self.recorder.enabled:
-            self.recorder.record(
-                addr, "upgrade" if upgrade else kind.name.lower(), core=core
+        if self.observer.enabled:
+            self.observer.emit(
+                "req:upgrade" if upgrade else f"req:{kind.name.lower()}",
+                cycle=now, core=core, addr=addr,
             )
         self.traffic.control(PROCESSOR)  # the request
         coh = self._find(addr, core, now, out)
@@ -213,8 +210,8 @@ class SparseHome(BaseHome):
             )
         out.hops = 3
         out.latency = self._three_hop(core, home, owner)
-        if self.coverage.enabled:
-            self.coverage.note("dir:fwd_exclusive")
+        if self.observer.enabled:
+            self.observer.emit("dir:fwd_exclusive", cycle=now, core=core, addr=addr)
         self.traffic.control(COHERENCE)  # forwarded request
         self.traffic.data(PROCESSOR)  # owner -> requester data
         self.traffic.control(COHERENCE)  # busy-clear to home
@@ -243,8 +240,8 @@ class SparseHome(BaseHome):
             LLC_DIRTY,
         )
         if kind is WRITE:
-            if self.coverage.enabled:
-                self.coverage.note("dir:write_shared")
+            if self.observer.enabled:
+                self.observer.emit("dir:write_shared", cycle=now, core=core, addr=addr)
             holders = coh.sharer_list()
             inval_path = self._invalidation_latency(home, holders, core)
             if line_valid:
@@ -286,8 +283,8 @@ class SparseHome(BaseHome):
 
     def _serve_upgrade(self, core, addr, coh, home, now, out) -> None:
         out.is_upgrade = True
-        if self.coverage.enabled:
-            self.coverage.note("dir:upgrade")
+        if self.observer.enabled:
+            self.observer.emit("dir:upgrade", cycle=now, core=core, addr=addr)
         if coh is None or not coh.holds(core):
             raise ProtocolError(
                 f"core {core} upgrades block {addr:#x} the tracker does not "
@@ -316,8 +313,10 @@ class SparseHome(BaseHome):
     def handle_private_eviction(
         self, core: int, addr: int, state: PrivateState, now: int
     ) -> None:
-        if self.recorder.enabled:
-            self.recorder.record(addr, "evict_notice", core=core, detail=state.name)
+        if self.observer.enabled:
+            self.observer.emit(
+                "req:evict_notice", cycle=now, core=core, addr=addr, state=state.name
+            )
         if state is MODIFIED:
             self.traffic.data(WRITEBACK)
             self._ensure_llc_data(addr, dirty=True, now=now)
@@ -422,30 +421,30 @@ class SharedOnlyHome(SparseHome):
         if coh.sharer_count() >= 2:
             super()._install(addr, coh, now)
         else:
-            if self.coverage.enabled:
-                self.coverage.note("shared_only:private")
+            if self.observer.enabled:
+                self.observer.emit("shared_only:private", cycle=now, addr=addr)
             self._unbounded[addr] = coh
 
-    def _drop(self, addr, coh):
+    def _drop(self, addr, coh, now):
         if self._unbounded.pop(addr, None) is None:
             self.directory.remove(addr)
 
     def _after_update(self, addr, coh, now):
         if coh.is_idle:
-            self._drop(addr, coh)
+            self._drop(addr, coh, now)
             return
         if addr in self._unbounded:
             if coh.sharer_count() >= 2:
                 del self._unbounded[addr]
-                if self.coverage.enabled:
-                    self.coverage.note("shared_only:promote")
+                if self.observer.enabled:
+                    self.observer.emit("shared_only:promote", cycle=now, addr=addr)
                 super()._install(addr, coh, now)
         else:
             if coh.is_exclusive:
                 # The limited directory only holds shared blocks.
                 if self.directory.remove(addr) is not None:
-                    if self.coverage.enabled:
-                        self.coverage.note("shared_only:demote")
+                    if self.observer.enabled:
+                        self.observer.emit("shared_only:demote", cycle=now, addr=addr)
                     self._unbounded[addr] = coh
 
     def _tracks(self, addr, core):
@@ -498,18 +497,20 @@ class StashHome(SparseHome):
         self.stash = StashState()
 
     def _install(self, addr, coh, now):
-        if self.coverage.enabled:
-            self.coverage.note("dir:alloc")
         victim = self.directory.allocate(addr, coh)
+        if self.observer.enabled:
+            self.observer.emit("dir:alloc", cycle=now, addr=addr)
+            if victim is not None:
+                self.observer.emit("dir:evict", cycle=now, addr=victim[0])
         if victim is None:
             return
-        if self.coverage.enabled:
-            self.coverage.note("dir:evict")
         vaddr, vcoh = victim
         if vcoh.is_exclusive:
             # Leave the private copy in place, untracked.
-            if self.coverage.enabled:
-                self.coverage.note("stash:stash")
+            if self.observer.enabled:
+                self.observer.emit(
+                    "stash:stash", cycle=now, core=vcoh.owner, addr=vaddr
+                )
             self.stash.stash(vaddr, vcoh.owner)
         else:
             self._back_invalidate(vaddr, vcoh, now)
@@ -522,10 +523,8 @@ class StashHome(SparseHome):
         if holder is None:
             return None
         # Broadcast recovery: query every core, collect responses.
-        if self.recorder.enabled:
-            self.recorder.record(addr, "stash_recover", core=holder)
-        if self.coverage.enabled:
-            self.coverage.note("stash:recover")
+        if self.observer.enabled:
+            self.observer.emit("stash:recover", cycle=now, core=holder, addr=addr)
         self.stash.unstash(addr)
         self.stats.broadcasts += 1
         num_cores = self.config.num_cores
@@ -546,8 +545,8 @@ class StashHome(SparseHome):
 
     def handle_private_eviction(self, core, addr, state, now):
         if self.stash.owner_of(addr) == core:
-            if self.coverage.enabled:
-                self.coverage.note("stash:unstash")
+            if self.observer.enabled:
+                self.observer.emit("stash:unstash", cycle=now, core=core, addr=addr)
             self.stash.unstash(addr)
         super().handle_private_eviction(core, addr, state, now)
 
@@ -612,18 +611,20 @@ class MgdHome(SparseHome):
         return self.directory.lookup_block(addr)
 
     def _demote_region(self, addr, region_entry, now, out) -> None:
-        if self.recorder.enabled:
-            self.recorder.record(addr, "region_demote", core=region_entry.owner)
-        if self.coverage.enabled:
-            self.coverage.note("mgd:region_demote")
+        owner = region_entry.owner
+        if self.observer.enabled:
+            self.observer.emit("mgd:region_demote", cycle=now, core=owner, addr=addr)
         region = self.directory.region_of(addr)
         self.directory.remove_region(region)
-        owner = region_entry.owner
         for baddr in region_entry.blocks(region):
             state = self.cores[owner].state_of(baddr)
             if state is INVALID:
                 continue
             self.traffic.control(COHERENCE)
+            if self.observer.enabled:
+                self.observer.emit(
+                    "mgd:demote_alloc", cycle=now, core=owner, addr=baddr
+                )
             victim = self.directory.allocate_block(baddr, CohInfo(owner=owner))
             self._handle_mgd_victim(victim, now)
         if out is not None:
@@ -634,26 +635,26 @@ class MgdHome(SparseHome):
             region = self.directory.region_of(addr)
             offset = addr % BLOCKS_PER_REGION
             if self._region_hit is not None and self._region_hit.owner == coh.owner:
-                if self.coverage.enabled:
-                    self.coverage.note("mgd:region_extend")
+                if self.observer.enabled:
+                    self.observer.emit("mgd:region_extend", cycle=now, addr=addr)
                 self._region_hit.presence |= 1 << offset
                 return
             entry = self.directory.lookup_region(addr)
             if entry is not None and entry.owner == coh.owner:
-                if self.coverage.enabled:
-                    self.coverage.note("mgd:region_extend")
+                if self.observer.enabled:
+                    self.observer.emit("mgd:region_extend", cycle=now, addr=addr)
                 entry.presence |= 1 << offset
                 return
             if entry is None:
-                if self.coverage.enabled:
-                    self.coverage.note("mgd:region_alloc")
+                if self.observer.enabled:
+                    self.observer.emit("mgd:region_alloc", cycle=now, addr=addr)
                 victim = self.directory.allocate_region(
                     region, RegionEntry(coh.owner, 1 << offset)
                 )
                 self._handle_mgd_victim(victim, now)
                 return
-        if self.coverage.enabled:
-            self.coverage.note("mgd:block_alloc")
+        if self.observer.enabled:
+            self.observer.emit("mgd:block_alloc", cycle=now, addr=addr)
         victim = self.directory.allocate_block(addr, coh)
         self._handle_mgd_victim(victim, now)
 
@@ -664,9 +665,12 @@ class MgdHome(SparseHome):
         if kind == "block":
             self._back_invalidate(key, payload, now)
         else:
-            if self.coverage.enabled:
-                self.coverage.note("mgd:evict_region")
             owner = payload.owner
+            if self.observer.enabled:
+                self.observer.emit(
+                    "mgd:evict_region", cycle=now, core=owner,
+                    addr=key * BLOCKS_PER_REGION,
+                )
             for baddr in payload.blocks(key):
                 state = self.cores[owner].invalidate(baddr)
                 if state is INVALID:
@@ -680,16 +684,18 @@ class MgdHome(SparseHome):
                 else:
                     self.traffic.control(COHERENCE)
 
-    def _drop(self, addr, coh):
+    def _drop(self, addr, coh, now):
         self.directory.remove_block(addr)
 
     def _after_update(self, addr, coh, now):
         if coh.is_idle:
-            self._drop(addr, coh)
+            self._drop(addr, coh, now)
 
     def handle_private_eviction(self, core, addr, state, now):
-        if self.recorder.enabled:
-            self.recorder.record(addr, "evict_notice", core=core, detail=state.name)
+        if self.observer.enabled:
+            self.observer.emit(
+                "req:evict_notice", cycle=now, core=core, addr=addr, state=state.name
+            )
         if state is MODIFIED:
             self.traffic.data(WRITEBACK)
             self._ensure_llc_data(addr, dirty=True, now=now)
@@ -703,8 +709,8 @@ class MgdHome(SparseHome):
             return
         region_entry = self.directory.lookup_region(addr)
         if region_entry is not None and region_entry.owner == core:
-            if self.coverage.enabled:
-                self.coverage.note("mgd:region_shrink")
+            if self.observer.enabled:
+                self.observer.emit("mgd:region_shrink", cycle=now, core=core, addr=addr)
             region_entry.presence &= ~(1 << (addr % BLOCKS_PER_REGION))
             if region_entry.presence == 0:
                 self.directory.remove_region(self.directory.region_of(addr))

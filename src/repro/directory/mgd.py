@@ -17,7 +17,6 @@ from __future__ import annotations
 from repro.cache.sets import SetAssocArray
 from repro.coherence.info import CohInfo
 from repro.errors import ConfigError
-from repro.telemetry import NULL_TRACER
 
 #: Blocks per tracked region (1 KB regions of 64-byte blocks).
 BLOCKS_PER_REGION = 16
@@ -50,7 +49,6 @@ class MultiGrainDirectory:
     _REGION = 1
 
     __slots__ = (
-        "tracer",
         "total_entries",
         "num_banks",
         "_slices",
@@ -71,8 +69,6 @@ class MultiGrainDirectory:
                 f"MgD of {total_entries} entries cannot be split into "
                 f"{num_banks} slices"
             )
-        #: Structured trace sink; install_tracer swaps in a live tracer.
-        self.tracer = NULL_TRACER
         self.total_entries = total_entries
         self.num_banks = num_banks
         entries_per_slice = total_entries // num_banks
@@ -159,8 +155,6 @@ class MultiGrainDirectory:
             self._block_key(addr), self._bank_of_block(addr)
         )
         self.allocations += 1
-        if self.tracer.enabled:
-            self.tracer.emit("dir:alloc", addr=addr, grain="block")
         evicted = slice_.insert(set_index, self._block_key(addr), coh)
         return self._victim(evicted, self._bank_of_block(addr))
 
@@ -170,8 +164,6 @@ class MultiGrainDirectory:
             self._region_key(region), self._bank_of_region(region)
         )
         self.allocations += 1
-        if self.tracer.enabled:
-            self.tracer.emit("dir:alloc", addr=region, grain="region")
         evicted = slice_.insert(set_index, self._region_key(region), entry)
         return self._victim(evicted, self._bank_of_region(region))
 
@@ -182,15 +174,8 @@ class MultiGrainDirectory:
             return None
         self.evictions += 1
         if evicted.tag & 1 == self._REGION:
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "dir:evict", addr=evicted.tag >> 1, grain="region"
-                )
             return "region", evicted.tag >> 1, evicted.payload
-        victim_addr = (evicted.tag >> 1) * self.num_banks + bank
-        if self.tracer.enabled:
-            self.tracer.emit("dir:evict", addr=victim_addr, grain="block")
-        return "block", victim_addr, evicted.payload
+        return "block", (evicted.tag >> 1) * self.num_banks + bank, evicted.payload
 
     def remove_block(self, addr: int) -> "CohInfo | None":
         """Drop the block entry for ``addr``."""

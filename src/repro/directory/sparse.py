@@ -16,7 +16,6 @@ from __future__ import annotations
 from repro.cache.sets import SetAssocArray
 from repro.coherence.info import CohInfo
 from repro.errors import ConfigError
-from repro.telemetry import NULL_TRACER
 
 #: Slices at or below this many entries become fully associative.
 FULLY_ASSOC_THRESHOLD = 16
@@ -26,7 +25,6 @@ class SparseDirectory:
     """A banked sparse directory with NRU replacement."""
 
     __slots__ = (
-        "tracer",
         "total_entries",
         "num_banks",
         "entries_per_slice",
@@ -50,8 +48,6 @@ class SparseDirectory:
                 f"directory of {total_entries} entries cannot be split into "
                 f"{num_banks} slices"
             )
-        #: Structured trace sink; install_tracer swaps in a live tracer.
-        self.tracer = NULL_TRACER
         self.total_entries = total_entries
         self.num_banks = num_banks
         entries_per_slice = total_entries // num_banks
@@ -104,13 +100,9 @@ class SparseDirectory:
         slice_, set_index = self._locate(addr)
         evicted = slice_.insert(set_index, addr, coh)
         self.allocations += 1
-        if self.tracer.enabled:
-            self.tracer.emit("dir:alloc", addr=addr)
         if evicted is None:
             return None
         self.evictions += 1
-        if self.tracer.enabled:
-            self.tracer.emit("dir:evict", addr=evicted.tag)
         return evicted.tag, evicted.payload
 
     def remove(self, addr: int) -> "CohInfo | None":

@@ -17,7 +17,6 @@ import random
 
 from repro.coherence.info import CohInfo
 from repro.errors import ConfigError
-from repro.telemetry import NULL_TRACER
 
 
 class _Entry:
@@ -121,7 +120,6 @@ class ZCacheDirectory:
     """
 
     __slots__ = (
-        "tracer",
         "total_entries",
         "num_banks",
         "_slices",
@@ -143,8 +141,6 @@ class ZCacheDirectory:
                 f"Z-cache directory of {total_entries} entries is too small "
                 f"for {num_banks} banks x {ways} ways"
             )
-        #: Structured trace sink; install_tracer swaps in a live tracer.
-        self.tracer = NULL_TRACER
         self.total_entries = total_entries
         self.num_banks = num_banks
         rows = max(1, total_entries // (num_banks * ways))
@@ -189,15 +185,10 @@ class ZCacheDirectory:
         slice_index = addr % self.num_banks
         victim = self._slices[slice_index].insert(addr // self.num_banks, coh)
         self.allocations += 1
-        if self.tracer.enabled:
-            self.tracer.emit("dir:alloc", addr=addr)
         if victim is None:
             return None
         self.evictions += 1
-        victim_addr = victim.addr * self.num_banks + slice_index
-        if self.tracer.enabled:
-            self.tracer.emit("dir:evict", addr=victim_addr)
-        return victim_addr, victim.coh
+        return victim.addr * self.num_banks + slice_index, victim.coh
 
     def remove(self, addr: int) -> "CohInfo | None":
         """Drop the entry for ``addr``."""

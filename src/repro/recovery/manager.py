@@ -197,9 +197,9 @@ class RecoveryManager:
                 verified=verified,
             )
         )
-        tracer = getattr(system.home, "tracer", None)
-        if tracer is not None and tracer.enabled:
-            tracer.emit(
+        observer = system.home.observer
+        if observer.enabled:
+            observer.emit(
                 "recovery:repair", addr=addr, action=action, verified=verified
             )
 

@@ -11,7 +11,8 @@ Three cooperating layers keep the simulator trustworthy:
   :class:`~repro.errors.InvariantViolation` with a structured diagnostic
   within one window of a corruption.
 * :mod:`repro.resilience.recorder` — the bounded per-address
-  :class:`FlightRecorder` backing those diagnostics.
+  :class:`FlightRecorder` backing those diagnostics, an observer of the
+  protocol transitions the home controllers emit.
 
 See ``docs/resilience.md`` for the fault model and knobs.
 """
@@ -31,7 +32,7 @@ from repro.resilience.faults import (
     plan_from_env,
     tracking_location,
 )
-from repro.resilience.recorder import FlightRecorder, NullRecorder, TransactionRecord
+from repro.resilience.recorder import FlightRecorder
 
 __all__ = [
     "DEFAULT_AUDIT_INTERVAL",
@@ -41,9 +42,7 @@ __all__ = [
     "FaultPlan",
     "FlightRecorder",
     "InjectedFault",
-    "NullRecorder",
     "ProtocolAuditor",
-    "TransactionRecord",
     "auditor_from_env",
     "injector_from_env",
     "plan_from_env",

@@ -6,10 +6,11 @@ fault, or a genuine simulator bug) is caught within one audit window of
 its occurrence instead of thousands of accesses later at end-of-run.
 
 The auditor owns a :class:`~repro.resilience.recorder.FlightRecorder`
-that it installs into the system's home controller; when an invariant
-trips, the raised :class:`~repro.errors.InvariantViolation` is enriched
-with the corrupted block's home bank and the last few transactions the
-recorder captured for it.
+that it attaches to the system's protocol transitions
+(:func:`repro.telemetry.attach_observer`); when an invariant trips, the
+raised :class:`~repro.errors.InvariantViolation` is enriched with the
+corrupted block's home bank and the last few events the recorder
+captured for it.
 
 Auditing is opt-in (``--audit`` on the CLI, or ``REPRO_AUDIT=on`` /
 ``REPRO_AUDIT=<interval>`` in the environment). All audit-time state
@@ -25,6 +26,7 @@ import sys
 
 from repro.errors import InvariantViolation, ProtocolError
 from repro.resilience.recorder import FlightRecorder
+from repro.telemetry import attach_observer
 
 #: Audit every this-many accesses unless overridden.
 DEFAULT_AUDIT_INTERVAL = 1000
@@ -44,8 +46,8 @@ class ProtocolAuditor:
         self.violations = 0
 
     def install(self, system) -> None:
-        """Attach the flight recorder to the system's home controller."""
-        system.home.recorder = self.recorder
+        """Attach the flight recorder to the system's protocol transitions."""
+        attach_observer(system, self.recorder)
 
     def maybe_audit(self, system, processed: int) -> None:
         """Audit when ``processed`` falls on an audit boundary."""

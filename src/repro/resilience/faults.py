@@ -336,9 +336,11 @@ class FaultInjector:
         index = self.system.access_index if self.system is not None else 0
         self.injected.append(InjectedFault(kind, addr, core, index, location))
         if self.system is not None:
-            recorder = self.system.home.recorder
-            if recorder.enabled:
-                recorder.record(addr, f"fault:{kind.value}", core=core, detail=location)
+            observer = self.system.home.observer
+            if observer.enabled:
+                observer.emit(
+                    f"fault:{kind.value}", core=core, addr=addr, location=location
+                )
 
 
 def plan_from_env() -> "FaultPlan | None":

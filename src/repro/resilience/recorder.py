@@ -1,68 +1,33 @@
 """Bounded per-address transaction flight recorder.
 
-The home controllers call :meth:`record` at every interesting protocol
-event (access, eviction notice, invalidation, back-invalidation, state
-transfer). When a protocol invariant trips, the auditor attaches the last
-few records for the corrupted address to the raised
+A :class:`FlightRecorder` is an observer on the one channel the home
+controllers announce protocol transitions through
+(:func:`repro.telemetry.attach_observer`): requests, invalidations,
+eviction notices, allocations, back-invalidations, spills, injected
+faults. It keeps the last few :class:`~repro.telemetry.TraceEvent`
+records of each address. When a protocol invariant trips, the auditor
+attaches the records for the corrupted address to the raised
 :class:`~repro.errors.InvariantViolation`, so the diagnostic shows *how*
 the block got into the bad state — not just that it is bad.
 
-By default every controller carries a :class:`NullRecorder` whose
-``enabled`` flag is False, and the hot paths guard on that flag, so a run
-without auditing records nothing and behaves bit-identically to a build
-without the recorder at all.
+Without auditing no recorder is attached: the homes' disabled-observer
+guard keeps the run bit-identical to one without the recorder at all.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
 
-
-class TransactionRecord:
-    """One captured protocol event for one block address."""
-
-    __slots__ = ("seq", "event", "addr", "core", "detail")
-
-    def __init__(self, seq: int, event: str, addr: int, core: "int | None", detail: str) -> None:
-        self.seq = seq
-        self.event = event
-        self.addr = addr
-        self.core = core
-        self.detail = detail
-
-    def __str__(self) -> str:
-        core = f" core={self.core}" if self.core is not None else ""
-        detail = f" {self.detail}" if self.detail else ""
-        return f"#{self.seq} {self.event}{core}{detail}"
-
-    __repr__ = __str__
+from repro.telemetry import TraceEvent
 
 
-class NullRecorder:
-    """Recording disabled: every hook is a no-op."""
-
-    enabled = False
-
-    def record(
-        self,
-        addr: int,
-        event: str,
-        core: "int | None" = None,
-        detail: str = "",
-    ) -> None:
-        pass
-
-    def history(self, addr: int) -> "tuple[TransactionRecord, ...]":
-        return ()
-
-
-class FlightRecorder(NullRecorder):
-    """Keeps the last ``depth`` transactions of each recently-seen address.
+class FlightRecorder:
+    """Keeps the last ``depth`` events of each recently-seen address.
 
     Bounded on both axes: each address keeps a ``depth``-deep ring, and at
     most ``max_addresses`` addresses are retained (least recently recorded
     are forgotten first), so arbitrarily long runs cannot grow the
-    recorder without bound.
+    recorder without bound. Sequence numbers are global across addresses.
     """
 
     enabled = True
@@ -71,14 +36,15 @@ class FlightRecorder(NullRecorder):
         self.depth = max(1, depth)
         self.max_addresses = max(1, max_addresses)
         self.seq = 0
-        self._per_addr: "OrderedDict[int, deque[TransactionRecord]]" = OrderedDict()
+        self._per_addr: "OrderedDict[int, deque[TraceEvent]]" = OrderedDict()
 
-    def record(
+    def emit(
         self,
-        addr: int,
-        event: str,
+        kind: str,
+        cycle: "int | None" = None,
         core: "int | None" = None,
-        detail: str = "",
+        addr: "int | None" = None,
+        **data,
     ) -> None:
         self.seq += 1
         ring = self._per_addr.get(addr)
@@ -89,8 +55,8 @@ class FlightRecorder(NullRecorder):
                 self._per_addr.popitem(last=False)
         else:
             self._per_addr.move_to_end(addr)
-        ring.append(TransactionRecord(self.seq, event, addr, core, detail))
+        ring.append(TraceEvent(self.seq, kind, cycle, core, addr, data))
 
-    def history(self, addr: int) -> "tuple[TransactionRecord, ...]":
+    def history(self, addr: int) -> "tuple[TraceEvent, ...]":
         ring = self._per_addr.get(addr)
         return tuple(ring) if ring else ()

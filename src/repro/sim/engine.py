@@ -55,7 +55,7 @@ from repro.sim.deadline import CHECK_STRIDE, check_deadline
 from repro.sim.fastpath import fast_lane_from_env
 from repro.sim.stats import SimStats
 from repro.sim.system import System
-from repro.telemetry import NULL_TRACER, install_tracer
+from repro.telemetry import NULL_TRACER, attach_observer
 from repro.types import Access, AccessKind, PrivateState
 
 
@@ -93,6 +93,9 @@ class TraceEngine:
         self.auditor = auditor
         self.oracle = oracle
         self.recovery = recovery
+        #: Hears the protocol transitions (attached to the system like any
+        #: observer) plus the engine's own per-access ``txn:*``,
+        #: ``measure:start`` and ``audit:*`` events, which go only here.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Fast-lane preference; None resolves from ``REPRO_FAST``.
         self.fast_path = (
@@ -150,7 +153,7 @@ class TraceEngine:
         if auditor is not None:
             auditor.install(system)
         if tracer.enabled:
-            install_tracer(system, tracer)
+            attach_observer(system, tracer)
         total = sum(len(stream) for stream in self.streams)
         warmup_left = int(total * self.warmup_fraction)
         if total and warmup_left >= total:

@@ -7,7 +7,9 @@ every simulator layer (``directory``, ``coherence``, ``sim``,
 * **Tracing** (:mod:`~repro.telemetry.events`,
   :mod:`~repro.telemetry.sinks`): structured :class:`TraceEvent`
   records emitted from instrumented hot paths into a pluggable sink
-  (ring buffer, JSONL file, or null). Off by default via the shared
+  (ring buffer, JSONL file, or null), through the one observer channel
+  that transition coverage and the flight recorder share
+  (:func:`attach_observer`). Off by default via the shared
   :data:`NULL_TRACER`; disabled runs are bit-identical.
 * **Metrics** (:mod:`~repro.telemetry.metrics`): a
   :class:`MetricsRegistry` of counters, gauges, and log2-bucketed
@@ -36,7 +38,7 @@ from repro.telemetry.sinks import (
     NullTracer,
     RingBufferSink,
     Tracer,
-    install_tracer,
+    attach_observer,
     jsonl_trace_enabled,
     merge_worker_traces,
     read_trace,
@@ -62,7 +64,7 @@ __all__ = [
     "NullTracer",
     "RingBufferSink",
     "Tracer",
-    "install_tracer",
+    "attach_observer",
     "jsonl_trace_enabled",
     "merge_worker_traces",
     "read_trace",

@@ -2,39 +2,19 @@
 
 A :class:`TraceEvent` is one observation of the simulator doing
 something interesting: a memory transaction starting or finishing, a
-tracking structure allocating or evicting an entry, a spill, a
-back-invalidation, an STRA classification, an audit window closing, or
-a recovery repair. Events are *structured* — a short ``group:action``
-kind string plus typed context fields — so a trace can be filtered,
-aggregated, and replayed mechanically instead of being grepped out of
-log prose.
+request reaching its home, a tracking structure allocating or evicting
+an entry, a spill, a back-invalidation, an STRA classification, an
+injected fault, an audit window closing, or a recovery repair. Events
+are *structured* — a short ``group:action`` kind string plus typed
+context fields — so a trace can be filtered, aggregated, and replayed
+mechanically instead of being grepped out of log prose.
 
-The event taxonomy (the authoritative table lives in
-``docs/telemetry.md``):
-
-========================  =====================================  ==========================
-kind                      emitted from                           extra fields
-========================  =====================================  ==========================
-``txn:start``             ``repro.sim.engine``                   ``op``
-``txn:finish``            ``repro.sim.engine``                   ``latency``
-``measure:start``         ``repro.sim.engine``                   ``warmup_accesses``
-``inval``                 ``repro.coherence.base``               ``prior``
-``back_inval``            ``repro.coherence`` home controllers   ``holders``
-``dir:alloc``             ``repro.directory`` containers         ``grain`` (MgD only)
-``dir:evict``             ``repro.directory`` containers         ``grain`` (MgD only)
-``tiny:alloc``            ``repro.coherence.inllc_home``         —
-``tiny:evict``            ``repro.coherence.inllc_home``         —
-``tiny:decline``          ``repro.coherence.inllc_home``         —
-``tiny:spill``            ``repro.coherence.inllc_home``         —
-``tiny:unspill``          ``repro.coherence.inllc_home``         —
-``stra:classify``         ``repro.coherence.base``               ``category``, ``fwd_reads``
-``audit:window``          ``repro.sim.engine``                   ``audits``
-``audit:violation``       ``repro.sim.engine``                   ``error``
-``recovery:repair``       ``repro.recovery.manager``             ``action``, ``verified``
-``guard:pressure``        ``repro.guard.watchdog``               ``resource``, ``observed``, ``limit``
-``guard:throttle``        ``repro.guard.backpressure``           ``reason``, ``jobs_from``, ``jobs_to``
-``guard:restore``         ``repro.guard.backpressure``           ``reason``, ``jobs_from``, ``jobs_to``
-========================  =====================================  ==========================
+:data:`EVENT_KINDS` is the one vocabulary: tracing, transition
+coverage (:mod:`repro.verify.coverage`) and the flight recorder
+(:mod:`repro.resilience.recorder`) all read the same kinds. The table
+of kinds, with where each is emitted and its extra fields, lives in
+``docs/telemetry.md``; ``tools/check_docs.py`` fails CI when the two
+disagree.
 
 Serialization is line-oriented JSON (JSONL): one
 :func:`TraceEvent.to_dict` object per line, reversible bit-exactly via
@@ -44,23 +24,89 @@ Serialization is line-oriented JSON (JSONL): one
 
 from __future__ import annotations
 
-#: Every event kind the simulator emits, grouped for docs and tooling.
+#: Every event kind the simulator emits, grouped as in docs/telemetry.md.
 EVENT_KINDS: "tuple[str, ...]" = (
+    # The engine's own events, sent only to the tracer run_trace was given.
     "txn:start",
     "txn:finish",
     "measure:start",
-    "inval",
-    "back_inval",
+    "audit:window",
+    "audit:violation",
+    # Requests reaching the home controller.
+    "req:read",
+    "req:write",
+    "req:ifetch",
+    "req:upgrade",
+    "req:evict_notice",
+    # Requester-side MESI transitions, derived by the verify harness.
+    "mesi:I->E:read",
+    "mesi:I->S:read",
+    "mesi:I->S:ifetch",
+    "mesi:I->M:write",
+    "mesi:S->M:write",
+    "mesi:E->M:write",
+    "mesi:S->S:read",
+    "mesi:S->S:ifetch",
+    "mesi:E->E:read",
+    "mesi:E->E:ifetch",
+    "mesi:M->M:read",
+    "mesi:M->M:ifetch",
+    "mesi:M->M:write",
+    # Remote invalidations by the sparse-directory family.
+    "inval:M->I",
+    "inval:E->I",
+    "inval:S->I",
+    # Sparse directory.
     "dir:alloc",
     "dir:evict",
+    "dir:drop",
+    "dir:back_invalidate",
+    "dir:fwd_exclusive",
+    "dir:write_shared",
+    "dir:upgrade",
+    # In-LLC tracking.
+    "llc:mark_tracked",
+    "llc:restore",
+    "llc:evict_tracked",
+    "llc:evict_dirty",
+    "llc:lengthened_read",
+    "llc:back_invalidate",
+    # Tiny directory and spilling.
+    "tiny:hit",
+    "tiny:spill_hit",
+    "tiny:fwd_refill",
+    "tiny:unspill",
     "tiny:alloc",
     "tiny:evict",
     "tiny:decline",
     "tiny:spill",
-    "tiny:unspill",
+    "tiny:rehome_spill",
+    "tiny:rehome_corrupt",
+    "tiny:recall",
     "stra:classify",
-    "audit:window",
-    "audit:violation",
+    # Multi-grain directory.
+    "mgd:region_alloc",
+    "mgd:region_extend",
+    "mgd:region_demote",
+    "mgd:demote_alloc",
+    "mgd:region_shrink",
+    "mgd:block_alloc",
+    "mgd:evict_region",
+    # Stash directory.
+    "stash:stash",
+    "stash:recover",
+    "stash:unstash",
+    # Shared-only directory (the Fig. 3 idealization).
+    "shared_only:private",
+    "shared_only:promote",
+    "shared_only:demote",
+    # Injected faults (repro.resilience.faults.FaultKind values).
+    "fault:drop_private_copy",
+    "fault:flip_sharer_bit",
+    "fault:lose_eviction_notice",
+    "fault:corrupt_directory_entry",
+    "fault:corrupt_tiny_entry",
+    # Self-healing and resource governance.
     "recovery:repair",
     "guard:pressure",
     "guard:throttle",

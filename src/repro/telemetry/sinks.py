@@ -1,18 +1,23 @@
-"""Trace sinks and the tracer front-end.
+"""Trace sinks, the tracer front-end, and the one observer channel.
 
-The tracer follows the same zero-overhead-when-off contract as the
-flight recorder (:class:`repro.resilience.recorder.NullRecorder`) and
-the coverage map (:class:`repro.coherence.base.NullCoverage`): every
-instrumented component carries a shared :data:`NULL_TRACER` whose
-``enabled`` flag is False, and every hot-path hook is guarded with
-``if self.tracer.enabled:`` — an untraced run executes the exact same
-instructions it always did and stays bit-identical (pinned by
-``tests/test_telemetry.py``).
+Every home controller carries one ``observer`` slot, set to the shared
+disabled :data:`NULL_TRACER` by default. Each protocol transition is
+emitted once, behind one inline ``if self.observer.enabled:`` guard,
+as ``observer.emit(kind, cycle=None, core=None, addr=None, **data)``
+with a kind from :data:`~repro.telemetry.events.EVENT_KINDS`. An
+unobserved run executes the same instructions it always did and stays
+bit-identical (pinned by ``tests/test_telemetry.py``).
 
-A *sink* is anywhere events go. Three backends:
+An *observer* is anything with an ``enabled`` flag and that ``emit``
+signature: a :class:`Tracer`, a
+:class:`~repro.verify.coverage.CoverageMap`, a
+:class:`~repro.resilience.recorder.FlightRecorder`.
+:func:`attach_observer` installs one on a system; attaching a second
+fans every emit out to both.
 
-* :class:`NullSink` — drops everything (paired with :class:`NullTracer`
-  this is the off state).
+A *sink* is where a tracer's events go. Three backends:
+
+* :class:`NullSink` — drops everything.
 * :class:`RingBufferSink` — keeps the last ``capacity`` events in
   memory; cheap enough for tests and post-mortem "what just happened"
   inspection of arbitrarily long runs.
@@ -99,7 +104,7 @@ class JsonlSink:
 
 
 class NullTracer:
-    """Tracing disabled: the shared default, every hook short-circuits."""
+    """Observation disabled: the shared default, every guard short-circuits."""
 
     enabled = False
 
@@ -110,7 +115,7 @@ class NullTracer:
         pass
 
 
-#: The shared disabled tracer every instrumented component starts with.
+#: The shared disabled observer every home controller starts with.
 NULL_TRACER = NullTracer()
 
 
@@ -140,20 +145,43 @@ class Tracer:
         self.sink.close()
 
 
-def install_tracer(system, tracer) -> None:
-    """Attach ``tracer`` to every instrumented component of ``system``.
+class Fanout:
+    """Several observers attached to one system: each emit reaches all."""
 
-    The home controller always carries a ``tracer`` attribute; tracking
-    containers (``directory``, ``tiny``) get one when they expose it.
-    Passing :data:`NULL_TRACER` (or any disabled tracer) restores the
-    off state.
+    enabled = True
+
+    def __init__(self, *observers) -> None:
+        self.observers = observers
+
+    def emit(
+        self,
+        kind: str,
+        cycle: "int | None" = None,
+        core: "int | None" = None,
+        addr: "int | None" = None,
+        **data,
+    ) -> None:
+        for observer in self.observers:
+            observer.emit(kind, cycle, core, addr, **data)
+
+
+def attach_observer(system, observer) -> None:
+    """Attach ``observer`` to the protocol transitions of ``system``.
+
+    Observers accumulate: attaching a second one installs a
+    :class:`Fanout` over both, and attaching one already present is a
+    no-op. Attaching a disabled observer (:data:`NULL_TRACER`) detaches
+    them all and restores the off state.
     """
     home = system.home
-    home.tracer = tracer
-    for attr in ("directory", "tiny"):
-        container = getattr(home, attr, None)
-        if container is not None and hasattr(container, "tracer"):
-            container.tracer = tracer
+    current = home.observer
+    if not observer.enabled or not current.enabled:
+        home.observer = observer
+    elif isinstance(current, Fanout):
+        if observer not in current.observers:
+            home.observer = Fanout(*current.observers, observer)
+    elif current is not observer:
+        home.observer = Fanout(current, observer)
 
 
 # ----------------------------------------------------------------------

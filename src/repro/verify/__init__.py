@@ -27,7 +27,6 @@ Entry point: ``python -m repro verify`` (:mod:`repro.verify.cli`).
 from repro.verify.coverage import (
     KNOWN_TRANSITIONS,
     CoverageMap,
-    NullCoverage,
     coverage_fraction,
     render_coverage_table,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "truncate_streams",
     "KNOWN_TRANSITIONS",
     "CoverageMap",
-    "NullCoverage",
     "coverage_fraction",
     "render_coverage_table",
     "FuzzResult",

@@ -1,17 +1,18 @@
 """Protocol transition-coverage accounting.
 
-The home controllers carry a ``coverage`` attribute (a
-:class:`NullCoverage` by default) and call ``coverage.note(label)`` at
-every interesting state-machine decision point, guarded by
-``coverage.enabled`` exactly like the flight-recorder hooks — so runs
-without coverage collection execute the same instructions they always
-did and stay bit-identical.
+A :class:`CoverageMap` is an observer on the one channel the home
+controllers announce protocol transitions through
+(:func:`repro.telemetry.attach_observer`): it counts the event kinds it
+receives, with no translation, so coverage labels are simply kinds of
+:data:`repro.telemetry.EVENT_KINDS`. Runs without an observer execute
+the same instructions they always did and stay bit-identical.
 
-Labels are short ``group:event`` strings:
+The kinds it counts are short ``group:event`` strings:
 
 * ``mesi:<pre>-><post>:<kind>`` — requester-side MESI transitions,
   derived by the verify harness from quiet pre/post ``state_of`` probes
-  (the controllers never pay for them);
+  and emitted through the same channel (the controllers never pay for
+  them);
 * ``inval:<prior>->I`` — remote invalidations through the shared
   :meth:`~repro.coherence.base.BaseHome._invalidate_holders` path;
 * ``dir:*`` — sparse-directory-side events (allocation, eviction,
@@ -32,10 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.coherence.base import NullCoverage
-
 __all__ = [
-    "NullCoverage",
     "CoverageMap",
     "MESI_TRANSITIONS",
     "KNOWN_TRANSITIONS",
@@ -45,15 +43,15 @@ __all__ = [
 
 
 class CoverageMap:
-    """Counts protocol transitions seen during a run."""
+    """Counts the protocol transitions emitted during a run."""
 
     enabled = True
 
     def __init__(self) -> None:
         self.counts: "Counter[str]" = Counter()
 
-    def note(self, transition: str) -> None:
-        self.counts[transition] += 1
+    def emit(self, kind: str, cycle=None, core=None, addr=None, **data) -> None:
+        self.counts[kind] += 1
 
     def merge(self, other: "CoverageMap | dict | Counter") -> None:
         counts = other.counts if isinstance(other, CoverageMap) else other
@@ -61,10 +59,6 @@ class CoverageMap:
 
     def covered(self) -> "set[str]":
         return set(self.counts)
-
-    def install(self, system) -> None:
-        """Attach this map to ``system``'s home controller."""
-        system.home.coverage = self
 
 
 #: MESI transitions observable from the requesting core's perspective.

@@ -7,9 +7,14 @@ fault pseudo-steps, and optional transition-coverage collection. The
 litmus engine, the fuzzer, the shrinker, and reproducer replay all
 drive schedules through :func:`run_schedule`.
 
-Every inspection the harness performs (oracle pre-probes, MESI
-transition derivation) uses quiet lookups, so a clean harnessed run is
-bit-identical to driving the same accesses directly.
+The auditor's flight recorder, an optional
+:class:`~repro.verify.coverage.CoverageMap` and, under
+``REPRO_TRACE``, a tracer all hear the same protocol transitions
+(:func:`repro.telemetry.attach_observer`); the harness adds the
+requester-side ``mesi:*`` transitions to that stream. Every inspection
+the harness performs (oracle pre-probes, MESI transition derivation)
+uses quiet lookups, so a clean harnessed run is bit-identical to
+driving the same accesses directly.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from repro.resilience.auditor import ProtocolAuditor
 from repro.resilience.faults import FaultInjector, FaultPlan, InjectedFault
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
-from repro.telemetry import install_tracer, tracer_from_env
+from repro.telemetry import attach_observer, tracer_from_env
 from repro.types import Access
 from repro.verify.coverage import CoverageMap
 from repro.verify.oracle import ValueOracle
@@ -67,9 +72,8 @@ class VerifyHarness:
             self.injector.attach(system)
             system.fault_injector = self.injector
         self.oracle = ValueOracle() if oracle else None
-        self.coverage = coverage
         if coverage is not None:
-            coverage.install(system)
+            attach_observer(system, coverage)
         self.auditor = ProtocolAuditor(interval=max(1, audit_interval))
         self.auditor.install(system)
         self.recovery = recovery
@@ -93,14 +97,15 @@ class VerifyHarness:
             return
         core, addr = step.core, step.addr
         kind = step.access_kind()
-        pre = None
-        if self.oracle is not None or self.coverage is not None:
-            pre = self.system.cores[core].state_of(addr)
+        private = self.system.cores[core]
+        pre = private.state_of(addr)
         latency = self.system.access(Access(core, addr, kind), self.now)
+        # The auditor's recorder is always attached, so this is never off.
+        self.system.home.observer.emit(
+            f"mesi:{pre.value}->{private.state_of(addr).value}:{step.kind}",
+            cycle=self.now, core=core, addr=addr,
+        )
         self.now += max(1, latency)
-        if self.coverage is not None:
-            post = self.system.cores[core].state_of(addr)
-            self.coverage.note(f"mesi:{pre.value}->{post.value}:{step.kind}")
         if self.oracle is not None:
             self.oracle.observe(self.system, core, addr, kind, pre)
         self.executed += 1
@@ -166,7 +171,7 @@ def run_schedule(
         system = build_system(spec, num_cores, l1_kb, l2_kb, seed=seed)
     tracer = tracer_from_env()
     if tracer is not None:
-        install_tracer(system, tracer)
+        attach_observer(system, tracer)
     harness = VerifyHarness(
         system,
         audit_interval=audit_interval,

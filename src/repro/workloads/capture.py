@@ -1,10 +1,9 @@
 """Versioned, compact on-disk access-trace format (``.rtrace``).
 
-The ``.npz`` format of :mod:`repro.workloads.trace` needs numpy and
-buffers whole arrays; this module is the durable, dependency-free
-replacement used by the differential harness and the scenario corpus.
-A capture file carries everything a later process needs to re-run the
-identical access stream on any scheme:
+This is the durable, dependency-free trace format used by the
+differential harness and the scenario corpus. A capture file carries
+everything a later process needs to re-run the identical access stream
+on any scheme:
 
 * a **header** with the format version and full provenance — machine
   geometry (cores, L1/L2 sizes), the generating profile (name plus the
@@ -56,7 +55,7 @@ MAGIC = b"RTRC"
 #: Capture format version. Bump on any incompatible layout change.
 CAPTURE_VERSION = 1
 
-#: Integer encoding of access kinds (shared with the ``.npz`` format).
+#: Integer encoding of access kinds.
 KIND_CODES = {AccessKind.READ: 0, AccessKind.WRITE: 1, AccessKind.IFETCH: 2}
 KIND_DECODE = {code: kind for kind, code in KIND_CODES.items()}
 

@@ -168,3 +168,25 @@ def test_internal_env_vars_exempt(checker):
     source = root / "src" / "repro" / "knobs.py"
     source.write_text("import os\nos.environ['REPRO_TRACE_WORKER'] = '1'\n")
     assert module.check_env_vars() == []
+
+
+def test_event_kind_drift_detected(checker):
+    module, root = checker
+    events = root / "src" / "repro" / "telemetry" / "events.py"
+    events.parent.mkdir()
+    events.write_text(
+        'EVENT_KINDS: "tuple[str, ...]" = ("txn:start", "req:read", "req:write")\n'
+    )
+    doc = root / "docs" / "telemetry.md"
+    table = (
+        "## Event taxonomy\n\n| Kind | Meaning |\n| --- | --- |\n"
+        "| `txn:start` | issued |\n| `req:read`, `req:write` | requests |\n"
+        "\n## Elsewhere\n\n| `dir:alloc` | not the taxonomy table |\n"
+    )
+    doc.write_text(table)
+    assert module.check_event_kinds() == []
+    doc.write_text(table.replace("`req:write`", "`req:wirte`"))
+    problems = module.check_event_kinds()
+    assert len(problems) == 2
+    assert any("req:write" in p and "not in the event taxonomy" in p for p in problems)
+    assert any("req:wirte" in p and "not in EVENT_KINDS" in p for p in problems)

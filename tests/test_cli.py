@@ -1,13 +1,22 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+
 import pytest
 
 from repro.__main__ import FIGURES, main
+from repro.telemetry import read_trace
 
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    # main() writes flags such as --audit into os.environ for pool
+    # workers; undo that so they cannot leak into later tests.
+    saved = dict(os.environ)
+    yield
+    os.environ.clear()
+    os.environ.update(saved)
 
 
 class TestCli:
@@ -45,8 +54,6 @@ class TestResilienceFlags:
         code = main(["fig07", "--scale", "quick", "--apps", "compress",
                      "--audit"])
         assert code == 0
-        import os
-
         assert os.environ.get("REPRO_AUDIT") == "on"
 
     def test_keep_going_reports_failures_and_exits_nonzero(
@@ -112,3 +119,48 @@ class TestCacheOff:
             assert flag in captured.err
             assert "REPRO_CACHE_DIR" in captured.err
 
+
+
+class TestObservingNeedsColdCache:
+    """A cached point is replayed, not simulated, so tracing or auditing
+    a warm cache is refused instead of silently observing nothing."""
+
+    @pytest.mark.parametrize(
+        "extra, env, flag",
+        [
+            (["--trace"], {}, "--trace"),
+            (["--trace-out", "TRACE"], {}, "--trace-out"),
+            (["--audit"], {}, "--audit"),
+            ([], {"REPRO_TRACE": "jsonl"}, "REPRO_TRACE=jsonl"),
+            ([], {"REPRO_AUDIT": "on"}, "REPRO_AUDIT=on"),
+            (["--trace", "--trace-out", "TRACE"], {}, None),
+        ],
+        ids=["trace", "trace-out", "audit", "trace-env", "audit-env", "cold"],
+    )
+    def test_observing_a_warm_cache_is_refused(
+        self, tmp_path, capsys, monkeypatch, extra, env, flag
+    ):
+        for name in ("REPRO_TRACE", "REPRO_TRACE_OUT", "REPRO_AUDIT"):
+            monkeypatch.delenv(name, raising=False)
+        argv = ["fig07", "--scale", "quick", "--apps", "compress"]
+        trace = tmp_path / "t.jsonl"
+        extra = [str(trace) if arg == "TRACE" else arg for arg in extra]
+        if flag is not None:
+            assert main(argv) == 0  # warm the cache
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        capsys.readouterr()
+        code = main(argv + extra)
+        captured = capsys.readouterr()
+        if flag is None:
+            # A cold cache still runs, and traces.
+            assert code == 0
+            assert "Fig. 7" in captured.out
+            assert read_trace(trace)
+        else:
+            assert code == 2
+            assert captured.out == ""
+            assert flag in captured.err
+            assert "the 1 point(s) already in the result cache" in captured.err
+            assert "REPRO_CACHE_DIR" in captured.err
+            assert not trace.exists()

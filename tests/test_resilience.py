@@ -27,7 +27,6 @@ from repro.resilience import (
     FaultKind,
     FaultPlan,
     FlightRecorder,
-    NullRecorder,
     ProtocolAuditor,
     auditor_from_env,
 )
@@ -41,6 +40,7 @@ from repro.sim.config import (
 )
 from repro.sim.engine import run_trace
 from repro.sim.system import System
+from repro.telemetry import NULL_TRACER
 from repro.workloads.generator import generate_streams
 from repro.workloads.profiles import profile
 
@@ -206,30 +206,30 @@ class TestFaultPlanFromEnv:
 
 class TestFlightRecorder:
     def test_null_recorder_is_inert(self):
-        recorder = NullRecorder()
-        assert not recorder.enabled
-        recorder.record(0x40, "fill", core=1)
-        assert recorder.history(0x40) == ()
+        system, _ = _build(SparseSpec(ratio=2.0))
+        recorder = system.home.observer  # nothing attached: the off state
+        assert recorder is NULL_TRACER and not recorder.enabled
+        recorder.emit("req:read", core=1, addr=0x40)
 
     def test_bounded_depth(self):
         recorder = FlightRecorder(depth=3)
         for i in range(10):
-            recorder.record(0x40, f"event{i}", core=0)
+            recorder.emit(f"event{i}", core=0, addr=0x40)
         history = recorder.history(0x40)
         assert len(history) == 3
-        assert [r.event for r in history] == ["event7", "event8", "event9"]
+        assert [r.kind for r in history] == ["event7", "event8", "event9"]
 
     def test_sequence_numbers_are_global(self):
         recorder = FlightRecorder()
-        recorder.record(0x40, "a", core=0)
-        recorder.record(0x80, "b", core=1)
+        recorder.emit("a", core=0, addr=0x40)
+        recorder.emit("b", core=1, addr=0x80)
         seqs = [recorder.history(addr)[0].seq for addr in (0x40, 0x80)]
         assert seqs == sorted(seqs) and len(set(seqs)) == 2
 
     def test_bounded_address_count(self):
         recorder = FlightRecorder(depth=2, max_addresses=4)
         for addr in range(8):
-            recorder.record(addr, "touch", core=0)
+            recorder.emit("touch", core=0, addr=addr)
         assert recorder.history(0) == ()  # oldest addresses dropped
         assert recorder.history(7)
 

@@ -19,10 +19,13 @@ import importlib.util
 import json
 import pathlib
 import sys
+from collections import Counter
 
 import pytest
 
 from repro.analysis.runner import RunScale, run_app
+from repro.resilience import FlightRecorder
+from repro.sim.config import InLLCSpec, MgdSpec, SparseSpec, StashSpec
 from repro.sim.system import System
 from repro.telemetry import (
     EVENT_KINDS,
@@ -32,7 +35,7 @@ from repro.telemetry import (
     RingBufferSink,
     TraceEvent,
     Tracer,
-    install_tracer,
+    attach_observer,
     merge_snapshots,
     merge_worker_traces,
     metrics_from_env,
@@ -41,19 +44,30 @@ from repro.telemetry import (
     write_bench_point,
 )
 from repro.telemetry.metrics import Histogram
+from repro.verify import CoverageMap
 from repro.workloads.generator import generate_streams
 from repro.sim.engine import run_trace
 
 SCALE = RunScale(num_cores=8, total_accesses=4_000, spill_window=64)
 
+FIVE_SCHEMES = [
+    SparseSpec(ratio=1 / 8),
+    InLLCSpec(),
+    SCALE.tiny_spec(1 / 32, "gnru", spill=True),
+    MgdSpec(),
+    StashSpec(),
+]
 
-def small_run(tracer=None, scheme=None):
+
+def small_run(tracer=None, scheme=None, observers=()):
     scheme = scheme or SCALE.tiny_spec(1 / 32, "gnru", spill=True)
     config = SCALE.make_config(scheme)
     system = System(config)
     streams = generate_streams(
         "compress", config, SCALE.total_accesses, seed=SCALE.seed
     )
+    for observer in observers:
+        attach_observer(system, observer)
     stats = run_trace(system, streams, tracer=tracer)
     return system, stats
 
@@ -78,10 +92,17 @@ class TestTraceEvent:
 
 
 class TestBitIdentity:
-    def test_traced_run_is_bit_identical_to_untraced(self):
-        _, plain = small_run()
-        _, traced = small_run(tracer=Tracer(RingBufferSink()))
+    @pytest.mark.parametrize("scheme", FIVE_SCHEMES, ids=lambda s: s.name)
+    def test_traced_run_is_bit_identical_to_untraced(self, scheme):
+        _, plain = small_run(scheme=scheme)
+        tracer = Tracer(RingBufferSink())
+        _, traced = small_run(
+            tracer=tracer,
+            scheme=scheme,
+            observers=(CoverageMap(), FlightRecorder()),
+        )
         assert traced.dump() == plain.dump()
+        assert {e.kind for e in tracer.sink.events()} <= set(EVENT_KINDS)
 
     def test_untraced_dump_has_no_telemetry_section(self):
         _, stats = small_run()
@@ -154,13 +175,21 @@ class TestTraceCapture:
     def test_install_tracer_reaches_containers_and_reverts(self):
         system, _ = small_run()
         tracer = Tracer(RingBufferSink())
-        install_tracer(system, tracer)
-        assert system.home.tracer is tracer
-        tiny = getattr(system.home, "tiny", None)
-        if tiny is not None and hasattr(tiny, "tracer"):
-            assert tiny.tracer is tracer
-        install_tracer(system, NULL_TRACER)
-        assert system.home.tracer is NULL_TRACER
+        attach_observer(system, tracer)
+        assert system.home.observer is tracer
+        attach_observer(system, NULL_TRACER)
+        assert system.home.observer is NULL_TRACER
+
+    def test_coverage_counts_the_traced_kinds(self):
+        tracer = Tracer(RingBufferSink(capacity=1_000_000))
+        coverage = CoverageMap()
+        small_run(tracer=tracer, observers=(coverage,))
+        engine_only = {"txn:start", "txn:finish", "measure:start"}
+        kinds = Counter(
+            e.kind for e in tracer.sink.events() if e.kind not in engine_only
+        )
+        assert kinds["tiny:alloc"] > 0
+        assert kinds == coverage.counts
 
 
 class TestWorkerTraceFanIn:

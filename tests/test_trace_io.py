@@ -1,13 +1,11 @@
-"""Tests for trace file save/load and reproducer JSON round-trips."""
+"""Tests for reproducer JSON round-trips."""
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.sim.config import SparseSpec, SystemConfig, TinySpec
-from repro.types import Access, AccessKind
+from repro.sim.config import SparseSpec, TinySpec
 from repro.verify import (
     FaultStep,
     R,
@@ -20,90 +18,6 @@ from repro.verify import (
     save_reproducer,
 )
 from repro.verify.reproducer import spec_from_dict, spec_to_dict
-from repro.workloads.generator import generate_streams
-from repro.workloads.trace import FORMAT_VERSION, load_trace, save_trace
-
-
-def small_streams():
-    return [
-        [Access(0, 0x10, AccessKind.READ, 5), Access(0, 0x20, AccessKind.WRITE, 3)],
-        [Access(1, 0x30, AccessKind.IFETCH, 7)],
-    ]
-
-
-class TestRoundTrip:
-    def test_streams_roundtrip(self, tmp_path):
-        path = tmp_path / "trace.npz"
-        original = small_streams()
-        save_trace(path, original, meta={"app": "unit"})
-        loaded, meta = load_trace(path)
-        assert loaded == original
-        assert meta == {"app": "unit"}
-
-    def test_generated_trace_roundtrip(self, tmp_path):
-        config = SystemConfig(num_cores=4, l1_kb=1, l2_kb=4, scheme=SparseSpec())
-        streams = generate_streams("compress", config, 1200, seed=9)
-        path = tmp_path / "compress.npz"
-        save_trace(path, streams)
-        loaded, _ = load_trace(path)
-        assert loaded == streams
-
-    def test_empty_core_streams_preserved(self, tmp_path):
-        path = tmp_path / "t.npz"
-        save_trace(path, [[], [Access(1, 1, AccessKind.READ)]])
-        loaded, _ = load_trace(path)
-        assert loaded[0] == []
-        assert len(loaded[1]) == 1
-
-    def test_replay_produces_identical_stats(self, tmp_path):
-        from repro.sim.engine import run_trace
-        from repro.sim.system import System
-
-        config = SystemConfig(num_cores=4, l1_kb=1, l2_kb=4, scheme=SparseSpec())
-        streams = generate_streams("compress", config, 800, seed=4)
-        path = tmp_path / "replay.npz"
-        save_trace(path, streams)
-        loaded, _ = load_trace(path)
-        a = run_trace(System(config), streams)
-        b = run_trace(
-            System(SystemConfig(num_cores=4, l1_kb=1, l2_kb=4, scheme=SparseSpec())),
-            loaded,
-        )
-        assert a.cycles == b.cycles
-        assert a.llc_misses == b.llc_misses
-
-
-class TestErrorHandling:
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(TraceError):
-            load_trace(tmp_path / "absent.npz")
-
-    def test_wrong_version_rejected(self, tmp_path, monkeypatch):
-        path = tmp_path / "t.npz"
-        monkeypatch.setattr("repro.workloads.trace.FORMAT_VERSION", 99)
-        save_trace(path, small_streams())
-        monkeypatch.undo()
-        assert FORMAT_VERSION == 1
-        with pytest.raises(TraceError):
-            load_trace(path)
-
-    def test_corrupt_kind_rejected(self, tmp_path):
-        path = tmp_path / "t.npz"
-        save_trace(path, small_streams())
-        data = dict(np.load(path))
-        data["kind"] = np.array([9] * len(data["kind"]), dtype=np.int8)
-        np.savez_compressed(path, **data)
-        with pytest.raises(TraceError):
-            load_trace(path)
-
-    def test_inconsistent_lengths_rejected(self, tmp_path):
-        path = tmp_path / "t.npz"
-        save_trace(path, small_streams())
-        data = dict(np.load(path))
-        data["gap"] = data["gap"][:-1]
-        np.savez_compressed(path, **data)
-        with pytest.raises(TraceError):
-            load_trace(path)
 
 
 class TestReproducerIO:

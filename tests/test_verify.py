@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import TraceError
+from repro.telemetry import EVENT_KINDS
 from repro.verify import (
     KNOWN_TRANSITIONS,
     CoverageMap,
@@ -142,6 +143,7 @@ class TestCoverage:
         for scheme, universe in KNOWN_TRANSITIONS.items():
             assert scheme in SCHEME_SPECS
             assert len(universe) == len(set(universe))
+            assert set(KNOWN_TRANSITIONS[scheme]) <= set(EVENT_KINDS)
             for label in universe:
                 group, _, event = label.partition(":")
                 assert group and event, label
@@ -156,9 +158,9 @@ class TestCoverage:
 
     def test_merge_accumulates_counts(self):
         a, b = CoverageMap(), CoverageMap()
-        a.note("x:1")
-        b.note("x:1")
-        b.note("y:2")
+        a.emit("x:1")
+        b.emit("x:1")
+        b.emit("y:2")
         a.merge(b)
         assert a.counts["x:1"] == 2
         assert a.counts["y:2"] == 1

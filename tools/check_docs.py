@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Documentation consistency checker (CI gate).
 
-Three checks, all cheap and dependency-free (CLI parsers are read via
-``ast``, so no simulator import is needed):
+Four checks, all cheap and dependency-free (CLI parsers and the event
+vocabulary are read via ``ast``, so no simulator import is needed):
 
 1. **Intra-repo links** — every relative markdown link in README.md and
    ``docs/*.md`` must resolve to an existing file (anchors stripped;
@@ -13,6 +13,10 @@ Three checks, all cheap and dependency-free (CLI parsers are read via
 3. **Stale flags** — every flag row in a paired doc's CLI flag table(s)
    (markdown table rows whose first cell starts with ``--``) must still
    exist in its parser, so removed flags cannot linger in the docs.
+4. **Event kinds** — the kinds in the "Event taxonomy" table of
+   ``docs/telemetry.md`` must be exactly ``EVENT_KINDS`` of
+   ``src/repro/telemetry/events.py``, the one list of trace, coverage
+   and flight-recorder kinds.
 
 Exit status 0 when clean, 1 with one line per problem otherwise.
 """
@@ -48,6 +52,11 @@ FLAG_PAIRS = [
 ENV_INTERNAL = {
     "REPRO_TRACE_WORKER",  # set by the pool to route worker trace parts
 }
+
+#: The event vocabulary and the one doc table that lists it.
+EVENTS_MODULE = "src/repro/telemetry/events.py"
+EVENTS_DOC = "docs/telemetry.md"
+EVENTS_HEADING = "## Event taxonomy"
 
 #: Markdown inline link: [text](target), ignoring images and code spans.
 _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^()\s]+)\)")
@@ -202,8 +211,51 @@ def check_env_vars() -> "list[str]":
     return problems
 
 
+def event_kinds(module: pathlib.Path) -> "set[str]":
+    """The string tuple assigned to ``EVENT_KINDS`` in ``module``."""
+    for node in ast.walk(ast.parse(module.read_text())):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(getattr(t, "id", None) == "EVENT_KINDS" for t in targets):
+                return set(ast.literal_eval(node.value))
+    return set()
+
+
+def documented_kinds(doc: pathlib.Path) -> "set[str]":
+    """Backticked kinds in the first cell of the event taxonomy table."""
+    kinds: "set[str]" = set()
+    in_section = False
+    for line in doc.read_text().splitlines():
+        if line.startswith("## "):
+            in_section = line.strip() == EVENTS_HEADING
+        elif in_section and line.startswith("|"):
+            first = line.split("|")[1]
+            kinds |= set(re.findall(r"`([^`]+)`", first))
+    return kinds
+
+
+def check_event_kinds() -> "list[str]":
+    """The doc's event table and ``EVENT_KINDS`` must list the same kinds."""
+    module, doc = REPO / EVENTS_MODULE, REPO / EVENTS_DOC
+    if not module.exists() or not doc.exists():
+        return [f"{EVENTS_MODULE} and {EVENTS_DOC} are needed for the kind check"]
+    in_code, in_doc = event_kinds(module), documented_kinds(doc)
+    problems = [
+        f"{EVENTS_DOC}: event kind {kind} is in EVENT_KINDS but not in "
+        "the event taxonomy table"
+        for kind in sorted(in_code - in_doc)
+    ]
+    problems += [
+        f"{EVENTS_DOC}: event kind {kind} is documented but not in "
+        f"EVENT_KINDS ({EVENTS_MODULE})"
+        for kind in sorted(in_doc - in_code)
+    ]
+    return problems
+
+
 def main() -> int:
     problems = check_links()
+    problems += check_event_kinds()
     problems += check_env_vars()
     for pair in FLAG_PAIRS:
         problems += check_flags(*pair)
