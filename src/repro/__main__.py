@@ -54,10 +54,14 @@ Sweeps journal per-point completion next to the result cache, and
 ``--metrics`` snapshots counters and phase timers into the stats
 telemetry section; render traces with ``python tools/trace_report.py``.
 See ``docs/telemetry.md``. A cached point is replayed, not simulated,
-so ``--trace``, ``--trace-out`` and ``--audit`` (or ``REPRO_TRACE`` /
-``REPRO_AUDIT`` turning them on) exit 2 when any requested point is
+so ``--trace``, ``--trace-out``, ``--audit`` and ``--recovery repair``
+or ``repair-strict`` (or ``REPRO_TRACE`` / ``REPRO_AUDIT`` /
+``REPRO_RECOVERY`` turning them on) exit 2 when any requested point is
 already in the result cache: point ``REPRO_CACHE_DIR`` at a fresh
 directory, or set ``REPRO_CACHE=off``.
+
+``--timeout`` must be above 0 seconds, ``--retries`` at least 0 and
+``--jobs`` at least 1; any other value is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -86,6 +90,7 @@ from repro.parallel import (
     resolve_jobs,
     run_sweep,
 )
+from repro.recovery import recovery_from_env
 from repro.resilience import auditor_from_env
 from repro.telemetry import tracer_from_env
 
@@ -125,6 +130,26 @@ _SCALES = {
     "default": RunScale.default,
     "full": RunScale.full,
 }
+
+
+def _at_least(convert, low: int, inclusive: bool = True):
+    """An argparse ``type=``: ``convert`` the text, then refuse values
+    below ``low`` (or equal to it unless ``inclusive``), so an
+    out-of-range flag is a usage error that names the flag."""
+    bound = f"at least {low}" if inclusive else f"above {low}"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}"
+            ) from None
+        if not (value >= low if inclusive else value > low):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,26 +203,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_at_least(float, 0, inclusive=False),
         metavar="SECONDS",
-        help="per-run wall-clock limit (cooperative deadline; works on "
-        "every platform and in worker processes)",
+        help="per-run wall-clock limit, above 0 (cooperative deadline; "
+        "works on every platform and in worker processes)",
     )
     parser.add_argument(
         "--retries",
-        type=int,
+        type=_at_least(int, 0),
         default=0,
         metavar="N",
-        help="retry each failing run up to N extra times",
+        help="retry each failing run up to N >= 0 extra times",
     )
     parser.add_argument(
         "--jobs",
         "-j",
-        type=int,
+        type=_at_least(int, 1),
         default=None,
         metavar="N",
-        help="worker processes for the sweep (default: REPRO_JOBS, else "
-        "all cores); results are bit-identical to a serial run",
+        help="worker processes for the sweep, N >= 1 (default: "
+        "REPRO_JOBS, else all cores); results are bit-identical to a "
+        "serial run",
     )
     parser.add_argument(
         "--profile",
@@ -252,10 +278,11 @@ def _needs_cache(args) -> "list[str]":
 
 
 def _observing(args) -> "list[str]":
-    """The tracing and auditing requests given.
+    """The tracing, auditing and recovery requests given.
 
     A cached point is replayed from the result cache, not simulated, so
-    neither could observe it.
+    none of them could observe it. ``--recovery abort`` turns nothing
+    on, and overrides ``REPRO_RECOVERY`` as it does for the run.
     """
     flags = []
     if args.trace:
@@ -268,6 +295,11 @@ def _observing(args) -> "list[str]":
         flags.append("--audit")
     elif auditor_from_env() is not None:
         flags.append(f"REPRO_AUDIT={os.environ['REPRO_AUDIT']}")
+    if args.recovery is not None:
+        if args.recovery != "abort":
+            flags.append(f"--recovery {args.recovery}")
+    elif recovery_from_env() is not None:
+        flags.append(f"REPRO_RECOVERY={os.environ['REPRO_RECOVERY']}")
     return flags
 
 
@@ -380,7 +412,7 @@ def main(argv: "list[str] | None" = None) -> int:
     policy = HarnessPolicy(
         keep_going=args.keep_going,
         timeout_s=args.timeout,
-        max_retries=max(0, args.retries),
+        max_retries=args.retries,
     )
     jobs = resolve_jobs(args.jobs)
     failed_figures = []

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache.sets import SetAssocArray
-from repro.errors import ProtocolError
+from repro.errors import ConfigError, ProtocolError
 from repro.types import (
     EXCLUSIVE,
     IFETCH,
@@ -53,9 +52,25 @@ class ProbeResult:
 
 
 class PrivateCore:
-    """The private cache hierarchy of one core."""
+    """The private cache hierarchy of one core.
 
-    __slots__ = ("core_id", "il1", "dl1", "l2")
+    Each level maps a set index to the block addresses resident in that
+    set, LRU first; a block lives in set ``addr % sets`` of its level.
+    :attr:`states` maps every L2-resident block to its MESI state, so a
+    state check is one dict lookup and the L1s carry no payload at all.
+    """
+
+    __slots__ = (
+        "core_id",
+        "l1_sets",
+        "l1_assoc",
+        "l2_sets",
+        "l2_assoc",
+        "il1",
+        "dl1",
+        "l2",
+        "states",
+    )
 
     def __init__(
         self,
@@ -65,10 +80,20 @@ class PrivateCore:
         l2_sets: int,
         l2_assoc: int,
     ) -> None:
+        if min(l1_sets, l1_assoc, l2_sets, l2_assoc) <= 0:
+            raise ConfigError(
+                f"num_sets and assoc must be positive, got L1 "
+                f"{l1_sets}x{l1_assoc}, L2 {l2_sets}x{l2_assoc}"
+            )
         self.core_id = core_id
-        self.il1 = SetAssocArray(l1_sets, l1_assoc, "lru")
-        self.dl1 = SetAssocArray(l1_sets, l1_assoc, "lru")
-        self.l2 = SetAssocArray(l2_sets, l2_assoc, "lru")
+        self.l1_sets = l1_sets
+        self.l1_assoc = l1_assoc
+        self.l2_sets = l2_sets
+        self.l2_assoc = l2_assoc
+        self.il1: "dict[int, list[int]]" = {}
+        self.dl1: "dict[int, list[int]]" = {}
+        self.l2: "dict[int, list[int]]" = {}
+        self.states: "dict[int, PrivateState]" = {}
 
     # ------------------------------------------------------------------
     # Lookup path
@@ -88,49 +113,42 @@ class PrivateCore:
         (recency touches in both levels, L1 promotion on an L2 hit, the
         silent E->M write upgrade, the inclusion check) but an int code
         instead of a :class:`ProbeResult` allocation. This is the single
-        hottest call in the simulator, so the per-level LRU lookups of
-        :meth:`SetAssocArray.lookup` are inlined (the private arrays are
-        always LRU).
+        hottest call in the simulator: L1 membership compares the MRU
+        way, then tests the rest of the set with one list containment
+        check; L2 residency is one dict lookup; and a block moves to MRU
+        only when it is not already last.
 
         Codes: ``MISS`` (0), ``L1_HIT`` (1), ``L2_HIT`` (2, promoted
         into the L1), ``UPGRADE_L1``/``UPGRADE_L2`` (3/4: held in S but
         the access is a write, so the home must serve an upgrade).
         """
         l1 = self.il1 if kind is IFETCH else self.dl1
-        lines = l1._sets.get(addr % l1.num_sets)
-        l1_line = None
+        lines = l1.get(addr % self.l1_sets)
+        in_l1 = False
         if lines:
-            for position, line in enumerate(lines):
-                if line.tag == addr:
-                    if position != len(lines) - 1:
-                        del lines[position]
-                        lines.append(line)
-                    l1_line = line
-                    break
-        l2 = self.l2
-        lines = l2._sets.get(addr % l2.num_sets)
-        l2_line = None
-        if lines:
-            for position, line in enumerate(lines):
-                if line.tag == addr:
-                    if position != len(lines) - 1:
-                        del lines[position]
-                        lines.append(line)
-                    l2_line = line
-                    break
-        if l2_line is None:
-            if l1_line is not None:
+            if lines[-1] == addr:
+                in_l1 = True
+            elif addr in lines:
+                in_l1 = True
+                lines.remove(addr)
+                lines.append(addr)
+        state = self.states.get(addr)
+        if state is None:
+            if in_l1:
                 raise ProtocolError(
                     f"core {self.core_id}: block {addr:#x} in L1 but not L2"
                 )
             return 0
-        state = l2_line.payload
+        lines = self.l2[addr % self.l2_sets]
+        if lines[-1] != addr:
+            lines.remove(addr)
+            lines.append(addr)
         if kind is WRITE:
             if state is SHARED:
-                return 3 if l1_line is not None else 4
+                return 3 if in_l1 else 4
             if state is EXCLUSIVE:
-                l2_line.payload = MODIFIED
-        if l1_line is not None:
+                self.states[addr] = MODIFIED
+        if in_l1:
             return 1
         # L2 hit: promote into L1 (inclusive, so no notice is needed for
         # the L1 victim -- the L2 still holds it).
@@ -155,11 +173,17 @@ class PrivateCore:
             return ProbeResult("l2", needs_upgrade=True)
         return ProbeResult("l1" if code == 1 else "l2")
 
-    # The private arrays map block ``addr`` to set ``addr % num_sets``
-    # (SetAssocArray.set_index); the paths below inline that mapping.
-
-    def _l1_fill(self, l1: SetAssocArray, addr: int) -> None:
-        l1.insert(addr % l1.num_sets, addr, None)
+    def _l1_fill(self, l1: "dict[int, list[int]]", addr: int) -> None:
+        """Install ``addr`` as MRU of its L1 set; the LRU way leaves
+        silently (the L2 still holds it)."""
+        set_index = addr % self.l1_sets
+        lines = l1.get(set_index)
+        if lines is None:
+            l1[set_index] = [addr]
+            return
+        if len(lines) >= self.l1_assoc:
+            del lines[0]
+        lines.append(addr)
 
     # ------------------------------------------------------------------
     # Fill and state-change paths (driven by the home controller)
@@ -174,25 +198,28 @@ class PrivateCore:
         if state is INVALID:
             raise ProtocolError("cannot fill a block in state I")
         notices = []
-        l2 = self.l2
-        evicted = l2.insert(addr % l2.num_sets, addr, state)
-        if evicted is not None:
-            self._drop_from_l1s(evicted.tag)
-            notices.append(EvictionNotice(evicted.tag, evicted.payload))
-        l1 = self.il1 if kind is IFETCH else self.dl1
-        self._l1_fill(l1, addr)
+        states = self.states
+        set_index = addr % self.l2_sets
+        lines = self.l2.get(set_index)
+        if lines is None:
+            lines = self.l2[set_index] = []
+        elif len(lines) >= self.l2_assoc:
+            victim = lines.pop(0)
+            self._drop_from_l1s(victim)
+            notices.append(EvictionNotice(victim, states.pop(victim)))
+        lines.append(addr)
+        states[addr] = state
+        self._l1_fill(self.il1 if kind is IFETCH else self.dl1, addr)
         return notices
 
     def complete_upgrade(self, addr: int) -> None:
         """Transition a block held in S to M after an upgrade response."""
-        l2 = self.l2
-        line = l2.lookup(addr % l2.num_sets, addr, touch=False)
-        if line is None or line.payload is not SHARED:
+        if self.states.get(addr) is not SHARED:
             raise ProtocolError(
                 f"core {self.core_id}: upgrade completion for block {addr:#x} "
                 f"not held in S"
             )
-        line.payload = MODIFIED
+        self.states[addr] = MODIFIED
 
     def invalidate(self, addr: int) -> PrivateState:
         """Invalidate a block everywhere in this hierarchy.
@@ -201,12 +228,11 @@ class PrivateCore:
         block was not present, which callers treat as a stale-tracker
         protocol error where appropriate).
         """
-        l2 = self.l2
-        line = l2.remove(addr % l2.num_sets, addr)
+        state = self.states.pop(addr, INVALID)
+        if state is not INVALID:
+            self.l2[addr % self.l2_sets].remove(addr)
         self._drop_from_l1s(addr)
-        if line is None:
-            return INVALID
-        return line.payload
+        return state
 
     def downgrade(self, addr: int) -> PrivateState:
         """Downgrade an exclusively held block to S (intervention).
@@ -214,22 +240,23 @@ class PrivateCore:
         Returns the prior state (M or E) so the caller can account for a
         dirty writeback.
         """
-        l2 = self.l2
-        line = l2.lookup(addr % l2.num_sets, addr, touch=False)
-        if line is None or not line.payload.is_exclusive:
+        prior = self.states.get(addr)
+        if prior is not MODIFIED and prior is not EXCLUSIVE:
             raise ProtocolError(
                 f"core {self.core_id}: downgrade of block {addr:#x} "
                 f"not held exclusively"
             )
-        prior = line.payload
-        line.payload = SHARED
+        self.states[addr] = SHARED
         return prior
 
     def _drop_from_l1s(self, addr: int) -> None:
-        il1 = self.il1
-        il1.remove(addr % il1.num_sets, addr)
-        dl1 = self.dl1
-        dl1.remove(addr % dl1.num_sets, addr)
+        set_index = addr % self.l1_sets
+        lines = self.il1.get(set_index)
+        if lines and addr in lines:
+            lines.remove(addr)
+        lines = self.dl1.get(set_index)
+        if lines and addr in lines:
+            lines.remove(addr)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -237,17 +264,16 @@ class PrivateCore:
 
     def state_of(self, addr: int) -> PrivateState:
         """The MESI state of ``addr`` in this hierarchy (I if absent)."""
-        l2 = self.l2
-        line = l2.lookup(addr % l2.num_sets, addr, touch=False)
-        if line is None:
-            return INVALID
-        return line.payload
+        return self.states.get(addr, INVALID)
 
     def holds(self, addr: int) -> bool:
         """True when the block is valid anywhere in this hierarchy."""
-        return self.state_of(addr) is not INVALID
+        return addr in self.states
 
     def resident_blocks(self):
-        """Yield (addr, state) for every valid block (for invariants)."""
-        for _, line in self.l2.iter_lines():
-            yield line.tag, line.payload
+        """Yield (addr, state) for every valid block (for invariants),
+        set by set, LRU first."""
+        states = self.states
+        for lines in self.l2.values():
+            for addr in lines:
+                yield addr, states[addr]

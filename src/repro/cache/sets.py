@@ -1,12 +1,19 @@
-"""Generic set-associative array with LRU or 1-bit NRU replacement.
+"""Set-associative tag array with 1-bit NRU replacement.
 
-This array is used for the baseline sparse directory, the tiny directory
-slices, and the per-core private caches. Lines carry an arbitrary payload;
-the array only manages placement, lookup, and victim selection.
+This array holds the slices of the baseline sparse directory
+(:mod:`repro.directory.sparse`) and of the multi-grain directory
+(:mod:`repro.directory.mgd`). The private caches keep their own LRU tag
+lists (:mod:`repro.cache.private_cache`), and the tiny-directory slices
+are ``_TinySlice`` way arrays (:mod:`repro.core.tiny_directory`).
 
-Recency is represented by list order within a set (MRU at the end), which
-is both simple and fast at the small associativities used here (8/16-way,
-or fully associative slices of at most 64 entries).
+The array stores tags, not line objects: each set is a list of tags in
+way order, one dict maps every resident tag to its payload, and one set
+holds the resident tags whose NRU reference bit is clear. A tag lives in
+set ``tag % num_sets``, so a lookup is one dict probe and never scans a
+set. The reference bits are kept as their complement because an insert
+and every touching lookup set the bit, and only a full set's victim
+search clears it: most resident tags are referenced, so the set of
+unreferenced ones stays small.
 """
 
 from __future__ import annotations
@@ -14,128 +21,99 @@ from __future__ import annotations
 from repro.errors import ConfigError
 
 
-class Line:
-    """One array line: a tag plus a caller-defined payload.
-
-    ``nru_ref`` is the 1-bit NRU reference bit; it is only meaningful when
-    the owning array uses NRU replacement.
-    """
-
-    __slots__ = ("tag", "payload", "nru_ref")
-
-    def __init__(self, tag: int, payload: object) -> None:
-        self.tag = tag
-        self.payload = payload
-        self.nru_ref = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Line(tag={self.tag:#x}, payload={self.payload!r})"
-
-
 class SetAssocArray:
-    """A set-associative array of :class:`Line` objects.
+    """A set-associative array of tags and their payloads.
+
+    Replacement is 1-bit not-recently-used, the paper's sparse-directory
+    policy (Table I): an insert and a touching lookup set the tag's
+    reference bit; the victim is the first unreferenced way in way
+    order, and when every way is referenced the set's bits are cleared
+    and the first way goes.
 
     Args:
         num_sets: number of sets; 1 makes the array fully associative.
         assoc: number of ways per set.
-        replacement: ``"lru"`` or ``"nru"`` (1-bit not-recently-used, the
-            paper's sparse-directory policy, Table I).
     """
 
-    __slots__ = ("num_sets", "assoc", "replacement", "_sets")
+    __slots__ = ("num_sets", "assoc", "_sets", "_payloads", "_unreferenced")
 
-    def __init__(self, num_sets: int, assoc: int, replacement: str = "lru") -> None:
+    def __init__(self, num_sets: int, assoc: int) -> None:
         if num_sets <= 0 or assoc <= 0:
             raise ConfigError(
                 f"num_sets and assoc must be positive, got {num_sets}x{assoc}"
             )
-        if replacement not in ("lru", "nru"):
-            raise ConfigError(f"unknown replacement policy {replacement!r}")
         self.num_sets = num_sets
         self.assoc = assoc
-        self.replacement = replacement
-        self._sets: "dict[int, list[Line]]" = {}
+        #: Set index -> resident tags in way order.
+        self._sets: "dict[int, list[int]]" = {}
+        #: Resident tag -> payload (never None).
+        self._payloads: "dict[int, object]" = {}
+        #: Resident tags whose NRU reference bit is clear.
+        self._unreferenced: "set[int]" = set()
 
-    def set_index(self, key: int) -> int:
-        """Default set mapping for ``key``."""
-        return key % self.num_sets
+    def lookup(self, tag: int, touch: bool = True) -> object:
+        """The payload stored under ``tag``, or None when absent.
 
-    def set_lines(self, set_index: int) -> "list[Line]":
-        """The lines currently resident in ``set_index`` (MRU last)."""
-        return self._sets.get(set_index, [])
-
-    def lookup(self, set_index: int, tag: int, touch: bool = True) -> "Line | None":
-        """Find the line with ``tag`` in ``set_index``.
-
-        When ``touch`` is true the line's recency state is updated (moved
-        to MRU for LRU; reference bit set for NRU).
+        When ``touch`` is true a hit sets the tag's reference bit.
         """
-        lines = self._sets.get(set_index)
-        if not lines:
-            return None
-        for position, line in enumerate(lines):
-            if line.tag == tag:
-                if touch:
-                    if self.replacement == "lru":
-                        if position != len(lines) - 1:
-                            del lines[position]
-                            lines.append(line)
-                    else:
-                        line.nru_ref = True
-                return line
-        return None
+        if touch and self._unreferenced:
+            self._unreferenced.discard(tag)
+        return self._payloads.get(tag)
 
-    def choose_victim(self, set_index: int) -> "Line | None":
-        """Return the line that would be evicted by an insertion, or None
-        if the set still has a free way."""
-        lines = self._sets.get(set_index)
+    def choose_victim(self, tag: int) -> "int | None":
+        """The tag an insertion of ``tag`` would evict, or None while its
+        set still has a free way.
+
+        When every way of the set is referenced, this clears the set's
+        reference bits and returns the first way.
+        """
+        lines = self._sets.get(tag % self.num_sets)
         if lines is None or len(lines) < self.assoc:
             return None
-        if self.replacement == "lru":
-            return lines[0]
-        for line in lines:
-            if not line.nru_ref:
-                return line
-        # All reference bits set: clear them all and pick the first way,
-        # the standard 1-bit NRU behaviour.
-        for line in lines:
-            line.nru_ref = False
+        unreferenced = self._unreferenced
+        if unreferenced:
+            for way_tag in lines:
+                if way_tag in unreferenced:
+                    return way_tag
+        unreferenced.update(lines)
         return lines[0]
 
-    def insert(self, set_index: int, tag: int, payload: object) -> "Line | None":
-        """Insert a new line; returns the evicted line, if any.
+    def insert(self, tag: int, payload: object) -> "tuple[int, object] | None":
+        """Insert ``tag`` with ``payload``; returns the evicted
+        ``(tag, payload)``, if any.
 
         The caller must have established that ``tag`` is not present.
         """
-        lines = self._sets.setdefault(set_index, [])
+        set_index = tag % self.num_sets
+        lines = self._sets.get(set_index)
+        if lines is None:
+            lines = self._sets[set_index] = []
         evicted = None
         if len(lines) >= self.assoc:
-            if self.replacement == "lru":
-                # The LRU victim is the first way (see choose_victim).
-                evicted = lines.pop(0)
-            else:
-                evicted = self.choose_victim(set_index)
-                lines.remove(evicted)
-        lines.append(Line(tag, payload))
+            victim = self.choose_victim(tag)
+            lines.remove(victim)
+            self._unreferenced.discard(victim)
+            evicted = victim, self._payloads.pop(victim)
+        lines.append(tag)
+        self._payloads[tag] = payload
         return evicted
 
-    def remove(self, set_index: int, tag: int) -> "Line | None":
-        """Remove and return the line with ``tag``, or None if absent."""
-        lines = self._sets.get(set_index)
-        if not lines:
-            return None
-        for position, line in enumerate(lines):
-            if line.tag == tag:
-                del lines[position]
-                return line
-        return None
+    def remove(self, tag: int) -> object:
+        """Remove ``tag``; returns its payload, or None when absent."""
+        payload = self._payloads.pop(tag, None)
+        if payload is not None:
+            self._sets[tag % self.num_sets].remove(tag)
+            self._unreferenced.discard(tag)
+        return payload
 
     def occupancy(self) -> int:
-        """Total number of resident lines."""
-        return sum(len(lines) for lines in self._sets.values())
+        """Total number of resident tags."""
+        return len(self._payloads)
 
     def iter_lines(self):
-        """Yield (set_index, line) for every resident line."""
-        for set_index, lines in self._sets.items():
-            for line in lines:
-                yield set_index, line
+        """Yield ``(tag, payload)`` for every resident tag, set by set in
+        way order."""
+        payloads = self._payloads
+        for lines in self._sets.values():
+            for tag in lines:
+                yield tag, payloads[tag]

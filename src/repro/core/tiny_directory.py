@@ -112,10 +112,10 @@ class _TinySlice:
         for way, entry in enumerate(ways):
             if entry is None:
                 return way, None
-        lowest = min(entry.stra.category() for entry in ways)
+        categories = [entry.stra.category() for entry in ways]
+        lowest = min(categories)
         candidates = [
-            way for way, entry in enumerate(ways)
-            if entry.stra.category() == lowest
+            way for way, category in enumerate(categories) if category == lowest
         ]
         if gnru:
             with_ep = [way for way in candidates if ways[way].ep_bit]

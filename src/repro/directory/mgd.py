@@ -45,9 +45,6 @@ class RegionEntry:
 class MultiGrainDirectory:
     """A banked multi-grain (region + block) directory."""
 
-    _BLOCK = 0
-    _REGION = 1
-
     __slots__ = (
         "total_entries",
         "num_banks",
@@ -75,57 +72,38 @@ class MultiGrainDirectory:
         slice_assoc = min(assoc, entries_per_slice)
         num_sets = max(1, entries_per_slice // slice_assoc)
         self._slices = [
-            SetAssocArray(num_sets, slice_assoc, "nru")
-            for _ in range(num_banks)
+            SetAssocArray(num_sets, slice_assoc) for _ in range(num_banks)
         ]
         self.hits = 0
         self.misses = 0
         self.allocations = 0
         self.evictions = 0
 
-    # Regions and blocks are homed by their *block* bank so that a region
-    # entry lives in the slice of its first block's bank; the grain bit
-    # keeps the keys disjoint.
-
-    def _locate(self, key: int, bank: int) -> "tuple[SetAssocArray, int]":
-        slice_ = self._slices[bank]
-        return slice_, slice_.set_index(key)
+    # Block ``addr`` lives in bank ``addr % num_banks`` under the key
+    # ``(addr // num_banks) << 1``. Region ``r`` lives in the bank of its
+    # first block, ``r * BLOCKS_PER_REGION % num_banks``, under the key
+    # ``r << 1 | 1``; the grain bit keeps the two kinds of key disjoint.
 
     @staticmethod
     def region_of(addr: int) -> int:
         """Region id of block address ``addr``."""
         return addr // BLOCKS_PER_REGION
 
-    def _block_key(self, addr: int) -> int:
-        return (addr // self.num_banks) << 1 | self._BLOCK
-
-    def _region_key(self, region: int) -> int:
-        return region << 1 | self._REGION
-
-    def _bank_of_block(self, addr: int) -> int:
-        return addr % self.num_banks
-
-    def _bank_of_region(self, region: int) -> int:
-        return (region * BLOCKS_PER_REGION) % self.num_banks
-
     # -- block-grain entries -------------------------------------------
 
     def lookup_block(self, addr: int, touch: bool = True) -> "CohInfo | None":
         """Find a block-grain entry for ``addr``."""
-        slice_, set_index = self._locate(
-            self._block_key(addr), self._bank_of_block(addr)
+        num_banks = self.num_banks
+        return self._slices[addr % num_banks].lookup(
+            (addr // num_banks) << 1, touch
         )
-        line = slice_.lookup(set_index, self._block_key(addr), touch=touch)
-        return None if line is None else line.payload
 
     def lookup_region(self, addr: int, touch: bool = True) -> "RegionEntry | None":
         """Find the region entry covering ``addr``."""
-        region = self.region_of(addr)
-        slice_, set_index = self._locate(
-            self._region_key(region), self._bank_of_region(region)
+        region = addr // BLOCKS_PER_REGION
+        return self._slices[region * BLOCKS_PER_REGION % self.num_banks].lookup(
+            region << 1 | 1, touch
         )
-        line = slice_.lookup(set_index, self._region_key(region), touch=touch)
-        return None if line is None else line.payload
 
     def peek_block(self, addr: int) -> "CohInfo | None":
         """Quiet :meth:`lookup_block` (invariant checks, fault injection)."""
@@ -137,61 +115,55 @@ class MultiGrainDirectory:
 
     def iter_blocks(self):
         """Yield ``(addr, CohInfo)`` for every live block-grain entry."""
+        num_banks = self.num_banks
         for bank, slice_ in enumerate(self._slices):
-            for _, line in slice_.iter_lines():
-                if line.tag & 1 == self._BLOCK:
-                    yield (line.tag >> 1) * self.num_banks + bank, line.payload
+            for key, coh in slice_.iter_lines():
+                if not key & 1:
+                    yield (key >> 1) * num_banks + bank, coh
 
     def iter_regions(self):
         """Yield ``(region, RegionEntry)`` for every live region entry."""
         for slice_ in self._slices:
-            for _, line in slice_.iter_lines():
-                if line.tag & 1 == self._REGION:
-                    yield line.tag >> 1, line.payload
+            for key, entry in slice_.iter_lines():
+                if key & 1:
+                    yield key >> 1, entry
 
     def allocate_block(self, addr: int, coh: CohInfo):
         """Install a block entry; returns the victim, see :meth:`_victim`."""
-        slice_, set_index = self._locate(
-            self._block_key(addr), self._bank_of_block(addr)
-        )
+        num_banks = self.num_banks
+        bank = addr % num_banks
         self.allocations += 1
-        evicted = slice_.insert(set_index, self._block_key(addr), coh)
-        return self._victim(evicted, self._bank_of_block(addr))
+        evicted = self._slices[bank].insert((addr // num_banks) << 1, coh)
+        return self._victim(evicted, bank)
 
     def allocate_region(self, region: int, entry: RegionEntry):
         """Install a region entry; returns the victim, see :meth:`_victim`."""
-        slice_, set_index = self._locate(
-            self._region_key(region), self._bank_of_region(region)
-        )
+        bank = region * BLOCKS_PER_REGION % self.num_banks
         self.allocations += 1
-        evicted = slice_.insert(set_index, self._region_key(region), entry)
-        return self._victim(evicted, self._bank_of_region(region))
+        evicted = self._slices[bank].insert(region << 1 | 1, entry)
+        return self._victim(evicted, bank)
 
     def _victim(self, evicted, bank: int):
-        """Decode an evicted line to ('block', addr, CohInfo) or
-        ('region', region, RegionEntry)."""
+        """Decode an evicted ``(key, payload)`` of ``bank`` to
+        ('block', addr, CohInfo) or ('region', region, RegionEntry)."""
         if evicted is None:
             return None
         self.evictions += 1
-        if evicted.tag & 1 == self._REGION:
-            return "region", evicted.tag >> 1, evicted.payload
-        return "block", (evicted.tag >> 1) * self.num_banks + bank, evicted.payload
+        key, payload = evicted
+        if key & 1:
+            return "region", key >> 1, payload
+        return "block", (key >> 1) * self.num_banks + bank, payload
 
     def remove_block(self, addr: int) -> "CohInfo | None":
         """Drop the block entry for ``addr``."""
-        slice_, set_index = self._locate(
-            self._block_key(addr), self._bank_of_block(addr)
-        )
-        line = slice_.remove(set_index, self._block_key(addr))
-        return None if line is None else line.payload
+        num_banks = self.num_banks
+        return self._slices[addr % num_banks].remove((addr // num_banks) << 1)
 
     def remove_region(self, region: int) -> "RegionEntry | None":
         """Drop the region entry for ``region``."""
-        slice_, set_index = self._locate(
-            self._region_key(region), self._bank_of_region(region)
+        return self._slices[region * BLOCKS_PER_REGION % self.num_banks].remove(
+            region << 1 | 1
         )
-        line = slice_.remove(set_index, self._region_key(region))
-        return None if line is None else line.payload
 
     def occupancy(self) -> int:
         """Number of live entries (regions count once)."""

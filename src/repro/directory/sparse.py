@@ -41,7 +41,6 @@ class SparseDirectory:
         total_entries: int,
         num_banks: int,
         assoc: int = 8,
-        replacement: str = "nru",
     ) -> None:
         if total_entries < num_banks:
             raise ConfigError(
@@ -58,28 +57,25 @@ class SparseDirectory:
             slice_assoc = min(assoc, entries_per_slice)
             num_sets = max(1, entries_per_slice // slice_assoc)
         self.slice_assoc = slice_assoc
+        # Bank ``addr % num_banks`` tracks ``addr`` under the tag
+        # ``addr // num_banks``.
         self._slices = [
-            SetAssocArray(num_sets, slice_assoc, replacement)
-            for _ in range(num_banks)
+            SetAssocArray(num_sets, slice_assoc) for _ in range(num_banks)
         ]
         self.hits = 0
         self.misses = 0
         self.allocations = 0
         self.evictions = 0
 
-    def _locate(self, addr: int) -> "tuple[SetAssocArray, int]":
-        slice_ = self._slices[addr % self.num_banks]
-        return slice_, slice_.set_index(addr // self.num_banks)
-
     def lookup(self, addr: int, touch: bool = True) -> "CohInfo | None":
         """Return the tracking info for ``addr``, or None when untracked."""
-        slice_, set_index = self._locate(addr)
-        line = slice_.lookup(set_index, addr, touch=touch)
-        if line is None:
+        num_banks = self.num_banks
+        coh = self._slices[addr % num_banks].lookup(addr // num_banks, touch)
+        if coh is None:
             self.misses += 1
             return None
         self.hits += 1
-        return line.payload
+        return coh
 
     def peek(self, addr: int) -> "CohInfo | None":
         """Quiet :meth:`lookup`: no hit/miss counting, no recency touch.
@@ -87,9 +83,8 @@ class SparseDirectory:
         Used by the invariant checkers and the fault injector so that
         auditing a run never perturbs its statistics.
         """
-        slice_, set_index = self._locate(addr)
-        line = slice_.lookup(set_index, addr, touch=False)
-        return None if line is None else line.payload
+        num_banks = self.num_banks
+        return self._slices[addr % num_banks].lookup(addr // num_banks, False)
 
     def allocate(self, addr: int, coh: CohInfo) -> "tuple[int, CohInfo] | None":
         """Install a tracking entry for ``addr``.
@@ -97,19 +92,20 @@ class SparseDirectory:
         Returns the evicted ``(addr, CohInfo)`` pair when a victim entry
         had to be replaced; the caller must invalidate its private copies.
         """
-        slice_, set_index = self._locate(addr)
-        evicted = slice_.insert(set_index, addr, coh)
+        num_banks = self.num_banks
+        bank = addr % num_banks
+        evicted = self._slices[bank].insert(addr // num_banks, coh)
         self.allocations += 1
         if evicted is None:
             return None
         self.evictions += 1
-        return evicted.tag, evicted.payload
+        tag, victim = evicted
+        return tag * num_banks + bank, victim
 
     def remove(self, addr: int) -> "CohInfo | None":
         """Drop the entry for ``addr`` (block has no private copies left)."""
-        slice_, set_index = self._locate(addr)
-        line = slice_.remove(set_index, addr)
-        return None if line is None else line.payload
+        num_banks = self.num_banks
+        return self._slices[addr % num_banks].remove(addr // num_banks)
 
     def occupancy(self) -> int:
         """Number of live tracking entries."""
@@ -117,6 +113,7 @@ class SparseDirectory:
 
     def iter_entries(self):
         """Yield (addr, CohInfo) for every live entry (for invariants)."""
-        for slice_ in self._slices:
-            for _, line in slice_.iter_lines():
-                yield line.tag, line.payload
+        num_banks = self.num_banks
+        for bank, slice_ in enumerate(self._slices):
+            for tag, coh in slice_.iter_lines():
+                yield tag * num_banks + bank, coh

@@ -230,16 +230,19 @@ class TraceEngine:
         """The fast lane: private hits short-circuit inside the loop.
 
         Mirrors :meth:`repro.sim.system.System._access` exactly, but a
-        private hit costs two inlined LRU lookups and a handful of
-        local-variable updates — no ProbeResult allocation, no per-access
-        stats method calls, no home dispatch. The inlined lookup is the
-        literal twin of :meth:`PrivateCore.classify` (same recency
-        touches, same L1 promotion, same silent E->M upgrade, same
-        inclusion check); the bit-identity tests in
-        ``tests/test_fastpath.py`` pin the two against each other. The
-        batched counters commute with everything the miss path touches,
-        so flushing them at the warmup boundary and at end of trace
-        yields statistics bit-identical to the reference lane.
+        private hit costs an inlined L1 list test, one state-dict lookup
+        and a handful of local-variable updates — no ProbeResult
+        allocation, no per-access stats method calls, no home dispatch.
+        The inlined lookup is the literal twin of
+        :meth:`PrivateCore.classify` (same recency touches, same L1
+        promotion, same silent E->M upgrade, same inclusion check); the
+        bit-identity tests in ``tests/test_fastpath.py`` pin the two
+        against each other. The batched counters commute with everything
+        the miss path touches, so flushing them at the warmup boundary
+        and at end of trace yields statistics bit-identical to the
+        reference lane. Each access hands the core's next one back to
+        the heap with one ``heappushpop``, which returns the same
+        earliest access a push and a pop would.
         """
         system = self.system
         stats = system.stats
@@ -252,7 +255,6 @@ class TraceEngine:
         num_cores = config.num_cores
         read_kind = AccessKind.READ
         write_kind = AccessKind.WRITE
-        ifetch_kind = AccessKind.IFETCH
         shared_state = PrivateState.SHARED
         exclusive_state = PrivateState.EXCLUSIVE
         modified_state = PrivateState.MODIFIED
@@ -260,16 +262,17 @@ class TraceEngine:
         handle_eviction = home.handle_private_eviction
         on_outcome = stats.on_outcome
         heappop = heapq.heappop
-        heappush = heapq.heappush
-        # Per-core lookup tables: (il1_sets, dl1_sets, l1_num_sets,
-        # l2_sets, l2_num_sets, core). The L1s share one geometry.
+        heappushpop = heapq.heappushpop
+        # Per-core lookup tables: (il1, dl1, l1_sets, l2, l2_sets,
+        # states, core). The L1s share one geometry.
         core_tables = [
             (
-                core.il1._sets,
-                core.dl1._sets,
-                core.dl1.num_sets,
-                core.l2._sets,
-                core.l2.num_sets,
+                core.il1,
+                core.dl1,
+                core.l1_sets,
+                core.l2,
+                core.l2_sets,
+                core.states,
                 core,
             )
             for core in cores
@@ -288,9 +291,10 @@ class TraceEngine:
         measure_start = 0
         processed = 0
         # Batched access counters (flushed into stats below).
-        accesses = reads = writes = ifetches = l1_hits = l2_hits = 0
-        while heap:
-            clock, core_id, index = heappop(heap)
+        reads = writes = ifetches = l1_hits = l2_hits = 0
+        item = heappop(heap) if heap else None
+        while item is not None:
+            clock, core_id, index = item
             stream = streams[core_id]
             acc = stream[index]
             issue_time = clock + acc.gap
@@ -300,82 +304,63 @@ class TraceEngine:
                     f"access from core {acc_core} outside the system"
                 )
             kind = acc.kind
-            accesses += 1
-            is_ifetch = False
+            addr = acc.addr
+            il1, dl1, l1_sets, l2, l2_sets, states, core = core_tables[acc_core]
             if kind is read_kind:
                 reads += 1
+                l1 = dl1
             elif kind is write_kind:
                 writes += 1
+                l1 = dl1
             else:
                 ifetches += 1
-                is_ifetch = True
-            addr = acc.addr
-            il1_sets, dl1_sets, l1_num_sets, l2_sets, l2_num_sets, core = (
-                core_tables[acc_core]
-            )
-            # -- inlined PrivateCore.classify ---------------------------
-            lines = (il1_sets if is_ifetch else dl1_sets).get(
-                addr % l1_num_sets
-            )
-            l1_line = None
+                l1 = il1
+            # -- inlined PrivateCore.classify; its miss and upgrade
+            # -- branches make System._access's home calls --------------
+            lines = l1.get(addr % l1_sets)
+            in_l1 = False
             if lines:
-                for position, line in enumerate(lines):
-                    if line.tag == addr:
-                        if position != len(lines) - 1:
-                            del lines[position]
-                            lines.append(line)
-                        l1_line = line
-                        break
-            lines = l2_sets.get(addr % l2_num_sets)
-            l2_line = None
-            if lines:
-                for position, line in enumerate(lines):
-                    if line.tag == addr:
-                        if position != len(lines) - 1:
-                            del lines[position]
-                            lines.append(line)
-                        l2_line = line
-                        break
-            code = 0
-            if l2_line is None:
-                if l1_line is not None:
+                if lines[-1] == addr:
+                    in_l1 = True
+                elif addr in lines:
+                    in_l1 = True
+                    lines.remove(addr)
+                    lines.append(addr)
+            state = states.get(addr)
+            if state is None:
+                if in_l1:
                     raise ProtocolError(
                         f"core {acc_core}: block {addr:#x} in L1 but not L2"
                     )
-            else:
-                state = l2_line.payload
-                if kind is write_kind and state is shared_state:
-                    code = 3 if l1_line is not None else 4
-                else:
-                    if kind is write_kind and state is exclusive_state:
-                        l2_line.payload = modified_state
-                    if l1_line is not None:
-                        code = 1
-                    else:
-                        core._l1_fill(
-                            core.il1 if is_ifetch else core.dl1, addr
-                        )
-                        code = 2
-            # -- end inlined classify -----------------------------------
-            if code == 1:  # L1 hit
-                l1_hits += 1
-                latency = l1_latency
-            elif code == 2:  # L2 hit (promoted into the L1)
-                l2_hits += 1
-                latency = hit_latency
-            else:
-                upgrade = code >= 3
-                out = handle_access(acc_core, addr, kind, issue_time, upgrade)
+                out = handle_access(acc_core, addr, kind, issue_time, False)
                 on_outcome(kind, out)
-                if upgrade:
+                for notice in core.fill(addr, kind, out.fill_state):
+                    handle_eviction(
+                        acc_core, notice.addr, notice.state, issue_time
+                    )
+                latency = hit_latency + out.latency
+            else:
+                lines = l2[addr % l2_sets]
+                if lines[-1] != addr:
+                    lines.remove(addr)
+                    lines.append(addr)
+                if kind is write_kind and state is shared_state:
+                    out = handle_access(acc_core, addr, kind, issue_time, True)
+                    on_outcome(kind, out)
                     core.complete_upgrade(addr)
                     latency = l1_latency + out.latency
                 else:
-                    for notice in core.fill(addr, kind, out.fill_state):
-                        handle_eviction(
-                            acc_core, notice.addr, notice.state, issue_time
-                        )
-                    latency = hit_latency + out.latency
+                    if kind is write_kind and state is exclusive_state:
+                        states[addr] = modified_state
+                    if in_l1:
+                        l1_hits += 1
+                        latency = l1_latency
+                    else:
+                        # L2 hit: promote into the L1.
+                        core._l1_fill(l1, addr)
+                        l2_hits += 1
+                        latency = hit_latency
+            # -- end inlined classify -----------------------------------
             done = issue_time + latency
             if done > finish:
                 finish = done
@@ -386,14 +371,16 @@ class TraceEngine:
             if warmup_left and processed == warmup_left:
                 # stats.reset() zeroes every counter, so the batch is
                 # dropped rather than flushed.
-                accesses = reads = writes = ifetches = 0
+                reads = writes = ifetches = 0
                 l1_hits = l2_hits = 0
                 stats.reset()
                 measure_start = finish
             index += 1
             if index < len(stream):
-                heappush(heap, (done, core_id, index))
-        stats.accesses += accesses
+                item = heappushpop(heap, (done, core_id, index))
+            else:
+                item = heappop(heap) if heap else None
+        stats.accesses += reads + writes + ifetches
         stats.reads += reads
         stats.writes += writes
         stats.ifetches += ifetches

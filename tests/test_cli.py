@@ -122,30 +122,39 @@ class TestCacheOff:
 
 
 class TestObservingNeedsColdCache:
-    """A cached point is replayed, not simulated, so tracing or auditing
-    a warm cache is refused instead of silently observing nothing."""
+    """A cached point is replayed, not simulated, so tracing, auditing or
+    recovering on a warm cache is refused instead of silently observing
+    nothing."""
 
     @pytest.mark.parametrize(
-        "extra, env, flag",
+        "extra, env, warm, flag",
         [
-            (["--trace"], {}, "--trace"),
-            (["--trace-out", "TRACE"], {}, "--trace-out"),
-            (["--audit"], {}, "--audit"),
-            ([], {"REPRO_TRACE": "jsonl"}, "REPRO_TRACE=jsonl"),
-            ([], {"REPRO_AUDIT": "on"}, "REPRO_AUDIT=on"),
-            (["--trace", "--trace-out", "TRACE"], {}, None),
+            (["--trace"], {}, True, "--trace"),
+            (["--trace-out", "TRACE"], {}, True, "--trace-out"),
+            (["--audit"], {}, True, "--audit"),
+            (["--recovery", "repair"], {}, True, "--recovery repair"),
+            ([], {"REPRO_TRACE": "jsonl"}, True, "REPRO_TRACE=jsonl"),
+            ([], {"REPRO_AUDIT": "on"}, True, "REPRO_AUDIT=on"),
+            ([], {"REPRO_RECOVERY": "repair"}, True, "REPRO_RECOVERY=repair"),
+            (["--recovery", "abort"], {}, True, None),
+            (["--trace", "--trace-out", "TRACE"], {}, False, None),
         ],
-        ids=["trace", "trace-out", "audit", "trace-env", "audit-env", "cold"],
+        ids=[
+            "trace", "trace-out", "audit", "recovery", "trace-env",
+            "audit-env", "recovery-env", "recovery-abort", "cold",
+        ],
     )
     def test_observing_a_warm_cache_is_refused(
-        self, tmp_path, capsys, monkeypatch, extra, env, flag
+        self, tmp_path, capsys, monkeypatch, extra, env, warm, flag
     ):
-        for name in ("REPRO_TRACE", "REPRO_TRACE_OUT", "REPRO_AUDIT"):
+        for name in (
+            "REPRO_TRACE", "REPRO_TRACE_OUT", "REPRO_AUDIT", "REPRO_RECOVERY"
+        ):
             monkeypatch.delenv(name, raising=False)
         argv = ["fig07", "--scale", "quick", "--apps", "compress"]
         trace = tmp_path / "t.jsonl"
         extra = [str(trace) if arg == "TRACE" else arg for arg in extra]
-        if flag is not None:
+        if warm:
             assert main(argv) == 0  # warm the cache
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -153,10 +162,13 @@ class TestObservingNeedsColdCache:
         code = main(argv + extra)
         captured = capsys.readouterr()
         if flag is None:
-            # A cold cache still runs, and traces.
+            # A cold cache still runs, and traces; --recovery abort turns
+            # nothing on, so it runs on a warm cache too.
             assert code == 0
             assert "Fig. 7" in captured.out
-            assert read_trace(trace)
+            assert trace.exists() == (not warm)
+            if not warm:
+                assert read_trace(trace)
         else:
             assert code == 2
             assert captured.out == ""
@@ -164,3 +176,28 @@ class TestObservingNeedsColdCache:
             assert "the 1 point(s) already in the result cache" in captured.err
             assert "REPRO_CACHE_DIR" in captured.err
             assert not trace.exists()
+
+
+class TestFlagRanges:
+    """An out-of-range harness flag is a usage error, not a silent no-op."""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--timeout", "0"),
+            ("--timeout", "-1"),
+            ("--timeout", "nan"),
+            ("--retries", "-3"),
+            ("--jobs", "0"),
+            ("--jobs", "-3"),
+            ("-j", "0"),
+        ],
+    )
+    def test_out_of_range_value_exits_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig07", "--scale", "quick", "--apps", "compress", flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+        assert f"got {value}" in captured.err

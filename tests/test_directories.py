@@ -40,6 +40,14 @@ class TestSparseDirectory:
         assert directory.remove(5) is not None
         assert directory.remove(5) is None
 
+    def test_victim_address_rebuilt_from_its_bank(self):
+        directory = SparseDirectory(8, 2, assoc=4)  # two slices of 4 ways
+        for addr in (1, 3, 5, 7):  # all in bank 1
+            directory.allocate(addr, CohInfo(owner=0))
+        victim_addr, _ = directory.allocate(9, CohInfo(owner=0))
+        assert victim_addr == 1
+        assert {addr for addr, _ in directory.iter_entries()} == {3, 5, 7, 9}
+
     def test_small_slices_fully_associative(self):
         directory = SparseDirectory(FULLY_ASSOC_THRESHOLD * 2, 2)
         assert directory.slice_assoc == FULLY_ASSOC_THRESHOLD
@@ -148,6 +156,14 @@ class TestMultiGrainDirectory:
         kind, key, payload = victim
         assert kind == "block"
         assert isinstance(payload, CohInfo)
+
+    def test_block_victim_address_rebuilt_from_its_bank(self):
+        directory = MultiGrainDirectory(8, 2, assoc=4)  # two slices of 4 ways
+        for addr in (1, 3, 5, 7):  # all in bank 1
+            directory.allocate_block(addr, CohInfo(owner=addr))
+        kind, addr, coh = directory.allocate_block(9, CohInfo(owner=9))
+        assert (kind, addr, coh.owner) == ("block", 1, 1)
+        assert {addr for addr, _ in directory.iter_blocks()} == {3, 5, 7, 9}
 
 
 class TestStashState:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache.private_cache import PrivateCore
-from repro.errors import ProtocolError
+from repro.errors import ConfigError, ProtocolError
 from repro.types import AccessKind, PrivateState
 
 
@@ -119,3 +119,78 @@ class TestStateChanges:
         core.fill(2, AccessKind.WRITE, PrivateState.MODIFIED)
         resident = dict(core.resident_blocks())
         assert resident == {1: PrivateState.SHARED, 2: PrivateState.MODIFIED}
+
+
+class TestLRU:
+    """Recency within the private hierarchy, the simulator's only LRU
+    structure."""
+
+    def test_fill_evicts_least_recently_used(self):
+        core = make_core(l2_sets=1, l2_assoc=2)
+        core.fill(1, AccessKind.READ, PrivateState.SHARED)
+        core.fill(2, AccessKind.READ, PrivateState.SHARED)
+        notices = core.fill(3, AccessKind.READ, PrivateState.SHARED)
+        assert [notice.addr for notice in notices] == [1]
+
+    def test_l1_hit_refreshes_l2_recency(self):
+        core = make_core(l1_sets=1, l1_assoc=2, l2_sets=1, l2_assoc=2)
+        core.fill(1, AccessKind.READ, PrivateState.SHARED)
+        core.fill(2, AccessKind.READ, PrivateState.SHARED)
+        # An L1 hit makes block 1 the MRU block of the L2 set too.
+        assert core.probe(1, AccessKind.READ).level == "l1"
+        notices = core.fill(3, AccessKind.READ, PrivateState.SHARED)
+        assert [notice.addr for notice in notices] == [2]
+
+    def test_quiet_calls_leave_recency_alone(self):
+        core = make_core(l2_sets=1, l2_assoc=2)
+        core.fill(1, AccessKind.READ, PrivateState.EXCLUSIVE)
+        core.fill(2, AccessKind.READ, PrivateState.SHARED)
+        assert core.state_of(1) is PrivateState.EXCLUSIVE
+        assert core.holds(1)
+        core.downgrade(1)
+        core.complete_upgrade(1)
+        # Block 1 is still the LRU block of its set.
+        notices = core.fill(3, AccessKind.READ, PrivateState.SHARED)
+        assert [notice.addr for notice in notices] == [1]
+        assert notices[0].state is PrivateState.MODIFIED
+
+    def test_no_eviction_with_free_ways(self):
+        core = make_core(l2_sets=1, l2_assoc=4)
+        for addr in range(4):
+            assert core.fill(addr, AccessKind.READ, PrivateState.SHARED) == []
+        assert all(core.holds(addr) for addr in range(4))
+
+    def test_l2_hit_promotes_and_l1_victim_leaves_silently(self):
+        core = make_core(l1_sets=1, l1_assoc=2, l2_sets=1, l2_assoc=4)
+        core.fill(1, AccessKind.READ, PrivateState.SHARED)
+        core.fill(2, AccessKind.READ, PrivateState.SHARED)
+        # Block 1 leaves the full L1 without a notice; the L2 keeps it.
+        assert core.fill(3, AccessKind.READ, PrivateState.SHARED) == []
+        assert core.holds(1)
+        assert core.probe(1, AccessKind.READ).level == "l2"
+        assert core.probe(1, AccessKind.READ).level == "l1"
+        # Promoting block 1 pushed block 2, the L1's LRU way, out of it.
+        assert core.probe(2, AccessKind.READ).level == "l2"
+
+    def test_resident_blocks_yield_each_block_once_lru_first(self):
+        core = make_core(l2_sets=2, l2_assoc=2)
+        core.fill(2, AccessKind.READ, PrivateState.SHARED)
+        core.fill(1, AccessKind.WRITE, PrivateState.MODIFIED)
+        core.fill(4, AccessKind.READ, PrivateState.EXCLUSIVE)
+        assert core.probe(2, AccessKind.READ).level == "l1"
+        # Set by set in the order the sets were first filled, LRU first.
+        assert list(core.resident_blocks()) == [
+            (4, PrivateState.EXCLUSIVE),
+            (2, PrivateState.SHARED),
+            (1, PrivateState.MODIFIED),
+        ]
+        # The first block listed for a set is the one its next fill evicts.
+        notices = core.fill(6, AccessKind.READ, PrivateState.SHARED)
+        assert [notice.addr for notice in notices] == [4]
+
+
+class TestGeometry:
+    def test_non_positive_geometry_rejected(self):
+        for geometry in ((0, 2, 4, 2), (2, 0, 4, 2), (2, 2, 0, 2), (2, 2, 4, 0)):
+            with pytest.raises(ConfigError):
+                make_core(*geometry)

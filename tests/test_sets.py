@@ -1,4 +1,4 @@
-"""Unit tests for the generic set-associative array."""
+"""Unit tests for the NRU set-associative tag array."""
 
 import pytest
 
@@ -9,31 +9,33 @@ from repro.errors import ConfigError
 class TestBasics:
     def test_lookup_missing_returns_none(self):
         array = SetAssocArray(4, 2)
-        assert array.lookup(0, 0x10) is None
+        assert array.lookup(0x10) is None
 
     def test_insert_then_lookup(self):
         array = SetAssocArray(4, 2)
-        array.insert(1, 0x10, "payload")
-        line = array.lookup(1, 0x10)
-        assert line is not None and line.payload == "payload"
+        array.insert(0x10, "payload")
+        assert array.lookup(0x10) == "payload"
 
     def test_set_index_wraps(self):
         array = SetAssocArray(4, 2)
-        assert array.set_index(5) == 1
+        array.insert(1, "a")
+        array.insert(9, "b")
+        # Tag 5 maps to set 5 % 4 == 1, the full set holding 1 and 9.
+        assert array.choose_victim(5) == 1
 
     def test_remove_returns_line(self):
         array = SetAssocArray(2, 2)
-        array.insert(0, 7, "x")
-        assert array.remove(0, 7).payload == "x"
-        assert array.lookup(0, 7) is None
+        array.insert(7, "x")
+        assert array.remove(7) == "x"
+        assert array.lookup(7) is None
 
     def test_remove_missing_returns_none(self):
-        assert SetAssocArray(2, 2).remove(0, 7) is None
+        assert SetAssocArray(2, 2).remove(7) is None
 
     def test_occupancy(self):
         array = SetAssocArray(2, 4)
         for tag in range(3):
-            array.insert(0, tag, None)
+            array.insert(tag, str(tag))
         assert array.occupancy() == 3
 
     def test_invalid_geometry_rejected(self):
@@ -42,80 +44,40 @@ class TestBasics:
         with pytest.raises(ConfigError):
             SetAssocArray(2, 0)
 
-    def test_invalid_replacement_rejected(self):
-        with pytest.raises(ConfigError):
-            SetAssocArray(2, 2, "fifo")
-
     def test_iter_lines(self):
         array = SetAssocArray(2, 2)
-        array.insert(0, 1, None)
-        array.insert(1, 2, None)
-        tags = {line.tag for _, line in array.iter_lines()}
+        array.insert(1, "a")
+        array.insert(2, "b")
+        tags = {tag for tag, _ in array.iter_lines()}
         assert tags == {1, 2}
-
-
-class TestLRU:
-    def test_evicts_least_recently_used(self):
-        array = SetAssocArray(1, 2, "lru")
-        array.insert(0, 1, None)
-        array.insert(0, 2, None)
-        evicted = array.insert(0, 3, None)
-        assert evicted.tag == 1
-
-    def test_lookup_refreshes_recency(self):
-        array = SetAssocArray(1, 2, "lru")
-        array.insert(0, 1, None)
-        array.insert(0, 2, None)
-        array.lookup(0, 1)  # 1 becomes MRU
-        evicted = array.insert(0, 3, None)
-        assert evicted.tag == 2
-
-    def test_untouched_lookup_preserves_order(self):
-        array = SetAssocArray(1, 2, "lru")
-        array.insert(0, 1, None)
-        array.insert(0, 2, None)
-        array.lookup(0, 1, touch=False)
-        evicted = array.insert(0, 3, None)
-        assert evicted.tag == 1
-
-    def test_no_eviction_with_free_ways(self):
-        array = SetAssocArray(1, 4, "lru")
-        assert array.insert(0, 1, None) is None
-        assert array.insert(0, 2, None) is None
-
-    def test_choose_victim_matches_insert(self):
-        array = SetAssocArray(1, 2, "lru")
-        array.insert(0, 1, None)
-        array.insert(0, 2, None)
-        assert array.choose_victim(0).tag == 1
 
 
 class TestNRU:
     def test_victimizes_unreferenced_line(self):
-        array = SetAssocArray(1, 3, "nru")
+        array = SetAssocArray(1, 3)
         for tag in range(3):
-            array.insert(0, tag, None)
+            array.insert(tag, str(tag))
         # Clear all reference bits, then touch tags 0 and 2.
-        for line in array.set_lines(0):
-            line.nru_ref = False
-        array.lookup(0, 0)
-        array.lookup(0, 2)
-        evicted = array.insert(0, 9, None)
-        assert evicted.tag == 1
+        array._unreferenced.update(range(3))
+        array.lookup(0)
+        array.lookup(2)
+        evicted = array.insert(9, "9")
+        assert evicted == (1, "1")
 
     def test_all_referenced_falls_back_to_first_way(self):
-        array = SetAssocArray(1, 2, "nru")
-        array.insert(0, 1, None)
-        array.insert(0, 2, None)
-        evicted = array.insert(0, 3, None)
-        assert evicted.tag == 1
+        array = SetAssocArray(1, 2)
+        array.insert(1, "a")
+        array.insert(2, "b")
+        evicted = array.insert(3, "c")
+        assert evicted == (1, "a")
 
     def test_gang_clear_on_saturation(self):
-        array = SetAssocArray(1, 2, "nru")
-        array.insert(0, 1, None)
-        array.insert(0, 2, None)
-        array.choose_victim(0)  # all referenced: clears bits
-        remaining = [line for line in array.set_lines(0)]
+        array = SetAssocArray(1, 2)
+        array.insert(1, "a")
+        array.insert(2, "b")
+        array.choose_victim(3)  # all referenced: clears bits
+        remaining = [tag for tag, _ in array.iter_lines()]
         # The victim line was not evicted by choose_victim; all bits are
         # now cleared.
-        assert all(not line.nru_ref for line in remaining)
+        assert remaining == [1, 2]
+        assert all(tag in array._unreferenced for tag in remaining)
