@@ -11,9 +11,9 @@ the paper's mechanisms:
 * **Spilled tracking entries** (§IV-B1): an LLC way in the *same set* as a
   data block ``B`` can hold ``B``'s coherence tracking entry ``E_B``.
   ``B`` and ``E_B`` share a tag; the paper distinguishes them by the V
-  bit, this model by an ``is_spill`` flag. The LRU update rule moves
-  ``E_B`` to MRU *before* ``B`` so that ``E_B`` is always victimized
-  first.
+  bit, this model by the ``LLC_SPILLED_ENTRY`` state. The LRU update
+  rule moves ``E_B`` to MRU *before* ``B`` so that ``E_B`` is always
+  victimized first.
 * **No-spill sample sets** (§IV-B2): sixteen sets per bank never admit
   spilled entries and provide the ``MR_no_spill`` estimate for the
   dynamic spill policy.
@@ -32,7 +32,8 @@ from repro.types import LLC_SPILLED_ENTRY, LLCState
 
 
 class LLCLine:
-    """One LLC way: either a data block or a spilled tracking entry."""
+    """One LLC way: either a data block or a spilled tracking entry
+    (``state is LLC_SPILLED_ENTRY``)."""
 
     __slots__ = (
         "tag",
@@ -40,13 +41,12 @@ class LLCLine:
         "coh",
         "stra",
         "underlying_dirty",
-        "is_spill",
         "sharers_seen",
         "fwd_reads",
         "total_reads",
     )
 
-    def __init__(self, tag: int, state: LLCState, is_spill: bool = False) -> None:
+    def __init__(self, tag: int, state: LLCState) -> None:
         self.tag = tag
         self.state = state
         #: Coherence tracking info; present for corrupted blocks and
@@ -57,7 +57,6 @@ class LLCLine:
         #: True when the block's data (wherever authoritative) differs
         #: from memory, so eviction requires a DRAM write.
         self.underlying_dirty = False
-        self.is_spill = is_spill
         # -- per-residency statistics (data lines only) -----------------
         #: Bitmask of every core that held the block during residency
         #: (Fig. 2 counts the maximum number of *distinct* sharers a
@@ -79,19 +78,29 @@ class LLCLine:
         return bin(self.sharers_seen).count("1")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "spill" if self.is_spill else self.state.value
-        return f"LLCLine(tag={self.tag:#x}, {kind})"
+        return f"LLCLine(tag={self.tag:#x}, {self.state.value})"
 
 
 class LLCBank:
-    """One bank of the shared LLC."""
+    """One bank of the shared LLC.
+
+    Each set is a list of keys in recency order, LRU first: a data block
+    is keyed by its address ``addr`` and a spilled entry by ``~addr``
+    (negative, so the two never collide). One dict per bank maps each
+    resident block's address to its :class:`LLCLine` and a second, small
+    one does the same for spilled entries, so finding a line is a dict
+    probe and reordering a set moves ints, not objects. A block lives in
+    set ``(addr // bank_stride) % num_sets``.
+    """
 
     __slots__ = (
         "num_sets",
         "assoc",
         "bank_stride",
         "_sets",
-        "_sample_sets",
+        "_blocks",
+        "_spills",
+        "sample_sets",
         "tag_lookups",
         "data_reads",
         "data_writes",
@@ -113,7 +122,12 @@ class LLCBank:
         #: Number of banks in the LLC; consecutive blocks stripe across
         #: banks, so the in-bank set index uses ``addr // bank_stride``.
         self.bank_stride = bank_stride
-        self._sets: "dict[int, list[LLCLine]]" = {}
+        #: Set index -> resident keys, LRU first.
+        self._sets: "dict[int, list[int]]" = {}
+        #: Block address -> data line.
+        self._blocks: "dict[int, LLCLine]" = {}
+        #: Block address -> spilled tracking entry.
+        self._spills: "dict[int, LLCLine]" = {}
         # Spread the no-spill sample sets evenly across the bank, with a
         # per-bank offset so the same hot sets are not sampled everywhere
         # (sampled sets must be representative of the whole bank).
@@ -121,11 +135,12 @@ class LLCBank:
         if sample_count > 0 and no_spill_sample_sets > 0:
             stride = max(1, num_sets // sample_count)
             salt = (bank_index * 7 + 3) % stride
-            self._sample_sets = frozenset(
+            #: Set indices that never admit spilled entries.
+            self.sample_sets = frozenset(
                 (salt + i * stride) % num_sets for i in range(sample_count)
             )
         else:
-            self._sample_sets = frozenset()
+            self.sample_sets = frozenset()
         # -- activity counters (energy model and spill policy) ----------
         self.tag_lookups = 0
         self.data_reads = 0
@@ -140,10 +155,6 @@ class LLCBank:
         """In-bank set index for block address ``addr``."""
         return (addr // self.bank_stride) % self.num_sets
 
-    def is_no_spill_set(self, set_index: int) -> bool:
-        """True for the sampled sets that never admit spilled entries."""
-        return set_index in self._sample_sets
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
@@ -151,29 +162,31 @@ class LLCBank:
     def lookup(self, addr: int, touch: bool = True) -> "tuple[LLCLine | None, LLCLine | None]":
         """Find the data line and spilled entry for ``addr``.
 
-        Returns ``(data_line, spill_line)``; either may be None. With
-        ``touch``, recency is updated with the paper's ordering: the
-        spilled entry first, then the data block, leaving the data block
-        more recent.
+        Returns ``(data_line, spill_line)``; either may be None. Counts
+        one tag lookup, touching or not. With ``touch``, recency is
+        updated with the paper's ordering: the spilled entry first, then
+        the data block, leaving the data block more recent.
         """
         self.tag_lookups += 1
-        lines = self._sets.get((addr // self.bank_stride) % self.num_sets)
-        if not lines:
-            return None, None
-        data_line = None
-        spill_line = None
-        for line in lines:
-            if line.tag == addr:
-                if line.is_spill:
-                    spill_line = line
-                else:
-                    data_line = line
+        line = self._blocks.get(addr)
+        spills = self._spills
+        spill = spills.get(addr) if spills else None
         if touch:
-            if spill_line is not None:
-                self._to_mru(lines, spill_line)
-            if data_line is not None:
-                self._to_mru(lines, data_line)
-        return data_line, spill_line
+            if spill is not None:
+                keys = self._sets[(addr // self.bank_stride) % self.num_sets]
+                key = ~addr
+                if keys[-1] != key:
+                    keys.remove(key)
+                    keys.append(key)
+                if line is not None:
+                    keys.remove(addr)
+                    keys.append(addr)
+            elif line is not None:
+                keys = self._sets[(addr // self.bank_stride) % self.num_sets]
+                if keys[-1] != addr:
+                    keys.remove(addr)
+                    keys.append(addr)
+        return line, spill
 
     def peek(self, addr: int) -> "tuple[LLCLine | None, LLCLine | None]":
         """Quiet :meth:`lookup`: no recency update, no activity counters.
@@ -181,23 +194,7 @@ class LLCBank:
         Used by the invariant checkers and the fault injector so that
         auditing a run never perturbs its statistics.
         """
-        lines = self._sets.get(self.set_index(addr))
-        data_line = None
-        spill_line = None
-        if lines:
-            for line in lines:
-                if line.tag == addr:
-                    if line.is_spill:
-                        spill_line = line
-                    else:
-                        data_line = line
-        return data_line, spill_line
-
-    @staticmethod
-    def _to_mru(lines: "list[LLCLine]", line: LLCLine) -> None:
-        if lines[-1] is not line:
-            lines.remove(line)
-            lines.append(line)
+        return self._blocks.get(addr), self._spills.get(addr)
 
     # ------------------------------------------------------------------
     # Insertion
@@ -212,12 +209,19 @@ class LLCBank:
         """
         if state is LLC_SPILLED_ENTRY:
             raise ProtocolError("use insert_spill for spilled tracking entries")
-        lines = self._sets.setdefault((addr // self.bank_stride) % self.num_sets, [])
+        blocks = self._blocks
+        if addr in blocks:
+            raise ProtocolError(f"block {addr:#x} is already resident")
+        set_index = (addr // self.bank_stride) % self.num_sets
+        keys = self._sets.get(set_index)
+        if keys is None:
+            keys = self._sets[set_index] = []
         victim = None
-        if len(lines) >= self.assoc:
-            victim = lines.pop(0)
-        line = LLCLine(addr, state)
-        lines.append(line)
+        if len(keys) >= self.assoc:
+            key = keys.pop(0)
+            victim = blocks.pop(key) if key >= 0 else self._spills.pop(~key)
+        line = blocks[addr] = LLCLine(addr, state)
+        keys.append(addr)
         self.fills += 1
         self.data_writes += 1
         return line, victim
@@ -230,27 +234,28 @@ class LLCBank:
         *below* its companion data block in recency order when the block
         is resident, preserving the victimize-``E_B``-first rule.
         """
-        set_index = self.set_index(addr)
-        if self.is_no_spill_set(set_index):
+        set_index = (addr // self.bank_stride) % self.num_sets
+        if set_index in self.sample_sets:
             return None, None
-        lines = self._sets.setdefault(set_index, [])
+        spills = self._spills
+        if addr in spills:
+            raise ProtocolError(f"block {addr:#x} already has a spilled entry")
+        keys = self._sets.get(set_index)
+        if keys is None:
+            keys = self._sets[set_index] = []
         victim = None
-        if len(lines) >= self.assoc:
-            victim = lines.pop(0)
-        spill = LLCLine(addr, LLC_SPILLED_ENTRY, is_spill=True)
+        if len(keys) >= self.assoc:
+            key = keys.pop(0)
+            victim = self._blocks.pop(key) if key >= 0 else spills.pop(~key)
+        spill = spills[addr] = LLCLine(addr, LLC_SPILLED_ENTRY)
         spill.coh = coh
         spill.stra = stra
         # Keep E_B just below B in recency order wherever B currently is,
         # so B can never be victimized before E_B.
-        companion_index = None
-        for index, line in enumerate(lines):
-            if line.tag == addr and not line.is_spill:
-                companion_index = index
-                break
-        if companion_index is not None:
-            lines.insert(companion_index, spill)
+        if addr in self._blocks:
+            keys.insert(keys.index(addr), ~addr)
         else:
-            lines.append(spill)
+            keys.append(~addr)
         self.data_writes += 1
         return spill, victim
 
@@ -260,10 +265,15 @@ class LLCBank:
 
     def remove(self, line: LLCLine) -> None:
         """Remove ``line`` from its set (it must be resident)."""
-        lines = self._sets.get(self.set_index(line.tag))
-        if lines is None or line not in lines:
+        tag = line.tag
+        if line.state is LLC_SPILLED_ENTRY:
+            lines, key = self._spills, ~tag
+        else:
+            lines, key = self._blocks, tag
+        if lines.get(tag) is not line:
             raise ProtocolError(f"line {line!r} is not resident")
-        lines.remove(line)
+        del lines[tag]
+        self._sets[(tag // self.bank_stride) % self.num_sets].remove(key)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -271,9 +281,13 @@ class LLCBank:
 
     def occupancy(self) -> int:
         """Number of resident lines (data + spilled)."""
-        return sum(len(lines) for lines in self._sets.values())
+        return len(self._blocks) + len(self._spills)
 
     def iter_lines(self):
-        """Yield every resident line."""
-        for lines in self._sets.values():
-            yield from lines
+        """Yield every resident line, set by set in the order the sets
+        were first filled, LRU first within a set."""
+        blocks = self._blocks
+        spills = self._spills
+        for keys in self._sets.values():
+            for key in keys:
+                yield blocks[key] if key >= 0 else spills[~key]

@@ -10,8 +10,6 @@ paper's baseline protocol [29].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import ConfigError, ProtocolError
 from repro.types import (
     EXCLUSIVE,
@@ -23,14 +21,6 @@ from repro.types import (
     AccessKind,
     PrivateState,
 )
-
-
-@dataclass(frozen=True)
-class EvictionNotice:
-    """An L2 victim that must be reported to its home LLC bank."""
-
-    addr: int
-    state: PrivateState
 
 
 class ProbeResult:
@@ -189,28 +179,29 @@ class PrivateCore:
     # Fill and state-change paths (driven by the home controller)
     # ------------------------------------------------------------------
 
-    def fill(self, addr: int, kind: AccessKind, state: PrivateState) -> "list[EvictionNotice]":
-        """Install a block granted in ``state``; returns eviction notices.
+    def fill(self, addr: int, kind: AccessKind, state: PrivateState) -> "tuple[int, PrivateState] | None":
+        """Install a block granted in ``state``.
 
-        At most one L2 victim is produced; its L1 copies are removed to
-        preserve inclusion.
+        Returns the L2 victim, which must be reported to its home LLC
+        bank, as an ``(addr, state)`` pair, or None when a way was free.
+        The victim's L1 copies are removed to preserve inclusion.
         """
         if state is INVALID:
             raise ProtocolError("cannot fill a block in state I")
-        notices = []
+        victim = None
         states = self.states
         set_index = addr % self.l2_sets
         lines = self.l2.get(set_index)
         if lines is None:
             lines = self.l2[set_index] = []
         elif len(lines) >= self.l2_assoc:
-            victim = lines.pop(0)
-            self._drop_from_l1s(victim)
-            notices.append(EvictionNotice(victim, states.pop(victim)))
+            victim_addr = lines.pop(0)
+            self._drop_from_l1s(victim_addr)
+            victim = victim_addr, states.pop(victim_addr)
         lines.append(addr)
         states[addr] = state
         self._l1_fill(self.il1 if kind is IFETCH else self.dl1, addr)
-        return notices
+        return victim
 
     def complete_upgrade(self, addr: int) -> None:
         """Transition a block held in S to M after an upgrade response."""

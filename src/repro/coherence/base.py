@@ -19,7 +19,6 @@ from __future__ import annotations
 from repro.cache.llc import LLCBank, LLCLine
 from repro.cache.private_cache import PrivateCore
 from repro.coherence.info import CohInfo
-from repro.coherence.transaction import AccessOutcome
 from repro.errors import InvariantViolation, RecoveryError
 from repro.interconnect.mesh import Mesh2D
 from repro.interconnect.traffic import COHERENCE, TrafficMeter
@@ -31,6 +30,7 @@ from repro.types import (
     INVALID,
     LLC_CLEAN,
     LLC_DIRTY,
+    LLC_SPILLED_ENTRY,
     MODIFIED,
     AccessKind,
     PrivateState,
@@ -142,16 +142,15 @@ class BaseHome:
     # DRAM
     # ------------------------------------------------------------------
 
-    def _dram_fetch(self, addr: int, now: int, out: AccessOutcome) -> int:
-        """Fetch a block from memory; returns the added latency."""
+    def _dram_fetch(self, addr: int, now: int) -> int:
+        """Fetch a block from memory (an LLC miss); returns the added
+        latency."""
+        self.stats.llc_misses += 1
         home = addr % self.num_banks
-        latency = (
+        return (
             2 * self.mesh.memory_latency(home)
             + self.dram.access(addr, now, is_write=False)
         )
-        out.dram_access = True
-        out.llc_data_hit = False
-        return latency
 
     def _dram_write(self, addr: int, now: int) -> None:
         """Write a block back to memory (off the critical path)."""
@@ -213,13 +212,10 @@ class BaseHome:
         """Deposit retrieved dirty data in the LLC line or in memory."""
         bank = self.banks[addr % self.num_banks]
         line, _ = bank.lookup(addr, touch=False)
-        if line is not None and not line.is_spill and line.state in (
-            LLC_CLEAN,
-            LLC_DIRTY,
-        ):
+        if line is not None and line.state in (LLC_CLEAN, LLC_DIRTY):
             line.state = LLC_DIRTY
             bank.data_writes += 1
-        elif line is not None and not line.is_spill:
+        elif line is not None:
             # Corrupted line: the data portion is updated in place; the
             # borrowed bits stay authoritative for tracking.
             line.underlying_dirty = True
@@ -232,7 +228,7 @@ class BaseHome:
     # ------------------------------------------------------------------
 
     def _flush_residency(self, line: LLCLine) -> None:
-        if not line.is_spill:
+        if line.state is not LLC_SPILLED_ENTRY:
             if self.observer.enabled and line.fwd_reads > 0:
                 ratio = (
                     line.fwd_reads / line.total_reads
@@ -312,8 +308,17 @@ class BaseHome:
         kind: AccessKind,
         now: int,
         upgrade: bool = False,
-    ) -> AccessOutcome:
-        """Serve a private miss (or S->M upgrade) for ``core``."""
+    ) -> "tuple[int, PrivateState | None]":
+        """Serve a private miss (or S->M upgrade) for ``core``.
+
+        Returns ``(latency, fill_state)``: the cycles spent beyond the
+        private hierarchy lookups, and the MESI state granted to the
+        requester (None for an upgrade). The transaction's outcome is
+        counted into :attr:`stats` where it is decided: one
+        ``llc_transactions``, exactly one of ``two_hop``/``three_hop``,
+        and ``upgrades``, ``llc_misses``, ``lengthened`` (with its
+        code/data split) and ``spill_saved`` when they apply.
+        """
         raise NotImplementedError
 
     def handle_private_eviction(

@@ -19,7 +19,6 @@ from __future__ import annotations
 from repro.cache.llc import LLCLine
 from repro.coherence.base import BaseHome
 from repro.coherence.info import CohInfo
-from repro.coherence.transaction import AccessOutcome
 from repro.core.spill import DynamicSpillPolicy, SpillConfig
 from repro.core.stra import StraCounters
 from repro.core.tiny_directory import TinyDirectory
@@ -32,6 +31,7 @@ from repro.types import (
     LLC_CLEAN,
     LLC_CORRUPTED,
     LLC_DIRTY,
+    LLC_SPILLED_ENTRY,
     MODIFIED,
     SHARED,
     WRITE,
@@ -140,8 +140,9 @@ class InLLCHome(BaseHome):
         kind: AccessKind,
         now: int,
         upgrade: bool = False,
-    ) -> AccessOutcome:
-        out = AccessOutcome()
+    ) -> "tuple[int, PrivateState | None]":
+        stats = self.stats
+        stats.llc_transactions += 1
         home = addr % self.num_banks
         bank = self.banks[home]
         if self.observer.enabled:
@@ -155,30 +156,33 @@ class InLLCHome(BaseHome):
         if upgrade:
             if line is None or line.coh is None:
                 raise ProtocolError(f"upgrade for untracked block {addr:#x}")
+            stats.upgrades += 1
             self._record_stra(line, shared_read=False)
-            self._serve_upgrade(core, addr, line, bank, home, now, out)
-            return out
+            return self._serve_upgrade(core, addr, line, bank, home, now)
 
         if line is None:
-            out.latency = self._two_hop(core, home) + self._dram_fetch(addr, now, out)
+            stats.two_hop += 1
+            latency = self._two_hop(core, home) + self._dram_fetch(addr, now)
             line = self._fill_llc(addr, now)
-            self._take_ownership(core, kind, line, bank, now, out)
-        elif line.coh is None:
-            out.latency = self._two_hop(core, home)
-            self._take_ownership(core, kind, line, bank, now, out)
+            return latency, self._take_ownership(core, kind, line, bank, now)
+        if line.coh is None:
+            stats.two_hop += 1
+            return (
+                self._two_hop(core, home),
+                self._take_ownership(core, kind, line, bank, now),
+            )
+        shared_read = kind.is_read and line.coh.is_shared
+        self._record_stra(line, shared_read)
+        if kind.is_read:
+            line.total_reads += 1
+            if shared_read:
+                line.fwd_reads += 1
+        if line.coh.is_exclusive:
+            result = self._serve_tracked_exclusive(core, addr, kind, line, bank, home)
         else:
-            shared_read = kind.is_read and line.coh.is_shared
-            self._record_stra(line, shared_read)
-            if kind.is_read:
-                line.total_reads += 1
-                if shared_read:
-                    line.fwd_reads += 1
-            if line.coh.is_exclusive:
-                self._serve_tracked_exclusive(core, addr, kind, line, bank, home, now, out)
-            else:
-                self._serve_tracked_shared(core, addr, kind, line, bank, home, now, out)
-            line.note_holders(line.coh)
-        return out
+            result = self._serve_tracked_shared(core, addr, kind, line, home, now)
+        line.note_holders(line.coh)
+        return result
 
     @staticmethod
     def _record_stra(line: LLCLine, shared_read: bool) -> None:
@@ -189,18 +193,19 @@ class InLLCHome(BaseHome):
         else:
             line.stra.record_other()
 
-    def _take_ownership(self, core, kind, line, bank, now, out) -> None:
-        """A request to an unowned valid block: the requester takes it."""
+    def _take_ownership(self, core, kind, line, bank, now) -> PrivateState:
+        """A request to an unowned valid block: the requester takes it.
+        Returns the state granted to the requester."""
         coh = CohInfo()
         if kind is WRITE:
             coh.set_owner(core)
-            out.fill_state = MODIFIED
+            fill_state = MODIFIED
         elif kind is IFETCH:
             coh.add_sharer(core)
-            out.fill_state = SHARED
+            fill_state = SHARED
         else:
             coh.set_owner(core)
-            out.fill_state = EXCLUSIVE
+            fill_state = EXCLUSIVE
         line.coh = coh
         line.stra = StraCounters(limit=self.stra_limit)
         line.stra.record_other()
@@ -209,16 +214,17 @@ class InLLCHome(BaseHome):
         if kind.is_read:
             line.total_reads += 1
         self.traffic.data(PROCESSOR)
+        return fill_state
 
-    def _serve_tracked_exclusive(self, core, addr, kind, line, bank, home, now, out) -> None:
+    def _serve_tracked_exclusive(self, core, addr, kind, line, bank, home):
         coh = line.coh
         owner = coh.owner
         if owner == core:
             raise ProtocolError(
                 f"core {core} missed on block {addr:#x} it supposedly owns"
             )
-        out.hops = 3
-        out.latency = self._three_hop(core, home, owner, self._corrupted_extra(line))
+        self.stats.three_hop += 1
+        latency = self._three_hop(core, home, owner, self._corrupted_extra(line))
         self.traffic.control(COHERENCE)  # forward
         self.traffic.data(PROCESSOR)  # owner -> requester
         self.traffic.control(COHERENCE)  # busy-clear
@@ -228,19 +234,19 @@ class InLLCHome(BaseHome):
                 raise ProtocolError(f"stale owner for block {addr:#x}")
             self.stats.invalidations += 1
             coh.set_owner(core)
-            out.fill_state = MODIFIED
-        else:
-            prior = self.cores[owner].downgrade(addr)
-            if prior is MODIFIED:
-                # Dirty data is deposited in the (corrupted) LLC line's
-                # intact data portion.
-                self.traffic.data(WRITEBACK)
-                line.underlying_dirty = True
-                bank.data_writes += 1
-            coh.add_sharer(core)
-            out.fill_state = SHARED
+            return latency, MODIFIED
+        prior = self.cores[owner].downgrade(addr)
+        if prior is MODIFIED:
+            # Dirty data is deposited in the (corrupted) LLC line's
+            # intact data portion.
+            self.traffic.data(WRITEBACK)
+            line.underlying_dirty = True
+            bank.data_writes += 1
+        coh.add_sharer(core)
+        return latency, SHARED
 
-    def _serve_tracked_shared(self, core, addr, kind, line, bank, home, now, out) -> None:
+    def _serve_tracked_shared(self, core, addr, kind, line, home, now):
+        stats = self.stats
         coh = line.coh
         extra = self._corrupted_extra(line)
         if kind is WRITE:
@@ -248,8 +254,8 @@ class InLLCHome(BaseHome):
             forwarder = self._closest_sharer(coh, home)
             inval_path = self._invalidation_latency(home, holders, core)
             base = self._three_hop(core, home, forwarder, extra)
-            out.hops = 3
-            out.latency = max(
+            stats.three_hop += 1
+            latency = max(
                 base,
                 self.mesh.latency(core, home)
                 + self.config.llc_tag_latency
@@ -260,42 +266,45 @@ class InLLCHome(BaseHome):
                 prior = self.cores[holder].invalidate(addr)
                 if prior is INVALID:
                     raise ProtocolError(f"stale sharer for block {addr:#x}")
-                self.stats.invalidations += 1
+                stats.invalidations += 1
                 self.traffic.control(COHERENCE)  # invalidation
                 if holder == forwarder:
                     self.traffic.data(PROCESSOR)  # special ack
                 else:
                     self.traffic.control(COHERENCE)  # ack
             coh.set_owner(core)
-            out.fill_state = MODIFIED
+            return latency, MODIFIED
+        if self.tag_extended:
+            # The LLC data is intact: serve in two hops.
+            stats.two_hop += 1
+            latency = self._two_hop(core, home)
+            self.traffic.data(PROCESSOR)
         else:
-            if self.tag_extended:
-                # The LLC data is intact: serve in two hops.
-                out.latency = self._two_hop(core, home)
-                self.traffic.data(PROCESSOR)
+            if self.observer.enabled:
+                self.observer.emit(
+                    "llc:lengthened_read", cycle=now, core=core, addr=addr
+                )
+            forwarder = self._closest_sharer(coh, home)
+            stats.three_hop += 1
+            stats.lengthened += 1
+            if kind is IFETCH:
+                stats.lengthened_code += 1
             else:
-                if self.observer.enabled:
-                    self.observer.emit(
-                        "llc:lengthened_read", cycle=now, core=core, addr=addr
-                    )
-                forwarder = self._closest_sharer(coh, home)
-                out.hops = 3
-                out.lengthened = True
-                out.latency = self._three_hop(core, home, forwarder, extra)
-                self.traffic.control(COHERENCE)
-                self.traffic.data(PROCESSOR)
-                self.traffic.control(COHERENCE)
-            coh.add_sharer(core)
-            out.fill_state = SHARED
+                stats.lengthened_data += 1
+            latency = self._three_hop(core, home, forwarder, extra)
+            self.traffic.control(COHERENCE)
+            self.traffic.data(PROCESSOR)
+            self.traffic.control(COHERENCE)
+        coh.add_sharer(core)
+        return latency, SHARED
 
-    def _serve_upgrade(self, core, addr, line, bank, home, now, out) -> None:
+    def _serve_upgrade(self, core, addr, line, bank, home, now):
         coh = line.coh
         if not coh.holds(core):
             raise ProtocolError(
                 f"core {core} upgrades block {addr:#x} it is not recorded "
                 f"sharing"
             )
-        out.is_upgrade = True
         extra = self._corrupted_extra(line)
         holders = [h for h in coh.sharer_list() if h != core]
         inval_path = self._invalidation_latency(home, holders, core)
@@ -311,9 +320,12 @@ class InLLCHome(BaseHome):
         request_leg = (
             self.mesh.latency(core, home) + self.config.llc_tag_latency + extra
         )
-        out.latency = request_leg + max(self.mesh.latency(home, core), inval_path)
-        out.hops = 2 if not holders else 3
+        if holders:
+            self.stats.three_hop += 1
+        else:
+            self.stats.two_hop += 1
         self._mark_tracked(line, bank, now)
+        return request_leg + max(self.mesh.latency(home, core), inval_path), None
 
     # ------------------------------------------------------------------
     # Eviction notices
@@ -424,7 +436,7 @@ class InLLCHome(BaseHome):
     def check_invariants(self) -> None:
         for bank in self.banks:
             for line in bank.iter_lines():
-                if line.is_spill or line.coh is None:
+                if line.state is LLC_SPILLED_ENTRY or line.coh is None:
                     continue
                 for holder in line.coh.holders():
                     state = self.cores[holder].state_of(line.tag)
@@ -483,8 +495,9 @@ class TinyHome(InLLCHome):
         kind: AccessKind,
         now: int,
         upgrade: bool = False,
-    ) -> AccessOutcome:
-        out = AccessOutcome()
+    ) -> "tuple[int, PrivateState | None]":
+        stats = self.stats
+        stats.llc_transactions += 1
         home = addr % self.num_banks
         bank = self.banks[home]
         if self.observer.enabled:
@@ -496,53 +509,63 @@ class TinyHome(InLLCHome):
         entry = self.tiny.lookup(addr, now)
         line, spill = bank.lookup(addr)
         shared_read = False
+        miss = False
 
         if upgrade:
+            stats.upgrades += 1
             if entry is not None:
                 entry.stra.record_other()
-                self._serve_tracked_upgrade(core, addr, entry.coh, home, now, out)
+                latency, fill_state = self._serve_tracked_upgrade(
+                    core, addr, entry.coh, home
+                )
             elif spill is not None:
                 spill.stra.record_other()
-                self._serve_tracked_upgrade(core, addr, spill.coh, home, now, out)
+                latency, fill_state = self._serve_tracked_upgrade(
+                    core, addr, spill.coh, home
+                )
                 # A write transfers the spilled info back into the data
                 # block, which switches to corrupted exclusive (§IV-B1).
-                out.latency += self.config.llc_data_latency
+                latency += self.config.llc_data_latency
                 self._unspill_into_line(spill, line, bank, now)
             else:
                 if line is None or line.coh is None:
                     raise ProtocolError(f"upgrade for untracked block {addr:#x}")
                 self._record_stra(line, shared_read=False)
-                self._serve_upgrade(core, addr, line, bank, home, now, out)
+                latency, fill_state = self._serve_upgrade(
+                    core, addr, line, bank, home, now
+                )
         elif entry is not None:
             if self.observer.enabled:
                 self.observer.emit("tiny:hit", cycle=now, core=core, addr=addr)
-            shared_read = self._serve_via_tracker(
-                core, addr, kind, entry.coh, entry.stra, line, bank, home, now, out,
-                via_spill=False,
+            shared_read = kind.is_read and entry.coh.is_shared
+            latency, fill_state = self._serve_via_tracker(
+                core, addr, kind, entry.coh, entry.stra, line, bank, home, now,
+                shared_read, via_spill=False,
             )
             if entry.coh.is_idle:
                 self.tiny.remove(addr)
         elif spill is not None:
             if self.observer.enabled:
                 self.observer.emit("tiny:spill_hit", cycle=now, core=core, addr=addr)
-            shared_read = self._serve_via_tracker(
-                core, addr, kind, spill.coh, spill.stra, line, bank, home, now, out,
-                via_spill=True,
+            shared_read = kind.is_read and spill.coh.is_shared
+            latency, fill_state = self._serve_via_tracker(
+                core, addr, kind, spill.coh, spill.stra, line, bank, home, now,
+                shared_read, via_spill=True,
             )
             if kind is WRITE:
-                out.latency += self.config.llc_data_latency
+                latency += self.config.llc_data_latency
                 self._unspill_into_line(spill, line, bank, now)
             elif spill.coh.is_idle:
                 bank.remove(spill)
         elif line is None or line.coh is None:
+            stats.two_hop += 1
             if line is None:
-                out.latency = (
-                    self._two_hop(core, home) + self._dram_fetch(addr, now, out)
-                )
+                miss = True
+                latency = self._two_hop(core, home) + self._dram_fetch(addr, now)
                 line = self._fill_llc(addr, now)
             else:
-                out.latency = self._two_hop(core, home)
-            self._take_ownership(core, kind, line, bank, now, out)
+                latency = self._two_hop(core, home)
+            fill_state = self._take_ownership(core, kind, line, bank, now)
             if kind is IFETCH:
                 # Allocation situation (ii): an instruction read to an
                 # unowned block (§IV).
@@ -555,9 +578,13 @@ class TinyHome(InLLCHome):
                 if shared_read:
                     line.fwd_reads += 1
             if line.coh.is_exclusive:
-                self._serve_tracked_exclusive(core, addr, kind, line, bank, home, now, out)
+                latency, fill_state = self._serve_tracked_exclusive(
+                    core, addr, kind, line, bank, home
+                )
             else:
-                self._serve_tracked_shared(core, addr, kind, line, bank, home, now, out)
+                latency, fill_state = self._serve_tracked_shared(
+                    core, addr, kind, line, home, now
+                )
             line.note_holders(line.coh)
             if kind.is_read:
                 # Allocation situation (i): a read to a corrupted block.
@@ -565,11 +592,11 @@ class TinyHome(InLLCHome):
 
         if self.spill_enabled:
             self.spill_policies[home].record_access(
-                in_sample_set=bank.is_no_spill_set(bank.set_index(addr)),
-                is_miss=out.dram_access,
-                is_shared_read=shared_read,
+                (addr // self.num_banks) % bank.num_sets in bank.sample_sets,
+                miss,
+                shared_read,
             )
-        return out
+        return latency, fill_state
 
     # ------------------------------------------------------------------
     # Serving accesses whose tracking lives in the tiny directory or a
@@ -578,9 +605,10 @@ class TinyHome(InLLCHome):
     # ------------------------------------------------------------------
 
     def _serve_via_tracker(
-        self, core, addr, kind, coh, stra, line, bank, home, now, out, via_spill
-    ) -> bool:
-        shared_read = kind.is_read and coh.is_shared
+        self, core, addr, kind, coh, stra, line, bank, home, now, shared_read,
+        via_spill,
+    ):
+        stats = self.stats
         if shared_read:
             stra.record_shared_read()
         else:
@@ -597,16 +625,19 @@ class TinyHome(InLLCHome):
                     raise ProtocolError(
                         f"core {core} missed on owned block {addr:#x}"
                     )
-                out.hops = 3
-                out.latency = self._three_hop(core, home, owner)
+                stats.three_hop += 1
+                latency = self._three_hop(core, home, owner)
                 self.traffic.control(COHERENCE)
                 self.traffic.data(PROCESSOR)
                 self.traffic.control(COHERENCE)
                 prior = self.cores[owner].invalidate(addr)
                 if prior is INVALID:
                     raise ProtocolError(f"stale owner for block {addr:#x}")
-                self.stats.invalidations += 1
+                stats.invalidations += 1
             else:
+                # Counted as two hops even when the LLC line is gone and
+                # the data comes from a sharer.
+                stats.two_hop += 1
                 holders = coh.sharer_list()
                 inval_path = self._invalidation_latency(home, holders, core)
                 base = (
@@ -619,23 +650,23 @@ class TinyHome(InLLCHome):
                     prior = self.cores[holder].invalidate(addr)
                     if prior is INVALID:
                         raise ProtocolError(f"stale sharer for block {addr:#x}")
-                    self.stats.invalidations += 1
+                    stats.invalidations += 1
                     self.traffic.control(COHERENCE)
                     self.traffic.control(COHERENCE)
-                out.latency = max(
+                latency = max(
                     base,
                     self.mesh.latency(core, home)
                     + self.config.llc_tag_latency
                     + inval_path,
                 )
             coh.set_owner(core)
-            out.fill_state = MODIFIED
+            fill_state = MODIFIED
         elif coh.is_exclusive:
             owner = coh.owner
             if owner == core:
                 raise ProtocolError(f"core {core} missed on owned block {addr:#x}")
-            out.hops = 3
-            out.latency = self._three_hop(core, home, owner)
+            stats.three_hop += 1
+            latency = self._three_hop(core, home, owner)
             self.traffic.control(COHERENCE)
             self.traffic.data(PROCESSOR)
             self.traffic.control(COHERENCE)
@@ -648,13 +679,14 @@ class TinyHome(InLLCHome):
                 else:
                     self._dram_write(addr, now)
             coh.add_sharer(core)
-            out.fill_state = SHARED
+            fill_state = SHARED
         else:
             if line_valid:
-                out.latency = self._two_hop(core, home)
+                stats.two_hop += 1
+                latency = self._two_hop(core, home)
                 self.traffic.data(PROCESSOR)
                 if via_spill and shared_read:
-                    out.spill_saved = True
+                    stats.spill_saved += 1
             else:
                 # Tracked in the tiny directory but the LLC data line was
                 # evicted: forward to a sharer and refill.
@@ -663,24 +695,23 @@ class TinyHome(InLLCHome):
                         "tiny:fwd_refill", cycle=now, core=core, addr=addr
                     )
                 forwarder = self._closest_sharer(coh, home)
-                out.hops = 3
-                out.latency = self._three_hop(core, home, forwarder)
+                stats.three_hop += 1
+                latency = self._three_hop(core, home, forwarder)
                 self.traffic.control(COHERENCE)
                 self.traffic.data(PROCESSOR)
                 self.traffic.control(COHERENCE)
             coh.add_sharer(core)
-            out.fill_state = SHARED
+            fill_state = SHARED
         if line is not None:
             line.note_holders(coh)
-        return shared_read
+        return latency, fill_state
 
-    def _serve_tracked_upgrade(self, core, addr, coh, home, now, out) -> None:
+    def _serve_tracked_upgrade(self, core, addr, coh, home):
         if not coh.holds(core):
             raise ProtocolError(
                 f"core {core} upgrades block {addr:#x} it is not recorded "
                 f"sharing"
             )
-        out.is_upgrade = True
         holders = [h for h in coh.sharer_list() if h != core]
         inval_path = self._invalidation_latency(home, holders, core)
         for holder in holders:
@@ -693,8 +724,11 @@ class TinyHome(InLLCHome):
         coh.set_owner(core)
         self.traffic.control(PROCESSOR)
         request_leg = self.mesh.latency(core, home) + self.config.llc_tag_latency
-        out.latency = request_leg + max(self.mesh.latency(home, core), inval_path)
-        out.hops = 2 if not holders else 3
+        if holders:
+            self.stats.three_hop += 1
+        else:
+            self.stats.two_hop += 1
+        return request_leg + max(self.mesh.latency(home, core), inval_path), None
 
     def _unspill_into_line(self, spill, line, bank, now) -> None:
         """Invalidate a spilled entry, moving its info into the data block
@@ -831,7 +865,7 @@ class TinyHome(InLLCHome):
 
     def _handle_llc_victim(self, victim: LLCLine, now: int) -> None:
         bank = self.banks[victim.tag % self.num_banks]
-        if victim.is_spill:
+        if victim.state is LLC_SPILLED_ENTRY:
             # Transfer the tracking back into the companion data block.
             b_line, _ = bank.lookup(victim.tag, touch=False)
             if b_line is not None and b_line.coh is None:
@@ -896,7 +930,7 @@ class TinyHome(InLLCHome):
 
     def _deposit_dirty(self, addr, bank, now) -> None:
         line, _ = bank.lookup(addr, touch=False)
-        if line is not None and not line.is_spill:
+        if line is not None:
             if line.state is LLC_CORRUPTED:
                 line.underlying_dirty = True
             else:
@@ -952,7 +986,7 @@ class TinyHome(InLLCHome):
                     )
         for bank in self.banks:
             for line in bank.iter_lines():
-                if line.is_spill:
+                if line.state is LLC_SPILLED_ENTRY:
                     data_line, _ = bank.peek(line.tag)
                     if data_line is None:
                         raise InvariantViolation(

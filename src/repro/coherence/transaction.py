@@ -1,10 +1,12 @@
 """Outcome record of one LLC transaction.
 
-The home controller returns an :class:`AccessOutcome` for every private
-cache miss (or upgrade) it serves. The engine adds the outcome latency to
-the issuing core's clock; the stats module aggregates the flags into the
-quantities the paper reports (hop counts, lengthened accesses, LLC miss
-rate, spill benefit).
+A home controller's ``handle_access`` returns ``(latency, fill_state)``
+and counts the transaction's flags (hop count, LLC miss, lengthened
+access, spill benefit) straight into :class:`~repro.sim.stats.SimStats`
+where it decides them, so serving a transaction allocates no record.
+:class:`AccessOutcome` is the same information as one object, and
+:meth:`SimStats.on_outcome` folds one into the counters; nothing on the
+simulation path builds or consumes one.
 """
 
 from __future__ import annotations

@@ -44,7 +44,9 @@ class GenerationEstimator:
         self.t = 0
         self.acc = 0  # counter A
         self.samples = 0  # counter B
-        self._ticks_seen = 0
+        #: Ticks of ``T`` already applied: ``now // TICK_CYCLES`` at the
+        #: last :meth:`advance` that moved the clock.
+        self.ticks_seen = 0
         self._gen_remaining = default_generation_ticks
         self.generations = 0
 
@@ -62,10 +64,10 @@ class GenerationEstimator:
         already promotes every untouched entry).
         """
         total_ticks = now // TICK_CYCLES
-        elapsed = total_ticks - self._ticks_seen
+        elapsed = total_ticks - self.ticks_seen
         if elapsed <= 0:
             return 0
-        self._ticks_seen = total_ticks
+        self.ticks_seen = total_ticks
         self.t = (self.t + elapsed) % T_MAX
         boundaries = 0
         if elapsed >= self._gen_remaining:

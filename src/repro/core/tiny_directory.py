@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 
 from repro.coherence.info import CohInfo
-from repro.core.gnru import GenerationEstimator
+from repro.core.gnru import TICK_CYCLES, GenerationEstimator
 from repro.core.stra import StraCounters
 from repro.errors import ConfigError
 
@@ -88,13 +88,6 @@ class _TinySlice:
                 if not entry.r_bit:
                     entry.ep_bit = True
                 entry.r_bit = False
-
-    def touch(self, entry: TinyEntry) -> None:
-        """Mark an entry accessed: R set, EP cleared, timestamp updated."""
-        entry.r_bit = True
-        entry.ep_bit = False
-        if self.estimator is not None:
-            entry.tlast = self.estimator.observe_access(entry.tlast)
 
     def find(self, set_index: int, addr: int) -> "TinyEntry | None":
         for entry in self.sets[set_index]:
@@ -186,16 +179,28 @@ class TinyDirectory:
         return slice_, (addr // self.num_banks) % slice_.num_sets
 
     def lookup(self, addr: int, now: int) -> "TinyEntry | None":
-        """Find the entry tracking ``addr``; updates gNRU reuse state."""
-        slice_, set_index = self._locate(addr)
-        slice_.advance(now)
-        entry = slice_.find(set_index, addr)
-        if entry is None:
-            self.misses += 1
-            return None
-        slice_.touch(entry)
-        self.hits += 1
-        return entry
+        """Find the entry tracking ``addr``; updates gNRU reuse state.
+
+        A hit marks the entry accessed: R set, EP cleared, timestamp
+        updated. The slice is probed here, in one method; the generation
+        clock is called only when a gNRU tick has passed since its last
+        advance, or when the entry's timestamp is stale.
+        """
+        num_banks = self.num_banks
+        slice_ = self._slices[addr % num_banks]
+        estimator = slice_.estimator
+        if estimator is not None and now // TICK_CYCLES > estimator.ticks_seen:
+            slice_.advance(now)
+        for entry in slice_.sets[(addr // num_banks) % slice_.num_sets]:
+            if entry is not None and entry.addr == addr:
+                entry.r_bit = True
+                entry.ep_bit = False
+                if estimator is not None and entry.tlast != estimator.t:
+                    entry.tlast = estimator.observe_access(entry.tlast)
+                self.hits += 1
+                return entry
+        self.misses += 1
+        return None
 
     def try_allocate(
         self,

@@ -260,7 +260,6 @@ class TraceEngine:
         modified_state = PrivateState.MODIFIED
         handle_access = home.handle_access
         handle_eviction = home.handle_private_eviction
-        on_outcome = stats.on_outcome
         heappop = heapq.heappop
         heappushpop = heapq.heappushpop
         # Per-core lookup tables: (il1, dl1, l1_sets, l2, l2_sets,
@@ -332,23 +331,24 @@ class TraceEngine:
                     raise ProtocolError(
                         f"core {acc_core}: block {addr:#x} in L1 but not L2"
                     )
-                out = handle_access(acc_core, addr, kind, issue_time, False)
-                on_outcome(kind, out)
-                for notice in core.fill(addr, kind, out.fill_state):
-                    handle_eviction(
-                        acc_core, notice.addr, notice.state, issue_time
-                    )
-                latency = hit_latency + out.latency
+                latency, fill_state = handle_access(
+                    acc_core, addr, kind, issue_time, False
+                )
+                victim = core.fill(addr, kind, fill_state)
+                if victim is not None:
+                    handle_eviction(acc_core, victim[0], victim[1], issue_time)
+                latency += hit_latency
             else:
                 lines = l2[addr % l2_sets]
                 if lines[-1] != addr:
                     lines.remove(addr)
                     lines.append(addr)
                 if kind is write_kind and state is shared_state:
-                    out = handle_access(acc_core, addr, kind, issue_time, True)
-                    on_outcome(kind, out)
+                    latency = handle_access(
+                        acc_core, addr, kind, issue_time, True
+                    )[0]
                     core.complete_upgrade(addr)
-                    latency = l1_latency + out.latency
+                    latency += l1_latency
                 else:
                     if kind is write_kind and state is exclusive_state:
                         states[addr] = modified_state

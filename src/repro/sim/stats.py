@@ -100,7 +100,14 @@ class SimStats:
             self.ifetches += 1
 
     def on_outcome(self, kind: AccessKind, out) -> None:
-        """Account the result of one home (LLC) transaction."""
+        """Account one home (LLC) transaction from an
+        :class:`~repro.coherence.transaction.AccessOutcome`.
+
+        The home controllers count the same flags in place as they serve
+        a transaction and never call this; it defines the counting rules
+        they follow (one hop class per transaction, the lengthened
+        code/data split by access kind).
+        """
         self.llc_transactions += 1
         if out.is_upgrade:
             self.upgrades += 1

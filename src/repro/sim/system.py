@@ -143,22 +143,23 @@ class System:
             self.stats.l2_hits += 1
             return config.l1_latency + config.l2_latency
         upgrade = probe.needs_upgrade
-        out = self.home.handle_access(acc.core, acc.addr, acc.kind, now, upgrade)
-        self.stats.on_outcome(acc.kind, out)
+        latency, fill_state = self.home.handle_access(
+            acc.core, acc.addr, acc.kind, now, upgrade
+        )
         if upgrade:
             core.complete_upgrade(acc.addr)
-            return config.l1_latency + out.latency
-        notices = core.fill(acc.addr, acc.kind, out.fill_state)
-        injector = self.fault_injector
-        for notice in notices:
-            if injector is not None and injector.intercept_eviction(
-                acc.core, notice.addr
+            return config.l1_latency + latency
+        victim = core.fill(acc.addr, acc.kind, fill_state)
+        if victim is not None:
+            victim_addr, victim_state = victim
+            injector = self.fault_injector
+            if injector is None or not injector.intercept_eviction(
+                acc.core, victim_addr
             ):
-                continue
-            self.home.handle_private_eviction(
-                acc.core, notice.addr, notice.state, now
-            )
-        return config.l1_latency + config.l2_latency + out.latency
+                self.home.handle_private_eviction(
+                    acc.core, victim_addr, victim_state, now
+                )
+        return config.l1_latency + config.l2_latency + latency
 
     # ------------------------------------------------------------------
     # Wrap-up

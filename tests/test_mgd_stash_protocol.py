@@ -69,6 +69,26 @@ class TestMgd:
     def test_small_mgd_invariants_after_fuzz(self):
         Driver(make_system(MgdSpec(ratio=1 / 16))).fuzz(2500)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known gap: the region demotion's extra tag lookup is not "
+        "charged, because the serve path sets the transaction's latency "
+        "on its own; charging it changes MgD results",
+    )
+    def test_region_demotion_charges_a_tag_lookup(self, d):
+        region_base = BLOCKS_PER_REGION * 4
+        for offset in range(3):
+            d.read(0, region_base + offset)
+        home = d.system.home
+        config = d.system.config
+        forward = home._three_hop(1, region_base % home.num_banks, 0)
+        latency = d.read(1, region_base)  # demotion, then a 3-hop forward
+        assert latency == (
+            config.l1_latency + config.l2_latency + forward
+            + config.llc_tag_latency
+        )
+
 
 class TestStash:
     def small_stash(self) -> Driver:
@@ -115,6 +135,28 @@ class TestStash:
         for i in range(1, 9):
             d.read(0, target + i * step)
         assert not stash.is_stashed(target)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known gap: the broadcast's latency is not charged, because "
+        "the serve path sets the transaction's latency on its own; "
+        "charging it changes Stash results",
+    )
+    def test_broadcast_recovery_charges_the_broadcast(self):
+        d = self.small_stash()
+        for addr in range(0, 120 * 64, 64):
+            d.read(0, addr)
+        home = d.system.home
+        target = next(iter(home.stash._stashed))
+        config = d.system.config
+        mesh = home.mesh
+        max_span = (mesh.width - 1 + mesh.height - 1) * mesh.hop_cycles
+        forward = home._three_hop(1, target % home.num_banks, 0)
+        latency = d.read(1, target)  # broadcast, then a 3-hop forward
+        assert latency == (
+            config.l1_latency + config.l2_latency + forward + 2 * max_span
+        )
 
     def test_broadcast_traffic_is_heavy(self):
         """The paper's point: broadcast recovery saturates the NoC."""

@@ -61,10 +61,8 @@ class TestFillAndEvict:
         core = make_core(l2_sets=1, l2_assoc=2)
         core.fill(0, AccessKind.READ, PrivateState.EXCLUSIVE)
         core.fill(1, AccessKind.READ, PrivateState.SHARED)
-        notices = core.fill(2, AccessKind.READ, PrivateState.EXCLUSIVE)
-        assert len(notices) == 1
-        assert notices[0].addr == 0
-        assert notices[0].state is PrivateState.EXCLUSIVE
+        victim = core.fill(2, AccessKind.READ, PrivateState.EXCLUSIVE)
+        assert victim == (0, PrivateState.EXCLUSIVE)
 
     def test_eviction_preserves_inclusion(self):
         core = make_core(l2_sets=1, l2_assoc=2)
@@ -76,7 +74,7 @@ class TestFillAndEvict:
 
     def test_no_notice_when_way_free(self):
         core = make_core()
-        assert core.fill(0x10, AccessKind.READ, PrivateState.SHARED) == []
+        assert core.fill(0x10, AccessKind.READ, PrivateState.SHARED) is None
 
 
 class TestStateChanges:
@@ -129,8 +127,8 @@ class TestLRU:
         core = make_core(l2_sets=1, l2_assoc=2)
         core.fill(1, AccessKind.READ, PrivateState.SHARED)
         core.fill(2, AccessKind.READ, PrivateState.SHARED)
-        notices = core.fill(3, AccessKind.READ, PrivateState.SHARED)
-        assert [notice.addr for notice in notices] == [1]
+        victim = core.fill(3, AccessKind.READ, PrivateState.SHARED)
+        assert victim[0] == 1
 
     def test_l1_hit_refreshes_l2_recency(self):
         core = make_core(l1_sets=1, l1_assoc=2, l2_sets=1, l2_assoc=2)
@@ -138,8 +136,8 @@ class TestLRU:
         core.fill(2, AccessKind.READ, PrivateState.SHARED)
         # An L1 hit makes block 1 the MRU block of the L2 set too.
         assert core.probe(1, AccessKind.READ).level == "l1"
-        notices = core.fill(3, AccessKind.READ, PrivateState.SHARED)
-        assert [notice.addr for notice in notices] == [2]
+        victim = core.fill(3, AccessKind.READ, PrivateState.SHARED)
+        assert victim[0] == 2
 
     def test_quiet_calls_leave_recency_alone(self):
         core = make_core(l2_sets=1, l2_assoc=2)
@@ -150,14 +148,13 @@ class TestLRU:
         core.downgrade(1)
         core.complete_upgrade(1)
         # Block 1 is still the LRU block of its set.
-        notices = core.fill(3, AccessKind.READ, PrivateState.SHARED)
-        assert [notice.addr for notice in notices] == [1]
-        assert notices[0].state is PrivateState.MODIFIED
+        victim = core.fill(3, AccessKind.READ, PrivateState.SHARED)
+        assert victim == (1, PrivateState.MODIFIED)
 
     def test_no_eviction_with_free_ways(self):
         core = make_core(l2_sets=1, l2_assoc=4)
         for addr in range(4):
-            assert core.fill(addr, AccessKind.READ, PrivateState.SHARED) == []
+            assert core.fill(addr, AccessKind.READ, PrivateState.SHARED) is None
         assert all(core.holds(addr) for addr in range(4))
 
     def test_l2_hit_promotes_and_l1_victim_leaves_silently(self):
@@ -165,7 +162,7 @@ class TestLRU:
         core.fill(1, AccessKind.READ, PrivateState.SHARED)
         core.fill(2, AccessKind.READ, PrivateState.SHARED)
         # Block 1 leaves the full L1 without a notice; the L2 keeps it.
-        assert core.fill(3, AccessKind.READ, PrivateState.SHARED) == []
+        assert core.fill(3, AccessKind.READ, PrivateState.SHARED) is None
         assert core.holds(1)
         assert core.probe(1, AccessKind.READ).level == "l2"
         assert core.probe(1, AccessKind.READ).level == "l1"
@@ -185,8 +182,8 @@ class TestLRU:
             (1, PrivateState.MODIFIED),
         ]
         # The first block listed for a set is the one its next fill evicts.
-        notices = core.fill(6, AccessKind.READ, PrivateState.SHARED)
-        assert [notice.addr for notice in notices] == [4]
+        victim = core.fill(6, AccessKind.READ, PrivateState.SHARED)
+        assert victim[0] == 4
 
 
 class TestGeometry:

@@ -1,9 +1,22 @@
 """Unit tests for SimStats bookkeeping and serialization."""
 
+from pathlib import Path
+
+import pytest
+
+from conftest import Driver, make_system
 from repro.cache.llc import LLCLine
 from repro.coherence.transaction import AccessOutcome
+from repro.sim.config import SystemConfig
+from repro.sim.engine import run_trace
 from repro.sim.stats import SimStats
+from repro.sim.system import System
 from repro.types import AccessKind, LLCState
+from repro.verify.differential import ALL_SCHEMES
+from repro.verify.reproducer import default_verify_spec
+from repro.workloads.capture import load_capture
+
+CORPUS_TRACE = Path(__file__).parent / "corpus" / "stra-pumping.rtrace"
 
 
 def outcome(**kw) -> AccessOutcome:
@@ -39,6 +52,43 @@ class TestOutcomeAccounting:
         assert stats.llc_miss_rate == 0.0
         assert stats.lengthened_fraction == 0.0
         assert stats.shared_block_fraction == 0.0
+
+
+class TestCounterIdentities:
+    """The homes count each transaction's flags in place; every
+    transaction lands in exactly one hop class and every lengthened
+    access in exactly one of code/data."""
+
+    @staticmethod
+    def assert_identities(stats: SimStats) -> None:
+        assert stats.llc_transactions > 0
+        assert stats.two_hop + stats.three_hop == stats.llc_transactions
+        assert (
+            stats.lengthened_code + stats.lengthened_data == stats.lengthened
+        )
+        assert stats.upgrades <= stats.llc_transactions
+        assert stats.llc_misses <= stats.llc_transactions
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_after_fuzz(self, scheme):
+        driver = Driver(make_system(default_verify_spec(scheme)))
+        driver.fuzz(1500)
+        self.assert_identities(driver.system.stats)
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_after_corpus_trace(self, scheme):
+        streams, header = load_capture(CORPUS_TRACE)
+        geometry = header["geometry"]
+        config = SystemConfig(
+            num_cores=geometry["num_cores"],
+            l1_kb=geometry["l1_kb"],
+            l2_kb=geometry["l2_kb"],
+            scheme=default_verify_spec(scheme),
+        )
+        stats = run_trace(System(config), streams)
+        self.assert_identities(stats)
+        if scheme in ("in_llc", "tiny"):
+            assert stats.lengthened_code > 0 and stats.lengthened_data > 0
 
 
 class TestResidencyFlush:

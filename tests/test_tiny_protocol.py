@@ -143,7 +143,7 @@ class TestSpilling:
         spilled = None
         for bank in d.system.home.banks:
             for line in bank.iter_lines():
-                if line.is_spill:
+                if line.state is LLCState.SPILLED_ENTRY:
                     spilled = line.tag
                     break
             if spilled is not None:
