@@ -52,6 +52,10 @@ class BaseHome:
         "banks",
         "_hit_latency_data",
         "_hit_latency_tag",
+        "_tiles",
+        "_latency",
+        "_distance",
+        "_memory_latency",
     )
 
     def __init__(
@@ -77,6 +81,12 @@ class BaseHome:
         # _three_hop call on the transaction critical path.
         self._hit_latency_tag = config.llc_tag_latency
         self._hit_latency_data = config.llc_tag_latency + config.llc_data_latency
+        # The mesh's read-only tables: the latency and the hop count from
+        # tile ``src`` to ``dst`` sit at ``src * self._tiles + dst``.
+        self._tiles = mesh.num_tiles
+        self._latency = mesh.latency_table
+        self._distance = mesh.distance_table
+        self._memory_latency = mesh.memory_latency_table
         self.banks = [
             LLCBank(
                 config.llc_sets_per_bank,
@@ -98,12 +108,9 @@ class BaseHome:
         """
         return addr % self.num_banks
 
-    def _llc_hit_latency(self, with_data: bool = True) -> int:
-        return self._hit_latency_data if with_data else self._hit_latency_tag
-
     def _two_hop(self, core: int, home: int, with_data: bool = True) -> int:
         """Requester -> home -> requester latency, including LLC lookup."""
-        return 2 * self.mesh.latency(core, home) + (
+        return 2 * self._latency[core * self._tiles + home] + (
             self._hit_latency_data if with_data else self._hit_latency_tag
         )
 
@@ -115,28 +122,44 @@ class BaseHome:
         ``llc_extra`` adds serialization beyond the tag lookup (e.g. the
         data read + decode of a corrupted block, Section IV-C).
         """
+        latency = self._latency
+        tiles = self._tiles
         return (
-            self.mesh.latency(core, home)
+            latency[core * tiles + home]
             + self._hit_latency_tag
             + llc_extra
-            + self.mesh.latency(home, target)
+            + latency[home * tiles + target]
             + self.config.l2_latency
-            + self.mesh.latency(target, core)
+            + latency[target * tiles + core]
         )
 
     def _invalidation_latency(self, home: int, holders: "list[int]", requester: int) -> int:
-        """Slowest home -> holder -> requester invalidation/ack path."""
-        if not holders:
-            return 0
-        return max(
-            self.mesh.latency(home, holder) + self.mesh.latency(holder, requester)
-            for holder in holders
-        )
+        """Slowest home -> holder -> requester invalidation/ack path (0
+        without holders)."""
+        latency = self._latency
+        tiles = self._tiles
+        home_row = home * tiles
+        slowest = 0
+        for holder in holders:
+            path = latency[home_row + holder] + latency[holder * tiles + requester]
+            if path > slowest:
+                slowest = path
+        return slowest
 
     def _closest_sharer(self, coh: CohInfo, home: int) -> int:
-        """Elect the sharer nearest to the home tile to forward data."""
+        """Elect the sharer nearest to the home tile to forward data (the
+        lowest core id among equally near ones)."""
+        distance = self._distance
+        home_row = home * self._tiles
         sharers = coh.sharer_list()
-        return min(sharers, key=lambda core: self.mesh.distance(home, core))
+        closest = sharers[0]
+        nearest = distance[home_row + closest]
+        for core in sharers:
+            hops = distance[home_row + core]
+            if hops < nearest:
+                closest = core
+                nearest = hops
+        return closest
 
     # ------------------------------------------------------------------
     # DRAM
@@ -146,10 +169,8 @@ class BaseHome:
         """Fetch a block from memory (an LLC miss); returns the added
         latency."""
         self.stats.llc_misses += 1
-        home = addr % self.num_banks
-        return (
-            2 * self.mesh.memory_latency(home)
-            + self.dram.access(addr, now, is_write=False)
+        return 2 * self._memory_latency[addr % self.num_banks] + self.dram.access(
+            addr, now, False
         )
 
     def _dram_write(self, addr: int, now: int) -> None:

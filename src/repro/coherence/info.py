@@ -86,12 +86,11 @@ class CohInfo:
         """The sharer set as a sorted list of core ids."""
         cores = []
         mask = self.sharers
-        core = 0
         while mask:
-            if mask & 1:
-                cores.append(core)
-            mask >>= 1
-            core += 1
+            # Visit the set bits only, lowest first.
+            low = mask & -mask
+            cores.append(low.bit_length() - 1)
+            mask ^= low
         return cores
 
     def holders(self) -> "list[int]":

@@ -171,9 +171,9 @@ class InLLCHome(BaseHome):
                 self._two_hop(core, home),
                 self._take_ownership(core, kind, line, bank, now),
             )
-        shared_read = kind.is_read and line.coh.is_shared
+        shared_read = kind is not WRITE and line.coh.is_shared
         self._record_stra(line, shared_read)
-        if kind.is_read:
+        if kind is not WRITE:
             line.total_reads += 1
             if shared_read:
                 line.fwd_reads += 1
@@ -196,22 +196,20 @@ class InLLCHome(BaseHome):
     def _take_ownership(self, core, kind, line, bank, now) -> PrivateState:
         """A request to an unowned valid block: the requester takes it.
         Returns the state granted to the requester."""
-        coh = CohInfo()
         if kind is WRITE:
-            coh.set_owner(core)
+            line.coh = CohInfo(owner=core)
             fill_state = MODIFIED
         elif kind is IFETCH:
-            coh.add_sharer(core)
+            line.coh = CohInfo(sharers=1 << core)
             fill_state = SHARED
         else:
-            coh.set_owner(core)
+            line.coh = CohInfo(owner=core)
             fill_state = EXCLUSIVE
-        line.coh = coh
         line.stra = StraCounters(limit=self.stra_limit)
         line.stra.record_other()
         self._mark_tracked(line, bank, now)
-        line.note_holders(coh)
-        if kind.is_read:
+        line.sharers_seen |= 1 << core
+        if kind is not WRITE:
             line.total_reads += 1
         self.traffic.data(PROCESSOR)
         return fill_state
@@ -257,8 +255,8 @@ class InLLCHome(BaseHome):
             stats.three_hop += 1
             latency = max(
                 base,
-                self.mesh.latency(core, home)
-                + self.config.llc_tag_latency
+                self._latency[core * self._tiles + home]
+                + self._hit_latency_tag
                 + extra
                 + inval_path,
             )
@@ -318,14 +316,15 @@ class InLLCHome(BaseHome):
         coh.set_owner(core)
         self.traffic.control(PROCESSOR)
         request_leg = (
-            self.mesh.latency(core, home) + self.config.llc_tag_latency + extra
+            self._latency[core * self._tiles + home] + self._hit_latency_tag + extra
         )
         if holders:
             self.stats.three_hop += 1
         else:
             self.stats.two_hop += 1
         self._mark_tracked(line, bank, now)
-        return request_leg + max(self.mesh.latency(home, core), inval_path), None
+        reply = self._latency[home * self._tiles + core]
+        return request_leg + max(reply, inval_path), None
 
     # ------------------------------------------------------------------
     # Eviction notices
@@ -537,7 +536,7 @@ class TinyHome(InLLCHome):
         elif entry is not None:
             if self.observer.enabled:
                 self.observer.emit("tiny:hit", cycle=now, core=core, addr=addr)
-            shared_read = kind.is_read and entry.coh.is_shared
+            shared_read = kind is not WRITE and entry.coh.is_shared
             latency, fill_state = self._serve_via_tracker(
                 core, addr, kind, entry.coh, entry.stra, line, bank, home, now,
                 shared_read, via_spill=False,
@@ -547,7 +546,7 @@ class TinyHome(InLLCHome):
         elif spill is not None:
             if self.observer.enabled:
                 self.observer.emit("tiny:spill_hit", cycle=now, core=core, addr=addr)
-            shared_read = kind.is_read and spill.coh.is_shared
+            shared_read = kind is not WRITE and spill.coh.is_shared
             latency, fill_state = self._serve_via_tracker(
                 core, addr, kind, spill.coh, spill.stra, line, bank, home, now,
                 shared_read, via_spill=True,
@@ -571,9 +570,9 @@ class TinyHome(InLLCHome):
                 # unowned block (§IV).
                 self._consider_tracking(addr, line, bank, home, now)
         else:
-            shared_read = kind.is_read and line.coh.is_shared
+            shared_read = kind is not WRITE and line.coh.is_shared
             self._record_stra(line, shared_read)
-            if kind.is_read:
+            if kind is not WRITE:
                 line.total_reads += 1
                 if shared_read:
                     line.fwd_reads += 1
@@ -586,7 +585,7 @@ class TinyHome(InLLCHome):
                     core, addr, kind, line, home, now
                 )
             line.note_holders(line.coh)
-            if kind.is_read:
+            if kind is not WRITE:
                 # Allocation situation (i): a read to a corrupted block.
                 self._consider_tracking(addr, line, bank, home, now)
 
@@ -614,7 +613,7 @@ class TinyHome(InLLCHome):
         else:
             stra.record_other()
         line_valid = line is not None
-        if line is not None and kind.is_read:
+        if line is not None and kind is not WRITE:
             line.total_reads += 1
             if shared_read:
                 line.fwd_reads += 1
@@ -655,8 +654,8 @@ class TinyHome(InLLCHome):
                     self.traffic.control(COHERENCE)
                 latency = max(
                     base,
-                    self.mesh.latency(core, home)
-                    + self.config.llc_tag_latency
+                    self._latency[core * self._tiles + home]
+                    + self._hit_latency_tag
                     + inval_path,
                 )
             coh.set_owner(core)
@@ -723,12 +722,13 @@ class TinyHome(InLLCHome):
             self.traffic.control(COHERENCE)
         coh.set_owner(core)
         self.traffic.control(PROCESSOR)
-        request_leg = self.mesh.latency(core, home) + self.config.llc_tag_latency
+        request_leg = self._latency[core * self._tiles + home] + self._hit_latency_tag
         if holders:
             self.stats.three_hop += 1
         else:
             self.stats.two_hop += 1
-        return request_leg + max(self.mesh.latency(home, core), inval_path), None
+        reply = self._latency[home * self._tiles + core]
+        return request_leg + max(reply, inval_path), None
 
     def _unspill_into_line(self, spill, line, bank, now) -> None:
         """Invalidate a spilled entry, moving its info into the data block

@@ -161,11 +161,9 @@ class SparseHome(BaseHome):
             stats.upgrades += 1
             return self._serve_upgrade(core, addr, coh, home, now)
 
-        shared_read = kind.is_read and coh is not None and coh.is_shared
-        if line is not None:
-            if kind.is_read:
-                line.total_reads += 1
-            if shared_read:
+        if line is not None and kind is not WRITE:
+            line.total_reads += 1
+            if coh is not None and coh.is_shared:
                 line.fwd_reads += 1
 
         if coh is None or coh.is_idle:
@@ -182,20 +180,19 @@ class SparseHome(BaseHome):
         if line is None or line.state is LLC_INVALID:
             latency += self._dram_fetch(addr, now)
             line = self._fill_llc(addr, LLC_CLEAN, now)
-            if kind.is_read:
+            if kind is not WRITE:
                 line.total_reads += 1
-        coh = CohInfo()
         if kind is WRITE:
-            coh.set_owner(core)
+            coh = CohInfo(owner=core)
             fill_state = MODIFIED
         elif kind is IFETCH:
-            coh.add_sharer(core)
+            coh = CohInfo(sharers=1 << core)
             fill_state = SHARED
         else:
-            coh.set_owner(core)
+            coh = CohInfo(owner=core)
             fill_state = EXCLUSIVE
         self._install(addr, coh, now)
-        line.note_holders(coh)
+        line.sharers_seen |= 1 << core
         self.traffic.data(PROCESSOR)  # the data response
         return latency, fill_state
 
@@ -257,7 +254,10 @@ class SparseHome(BaseHome):
             coh.set_owner(core)
             fill_state = MODIFIED
             latency = max(
-                base, self.mesh.latency(core, home) + self.config.llc_tag_latency + inval_path
+                base,
+                self._latency[core * self._tiles + home]
+                + self._hit_latency_tag
+                + inval_path,
             )
         else:
             if line_valid:
@@ -303,13 +303,14 @@ class SparseHome(BaseHome):
             self.stats.invalidations += 1
         coh.set_owner(core)
         self.traffic.control(PROCESSOR)  # grant
-        request_leg = self.mesh.latency(core, home) + self.config.llc_tag_latency
+        request_leg = self._latency[core * self._tiles + home] + self._hit_latency_tag
         if holders:
             self.stats.three_hop += 1
         else:
             self.stats.two_hop += 1
         self._after_update(addr, coh, now)
-        return request_leg + max(self.mesh.latency(home, core), inval_path), None
+        reply = self._latency[home * self._tiles + core]
+        return request_leg + max(reply, inval_path), None
 
     # ------------------------------------------------------------------
     # Eviction notices

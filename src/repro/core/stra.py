@@ -85,8 +85,19 @@ class StraCounters:
         return self.strac / total
 
     def category(self) -> int:
-        """The current STRA category index (0..7)."""
-        return stra_category(self.ratio())
+        """The current STRA category index (0..7), in integers.
+
+        Equals ``stra_category(self.ratio())``: with ``t = strac + oac``,
+        ``strac / t <= 1 - 2**-i`` holds exactly when ``t <= oac << i``,
+        so the category is the least such ``i``, capped at 7.
+        """
+        strac = self.strac
+        if strac == 0:
+            return 0
+        oac = self.oac
+        if oac == 0:
+            return 7
+        return min(7, ((strac + oac - 1) // oac).bit_length())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StraCounters(strac={self.strac}, oac={self.oac})"

@@ -34,12 +34,15 @@ class RegionEntry:
 
     def blocks(self, region: int) -> "list[int]":
         """Block addresses of the region marked present."""
-        base = region * BLOCKS_PER_REGION
-        return [
-            base + offset
-            for offset in range(BLOCKS_PER_REGION)
-            if self.presence >> offset & 1
-        ]
+        base = region * BLOCKS_PER_REGION - 1
+        blocks = []
+        mask = self.presence
+        while mask:
+            # Visit the set bits only, lowest first.
+            low = mask & -mask
+            blocks.append(base + low.bit_length())
+            mask ^= low
+        return blocks
 
 
 class MultiGrainDirectory:

@@ -17,10 +17,9 @@ import math
 from repro.errors import ConfigError
 
 
-#: Largest mesh for which full distance/latency tables are precomputed
-#: (``num_tiles**2`` entries each; 2048 tiles -> 4M-entry tables). The
-#: paper's largest machine is 128 tiles, so the fallback to computed
-#: distances exists only for pathological configurations.
+#: Largest mesh this model builds (its two pairwise tables hold
+#: ``num_tiles**2`` entries each; 2048 tiles -> 4M-entry tables). The
+#: paper's largest machine is 128 tiles.
 _TABLE_TILE_LIMIT = 2048
 
 
@@ -28,13 +27,15 @@ class Mesh2D:
     """A ``width x height`` mesh of tiles with XY-routing distances.
 
     Distances and latencies between all tile pairs are precomputed into
-    flat tables at construction (the lookups are on the home-controller
-    critical path of every LLC transaction).
+    flat tables at construction: the home controllers index them on the
+    critical path of every LLC transaction. The tables are public and
+    read-only; entry ``src * num_tiles + dst`` of :attr:`latency_table`
+    is ``latency(src, dst)``.
 
     Args:
         num_tiles: total number of tiles; must form a rectangle no more
             than twice as wide as tall (a square when ``num_tiles`` is a
-            perfect square).
+            perfect square), and at most 2048 tiles.
         hop_cycles: core cycles per hop (router pipeline + link).
         num_memory_controllers: controllers placed round-robin along the
             top and bottom rows, matching the paper's "evenly distributed
@@ -48,10 +49,9 @@ class Mesh2D:
         "hop_cycles",
         "num_memory_controllers",
         "_mc_tiles",
-        "_mc_distance",
-        "_mc_latency",
-        "_distance_table",
-        "_latency_table",
+        "distance_table",
+        "latency_table",
+        "memory_latency_table",
     )
 
     def __init__(
@@ -62,6 +62,10 @@ class Mesh2D:
     ) -> None:
         if num_tiles <= 0:
             raise ConfigError(f"num_tiles must be positive, got {num_tiles}")
+        if num_tiles > _TABLE_TILE_LIMIT:
+            raise ConfigError(
+                f"num_tiles must be at most {_TABLE_TILE_LIMIT}, got {num_tiles}"
+            )
         if hop_cycles <= 0:
             raise ConfigError(f"hop_cycles must be positive, got {hop_cycles}")
         # Choose the most square factorization (width >= height), e.g.
@@ -77,26 +81,23 @@ class Mesh2D:
         controllers = max(1, min(num_memory_controllers, num_tiles))
         self.num_memory_controllers = controllers
         self._mc_tiles = self._place_controllers(controllers)
-        # Distance tables are tiny (num_tiles entries); precompute the
-        # nearest-controller distance per tile.
-        self._mc_distance = [
+        #: Read-only: one-way latency from each tile to its nearest
+        #: memory controller, indexed by tile.
+        self.memory_latency_table = [
             min(self._computed_distance(tile, mc) for mc in self._mc_tiles)
+            * hop_cycles
             for tile in range(num_tiles)
         ]
-        self._mc_latency = [d * hop_cycles for d in self._mc_distance]
-        # Full pairwise tables, indexed [src * num_tiles + dst]. At the
-        # paper's scales (<= 128 tiles) these are at most 16K entries.
-        if num_tiles <= _TABLE_TILE_LIMIT:
-            table = [
-                self._computed_distance(src, dst)
-                for src in range(num_tiles)
-                for dst in range(num_tiles)
-            ]
-            self._distance_table = table
-            self._latency_table = [d * hop_cycles for d in table]
-        else:  # pragma: no cover - pathological configuration
-            self._distance_table = None
-            self._latency_table = None
+        #: Read-only: hop count of every tile pair, indexed
+        #: ``[src * num_tiles + dst]``.
+        self.distance_table = [
+            self._computed_distance(src, dst)
+            for src in range(num_tiles)
+            for dst in range(num_tiles)
+        ]
+        #: Read-only: one-way latency of every tile pair in core cycles,
+        #: indexed like :attr:`distance_table`.
+        self.latency_table = [d * hop_cycles for d in self.distance_table]
 
     def _place_controllers(self, count: int) -> list:
         """Spread controllers across the top and bottom mesh rows."""
@@ -118,19 +119,15 @@ class Mesh2D:
 
     def distance(self, src: int, dst: int) -> int:
         """Manhattan (XY-routing) hop count between two tiles."""
-        if self._distance_table is not None:
-            return self._distance_table[src * self.num_tiles + dst]
-        return self._computed_distance(src, dst)  # pragma: no cover
+        return self.distance_table[src * self.num_tiles + dst]
 
     def latency(self, src: int, dst: int) -> int:
         """One-way message latency in core cycles between two tiles."""
-        if self._latency_table is not None:
-            return self._latency_table[src * self.num_tiles + dst]
-        return self._computed_distance(src, dst) * self.hop_cycles  # pragma: no cover
+        return self.latency_table[src * self.num_tiles + dst]
 
     def memory_latency(self, tile: int) -> int:
         """One-way latency from ``tile`` to its nearest memory controller."""
-        return self._mc_latency[tile]
+        return self.memory_latency_table[tile]
 
     @property
     def average_distance(self) -> float:

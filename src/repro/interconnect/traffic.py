@@ -44,32 +44,41 @@ PROCESSOR = MessageClass.PROCESSOR
 WRITEBACK = MessageClass.WRITEBACK
 COHERENCE = MessageClass.COHERENCE
 
-# Each class's index into a meter's counter lists. An attribute on the
+# Each class's indexes into a meter's counter lists. Attributes on the
 # member, because hashing an Enum member runs ``Enum.__hash__`` in Python.
+# ``slot`` indexes the per-class lists; a meter counts messages kind by
+# kind (control, data, partial), each kind one slot per class, so the
+# class's control, data and partial counts sit at ``slot``,
+# ``data_slot`` and ``partial_slot``.
 for _slot, _member in enumerate(MessageClass):
     _member.slot = _slot
+    _member.data_slot = _slot + len(MessageClass)
+    _member.partial_slot = _slot + 2 * len(MessageClass)
 del _slot, _member
 
 
 class TrafficMeter:
-    """Accumulates interconnect bytes per :class:`MessageClass`.
+    """Accumulates interconnect messages and bytes per :class:`MessageClass`.
 
-    Counters live in two lists indexed by ``MessageClass.slot``, not in
-    dicts keyed by the class: the home controllers count several
-    messages per transaction.
+    The home controllers count several messages per transaction, so
+    :meth:`control`, :meth:`data` and :meth:`partial` each add to one
+    message count per (class, kind) in a flat list; the bytes are
+    derived from those counts when read. Messages of any other size
+    (:meth:`record`) and a loaded snapshot (:meth:`load`) land in one
+    bytes/messages pair per class.
     """
 
-    __slots__ = ("_bytes", "_messages")
+    __slots__ = ("_counts", "_bytes", "_messages")
 
     def __init__(self) -> None:
+        self._counts = [0] * (3 * len(MessageClass))
         self._bytes = [0] * len(MessageClass)
         self._messages = [0] * len(MessageClass)
 
     def clear(self) -> None:
         """Zero all counters in place (warmup boundary)."""
-        for slot in range(len(MessageClass)):
-            self._bytes[slot] = 0
-            self._messages[slot] = 0
+        for counters in (self._counts, self._bytes, self._messages):
+            counters[:] = [0] * len(counters)
 
     def record(self, message_class: MessageClass, size_bytes: int, count: int = 1) -> None:
         """Record ``count`` messages of ``size_bytes`` each."""
@@ -77,49 +86,52 @@ class TrafficMeter:
         self._bytes[slot] += size_bytes * count
         self._messages[slot] += count
 
-    # control/data/partial repeat record's two lines instead of calling
-    # it: they run several times per home transaction.
-
     def control(self, message_class: MessageClass, count: int = 1) -> None:
         """Record control (header-only) messages."""
-        slot = message_class.slot
-        self._bytes[slot] += CONTROL_BYTES * count
-        self._messages[slot] += count
+        self._counts[message_class.slot] += count
 
     def data(self, message_class: MessageClass, count: int = 1) -> None:
         """Record full data messages."""
-        slot = message_class.slot
-        self._bytes[slot] += DATA_BYTES * count
-        self._messages[slot] += count
+        self._counts[message_class.data_slot] += count
 
     def partial(self, message_class: MessageClass, count: int = 1) -> None:
         """Record partial-block reconstruction messages."""
-        slot = message_class.slot
-        self._bytes[slot] += PARTIAL_BYTES * count
-        self._messages[slot] += count
+        self._counts[message_class.partial_slot] += count
 
     def bytes_for(self, message_class: MessageClass) -> int:
         """Total bytes recorded for ``message_class``."""
-        return self._bytes[message_class.slot]
+        counts = self._counts
+        return (
+            CONTROL_BYTES * counts[message_class.slot]
+            + DATA_BYTES * counts[message_class.data_slot]
+            + PARTIAL_BYTES * counts[message_class.partial_slot]
+            + self._bytes[message_class.slot]
+        )
 
     def messages_for(self, message_class: MessageClass) -> int:
         """Total message count recorded for ``message_class``."""
-        return self._messages[message_class.slot]
+        counts = self._counts
+        return (
+            counts[message_class.slot]
+            + counts[message_class.data_slot]
+            + counts[message_class.partial_slot]
+            + self._messages[message_class.slot]
+        )
 
     @property
     def total_bytes(self) -> int:
         """Total bytes across all classes."""
-        return sum(self._bytes)
+        return sum(self.bytes_for(cls) for cls in MessageClass)
 
     def as_dict(self) -> "dict[str, int]":
         """Bytes per class keyed by the class value (for reports)."""
-        return {cls.value: self._bytes[cls.slot] for cls in MessageClass}
+        return {cls.value: self.bytes_for(cls) for cls in MessageClass}
 
     def dump(self) -> "dict[str, dict[str, int]]":
         """Full serializable snapshot (bytes and message counts)."""
         return {
-            "bytes": {cls.value: self._bytes[cls.slot] for cls in MessageClass},
-            "messages": {cls.value: self._messages[cls.slot] for cls in MessageClass},
+            "bytes": self.as_dict(),
+            "messages": {cls.value: self.messages_for(cls) for cls in MessageClass},
         }
 
     @classmethod

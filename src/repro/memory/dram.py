@@ -48,8 +48,9 @@ class DramModel:
         self.num_channels = num_channels
         self.banks_per_channel = banks_per_channel
         self._num_banks = num_channels * banks_per_channel
-        #: Open row per bank, keyed by ``bank * num_channels + channel``.
-        self._open_row = {}
+        #: Open row per bank, indexed ``bank * num_channels + channel``;
+        #: None while the bank has no open row.
+        self._open_row = [None] * self._num_banks
         self._channel_free_at = [0] * num_channels
         self.reads = 0
         self.writes = 0
@@ -77,8 +78,8 @@ class DramModel:
         num_banks = self._num_banks
         key = row_id % num_banks
         row = row_id // num_banks
-        channel = key % self.num_channels
-        open_row = self._open_row.get(key)
+        open_rows = self._open_row
+        open_row = open_rows[key]
         if open_row is None:
             core_latency = ROW_CLOSED_CYCLES
         elif open_row == row:
@@ -86,17 +87,21 @@ class DramModel:
             self.row_hits += 1
         else:
             core_latency = ROW_CONFLICT_CYCLES
-        self._open_row[key] = row
+        open_rows[key] = row
 
-        start = max(now, self._channel_free_at[channel])
-        queue_delay = start - now
-        self._channel_free_at[channel] = start + CHANNEL_SERVICE_CYCLES
+        # The request starts when both it and its channel are ready.
+        channel_free_at = self._channel_free_at
+        channel = key % self.num_channels
+        start = channel_free_at[channel]
+        if start < now:
+            start = now
+        channel_free_at[channel] = start + CHANNEL_SERVICE_CYCLES
 
         if is_write:
             self.writes += 1
         else:
             self.reads += 1
-        return queue_delay + core_latency
+        return start - now + core_latency
 
     @property
     def accesses(self) -> int:

@@ -85,6 +85,13 @@ class TinySpec:
     def __post_init__(self) -> None:
         if self.policy not in ("dstra", "gnru"):
             raise ConfigError(f"unknown tiny-directory policy {self.policy!r}")
+        if self.stra_counter_bits < 2:
+            # A 0- or 1-bit counter halves on its first count, so it never
+            # leaves zero and every block would read C0.
+            raise ConfigError(
+                f"stra_counter_bits must be at least 2, got "
+                f"{self.stra_counter_bits}"
+            )
 
 
 @dataclass(frozen=True)

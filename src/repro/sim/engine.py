@@ -262,24 +262,22 @@ class TraceEngine:
         handle_eviction = home.handle_private_eviction
         heappop = heapq.heappop
         heappushpop = heapq.heappushpop
-        # Per-core lookup tables: (il1, dl1, l1_sets, l2, l2_sets,
-        # states, core). The L1s share one geometry.
+        # Per-core lookup tables: (il1, dl1, l2, states, core). Every
+        # core has the geometry the config gives.
+        l1_sets = config.l1_sets
+        l2_sets = config.l2_sets
         core_tables = [
-            (
-                core.il1,
-                core.dl1,
-                core.l1_sets,
-                core.l2,
-                core.l2_sets,
-                core.states,
-                core,
-            )
-            for core in cores
+            (core.il1, core.dl1, core.l2, core.states, core) for core in cores
         ]
         total = sum(len(stream) for stream in streams)
         warmup_left = int(total * self.warmup_fraction)
         if total and warmup_left >= total:
             warmup_left = total - 1
+        # The access count of the next deadline check, and of the next
+        # event of either kind (that check or the warmup boundary), so
+        # that an access makes one comparison for both.
+        next_check = CHECK_STRIDE
+        next_event = min(next_check, warmup_left) if warmup_left else next_check
         heap = [
             (0, core, 0)
             for core, stream in enumerate(streams)
@@ -304,7 +302,7 @@ class TraceEngine:
                 )
             kind = acc.kind
             addr = acc.addr
-            il1, dl1, l1_sets, l2, l2_sets, states, core = core_tables[acc_core]
+            il1, dl1, l2, states, core = core_tables[acc_core]
             if kind is read_kind:
                 reads += 1
                 l1 = dl1
@@ -365,16 +363,23 @@ class TraceEngine:
             if done > finish:
                 finish = done
             processed += 1
-            if processed % CHECK_STRIDE == 0:
-                check_deadline()
-                check_watchdog()
-            if warmup_left and processed == warmup_left:
-                # stats.reset() zeroes every counter, so the batch is
-                # dropped rather than flushed.
-                reads = writes = ifetches = 0
-                l1_hits = l2_hits = 0
-                stats.reset()
-                measure_start = finish
+            if processed == next_event:
+                if processed == next_check:
+                    check_deadline()
+                    check_watchdog()
+                    next_check += CHECK_STRIDE
+                if processed == warmup_left:
+                    # stats.reset() zeroes every counter, so the batch is
+                    # dropped rather than flushed.
+                    reads = writes = ifetches = 0
+                    l1_hits = l2_hits = 0
+                    stats.reset()
+                    measure_start = finish
+                next_event = (
+                    min(next_check, warmup_left)
+                    if warmup_left > processed
+                    else next_check
+                )
             index += 1
             if index < len(stream):
                 item = heappushpop(heap, (done, core_id, index))

@@ -1,5 +1,7 @@
 """Unit tests for shared home-controller machinery (latency, traffic)."""
 
+import random
+
 import pytest
 
 from conftest import Driver, make_system
@@ -9,6 +11,7 @@ from repro.interconnect.traffic import (
     DATA_BYTES,
     MessageClass,
 )
+from repro.memory.dram import DramModel
 from repro.sim.config import SparseSpec
 from repro.types import AccessKind, PrivateState
 
@@ -134,3 +137,50 @@ class TestDirtyDataPaths:
         for i in range(1, 20):
             d.read(1, 0x40 + i * llc_step)
         assert d.system.dram.writes > writes_before
+
+
+class TestLatencyTablesAgainstMeshMethods:
+    """The latency helpers index the mesh's tables; each must equal the
+    formula it had when written with ``Mesh2D``'s methods."""
+
+    @pytest.mark.parametrize("num_tiles", [4, 8, 16, 32, 64, 128])
+    def test_helpers_match_the_method_formulas(self, num_tiles):
+        system = make_system(SparseSpec(ratio=2.0), num_cores=num_tiles)
+        home, mesh, config = system.home, system.mesh, system.config
+        twin_dram = DramModel(config.dram_channels, config.dram_banks_per_channel)
+        rng = random.Random(num_tiles)
+        for step in range(300):
+            core, home_tile, target = (rng.randrange(num_tiles) for _ in range(3))
+            extra = rng.randrange(4)
+            assert home._two_hop(core, home_tile) == (
+                2 * mesh.latency(core, home_tile)
+                + config.llc_tag_latency
+                + config.llc_data_latency
+            )
+            assert home._three_hop(core, home_tile, target, extra) == (
+                mesh.latency(core, home_tile)
+                + config.llc_tag_latency
+                + extra
+                + mesh.latency(home_tile, target)
+                + config.l2_latency
+                + mesh.latency(target, core)
+            )
+            mask = rng.getrandbits(num_tiles)
+            holders = CohInfo(sharers=mask).sharer_list()
+            assert home._invalidation_latency(home_tile, holders, core) == max(
+                (
+                    mesh.latency(home_tile, holder) + mesh.latency(holder, core)
+                    for holder in holders
+                ),
+                default=0,
+            )
+            if holders:
+                assert home._closest_sharer(CohInfo(sharers=mask), home_tile) == min(
+                    holders, key=lambda sharer: mesh.distance(home_tile, sharer)
+                )
+            addr = rng.randrange(1 << 24)
+            now = step * 40
+            assert home._dram_fetch(addr, now) == (
+                2 * mesh.memory_latency(addr % home.num_banks)
+                + twin_dram.access(addr, now, is_write=False)
+            )

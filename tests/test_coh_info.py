@@ -1,5 +1,7 @@
 """Unit tests for the CohInfo tracking record."""
 
+import random
+
 import pytest
 
 from repro.coherence.info import CohInfo
@@ -87,3 +89,30 @@ class TestQueries:
         clone.add_sharer(5)
         assert coh.sharer_count() == 2
         assert clone.sharer_count() == 3
+
+
+def bit_by_bit(mask: int) -> "list[int]":
+    """The loop sharer_list replaced: test every bit from the lowest."""
+    cores = []
+    core = 0
+    while mask:
+        if mask & 1:
+            cores.append(core)
+        mask >>= 1
+        core += 1
+    return cores
+
+
+class TestSetBitIteration:
+    def test_matches_the_bit_by_bit_loop(self):
+        rng = random.Random(17)
+        masks = [0, 1, 1 << 127, (1 << 128) - 1]
+        masks += [rng.getrandbits(rng.randint(1, 128)) for _ in range(2000)]
+        masks += [1 << rng.randrange(128) | 1 << rng.randrange(128) for _ in range(200)]
+        for mask in masks:
+            expected = bit_by_bit(mask)
+            assert CohInfo(sharers=mask).sharer_list() == expected
+            assert CohInfo(sharers=mask).holders() == expected
+
+    def test_owner_is_the_only_holder(self):
+        assert CohInfo(owner=97).holders() == [97]

@@ -94,6 +94,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             TinySpec(policy="random")
 
+    @pytest.mark.parametrize("bits", [1, 0, -1])
+    def test_stra_counters_too_narrow_to_count_rejected(self, bits):
+        # Below two bits a counter halves on its first count and never
+        # leaves zero; -1 would fail later as a negative shift.
+        with pytest.raises(ConfigError):
+            TinySpec(stra_counter_bits=bits)
+
+    def test_narrowest_counting_stra_width_accepted(self):
+        assert TinySpec(stra_counter_bits=2).stra_counter_bits == 2
+
 
 class TestSchemeSpecs:
     def test_spec_names(self):

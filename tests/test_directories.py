@@ -1,5 +1,7 @@
 """Unit tests for the directory organizations (sparse, zcache, MgD, stash)."""
 
+import random
+
 import pytest
 
 from repro.coherence.info import CohInfo
@@ -127,6 +129,21 @@ class TestMultiGrainDirectory:
     def test_region_entry_blocks(self):
         entry = RegionEntry(owner=2, presence=0b101)
         assert entry.blocks(1) == [BLOCKS_PER_REGION, BLOCKS_PER_REGION + 2]
+
+    def test_region_entry_blocks_match_the_offset_loop(self):
+        # The loop blocks() replaced: test every offset of the region.
+        rng = random.Random(5)
+        presences = [0, 1, 1 << (BLOCKS_PER_REGION - 1), (1 << BLOCKS_PER_REGION) - 1]
+        presences += [rng.getrandbits(BLOCKS_PER_REGION) for _ in range(2000)]
+        for presence in presences:
+            region = rng.randrange(1 << 20)
+            base = region * BLOCKS_PER_REGION
+            expected = [
+                base + offset
+                for offset in range(BLOCKS_PER_REGION)
+                if presence >> offset & 1
+            ]
+            assert RegionEntry(owner=0, presence=presence).blocks(region) == expected
 
     def test_block_and_region_do_not_alias(self):
         directory = MultiGrainDirectory(64, 2)

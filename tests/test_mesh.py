@@ -32,6 +32,32 @@ class TestGeometry:
         with pytest.raises(ConfigError):
             Mesh2D(16, hop_cycles=0)
 
+    def test_meshes_beyond_the_table_limit_rejected(self):
+        with pytest.raises(ConfigError):
+            Mesh2D(4096)
+
+
+class TestTables:
+    def test_tables_hold_the_xy_routing_distances(self):
+        # The home controllers index these tables directly, so every
+        # entry must be the Manhattan distance of the two tiles.
+        for num_tiles in range(2, 129):
+            mesh = Mesh2D(num_tiles, hop_cycles=3)
+            assert len(mesh.distance_table) == num_tiles * num_tiles
+            for src in range(num_tiles):
+                sx, sy = mesh.coordinates(src)
+                row = src * num_tiles
+                for dst in range(num_tiles):
+                    dx, dy = mesh.coordinates(dst)
+                    hops = abs(sx - dx) + abs(sy - dy)
+                    assert mesh.distance_table[row + dst] == hops
+                    assert mesh.distance(src, dst) == hops
+                    assert mesh.latency_table[row + dst] == 3 * hops
+                    assert mesh.latency(src, dst) == 3 * hops
+                nearest = min(mesh.latency(src, mc) for mc in mesh._mc_tiles)
+                assert mesh.memory_latency_table[src] == nearest
+                assert mesh.memory_latency(src) == nearest
+
 
 class TestDistance:
     def test_self_distance_zero(self):

@@ -1,5 +1,7 @@
 """Unit tests for STRA counters and categories (paper §IV-A)."""
 
+import random
+
 import pytest
 
 from repro.core.stra import (
@@ -97,3 +99,34 @@ class TestStraCounters:
             counters.record_other()
         assert counters.strac <= STRA_COUNTER_MAX
         assert counters.oac <= STRA_COUNTER_MAX
+
+
+class TestIntegerCategory:
+    """category() computes in integers what stra_category(ratio()) does
+    in floats; the float mapping stays in the module as the reference."""
+
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_every_counter_pair_matches_the_ratio_mapping(self, bits):
+        limit = (1 << bits) - 1
+        for strac in range(2 * limit + 1):
+            for oac in range(2 * limit + 1):
+                counters = StraCounters(strac, oac, limit)
+                assert counters.category() == stra_category(counters.ratio()), (
+                    strac,
+                    oac,
+                )
+
+    def test_wide_random_pairs_match_the_ratio_mapping(self):
+        rng = random.Random(3)
+        categories = set()
+        for _ in range(20_000):
+            # Counters of random magnitude, so every category comes up.
+            strac = rng.randrange(1 << rng.randint(0, 20))
+            oac = rng.randrange(1 << rng.randint(0, 20))
+            counters = StraCounters(strac, oac)
+            assert counters.category() == stra_category(counters.ratio()), (
+                strac,
+                oac,
+            )
+            categories.add(counters.category())
+        assert categories == set(range(NUM_CATEGORIES))
