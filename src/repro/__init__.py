@@ -25,8 +25,10 @@ The package layers:
 * ``repro.energy`` / ``repro.analysis`` — the energy model and the
   per-figure experiment harness.
 * ``repro.parallel`` — the supervised process-based sweep executor with
-  profiling hooks, crash recovery, and resumable checkpoints
-  (``run_sweep``, ``collect_points``); see ``docs/harness.md``.
+  profiling hooks, crash recovery, resumable checkpoints
+  (``run_sweep``, ``collect_points``), and graceful SIGINT/SIGTERM
+  shutdown (``graceful_scope``, ``resume_hint``); see
+  ``docs/harness.md`` and ``docs/resilience.md``.
 * ``repro.recovery`` — self-healing coherence: bounded
   detect/diagnose/repair/re-verify cycles driven by the protocol
   auditor (``RecoveryManager``); see ``docs/resilience.md``.
@@ -37,10 +39,6 @@ The package layers:
 * ``repro.telemetry`` — structured transaction tracing (``TraceEvent``,
   ring/JSONL sinks), the metrics registry with phase timers, and
   ``BENCH_*.json`` perf-baseline emission; see ``docs/telemetry.md``.
-* ``repro.guard`` — resource governance: declarative run budgets with a
-  sampling watchdog (``RunBudget``, ``guard_scope``), sweep
-  backpressure (``PressureMonitor``), disk preflight/quota/retention,
-  and graceful SIGINT/SIGTERM shutdown; see ``docs/resilience.md``.
 
 The full documented public surface is re-exported here; see
 ``docs/architecture.md`` for the module map.
@@ -56,17 +54,6 @@ from repro.analysis.runner import (
     run_app_guarded,
     scale_from_env,
 )
-from repro.guard import (
-    PressureMonitor,
-    PressurePolicy,
-    RunBudget,
-    Watchdog,
-    budget_from_env,
-    check_watchdog,
-    graceful_scope,
-    guard_scope,
-    resume_hint,
-)
 from repro.parallel import (
     RunProfile,
     SupervisorPolicy,
@@ -77,6 +64,7 @@ from repro.parallel import (
     run_sweep,
     run_tasks,
 )
+from repro.parallel.shutdown import graceful_scope, resume_hint
 from repro.recovery import RecoveryManager, RecoveryPolicy, recovery_from_env
 from repro.sim.config import (
     InLLCSpec,
@@ -144,12 +132,9 @@ __all__ = [
     "MetricsRegistry",
     "MgdSpec",
     "PROFILES",
-    "PressureMonitor",
-    "PressurePolicy",
     "RecoveryManager",
     "RecoveryPolicy",
     "RingBufferSink",
-    "RunBudget",
     "RunFailure",
     "RunProfile",
     "RunResult",
@@ -171,12 +156,9 @@ __all__ = [
     "TraceWriter",
     "Tracer",
     "ValueOracle",
-    "Watchdog",
     "WorkloadProfile",
     "attach_observer",
-    "budget_from_env",
     "cached_run",
-    "check_watchdog",
     "clear_trace_cache",
     "collect_points",
     "diff_trace",
@@ -184,7 +166,6 @@ __all__ = [
     "fuzz_run",
     "generate_streams",
     "graceful_scope",
-    "guard_scope",
     "harness",
     "load_capture",
     "load_streams",

@@ -14,7 +14,6 @@ Usage::
     python -m repro fig10 --trace --metrics
     python -m repro verify --fuzz --steps 2000 --seed 7
     python -m repro diff --trace tests/corpus --bisect
-    python -m repro soak --quick
 
 ``verify`` dispatches to the protocol conformance runner (litmus
 tests, random-walk fuzzing with shrinking, fault-detection checks,
@@ -26,11 +25,6 @@ transition coverage); see ``docs/verification.md`` and
 architectural agreement and stat tolerances, and bisect divergences to
 minimal replayable sub-traces; see ``docs/verification.md`` and
 ``python -m repro diff --help``.
-
-``soak`` dispatches to the resource-governance soak harness: randomized
-sweeps under injected resource pressure (tight budgets, tiny disk
-quotas, mid-sweep interrupts) asserting the recovery invariants of
-``docs/resilience.md``; see ``python -m repro soak --help``.
 
 Each figure is printed as a text table (the same output the benchmark
 harness produces). Results are cached under ``.repro_cache/``.
@@ -61,7 +55,10 @@ already in the result cache: point ``REPRO_CACHE_DIR`` at a fresh
 directory, or set ``REPRO_CACHE=off``.
 
 ``--timeout`` must be above 0 seconds, ``--retries`` at least 0 and
-``--jobs`` at least 1; any other value is a usage error (exit 2).
+``--jobs`` at least 1; any other value is a usage error (exit 2). So
+is a ``REPRO_JOBS`` that is not an integer of at least 1 (when
+``--jobs`` is not given) and a ``REPRO_CACHE`` other than ``on``,
+``off``, ``0`` or ``no``.
 """
 
 from __future__ import annotations
@@ -71,15 +68,9 @@ import os
 import sys
 
 from repro.analysis import experiments
-from repro.analysis.cache import cache_dir, cache_enabled
+from repro.analysis.cache import CACHE_OFF, cache_dir, cache_enabled
 from repro.analysis.runner import HarnessPolicy, RunScale, harness
 from repro.errors import ShutdownRequested
-from repro.guard import (
-    EXIT_INTERRUPTED,
-    graceful_scope,
-    preflight,
-    resume_hint,
-)
 from repro.parallel import (
     SweepJournal,
     collect_points,
@@ -89,6 +80,12 @@ from repro.parallel import (
     render_profiles_table,
     resolve_jobs,
     run_sweep,
+)
+from repro.parallel.executor import parse_jobs
+from repro.parallel.shutdown import (
+    EXIT_INTERRUPTED,
+    graceful_scope,
+    resume_hint,
 )
 from repro.recovery import recovery_from_env
 from repro.resilience import auditor_from_env
@@ -252,6 +249,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _invalid_knobs(args) -> "list[str]":
+    """The ``REPRO_*`` values this run would otherwise ignore.
+
+    ``REPRO_JOBS`` counts only when ``--jobs`` is not given.
+    """
+    problems = []
+    raw = os.environ.get("REPRO_JOBS", "").strip()
+    if args.jobs is None and raw and parse_jobs(raw) is None:
+        problems.append(
+            f"invalid REPRO_JOBS={raw!r} (expected an integer >= 1)"
+        )
+    raw = os.environ.get("REPRO_CACHE", "")
+    if raw and raw.lower() not in ("on", *CACHE_OFF):
+        problems.append(
+            f"invalid REPRO_CACHE={raw!r} (expected on, off, 0 or no)"
+        )
+    return problems
+
+
 def _needs_cache(args) -> "list[str]":
     """The flags given that only the sweep executor honours.
 
@@ -265,11 +281,9 @@ def _needs_cache(args) -> "list[str]":
             flags.append(f"--jobs {args.jobs}")
     else:
         raw = os.environ.get("REPRO_JOBS", "").strip()
-        try:
-            if int(raw) > 1:
-                flags.append(f"REPRO_JOBS={raw}")
-        except ValueError:
-            pass  # unset or not a number: resolve_jobs uses the CPU count
+        # Unset means the CPU count; _invalid_knobs refused the rest.
+        if raw and int(raw) > 1:
+            flags.append(f"REPRO_JOBS={raw}")
     if args.profile:
         flags.append("--profile")
     if args.resume:
@@ -354,10 +368,6 @@ def main(argv: "list[str] | None" = None) -> int:
         from repro.verify.diff_cli import main as diff_main
 
         return diff_main(argv[1:])
-    if argv and argv[0] == "soak":
-        from repro.guard.soak import main as soak_main
-
-        return soak_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.list:
         for name, (fn, extra) in FIGURES.items():
@@ -371,6 +381,11 @@ def main(argv: "list[str] | None" = None) -> int:
     unknown = [name for name in names if name not in FIGURES]
     if unknown:
         print(f"unknown figures: {', '.join(unknown)} (try --list)", file=sys.stderr)
+        return 2
+    invalid = _invalid_knobs(args)
+    if invalid:
+        for problem in invalid:
+            print(f"repro: {problem}", file=sys.stderr)
         return 2
     ignored = [] if cache_enabled() else _needs_cache(args)
     if ignored:
@@ -416,11 +431,6 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     jobs = resolve_jobs(args.jobs)
     failed_figures = []
-    artifact_dirs = [cache_dir()] if cache_enabled() else []
-    bench_dir = os.environ.get("REPRO_BENCH_DIR", "").strip()
-    if bench_dir:
-        artifact_dirs.append(bench_dir)
-    preflight(artifact_dirs)
     try:
         with graceful_scope(), harness(policy):
             if (jobs > 1 or args.profile or args.resume) and cache_enabled():

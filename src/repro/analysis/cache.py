@@ -13,11 +13,10 @@ The cache is crash-safe: entries are written to a temporary file and
 published with an atomic ``os.replace``, so a killed sweep never leaves
 a truncated JSON behind. If a corrupt entry is found anyway (e.g.
 written by an older version), it is quarantined as ``<entry>.bad`` and
-the run recomputed instead of aborting the whole figure; quarantine is
-bounded to the newest ``REPRO_CACHE_BAD_KEEP`` files (default 32).
-Writes honour the ``REPRO_DISK_QUOTA`` artifact budget (oldest entries
-pruned to make room) and degrade to uncached on ``ENOSPC`` instead of
-crashing — see :mod:`repro.guard`. Atomic
+the run recomputed instead of aborting the whole figure. Quarantine
+overwrites that key's previous ``.bad`` file, so ``.bad`` files never
+outnumber cache entries. A write that fails (typically ``ENOSPC``)
+degrades the run to uncached instead of crashing. Atomic
 publication also makes the cache safe under *concurrent* writers: the
 :mod:`repro.parallel` sweep executor routes every completed point
 through this module, and two processes racing on the same point both
@@ -54,7 +53,6 @@ from repro.analysis.runner import (
     run_app_guarded,
 )
 from repro.errors import ArtifactWriteError
-from repro.guard import quota as disk_quota
 from repro.sim.results import RunResult
 from repro.sim.stats import SimStats
 
@@ -67,9 +65,14 @@ def cache_dir() -> pathlib.Path:
     return pathlib.Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
 
 
+#: The ``REPRO_CACHE`` values (any case) that disable the cache; ``on``
+#: and unset enable it, and the figure CLI refuses anything else.
+CACHE_OFF = ("off", "0", "no")
+
+
 def cache_enabled() -> bool:
     """False when caching is disabled via ``REPRO_CACHE=off``."""
-    return os.environ.get("REPRO_CACHE", "on").lower() not in ("off", "0", "no")
+    return os.environ.get("REPRO_CACHE", "on").lower() not in CACHE_OFF
 
 
 def _key(app: str, scheme, scale: RunScale) -> str:
@@ -91,14 +94,6 @@ def _key(app: str, scheme, scale: RunScale) -> str:
         # never poisons the deterministic cache (tracing does not alter
         # the dump and needs no key component).
         payload += f"|metrics={metrics}"
-    wall = os.environ.get("REPRO_BUDGET_WALL", "").strip()
-    rss = os.environ.get("REPRO_BUDGET_RSS", "").strip()
-    if wall or rss:
-        # Budgeted runs may publish a (wall-clock) stats.guard pressure
-        # section; keep them apart from clean entries for the same
-        # reason as metrics runs. REPRO_DISK_QUOTA never alters a
-        # result's content and needs no key component.
-        payload += f"|budget={wall}/{rss}"
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
@@ -202,64 +197,25 @@ def _load_entry(path: pathlib.Path) -> "RunResult | None":
         return None
 
 
-#: Default number of quarantined ``.bad`` entries kept for post-mortems.
-DEFAULT_BAD_KEEP = 32
-
-
-def _bad_keep() -> int:
-    """The ``.bad`` retention cap (``REPRO_CACHE_BAD_KEEP``, default 32).
-
-    ``0`` disables quarantine retention entirely (corrupt entries are
-    simply deleted); invalid values warn on stderr and fall back to the
-    default — never a silent misconfiguration.
-    """
-    raw = os.environ.get("REPRO_CACHE_BAD_KEEP", "").strip()
-    if not raw:
-        return DEFAULT_BAD_KEEP
-    try:
-        keep = int(raw)
-    except ValueError:
-        keep = -1
-    if keep < 0:
-        print(
-            f"repro: ignoring invalid REPRO_CACHE_BAD_KEEP={raw!r} (expected "
-            f"an integer >= 0); keeping the default of {DEFAULT_BAD_KEEP}",
-            file=sys.stderr,
-        )
-        return DEFAULT_BAD_KEEP
-    return keep
-
-
 def _quarantine(path: pathlib.Path) -> None:
     """Move a corrupt entry aside as ``<entry>.bad`` for post-mortems.
 
-    Quarantine is bounded: only the newest :func:`_bad_keep` ``.bad``
-    files are retained (oldest pruned on every quarantine), so a
-    recurring corruption source cannot grow the cache directory without
-    limit.
+    ``os.replace`` overwrites the key's previous ``.bad`` file, so
+    quarantine keeps at most one per cache key.
     """
-    keep = _bad_keep()
     try:
-        if keep == 0:
-            os.unlink(path)
-        else:
-            os.replace(path, path.with_suffix(path.suffix + ".bad"))
+        os.replace(path, path.with_suffix(path.suffix + ".bad"))
     except OSError:
         # Racing process already moved/removed it; recomputing is enough.
         pass
-    if keep:
-        disk_quota.prune_matching(path.parent, ("*.json.bad",), keep=keep)
 
 
 def _store_entry(path: pathlib.Path, result: RunResult) -> None:
     """Atomically publish ``result`` at ``path`` (temp file + replace).
 
-    Honours the ``REPRO_DISK_QUOTA`` artifact budget: oldest cache
-    entries (and quarantined ``.bad`` files) are pruned until the new
-    entry fits, and an entry that cannot fit at all is skipped via
-    :class:`~repro.errors.ArtifactWriteError` — as is any ``OSError``
-    (typically ``ENOSPC``) during the write, after removing the partial
-    temp file so no ``*.tmp`` litter survives a full disk.
+    Any ``OSError`` (typically ``ENOSPC``) during the write raises
+    :class:`~repro.errors.ArtifactWriteError` after removing the partial
+    temp file, so no ``*.tmp`` litter survives a full disk.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -268,14 +224,6 @@ def _store_entry(path: pathlib.Path, result: RunResult) -> None:
         "stats": result.stats.dump(),
     }
     encoded = json.dumps(payload)
-    if not disk_quota.make_room(
-        path.parent, len(encoded), disk_quota.disk_quota_mb()
-    ):
-        raise ArtifactWriteError(
-            f"cache entry {path.name} ({len(encoded)} bytes) does not fit "
-            f"the REPRO_DISK_QUOTA budget; run left uncached",
-            path=str(path),
-        )
     try:
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=path.stem, suffix=".tmp"
@@ -336,8 +284,8 @@ def cached_run(app: str, scheme, scale: "RunScale | None" = None) -> RunResult:
         try:
             _store_entry(path, result)
         except ArtifactWriteError as err:
-            # A full disk (or an exhausted quota) degrades the run to
-            # uncached instead of discarding a finished simulation.
+            # A full disk degrades the run to uncached instead of
+            # discarding a finished simulation.
             print(f"repro: cache write skipped: {err}", file=sys.stderr)
             result.meta["uncached"] = True
     return result

@@ -16,8 +16,6 @@ import contextlib
 import os
 from dataclasses import dataclass, field
 
-from repro.guard.budget import budget_from_env
-from repro.guard.watchdog import guard_scope
 from repro.recovery import recovery_from_env
 from repro.resilience.auditor import ProtocolAuditor, auditor_from_env
 from repro.resilience.faults import injector_from_env
@@ -96,13 +94,22 @@ class RunScale:
 
 
 def scale_from_env() -> RunScale:
-    """Resolve the run scale from ``REPRO_SCALE`` (default: ``default``)."""
-    name = os.environ.get("REPRO_SCALE", "default").lower()
+    """Resolve the run scale from ``REPRO_SCALE`` (default: ``default``).
+
+    An unknown name raises :class:`ValueError`: a mistyped scale would
+    otherwise change every number without a word.
+    """
+    raw = os.environ.get("REPRO_SCALE", "").strip()
+    name = raw.lower() or "default"
     if name == "quick":
         return RunScale.quick()
     if name == "full":
         return RunScale.full()
-    return RunScale.default()
+    if name == "default":
+        return RunScale.default()
+    raise ValueError(
+        f"unknown REPRO_SCALE={raw!r}: expected quick, default or full"
+    )
 
 
 def run_app(
@@ -127,42 +134,29 @@ def run_app(
         config = scale.make_config(scheme)
     metrics = metrics_from_env()
     tracer = tracer_from_env()
-    with guard_scope(budget_from_env()) as watchdog:
-        with phase(metrics, "generate"):
-            streams = generate_streams(
-                app, config, scale.total_accesses, seed=scale.seed
+    with phase(metrics, "generate"):
+        streams = generate_streams(
+            app, config, scale.total_accesses, seed=scale.seed
+        )
+    injector = injector_from_env()
+    system = System(config, fault_injector=injector)
+    auditor = auditor_from_env()
+    recovery = recovery_from_env()
+    if recovery is not None and auditor is None:
+        # Recovery can only act at audit windows; turn detection on.
+        auditor = ProtocolAuditor()
+    try:
+        with phase(metrics, "simulate"):
+            stats = run_trace(
+                system,
+                streams,
+                auditor=auditor,
+                recovery=recovery,
+                tracer=tracer,
             )
-        injector = injector_from_env()
-        system = System(config, fault_injector=injector)
-        auditor = auditor_from_env()
-        recovery = recovery_from_env()
-        if recovery is not None and auditor is None:
-            # Recovery can only act at audit windows; turn detection on.
-            auditor = ProtocolAuditor()
-        try:
-            with phase(metrics, "simulate"):
-                stats = run_trace(
-                    system,
-                    streams,
-                    auditor=auditor,
-                    recovery=recovery,
-                    tracer=tracer,
-                )
-        finally:
-            if tracer is not None:
-                if watchdog is not None:
-                    for resource, observed, limit in watchdog.pressure_events:
-                        tracer.emit(
-                            "guard:pressure",
-                            resource=resource,
-                            observed=round(observed, 3),
-                            limit=limit,
-                        )
-                tracer.close()
-    if watchdog is not None:
-        # Degraded-mode provenance: published only when the run came
-        # under pressure, so unpressured guarded runs stay bit-identical.
-        watchdog.publish(stats)
+    finally:
+        if tracer is not None:
+            tracer.close()
     if metrics is not None:
         _harvest_metrics(metrics, stats, scheme, tracer)
         metrics.publish(stats)

@@ -102,33 +102,6 @@ class RunTimeoutError(ReproError):
     """A single simulation exceeded the harness per-run timeout."""
 
 
-class BudgetExceeded(ReproError):
-    """A run blew through a declared resource budget.
-
-    Raised by the :mod:`repro.guard` watchdog when a sampled resource
-    (wall clock, process RSS, artifact-disk bytes) crosses its
-    :class:`~repro.guard.budget.RunBudget` limit. Carries the resource
-    kind plus the observed and budgeted values, so a sweep report can
-    say exactly *which* budget a failed point hit. Flows through the
-    harness like any run failure: under ``keep_going`` it becomes a
-    :class:`~repro.analysis.runner.RunFailure` record instead of a
-    traceback.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        resource: str = "unknown",
-        observed: "float | None" = None,
-        limit: "float | None" = None,
-    ) -> None:
-        super().__init__(message)
-        self.resource = resource
-        self.observed = observed
-        self.limit = limit
-
-
 class ArtifactWriteError(ReproError):
     """An artifact (cache entry, journal record, trace capture) could
     not be durably written — most commonly ``ENOSPC``.
@@ -152,10 +125,10 @@ class ShutdownRequested(BaseException):
     Deliberately a :class:`BaseException` — like ``KeyboardInterrupt``
     — so the harness's ``keep_going`` machinery can never swallow an
     operator interrupt as just another failed run. Raised by the signal
-    handlers :func:`repro.guard.shutdown.graceful_scope` installs; the
+    handlers :func:`repro.parallel.shutdown.graceful_scope` installs; the
     sweep executor unwinds cleanly (journal already holds every
     completed point) and the CLIs exit with
-    :data:`repro.guard.shutdown.EXIT_INTERRUPTED` after printing a
+    :data:`repro.parallel.shutdown.EXIT_INTERRUPTED` after printing a
     ``--resume`` hint.
     """
 

@@ -42,19 +42,13 @@ Completions can be journaled to a crash-safe
 journaled points, so an interrupted sweep recomputes only what is
 genuinely missing.
 
-The executor is also *resource-governed* (see :mod:`repro.guard`): when
-``REPRO_BUDGET_RSS`` or ``REPRO_DISK_QUOTA`` is set, a
-:class:`~repro.guard.backpressure.PressureMonitor` bounds how many
-points are concurrently in flight and shrinks that bound when aggregate
-worker RSS or artifact-disk headroom crosses its high-water mark
-(restoring it once pressure clears). Throttling changes only submission
-timing — results stay bit-identical — and every decision lands in the
-report's ``guard`` section. A SIGINT/SIGTERM arriving mid-sweep (see
-:func:`repro.guard.shutdown.graceful_scope`) kills the pool without
+A SIGINT/SIGTERM arriving mid-sweep (see
+:func:`repro.parallel.shutdown.graceful_scope`) kills the pool without
 waiting and propagates; everything already finished is in the fsynced
 journal, so ``--resume`` picks up exactly where the interrupt landed.
 A journal append that fails with a disk-full error degrades the sweep
-to journal-less operation instead of aborting it.
+to journal-less operation instead of aborting it, and the report's
+``journal_disabled`` note says so.
 """
 
 from __future__ import annotations
@@ -77,7 +71,6 @@ from repro.analysis.runner import (
     harness,
 )
 from repro.errors import ArtifactWriteError, ShutdownRequested
-from repro.guard.backpressure import PressureMonitor, pressure_from_env
 from repro.parallel.journal import SweepJournal
 from repro.parallel.points import SweepPoint, dedupe_points
 from repro.parallel.profiling import RunProfile, SweepSummary, summarize
@@ -85,24 +78,37 @@ from repro.parallel.supervisor import SupervisorPolicy, supervisor_from_env
 from repro.sim.results import RunResult
 from repro.sim.stats import SimStats
 from repro.telemetry import (
-    JsonlSink,
-    Tracer,
     jsonl_trace_enabled,
     merge_snapshots,
     merge_worker_traces,
-    trace_base_path,
 )
 
 
+def parse_jobs(raw: str) -> "int | None":
+    """``raw`` as a worker count, or None unless it is an integer >= 1."""
+    try:
+        jobs = int(raw)
+    except ValueError:
+        return None
+    return jobs if jobs >= 1 else None
+
+
 def resolve_jobs(jobs: "int | None" = None) -> int:
-    """Resolve the worker count: explicit > ``REPRO_JOBS`` > cpu count."""
+    """Resolve the worker count: explicit > ``REPRO_JOBS`` > cpu count.
+
+    A ``REPRO_JOBS`` that is not an integer >= 1 is ignored with a
+    warning on stderr (the figure CLI refuses it instead).
+    """
     if jobs is None:
         raw = os.environ.get("REPRO_JOBS", "").strip()
         if raw:
-            try:
-                jobs = int(raw)
-            except ValueError:
-                jobs = None
+            jobs = parse_jobs(raw)
+            if jobs is None:
+                print(
+                    f"repro: ignoring invalid REPRO_JOBS={raw!r} (expected "
+                    f"an integer >= 1); using the CPU count",
+                    file=sys.stderr,
+                )
     if jobs is None:
         jobs = os.cpu_count() or 1
     return max(1, jobs)
@@ -159,13 +165,14 @@ class SweepReport:
     crashed_points: int = 0
     #: Points satisfied from the sweep journal under ``resume=True``.
     resumed_points: int = 0
-    #: Resource-governance provenance: backpressure throttle decisions
-    #: and journal degradation, published only when something happened
-    #: (empty for clean sweeps, matching the ``stats.guard`` contract).
-    guard: "dict[str, object]" = field(default_factory=dict)
+    #: Why the sweep journal was disabled mid-sweep (a failed append,
+    #: typically a full disk); empty when it never was.
+    journal_disabled: str = ""
 
     def summary(self) -> SweepSummary:
-        return summarize(self.profiles, self.jobs, self.wall_s, self.guard)
+        return summarize(
+            self.profiles, self.jobs, self.wall_s, self.journal_disabled
+        )
 
     def telemetry(self) -> dict:
         """The merged telemetry snapshot across every result.
@@ -449,7 +456,7 @@ def run_sweep(
     degraded = False
     crashed_points = 0
     resumed_points = 0
-    guard_info: "dict[str, object]" = {}
+    journal_disabled = ""
 
     journaled: "dict[str, dict]" = {}
     if journal is not None:
@@ -460,7 +467,7 @@ def run_sweep(
 
     def finish_point(index, point, result, profile, point_failures) -> None:
         """Record a newly computed point (and journal its completion)."""
-        nonlocal journal
+        nonlocal journal, journal_disabled
         results[index] = result
         profiles[index] = profile
         indexed_failures.extend((index, f) for f in point_failures)
@@ -483,7 +490,7 @@ def run_sweep(
                 f"repro: sweep journal disabled: {err}",
                 file=sys.stderr,
             )
-            guard_info["journal_disabled"] = str(err)
+            journal_disabled = str(err)
             journal = None
 
     # Resolve journaled points first; only the rest is (re)computed.
@@ -513,7 +520,6 @@ def run_sweep(
         else:
             pending.append((index, point))
 
-    monitor: "PressureMonitor | None" = None
     if jobs <= 1 or len(pending) <= 1:
         for index, point in pending:
             seen = len(policy.failures)
@@ -530,10 +536,6 @@ def run_sweep(
         queue: "deque[tuple[int, SweepPoint]]" = deque(pending)
         in_flight: "dict" = {}
         pool = None
-        pressure = pressure_from_env(jobs)
-        if pressure is not None:
-            monitor = PressureMonitor(jobs, pressure)
-        artifact_dir = result_cache.cache_dir()
         try:
             while queue or in_flight:
                 if degraded:
@@ -556,16 +558,7 @@ def run_sweep(
                         initializer=_init_worker,
                         initargs=initargs,
                     )
-                # Backpressure: bound how many points are concurrently
-                # submitted instead of resizing the pool. Results are
-                # keyed by submission index, so throttling only changes
-                # *when* points run, never *what* they compute — a
-                # throttled sweep stays bit-identical to a clean one.
-                effective = jobs
-                if monitor is not None:
-                    worker_pids = list(getattr(pool, "_processes", {}) or {})
-                    effective = monitor.update(worker_pids, artifact_dir)
-                while queue and len(in_flight) < effective:
+                while queue and len(in_flight) < jobs:
                     index, point = queue.popleft()
                     future = pool.submit(_run_point, index, point)
                     in_flight[future] = (index, point)
@@ -642,27 +635,8 @@ def run_sweep(
             if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)
 
-    if monitor is not None:
-        throttling = monitor.describe()
-        if throttling:
-            guard_info["backpressure"] = throttling
-
     if jsonl_trace_enabled():
         merge_worker_traces()
-        if monitor is not None and monitor.events:
-            # Throttle decisions join the structured trace, so a traced
-            # sweep's timeline shows *why* it slowed down.
-            tracer = Tracer(JsonlSink(trace_base_path()))
-            for event in monitor.events:
-                tracer.emit(
-                    f"guard:{event.action}",
-                    reason=event.reason,
-                    jobs_from=event.jobs_from,
-                    jobs_to=event.jobs_to,
-                    observed=round(event.observed, 3),
-                    limit=round(event.limit, 3),
-                )
-            tracer.close()
 
     # Failure reporting stays deterministic (submission order) no matter
     # which worker finished, crashed, or got salvaged first.
@@ -685,5 +659,5 @@ def run_sweep(
         degraded_serial=degraded,
         crashed_points=crashed_points,
         resumed_points=resumed_points,
-        guard=guard_info,
+        journal_disabled=journal_disabled,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pstats
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,9 @@ class SweepSummary:
     #: parallel speedup.
     cpu_s: float
     slowest: "RunProfile | None"
-    #: Resource-governance provenance of the sweep (backpressure
-    #: throttling, journal degradation); empty for clean sweeps.
-    guard: "dict[str, object]" = field(default_factory=dict)
+    #: Why the sweep journal was disabled mid-sweep; empty when it
+    #: never was.
+    journal_disabled: str = ""
 
     @property
     def speedup(self) -> float:
@@ -88,18 +88,9 @@ class SweepSummary:
                 f"({slow.accesses_per_s:,.0f} accesses/s, "
                 f"worker {slow.worker})"
             )
-        throttling = self.guard.get("backpressure")
-        if isinstance(throttling, dict):
-            events = throttling.get("throttle_events") or []
+        if self.journal_disabled:
             lines.append(
-                f"  backpressure: {len(events)} throttle event(s), "
-                f"jobs dipped to {throttling.get('min_effective_jobs')} "
-                f"of {throttling.get('jobs')}"
-            )
-        if self.guard.get("journal_disabled"):
-            lines.append(
-                "  journal: disabled mid-sweep "
-                f"({self.guard['journal_disabled']})"
+                f"  journal: disabled mid-sweep ({self.journal_disabled})"
             )
         return "\n".join(lines)
 
@@ -108,7 +99,7 @@ def summarize(
     profiles: "list[RunProfile]",
     jobs: int,
     wall_s: float,
-    guard: "dict[str, object] | None" = None,
+    journal_disabled: str = "",
 ) -> SweepSummary:
     """Fold a sweep's :class:`RunProfile` list into a :class:`SweepSummary`."""
     computed = [p for p in profiles if not p.cache_hit and not p.failed]
@@ -122,7 +113,7 @@ def summarize(
         wall_s=wall_s,
         cpu_s=sum(p.wall_s for p in profiles),
         slowest=slowest,
-        guard=dict(guard or {}),
+        journal_disabled=journal_disabled,
     )
 
 

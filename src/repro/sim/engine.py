@@ -31,11 +31,9 @@ The loop also honours the harness deadline
 (:mod:`repro.sim.deadline`): every ``CHECK_STRIDE`` accesses it checks
 the armed wall-clock limit and raises
 :class:`~repro.errors.RunTimeoutError` once exceeded, which is what
-makes per-run timeouts work inside process-pool workers. The same
-stride samples the :mod:`repro.guard` resource watchdog, so an armed
-``RunBudget`` (wall clock, peak RSS) raises a structured
-:class:`~repro.errors.BudgetExceeded` within one stride of the limit
-being crossed — in any lane, on any platform, in any worker.
+makes per-run timeouts work inside process-pool workers. It is the
+engine's one wall-clock limit: each lane makes one limiter call per
+stride.
 
 The engine has two lanes over the same protocol code (see
 :mod:`repro.sim.fastpath`): unobserved runs take the fast lane, whose
@@ -50,7 +48,6 @@ from __future__ import annotations
 import heapq
 
 from repro.errors import InvariantViolation, ProtocolError, TraceError
-from repro.guard.watchdog import check_watchdog
 from repro.sim.deadline import CHECK_STRIDE, check_deadline
 from repro.sim.fastpath import fast_lane_from_env
 from repro.sim.stats import SimStats
@@ -202,7 +199,6 @@ class TraceEngine:
             processed += 1
             if processed % CHECK_STRIDE == 0:
                 check_deadline()
-                check_watchdog()
             if auditor is not None and processed % auditor.interval == 0:
                 self._audit(system)
             if warmup_left and processed == warmup_left:
@@ -366,7 +362,6 @@ class TraceEngine:
             if processed == next_event:
                 if processed == next_check:
                     check_deadline()
-                    check_watchdog()
                     next_check += CHECK_STRIDE
                 if processed == warmup_left:
                     # stats.reset() zeroes every counter, so the batch is

@@ -63,13 +63,6 @@ class SimStats:
         #: excluded from dumps) otherwise — same bit-identity contract
         #: as the recovery section.
         self.telemetry: "dict[str, object]" = {}
-        #: Resource-governance (degraded-mode) provenance, published by
-        #: the :mod:`repro.guard` watchdog when a run came under
-        #: resource pressure (budget near-miss, throttling); empty (and
-        #: excluded from dumps) otherwise — same bit-identity contract
-        #: as the recovery section, so degraded numbers can never be
-        #: silently mixed with clean ones.
-        self.guard: "dict[str, object]" = {}
 
     def reset(self) -> None:
         """Zero every counter in place (end of warmup).
@@ -226,8 +219,6 @@ class SimStats:
             snapshot["recovery"] = dict(self.recovery)
         if self.telemetry:
             snapshot["telemetry"] = dict(self.telemetry)
-        if self.guard:
-            snapshot["guard"] = dict(self.guard)
         return snapshot
 
     def dump(self) -> "dict[str, object]":
@@ -244,8 +235,6 @@ class SimStats:
             payload["recovery"] = dict(self.recovery)
         if self.telemetry:
             payload["telemetry"] = dict(self.telemetry)
-        if self.guard:
-            payload["guard"] = dict(self.guard)
         return payload
 
     @classmethod
@@ -260,6 +249,5 @@ class SimStats:
         stats.structures = dict(payload["structures"])
         stats.recovery = dict(payload.get("recovery") or {})
         stats.telemetry = dict(payload.get("telemetry") or {})
-        stats.guard = dict(payload.get("guard") or {})
         stats.traffic = TrafficMeter.load(payload["traffic"])
         return stats

@@ -106,11 +106,8 @@ EVENT_KINDS: "tuple[str, ...]" = (
     "fault:lose_eviction_notice",
     "fault:corrupt_directory_entry",
     "fault:corrupt_tiny_entry",
-    # Self-healing and resource governance.
+    # Self-healing.
     "recovery:repair",
-    "guard:pressure",
-    "guard:throttle",
-    "guard:restore",
 )
 
 

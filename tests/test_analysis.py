@@ -47,6 +47,9 @@ class TestRunScale:
         assert scale_from_env() == RunScale.full()
         monkeypatch.delenv("REPRO_SCALE")
         assert scale_from_env() == RunScale.default()
+        monkeypatch.setenv("REPRO_SCALE", "quik")
+        with pytest.raises(ValueError, match="'quik'.*quick, default or full"):
+            scale_from_env()
 
     def test_make_config_preserves_ratios(self):
         config = RunScale().make_config(SparseSpec())

@@ -120,6 +120,47 @@ class TestCacheOff:
             assert "REPRO_CACHE_DIR" in captured.err
 
 
+class TestInvalidKnobs:
+    """A ``REPRO_JOBS`` or ``REPRO_CACHE`` value the CLI cannot honour is
+    a usage error that names the knob, never silently ignored."""
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("REPRO_JOBS", "abc"),
+            ("REPRO_JOBS", "0"),
+            ("REPRO_JOBS", "-3"),
+            ("REPRO_CACHE", "false"),
+            ("REPRO_CACHE", "of"),
+        ],
+    )
+    def test_invalid_value_is_a_usage_error(
+        self, capsys, monkeypatch, name, value
+    ):
+        monkeypatch.setenv(name, value)
+        code = main(["fig07", "--scale", "quick", "--apps", "compress"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"invalid {name}={value!r}" in captured.err
+
+    def test_jobs_flag_overrides_the_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        code = main(["fig07", "--scale", "quick", "--apps", "compress",
+                     "--jobs", "1"])
+        assert code == 0
+        assert "REPRO_JOBS" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["ON", "No"])
+    def test_cache_values_are_case_insensitive(
+        self, capsys, monkeypatch, value
+    ):
+        monkeypatch.setenv("REPRO_CACHE", value)
+        monkeypatch.setenv("REPRO_JOBS", "1")  # serial: no pool to start
+        code = main(["fig07", "--scale", "quick", "--apps", "compress"])
+        assert code == 0
+        assert "Fig. 7" in capsys.readouterr().out
+
 
 class TestObservingNeedsColdCache:
     """A cached point is replayed, not simulated, so tracing, auditing or

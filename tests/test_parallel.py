@@ -66,9 +66,10 @@ class TestResolveJobs:
         monkeypatch.setenv("REPRO_JOBS", "5")
         assert resolve_jobs() == 5
 
-    def test_invalid_env_ignored(self, monkeypatch):
+    def test_invalid_env_ignored(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_JOBS", "lots")
         assert resolve_jobs() >= 1
+        assert "ignoring invalid REPRO_JOBS='lots'" in capsys.readouterr().err
 
     def test_clamped_to_one(self):
         assert resolve_jobs(0) == 1

@@ -8,11 +8,14 @@ corrupt cache entries are quarantined and recomputed; ``keep_going``
 collects per-run failures instead of aborting.
 """
 
+import errno
 import json
+import os
 
 import pytest
 
-from repro.analysis.cache import cached_run
+from repro.analysis import cache as result_cache
+from repro.analysis.cache import cached_run, clear_failed_marks, point_key
 from repro.analysis.runner import (
     HarnessPolicy,
     RunFailure,
@@ -20,7 +23,12 @@ from repro.analysis.runner import (
     harness,
     run_app_guarded,
 )
-from repro.errors import InvariantViolation, RunTimeoutError
+from repro.errors import (
+    ArtifactWriteError,
+    InvariantViolation,
+    RunTimeoutError,
+)
+from repro.parallel import SweepJournal, SweepPoint, run_sweep
 from repro.resilience import (
     Fault,
     FaultInjector,
@@ -41,11 +49,37 @@ from repro.sim.config import (
 from repro.sim.engine import run_trace
 from repro.sim.system import System
 from repro.telemetry import NULL_TRACER
+from repro.types import Access, AccessKind
+from repro.workloads.capture import TraceWriter
 from repro.workloads.generator import generate_streams
 from repro.workloads.profiles import profile
 
 AUDIT_INTERVAL = 250
 INJECT_AT = 1000  # audit-window boundary: corruption is seen immediately
+
+SCALE = RunScale(num_cores=8, total_accesses=3000, spill_window=64)
+
+SPEC = TinySpec(ratio=1 / 64, policy="gnru", spill_window=SCALE.spill_window)
+
+
+def _points(scale=SCALE):
+    """Three small, scheme-diverse sweep points."""
+    return [
+        SweepPoint("barnes", SparseSpec(ratio=2.0), scale),
+        SweepPoint("ocean_cp", InLLCSpec(), scale),
+        SweepPoint("barnes", SPEC, scale),
+    ]
+
+
+@pytest.fixture
+def isolated_cache(tmp_path, monkeypatch):
+    """An isolated cache dir, the cache on, and no failure marks."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setenv("REPRO_CACHE", "on")
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    clear_failed_marks()
+    yield
+    clear_failed_marks()
 
 
 def _build(spec, fault_kind=None, num_cores: int = 8):
@@ -255,6 +289,21 @@ class TestCrashSafeCache:
         # And the recomputed entry is valid and served from cache now.
         third = cached_run("barnes", SparseSpec(ratio=2.0), scale)
         assert third.meta.get("cached")
+        # A second corruption of the same entry replaces its quarantined
+        # copy: .bad files never outnumber cache entries.
+        entry.write_text(entry.read_text()[: len(entry.read_text()) // 2])
+        fourth = cached_run("barnes", SparseSpec(ratio=2.0), scale)
+        assert fourth.stats.dump() == first.stats.dump()
+        assert not fourth.meta.get("cached")
+        assert len(list(tmp_path.glob("*.json.bad"))) == 1
+
+    def test_point_key_is_stable(self, monkeypatch):
+        # Existing caches stay valid: the key of a clean point is the
+        # one earlier releases computed.
+        for name in [k for k in os.environ if k.startswith("REPRO_")]:
+            monkeypatch.delenv(name)
+        key = point_key("barnes", SparseSpec(ratio=2.0), RunScale.quick())
+        assert key == "4608e03d3faa63e578f46fb3"
 
     def test_no_temp_files_left_behind(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -277,6 +326,99 @@ class TestCrashSafeCache:
             result = cached_run("barnes", SparseSpec(ratio=2.0), self._scale())
         assert result.meta.get("failed")
         assert not list(tmp_path.glob("*.json"))
+
+    @pytest.mark.usefixtures("isolated_cache")
+    def test_enospc_degrades_to_uncached_without_litter(
+        self, monkeypatch, capsys
+    ):
+        cdir = result_cache.cache_dir()
+        real_replace = os.replace
+
+        def exploding_replace(src, dst, **kwargs):
+            if os.fspath(dst).startswith(os.fspath(cdir)):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_replace(src, dst, **kwargs)
+
+        monkeypatch.setattr(os, "replace", exploding_replace)
+        result = cached_run("barnes", SPEC, SCALE)
+        assert result.meta.get("uncached")
+        assert "cache write skipped" in capsys.readouterr().err
+        assert list(cdir.glob("*.tmp")) == []
+
+
+# ----------------------------------------------------------------------
+# Journal and capture writers under ENOSPC
+# ----------------------------------------------------------------------
+
+@pytest.mark.usefixtures("isolated_cache")
+class TestJournalWriteFailure:
+    def test_append_failure_is_structured(self, tmp_path):
+        blocked = tmp_path / "journal-as-dir"
+        blocked.mkdir()
+        journal = SweepJournal(blocked)
+        with pytest.raises(ArtifactWriteError) as excinfo:
+            journal.record_ok("some-key")
+        assert excinfo.value.path == str(blocked)
+
+    def test_sweep_degrades_to_journal_less(self, monkeypatch, capsys):
+        journal = SweepJournal(result_cache.cache_dir() / "sweep.journal")
+
+        def exploding_append(*args, **kwargs):
+            raise ArtifactWriteError(
+                "simulated full disk", path=str(journal.path)
+            )
+
+        monkeypatch.setattr(journal, "record_ok", exploding_append)
+        points = _points()[:2]
+        report = run_sweep(points, jobs=1, journal=journal)
+        assert len(report.results) == 2
+        assert all(r is not None for r in report.results)
+        assert "simulated full disk" in report.journal_disabled
+        assert "sweep journal disabled" in capsys.readouterr().err
+        summary = report.summary().render()
+        assert "journal: disabled mid-sweep" in summary
+
+
+class TestCaptureWriteFailure:
+    class _ExplodingFile:
+        def __init__(self, real):
+            self._real = real
+
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def flush(self):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def fileno(self):
+            return self._real.fileno()
+
+        def close(self):
+            self._real.close()
+
+    def test_create_failure_is_structured(self, tmp_path):
+        blocking_file = tmp_path / "not-a-dir"
+        blocking_file.write_text("x")
+        with pytest.raises(ArtifactWriteError):
+            TraceWriter(blocking_file / "t.rtrace", num_cores=1)
+
+    def test_stream_write_failure_cleans_tmp(self, tmp_path):
+        writer = TraceWriter(tmp_path / "t.rtrace", num_cores=1)
+        writer._file = self._ExplodingFile(writer._file)
+        accesses = [Access(0, 4, AccessKind.READ)]
+        with pytest.raises(ArtifactWriteError):
+            writer.write_stream(0, accesses)
+        assert not writer._tmp.exists()
+        assert not writer.path.exists()
+
+    def test_finalize_failure_cleans_tmp(self, tmp_path):
+        writer = TraceWriter(tmp_path / "t.rtrace", num_cores=1)
+        writer.write_stream(0, [])
+        writer._file = self._ExplodingFile(writer._file)
+        with pytest.raises(ArtifactWriteError):
+            writer.close()
+        assert not writer._tmp.exists()
+        assert not writer.path.exists()
 
 
 class TestHardenedHarness:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""CI chaos smoke: recovery under faults, worker kills, resource chaos.
+"""CI chaos smoke: recovery under faults, worker kills, SIGTERM.
 
-Five phases, all small enough for a CI job:
+Three phases, all small enough for a CI job:
 
 1. **Recovery smoke** — for every scheme family, run one application
    with a directory corruption injected mid-trace
@@ -14,14 +14,7 @@ Five phases, all small enough for a CI job:
    assert the sweep still completes every point, respawned the pool,
    and the injected-fault repairs show up in the swept results'
    recovery sections.
-3. **RSS-budget smoke** — arm a ballast ``REPRO_BUDGET_RSS`` far below
-   the interpreter's resident set and assert the watchdog converts the
-   doomed run into a structured ``BudgetExceeded`` keep-going failure
-   (never a crash), and that disarming the budget restores clean runs.
-4. **Disk-quota smoke** — run a sweep under a tiny ``REPRO_DISK_QUOTA``
-   and assert it completes degraded: entries pruned/skipped to fit the
-   quota, no stray ``*.tmp`` litter, results still correct.
-5. **SIGTERM smoke** — SIGTERM a child mid-sweep and assert the
+3. **SIGTERM smoke** — SIGTERM a child mid-sweep and assert the
    distinct resumable exit code, a loadable flushed journal, and that
    ``resume=True`` completes the sweep without recomputing journaled
    points.
@@ -168,81 +161,10 @@ def worker_kill_smoke() -> None:
     )
 
 
-# ----------------------------------------------------------------------
-# Resource chaos (see repro.guard and docs/resilience.md)
-# ----------------------------------------------------------------------
-
-def rss_budget_smoke() -> None:
-    """A ballast RSS budget trips as a structured failure, not a crash."""
-    from repro.analysis.runner import HarnessPolicy, run_app_guarded
-    from repro.guard.watchdog import process_rss_mb
-    from repro.sim.config import SparseSpec
-
-    if process_rss_mb() is None:
-        print("rss-budget: skipped (no RSS introspection on this platform)")
-        return
-    policy = HarnessPolicy(keep_going=True)
-    # 16 MB is ballast: a bare interpreter already sits far above it,
-    # so the very first watchdog sample must trip.
-    os.environ["REPRO_BUDGET_RSS"] = "16"
-    try:
-        result = run_app_guarded("barnes", SparseSpec(ratio=2.0),
-                                 policy=policy)
-    finally:
-        del os.environ["REPRO_BUDGET_RSS"]
-    assert policy.failures, "rss-budget: 16 MB budget did not trip"
-    error = policy.failures[-1].error
-    assert "BudgetExceeded" in error, (
-        f"rss-budget: expected BudgetExceeded, got: {error}"
-    )
-    assert result.meta.get("failed"), "rss-budget: placeholder missing"
-    clean = run_app_guarded("barnes", SparseSpec(ratio=2.0),
-                            policy=HarnessPolicy(keep_going=True))
-    assert not clean.meta.get("failed"), "rss-budget: budget leaked"
-    assert not clean.stats.guard, "rss-budget: guard section on clean run"
-    print(f"rss-budget: tripped structurally ({error.split('(')[0].strip()})")
-
-
-def disk_quota_smoke() -> None:
-    """A tiny artifact quota degrades cache writes, never the sweep."""
-    from repro.analysis.runner import HarnessPolicy, scale_from_env
-    from repro.parallel import SweepPoint, run_sweep
-    from repro.sim.config import SparseSpec, TinySpec
-
-    quota_mb = 0.02  # 20 KB: at most one entry survives
-    scale = scale_from_env()
-    points = [
-        SweepPoint("barnes", SparseSpec(ratio=2.0), scale),
-        SweepPoint("swaptions", TinySpec(ratio=1 / 32, policy="gnru",
-                                         spill=True,
-                                         spill_window=scale.spill_window),
-                   scale),
-    ]
-    cache_dir = pathlib.Path(tempfile.mkdtemp(prefix="chaos-quota-"))
-    os.environ["REPRO_DISK_QUOTA"] = str(quota_mb)
-    saved_cache = os.environ["REPRO_CACHE_DIR"]
-    os.environ["REPRO_CACHE_DIR"] = str(cache_dir)
-    try:
-        report = run_sweep(points, jobs=1,
-                           policy=HarnessPolicy(keep_going=True))
-    finally:
-        os.environ["REPRO_CACHE_DIR"] = saved_cache
-        del os.environ["REPRO_DISK_QUOTA"]
-    assert not report.failures, f"disk-quota: sweep failed: {report.failures}"
-    used = sum(p.stat().st_size for p in cache_dir.glob("*.json"))
-    assert used <= quota_mb * 1024 * 1024, (
-        f"disk-quota: {used} cached bytes exceed the quota"
-    )
-    litter = list(cache_dir.glob("*.tmp"))
-    assert not litter, f"disk-quota: stray temp files: {litter}"
-    print(f"disk-quota: sweep degraded cleanly ({used} cached bytes "
-          f"within {int(quota_mb * 1024 * 1024)})")
-
-
 def _sigterm_child(points, cache_dir: str) -> None:
     from repro.analysis.runner import HarnessPolicy
     from repro.errors import ShutdownRequested
-    from repro.guard.shutdown import EXIT_INTERRUPTED, graceful_scope
+    from repro.parallel.shutdown import EXIT_INTERRUPTED, graceful_scope
     from repro.parallel import SweepJournal, run_sweep
 
     os.environ["REPRO_CACHE_DIR"] = cache_dir
@@ -262,7 +184,7 @@ def sigterm_smoke() -> None:
     import time
 
     from repro.analysis.runner import HarnessPolicy, scale_from_env
-    from repro.guard.shutdown import EXIT_INTERRUPTED
+    from repro.parallel.shutdown import EXIT_INTERRUPTED
     from repro.parallel import SweepJournal, SweepPoint, run_sweep
     from repro.sim.config import SparseSpec
 
@@ -314,8 +236,6 @@ def main() -> int:
     os.environ["REPRO_CACHE"] = "on"
     recovery_smoke()
     worker_kill_smoke()
-    rss_budget_smoke()
-    disk_quota_smoke()
     sigterm_smoke()
     print("chaos_smoke: OK")
     return 0

@@ -44,7 +44,6 @@ FLAG_PAIRS = [
      ("--trace", "--trace-out", "--metrics")),
     ("src/repro/verify/cli.py", "docs/verification.md"),
     ("src/repro/verify/diff_cli.py", "docs/verification.md"),
-    ("src/repro/guard/soak.py", "docs/resilience.md"),
 ]
 
 #: ``REPRO_*`` environment variables that are implementation plumbing,
