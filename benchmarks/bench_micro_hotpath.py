@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
-"""Hot-path microbenchmarks: fast lane vs reference lane, trace cache.
+"""Hot-path microbenchmarks: the engine vs the reference loop, trace cache.
 
 Unlike the ``bench_fig*.py`` suite (which regenerates paper figures),
-this script times the *simulator itself*: the engine's private-hit fast
-lane against the reference lane on a private-hit-dominated workload and
-on a mixed tiny-directory workload, and the memoized trace cache against
-cold generation. Each point is emitted as a ``BENCH_*.json`` file via
-:func:`repro.telemetry.write_bench_point` so CI can gate regressions
-with ``tools/compare_bench.py`` against the committed baselines in
-``benchmarks/baselines/``.
+this script times the *simulator itself*: the engine (``run_trace``,
+with its inlined private-hit path) against the per-access reference
+loop in ``tests/reference_engine.py`` on a private-hit-dominated
+workload and on a mixed tiny-directory workload, and the memoized trace
+cache against cold generation. Each point is emitted as a
+``BENCH_*.json`` file via :func:`repro.telemetry.write_bench_point` so
+CI can gate regressions with ``tools/compare_bench.py`` against the
+committed baselines in ``benchmarks/baselines/``.
 
-Every timing point also asserts that the fast and reference lanes
+Every timing point also asserts that the engine and the reference loop
 produce bit-identical statistics — the perf gate doubles as a
 correctness gate.
 
@@ -32,9 +33,8 @@ import subprocess
 import sys
 import time
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-)
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.sim.config import SparseSpec, SystemConfig, TinySpec
 from repro.sim.engine import run_trace
@@ -51,7 +51,7 @@ from repro.workloads.profiles import WorkloadProfile
 #: working set (8% of the private L2, zipf 1.1) that settles into >98%
 #: L1 hits after the init pass, with just enough shared traffic to keep
 #: the home controllers honest. This is the acceptance workload for the
-#: fast lane's >= 1.5x speedup criterion.
+#: engine's >= 1.5x speedup over the reference loop.
 MICRO_PRIVATE_HIT = WorkloadProfile(
     name="micro_private_hit",
     description="hot-path microbenchmark: private-hit-dominated mix",
@@ -101,21 +101,29 @@ def _best_of(fn, repeats: int) -> float:
 
 
 def _time_lanes(config: SystemConfig, streams, repeats: int) -> dict:
-    """Time both lanes over ``streams``; assert bit-identical stats."""
+    """Time the engine and the reference loop over ``streams``; assert
+    bit-identical stats. ``fast_seconds`` is the engine's time."""
+    # Imported here, so that importing MICRO_PRIVATE_HIT from this module
+    # does not load the reference loop.
+    sys.path.insert(0, os.path.join(ROOT, "tests"))
+    from reference_engine import reference_trace
+
     results = {}
 
-    def run_lane(fast: bool):
-        return run_trace(System(config), streams, fast_path=fast)
+    def run_reference():
+        return reference_trace(System(config), streams)
 
-    reference_stats = run_lane(False)
-    fast_stats = run_lane(True)
-    if reference_stats.dump() != fast_stats.dump():
+    def run_engine():
+        return run_trace(System(config), streams)
+
+    reference_stats = run_reference()
+    if reference_stats.dump() != run_engine().dump():
         raise SystemExit(
-            "bench_micro_hotpath: fast lane diverged from the reference "
-            "lane — statistics are not bit-identical"
+            "bench_micro_hotpath: the engine diverged from the reference "
+            "loop — statistics are not bit-identical"
         )
-    results["ref_seconds"] = _best_of(lambda: run_lane(False), repeats)
-    results["fast_seconds"] = _best_of(lambda: run_lane(True), repeats)
+    results["ref_seconds"] = _best_of(run_reference, repeats)
+    results["fast_seconds"] = _best_of(run_engine, repeats)
     results["speedup"] = results["ref_seconds"] / results["fast_seconds"]
     results["accesses"] = reference_stats.accesses
     results["l1_hit_fraction"] = reference_stats.l1_hits / max(
@@ -125,7 +133,7 @@ def _time_lanes(config: SystemConfig, streams, repeats: int) -> dict:
 
 
 def bench_private_hit(total_accesses: int, repeats: int) -> dict:
-    """Fast vs reference lane on the private-hit-dominated workload."""
+    """Engine vs reference loop on the private-hit-dominated workload."""
     config = SystemConfig(num_cores=_CORES, scheme=SparseSpec())
     streams = generate_streams(
         MICRO_PRIVATE_HIT, config, total_accesses, seed=_SEED
@@ -142,7 +150,7 @@ def bench_private_hit(total_accesses: int, repeats: int) -> dict:
 
 
 def bench_mixed_tiny(total_accesses: int, repeats: int) -> dict:
-    """Fast vs reference lane on a mixed workload under TinySpec(spill)."""
+    """Engine vs reference loop on a mixed workload under TinySpec(spill)."""
     config = SystemConfig(
         num_cores=_CORES, scheme=TinySpec(spill=True)
     )
@@ -151,9 +159,9 @@ def bench_mixed_tiny(total_accesses: int, repeats: int) -> dict:
     return {
         "metrics": metrics,
         # Mixed traffic spends most of its time in the home controllers,
-        # so the lane gain is modest and noisy — the gate only demands
-        # the fast lane never loses to the reference lane (floor_only:
-        # no baseline-relative tolerance check).
+        # so the engine's gain is modest and noisy — the gate only
+        # demands the engine never loses to the reference loop
+        # (floor_only: no baseline-relative tolerance check).
         "gate": {
             "speedup": {"direction": "higher", "floor": 1.0, "floor_only": True}
         },

@@ -75,7 +75,6 @@ from repro.sim.config import (
     TinySpec,
 )
 from repro.sim.engine import TraceEngine, run_trace
-from repro.sim.fastpath import fast_lane_from_env
 from repro.sim.results import RunResult
 from repro.sim.stats import SimStats
 from repro.sim.system import System
@@ -162,7 +161,6 @@ __all__ = [
     "clear_trace_cache",
     "collect_points",
     "diff_trace",
-    "fast_lane_from_env",
     "fuzz_run",
     "generate_streams",
     "graceful_scope",

@@ -99,7 +99,7 @@ class PrivateCore:
     def classify(self, addr: int, kind: AccessKind) -> int:
         """Probe the hierarchy for an access; returns an int code.
 
-        The fast-lane twin of :meth:`probe` — identical side effects
+        The allocation-free twin of :meth:`probe` — identical side effects
         (recency touches in both levels, L1 promotion on an L2 hit, the
         silent E->M write upgrade, the inclusion check) but an int code
         instead of a :class:`ProbeResult` allocation. This is the single
@@ -151,8 +151,8 @@ class PrivateCore:
         On an L2 hit the block is promoted into the appropriate L1. A
         write that finds the block in S state reports ``needs_upgrade``;
         a write that finds it in E state silently upgrades to M.
-        Delegates to :meth:`classify`, so the reference and fast lanes
-        share one probe implementation.
+        Delegates to :meth:`classify`, whose hit logic the engine's
+        unobserved path inlines.
         """
         code = self.classify(addr, kind)
         if code == 0:

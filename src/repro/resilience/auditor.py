@@ -49,11 +49,6 @@ class ProtocolAuditor:
         """Attach the flight recorder to the system's protocol transitions."""
         attach_observer(system, self.recorder)
 
-    def maybe_audit(self, system, processed: int) -> None:
-        """Audit when ``processed`` falls on an audit boundary."""
-        if processed % self.interval == 0:
-            self.audit(system)
-
     def audit(self, system) -> None:
         """Verify every invariant now; raise an enriched violation."""
         self.audits += 1

@@ -32,15 +32,16 @@ The loop also honours the harness deadline
 the armed wall-clock limit and raises
 :class:`~repro.errors.RunTimeoutError` once exceeded, which is what
 makes per-run timeouts work inside process-pool workers. It is the
-engine's one wall-clock limit: each lane makes one limiter call per
-stride.
+engine's one wall-clock limit.
 
-The engine has two lanes over the same protocol code (see
-:mod:`repro.sim.fastpath`): unobserved runs take the fast lane, whose
-private-hit short circuit and batched counters produce statistics
-bit-identical to the reference lane; any observer (auditor, oracle,
-recovery, tracer, fault injector) or ``REPRO_FAST=off`` selects the
-reference lane.
+There is one loop for every run. An unobserved run takes the inlined
+private-hit path: a hit costs an L1 list test, a state-dict lookup and
+batched counters, with no :meth:`System.access` call. The auditor, the
+oracle, the recovery manager, an enabled tracer and a fault injector
+each need to see every access, so an *observed* run sends each access
+through :meth:`System.access`, bracketed by the per-access hooks. The
+two paths produce bit-identical statistics; the tests hold the engine
+to a per-access reference loop kept in ``tests/reference_engine.py``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ import heapq
 
 from repro.errors import InvariantViolation, ProtocolError, TraceError
 from repro.sim.deadline import CHECK_STRIDE, check_deadline
-from repro.sim.fastpath import fast_lane_from_env
 from repro.sim.stats import SimStats
 from repro.sim.system import System
 from repro.telemetry import NULL_TRACER, attach_observer
@@ -76,7 +76,6 @@ class TraceEngine:
         oracle=None,
         recovery=None,
         tracer=None,
-        fast_path: "bool | None" = None,
     ) -> None:
         if len(streams) > system.config.num_cores:
             raise ValueError(
@@ -94,29 +93,11 @@ class TraceEngine:
         #: observer) plus the engine's own per-access ``txn:*``,
         #: ``measure:start`` and ``audit:*`` events, which go only here.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Fast-lane preference; None resolves from ``REPRO_FAST``.
-        self.fast_path = (
-            fast_lane_from_env() if fast_path is None else fast_path
-        )
-
-    def fast_lane_engaged(self) -> bool:
-        """True when this run will execute on the fast lane.
-
-        The fast lane only engages for *unobserved* runs: no auditor, no
-        value oracle, no recovery manager, no enabled tracer, and no
-        fault injector — each of those needs to see every individual
-        access, which the private-hit short circuit skips. Observed runs
-        silently fall back to the reference lane, so correctness tooling
-        never has to know the fast lane exists.
-        """
-        return (
-            self.fast_path
-            and self.auditor is None
-            and self.oracle is None
-            and self.recovery is None
-            and not self.tracer.enabled
-            and self.system.fault_injector is None
-        )
+        #: Accesses the last :meth:`run` executed, in total and per
+        #: stream. Both are set when the run returns or raises; an access
+        #: counts once :meth:`System.access` has returned it.
+        self.processed = 0
+        self.executed = [0] * len(streams)
 
     def _audit(self, system) -> None:
         """One audit window, routed through recovery when enabled."""
@@ -134,111 +115,27 @@ class TraceEngine:
         if self.tracer.enabled:
             self.tracer.emit("audit:window", audits=self.auditor.audits)
 
-    def run(self) -> SimStats:
-        """Run every stream to completion; returns finalized stats."""
-        if self.fast_lane_engaged():
-            return self._run_fast()
-        return self._run_reference()
+    def run(self, limit: "int | None" = None) -> SimStats:
+        """Run the streams and return finalized stats.
 
-    def _run_reference(self) -> SimStats:
-        """The reference lane: full observer support, one
-        :meth:`System.access` call per access."""
-        system = self.system
-        auditor = self.auditor
-        oracle = self.oracle
-        tracer = self.tracer
-        if auditor is not None:
-            auditor.install(system)
-        if tracer.enabled:
-            attach_observer(system, tracer)
-        total = sum(len(stream) for stream in self.streams)
-        warmup_left = int(total * self.warmup_fraction)
-        if total and warmup_left >= total:
-            # Degenerate fraction/rounding: always measure >= 1 access.
-            warmup_left = total - 1
-        heap = [
-            (0, core, 0)
-            for core, stream in enumerate(self.streams)
-            if stream
-        ]
-        heapq.heapify(heap)
-        finish = 0
-        measure_start = 0
-        processed = 0
-        while heap:
-            clock, core, index = heapq.heappop(heap)
-            acc = self.streams[core][index]
-            issue_time = clock + acc.gap
-            if tracer.enabled:
-                tracer.emit(
-                    "txn:start",
-                    cycle=issue_time,
-                    core=acc.core,
-                    addr=acc.addr,
-                    op=acc.kind.name,
-                )
-            pre_state = (
-                oracle.pre_state(system, acc.core, acc.addr)
-                if oracle is not None
-                else None
-            )
-            latency = system.access(acc, issue_time)
-            if oracle is not None:
-                oracle.observe(system, acc.core, acc.addr, acc.kind, pre_state)
-            done = issue_time + latency
-            if tracer.enabled:
-                tracer.emit(
-                    "txn:finish",
-                    cycle=done,
-                    core=acc.core,
-                    addr=acc.addr,
-                    latency=latency,
-                )
-            if done > finish:
-                finish = done
-            processed += 1
-            if processed % CHECK_STRIDE == 0:
-                check_deadline()
-            if auditor is not None and processed % auditor.interval == 0:
-                self._audit(system)
-            if warmup_left and processed == warmup_left:
-                system.stats.reset()
-                measure_start = finish
-                if tracer.enabled:
-                    tracer.emit(
-                        "measure:start",
-                        cycle=finish,
-                        warmup_accesses=processed,
-                    )
-            index += 1
-            if index < len(self.streams[core]):
-                heapq.heappush(heap, (done, core, index))
-        if auditor is not None and (total == 0 or processed % auditor.interval):
-            # Close the final (partial) audit window.
-            self._audit(system)
-        stats = system.finalize()
-        stats.cycles = max(0, finish - measure_start)
-        if self.recovery is not None:
-            self.recovery.publish(stats)
-        return stats
+        ``limit`` stops the run after that many accesses (every access
+        when None). The warmup window is a fraction of the accesses the
+        run executes, so a bounded run equals a full run of the streams
+        cut at :attr:`executed`.
 
-    def _run_fast(self) -> SimStats:
-        """The fast lane: private hits short-circuit inside the loop.
-
-        Mirrors :meth:`repro.sim.system.System._access` exactly, but a
-        private hit costs an inlined L1 list test, one state-dict lookup
-        and a handful of local-variable updates — no ProbeResult
+        An unobserved access mirrors :meth:`System._access` exactly, but
+        a private hit costs an inlined L1 list test, one state-dict
+        lookup and a handful of local-variable updates — no ProbeResult
         allocation, no per-access stats method calls, no home dispatch.
         The inlined lookup is the literal twin of
         :meth:`PrivateCore.classify` (same recency touches, same L1
-        promotion, same silent E->M upgrade, same inclusion check); the
-        bit-identity tests in ``tests/test_fastpath.py`` pin the two
-        against each other. The batched counters commute with everything
-        the miss path touches, so flushing them at the warmup boundary
-        and at end of trace yields statistics bit-identical to the
-        reference lane. Each access hands the core's next one back to
-        the heap with one ``heappushpop``, which returns the same
-        earliest access a push and a pop would.
+        promotion, same silent E->M upgrade, same inclusion check). The
+        batched counters commute with everything the miss path touches,
+        so flushing them at the warmup boundary and at end of trace
+        yields the statistics per-access counting would. Each access
+        hands the core's next one back to the heap with one
+        ``heappushpop``, which returns the same earliest access a push
+        and a pop would.
         """
         system = self.system
         stats = system.stats
@@ -246,6 +143,22 @@ class TraceEngine:
         home = system.home
         cores = system.cores
         streams = self.streams
+        auditor = self.auditor
+        oracle = self.oracle
+        tracer = self.tracer
+        tracing = tracer.enabled
+        observed = (
+            auditor is not None
+            or oracle is not None
+            or self.recovery is not None
+            or tracing
+            or system.fault_injector is not None
+        )
+        if auditor is not None:
+            auditor.install(system)
+        if tracing:
+            attach_observer(system, tracer)
+        access = system.access
         l1_latency = config.l1_latency
         hit_latency = config.l1_latency + config.l2_latency
         num_cores = config.num_cores
@@ -266,14 +179,24 @@ class TraceEngine:
             (core.il1, core.dl1, core.l2, core.states, core) for core in cores
         ]
         total = sum(len(stream) for stream in streams)
+        if limit is not None:
+            if limit < 0:
+                raise ValueError("limit must be >= 0")
+            total = min(total, limit)
         warmup_left = int(total * self.warmup_fraction)
         if total and warmup_left >= total:
+            # Degenerate fraction/rounding: always measure >= 1 access.
             warmup_left = total - 1
-        # The access count of the next deadline check, and of the next
-        # event of either kind (that check or the warmup boundary), so
-        # that an access makes one comparison for both.
+        # The access counts of the next deadline check, audit window and
+        # warmup boundary, and of the nearest event of any kind (one of
+        # those or the last access), so that an access makes one
+        # comparison for all of them.
+        never = total + 1
         next_check = CHECK_STRIDE
-        next_event = min(next_check, warmup_left) if warmup_left else next_check
+        interval = auditor.interval if auditor is not None else never
+        next_audit = interval
+        next_warmup = warmup_left or never
+        next_event = min(next_check, next_audit, next_warmup, total)
         heap = [
             (0, core, 0)
             for core, stream in enumerate(streams)
@@ -285,111 +208,182 @@ class TraceEngine:
         processed = 0
         # Batched access counters (flushed into stats below).
         reads = writes = ifetches = l1_hits = l2_hits = 0
-        item = heappop(heap) if heap else None
-        while item is not None:
-            clock, core_id, index = item
-            stream = streams[core_id]
-            acc = stream[index]
-            issue_time = clock + acc.gap
-            acc_core = acc.core
-            if not 0 <= acc_core < num_cores:
-                raise TraceError(
-                    f"access from core {acc_core} outside the system"
-                )
-            kind = acc.kind
-            addr = acc.addr
-            il1, dl1, l2, states, core = core_tables[acc_core]
-            if kind is read_kind:
-                reads += 1
-                l1 = dl1
-            elif kind is write_kind:
-                writes += 1
-                l1 = dl1
-            else:
-                ifetches += 1
-                l1 = il1
-            # -- inlined PrivateCore.classify; its miss and upgrade
-            # -- branches make System._access's home calls --------------
-            lines = l1.get(addr % l1_sets)
-            in_l1 = False
-            if lines:
-                if lines[-1] == addr:
-                    in_l1 = True
-                elif addr in lines:
-                    in_l1 = True
-                    lines.remove(addr)
-                    lines.append(addr)
-            state = states.get(addr)
-            if state is None:
-                if in_l1:
-                    raise ProtocolError(
-                        f"core {acc_core}: block {addr:#x} in L1 but not L2"
+        item = heappop(heap) if total else None
+        try:
+            while item is not None:
+                clock, core_id, index = item
+                stream = streams[core_id]
+                acc = stream[index]
+                issue_time = clock + acc.gap
+                if observed:
+                    if tracing:
+                        tracer.emit(
+                            "txn:start",
+                            cycle=issue_time,
+                            core=acc.core,
+                            addr=acc.addr,
+                            op=acc.kind.name,
+                        )
+                    pre_state = (
+                        oracle.pre_state(system, acc.core, acc.addr)
+                        if oracle is not None
+                        else None
                     )
-                latency, fill_state = handle_access(
-                    acc_core, addr, kind, issue_time, False
-                )
-                victim = core.fill(addr, kind, fill_state)
-                if victim is not None:
-                    handle_eviction(acc_core, victim[0], victim[1], issue_time)
-                latency += hit_latency
-            else:
-                lines = l2[addr % l2_sets]
-                if lines[-1] != addr:
-                    lines.remove(addr)
-                    lines.append(addr)
-                if kind is write_kind and state is shared_state:
-                    latency = handle_access(
-                        acc_core, addr, kind, issue_time, True
-                    )[0]
-                    core.complete_upgrade(addr)
-                    latency += l1_latency
+                    latency = access(acc, issue_time)
+                    processed += 1
+                    if oracle is not None:
+                        oracle.observe(
+                            system, acc.core, acc.addr, acc.kind, pre_state
+                        )
+                    done = issue_time + latency
+                    if tracing:
+                        tracer.emit(
+                            "txn:finish",
+                            cycle=done,
+                            core=acc.core,
+                            addr=acc.addr,
+                            latency=latency,
+                        )
                 else:
-                    if kind is write_kind and state is exclusive_state:
-                        states[addr] = modified_state
-                    if in_l1:
-                        l1_hits += 1
-                        latency = l1_latency
+                    acc_core = acc.core
+                    if not 0 <= acc_core < num_cores:
+                        raise TraceError(
+                            f"access from core {acc_core} outside the system"
+                        )
+                    kind = acc.kind
+                    addr = acc.addr
+                    il1, dl1, l2, states, core = core_tables[acc_core]
+                    if kind is read_kind:
+                        reads += 1
+                        l1 = dl1
+                    elif kind is write_kind:
+                        writes += 1
+                        l1 = dl1
                     else:
-                        # L2 hit: promote into the L1.
-                        core._l1_fill(l1, addr)
-                        l2_hits += 1
-                        latency = hit_latency
-            # -- end inlined classify -----------------------------------
-            done = issue_time + latency
-            if done > finish:
-                finish = done
-            processed += 1
-            if processed == next_event:
-                if processed == next_check:
-                    check_deadline()
-                    next_check += CHECK_STRIDE
-                if processed == warmup_left:
-                    # stats.reset() zeroes every counter, so the batch is
-                    # dropped rather than flushed.
-                    reads = writes = ifetches = 0
-                    l1_hits = l2_hits = 0
-                    stats.reset()
-                    measure_start = finish
-                next_event = (
-                    min(next_check, warmup_left)
-                    if warmup_left > processed
-                    else next_check
-                )
-            index += 1
-            if index < len(stream):
-                item = heappushpop(heap, (done, core_id, index))
-            else:
-                item = heappop(heap) if heap else None
+                        ifetches += 1
+                        l1 = il1
+                    # -- inlined PrivateCore.classify; its miss and upgrade
+                    # -- branches make System._access's home calls --------
+                    lines = l1.get(addr % l1_sets)
+                    in_l1 = False
+                    if lines:
+                        if lines[-1] == addr:
+                            in_l1 = True
+                        elif addr in lines:
+                            in_l1 = True
+                            lines.remove(addr)
+                            lines.append(addr)
+                    state = states.get(addr)
+                    if state is None:
+                        if in_l1:
+                            raise ProtocolError(
+                                f"core {acc_core}: block {addr:#x} in L1 "
+                                f"but not L2"
+                            )
+                        latency, fill_state = handle_access(
+                            acc_core, addr, kind, issue_time, False
+                        )
+                        victim = core.fill(addr, kind, fill_state)
+                        if victim is not None:
+                            handle_eviction(
+                                acc_core, victim[0], victim[1], issue_time
+                            )
+                        latency += hit_latency
+                    else:
+                        lines = l2[addr % l2_sets]
+                        if lines[-1] != addr:
+                            lines.remove(addr)
+                            lines.append(addr)
+                        if kind is write_kind and state is shared_state:
+                            latency = handle_access(
+                                acc_core, addr, kind, issue_time, True
+                            )[0]
+                            core.complete_upgrade(addr)
+                            latency += l1_latency
+                        else:
+                            if kind is write_kind and state is exclusive_state:
+                                states[addr] = modified_state
+                            if in_l1:
+                                l1_hits += 1
+                                latency = l1_latency
+                            else:
+                                # L2 hit: promote into the L1.
+                                core._l1_fill(l1, addr)
+                                l2_hits += 1
+                                latency = hit_latency
+                    # -- end inlined classify -------------------------------
+                    done = issue_time + latency
+                    processed += 1
+                if done > finish:
+                    finish = done
+                if processed == next_event:
+                    if processed == next_check:
+                        check_deadline()
+                        next_check += CHECK_STRIDE
+                    if processed == next_audit:
+                        self._audit(system)
+                        next_audit += interval
+                    if processed == next_warmup:
+                        # stats.reset() zeroes every counter, so the batch
+                        # is dropped rather than flushed.
+                        reads = writes = ifetches = 0
+                        l1_hits = l2_hits = 0
+                        stats.reset()
+                        measure_start = finish
+                        next_warmup = never
+                        if tracing:
+                            tracer.emit(
+                                "measure:start",
+                                cycle=finish,
+                                warmup_accesses=processed,
+                            )
+                    if processed == total:
+                        break
+                    next_event = min(next_check, next_audit, next_warmup, total)
+                index += 1
+                if index < len(stream):
+                    item = heappushpop(heap, (done, core_id, index))
+                else:
+                    # Accesses remain (processed < total), so the heap
+                    # holds at least one core.
+                    item = heappop(heap)
+        finally:
+            self.processed = processed
+            self.executed = _executed(streams, heap, item, processed)
+        if auditor is not None and (total == 0 or processed % interval):
+            # Close the final (partial) audit window.
+            self._audit(system)
         stats.accesses += reads + writes + ifetches
         stats.reads += reads
         stats.writes += writes
         stats.ifetches += ifetches
         stats.l1_hits += l1_hits
         stats.l2_hits += l2_hits
-        system.access_index += processed
+        if not observed:
+            # System.access counts the accesses an observed run makes.
+            system.access_index += processed
         final = system.finalize()
         final.cycles = max(0, finish - measure_start)
+        if self.recovery is not None:
+            self.recovery.publish(final)
         return final
+
+
+def _executed(streams, heap, item, processed: int) -> "list[int]":
+    """Per-stream executed counts, read off the schedule.
+
+    A stream's next access waits in the heap, or is ``item``, the access
+    in hand, at its index; a stream with neither has run to its end. The
+    access in hand counts when ``processed`` says it ran.
+    """
+    executed = [len(stream) for stream in streams]
+    for _clock, core, index in heap:
+        executed[core] = index
+    if item is not None:
+        executed[item[1]] = item[2]
+        if sum(executed) < processed:
+            executed[item[1]] += 1
+    return executed
 
 
 def run_trace(
@@ -400,7 +394,6 @@ def run_trace(
     oracle=None,
     recovery=None,
     tracer=None,
-    fast_path: "bool | None" = None,
 ) -> SimStats:
     """Convenience wrapper: run ``streams`` on ``system`` and return stats."""
     return TraceEngine(
@@ -411,5 +404,4 @@ def run_trace(
         oracle=oracle,
         recovery=recovery,
         tracer=tracer,
-        fast_path=fast_path,
     ).run()

@@ -25,23 +25,23 @@ where the designs differ:
 
 On divergence the harness reports the first-divergence point and — with
 ``bisect`` — prefix-bisects the trace down to a **minimal replayable
-sub-trace**: monitored runs are *bounded* (stop after ``limit`` global
-engine steps, then run the closing audit + final-image check), which
-makes "prefix of length L fails" monotone in L for the corrupted-state
-faults the injector produces; binary search then finds the shortest
-failing prefix, and per-core truncation at the executed counts yields a
-sub-trace whose min-clock replay reproduces that exact prefix (the
-truncated entries could only have been popped after step L). The
-sub-trace is saved as a normal ``.rtrace`` capture whose header ``meta``
-carries the scheme, spec, fault plan, and parent-trace provenance, so
-``python -m repro diff --trace sub.rtrace`` re-triggers the violation.
+sub-trace**: monitored runs are *bounded* (the engine stops after
+``limit`` accesses and runs its closing audit, then the final-image
+check runs), which makes "prefix of length L fails" monotone in L for
+the corrupted-state faults the injector produces; binary search then
+finds the shortest failing prefix, and per-core truncation at the
+executed counts yields a sub-trace whose min-clock replay reproduces
+that exact prefix (the truncated entries could only have been popped
+after step L). The sub-trace is saved as a normal ``.rtrace`` capture
+whose header ``meta`` carries the scheme, spec, fault plan, and
+parent-trace provenance, so ``python -m repro diff --trace sub.rtrace``
+re-triggers the violation.
 
 Entry point: ``python -m repro diff`` (:mod:`repro.verify.diff_cli`).
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,8 +56,7 @@ from repro.parallel import run_tasks
 from repro.resilience.auditor import ProtocolAuditor
 from repro.resilience.faults import Fault, FaultInjector, FaultKind, FaultPlan
 from repro.sim.config import SystemConfig
-from repro.sim.deadline import CHECK_STRIDE, check_deadline
-from repro.sim.engine import run_trace
+from repro.sim.engine import TraceEngine, run_trace
 from repro.sim.system import System
 from repro.verify.oracle import ValueOracle
 from repro.verify.reproducer import (
@@ -212,45 +211,30 @@ def run_monitored(
 ) -> MonitoredRun:
     """One oracle+audit monitored run, optionally bounded.
 
-    Replicates the reference engine's min-clock interleaving exactly,
-    but stops after ``limit`` global steps (when given) and always ends
-    with a closing audit plus the final-image check — that closing
-    sweep is what makes bounded prefixes a monotone divergence probe:
-    once a corruption has been injected, every longer prefix still
-    fails. Tracks per-core executed counts so a failing run can be
-    truncated into a replayable sub-trace.
+    Runs the trace engine with no warmup under the value oracle and the
+    auditor, stopping after ``limit`` accesses when given. The engine
+    ends with a closing audit and this function with the final-image
+    check — that closing sweep is what makes bounded prefixes a
+    monotone divergence probe: once a corruption has been injected,
+    every longer prefix still fails. The engine's per-stream executed
+    counts let a failing run be truncated into a replayable sub-trace.
     """
     config = SystemConfig(
         num_cores=len(streams), l1_kb=l1_kb, l2_kb=l2_kb, scheme=spec
     )
     injector = FaultInjector(fault_plan) if fault_plan is not None else None
     system = System(config, fault_injector=injector)
-    auditor = ProtocolAuditor(interval=audit_interval)
-    auditor.install(system)
     oracle = ValueOracle()
-    heap = [(0, core, 0) for core, stream in enumerate(streams) if stream]
-    heapq.heapify(heap)
-    executed = [0] * len(streams)
-    processed = 0
+    engine = TraceEngine(
+        system,
+        streams,
+        warmup_fraction=0.0,
+        auditor=ProtocolAuditor(interval=audit_interval),
+        oracle=oracle,
+    )
     violation: "ProtocolError | None" = None
     try:
-        while heap and (limit is None or processed < limit):
-            clock, core, index = heapq.heappop(heap)
-            acc = streams[core][index]
-            issue_time = clock + acc.gap
-            pre_state = oracle.pre_state(system, acc.core, acc.addr)
-            latency = system.access(acc, issue_time)
-            processed += 1
-            executed[core] += 1
-            oracle.observe(system, acc.core, acc.addr, acc.kind, pre_state)
-            if processed % CHECK_STRIDE == 0:
-                check_deadline()
-            if processed % auditor.interval == 0:
-                auditor.audit(system)
-            index += 1
-            if index < len(streams[core]):
-                heapq.heappush(heap, (issue_time + latency, core, index))
-        auditor.audit(system)
+        engine.run(limit=limit)
         _check_final_image(system, oracle)
     except ProtocolError as err:
         violation = err
@@ -266,8 +250,8 @@ def run_monitored(
         ok=violation is None,
         violation=str(violation) if violation is not None else None,
         violation_kind=type(violation).__name__ if violation is not None else None,
-        processed=processed,
-        executed=executed,
+        processed=engine.processed,
+        executed=engine.executed,
         injected=[
             {
                 "kind": rec.kind.value,
@@ -287,7 +271,6 @@ def run_stats(
     *,
     l1_kb: int = DIFF_L1_KB,
     l2_kb: int = DIFF_L2_KB,
-    fast_path: "bool | None" = None,
 ):
     """One clean, unobserved run; returns the finalized stats dump.
 
@@ -298,9 +281,7 @@ def run_stats(
     config = SystemConfig(
         num_cores=len(streams), l1_kb=l1_kb, l2_kb=l2_kb, scheme=spec
     )
-    stats = run_trace(
-        System(config), streams, warmup_fraction=0.0, fast_path=fast_path
-    )
+    stats = run_trace(System(config), streams, warmup_fraction=0.0)
     return stats.dump()
 
 

@@ -7,7 +7,7 @@ the coherence-tracking design space, so a regression in any scheme's
 machinery trips at least one of them:
 
 * ``private-heavy`` — almost everything hits in the private hierarchy:
-  the fast lane's short circuit, DSTRA's do-not-track decision, and the
+  the engine's private-hit path, DSTRA's do-not-track decision, and the
   minimum-tracking baseline every scheme should handle cheaply.
 * ``stra-pumping`` — a hot read-mostly set read by every core pumps
   short-term reuse (STRA) sky-high: the tiny directory's bread and

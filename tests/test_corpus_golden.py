@@ -13,7 +13,8 @@ Three layers of pinning on ``tests/corpus/*.rtrace``:
 
 * **bit-identical replay** — a run fed by ``REPRO_TRACE_FILE`` publishes
   byte-identical statistics to the live seeded run that recorded the
-  trace, for every scheme with the fast lane both on and off.
+  trace, for every scheme, on the engine and on the per-access
+  reference loop (``reference_engine.py``).
 
 Plus the trace-cache regression: the per-process cache keys replayed
 traces on *file identity* (path + content hash), so overwriting a trace
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from reference_engine import reference_trace
 from repro.sim.config import SystemConfig
 from repro.sim.engine import run_trace
 from repro.sim.system import System
@@ -69,10 +71,8 @@ def replay_config(header: dict, scheme: str) -> SystemConfig:
     )
 
 
-def stats_blob(config: SystemConfig, streams, fast_path: bool) -> str:
-    stats = run_trace(
-        System(config), streams, warmup_fraction=0.0, fast_path=fast_path
-    )
+def stats_blob(config: SystemConfig, streams, run=run_trace) -> str:
+    stats = run(System(config), streams, warmup_fraction=0.0)
     return json.dumps(stats.dump(), sort_keys=True, separators=(",", ":"))
 
 
@@ -145,8 +145,8 @@ def test_replay_is_bit_identical_across_lanes(monkeypatch):
 
     The acceptance criterion of the record/replay pipeline: for a corpus
     trace, every scheme's published statistics dump is byte-identical
-    between the live seeded run and the replayed run, with the fast lane
-    both on and off.
+    between the live seeded run and the replayed run, and the engine's
+    equals the reference loop's.
     """
     name = "private-heavy"
     scenario = SCENARIOS[name]
@@ -162,20 +162,20 @@ def test_replay_is_bit_identical_across_lanes(monkeypatch):
     assert replayed == live_streams
 
     for scheme in ALL_SCHEMES:
-        for fast_path in (False, True):
-            config = scenario.config()
-            config = SystemConfig(
-                num_cores=config.num_cores,
-                l1_kb=config.l1_kb,
-                l2_kb=config.l2_kb,
-                scheme=default_verify_spec(scheme),
-            )
-            live = stats_blob(config, live_streams, fast_path)
-            again = stats_blob(config, replayed, fast_path)
-            assert live == again, (
-                f"replayed stats differ for {scheme} "
-                f"(fast_path={fast_path})"
-            )
+        config = scenario.config()
+        config = SystemConfig(
+            num_cores=config.num_cores,
+            l1_kb=config.l1_kb,
+            l2_kb=config.l2_kb,
+            scheme=default_verify_spec(scheme),
+        )
+        live = stats_blob(config, live_streams)
+        again = stats_blob(config, replayed)
+        assert live == again, f"replayed stats differ for {scheme}"
+        reference = stats_blob(config, replayed, reference_trace)
+        assert again == reference, (
+            f"engine and reference loop differ for {scheme}"
+        )
 
 
 def test_replay_rejects_geometry_mismatch(monkeypatch):

@@ -2,10 +2,15 @@
 
 import pytest
 
-from repro.sim.config import SparseSpec, SystemConfig
+from repro.errors import OracleViolation
+from repro.resilience import ProtocolAuditor
+from repro.sim.config import SparseSpec, SystemConfig, TinySpec
 from repro.sim.engine import TraceEngine, run_trace
 from repro.sim.system import System
 from repro.types import Access, AccessKind
+from repro.verify import ValueOracle
+from repro.verify.differential import truncate_streams
+from repro.workloads.generator import generate_streams
 
 
 def small_system() -> System:
@@ -131,3 +136,84 @@ class TestDeterminism:
             return run_trace(system, streams).cycles
 
         assert run() == run()
+
+
+def mixed_streams():
+    config = SystemConfig(num_cores=8, l1_kb=1, l2_kb=4, scheme=TinySpec())
+    return config, generate_streams("bodytrack", config, 600, seed=5)
+
+
+def engine_for(config, streams, observed, warmup_fraction=0.0):
+    hooks = (
+        {"auditor": ProtocolAuditor(interval=16), "oracle": ValueOracle()}
+        if observed
+        else {}
+    )
+    system = System(config)
+    return system, TraceEngine(system, streams, warmup_fraction, **hooks)
+
+
+#: Step limits as a function of the trace's total access count.
+LIMITS = {
+    "0": lambda total: 0,
+    "1": lambda total: 1,
+    "50": lambda total: 50,
+    "total": lambda total: total,
+    "total+5": lambda total: total + 5,
+}
+
+
+class TestLimit:
+    @pytest.mark.parametrize("observed", [False, True],
+                             ids=["unobserved", "observed"])
+    @pytest.mark.parametrize("name", LIMITS)
+    def test_limit_bounds_the_run(self, name, observed):
+        config, streams = mixed_streams()
+        total = sum(len(stream) for stream in streams)
+        limit = LIMITS[name](total)
+        ran = min(limit, total)
+        system, engine = engine_for(config, streams, observed)
+        bounded = engine.run(limit=limit)
+        assert engine.processed == ran
+        assert sum(engine.executed) == ran
+        assert system.access_index == ran
+        assert bounded.accesses == ran
+        replay = run_trace(
+            System(config),
+            truncate_streams(streams, engine.executed),
+            warmup_fraction=0.0,
+        )
+        assert replay.dump() == bounded.dump()
+
+    def test_warmup_is_a_fraction_of_the_bounded_run(self):
+        config, streams = mixed_streams()
+        _, engine = engine_for(config, streams, False, warmup_fraction=0.4)
+        bounded = engine.run(limit=300)
+        assert bounded.accesses == 300 - int(300 * 0.4)
+        replay = run_trace(
+            System(config),
+            truncate_streams(streams, engine.executed),
+            warmup_fraction=0.4,
+        )
+        assert replay.dump() == bounded.dump()
+
+    def test_negative_limit_rejected(self):
+        config, streams = mixed_streams()
+        _, engine = engine_for(config, streams, False)
+        with pytest.raises(ValueError):
+            engine.run(limit=-1)
+
+    def test_access_counts_before_the_oracle_checks_it(self):
+        # A violation raised after System.access returns leaves the
+        # access counted, so the counts cut the streams at the failure.
+        class StopAt(ValueOracle):
+            def observe(self, system, core, addr, kind, pre_state):
+                if system.access_index == 37:
+                    raise OracleViolation("stop")
+
+        config, streams = mixed_streams()
+        system = System(config)
+        engine = TraceEngine(system, streams, 0.0, oracle=StopAt())
+        with pytest.raises(OracleViolation):
+            engine.run()
+        assert engine.processed == sum(engine.executed) == 37

@@ -1,11 +1,12 @@
-"""The private-hit fast lane: bit-identity, disengagement, trace cache.
+"""The engine against the reference loop, and the trace cache.
 
-The fast lane (`TraceEngine._run_fast`) is an optimization with a hard
-contract: for any workload, scheme, and seed, its statistics must equal
-the reference lane's byte for byte, and it must silently step aside for
-any run that needs to observe individual transactions. These tests are
-the tripwire for both halves — if the inlined hit logic ever drifts
-from ``PrivateCore.classify``, the cross-scheme identity tests fail.
+The engine's inlined private-hit path (`TraceEngine.run`) is an
+optimization with a hard contract: for any workload, scheme, and seed,
+its statistics must equal those of the per-access reference loop in
+``reference_engine.py`` byte for byte. These tests are the tripwire —
+if the inlined hit logic ever drifts from ``PrivateCore.classify``, the
+cross-scheme identity tests fail. That every observer sees every access
+is checked in ``test_telemetry.py``.
 """
 
 import importlib.util
@@ -14,6 +15,8 @@ import pathlib
 
 import pytest
 
+from reference_engine import reference_trace
+from repro.resilience import ProtocolAuditor
 from repro.sim.config import (
     InLLCSpec,
     MgdSpec,
@@ -22,8 +25,7 @@ from repro.sim.config import (
     SystemConfig,
     TinySpec,
 )
-from repro.sim.engine import TraceEngine, run_trace
-from repro.sim.fastpath import ENV_FAST, fast_lane_from_env
+from repro.sim.engine import run_trace
 from repro.sim.system import System
 from repro.telemetry import RingBufferSink, Tracer
 from repro.workloads.generator import (
@@ -60,84 +62,38 @@ class TestBitIdentity:
     def test_fast_lane_matches_reference(self, name):
         config = small_config(SCHEMES[name])
         streams = generate_streams("bodytrack", config, 4000, seed=3)
-        reference = run_trace(System(config), streams, fast_path=False)
-        fast = run_trace(System(config), streams, fast_path=True)
-        assert fast.dump() == reference.dump()
+        reference = reference_trace(System(config), streams)
+        engine = run_trace(System(config), streams)
+        assert engine.dump() == reference.dump()
 
     def test_identity_holds_with_zero_warmup(self):
         config = small_config(SparseSpec())
         streams = generate_streams("barnes", config, 3000, seed=11)
-        reference = run_trace(
-            System(config), streams, warmup_fraction=0.0, fast_path=False
+        reference = reference_trace(
+            System(config), streams, warmup_fraction=0.0
         )
-        fast = run_trace(
-            System(config), streams, warmup_fraction=0.0, fast_path=True
-        )
-        assert fast.dump() == reference.dump()
+        engine = run_trace(System(config), streams, warmup_fraction=0.0)
+        assert engine.dump() == reference.dump()
 
-
-class TestEngagement:
-    def test_engaged_for_plain_run(self):
-        config = small_config(SparseSpec())
-        engine = TraceEngine(System(config), [[]], fast_path=True)
-        assert engine.fast_lane_engaged()
-
-    def test_fast_path_false_disengages(self):
-        config = small_config(SparseSpec())
-        engine = TraceEngine(System(config), [[]], fast_path=False)
-        assert not engine.fast_lane_engaged()
-
-    @pytest.mark.parametrize("observer", ["auditor", "oracle", "recovery"])
-    def test_observers_disengage(self, observer):
-        config = small_config(SparseSpec())
-        engine = TraceEngine(
-            System(config), [[]], fast_path=True, **{observer: object()}
-        )
-        assert not engine.fast_lane_engaged()
-
-    def test_enabled_tracer_disengages(self):
-        config = small_config(SparseSpec())
-        engine = TraceEngine(
-            System(config),
-            [[]],
-            fast_path=True,
-            tracer=Tracer(RingBufferSink()),
-        )
-        assert not engine.fast_lane_engaged()
-
-    def test_fault_injector_disengages(self):
-        config = small_config(SparseSpec())
-        system = System(config)
-        system.fault_injector = object()
-        engine = TraceEngine(system, [[]], fast_path=True)
-        assert not engine.fast_lane_engaged()
-
-    def test_env_off_selects_reference_lane(self, monkeypatch):
-        monkeypatch.setenv(ENV_FAST, "off")
-        config = small_config(SparseSpec())
-        engine = TraceEngine(System(config), [[]])
-        assert not engine.fast_lane_engaged()
-
-
-class TestFastLaneEnv:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv(ENV_FAST, raising=False)
-        assert fast_lane_from_env() is True
-
-    @pytest.mark.parametrize("value", ["off", "0", "false", "no", "OFF"])
-    def test_off_values(self, monkeypatch, value):
-        monkeypatch.setenv(ENV_FAST, value)
-        assert fast_lane_from_env() is False
-
-    @pytest.mark.parametrize("value", ["on", "1", "true", "yes"])
-    def test_on_values(self, monkeypatch, value):
-        monkeypatch.setenv(ENV_FAST, value)
-        assert fast_lane_from_env() is True
-
-    def test_unrecognized_warns_and_defaults(self, monkeypatch, capsys):
-        monkeypatch.setenv(ENV_FAST, "sideways")
-        assert fast_lane_from_env() is True
-        assert ENV_FAST in capsys.readouterr().err
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_observed_run_matches_reference_events(self, name):
+        # An observed run calls the per-access hooks in the reference
+        # loop's order: the two emit the same events, seq for seq.
+        config = small_config(SCHEMES[name])
+        streams = generate_streams("bodytrack", config, 2000, seed=3)
+        runs = []
+        for run in (reference_trace, run_trace):
+            tracer = Tracer(RingBufferSink(capacity=1_000_000))
+            stats = run(
+                System(config),
+                streams,
+                auditor=ProtocolAuditor(interval=64),
+                tracer=tracer,
+            )
+            runs.append((stats.dump(), tracer.sink.events()))
+        (reference, reference_events), (engine, engine_events) = runs
+        assert engine == reference
+        assert engine_events == reference_events
 
 
 class TestMeasureStartEvent:

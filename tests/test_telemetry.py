@@ -24,7 +24,13 @@ from collections import Counter
 import pytest
 
 from repro.analysis.runner import RunScale, run_app
-from repro.resilience import FlightRecorder
+from repro.recovery import RecoveryManager, RecoveryPolicy
+from repro.resilience import (
+    FaultInjector,
+    FaultPlan,
+    FlightRecorder,
+    ProtocolAuditor,
+)
 from repro.sim.config import InLLCSpec, MgdSpec, SparseSpec, StashSpec
 from repro.sim.system import System
 from repro.telemetry import (
@@ -44,7 +50,7 @@ from repro.telemetry import (
     write_bench_point,
 )
 from repro.telemetry.metrics import Histogram
-from repro.verify import CoverageMap
+from repro.verify import CoverageMap, ValueOracle
 from repro.workloads.generator import generate_streams
 from repro.sim.engine import run_trace
 
@@ -59,17 +65,41 @@ FIVE_SCHEMES = [
 ]
 
 
-def small_run(tracer=None, scheme=None, observers=()):
+def small_run(
+    tracer=None, scheme=None, observers=(), fault_injector=None, **hooks
+):
     scheme = scheme or SCALE.tiny_spec(1 / 32, "gnru", spill=True)
     config = SCALE.make_config(scheme)
-    system = System(config)
+    system = System(config, fault_injector=fault_injector)
     streams = generate_streams(
         "compress", config, SCALE.total_accesses, seed=SCALE.seed
     )
     for observer in observers:
         attach_observer(system, observer)
-    stats = run_trace(system, streams, tracer=tracer)
+    stats = run_trace(system, streams, tracer=tracer, **hooks)
     return system, stats
+
+
+#: The engine's per-access observers besides the tracer, as
+#: ``small_run`` keywords (fresh objects per call).
+OBSERVERS = {
+    "auditor": lambda: {"auditor": ProtocolAuditor(interval=64)},
+    "oracle": lambda: {"oracle": ValueOracle()},
+    "recovery": lambda: {
+        "auditor": ProtocolAuditor(interval=64),
+        "recovery": RecoveryManager(RecoveryPolicy("repair")),
+    },
+    "faults": lambda: {"fault_injector": FaultInjector(FaultPlan())},
+}
+
+#: The traced case keeps the bare scheme name as its id.
+OBSERVED_CASES = [
+    pytest.param(scheme, None, id=scheme.name) for scheme in FIVE_SCHEMES
+] + [
+    pytest.param(scheme, name, id=f"{scheme.name}-{name}")
+    for name in OBSERVERS
+    for scheme in FIVE_SCHEMES
+]
 
 
 class TestTraceEvent:
@@ -92,17 +122,37 @@ class TestTraceEvent:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("scheme", FIVE_SCHEMES, ids=lambda s: s.name)
-    def test_traced_run_is_bit_identical_to_untraced(self, scheme):
-        _, plain = small_run(scheme=scheme)
-        tracer = Tracer(RingBufferSink())
-        _, traced = small_run(
-            tracer=tracer,
-            scheme=scheme,
-            observers=(CoverageMap(), FlightRecorder()),
-        )
-        assert traced.dump() == plain.dump()
-        assert {e.kind for e in tracer.sink.events()} <= set(EVENT_KINDS)
+    @pytest.mark.parametrize("scheme, observer", OBSERVED_CASES)
+    def test_traced_run_is_bit_identical_to_untraced(
+        self, scheme, observer, monkeypatch
+    ):
+        plain_system, plain = small_run(scheme=scheme)
+        # An observed run sends every access through System.access,
+        # which calls the fault injector's hooks; count the calls.
+        seen = []
+        access = System.access
+
+        def counted(system, acc, now):
+            seen.append(acc)
+            return access(system, acc, now)
+
+        monkeypatch.setattr(System, "access", counted)
+        if observer is None:
+            tracer = Tracer(RingBufferSink(capacity=1_000_000))
+            system, observed = small_run(
+                tracer=tracer,
+                scheme=scheme,
+                observers=(CoverageMap(), FlightRecorder()),
+            )
+            kinds = Counter(e.kind for e in tracer.sink.events())
+            assert set(kinds) <= set(EVENT_KINDS)
+            assert kinds["txn:start"] == kinds["txn:finish"] == len(seen)
+        else:
+            system, observed = small_run(
+                scheme=scheme, **OBSERVERS[observer]()
+            )
+        assert observed.dump() == plain.dump()
+        assert len(seen) == system.access_index == plain_system.access_index
 
     def test_untraced_dump_has_no_telemetry_section(self):
         _, stats = small_run()

@@ -41,19 +41,22 @@ validated by `tests/test_config.py`; Table II (applications) as
 `repro.workloads.profiles`, validated by `tests/test_workloads.py`.
 
 **Benchmarks quickstart.** Beyond the figures, the simulator's own
-speed is benchmarked by `benchmarks/bench_micro_hotpath.py` (fast lane
-vs. reference lane, trace cache vs. cold generation) and gated in CI
-against `benchmarks/baselines/` via `tools/compare_bench.py` — see
-`docs/performance.md`. The two engine lanes are pinned bit-identical:
+speed is benchmarked by `benchmarks/bench_micro_hotpath.py` (the engine
+vs. the per-access reference loop in `tests/reference_engine.py`, trace
+cache vs. cold generation) and gated in CI against
+`benchmarks/baselines/` via `tools/compare_bench.py` — see
+`docs/performance.md`. Observers never change a statistic: an audited
+run equals an unaudited one byte for byte:
 
 ```python
 from repro import SparseSpec, System, SystemConfig, generate_streams, run_trace
+from repro.resilience import ProtocolAuditor
 
 config = SystemConfig(num_cores=4, scheme=SparseSpec())
 streams = generate_streams("bodytrack", config, 2000, seed=7)
-reference = run_trace(System(config), streams, fast_path=False)
-fast = run_trace(System(config), streams, fast_path=True)
-assert fast.dump() == reference.dump()
+plain = run_trace(System(config), streams)
+audited = run_trace(System(config), streams, auditor=ProtocolAuditor(interval=64))
+assert audited.dump() == plain.dump()
 ```
 
 ---
