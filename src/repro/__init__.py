@@ -29,16 +29,13 @@ The package layers:
   (``run_sweep``, ``collect_points``), and graceful SIGINT/SIGTERM
   shutdown (``graceful_scope``, ``resume_hint``); see
   ``docs/harness.md`` and ``docs/resilience.md``.
-* ``repro.recovery`` — self-healing coherence: bounded
-  detect/diagnose/repair/re-verify cycles driven by the protocol
-  auditor (``RecoveryManager``); see ``docs/resilience.md``.
 * ``repro.verify`` — the protocol conformance subsystem: litmus tests,
   the random-walk fuzzer with shrinking, transition coverage, the
   cross-scheme differential harness (``python -m repro diff``), and the
   ``python -m repro verify`` entry point; see ``docs/verification.md``.
 * ``repro.telemetry`` — structured transaction tracing (``TraceEvent``,
-  ring/JSONL sinks), the metrics registry with phase timers, and
-  ``BENCH_*.json`` perf-baseline emission; see ``docs/telemetry.md``.
+  ring/JSONL sinks) and ``BENCH_*.json`` perf-baseline emission; see
+  ``docs/telemetry.md``.
 
 The full documented public surface is re-exported here; see
 ``docs/architecture.md`` for the module map.
@@ -65,7 +62,6 @@ from repro.parallel import (
     run_tasks,
 )
 from repro.parallel.shutdown import graceful_scope, resume_hint
-from repro.recovery import RecoveryManager, RecoveryPolicy, recovery_from_env
 from repro.sim.config import (
     InLLCSpec,
     MgdSpec,
@@ -80,14 +76,11 @@ from repro.sim.stats import SimStats
 from repro.sim.system import System
 from repro.telemetry import (
     JsonlSink,
-    MetricsRegistry,
     RingBufferSink,
     TraceEvent,
     Tracer,
     attach_observer,
-    merge_snapshots,
     merge_worker_traces,
-    metrics_from_env,
     read_trace,
     tracer_from_env,
     write_bench_point,
@@ -128,11 +121,8 @@ __all__ = [
     "HarnessPolicy",
     "InLLCSpec",
     "JsonlSink",
-    "MetricsRegistry",
     "MgdSpec",
     "PROFILES",
-    "RecoveryManager",
-    "RecoveryPolicy",
     "RingBufferSink",
     "RunFailure",
     "RunProfile",
@@ -167,12 +157,9 @@ __all__ = [
     "harness",
     "load_capture",
     "load_streams",
-    "merge_snapshots",
     "merge_worker_traces",
-    "metrics_from_env",
     "profile",
     "read_trace",
-    "recovery_from_env",
     "replay_subtrace",
     "resume_hint",
     "run_app",

@@ -8,10 +8,9 @@ Usage::
     python -m repro fig13 --apps barnes TPC-C
     python -m repro --all --keep-going --timeout 600
     python -m repro fig10 --audit
-    python -m repro fig10 --recovery repair
     python -m repro --all --resume
     python -m repro fig13 --profile
-    python -m repro fig10 --trace --metrics
+    python -m repro fig10 --trace
     python -m repro verify --fuzz --steps 2000 --seed 7
     python -m repro diff --trace tests/corpus --bisect
 
@@ -34,31 +33,25 @@ harness produces). Results are cached under ``.repro_cache/``.
 rendering; results are bit-identical to a serial run. ``--profile``
 prints a per-sweep summary plus cProfile stats of the slowest computed
 point. ``--audit`` enables the online protocol auditor (equivalent to
-setting ``REPRO_AUDIT=on``); ``--keep-going`` records per-run failures
-and keeps sweeping instead of aborting on the first crash.
+setting ``REPRO_AUDIT=on``); a tripped invariant fails its run, and
+``--keep-going`` records per-run failures and keeps sweeping instead of
+aborting on the first one; see ``docs/resilience.md``. Sweeps journal
+per-point completion next to the result cache, and ``--resume`` skips
+the journaled points of an interrupted sweep; see ``docs/harness.md``.
 
-``--recovery repair`` arms self-healing coherence (equivalent to
-``REPRO_RECOVERY=repair``): a tripped invariant is repaired in place
-and the run resumes instead of aborting; see ``docs/resilience.md``.
-Sweeps journal per-point completion next to the result cache, and
-``--resume`` skips the journaled points of an interrupted sweep; see
-``docs/harness.md``.
-
-``--trace`` writes a structured JSONL event trace of every run,
-``--metrics`` snapshots counters and phase timers into the stats
-telemetry section; render traces with ``python tools/trace_report.py``.
-See ``docs/telemetry.md``. A cached point is replayed, not simulated,
-so ``--trace``, ``--trace-out``, ``--audit`` and ``--recovery repair``
-or ``repair-strict`` (or ``REPRO_TRACE`` / ``REPRO_AUDIT`` /
-``REPRO_RECOVERY`` turning them on) exit 2 when any requested point is
-already in the result cache: point ``REPRO_CACHE_DIR`` at a fresh
-directory, or set ``REPRO_CACHE=off``.
+``--trace`` writes a structured JSONL event trace of every run; render
+traces with ``python tools/trace_report.py``. See ``docs/telemetry.md``.
+A cached point is replayed, not simulated, so ``--trace``,
+``--trace-out`` and ``--audit`` (or ``REPRO_TRACE`` / ``REPRO_AUDIT``
+turning them on) exit 2 when any requested point is already in the
+result cache: point ``REPRO_CACHE_DIR`` at a fresh directory, or set
+``REPRO_CACHE=off``.
 
 ``--timeout`` must be above 0 seconds, ``--retries`` at least 0 and
 ``--jobs`` at least 1; any other value is a usage error (exit 2). So
 is a ``REPRO_JOBS`` that is not an integer of at least 1 (when
-``--jobs`` is not given) and a ``REPRO_CACHE`` other than ``on``,
-``off``, ``0`` or ``no``.
+``--jobs`` is not given), a ``REPRO_CACHE`` other than ``on``, ``off``,
+``0`` or ``no``, and any ``REPRO_*`` variable not in :data:`KNOBS`.
 """
 
 from __future__ import annotations
@@ -70,6 +63,7 @@ import sys
 from repro.analysis import experiments
 from repro.analysis.cache import CACHE_OFF, cache_dir, cache_enabled
 from repro.analysis.runner import HarnessPolicy, RunScale, harness
+from repro.argtypes import at_least
 from repro.errors import ShutdownRequested
 from repro.parallel import (
     SweepJournal,
@@ -87,7 +81,6 @@ from repro.parallel.shutdown import (
     graceful_scope,
     resume_hint,
 )
-from repro.recovery import recovery_from_env
 from repro.resilience import auditor_from_env
 from repro.telemetry import tracer_from_env
 
@@ -129,26 +122,6 @@ _SCALES = {
 }
 
 
-def _at_least(convert, low: int, inclusive: bool = True):
-    """An argparse ``type=``: ``convert`` the text, then refuse values
-    below ``low`` (or equal to it unless ``inclusive``), so an
-    out-of-range flag is a usage error that names the flag."""
-    bound = f"at least {low}" if inclusive else f"above {low}"
-
-    def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid {convert.__name__} value: {text!r}"
-            ) from None
-        if not (value >= low if inclusive else value > low):
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
-        return value
-
-    return parse
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -180,14 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the online protocol auditor (same as REPRO_AUDIT=on)",
     )
     parser.add_argument(
-        "--recovery",
-        choices=("abort", "repair", "repair-strict"),
-        metavar="MODE",
-        help="self-healing mode for tripped invariants: abort (default), "
-        "repair, or repair-strict (same as REPRO_RECOVERY=MODE; implies "
-        "auditing)",
-    )
-    parser.add_argument(
         "--resume",
         action="store_true",
         help="skip sweep points already journaled by a previous "
@@ -200,14 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--timeout",
-        type=_at_least(float, 0, inclusive=False),
+        type=at_least(float, 0, inclusive=False),
         metavar="SECONDS",
         help="per-run wall-clock limit, above 0 (cooperative deadline; "
         "works on every platform and in worker processes)",
     )
     parser.add_argument(
         "--retries",
-        type=_at_least(int, 0),
+        type=at_least(int, 0),
         default=0,
         metavar="N",
         help="retry each failing run up to N >= 0 extra times",
@@ -215,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs",
         "-j",
-        type=_at_least(int, 1),
+        type=at_least(int, 1),
         default=None,
         metavar="N",
         help="worker processes for the sweep, N >= 1 (default: "
@@ -240,21 +205,44 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace destination (default trace.jsonl; same as "
         "REPRO_TRACE_OUT=PATH; implies --trace)",
     )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect counters/gauges/phase timers into the stats "
-        "telemetry section (same as REPRO_METRICS=on)",
-    )
     return parser
 
 
+#: Every ``REPRO_*`` environment variable the program reads.
+#: ``tools/check_docs.py`` fails when this list and the names read under
+#: ``src/`` drift apart.
+KNOBS = (
+    "REPRO_AUDIT",
+    "REPRO_BENCH_DIR",
+    "REPRO_CACHE",
+    "REPRO_CACHE_DIR",
+    "REPRO_FAULTS",
+    "REPRO_FAULT_SEED",
+    "REPRO_HEARTBEAT",
+    "REPRO_JOBS",
+    "REPRO_SCALE",
+    "REPRO_TRACE",
+    "REPRO_TRACE_CACHE",
+    "REPRO_TRACE_FILE",
+    "REPRO_TRACE_OUT",
+    "REPRO_TRACE_RECORD",
+    "REPRO_TRACE_WORKER",
+)
+
+
 def _invalid_knobs(args) -> "list[str]":
-    """The ``REPRO_*`` values this run would otherwise ignore.
+    """The ``REPRO_*`` settings this run would otherwise ignore: a name
+    the program never reads (a typo, or a retired knob) or a value it
+    cannot honour.
 
     ``REPRO_JOBS`` counts only when ``--jobs`` is not given.
     """
-    problems = []
+    problems = [
+        f"unknown {name}: the program reads no such variable "
+        f"(its REPRO_* knobs are {', '.join(KNOBS)})"
+        for name in sorted(os.environ)
+        if name.startswith("REPRO_") and name not in KNOBS
+    ]
     raw = os.environ.get("REPRO_JOBS", "").strip()
     if args.jobs is None and raw and parse_jobs(raw) is None:
         problems.append(
@@ -292,11 +280,10 @@ def _needs_cache(args) -> "list[str]":
 
 
 def _observing(args) -> "list[str]":
-    """The tracing, auditing and recovery requests given.
+    """The tracing and auditing requests given.
 
     A cached point is replayed from the result cache, not simulated, so
-    none of them could observe it. ``--recovery abort`` turns nothing
-    on, and overrides ``REPRO_RECOVERY`` as it does for the run.
+    none of them could observe it.
     """
     flags = []
     if args.trace:
@@ -309,11 +296,6 @@ def _observing(args) -> "list[str]":
         flags.append("--audit")
     elif auditor_from_env() is not None:
         flags.append(f"REPRO_AUDIT={os.environ['REPRO_AUDIT']}")
-    if args.recovery is not None:
-        if args.recovery != "abort":
-            flags.append(f"--recovery {args.recovery}")
-    elif recovery_from_env() is not None:
-        flags.append(f"REPRO_RECOVERY={os.environ['REPRO_RECOVERY']}")
     return flags
 
 
@@ -400,16 +382,11 @@ def main(argv: "list[str] | None" = None) -> int:
     observing = _observing(args) if cache_enabled() else []
     if args.audit:
         os.environ["REPRO_AUDIT"] = "on"
-    if args.recovery:
-        # Via the environment so pool workers (and cache keys) see it.
-        os.environ["REPRO_RECOVERY"] = args.recovery
     if args.trace or args.trace_out:
         # setdefault keeps an explicit REPRO_TRACE=ring (etc.) in force.
         os.environ.setdefault("REPRO_TRACE", "jsonl")
     if args.trace_out:
         os.environ["REPRO_TRACE_OUT"] = args.trace_out
-    if args.metrics:
-        os.environ["REPRO_METRICS"] = "on"
     scale = _SCALES[args.scale]()
     if observing:
         # Planned after the environment is final: it is part of the keys.

@@ -80,20 +80,12 @@ def _key(app: str, scheme, scale: RunScale) -> str:
     faults = os.environ.get("REPRO_FAULTS", "").strip()
     if faults:
         # Fault-injected runs must never collide with clean entries (or
-        # with runs under a different plan/seed/recovery policy). Clean
-        # runs keep the historical key, so existing caches stay valid.
+        # with runs under a different plan or seed). Clean runs keep the
+        # historical key, so existing caches stay valid.
         payload += (
             f"|faults={faults}"
             f"|fault_seed={os.environ.get('REPRO_FAULT_SEED', '').strip()}"
-            f"|recovery={os.environ.get('REPRO_RECOVERY', '').strip()}"
         )
-    metrics = os.environ.get("REPRO_METRICS", "").strip()
-    if metrics:
-        # Metrics-bearing runs dump an extra (wall-clock) telemetry
-        # section; keep them apart from clean entries so a metrics run
-        # never poisons the deterministic cache (tracing does not alter
-        # the dump and needs no key component).
-        payload += f"|metrics={metrics}"
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 

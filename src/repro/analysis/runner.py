@@ -16,8 +16,7 @@ import contextlib
 import os
 from dataclasses import dataclass, field
 
-from repro.recovery import recovery_from_env
-from repro.resilience.auditor import ProtocolAuditor, auditor_from_env
+from repro.resilience.auditor import auditor_from_env
 from repro.resilience.faults import injector_from_env
 from repro.sim.deadline import deadline_scope
 from repro.sim.config import SystemConfig
@@ -25,7 +24,7 @@ from repro.sim.engine import run_trace
 from repro.sim.results import RunResult
 from repro.sim.stats import SimStats
 from repro.sim.system import System
-from repro.telemetry import metrics_from_env, phase, tracer_from_env
+from repro.telemetry import tracer_from_env
 from repro.workloads.generator import generate_streams
 from repro.workloads.profiles import WorkloadProfile, profile
 
@@ -132,76 +131,26 @@ def run_app(
         app = profile(app)
     if config is None:
         config = scale.make_config(scheme)
-    metrics = metrics_from_env()
     tracer = tracer_from_env()
-    with phase(metrics, "generate"):
-        streams = generate_streams(
-            app, config, scale.total_accesses, seed=scale.seed
-        )
+    streams = generate_streams(app, config, scale.total_accesses, seed=scale.seed)
     injector = injector_from_env()
     system = System(config, fault_injector=injector)
-    auditor = auditor_from_env()
-    recovery = recovery_from_env()
-    if recovery is not None and auditor is None:
-        # Recovery can only act at audit windows; turn detection on.
-        auditor = ProtocolAuditor()
     try:
-        with phase(metrics, "simulate"):
-            stats = run_trace(
-                system,
-                streams,
-                auditor=auditor,
-                recovery=recovery,
-                tracer=tracer,
-            )
+        stats = run_trace(
+            system, streams, auditor=auditor_from_env(), tracer=tracer
+        )
     finally:
         if tracer is not None:
             tracer.close()
-    if metrics is not None:
-        _harvest_metrics(metrics, stats, scheme, tracer)
-        metrics.publish(stats)
     meta = {"scheme_spec": scheme, "num_cores": config.num_cores}
     if injector is not None:
         meta["injected_faults"] = len(injector.injected)
-    if recovery is not None and recovery.events:
-        meta["repairs"] = recovery.repairs
     return RunResult(
         app=app.name,
         scheme=getattr(scheme, "name", type(scheme).__name__),
         stats=stats,
         meta=meta,
     )
-
-
-def _harvest_metrics(metrics, stats, scheme, tracer) -> None:
-    """Fold a finished run's statistics into the metrics registry.
-
-    Transaction counters and per-scheme structure gauges come from the
-    deterministic simulation state; ``trace:events`` counts what the
-    tracer emitted (when one was on). The ``phase:*`` timers recorded
-    around this call are the only wall-clock (nondeterministic) part of
-    the snapshot.
-    """
-    for name in (
-        "accesses",
-        "reads",
-        "writes",
-        "llc_transactions",
-        "llc_misses",
-        "invalidations",
-        "back_invalidations",
-        "spills",
-    ):
-        value = getattr(stats, name)
-        if value:
-            metrics.count(f"txn:{name}", value)
-    metrics.gauge("llc_miss_rate", stats.llc_miss_rate)
-    metrics.gauge("lengthened_fraction", stats.lengthened_fraction)
-    scheme_name = getattr(scheme, "name", type(scheme).__name__)
-    for name, value in stats.structures.items():
-        metrics.gauge(f"{scheme_name}:{name}", value)
-    if tracer is not None:
-        metrics.count("trace:events", tracer.emitted)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.cache.llc import LLCBank, LLCLine
 from repro.cache.private_cache import PrivateCore
 from repro.coherence.info import CohInfo
-from repro.errors import InvariantViolation, RecoveryError
+from repro.errors import InvariantViolation
 from repro.interconnect.mesh import Mesh2D
 from repro.interconnect.traffic import COHERENCE, TrafficMeter
 from repro.memory.dram import DramModel
@@ -269,54 +269,6 @@ class BaseHome:
         for bank in self.banks:
             for line in bank.iter_lines():
                 self._flush_residency(line)
-
-    # ------------------------------------------------------------------
-    # Recovery support
-    # ------------------------------------------------------------------
-
-    def probe_truth(self, addr: int) -> CohInfo:
-        """Reconstruct the ground-truth tracking record for ``addr``.
-
-        Quiet-probes every private hierarchy (no replacement state is
-        touched, no statistics are charged — the RecoveryManager charges
-        the probe's traffic and latency to the recovery section) and
-        rebuilds the sharer vector / exclusive owner exactly as scrubbing
-        hardware would. Raises :class:`~repro.errors.RecoveryError` when
-        the caches themselves are contradictory (two exclusive copies, or
-        an exclusive copy coexisting with sharers) — that state cannot be
-        expressed in a tracking record and is not repairable.
-        """
-        truth = CohInfo()
-        exclusive: "list[int]" = []
-        for core in self.cores:
-            state = core.state_of(addr)
-            if state is INVALID:
-                continue
-            if state.is_exclusive:
-                exclusive.append(core.core_id)
-            else:
-                truth.sharers |= 1 << core.core_id
-        if exclusive:
-            if len(exclusive) > 1 or truth.sharers:
-                raise RecoveryError(
-                    f"private caches disagree on block {addr:#x}: exclusive "
-                    f"in cores {exclusive} alongside sharer mask "
-                    f"{truth.sharers:#x}"
-                )
-            truth.owner = exclusive[0]
-        return truth
-
-    def rebuild_tracking(self, addr: int, truth: CohInfo, now: int = 0) -> str:
-        """Overwrite the tracking state for ``addr`` with ``truth``.
-
-        Scheme controllers implement this as the repair half of the
-        detect->diagnose->repair cycle: whatever structure (directory
-        entry, tiny entry, spilled entry, corrupted LLC line, region
-        entry) currently claims ``addr`` is rewritten in place or
-        reinstalled so it matches the probed ground truth. Returns a
-        short label describing the action taken, for the repair log.
-        """
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Interface implemented by scheme controllers

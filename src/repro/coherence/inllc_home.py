@@ -368,35 +368,6 @@ class InLLCHome(BaseHome):
         self.traffic.control(WRITEBACK)  # acknowledgement
 
     # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
-
-    def rebuild_tracking(self, addr: int, truth, now: int = 0) -> str:
-        """Repair the LLC line's borrowed tracking bits against ``truth``."""
-        bank = self.banks[self.bank_of(addr)]
-        line, _ = bank.peek(addr)
-        if line is None:
-            if truth.is_idle:
-                return "llc:already-absent"
-            # Private copies exist but the home data line is gone:
-            # refetch the block and re-mark it as tracking.
-            line = self._fill_llc(addr, now)
-        if truth.is_idle:
-            if line.coh is not None:
-                self._restore_line(line, bank, now)
-                return "llc:restored"
-            return "llc:already-untracked"
-        if line.coh is None:
-            line.coh = truth.copy()
-            line.stra = StraCounters(limit=self.stra_limit)
-            self._mark_tracked(line, bank, now)
-        else:
-            line.coh.owner = truth.owner
-            line.coh.sharers = truth.sharers
-        line.note_holders(line.coh)
-        return "llc:rewritten"
-
-    # ------------------------------------------------------------------
     # Invariants
     # ------------------------------------------------------------------
 
@@ -938,30 +909,6 @@ class TinyHome(InLLCHome):
             bank.data_writes += 1
         else:
             self._dram_write(addr, now)
-
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
-
-    def rebuild_tracking(self, addr, truth, now=0):
-        entry = self.tiny.find_quiet(addr)
-        if entry is not None:
-            if truth.is_idle:
-                self.tiny.remove(addr)
-                return "tiny:removed"
-            entry.coh.owner = truth.owner
-            entry.coh.sharers = truth.sharers
-            return "tiny:rewritten"
-        bank = self.banks[self.bank_of(addr)]
-        _, spill = bank.peek(addr)
-        if spill is not None:
-            if truth.is_idle:
-                bank.remove(spill)
-                return "spill:removed"
-            spill.coh.owner = truth.owner
-            spill.coh.sharers = truth.sharers
-            return "spill:rewritten"
-        return super().rebuild_tracking(addr, truth, now)
 
     # ------------------------------------------------------------------
     # Invariants

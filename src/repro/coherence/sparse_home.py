@@ -87,25 +87,6 @@ class SparseHome(BaseHome):
         self._invalidate_holders(addr, coh, now)
 
     # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
-
-    def rebuild_tracking(self, addr: int, truth: CohInfo, now: int = 0) -> str:
-        """Repair the directory entry for ``addr`` against ``truth``."""
-        coh = self.directory.peek(addr)
-        if truth.is_idle:
-            if coh is None:
-                return "directory:already-absent"
-            self.directory.remove(addr)
-            return "directory:removed"
-        if coh is not None:
-            coh.owner = truth.owner
-            coh.sharers = truth.sharers
-            return "directory:rewritten"
-        self._install(addr, truth.copy(), now)
-        return "directory:reinstalled"
-
-    # ------------------------------------------------------------------
     # LLC helpers
     # ------------------------------------------------------------------
 
@@ -459,20 +440,6 @@ class SharedOnlyHome(SparseHome):
             return True
         return super()._tracks(addr, core)
 
-    def rebuild_tracking(self, addr, truth, now=0):
-        # Purge both structures, then reinstall through _install so the
-        # record lands on the side the shared-only split dictates.
-        in_unbounded = self._unbounded.pop(addr, None) is not None
-        in_directory = self.directory.peek(addr) is not None
-        if in_directory:
-            self.directory.remove(addr)
-        if truth.is_idle:
-            if in_unbounded or in_directory:
-                return "shared-only:removed"
-            return "shared-only:already-absent"
-        self._install(addr, truth.copy(), now)
-        return "shared-only:reinstalled"
-
     def check_invariants(self) -> None:
         super().check_invariants()
         for addr, coh in self._unbounded.items():
@@ -557,21 +524,6 @@ class StashHome(SparseHome):
         if self.stash.owner_of(addr) == core:
             return True
         return super()._tracks(addr, core)
-
-    def rebuild_tracking(self, addr, truth, now=0):
-        holder = self.stash.owner_of(addr)
-        if holder is not None:
-            if (
-                truth.is_exclusive
-                and truth.owner == holder
-                and self.directory.peek(addr) is None
-            ):
-                # The stash record itself is the repaired ground truth.
-                return "stash:confirmed"
-            self.stash.unstash(addr)
-            if truth.is_idle and self.directory.peek(addr) is None:
-                return "stash:unstashed"
-        return super().rebuild_tracking(addr, truth, now)
 
     def check_invariants(self) -> None:
         super().check_invariants()
@@ -728,32 +680,6 @@ class MgdHome(SparseHome):
             and entry.owner == core
             and bool(entry.presence >> (addr % BLOCKS_PER_REGION) & 1)
         )
-
-    def rebuild_tracking(self, addr, truth, now=0):
-        offset = addr % BLOCKS_PER_REGION
-        coh = self.directory.peek_block(addr)
-        entry = self.directory.peek_region(addr)
-        if entry is not None and entry.presence >> offset & 1:
-            if coh is None and truth.is_exclusive and truth.owner == entry.owner:
-                # The region entry already expresses the probed truth.
-                return "mgd:region-confirmed"
-            # Shrink the region out of this block; the truth is recorded
-            # at block grain (or nowhere) below.
-            entry.presence &= ~(1 << offset)
-            if entry.presence == 0:
-                self.directory.remove_region(self.directory.region_of(addr))
-        if truth.is_idle:
-            if coh is None:
-                return "mgd:already-absent"
-            self.directory.remove_block(addr)
-            return "mgd:removed"
-        if coh is not None:
-            coh.owner = truth.owner
-            coh.sharers = truth.sharers
-            return "mgd:block-rewritten"
-        self._region_hit = None
-        self._install(addr, truth.copy(), now)
-        return "mgd:reinstalled"
 
     def check_invariants(self) -> None:
         self._check_single_writer()

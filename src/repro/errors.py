@@ -71,24 +71,6 @@ class OracleViolation(InvariantViolation):
     """
 
 
-class RecoveryError(ReproError):
-    """A repair step could not reconstruct a consistent tracking state
-    (e.g. the private caches themselves disagree about ownership)."""
-
-
-class RecoveryEscalation(InvariantViolation):
-    """Recovery escalated to abort.
-
-    Raised by :class:`~repro.recovery.manager.RecoveryManager` when a
-    violation cannot be repaired within the
-    :class:`~repro.recovery.manager.RecoveryPolicy` bounds: the repair
-    budget is exhausted, the violation carries no diagnosable address,
-    the probe found contradictory ground truth, or (under
-    ``repair-strict``) a previously repaired address trips again.
-    The original violation is chained as ``__cause__``.
-    """
-
-
 class FaultInjectionError(ReproError):
     """A :class:`~repro.resilience.faults.FaultPlan` could not be applied
     (e.g. the targeted address is not currently tracked anywhere)."""

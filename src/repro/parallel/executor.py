@@ -77,11 +77,7 @@ from repro.parallel.profiling import RunProfile, SweepSummary, summarize
 from repro.parallel.supervisor import SupervisorPolicy, supervisor_from_env
 from repro.sim.results import RunResult
 from repro.sim.stats import SimStats
-from repro.telemetry import (
-    jsonl_trace_enabled,
-    merge_snapshots,
-    merge_worker_traces,
-)
+from repro.telemetry import jsonl_trace_enabled, merge_worker_traces
 
 
 def parse_jobs(raw: str) -> "int | None":
@@ -172,17 +168,6 @@ class SweepReport:
     def summary(self) -> SweepSummary:
         return summarize(
             self.profiles, self.jobs, self.wall_s, self.journal_disabled
-        )
-
-    def telemetry(self) -> dict:
-        """The merged telemetry snapshot across every result.
-
-        Counters add, gauges keep the last value seen, histograms widen
-        (see :func:`repro.telemetry.merge_snapshots`). Empty when no run
-        collected metrics (``REPRO_METRICS`` off).
-        """
-        return merge_snapshots(
-            [r.stats.telemetry for r in self.results if r is not None]
         )
 
 

@@ -11,6 +11,7 @@ hammered with immediate pool rebuilds.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import sys
@@ -29,7 +30,8 @@ class SupervisorPolicy:
     exists for workers stuck outside the cooperative deadline's reach.
     """
 
-    #: Progress deadline in seconds; None disables hang detection.
+    #: Progress deadline in finite positive seconds; None disables hang
+    #: detection.
     heartbeat_s: "float | None" = None
     #: How many times a broken (or hung) pool is rebuilt before the
     #: executor degrades to isolated serial execution.
@@ -43,8 +45,9 @@ class SupervisorPolicy:
     jitter_s: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.heartbeat_s is not None and self.heartbeat_s <= 0:
-            raise ValueError("heartbeat_s must be positive (or None)")
+        heartbeat = self.heartbeat_s
+        if heartbeat is not None and not _valid_heartbeat(heartbeat):
+            raise ValueError("heartbeat_s must be finite and positive (or None)")
         if self.max_pool_respawns < 0 or self.max_point_retries < 0:
             raise ValueError("respawn/retry bounds must be >= 0")
 
@@ -58,10 +61,19 @@ class SupervisorPolicy:
         return base + jitter
 
 
+def _valid_heartbeat(seconds: float) -> bool:
+    """True for a finite positive number of seconds.
+
+    ``nan`` would make every progress wait return at once and ``inf``
+    overflows the pool's wait deadline, so both are refused.
+    """
+    return math.isfinite(seconds) and seconds > 0
+
+
 def supervisor_from_env() -> SupervisorPolicy:
     """A :class:`SupervisorPolicy` honouring ``REPRO_HEARTBEAT``.
 
-    ``REPRO_HEARTBEAT`` (seconds, positive number) arms hang detection
+    ``REPRO_HEARTBEAT`` (seconds, finite and positive) arms hang detection
     for sweeps launched through the CLI; unset or ``off`` leaves it
     disabled. Invalid values warn on stderr and are ignored — never a
     silent misconfiguration.
@@ -73,10 +85,10 @@ def supervisor_from_env() -> SupervisorPolicy:
         heartbeat = float(raw)
     except ValueError:
         heartbeat = -1.0
-    if heartbeat <= 0:
+    if not _valid_heartbeat(heartbeat):
         print(
             f"repro: ignoring invalid REPRO_HEARTBEAT={raw!r} (expected a "
-            f"positive number of seconds); hang detection is DISABLED",
+            f"finite positive number of seconds); hang detection is DISABLED",
             file=sys.stderr,
         )
         return SupervisorPolicy()

@@ -19,14 +19,6 @@ through: each access is bracketed by a quiet pre-state probe and a
 post-access value check, validating every observed load against the
 sequentially-consistent reference memory.
 
-A :class:`~repro.recovery.manager.RecoveryManager` turns detection into
-self-healing: audit windows are routed through the manager, which
-repairs a tripped invariant (probe the private caches, rebuild the
-tracking entry, re-verify) and lets the trace loop *resume* from the
-same point instead of aborting — the next heap pop continues exactly
-where the violation was caught. Recovery costs are published to the
-statistics' recovery section after finalize.
-
 The loop also honours the harness deadline
 (:mod:`repro.sim.deadline`): every ``CHECK_STRIDE`` accesses it checks
 the armed wall-clock limit and raises
@@ -37,11 +29,11 @@ engine's one wall-clock limit.
 There is one loop for every run. An unobserved run takes the inlined
 private-hit path: a hit costs an L1 list test, a state-dict lookup and
 batched counters, with no :meth:`System.access` call. The auditor, the
-oracle, the recovery manager, an enabled tracer and a fault injector
-each need to see every access, so an *observed* run sends each access
-through :meth:`System.access`, bracketed by the per-access hooks. The
-two paths produce bit-identical statistics; the tests hold the engine
-to a per-access reference loop kept in ``tests/reference_engine.py``.
+oracle, an enabled tracer and a fault injector each need to see every
+access, so an *observed* run sends each access through
+:meth:`System.access`, bracketed by the per-access hooks. The two paths
+produce bit-identical statistics; the tests hold the engine to a
+per-access reference loop kept in ``tests/reference_engine.py``.
 """
 
 from __future__ import annotations
@@ -74,7 +66,6 @@ class TraceEngine:
         warmup_fraction: float = 0.4,
         auditor=None,
         oracle=None,
-        recovery=None,
         tracer=None,
     ) -> None:
         if len(streams) > system.config.num_cores:
@@ -88,7 +79,6 @@ class TraceEngine:
         self.warmup_fraction = warmup_fraction
         self.auditor = auditor
         self.oracle = oracle
-        self.recovery = recovery
         #: Hears the protocol transitions (attached to the system like any
         #: observer) plus the engine's own per-access ``txn:*``,
         #: ``measure:start`` and ``audit:*`` events, which go only here.
@@ -100,12 +90,9 @@ class TraceEngine:
         self.executed = [0] * len(streams)
 
     def _audit(self, system) -> None:
-        """One audit window, routed through recovery when enabled."""
+        """One audit window; a violation is traced, then raised."""
         try:
-            if self.recovery is not None:
-                self.recovery.audit(self.auditor, system)
-            else:
-                self.auditor.audit(system)
+            self.auditor.audit(system)
         except InvariantViolation as err:
             if self.tracer.enabled:
                 self.tracer.emit(
@@ -150,7 +137,6 @@ class TraceEngine:
         observed = (
             auditor is not None
             or oracle is not None
-            or self.recovery is not None
             or tracing
             or system.fault_injector is not None
         )
@@ -364,8 +350,6 @@ class TraceEngine:
             system.access_index += processed
         final = system.finalize()
         final.cycles = max(0, finish - measure_start)
-        if self.recovery is not None:
-            self.recovery.publish(final)
         return final
 
 
@@ -392,7 +376,6 @@ def run_trace(
     warmup_fraction: float = 0.4,
     auditor=None,
     oracle=None,
-    recovery=None,
     tracer=None,
 ) -> SimStats:
     """Convenience wrapper: run ``streams`` on ``system`` and return stats."""
@@ -402,6 +385,5 @@ def run_trace(
         warmup_fraction,
         auditor=auditor,
         oracle=oracle,
-        recovery=recovery,
         tracer=tracer,
     ).run()

@@ -54,15 +54,6 @@ class SimStats:
         #: Structure-level counters harvested at finalize (energy model,
         #: directory hit/allocation figures).
         self.structures: "dict[str, float]" = {}
-        #: Recovery section, published by the RecoveryManager after the
-        #: run when at least one repair happened; empty (and excluded
-        #: from dumps) otherwise, so clean runs stay bit-identical.
-        self.recovery: "dict[str, int]" = {}
-        #: Telemetry section, published by a MetricsRegistry snapshot
-        #: after the run when metrics collection was on; empty (and
-        #: excluded from dumps) otherwise — same bit-identity contract
-        #: as the recovery section.
-        self.telemetry: "dict[str, object]" = {}
 
     def reset(self) -> None:
         """Zero every counter in place (end of warmup).
@@ -215,15 +206,11 @@ class SimStats:
             sharer_bins=list(self.sharer_bins),
             structures=dict(self.structures),
         )
-        if self.recovery:
-            snapshot["recovery"] = dict(self.recovery)
-        if self.telemetry:
-            snapshot["telemetry"] = dict(self.telemetry)
         return snapshot
 
     def dump(self) -> "dict[str, object]":
         """A lossless serializable snapshot (see :meth:`load`)."""
-        payload = {
+        return {
             "scalars": {name: getattr(self, name) for name in self._SCALARS},
             "sharer_bins": list(self.sharer_bins),
             "stra_block_categories": list(self.stra_block_categories),
@@ -231,11 +218,6 @@ class SimStats:
             "structures": dict(self.structures),
             "traffic": self.traffic.dump(),
         }
-        if self.recovery:
-            payload["recovery"] = dict(self.recovery)
-        if self.telemetry:
-            payload["telemetry"] = dict(self.telemetry)
-        return payload
 
     @classmethod
     def load(cls, payload: "dict[str, object]") -> "SimStats":
@@ -247,7 +229,5 @@ class SimStats:
         stats.stra_block_categories = list(payload["stra_block_categories"])
         stats.stra_access_categories = list(payload["stra_access_categories"])
         stats.structures = dict(payload["structures"])
-        stats.recovery = dict(payload.get("recovery") or {})
-        stats.telemetry = dict(payload.get("telemetry") or {})
         stats.traffic = TrafficMeter.load(payload["traffic"])
         return stats

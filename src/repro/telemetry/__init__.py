@@ -1,8 +1,8 @@
-"""Observability for the simulator: tracing, metrics, perf baselines.
+"""Observability for the simulator: tracing and perf baselines.
 
 ``repro.telemetry`` is the bottom observability layer — stdlib-only, so
-every simulator layer (``directory``, ``coherence``, ``sim``,
-``recovery``) can import it without cycles. It has three parts:
+every simulator layer (``directory``, ``coherence``, ``sim``) can import
+it without cycles. It has two parts:
 
 * **Tracing** (:mod:`~repro.telemetry.events`,
   :mod:`~repro.telemetry.sinks`): structured :class:`TraceEvent`
@@ -11,10 +11,6 @@ every simulator layer (``directory``, ``coherence``, ``sim``,
   that transition coverage and the flight recorder share
   (:func:`attach_observer`). Off by default via the shared
   :data:`NULL_TRACER`; disabled runs are bit-identical.
-* **Metrics** (:mod:`~repro.telemetry.metrics`): a
-  :class:`MetricsRegistry` of counters, gauges, and log2-bucketed
-  histograms that snapshots into the publish-only-when-nonempty
-  ``telemetry`` stats section and merges across parallel workers.
 * **Bench points** (:mod:`~repro.telemetry.bench`): ``BENCH_*.json``
   perf-baseline emission for CI artifacts.
 
@@ -22,13 +18,6 @@ End-to-end usage is documented in ``docs/telemetry.md``.
 """
 
 from repro.telemetry.events import EVENT_KINDS, TraceEvent
-from repro.telemetry.metrics import (
-    Histogram,
-    MetricsRegistry,
-    merge_snapshots,
-    metrics_from_env,
-    phase,
-)
 from repro.telemetry.sinks import (
     DEFAULT_RING_CAPACITY,
     DEFAULT_TRACE_OUT,
@@ -51,11 +40,6 @@ from repro.telemetry.bench import bench_dir_from_env, write_bench_point
 __all__ = [
     "EVENT_KINDS",
     "TraceEvent",
-    "Histogram",
-    "MetricsRegistry",
-    "merge_snapshots",
-    "metrics_from_env",
-    "phase",
     "DEFAULT_RING_CAPACITY",
     "DEFAULT_TRACE_OUT",
     "NULL_TRACER",

@@ -3,9 +3,8 @@
 The benchmark suite (``benchmarks/``) measures wall-clock cost of
 figure points, but until now the numbers died with the pytest-benchmark
 terminal table. :func:`write_bench_point` persists one small JSON file
-per measured point — name, timing stats, and the telemetry snapshot of
-the run — so CI can upload them as artifacts and a perf trajectory can
-be accumulated across commits.
+per measured point — its name and timing stats — so CI can upload them
+as artifacts and a perf trajectory can be accumulated across commits.
 
 Emission is opt-in via ``REPRO_BENCH_DIR``: when the variable is unset
 (every local ``pytest benchmarks`` run by default), nothing is written.

@@ -4,7 +4,7 @@ A :class:`TraceEvent` is one observation of the simulator doing
 something interesting: a memory transaction starting or finishing, a
 request reaching its home, a tracking structure allocating or evicting
 an entry, a spill, a back-invalidation, an STRA classification, an
-injected fault, an audit window closing, or a recovery repair. Events
+injected fault, or an audit window closing or tripping. Events
 are *structured* — a short ``group:action`` kind string plus typed
 context fields — so a trace can be filtered, aggregated, and replayed
 mechanically instead of being grepped out of log prose.
@@ -106,8 +106,6 @@ EVENT_KINDS: "tuple[str, ...]" = (
     "fault:lose_eviction_notice",
     "fault:corrupt_directory_entry",
     "fault:corrupt_tiny_entry",
-    # Self-healing.
-    "recovery:repair",
 )
 
 

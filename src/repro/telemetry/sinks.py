@@ -127,7 +127,6 @@ class Tracer:
     def __init__(self, sink) -> None:
         self.sink = sink
         self.seq = 0
-        self.emitted = 0
 
     def emit(
         self,
@@ -138,7 +137,6 @@ class Tracer:
         **data,
     ) -> None:
         self.seq += 1
-        self.emitted += 1
         self.sink.write(TraceEvent(self.seq, kind, cycle, core, addr, data))
 
     def close(self) -> None:

@@ -15,6 +15,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from repro.argtypes import at_least
 from repro.verify.coverage import (
     CoverageMap,
     coverage_fraction,
@@ -62,9 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--steps",
-        type=int,
+        type=at_least(int, 1),
         default=2000,
-        help="fuzz schedule length per run (default: 2000)",
+        help="fuzz schedule length per run, at least 1 (default: 2000)",
     )
     parser.add_argument(
         "--seed",
@@ -74,23 +75,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--faults",
-        type=int,
+        type=at_least(int, 0),
         default=0,
-        help="fault-mutated fuzz runs per scheme; each injected fault "
-        "must be detected and shrunk (default: 0)",
+        help="fault-mutated fuzz runs per scheme, at least 0; each "
+        "injected fault must be detected and shrunk (default: 0)",
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=at_least(int, 1),
         default=None,
-        help="worker processes for fuzz runs (default: auto)",
+        help="worker processes for fuzz runs, at least 1 (default: auto)",
     )
     parser.add_argument(
         "--audit-interval",
-        type=int,
+        type=at_least(int, 1),
         default=DEFAULT_VERIFY_AUDIT_INTERVAL,
-        help="steps between full protocol audits during fuzzing "
-        f"(default: {DEFAULT_VERIFY_AUDIT_INTERVAL})",
+        help="steps between full protocol audits during fuzzing, at "
+        f"least 1 (default: {DEFAULT_VERIFY_AUDIT_INTERVAL})",
     )
     parser.add_argument(
         "--out",
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--min-coverage",
-        type=float,
+        type=at_least(float, 0, at_most=1),
         default=None,
         help="fail unless every scheme covers at least this fraction of "
         "its known transitions (0..1)",

@@ -27,6 +27,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.argtypes import at_least
 from repro.errors import ReproError
 from repro.resilience.faults import Fault, FaultKind, FaultPlan
 from repro.verify.differential import (
@@ -84,9 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=at_least(int, 1),
         default=None,
-        help="worker processes for the per-scheme fan-out (default: auto)",
+        help="worker processes for the per-scheme fan-out, at least 1 "
+        "(default: auto)",
     )
     parser.add_argument(
         "--fault",
@@ -103,10 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--audit-interval",
-        type=int,
+        type=at_least(int, 1),
         default=DEFAULT_DIFF_AUDIT_INTERVAL,
-        help="accesses between protocol audits in monitored runs "
-        f"(default: {DEFAULT_DIFF_AUDIT_INTERVAL})",
+        help="accesses between protocol audits in monitored runs, at "
+        f"least 1 (default: {DEFAULT_DIFF_AUDIT_INTERVAL})",
     )
     # -- record-mode knobs ------------------------------------------------
     parser.add_argument(
@@ -116,15 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cores",
-        type=int,
+        type=at_least(int, 1),
         default=RECORD_CORES,
-        help=f"cores for --record (default: {RECORD_CORES})",
+        help=f"cores for --record, at least 1 (default: {RECORD_CORES})",
     )
     parser.add_argument(
         "--accesses",
-        type=int,
+        type=at_least(int, 1),
         default=RECORD_ACCESSES,
-        help="steady-state accesses for --record "
+        help="steady-state accesses for --record, at least 1 "
         f"(default: {RECORD_ACCESSES})",
     )
     parser.add_argument(

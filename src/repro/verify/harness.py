@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import FaultInjectionError, ProtocolError
-from repro.recovery import RecoveryManager
 from repro.resilience.auditor import ProtocolAuditor
 from repro.resilience.faults import FaultInjector, FaultPlan, InjectedFault
 from repro.sim.config import SystemConfig
@@ -63,7 +62,6 @@ class VerifyHarness:
         oracle: bool = True,
         coverage: "CoverageMap | None" = None,
         fault_seed: int = 0,
-        recovery: "RecoveryManager | None" = None,
     ) -> None:
         self.system = system
         self.injector = system.fault_injector
@@ -76,15 +74,8 @@ class VerifyHarness:
             attach_observer(system, coverage)
         self.auditor = ProtocolAuditor(interval=max(1, audit_interval))
         self.auditor.install(system)
-        self.recovery = recovery
         self.now = 0
         self.executed = 0
-
-    def _audit(self) -> None:
-        if self.recovery is not None:
-            self.recovery.audit(self.auditor, self.system)
-        else:
-            self.auditor.audit(self.system)
 
     @property
     def injected(self) -> "list[InjectedFault]":
@@ -110,11 +101,11 @@ class VerifyHarness:
             self.oracle.observe(self.system, core, addr, kind, pre)
         self.executed += 1
         if self.executed % self.auditor.interval == 0:
-            self._audit()
+            self.auditor.audit(self.system)
 
     def finish(self) -> None:
         """Close the run with a final full audit."""
-        self._audit()
+        self.auditor.audit(self.system)
 
 
 @dataclass
@@ -131,8 +122,6 @@ class ScheduleResult:
     #: True when a fault pseudo-step could not be applied (its target
     #: was not live); the shrinker treats such schedules as non-failing.
     fault_unapplied: bool = False
-    #: Successful repairs performed by an attached recovery manager.
-    repairs: int = 0
 
     @property
     def failed(self) -> bool:
@@ -151,7 +140,6 @@ def run_schedule(
     audit_interval: int = DEFAULT_VERIFY_AUDIT_INTERVAL,
     oracle: bool = True,
     coverage: "CoverageMap | None" = None,
-    recovery: "RecoveryManager | None" = None,
 ) -> ScheduleResult:
     """Run ``steps`` on a fresh (or supplied) system under monitoring.
 
@@ -159,11 +147,7 @@ def run_schedule(
     end the run and are reported as the result's ``violation``; a
     :class:`~repro.errors.FaultInjectionError` (the fault pseudo-step's
     target is gone — typical while shrinking away its setup) ends the
-    run cleanly with ``fault_unapplied`` set. With a ``recovery``
-    manager attached, audit-window invariant violations are repaired
-    in place (the result stays clean and counts the ``repairs``)
-    instead of failing the schedule; oracle violations and escalations
-    still fail it.
+    run cleanly with ``fault_unapplied`` set.
     """
     if system is None:
         if spec is None:
@@ -178,7 +162,6 @@ def run_schedule(
         oracle=oracle,
         coverage=coverage,
         fault_seed=seed,
-        recovery=recovery,
     )
     result = ScheduleResult(coverage=coverage)
     try:
@@ -202,6 +185,4 @@ def run_schedule(
             tracer.close()
     result.executed = harness.executed
     result.injected = list(harness.injected)
-    if recovery is not None:
-        result.repairs = recovery.repairs
     return result

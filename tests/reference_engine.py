@@ -96,8 +96,6 @@ def run_reference(engine: TraceEngine) -> SimStats:
         engine._audit(system)
     stats = system.finalize()
     stats.cycles = max(0, finish - measure_start)
-    if engine.recovery is not None:
-        engine.recovery.publish(stats)
     return stats
 
 
@@ -107,7 +105,6 @@ def reference_trace(
     warmup_fraction: float = 0.4,
     auditor=None,
     oracle=None,
-    recovery=None,
     tracer=None,
 ) -> SimStats:
     """:func:`repro.sim.engine.run_trace` on the reference loop."""
@@ -118,7 +115,6 @@ def reference_trace(
             warmup_fraction,
             auditor=auditor,
             oracle=oracle,
-            recovery=recovery,
             tracer=tracer,
         )
     )

@@ -142,7 +142,7 @@ def test_real_repo_tracks_telemetry_pair():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert ("src/repro/__main__.py", "docs/telemetry.md",
-            ("--trace", "--trace-out", "--metrics")) in module.FLAG_PAIRS
+            ("--trace", "--trace-out")) in module.FLAG_PAIRS
 
 
 def test_undocumented_env_var_detected(checker):
@@ -168,6 +168,30 @@ def test_internal_env_vars_exempt(checker):
     source = root / "src" / "repro" / "knobs.py"
     source.write_text("import os\nos.environ['REPRO_TRACE_WORKER'] = '1'\n")
     assert module.check_env_vars() == []
+
+
+def test_knob_list_drift_detected(checker):
+    module, root = checker
+    main = root / "src" / "repro" / "__main__.py"
+    main.write_text(
+        main.read_text()
+        + "KNOBS = ('REPRO_SCALE', 'REPRO_METRICS')\n"
+    )
+    source = root / "src" / "repro" / "knobs.py"
+    source.write_text(
+        "import os\n"
+        "X = os.environ.get('REPRO_SCALE')\n"
+        "Y = os.environ.get('REPRO_NEW_KNOB')\n"
+    )
+    problems = module.check_knobs()
+    assert len(problems) == 2
+    assert any("REPRO_METRICS" in p and "nothing else" in p for p in problems)
+    assert any("REPRO_NEW_KNOB" in p and "missing from KNOBS" in p
+               for p in problems)
+    main.write_text(
+        main.read_text().replace("'REPRO_METRICS'", "'REPRO_NEW_KNOB'")
+    )
+    assert module.check_knobs() == []
 
 
 def test_event_kind_drift_detected(checker):

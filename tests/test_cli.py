@@ -83,6 +83,22 @@ class TestResilienceFlags:
         code = main(["fig07", "--scale", "quick", "--apps", "compress"])
         assert code == 0
 
+    def test_injected_corruption_fails_the_point(self, capsys, monkeypatch):
+        # The environment the fault-detection smoke uses: the auditor
+        # catches the corrupted entry, and the run fails instead of
+        # finishing with a clean-looking table.
+        monkeypatch.setenv("REPRO_FAULTS", "corrupt_directory_entry@10000")
+        monkeypatch.setenv("REPRO_AUDIT", "1000")
+        monkeypatch.delenv("REPRO_FAULT_SEED", raising=False)
+        code = main(["fig07", "--scale", "quick", "--apps", "barnes",
+                     "--keep-going"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "FAILED barnes/" in captured.out
+        assert "InvariantViolation" in captured.out
+        assert "addr=0x" in captured.out
+        assert "run(s) failed" in captured.err
+
 
 class TestCacheOff:
     """With ``REPRO_CACHE=off`` the sweep executor never runs, so the
@@ -121,8 +137,9 @@ class TestCacheOff:
 
 
 class TestInvalidKnobs:
-    """A ``REPRO_JOBS`` or ``REPRO_CACHE`` value the CLI cannot honour is
-    a usage error that names the knob, never silently ignored."""
+    """A ``REPRO_JOBS`` or ``REPRO_CACHE`` value the CLI cannot honour,
+    or a ``REPRO_*`` name the program never reads, is a usage error that
+    names the knob, never silently ignored."""
 
     @pytest.mark.parametrize(
         "name, value",
@@ -144,6 +161,35 @@ class TestInvalidKnobs:
         assert captured.out == ""
         assert f"invalid {name}={value!r}" in captured.err
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("REPRO_METRICS", "on"),
+            ("REPRO_RECOVERY", "repair"),
+            ("REPRO_FAST", "off"),
+            ("REPRO_AUDTI", "on"),
+        ],
+        ids=["retired-metrics", "retired-recovery", "retired-fast", "typo"],
+    )
+    def test_unknown_name_is_a_usage_error(
+        self, capsys, monkeypatch, name, value
+    ):
+        monkeypatch.setenv(name, value)
+        code = main(["fig07", "--scale", "quick", "--apps", "compress"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"unknown {name}:" in captured.err
+        assert "REPRO_AUDIT" in captured.err  # the known knobs are listed
+
+    def test_every_knob_is_accepted(self, monkeypatch):
+        from repro.__main__ import KNOBS, _invalid_knobs, build_parser
+
+        for name in KNOBS:
+            monkeypatch.setenv(name, "")
+        args = build_parser().parse_args(["fig07"])
+        assert _invalid_knobs(args) == []
+
     def test_jobs_flag_overrides_the_env(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "abc")
         code = main(["fig07", "--scale", "quick", "--apps", "compress",
@@ -163,9 +209,8 @@ class TestInvalidKnobs:
 
 
 class TestObservingNeedsColdCache:
-    """A cached point is replayed, not simulated, so tracing, auditing or
-    recovering on a warm cache is refused instead of silently observing
-    nothing."""
+    """A cached point is replayed, not simulated, so tracing or auditing
+    on a warm cache is refused instead of silently observing nothing."""
 
     @pytest.mark.parametrize(
         "extra, env, warm, flag",
@@ -173,24 +218,16 @@ class TestObservingNeedsColdCache:
             (["--trace"], {}, True, "--trace"),
             (["--trace-out", "TRACE"], {}, True, "--trace-out"),
             (["--audit"], {}, True, "--audit"),
-            (["--recovery", "repair"], {}, True, "--recovery repair"),
             ([], {"REPRO_TRACE": "jsonl"}, True, "REPRO_TRACE=jsonl"),
             ([], {"REPRO_AUDIT": "on"}, True, "REPRO_AUDIT=on"),
-            ([], {"REPRO_RECOVERY": "repair"}, True, "REPRO_RECOVERY=repair"),
-            (["--recovery", "abort"], {}, True, None),
             (["--trace", "--trace-out", "TRACE"], {}, False, None),
         ],
-        ids=[
-            "trace", "trace-out", "audit", "recovery", "trace-env",
-            "audit-env", "recovery-env", "recovery-abort", "cold",
-        ],
+        ids=["trace", "trace-out", "audit", "trace-env", "audit-env", "cold"],
     )
     def test_observing_a_warm_cache_is_refused(
         self, tmp_path, capsys, monkeypatch, extra, env, warm, flag
     ):
-        for name in (
-            "REPRO_TRACE", "REPRO_TRACE_OUT", "REPRO_AUDIT", "REPRO_RECOVERY"
-        ):
+        for name in ("REPRO_TRACE", "REPRO_TRACE_OUT", "REPRO_AUDIT"):
             monkeypatch.delenv(name, raising=False)
         argv = ["fig07", "--scale", "quick", "--apps", "compress"]
         trace = tmp_path / "t.jsonl"
@@ -203,8 +240,7 @@ class TestObservingNeedsColdCache:
         code = main(argv + extra)
         captured = capsys.readouterr()
         if flag is None:
-            # A cold cache still runs, and traces; --recovery abort turns
-            # nothing on, so it runs on a warm cache too.
+            # A cold cache still runs, and traces.
             assert code == 0
             assert "Fig. 7" in captured.out
             assert trace.exists() == (not warm)

@@ -299,6 +299,24 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert "need --trace" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--jobs", "0"),
+    ("--audit-interval", "0"),
+    ("--audit-interval", "-4"),
+    ("--cores", "0"),
+    ("--accesses", "0"),
+])
+def test_cli_out_of_range_value_is_a_usage_error(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        diff_main(["--trace", str(tmp_path), "--schemes", "sparse,tiny",
+                   flag, value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+    assert f"got {value}" in captured.err
+
+
 def test_cli_unknown_fault_kind(small_trace, capsys):
     assert diff_main(
         ["--trace", str(small_trace), "--fault", "melt_the_llc"]

@@ -11,11 +11,34 @@ import pytest
 
 from conftest import Driver, make_system, tiny_config
 from repro.coherence.info import CohInfo
-from repro.errors import FaultInjectionError, ProtocolError, TraceError
-from repro.resilience import Fault, FaultInjector, FaultKind, FaultPlan
-from repro.sim.config import InLLCSpec, MgdSpec, SparseSpec, StashSpec, TinySpec
+from repro.errors import (
+    FaultInjectionError,
+    InvariantViolation,
+    ProtocolError,
+    TraceError,
+)
+from repro.resilience import (
+    Fault,
+    FaultInjector,
+    FaultKind,
+    FaultPlan,
+    ProtocolAuditor,
+)
+from repro.sim.config import (
+    InLLCSpec,
+    MgdSpec,
+    SparseSpec,
+    StashSpec,
+    SystemConfig,
+    TinySpec,
+)
+from repro.sim.engine import run_trace
 from repro.sim.system import System
 from repro.types import Access, AccessKind, PrivateState
+from repro.verify.harness import run_schedule
+from repro.verify.steps import FaultStep, R, W
+from repro.workloads.generator import generate_streams
+from repro.workloads.profiles import profile
 
 
 def faulted_driver(scheme, *faults, seed: int = 0, **overrides) -> Driver:
@@ -234,3 +257,46 @@ class TestRecoveryAfterHeavyChurn:
             if round_ % 7 == 0:
                 d.write((round_ + 1) % 4, block)
         d.system.check_invariants()
+
+
+class TestAuditedRunsFail:
+    """An audited run that trips an invariant raises: nothing repairs the
+    corrupted state and lets the run finish as if it were clean."""
+
+    AUDIT_INTERVAL = 250
+    INJECT_AT = 1000  # audit-window boundary: corruption is seen at once
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(SparseSpec(ratio=2.0), id="sparse"),
+        pytest.param(InLLCSpec(), id="inllc"),
+        pytest.param(TinySpec(ratio=1 / 32, policy="gnru", spill=True,
+                              spill_window=64), id="tiny"),
+        pytest.param(MgdSpec(ratio=1 / 8), id="mgd"),
+        pytest.param(StashSpec(ratio=1 / 32), id="stash"),
+    ])
+    def test_abort_mode_still_raises(self, spec):
+        config = SystemConfig(num_cores=8, l1_kb=1, l2_kb=4, scheme=spec)
+        streams = generate_streams(profile("barnes"), config, 6000, seed=3)
+        plan = FaultPlan(
+            faults=(Fault(kind=FaultKind.CORRUPT_DIRECTORY_ENTRY,
+                          after_access=self.INJECT_AT),),
+            seed=7,
+        )
+        system = System(config, fault_injector=FaultInjector(plan))
+        with pytest.raises(InvariantViolation):
+            run_trace(
+                system, streams,
+                auditor=ProtocolAuditor(interval=self.AUDIT_INTERVAL),
+            )
+
+    def test_schedule_without_recovery_still_fails(self):
+        steps = []
+        for round_ in range(3):
+            steps.append(W(0, 0x40))
+            steps.extend(R(core, 0x40) for core in range(1, 4))
+        steps.append(FaultStep("corrupt_directory_entry", addr=0x40))
+        steps.extend(R(core, 0x40) for core in range(4))
+        result = run_schedule(
+            steps, spec=SparseSpec(ratio=2.0), audit_interval=4
+        )
+        assert result.failed

@@ -94,8 +94,9 @@ def _kill_always(monkeypatch, app="ocean_cp", code=42):
 
 class TestSupervisorPolicy:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SupervisorPolicy(heartbeat_s=0)
+        for seconds in (0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="heartbeat_s"):
+                SupervisorPolicy(heartbeat_s=seconds)
         with pytest.raises(ValueError):
             SupervisorPolicy(max_pool_respawns=-1)
         with pytest.raises(ValueError):
@@ -127,7 +128,7 @@ class TestSupervisorPolicy:
         monkeypatch.setenv("REPRO_HEARTBEAT", "2.5")
         assert supervisor_from_env().heartbeat_s == 2.5
 
-    @pytest.mark.parametrize("value", ["soon", "-3", "0"])
+    @pytest.mark.parametrize("value", ["soon", "-3", "0", "nan", "inf", "-inf"])
     def test_from_env_invalid_warns(self, monkeypatch, capsys, value):
         monkeypatch.setenv("REPRO_HEARTBEAT", value)
         assert supervisor_from_env().heartbeat_s is None

@@ -1,16 +1,13 @@
-"""The telemetry subsystem: tracing, metrics, bench points.
+"""The telemetry subsystem: tracing and bench points.
 
-Pins the three contracts ``docs/telemetry.md`` documents:
+Pins the two contracts ``docs/telemetry.md`` documents:
 
 1. **Zero overhead when off** — a traced run and an untraced run of the
    same (streams, system) produce bit-identical statistics dumps, and
-   an unmetered run's dump carries no ``telemetry`` section at all.
+   a dump carries only simulated statistics (no ``telemetry`` section).
 2. **Lossless trace round trip** — events emitted through the JSONL
    sink read back equal (``seq``, ``kind``, context, and data) to the
    same run's in-memory ring capture.
-3. **Mergeable metrics** — snapshots from independent runs/workers fold
-   together with counters adding, gauges last-wins, and histogram
-   bounds widening.
 """
 
 from __future__ import annotations
@@ -23,8 +20,7 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis.runner import RunScale, run_app
-from repro.recovery import RecoveryManager, RecoveryPolicy
+from repro.analysis.runner import RunScale
 from repro.resilience import (
     FaultInjector,
     FaultPlan,
@@ -36,20 +32,16 @@ from repro.sim.system import System
 from repro.telemetry import (
     EVENT_KINDS,
     JsonlSink,
-    MetricsRegistry,
     NULL_TRACER,
     RingBufferSink,
     TraceEvent,
     Tracer,
     attach_observer,
-    merge_snapshots,
     merge_worker_traces,
-    metrics_from_env,
     read_trace,
     tracer_from_env,
     write_bench_point,
 )
-from repro.telemetry.metrics import Histogram
 from repro.verify import CoverageMap, ValueOracle
 from repro.workloads.generator import generate_streams
 from repro.sim.engine import run_trace
@@ -85,10 +77,6 @@ def small_run(
 OBSERVERS = {
     "auditor": lambda: {"auditor": ProtocolAuditor(interval=64)},
     "oracle": lambda: {"oracle": ValueOracle()},
-    "recovery": lambda: {
-        "auditor": ProtocolAuditor(interval=64),
-        "recovery": RecoveryManager(RecoveryPolicy("repair")),
-    },
     "faults": lambda: {"fault_injector": FaultInjector(FaultPlan())},
 }
 
@@ -115,8 +103,8 @@ class TestTraceEvent:
         assert payload == {"seq": 1, "kind": "tiny:decline"}
 
     def test_json_round_trip_is_bit_exact(self):
-        event = TraceEvent(7, "recovery:repair", addr=12,
-                           data={"action": "rebuild", "verified": True})
+        event = TraceEvent(7, "dir:back_invalidate", cycle=90, addr=12,
+                           data={"holders": [1, 3]})
         wire = json.dumps(event.to_dict(), separators=(",", ":"))
         assert TraceEvent.from_dict(json.loads(wire)) == event
 
@@ -158,16 +146,6 @@ class TestBitIdentity:
         _, stats = small_run()
         assert "telemetry" not in stats.dump()
         assert "telemetry" not in stats.as_dict()
-
-    def test_metrics_section_round_trips_through_dump(self):
-        from repro.sim.stats import SimStats
-
-        _, stats = small_run()
-        metrics = MetricsRegistry()
-        metrics.count("txn:accesses", 4000)
-        metrics.publish(stats)
-        reloaded = SimStats.load(stats.dump())
-        assert reloaded.telemetry["counters"]["txn:accesses"] == 4000
 
 
 class TestTraceCapture:
@@ -264,9 +242,7 @@ class TestWorkerTraceFanIn:
 class TestEnvBuilders:
     def test_unset_means_disabled(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        monkeypatch.delenv("REPRO_METRICS", raising=False)
         assert tracer_from_env() is None
-        assert metrics_from_env() is None
 
     def test_jsonl_and_ring_selectors(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_TRACE_OUT", str(tmp_path / "t.jsonl"))
@@ -282,60 +258,6 @@ class TestEnvBuilders:
         monkeypatch.setenv("REPRO_TRACE", "csv")
         assert tracer_from_env() is None
         assert "REPRO_TRACE" in capsys.readouterr().err
-
-    def test_invalid_metrics_warns_and_disables(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_METRICS", "always")
-        assert metrics_from_env() is None
-        assert "REPRO_METRICS" in capsys.readouterr().err
-
-    def test_metrics_on(self, monkeypatch):
-        monkeypatch.setenv("REPRO_METRICS", "on")
-        assert isinstance(metrics_from_env(), MetricsRegistry)
-
-
-class TestMetrics:
-    def test_histogram_buckets_and_merge(self):
-        left, right = Histogram(), Histogram()
-        for value in (1, 2, 100):
-            left.observe(value)
-        right.observe(0.5)
-        right.merge_dict(left.as_dict())
-        assert right.count == 4
-        assert right.min == 0.5 and right.max == 100
-        assert sum(right.buckets.values()) == 4
-
-    def test_merge_snapshots_semantics(self):
-        a = MetricsRegistry()
-        a.count("txn:accesses", 100)
-        a.gauge("llc_miss_rate", 0.25)
-        a.observe("phase:simulate", 1.0)
-        b = MetricsRegistry()
-        b.count("txn:accesses", 50)
-        b.gauge("llc_miss_rate", 0.5)
-        b.observe("phase:simulate", 4.0)
-        merged = merge_snapshots([a.snapshot(), b.snapshot(), {}])
-        assert merged["counters"]["txn:accesses"] == 150
-        assert merged["gauges"]["llc_miss_rate"] == 0.5  # last wins
-        hist = merged["histograms"]["phase:simulate"]
-        assert hist["count"] == 2 and hist["max"] == 4.0
-
-    def test_empty_registry_publishes_nothing(self):
-        from repro.sim.stats import SimStats
-
-        stats = SimStats()
-        MetricsRegistry().publish(stats)
-        assert stats.telemetry == {}
-        assert "telemetry" not in stats.dump()
-
-    def test_run_app_with_metrics_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_METRICS", "on")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        result = run_app("compress", SCALE.tiny_spec(1 / 32, "gnru"), SCALE)
-        telemetry = result.stats.telemetry
-        assert telemetry["counters"]["txn:accesses"] == result.stats.accesses
-        assert telemetry["counters"]["txn:accesses"] > 0
-        assert "phase:simulate" in telemetry["histograms"]
-        assert "phase:generate" in telemetry["histograms"]
 
 
 class TestBenchPoints:
@@ -401,26 +323,7 @@ class TestPublicSurface:
     def test_reexported_from_repro(self):
         import repro
 
-        for name in ("TraceEvent", "Tracer", "MetricsRegistry",
-                     "merge_snapshots", "read_trace", "write_bench_point"):
+        for name in ("TraceEvent", "Tracer", "read_trace",
+                     "write_bench_point"):
             assert name in repro.__all__
             assert getattr(repro, name) is not None
-
-
-class TestSweepTelemetry:
-    def test_worker_metrics_merge_across_sweep(self, monkeypatch, tmp_path):
-        from repro.parallel import SweepPoint, run_sweep
-
-        monkeypatch.setenv("REPRO_METRICS", "on")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        points = [
-            SweepPoint("compress", SCALE.tiny_spec(1 / 32, "gnru"), SCALE),
-            SweepPoint("compress", SCALE.tiny_spec(1 / 64, "gnru"), SCALE),
-        ]
-        report = run_sweep(points, jobs=2)
-        merged = report.telemetry()
-        per_run = [r.stats.telemetry["counters"]["txn:accesses"]
-                   for r in report.results]
-        assert merged["counters"]["txn:accesses"] == sum(per_run)
-        assert "phase:simulate" in merged["histograms"]
-        assert merged["histograms"]["phase:simulate"]["count"] == len(points)

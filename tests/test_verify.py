@@ -300,3 +300,25 @@ class TestCli:
                          "--out", str(tmp_path)])
         assert rc == 0
         assert "verify: OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--jobs", "0"),
+        ("--steps", "0"),
+        ("--steps", "-5"),
+        ("--audit-interval", "0"),
+        ("--faults", "-1"),
+        ("--min-coverage", "-0.1"),
+        ("--min-coverage", "1.5"),
+        ("--min-coverage", "nan"),
+    ])
+    def test_out_of_range_value_is_a_usage_error(
+        self, capsys, tmp_path, flag, value
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            verify_main(["--fuzz", "--scheme", "sparse", "--steps", "50",
+                         "--out", str(tmp_path), flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+        assert f"got {value}" in captured.err

@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
-"""CI chaos smoke: recovery under faults, worker kills, SIGTERM.
+"""CI chaos smoke: fault detection, worker kills, SIGTERM.
 
 Three phases, all small enough for a CI job:
 
-1. **Recovery smoke** — for every scheme family, run one application
+1. **Detection smoke** — for every scheme family, run one application
    with a directory corruption injected mid-trace
-   (``REPRO_FAULTS=corrupt_directory_entry@...``) under
-   ``REPRO_RECOVERY=repair`` and assert the run completes, performed at
-   least one repair, published the recovery stats section, and passes a
-   full post-run invariant audit.
-2. **Worker-kill smoke** — run a small supervised sweep in which one
-   worker ``os._exit``\\ s mid-point exactly once (marker file), and
-   assert the sweep still completes every point, respawned the pool,
-   and the injected-fault repairs show up in the swept results'
-   recovery sections.
+   (``REPRO_FAULTS=corrupt_directory_entry@...``) under the online
+   auditor (``REPRO_AUDIT``) and assert the run raises
+   :class:`~repro.errors.InvariantViolation` naming the corrupted
+   address, instead of finishing as if it were clean.
+2. **Worker-kill smoke** — run a small supervised sweep (no faults) in
+   which one worker ``os._exit``\\ s mid-point exactly once (marker
+   file), and assert the sweep still completes every point and
+   respawned the pool.
 3. **SIGTERM smoke** — SIGTERM a child mid-sweep and assert the
    distinct resumable exit code, a loadable flushed journal, and that
    ``resume=True`` completes the sweep without recomputing journaled
@@ -40,15 +39,12 @@ if multiprocessing.get_start_method(allow_none=True) is None:
     except (ValueError, RuntimeError):
         pass
 
-CHAOS_ENV = {
-    "REPRO_SCALE": "quick",
+#: The detection phase's environment; the later phases run without it.
+FAULT_ENV = {
     "REPRO_AUDIT": "1000",
     "REPRO_FAULTS": "corrupt_directory_entry@10000",
     "REPRO_FAULT_SEED": "11",
-    "REPRO_RECOVERY": "repair",
 }
-
-SCHEMES = None  # populated in main() after the env is set
 
 
 def _build_schemes():
@@ -70,28 +66,24 @@ def _build_schemes():
     ]
 
 
-def recovery_smoke() -> None:
-    """Every scheme self-heals an injected directory corruption."""
+def detection_smoke() -> None:
+    """Every scheme's auditor catches an injected directory corruption."""
     from repro.analysis.runner import run_app
+    from repro.errors import InvariantViolation
 
-    for label, spec in _build_schemes():
-        result = run_app("barnes", spec)
-        injected = result.meta.get("injected_faults", 0)
-        repairs = result.meta.get("repairs", 0)
-        recovery = result.stats.recovery
-        assert injected >= 1, f"{label}: no fault was injected"
-        assert repairs >= 1, f"{label}: fault was not repaired"
-        assert recovery.get("repairs", 0) >= 1, (
-            f"{label}: recovery stats section missing/empty: {recovery}"
-        )
-        assert recovery.get("escalations", 0) == 0, (
-            f"{label}: recovery escalated: {recovery}"
-        )
-        print(
-            f"recovery[{label}]: injected={injected} repairs={repairs} "
-            f"probe_messages={recovery['probe_messages']} "
-            f"repair_cycles={recovery['repair_cycles']}"
-        )
+    os.environ.update(FAULT_ENV)
+    try:
+        for label, spec in _build_schemes():
+            try:
+                run_app("barnes", spec)
+            except InvariantViolation as err:
+                assert err.addr is not None, f"{label}: no address in {err}"
+                print(f"detection[{label}]: {err.message} at {err.addr:#x}")
+            else:
+                raise AssertionError(f"{label}: corruption went undetected")
+    finally:
+        for name in FAULT_ENV:
+            del os.environ[name]
 
 
 #: Marker file armed by the worker-kill phase; the patched run_app
@@ -152,12 +144,10 @@ def worker_kill_smoke() -> None:
     assert all(
         r is not None and not r.meta.get("failed") for r in report.results
     ), "a point came back failed"
-    healed = [r for r in report.results if r.stats.recovery.get("repairs")]
-    assert healed, "no swept result carries a recovery stats section"
     print(
         f"worker-kill: points={len(report.results)} "
         f"pool_respawns={report.pool_respawns} "
-        f"degraded={report.degraded_serial} healed_points={len(healed)}"
+        f"degraded={report.degraded_serial}"
     )
 
 
@@ -231,10 +221,10 @@ def sigterm_smoke() -> None:
 
 
 def main() -> int:
-    os.environ.update(CHAOS_ENV)
+    os.environ["REPRO_SCALE"] = "quick"
     os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="chaos-cache-")
     os.environ["REPRO_CACHE"] = "on"
-    recovery_smoke()
+    detection_smoke()
     worker_kill_smoke()
     sigterm_smoke()
     print("chaos_smoke: OK")

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Documentation consistency checker (CI gate).
 
-Four checks, all cheap and dependency-free (CLI parsers and the event
-vocabulary are read via ``ast``, so no simulator import is needed):
+Six checks, all cheap and dependency-free (CLI parsers, the event
+vocabulary and the knob list are read via ``ast``, so no simulator
+import is needed):
 
 1. **Intra-repo links** — every relative markdown link in README.md and
    ``docs/*.md`` must resolve to an existing file (anchors stripped;
@@ -17,6 +18,12 @@ vocabulary are read via ``ast``, so no simulator import is needed):
    ``docs/telemetry.md`` must be exactly ``EVENT_KINDS`` of
    ``src/repro/telemetry/events.py``, the one list of trace, coverage
    and flight-recorder kinds.
+5. **Environment variables** — every ``REPRO_*`` name under ``src/``
+   must be documented, and every documented one must exist in ``src/``.
+6. **Knob list** — ``KNOBS`` of ``src/repro/__main__.py``, the names the
+   figure CLI accepts, must be exactly the ``REPRO_*`` names the rest of
+   ``src/`` reads, so a retired knob cannot stay accepted and a new one
+   cannot be refused.
 
 Exit status 0 when clean, 1 with one line per problem otherwise.
 """
@@ -39,9 +46,9 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 FLAG_PAIRS = [
     ("src/repro/__main__.py", "docs/harness.md"),
     ("src/repro/__main__.py", "docs/resilience.md",
-     ("--audit", "--recovery", "--resume")),
+     ("--audit", "--keep-going", "--resume")),
     ("src/repro/__main__.py", "docs/telemetry.md",
-     ("--trace", "--trace-out", "--metrics")),
+     ("--trace", "--trace-out")),
     ("src/repro/verify/cli.py", "docs/verification.md"),
     ("src/repro/verify/diff_cli.py", "docs/verification.md"),
 ]
@@ -51,6 +58,9 @@ FLAG_PAIRS = [
 ENV_INTERNAL = {
     "REPRO_TRACE_WORKER",  # set by the pool to route worker trace parts
 }
+
+#: The module whose ``KNOBS`` tuple lists every ``REPRO_*`` name read.
+KNOBS_MODULE = "src/repro/__main__.py"
 
 #: The event vocabulary and the one doc table that lists it.
 EVENTS_MODULE = "src/repro/telemetry/events.py"
@@ -210,14 +220,44 @@ def check_env_vars() -> "list[str]":
     return problems
 
 
-def event_kinds(module: pathlib.Path) -> "set[str]":
-    """The string tuple assigned to ``EVENT_KINDS`` in ``module``."""
+def assigned_strings(module: pathlib.Path, name: str) -> "set[str]":
+    """The string tuple assigned to ``name`` at any level of ``module``."""
     for node in ast.walk(ast.parse(module.read_text())):
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            if any(getattr(t, "id", None) == "EVENT_KINDS" for t in targets):
+            if any(getattr(t, "id", None) == name for t in targets):
                 return set(ast.literal_eval(node.value))
     return set()
+
+
+def event_kinds(module: pathlib.Path) -> "set[str]":
+    """The string tuple assigned to ``EVENT_KINDS`` in ``module``."""
+    return assigned_strings(module, "EVENT_KINDS")
+
+
+def check_knobs() -> "list[str]":
+    """``KNOBS`` must list exactly the ``REPRO_*`` names read elsewhere
+    under ``src/`` (the module that holds it is left out, since it
+    names every knob)."""
+    module = REPO / KNOBS_MODULE
+    if not module.exists():
+        return [f"{KNOBS_MODULE}: missing (knob check needs it)"]
+    listed = assigned_strings(module, "KNOBS")
+    read: "set[str]" = set()
+    for path in sorted((REPO / "src").rglob("*.py")):
+        if path != module:
+            read |= set(_ENV_VAR.findall(path.read_text()))
+    problems = [
+        f"{KNOBS_MODULE}: KNOBS lists {var}, which nothing else under "
+        "src/ reads"
+        for var in sorted(listed - read)
+    ]
+    problems += [
+        f"{KNOBS_MODULE}: {var} is read under src/ but missing from KNOBS "
+        "(the figure CLI would refuse it)"
+        for var in sorted(read - listed)
+    ]
+    return problems
 
 
 def documented_kinds(doc: pathlib.Path) -> "set[str]":
@@ -256,6 +296,7 @@ def main() -> int:
     problems = check_links()
     problems += check_event_kinds()
     problems += check_env_vars()
+    problems += check_knobs()
     for pair in FLAG_PAIRS:
         problems += check_flags(*pair)
     problems += check_stale_flags()

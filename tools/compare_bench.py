@@ -11,8 +11,8 @@ of the same name, and each metric listed in the point's ``gate`` block
 must satisfy two checks:
 
 * **floor** — an absolute requirement carried in the point itself (e.g.
-  the fast lane's ``speedup`` floor of 1.5, which encodes the
-  acceptance criterion independent of any baseline);
+  the ``speedup`` floor of 1.5 of the engine over the reference loop,
+  which encodes the acceptance criterion independent of any baseline);
 * **tolerance** — no regression beyond ``tolerance`` relative to the
   baseline value (``candidate >= baseline * (1 - tolerance)`` for
   higher-is-better metrics, the mirror image for lower-is-better).
