@@ -24,11 +24,11 @@ The package layers:
   (``repro.workloads.capture``) for recording and bit-identical replay.
 * ``repro.energy`` / ``repro.analysis`` — the energy model and the
   per-figure experiment harness.
-* ``repro.parallel`` — the supervised process-based sweep executor with
-  profiling hooks, crash recovery, resumable checkpoints
-  (``run_sweep``, ``collect_points``), and graceful SIGINT/SIGTERM
-  shutdown (``graceful_scope``, ``resume_hint``); see
-  ``docs/harness.md`` and ``docs/resilience.md``.
+* ``repro.parallel`` — the process-based sweep executor with
+  profiling hooks, resumable checkpoints (``run_sweep``,
+  ``collect_points``), and graceful SIGINT/SIGTERM shutdown
+  (``graceful_scope``, ``resume_hint``); see ``docs/harness.md`` and
+  ``docs/resilience.md``.
 * ``repro.verify`` — the protocol conformance subsystem: litmus tests,
   the random-walk fuzzer with shrinking, transition coverage, the
   cross-scheme differential harness (``python -m repro diff``), and the
@@ -53,7 +53,6 @@ from repro.analysis.runner import (
 )
 from repro.parallel import (
     RunProfile,
-    SupervisorPolicy,
     SweepJournal,
     SweepPoint,
     SweepReport,
@@ -131,7 +130,6 @@ __all__ = [
     "SimStats",
     "SparseSpec",
     "StashSpec",
-    "SupervisorPolicy",
     "SweepJournal",
     "SweepPoint",
     "SweepReport",

@@ -51,7 +51,8 @@ result cache: point ``REPRO_CACHE_DIR`` at a fresh directory, or set
 ``--jobs`` at least 1; any other value is a usage error (exit 2). So
 is a ``REPRO_JOBS`` that is not an integer of at least 1 (when
 ``--jobs`` is not given), a ``REPRO_CACHE`` other than ``on``, ``off``,
-``0`` or ``no``, and any ``REPRO_*`` variable not in :data:`KNOBS`.
+``0`` or ``no``, and any ``REPRO_*`` variable not in
+:data:`repro.argtypes.KNOBS`.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ import sys
 from repro.analysis import experiments
 from repro.analysis.cache import CACHE_OFF, cache_dir, cache_enabled
 from repro.analysis.runner import HarnessPolicy, RunScale, harness
-from repro.argtypes import at_least
+from repro.argtypes import at_least, unknown_knobs
 from repro.errors import ShutdownRequested
 from repro.parallel import (
     SweepJournal,
@@ -208,28 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Every ``REPRO_*`` environment variable the program reads.
-#: ``tools/check_docs.py`` fails when this list and the names read under
-#: ``src/`` drift apart.
-KNOBS = (
-    "REPRO_AUDIT",
-    "REPRO_BENCH_DIR",
-    "REPRO_CACHE",
-    "REPRO_CACHE_DIR",
-    "REPRO_FAULTS",
-    "REPRO_FAULT_SEED",
-    "REPRO_HEARTBEAT",
-    "REPRO_JOBS",
-    "REPRO_SCALE",
-    "REPRO_TRACE",
-    "REPRO_TRACE_CACHE",
-    "REPRO_TRACE_FILE",
-    "REPRO_TRACE_OUT",
-    "REPRO_TRACE_RECORD",
-    "REPRO_TRACE_WORKER",
-)
-
-
 def _invalid_knobs(args) -> "list[str]":
     """The ``REPRO_*`` settings this run would otherwise ignore: a name
     the program never reads (a typo, or a retired knob) or a value it
@@ -237,12 +216,7 @@ def _invalid_knobs(args) -> "list[str]":
 
     ``REPRO_JOBS`` counts only when ``--jobs`` is not given.
     """
-    problems = [
-        f"unknown {name}: the program reads no such variable "
-        f"(its REPRO_* knobs are {', '.join(KNOBS)})"
-        for name in sorted(os.environ)
-        if name.startswith("REPRO_") and name not in KNOBS
-    ]
+    problems = unknown_knobs()
     raw = os.environ.get("REPRO_JOBS", "").strip()
     if args.jobs is None and raw and parse_jobs(raw) is None:
         problems.append(
@@ -383,8 +357,7 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.audit:
         os.environ["REPRO_AUDIT"] = "on"
     if args.trace or args.trace_out:
-        # setdefault keeps an explicit REPRO_TRACE=ring (etc.) in force.
-        os.environ.setdefault("REPRO_TRACE", "jsonl")
+        os.environ["REPRO_TRACE"] = "jsonl"
     if args.trace_out:
         os.environ["REPRO_TRACE_OUT"] = args.trace_out
     scale = _SCALES[args.scale]()

@@ -1,15 +1,49 @@
-"""Argparse ``type=`` converters shared by the command-line interfaces.
+"""Argument and environment checks shared by the command-line interfaces.
 
 The figure CLI (``python -m repro``), ``python -m repro verify`` and
 ``python -m repro diff`` refuse an out-of-range number the same way: a
-usage error (exit 2) that names the flag. The converter lives apart from
-``repro.__main__`` so the subcommands need not import the figure
-registry to use it.
+usage error (exit 2) that names the flag. They refuse a ``REPRO_*``
+variable the program never reads the same way too, naming the variable.
+Both checks live apart from ``repro.__main__`` so the subcommands need
+not import the figure registry to use them.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+
+#: Every ``REPRO_*`` environment variable the program reads.
+#: ``tools/check_docs.py`` fails when this list and the names read under
+#: ``src/`` drift apart.
+KNOBS = (
+    "REPRO_AUDIT",
+    "REPRO_BENCH_DIR",
+    "REPRO_CACHE",
+    "REPRO_CACHE_DIR",
+    "REPRO_FAULTS",
+    "REPRO_FAULT_SEED",
+    "REPRO_JOBS",
+    "REPRO_SCALE",
+    "REPRO_TRACE",
+    "REPRO_TRACE_CACHE",
+    "REPRO_TRACE_FILE",
+    "REPRO_TRACE_OUT",
+    "REPRO_TRACE_RECORD",
+    "REPRO_TRACE_WORKER",
+)
+
+
+def unknown_knobs() -> "list[str]":
+    """One problem line per ``REPRO_*`` variable set that the program
+    never reads: a typo, or a retired knob. Nothing would read it, so a
+    CLI refuses it rather than run as if it were honoured."""
+    return [
+        f"unknown {name}: the program reads no such variable "
+        f"(its REPRO_* knobs are {', '.join(KNOBS)})"
+        for name in sorted(os.environ)
+        if name.startswith("REPRO_") and name not in KNOBS
+    ]
 
 
 def at_least(convert, low, inclusive: bool = True, at_most=None):

@@ -117,13 +117,3 @@ class ShutdownRequested(BaseException):
     def __init__(self, signum: "int | None" = None) -> None:
         super().__init__(f"shutdown requested (signal {signum})")
         self.signum = signum
-
-
-class WorkerCrashError(ReproError):
-    """A sweep worker process died (or hung) while computing a point.
-
-    Used by the supervised :func:`~repro.parallel.executor.run_sweep`
-    to report points whose worker crashed out of every retry, so the
-    failure survives round-trips through the string-serialized
-    :class:`~repro.analysis.runner.RunFailure` record.
-    """

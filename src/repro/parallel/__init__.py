@@ -30,11 +30,9 @@ from repro.parallel.profiling import (
     render_profiles_table,
     summarize,
 )
-from repro.parallel.supervisor import SupervisorPolicy, supervisor_from_env
 
 __all__ = [
     "RunProfile",
-    "SupervisorPolicy",
     "SweepJournal",
     "SweepPoint",
     "SweepReport",
@@ -48,5 +46,4 @@ __all__ = [
     "run_sweep",
     "run_tasks",
     "summarize",
-    "supervisor_from_env",
 ]

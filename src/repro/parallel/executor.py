@@ -27,20 +27,15 @@ the serial path. Every point's random seed derives from its own
 ``scale.seed``; nothing depends on pool scheduling, completion order, or
 worker identity. The only thing parallelism changes is wall-clock time.
 
-The executor is *supervised*: a worker crash (``BrokenProcessPool``)
-no longer kills the sweep. Finished futures are salvaged, the crashed
-points are requeued, and the pool is respawned after an exponential
-backoff with jitter; a :class:`~repro.parallel.supervisor.SupervisorPolicy`
-heartbeat additionally catches workers that hang without progress. Once
-the respawn budget is spent the executor degrades to *isolated serial*
-execution — each remaining point runs alone in a fresh single-worker
-pool, so a poison point that keeps killing its worker is blamed
-precisely (and reported as a :class:`~repro.errors.WorkerCrashError`
-failure) without taking healthy points, or the parent process, with it.
-Completions can be journaled to a crash-safe
-:class:`~repro.parallel.journal.SweepJournal`; ``resume=True`` skips
-journaled points, so an interrupted sweep recomputes only what is
-genuinely missing.
+A worker that dies (segfault, OOM kill, ``os._exit``) breaks the pool:
+every point not yet finished fails with an error naming
+``BrokenProcessPool``. Under a strict policy that failure is raised;
+under ``keep_going`` the points show as failed. Every finished point is
+already in the result cache, so rerunning the same sweep computes only
+the points the dead worker took down. Completions can be journaled to a
+crash-safe :class:`~repro.parallel.journal.SweepJournal` (the points a
+dead worker took down never are); ``resume=True`` skips journaled
+points, so an interrupted sweep recomputes only what is missing.
 
 A SIGINT/SIGTERM arriving mid-sweep (see
 :func:`repro.parallel.shutdown.graceful_scope`) kills the pool without
@@ -55,11 +50,10 @@ from __future__ import annotations
 
 import builtins
 import os
+import signal
 import sys
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 from repro import errors as _errors
@@ -74,7 +68,6 @@ from repro.errors import ArtifactWriteError, ShutdownRequested
 from repro.parallel.journal import SweepJournal
 from repro.parallel.points import SweepPoint, dedupe_points
 from repro.parallel.profiling import RunProfile, SweepSummary, summarize
-from repro.parallel.supervisor import SupervisorPolicy, supervisor_from_env
 from repro.sim.results import RunResult
 from repro.sim.stats import SimStats
 from repro.telemetry import jsonl_trace_enabled, merge_worker_traces
@@ -110,6 +103,11 @@ def resolve_jobs(jobs: "int | None" = None) -> int:
     return max(1, jobs)
 
 
+def _repro_env() -> "dict[str, str]":
+    """The ``REPRO_*`` environment to re-apply in pool workers."""
+    return {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
+
+
 def run_tasks(fn, payloads: "list", jobs: "int | None" = None) -> "list":
     """Order-preserving process-pool map for independent tasks.
 
@@ -123,14 +121,13 @@ def run_tasks(fn, payloads: "list", jobs: "int | None" = None) -> "list":
     jobs = min(resolve_jobs(jobs), max(1, len(payloads)))
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(payload) for payload in payloads]
-    env = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
     with ProcessPoolExecutor(
         max_workers=jobs,
         # Same initializer as run_sweep: without it, spawn/forkserver
         # children would run with a default environment and silently
         # ignore the parent's REPRO_* settings (audit, scale, cache).
         initializer=_init_worker,
-        initargs=(env, None, 0, None),
+        initargs=(_repro_env(),),
     ) as pool:
         results = list(pool.map(fn, payloads))
     if jsonl_trace_enabled():
@@ -152,13 +149,6 @@ class SweepReport:
     failures: "list[RunFailure]" = field(default_factory=list)
     wall_s: float = 0.0
     jobs: int = 1
-    #: How many times a broken/hung pool was rebuilt.
-    pool_respawns: int = 0
-    #: True when the respawn budget ran out and the tail of the sweep
-    #: executed in isolated serial mode.
-    degraded_serial: bool = False
-    #: Points that crashed their worker out of every retry.
-    crashed_points: int = 0
     #: Points satisfied from the sweep journal under ``resume=True``.
     resumed_points: int = 0
     #: Why the sweep journal was disabled mid-sweep (a failed append,
@@ -175,12 +165,9 @@ class SweepReport:
 # Worker side
 # ----------------------------------------------------------------------
 
-#: Per-worker configuration installed by :func:`_init_worker`.
-_WORKER: "dict[str, object]" = {}
-
-
-def _init_worker(env: "dict[str, str]", timeout_s, max_retries, profile_dir):
-    """Pool initializer: re-apply the parent's ``REPRO_*`` environment.
+def _init_worker(env: "dict[str, str]") -> None:
+    """Pool initializer: re-apply the parent's ``REPRO_*`` environment
+    and the default SIGTERM action.
 
     With the default ``fork`` start method the environment is inherited
     anyway; re-applying it keeps spawn/forkserver children (and any env
@@ -195,14 +182,15 @@ def _init_worker(env: "dict[str, str]", timeout_s, max_retries, profile_dir):
     # parent fans them into the base trace after the sweep (see
     # repro.telemetry.merge_worker_traces).
     os.environ["REPRO_TRACE_WORKER"] = "1"
-    _WORKER["timeout_s"] = timeout_s
-    _WORKER["max_retries"] = max_retries
-    _WORKER["profile_dir"] = profile_dir
+    # A forked worker inherits graceful_scope's SIGTERM handler, which
+    # turns the pool's terminate() into an exception the worker reports
+    # before it takes the next point. The default action stops it.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def _execute_point(index: int, point: SweepPoint, policy: HarnessPolicy,
                    profile_dir: "str | None"):
-    """Run one point under ``policy``; return (result, profile, profiled path)."""
+    """Run one point under ``policy``; return (result, profile)."""
     profiler = None
     stats_path = None
     start = time.perf_counter()
@@ -244,17 +232,16 @@ def _execute_point(index: int, point: SweepPoint, policy: HarnessPolicy,
     return result, profile
 
 
-def _run_point(index: int, point: SweepPoint):
+def _run_point(index: int, point: SweepPoint, timeout_s, max_retries: int,
+               profile_dir: "str | None"):
     """Top-level pool task (must be picklable by reference)."""
     policy = HarnessPolicy(
         keep_going=True,  # failures travel back as data, never tracebacks
-        timeout_s=_WORKER.get("timeout_s"),
-        max_retries=int(_WORKER.get("max_retries") or 0),
+        timeout_s=timeout_s,
+        max_retries=max_retries,
     )
-    result, profile = _execute_point(
-        index, point, policy, _WORKER.get("profile_dir")
-    )
-    return index, result, profile, list(policy.failures)
+    result, profile = _execute_point(index, point, policy, profile_dir)
+    return result, profile, policy.failures
 
 
 def _rebuild_error(failure: RunFailure) -> Exception:
@@ -274,7 +261,7 @@ def _rebuild_error(failure: RunFailure) -> Exception:
 
 
 # ----------------------------------------------------------------------
-# Parent side: supervision helpers
+# Parent side
 # ----------------------------------------------------------------------
 
 def _failed_result(point: SweepPoint, error: str) -> RunResult:
@@ -287,10 +274,9 @@ def _failed_result(point: SweepPoint, error: str) -> RunResult:
     )
 
 
-def _synthetic_profile(
-    point: SweepPoint, index: int, failed: bool = False
-) -> RunProfile:
-    """Profile stand-in for a point that never produced one (crash/replay)."""
+def _failed_profile(point: SweepPoint, index: int) -> RunProfile:
+    """Profile stand-in for a failed point that never produced one (lost
+    to a dead worker, or replayed from the journal)."""
     return RunProfile(
         app=point.app,
         scheme=point.scheme_name,
@@ -298,13 +284,13 @@ def _synthetic_profile(
         wall_s=0.0,
         accesses_per_s=0.0,
         cache_hit=False,
-        failed=failed,
+        failed=True,
         worker=os.getpid(),
     )
 
 
 def _kill_pool(pool) -> None:
-    """Tear a (possibly hung) pool down without waiting on its workers."""
+    """Tear a pool down without waiting on its workers."""
     for process in list(getattr(pool, "_processes", {}).values()):
         try:
             process.terminate()
@@ -316,88 +302,15 @@ def _kill_pool(pool) -> None:
         pass
 
 
-def _run_isolated(index, point, policy, profile_dir, supervisor, env):
-    """Degraded-mode execution: one point, alone, in a fresh 1-worker pool.
-
-    With nothing else in flight, a pool break (or heartbeat expiry) here
-    blames this exact point — the property the gang pool cannot provide,
-    since a crash there kills innocent in-flight siblings too. Retried
-    with backoff up to ``supervisor.max_point_retries`` extra times;
-    running the point in a child (never inline in the parent) means a
-    poison point that aborts its process cannot take the sweep with it.
-
-    Returns ``(result, profile, failures, crashed)`` with ``crashed=1``
-    when every attempt lost its worker.
-    """
-    attempts = 0
-    error = "WorkerCrashError: worker process died while computing this point"
-    while attempts <= supervisor.max_point_retries:
-        attempts += 1
-        if attempts > 1:
-            time.sleep(supervisor.backoff_delay(attempts - 1))
-        pool = ProcessPoolExecutor(
-            max_workers=1,
-            initializer=_init_worker,
-            initargs=(env, policy.timeout_s, policy.max_retries, profile_dir),
-        )
-        future = pool.submit(_run_point, index, point)
-        done, _ = wait({future}, timeout=supervisor.heartbeat_s)
-        if not done:
-            _kill_pool(pool)
-            error = (
-                "WorkerCrashError: worker made no progress within the "
-                f"{supervisor.heartbeat_s:g}s heartbeat"
-            )
-            continue
-        try:
-            _, result, profile, point_failures = future.result()
-        except BrokenProcessPool:
-            _kill_pool(pool)
-            continue
-        except Exception as exc:  # unpicklable result, executor bug, ...
-            _kill_pool(pool)
-            failure = RunFailure(
-                app=point.app,
-                scheme=point.scheme_name,
-                error=f"{type(exc).__name__}: {exc}",
-                attempts=attempts,
-            )
-            return (
-                _failed_result(point, failure.error),
-                _synthetic_profile(point, index, failed=True),
-                [failure],
-                0,
-            )
-        pool.shutdown(wait=True)
-        return result, profile, point_failures, 0
-    failure = RunFailure(
-        app=point.app,
-        scheme=point.scheme_name,
-        error=error,
-        attempts=attempts,
-    )
-    return (
-        _failed_result(point, error),
-        _synthetic_profile(point, index, failed=True),
-        [failure],
-        1,
-    )
-
-
-# ----------------------------------------------------------------------
-# Parent side
-# ----------------------------------------------------------------------
-
 def run_sweep(
     points: "list[SweepPoint]",
     jobs: "int | None" = None,
     policy: "HarnessPolicy | None" = None,
     profile_dir: "str | None" = None,
-    supervisor: "SupervisorPolicy | None" = None,
     journal: "SweepJournal | None" = None,
     resume: bool = False,
 ) -> SweepReport:
-    """Execute ``points`` over a supervised worker pool, through the cache.
+    """Execute ``points`` over a worker pool, through the result cache.
 
     Args:
         points: the sweep; duplicates (same cache key) run once.
@@ -408,8 +321,6 @@ def run_sweep(
             keep-going); defaults to the active policy.
         profile_dir: when given, each computed point runs under cProfile
             and dumps its stats there (the ``--profile`` machinery).
-        supervisor: crash/hang handling bounds; defaults to
-            :func:`~repro.parallel.supervisor.supervisor_from_env`.
         journal: when given, every completed point is appended to this
             crash-safe checkpoint. Without ``resume`` the journal is
             reset first (a fresh sweep).
@@ -417,29 +328,30 @@ def run_sweep(
             load straight from the result cache, ``failed`` points
             replay their recorded failure — and compute only the rest.
 
-    Under a ``keep_going`` policy, worker failures (including crashes,
-    reported as :class:`~repro.errors.WorkerCrashError` text) end up in
-    the report's ``failures`` and are registered via
+    Under a ``keep_going`` policy, worker failures end up in the
+    report's ``failures`` and are registered via
     :func:`repro.analysis.cache.mark_failed`; the parent policy's own
     ``failures`` list is *not* extended here, so the figure-render pass
     that follows reports each failure exactly as the serial path would.
     Under a strict policy the first failure (submission order) is
     re-raised after the sweep drains.
 
+    A worker that dies breaks the pool, and every point it took down
+    (each point not finished by then) fails with an error naming
+    ``BrokenProcessPool``. Those points are not journaled, so the next
+    run of the same sweep, with or without ``resume``, computes them,
+    while every finished point loads from the result cache.
+
     The returned report's ``results`` are bit-identical to what the same
     points produce serially (see the module docstring).
     """
     points = dedupe_points(points)
     policy = policy if policy is not None else active_policy()
-    supervisor = supervisor if supervisor is not None else supervisor_from_env()
     jobs = min(resolve_jobs(jobs), max(1, len(points)))
     results: "list[RunResult | None]" = [None] * len(points)
     profiles: "list[RunProfile | None]" = [None] * len(points)
     indexed_failures: "list[tuple[int, RunFailure]]" = []
     start = time.perf_counter()
-    pool_respawns = 0
-    degraded = False
-    crashed_points = 0
     resumed_points = 0
     journal_disabled = ""
 
@@ -450,12 +362,16 @@ def run_sweep(
         else:
             journal.reset()
 
-    def finish_point(index, point, result, profile, point_failures) -> None:
-        """Record a newly computed point (and journal its completion)."""
-        nonlocal journal, journal_disabled
+    def settle(index, result, profile, point_failures) -> None:
+        """Record one point's outcome in the report."""
         results[index] = result
         profiles[index] = profile
         indexed_failures.extend((index, f) for f in point_failures)
+
+    def finish_point(index, point, result, profile, point_failures) -> None:
+        """Record a newly computed point (and journal its completion)."""
+        nonlocal journal, journal_disabled
+        settle(index, result, profile, point_failures)
         if journal is None:
             return
         try:
@@ -489,17 +405,14 @@ def run_sweep(
                 error=record.get("error", "unknown error"),
                 attempts=int(record.get("attempts", 1)),
             )
-            results[index] = _failed_result(point, failure.error)
-            profiles[index] = _synthetic_profile(point, index, failed=True)
-            indexed_failures.append((index, failure))
+            settle(index, _failed_result(point, failure.error),
+                   _failed_profile(point, index), [failure])
             resumed_points += 1
         elif record is not None and record["status"] == "ok" and point.is_cached():
             # Journaled complete: a parent-side cache load, no worker.
             seen = len(policy.failures)
             result, profile = _execute_point(index, point, policy, None)
-            results[index] = result
-            profiles[index] = profile
-            indexed_failures.extend((index, f) for f in policy.failures[seen:])
+            settle(index, result, profile, policy.failures[seen:])
             del policy.failures[seen:]
             resumed_points += 1
         else:
@@ -515,116 +428,51 @@ def run_sweep(
             point_failures = list(policy.failures[seen:])
             del policy.failures[seen:]
             finish_point(index, point, result, profile, point_failures)
-    elif pending:
-        env = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
-        initargs = (env, policy.timeout_s, policy.max_retries, profile_dir)
-        queue: "deque[tuple[int, SweepPoint]]" = deque(pending)
-        in_flight: "dict" = {}
-        pool = None
-        try:
-            while queue or in_flight:
-                if degraded:
-                    # Respawn budget spent: run the tail one point at a
-                    # time, each isolated in its own single-worker pool,
-                    # so repeat offenders are blamed definitively.
-                    while queue:
-                        index, point = queue.popleft()
-                        result, profile, point_failures, crashed = (
-                            _run_isolated(index, point, policy, profile_dir,
-                                          supervisor, env)
-                        )
-                        crashed_points += crashed
-                        finish_point(index, point, result, profile,
-                                     point_failures)
-                    break
-                if pool is None:
-                    pool = ProcessPoolExecutor(
-                        max_workers=jobs,
-                        initializer=_init_worker,
-                        initargs=initargs,
-                    )
-                while queue and len(in_flight) < jobs:
-                    index, point = queue.popleft()
-                    future = pool.submit(_run_point, index, point)
-                    in_flight[future] = (index, point)
-                done, _ = wait(
-                    list(in_flight),
-                    timeout=supervisor.heartbeat_s,
-                    return_when=FIRST_COMPLETED,
-                )
-                # No completion within the heartbeat means the whole
-                # pool made no progress: treat it like a broken pool.
-                broken = not done
-                for future in done:
-                    index, point = in_flight.pop(future)
+    else:
+        with ProcessPoolExecutor(
+            max_workers=jobs,
+            initializer=_init_worker,
+            initargs=(_repro_env(),),
+        ) as pool:
+            try:
+                futures = {
+                    pool.submit(_run_point, index, point, policy.timeout_s,
+                                policy.max_retries, profile_dir): (index, point)
+                    for index, point in pending
+                }
+                for future in as_completed(futures):
+                    index, point = futures[future]
                     try:
-                        _, result, profile, point_failures = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        queue.append((index, point))
+                        result, profile, point_failures = future.result()
                     except Exception as exc:
+                        # A dead worker's BrokenProcessPool (or a result
+                        # that would not unpickle): the point failed but
+                        # stays out of the journal, so the next run
+                        # computes it.
                         failure = RunFailure(
                             app=point.app,
                             scheme=point.scheme_name,
                             error=f"{type(exc).__name__}: {exc}",
                             attempts=1,
                         )
-                        finish_point(
-                            index, point,
-                            _failed_result(point, failure.error),
-                            _synthetic_profile(point, index, failed=True),
-                            [failure],
-                        )
+                        settle(index, _failed_result(point, failure.error),
+                               _failed_profile(point, index), [failure])
                     else:
                         finish_point(index, point, result, profile,
                                      point_failures)
-                if not broken:
-                    continue
-                # Salvage whatever already finished, requeue the rest
-                # (a requeued point that did complete in its worker
-                # comes back as a cache hit), and rebuild the pool after
-                # a backoff — or degrade once the budget is spent.
+            except (KeyboardInterrupt, ShutdownRequested):
+                # Operator interrupt: every finished point is already
+                # journaled (each append is fsynced), so kill the pool
+                # without waiting on in-flight work and let the interrupt
+                # propagate — the CLI layer prints the --resume hint.
                 _kill_pool(pool)
-                pool = None
-                for future, (index, point) in list(in_flight.items()):
-                    salvaged = False
-                    if future.done():
-                        try:
-                            _, result, profile, point_failures = future.result()
-                            salvaged = True
-                        except Exception:
-                            salvaged = False
-                    if salvaged:
-                        finish_point(index, point, result, profile,
-                                     point_failures)
-                    else:
-                        queue.append((index, point))
-                in_flight = {}
-                pool_respawns += 1
-                if pool_respawns > supervisor.max_pool_respawns:
-                    degraded = True
-                else:
-                    time.sleep(supervisor.backoff_delay(pool_respawns))
-        except (KeyboardInterrupt, ShutdownRequested):
-            # Operator interrupt: every finished point is already
-            # journaled (each append is fsynced), so kill the pool
-            # without waiting on in-flight work and let the interrupt
-            # propagate — the CLI layer prints the --resume hint.
-            if pool is not None:
-                _kill_pool(pool)
-                pool = None
-            raise
-        finally:
-            # Broken pools were already killed (pool = None above); a
-            # surviving pool is healthy, so a waiting shutdown is safe.
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
+                raise
 
     if jsonl_trace_enabled():
         merge_worker_traces()
 
     # Failure reporting stays deterministic (submission order) no matter
-    # which worker finished, crashed, or got salvaged first.
+    # which worker finished or died first.
     indexed_failures.sort(key=lambda item: item[0])
     failures = [failure for _, failure in indexed_failures]
     if failures:
@@ -640,9 +488,6 @@ def run_sweep(
         failures=failures,
         wall_s=time.perf_counter() - start,
         jobs=jobs,
-        pool_respawns=pool_respawns,
-        degraded_serial=degraded,
-        crashed_points=crashed_points,
         resumed_points=resumed_points,
         journal_disabled=journal_disabled,
     )

@@ -33,14 +33,20 @@ DEFAULT_AUDIT_INTERVAL = 1000
 
 
 class ProtocolAuditor:
-    """Runs the invariant checkers every ``interval`` accesses."""
+    """Runs the invariant checkers every ``interval`` accesses.
+
+    An ``interval`` below 1 raises ``ValueError``: there is no audit
+    cadence it could mean.
+    """
 
     def __init__(
         self,
         interval: int = DEFAULT_AUDIT_INTERVAL,
         history_depth: int = 8,
     ) -> None:
-        self.interval = max(1, int(interval))
+        self.interval = int(interval)
+        if self.interval < 1:
+            raise ValueError(f"audit interval must be at least 1, got {interval}")
         self.recorder = FlightRecorder(depth=history_depth)
         self.audits = 0
         self.violations = 0

@@ -239,30 +239,22 @@ def tracer_from_env() -> "Tracer | None":
 
     Accepted values: ``jsonl`` (or ``on``/``1``/``yes``/``true``) for
     the JSONL backend writing to ``REPRO_TRACE_OUT`` (default
-    ``trace.jsonl``); ``ring`` or ``ring:N`` for an in-memory ring
-    buffer of N events; ``off``/``0``/``no``/``false``/unset to
-    disable. Anything else disables tracing too, but *loudly*: a
-    warning on stderr, never a silent None, mirroring
-    :func:`repro.resilience.auditor.auditor_from_env`.
+    ``trace.jsonl``); ``off``/``0``/``no``/``false``/unset to disable.
+    Anything else disables tracing too, but *loudly*: a warning on
+    stderr, never a silent None, mirroring
+    :func:`repro.resilience.auditor.auditor_from_env`. There is no
+    ring selector: a tracer built here is closed with its run, so
+    nothing could read the ring; callers that want a
+    :class:`RingBufferSink` build their own :class:`Tracer`.
     """
     raw = os.environ.get("REPRO_TRACE", "").strip().lower()
     if not raw or raw in ("off", "0", "no", "false"):
         return None
     if raw in ("jsonl", "on", "1", "yes", "true"):
         return Tracer(JsonlSink(trace_output_path()))
-    name, _, arg = raw.partition(":")
-    if name == "ring":
-        capacity = DEFAULT_RING_CAPACITY
-        if arg:
-            try:
-                capacity = int(arg)
-            except ValueError:
-                capacity = -1
-        if capacity > 0:
-            return Tracer(RingBufferSink(capacity))
     print(
-        f"repro: ignoring invalid REPRO_TRACE={raw!r} (expected jsonl, "
-        f"ring[:N], or off); tracing is DISABLED",
+        f"repro: ignoring invalid REPRO_TRACE={raw!r} (expected jsonl "
+        f"or off); tracing is DISABLED",
         file=sys.stderr,
     )
     return None

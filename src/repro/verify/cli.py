@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from repro.argtypes import at_least
+from repro.argtypes import at_least, unknown_knobs
 from repro.verify.coverage import (
     CoverageMap,
     coverage_fraction,
@@ -290,10 +290,14 @@ def main(argv: "list[str] | None" = None) -> int:
     import os
 
     args = build_parser().parse_args(argv)
+    unknown = unknown_knobs()
+    if unknown:
+        for problem in unknown:
+            print(f"repro: {problem}", file=sys.stderr)
+        return 2
     if args.trace or args.trace_out:
-        # Via the environment so fuzz pool workers trace too; setdefault
-        # keeps an explicit REPRO_TRACE=ring (etc.) in force.
-        os.environ.setdefault("REPRO_TRACE", "jsonl")
+        # Via the environment so fuzz pool workers trace too.
+        os.environ["REPRO_TRACE"] = "jsonl"
     if args.trace_out:
         os.environ["REPRO_TRACE_OUT"] = args.trace_out
     if args.replay is not None:

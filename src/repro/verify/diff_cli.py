@@ -27,7 +27,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.argtypes import at_least
+from repro.argtypes import at_least, unknown_knobs
 from repro.errors import ReproError
 from repro.resilience.faults import Fault, FaultKind, FaultPlan
 from repro.verify.differential import (
@@ -239,6 +239,11 @@ def _print_report(report: dict) -> None:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
+    unknown = unknown_knobs()
+    if unknown:
+        for problem in unknown:
+            print(f"python -m repro diff: {problem}", file=sys.stderr)
+        return 2
     try:
         if args.record is not None:
             return _record(args)

@@ -72,7 +72,7 @@ class VerifyHarness:
         self.oracle = ValueOracle() if oracle else None
         if coverage is not None:
             attach_observer(system, coverage)
-        self.auditor = ProtocolAuditor(interval=max(1, audit_interval))
+        self.auditor = ProtocolAuditor(interval=audit_interval)
         self.auditor.install(system)
         self.now = 0
         self.executed = 0

@@ -172,10 +172,9 @@ def test_internal_env_vars_exempt(checker):
 
 def test_knob_list_drift_detected(checker):
     module, root = checker
-    main = root / "src" / "repro" / "__main__.py"
+    main = root / "src" / "repro" / "argtypes.py"
     main.write_text(
-        main.read_text()
-        + "KNOBS = ('REPRO_SCALE', 'REPRO_METRICS')\n"
+        "KNOBS = ('REPRO_SCALE', 'REPRO_METRICS')\n"
     )
     source = root / "src" / "repro" / "knobs.py"
     source.write_text(

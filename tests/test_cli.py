@@ -167,9 +167,11 @@ class TestInvalidKnobs:
             ("REPRO_METRICS", "on"),
             ("REPRO_RECOVERY", "repair"),
             ("REPRO_FAST", "off"),
+            ("REPRO_HEARTBEAT", "2.5"),
             ("REPRO_AUDTI", "on"),
         ],
-        ids=["retired-metrics", "retired-recovery", "retired-fast", "typo"],
+        ids=["retired-metrics", "retired-recovery", "retired-fast",
+             "retired-heartbeat", "typo"],
     )
     def test_unknown_name_is_a_usage_error(
         self, capsys, monkeypatch, name, value
@@ -183,7 +185,8 @@ class TestInvalidKnobs:
         assert "REPRO_AUDIT" in captured.err  # the known knobs are listed
 
     def test_every_knob_is_accepted(self, monkeypatch):
-        from repro.__main__ import KNOBS, _invalid_knobs, build_parser
+        from repro.__main__ import _invalid_knobs, build_parser
+        from repro.argtypes import KNOBS
 
         for name in KNOBS:
             monkeypatch.setenv(name, "")
@@ -221,8 +224,11 @@ class TestObservingNeedsColdCache:
             ([], {"REPRO_TRACE": "jsonl"}, True, "REPRO_TRACE=jsonl"),
             ([], {"REPRO_AUDIT": "on"}, True, "REPRO_AUDIT=on"),
             (["--trace", "--trace-out", "TRACE"], {}, False, None),
+            # Regression: REPRO_TRACE=ring won over the flag, no file.
+            (["--trace-out", "TRACE"], {"REPRO_TRACE": "ring"}, False, None),
         ],
-        ids=["trace", "trace-out", "audit", "trace-env", "audit-env", "cold"],
+        ids=["trace", "trace-out", "audit", "trace-env", "audit-env", "cold",
+             "cold-ring"],
     )
     def test_observing_a_warm_cache_is_refused(
         self, tmp_path, capsys, monkeypatch, extra, env, warm, flag

@@ -317,6 +317,16 @@ def test_cli_out_of_range_value_is_a_usage_error(tmp_path, capsys, flag, value):
     assert f"got {value}" in captured.err
 
 
+def test_cli_unknown_knob_is_a_usage_error(small_trace, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_AUDTI", "on")
+    assert diff_main(
+        ["--trace", str(small_trace), "--schemes", "sparse,tiny"]
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown REPRO_AUDTI:" in captured.err
+
+
 def test_cli_unknown_fault_kind(small_trace, capsys):
     assert diff_main(
         ["--trace", str(small_trace), "--fault", "melt_the_llc"]

@@ -156,6 +156,24 @@ class TestOnlineAuditor:
         run_trace(system, streams, auditor=ProtocolAuditor(interval=50))
 
 
+class TestAuditIntervalRange:
+    """An audit interval below 1 from a library caller is refused, as
+    the CLIs refuse it, instead of silently becoming 1."""
+
+    @pytest.mark.parametrize("interval", [0, -5])
+    def test_auditor_refuses(self, interval):
+        with pytest.raises(ValueError, match=f"got {interval}"):
+            ProtocolAuditor(interval=interval)
+
+    @pytest.mark.parametrize("interval", [0, -5])
+    def test_verify_harness_refuses(self, interval):
+        from repro.verify.harness import VerifyHarness, build_system
+
+        system = build_system(SparseSpec(ratio=2.0))
+        with pytest.raises(ValueError, match=f"got {interval}"):
+            VerifyHarness(system, audit_interval=interval)
+
+
 class TestAuditorFromEnv:
     def test_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_AUDIT", raising=False)

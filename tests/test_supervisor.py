@@ -1,10 +1,12 @@
-"""Supervised sweep executor tests: crashes, hangs, journal, resume.
+"""Sweep executor tests: a dead worker, the journal, resume.
 
-The acceptance bar (ISSUE 6): killing a sweep worker no longer aborts
-the sweep — the pool is respawned (bounded, with backoff) and crashed
-points are retried; a poison point that keeps killing its worker is
-isolated and blamed as a ``WorkerCrashError`` while healthy points'
-results survive; per-point completion is journaled crash-safely and
+A worker that dies mid-sweep breaks the pool. Every point it took down
+(each point not finished by then) fails with an error naming
+``BrokenProcessPool`` and stays out of the journal; every finished point
+stays in the result cache. Under a strict policy the sweep raises. A
+rerun of the same sweep, with or without ``resume``, computes only the
+points the result cache lacks, and their statistics equal a clean
+sweep's. Per-point completion is journaled crash-safely and
 ``resume=True`` recomputes only the non-journaled points.
 """
 
@@ -12,29 +14,25 @@ from __future__ import annotations
 
 import json
 import os
-import pathlib
+import signal
 import time
 
 import pytest
 
-from repro.analysis.cache import clear_failed_marks, point_key
+from repro.analysis.cache import clear_failed_marks
 from repro.analysis.runner import HarnessPolicy, RunScale
 from repro.parallel import (
-    SupervisorPolicy,
     SweepJournal,
     SweepPoint,
     run_sweep,
     run_tasks,
-    supervisor_from_env,
 )
 from repro.parallel.executor import _rebuild_error
+from repro.parallel.shutdown import graceful_scope
 from repro.analysis.runner import RunFailure
 from repro.sim.config import InLLCSpec, SparseSpec, TinySpec
 
 SCALE = RunScale(num_cores=8, total_accesses=3000, spill_window=64)
-
-#: Fast supervision bounds so crash tests do not sleep for real.
-FAST = dict(backoff_base_s=0.01, backoff_cap_s=0.05, jitter_s=0.0)
 
 
 def _points(scale=SCALE):
@@ -51,14 +49,14 @@ def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_CACHE", "on")
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_HEARTBEAT", raising=False)
     clear_failed_marks()
     yield
     clear_failed_marks()
 
 
-def _kill_once(tmp_path, monkeypatch, app="ocean_cp", code=42):
-    """Patch run_app so ``app`` kills its worker process exactly once."""
+def _kill_once(tmp_path, monkeypatch, app="ocean_cp", code=42, after=None):
+    """Patch run_app so ``app`` kills its worker process exactly once;
+    with ``after``, not before ``after()`` holds (or a minute passed)."""
     from repro.analysis import runner
 
     marker = tmp_path / "armed"
@@ -68,6 +66,9 @@ def _kill_once(tmp_path, monkeypatch, app="ocean_cp", code=42):
     def killer(app_arg, scheme, scale=None, config=None):
         name = app_arg if isinstance(app_arg, str) else app_arg.name
         if name == app and marker.exists():
+            deadline = time.monotonic() + 60
+            while after is not None and not after() and time.monotonic() < deadline:
+                time.sleep(0.01)
             marker.unlink()
             os._exit(code)
         return real_run_app(app_arg, scheme, scale, config)
@@ -92,148 +93,53 @@ def _kill_always(monkeypatch, app="ocean_cp", code=42):
     monkeypatch.setattr("repro.analysis.runner.run_app", poison)
 
 
-class TestSupervisorPolicy:
-    def test_validation(self):
-        for seconds in (0, float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError, match="heartbeat_s"):
-                SupervisorPolicy(heartbeat_s=seconds)
-        with pytest.raises(ValueError):
-            SupervisorPolicy(max_pool_respawns=-1)
-        with pytest.raises(ValueError):
-            SupervisorPolicy(max_point_retries=-1)
+def _killed_sweep(tmp_path, monkeypatch):
+    """A journaled keep-going sweep in which ocean_cp's worker dies once,
+    after the first point finished (its journal record is written)."""
+    journal = SweepJournal(tmp_path / "sweep.journal")
+    points = _points()
+    first = points[0].key()
+    marker = _kill_once(tmp_path, monkeypatch,
+                        after=lambda: first in journal.load())
+    report = run_sweep(points, jobs=2, policy=HarnessPolicy(keep_going=True),
+                       journal=journal)
+    assert not marker.exists()  # the kill really fired
+    return points, report, journal
 
-    def test_backoff_is_exponential_and_capped(self):
-        import random
 
-        policy = SupervisorPolicy(backoff_base_s=0.25, backoff_cap_s=2.0,
-                                  jitter_s=0.0)
-        rng = random.Random(1)
-        delays = [policy.backoff_delay(n, rng) for n in (1, 2, 3, 4, 5)]
-        assert delays == [0.25, 0.5, 1.0, 2.0, 2.0]
-
-    def test_jitter_bounded(self):
-        import random
-
-        policy = SupervisorPolicy(backoff_base_s=0.5, jitter_s=0.25)
-        rng = random.Random(7)
-        for _ in range(20):
-            delay = policy.backoff_delay(1, rng)
-            assert 0.5 <= delay <= 0.75
-
-    def test_from_env_default_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_HEARTBEAT", raising=False)
-        assert supervisor_from_env().heartbeat_s is None
-
-    def test_from_env_seconds(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HEARTBEAT", "2.5")
-        assert supervisor_from_env().heartbeat_s == 2.5
-
-    @pytest.mark.parametrize("value", ["soon", "-3", "0", "nan", "inf", "-inf"])
-    def test_from_env_invalid_warns(self, monkeypatch, capsys, value):
-        monkeypatch.setenv("REPRO_HEARTBEAT", value)
-        assert supervisor_from_env().heartbeat_s is None
-        if value != "0":  # "0" is an explicit off, not a mistake
-            err = capsys.readouterr().err
-            assert "REPRO_HEARTBEAT" in err and "DISABLED" in err
+def _failed(report) -> "list[SweepPoint]":
+    return [point for point, result in zip(report.points, report.results)
+            if result.meta.get("failed")]
 
 
 class TestWorkerCrash:
-    def test_transient_crash_is_survived(self, tmp_path, monkeypatch):
-        # Regression (pre-supervision): one worker os._exit mid-point
-        # raised BrokenProcessPool in the parent and lost every point.
-        marker = _kill_once(tmp_path, monkeypatch)
-        report = run_sweep(
-            _points(), jobs=2, policy=HarnessPolicy(keep_going=True),
-            supervisor=SupervisorPolicy(max_pool_respawns=2,
-                                        max_point_retries=1, **FAST),
-        )
-        assert not marker.exists()  # the kill really fired
-        assert report.pool_respawns >= 1
-        assert not report.failures
-        assert all(not r.meta.get("failed") for r in report.results)
-        assert not report.degraded_serial
-        assert report.crashed_points == 0
+    def test_finished_points_stay_cached(self, tmp_path, monkeypatch):
+        points, report, journal = _killed_sweep(tmp_path, monkeypatch)
+        assert not report.results[0].meta.get("failed")
+        records = journal.load()
+        for point, result in zip(report.points, report.results):
+            if not result.meta.get("failed"):
+                assert point.is_cached()
+                assert records[point.key()]["status"] == "ok"
+                assert result.stats.dump()  # real simulated stats
 
-    def test_poison_point_is_isolated_and_blamed(self, monkeypatch):
-        _kill_always(monkeypatch)
-        report = run_sweep(
-            _points(), jobs=2, policy=HarnessPolicy(keep_going=True),
-            supervisor=SupervisorPolicy(max_pool_respawns=1,
-                                        max_point_retries=1, **FAST),
-        )
-        assert report.degraded_serial
-        assert report.crashed_points == 1
-        [failure] = report.failures
-        assert failure.app == "ocean_cp"
-        assert "WorkerCrashError" in failure.error
-        assert failure.attempts == 2  # initial isolated try + one retry
-        # Healthy points' results survived the poison point.
-        healthy = [r for r in report.results if not r.meta.get("failed")]
-        assert len(healthy) == 2
-        for result in healthy:
-            assert result.stats.dump()  # real simulated stats
+    def test_lost_points_fail_with_broken_pool_unjournaled(
+        self, tmp_path, monkeypatch
+    ):
+        points, report, journal = _killed_sweep(tmp_path, monkeypatch)
+        failed = _failed(report)
+        assert points[1] in failed  # the point whose worker died
+        assert len(report.failures) == len(failed)
+        for failure in report.failures:
+            assert "BrokenProcessPool" in failure.error
+        records = journal.load()
+        for point in failed:
+            assert point.key() not in records
 
     def test_poison_point_raises_under_strict_policy(self, monkeypatch):
-        from repro.errors import WorkerCrashError
-
         _kill_always(monkeypatch)
-        with pytest.raises(WorkerCrashError):
-            run_sweep(
-                _points()[:2], jobs=2, policy=HarnessPolicy(),
-                supervisor=SupervisorPolicy(max_pool_respawns=0,
-                                            max_point_retries=0, **FAST),
-            )
-
-    @pytest.mark.xfail(
-        reason="the pre-supervision executor pattern loses every point "
-        "when one worker dies; kept as a record of the failure mode the "
-        "supervised run_sweep exists to prevent",
-        raises=Exception,
-        strict=True,
-    )
-    def test_unsupervised_pool_loses_the_sweep(self, monkeypatch):
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool  # noqa: F401
-        from repro.parallel.executor import _init_worker, _run_point
-
-        _kill_always(monkeypatch)
-        points = _points()
-        env = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
-        with ProcessPoolExecutor(
-            max_workers=2, initializer=_init_worker,
-            initargs=(env, None, 0, None),
-        ) as pool:
-            futures = [pool.submit(_run_point, i, p)
-                       for i, p in enumerate(points)]
-            for future in futures:
-                future.result()  # raises BrokenProcessPool
-
-    def test_hung_worker_tripped_by_heartbeat(self, monkeypatch):
-        from repro.analysis import runner
-
-        real_run_app = runner.run_app
-
-        def sleeper(app_arg, scheme, scale=None, config=None):
-            name = app_arg if isinstance(app_arg, str) else app_arg.name
-            if name == "ocean_cp":
-                time.sleep(120)  # hangs far beyond the heartbeat
-            return real_run_app(app_arg, scheme, scale, config)
-
-        monkeypatch.setattr("repro.analysis.runner.run_app", sleeper)
-        start = time.monotonic()
-        report = run_sweep(
-            _points(), jobs=2, policy=HarnessPolicy(keep_going=True),
-            supervisor=SupervisorPolicy(heartbeat_s=2.0, max_pool_respawns=0,
-                                        max_point_retries=0, **FAST),
-        )
-        assert time.monotonic() - start < 60
-        assert report.degraded_serial
-        assert report.crashed_points == 1
-        [failure] = report.failures
-        assert "WorkerCrashError" in failure.error
-        assert "no progress" in failure.error
-        assert len([r for r in report.results
-                    if not r.meta.get("failed")]) == 2
+        with pytest.raises(RuntimeError, match="BrokenProcessPool"):
+            run_sweep(_points()[:2], jobs=2, policy=HarnessPolicy())
 
 
 class TestJournal:
@@ -356,43 +262,64 @@ class TestResume:
         assert not report.results[0].meta.get("failed")
 
     def test_resume_after_worker_kill_end_to_end(self, tmp_path, monkeypatch):
-        # The full crash story: sweep with a one-shot killer completes
-        # under supervision and journals everything; a resumed re-run
-        # recomputes nothing.
-        _kill_once(tmp_path, monkeypatch)
-        journal = SweepJournal(tmp_path / "sweep.journal")
-        points = _points()
-        report = run_sweep(
-            points, jobs=2, policy=HarnessPolicy(keep_going=True),
-            supervisor=SupervisorPolicy(max_pool_respawns=2,
-                                        max_point_retries=1, **FAST),
-            journal=journal,
-        )
-        assert report.pool_respawns >= 1
-        assert len(journal.load()) == len(points)
-        again = run_sweep(points, jobs=2, journal=journal, resume=True)
-        assert again.resumed_points == len(points)
-        for left, right in zip(report.results, again.results):
-            assert left.stats.dump() == right.stats.dump()
+        # The full crash story: a worker dies once and takes some points
+        # down; a resumed rerun computes exactly the points the result
+        # cache lacks (all of them lost to the dead worker), and every
+        # point ends up with the statistics of a clean sweep.
+        _rerun_after_worker_kill(tmp_path, monkeypatch, resume=True)
+
+    def test_fresh_rerun_after_worker_kill(self, tmp_path, monkeypatch):
+        # Without resume the journal starts over, but the finished
+        # points still load from the result cache.
+        _rerun_after_worker_kill(tmp_path, monkeypatch, resume=False)
+
+
+def _rerun_after_worker_kill(tmp_path, monkeypatch, resume: bool) -> None:
+    points, report, journal = _killed_sweep(tmp_path, monkeypatch)
+    missing = [point for point in points if not point.is_cached()]
+    assert points[1] in missing
+    assert set(missing) <= set(_failed(report))
+    clear_failed_marks()  # as in the new process of a rerun command
+    again = run_sweep(points, jobs=2, policy=HarnessPolicy(keep_going=True),
+                      journal=journal, resume=resume)
+    assert not again.failures
+    computed = [point for point, profile in zip(again.points, again.profiles)
+                if not profile.cache_hit]
+    assert computed == missing
+    assert len(journal.load()) == len(points)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "clean"))
+    clean = run_sweep(points, jobs=1)
+    assert [r.stats.dump() for r in again.results] == [
+        r.stats.dump() for r in clean.results
+    ]
 
 
 class TestRunTasksInitializer:
     def test_workers_receive_harness_configuration(self):
         # Regression: run_tasks built its pool without the initializer,
         # so spawn/forkserver workers silently dropped REPRO_* settings.
-        # _WORKER is only populated by the initializer (the parent's
-        # copy stays empty), so seeing its keys proves the fix.
-        keys = run_tasks(_probe_worker, [0, 1], jobs=2)
-        assert keys == [["max_retries", "profile_dir", "timeout_s"]] * 2
+        # Only the initializer sets REPRO_TRACE_WORKER (the parent never
+        # does), so seeing it in every worker proves the fix.
+        assert run_tasks(_probe_worker, [0, 1], jobs=2) == ["1", "1"]
 
     def test_inline_path_unchanged(self):
-        assert run_tasks(_probe_worker, [0], jobs=2) == [[]]
+        assert run_tasks(_probe_worker, [0], jobs=2) == [None]
+
+    def test_workers_die_on_terminate(self):
+        # Regression: a worker forked inside graceful_scope inherited its
+        # SIGTERM handler, so after another worker died, terminating the
+        # broken pool let it report the signal and compute the next
+        # queued point, which the sweep had already reported as lost.
+        with graceful_scope():
+            assert run_tasks(_sigterm_is_default, [0, 1], jobs=2) == [True, True]
 
 
 def _probe_worker(_payload):
-    from repro.parallel import executor
+    return os.environ.get("REPRO_TRACE_WORKER")
 
-    return sorted(executor._WORKER.keys())
+
+def _sigterm_is_default(_payload):
+    return signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
 
 
 class TestRebuildError:

@@ -293,6 +293,28 @@ class TestCli:
         assert "COVERAGE LOW" in out
         assert "transition coverage" in out
 
+    def test_unknown_knob_is_a_usage_error(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_AUDTI", "on")
+        rc = verify_main(["--litmus", "--scheme", "sparse", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "unknown REPRO_AUDTI:" in captured.err
+
+    def test_trace_out_overrides_a_ring_selector(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.telemetry import read_trace
+
+        # main() writes both variables; monkeypatch restores them.
+        monkeypatch.setenv("REPRO_TRACE", "ring")
+        monkeypatch.delenv("REPRO_TRACE_OUT", raising=False)
+        trace = tmp_path / "v.jsonl"
+        rc = verify_main(["--litmus", "--scheme", "sparse", "--out",
+                          str(tmp_path), "--trace-out", str(trace)])
+        assert rc == 0
+        assert read_trace(trace)
+
     def test_module_dispatch(self, capsys, tmp_path):
         from repro.__main__ import main as repro_main
 

@@ -9,10 +9,12 @@ Three phases, all small enough for a CI job:
    auditor (``REPRO_AUDIT``) and assert the run raises
    :class:`~repro.errors.InvariantViolation` naming the corrupted
    address, instead of finishing as if it were clean.
-2. **Worker-kill smoke** — run a small supervised sweep (no faults) in
-   which one worker ``os._exit``\\ s mid-point exactly once (marker
-   file), and assert the sweep still completes every point and
-   respawned the pool.
+2. **Worker-kill smoke** — run a small journaled keep-going sweep (no
+   faults) in which one worker ``os._exit``\\ s mid-point exactly once
+   (marker file). Assert that every failed point names
+   ``BrokenProcessPool`` and is missing from the journal, and that a
+   second ``resume=True`` sweep over the same points has no failures
+   and the ``SimStats.dump()`` of a clean sweep in a fresh cache.
 3. **SIGTERM smoke** — SIGTERM a child mid-sweep and assert the
    distinct resumable exit code, a loadable flushed journal, and that
    ``resume=True`` completes the sweep without recomputing journaled
@@ -102,12 +104,13 @@ def _killer_run_app(app, scheme, scale=None, config=None):
 
 
 def worker_kill_smoke() -> None:
-    """A killed sweep worker is survived, its point recomputed."""
+    """A killed sweep worker fails the points it took down; a resumed
+    rerun computes them, and every point matches a clean sweep."""
     global _KILL_MARKER, _REAL_RUN_APP
     import repro.analysis.runner as runner_mod
     from repro.analysis.cache import clear_failed_marks
     from repro.analysis.runner import HarnessPolicy, scale_from_env
-    from repro.parallel import SupervisorPolicy, SweepPoint, run_sweep
+    from repro.parallel import SweepJournal, SweepPoint, run_sweep
     from repro.sim.config import SparseSpec, TinySpec
 
     scale = scale_from_env()
@@ -119,36 +122,46 @@ def worker_kill_smoke() -> None:
                                          spill_window=scale.spill_window),
                    scale),
     ]
-    _KILL_MARKER = pathlib.Path(tempfile.mkdtemp()) / "kill-once"
+    workdir = pathlib.Path(tempfile.mkdtemp(prefix="chaos-kill-"))
+    journal = SweepJournal(workdir / SweepJournal.FILENAME)
+    keep_going = HarnessPolicy(keep_going=True)
+    _KILL_MARKER = workdir / "kill-once"
     _KILL_MARKER.write_text("armed")
     _REAL_RUN_APP = runner_mod.run_app
     runner_mod.run_app = _killer_run_app  # fork workers inherit this
     clear_failed_marks()
     try:
-        report = run_sweep(
-            points,
-            jobs=2,
-            policy=HarnessPolicy(keep_going=True),
-            supervisor=SupervisorPolicy(
-                max_pool_respawns=2,
-                max_point_retries=1,
-                backoff_base_s=0.05,
-                backoff_cap_s=0.2,
-                jitter_s=0.0,
-            ),
-        )
+        report = run_sweep(points, jobs=2, policy=keep_going, journal=journal)
     finally:
         runner_mod.run_app = _REAL_RUN_APP
-    assert report.pool_respawns >= 1, "worker kill did not break the pool"
-    assert not report.failures, f"sweep lost points: {report.failures}"
-    assert all(
-        r is not None and not r.meta.get("failed") for r in report.results
-    ), "a point came back failed"
-    print(
-        f"worker-kill: points={len(report.results)} "
-        f"pool_respawns={report.pool_respawns} "
-        f"degraded={report.degraded_serial}"
+    assert not _KILL_MARKER.exists(), "worker kill never fired"
+    assert report.failures, "worker kill failed no point"
+    for failure in report.failures:
+        assert "BrokenProcessPool" in failure.error, (
+            f"unexpected failure: {failure}"
+        )
+    journaled = journal.load()
+    lost = [point for point, result in zip(report.points, report.results)
+            if result.meta.get("failed")]
+    assert not any(point.key() in journaled for point in lost), (
+        "a point lost to the dead worker was journaled"
     )
+    clear_failed_marks()  # as in the new process of a rerun command
+    rerun = run_sweep(points, jobs=2, policy=keep_going, journal=journal,
+                      resume=True)
+    assert not rerun.failures, f"rerun failed: {rerun.failures}"
+    saved_cache = os.environ["REPRO_CACHE_DIR"]
+    os.environ["REPRO_CACHE_DIR"] = str(workdir / "clean-cache")
+    try:
+        clean = run_sweep(points, jobs=2, policy=keep_going)
+    finally:
+        os.environ["REPRO_CACHE_DIR"] = saved_cache
+    assert [r.stats.dump() for r in rerun.results] == [
+        r.stats.dump() for r in clean.results
+    ], "rerun statistics differ from a clean sweep's"
+    computed = sum(not profile.cache_hit for profile in rerun.profiles)
+    print(f"worker-kill: points={len(points)} lost={len(lost)} "
+          f"rerun computed={computed}")
 
 
 def _sigterm_child(points, cache_dir: str) -> None:

@@ -20,10 +20,10 @@ import is needed):
    and flight-recorder kinds.
 5. **Environment variables** — every ``REPRO_*`` name under ``src/``
    must be documented, and every documented one must exist in ``src/``.
-6. **Knob list** — ``KNOBS`` of ``src/repro/__main__.py``, the names the
-   figure CLI accepts, must be exactly the ``REPRO_*`` names the rest of
-   ``src/`` reads, so a retired knob cannot stay accepted and a new one
-   cannot be refused.
+6. **Knob list** — ``KNOBS`` of ``src/repro/argtypes.py``, the names the
+   figure, ``verify`` and ``diff`` CLIs accept, must be exactly the
+   ``REPRO_*`` names the rest of ``src/`` reads, so a retired knob cannot
+   stay accepted and a new one cannot be refused.
 
 Exit status 0 when clean, 1 with one line per problem otherwise.
 """
@@ -60,7 +60,7 @@ ENV_INTERNAL = {
 }
 
 #: The module whose ``KNOBS`` tuple lists every ``REPRO_*`` name read.
-KNOBS_MODULE = "src/repro/__main__.py"
+KNOBS_MODULE = "src/repro/argtypes.py"
 
 #: The event vocabulary and the one doc table that lists it.
 EVENTS_MODULE = "src/repro/telemetry/events.py"
@@ -254,7 +254,7 @@ def check_knobs() -> "list[str]":
     ]
     problems += [
         f"{KNOBS_MODULE}: {var} is read under src/ but missing from KNOBS "
-        "(the figure CLI would refuse it)"
+        "(the CLIs would refuse it)"
         for var in sorted(read - listed)
     ]
     return problems
