@@ -51,8 +51,10 @@ result cache: point ``REPRO_CACHE_DIR`` at a fresh directory, or set
 ``--jobs`` at least 1; any other value is a usage error (exit 2). So
 is a ``REPRO_JOBS`` that is not an integer of at least 1 (when
 ``--jobs`` is not given), a ``REPRO_CACHE`` other than ``on``, ``off``,
-``0`` or ``no``, and any ``REPRO_*`` variable not in
-:data:`repro.argtypes.KNOBS`.
+``0`` or ``no``, a ``REPRO_TRACE`` or ``REPRO_AUDIT`` that is not one of
+the values :mod:`repro.argtypes` accepts (when ``--trace``,
+``--trace-out`` or ``--audit`` does not set it), and any ``REPRO_*``
+variable not in :data:`repro.argtypes.KNOBS`.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ import sys
 from repro.analysis import experiments
 from repro.analysis.cache import CACHE_OFF, cache_dir, cache_enabled
 from repro.analysis.runner import HarnessPolicy, RunScale, harness
-from repro.argtypes import at_least, unknown_knobs
+from repro.argtypes import at_least, invalid_switches, unknown_knobs
 from repro.errors import ShutdownRequested
 from repro.parallel import (
     SweepJournal,
@@ -214,9 +216,17 @@ def _invalid_knobs(args) -> "list[str]":
     the program never reads (a typo, or a retired knob) or a value it
     cannot honour.
 
-    ``REPRO_JOBS`` counts only when ``--jobs`` is not given.
+    ``REPRO_JOBS`` counts only when ``--jobs`` is not given,
+    ``REPRO_TRACE`` only without ``--trace``/``--trace-out`` and
+    ``REPRO_AUDIT`` only without ``--audit``: those flags set them.
     """
     problems = unknown_knobs()
+    switches = []
+    if not (args.trace or args.trace_out):
+        switches.append("REPRO_TRACE")
+    if not args.audit:
+        switches.append("REPRO_AUDIT")
+    problems += invalid_switches(*switches)
     raw = os.environ.get("REPRO_JOBS", "").strip()
     if args.jobs is None and raw and parse_jobs(raw) is None:
         problems.append(

@@ -32,7 +32,8 @@ Two hooks exist for the parallel sweep engine:
 * :func:`mark_failed` registers a point that already exhausted its
   attempts in a pool worker; under a ``keep_going`` policy a later
   :func:`cached_run` for that point replays the recorded failure
-  instead of recomputing (and timing out / crashing) a second time.
+  instead of recomputing (and timing out / crashing) a second time,
+  until :func:`unmark_failed` drops it (a later sweep computing it).
 """
 
 from __future__ import annotations
@@ -158,6 +159,12 @@ def mark_failed(key: str, failure: RunFailure) -> None:
 def clear_failed_marks() -> None:
     """Forget all :func:`mark_failed` registrations (tests, new sweeps)."""
     _FAILED_MARKS.clear()
+
+
+def unmark_failed(key: str) -> None:
+    """Forget the :func:`mark_failed` registration of one point, so the
+    next :func:`cached_run` of it computes instead of replaying."""
+    _FAILED_MARKS.pop(key, None)
 
 
 def _replay_failure(app: str, scheme, failure: RunFailure) -> RunResult:

@@ -196,11 +196,27 @@ class PrivateCore:
             lines = self.l2[set_index] = []
         elif len(lines) >= self.l2_assoc:
             victim_addr = lines.pop(0)
-            self._drop_from_l1s(victim_addr)
+            # Inclusion: the victim leaves both L1s too.
+            l1_index = victim_addr % self.l1_sets
+            l1_lines = self.il1.get(l1_index)
+            if l1_lines and victim_addr in l1_lines:
+                l1_lines.remove(victim_addr)
+            l1_lines = self.dl1.get(l1_index)
+            if l1_lines and victim_addr in l1_lines:
+                l1_lines.remove(victim_addr)
             victim = victim_addr, states.pop(victim_addr)
         lines.append(addr)
         states[addr] = state
-        self._l1_fill(self.il1 if kind is IFETCH else self.dl1, addr)
+        # Install as MRU of its L1 set; the L1's LRU way leaves silently.
+        l1 = self.il1 if kind is IFETCH else self.dl1
+        set_index = addr % self.l1_sets
+        lines = l1.get(set_index)
+        if lines is None:
+            l1[set_index] = [addr]
+        else:
+            if len(lines) >= self.l1_assoc:
+                del lines[0]
+            lines.append(addr)
         return victim
 
     def complete_upgrade(self, addr: int) -> None:

@@ -250,6 +250,14 @@ class BaseHome:
 
     def _flush_residency(self, line: LLCLine) -> None:
         if line.state is not LLC_SPILLED_ENTRY:
+            seen = line.sharers_seen
+            if not line.fwd_reads and not seen & (seen - 1):
+                # The common residency, counted in place: at most one
+                # distinct sharer and no forwarded read to classify.
+                stats = self.stats
+                stats.blocks_allocated += 1
+                stats.sharer_bins[0] += 1
+                return
             if self.observer.enabled and line.fwd_reads > 0:
                 ratio = (
                     line.fwd_reads / line.total_reads

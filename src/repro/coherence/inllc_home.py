@@ -43,7 +43,7 @@ from repro.types import (
 class InLLCHome(BaseHome):
     """Home node tracking coherence inside the LLC (no sparse directory)."""
 
-    __slots__ = ("tag_extended", "stra_limit")
+    __slots__ = ("tag_extended", "stra_limit", "_decode_latency")
 
     def __init__(self, config, mesh, dram, cores, stats, tag_extended=False) -> None:
         super().__init__(config, mesh, dram, cores, stats)
@@ -51,17 +51,15 @@ class InLLCHome(BaseHome):
         #: Saturation value of freshly created STRA counters (six-bit in
         #: the paper; widened/narrowed by the ablation knob).
         self.stra_limit = 63
+        # Extra LLC serialization for decoding a corrupted block (§IV-C):
+        # the data read plus the state-decoder cycle. Only a line in the
+        # corrupted state pays it, and no line is corrupted under tag
+        # extension.
+        self._decode_latency = config.llc_data_latency + config.corrupted_decode_latency
 
     # ------------------------------------------------------------------
     # State helpers
     # ------------------------------------------------------------------
-
-    def _corrupted_extra(self, line: LLCLine) -> int:
-        """Extra LLC serialization for decoding a corrupted block (§IV-C):
-        the data read plus the state-decoder cycle."""
-        if self.tag_extended or line.state is not LLC_CORRUPTED:
-            return 0
-        return self.config.llc_data_latency + self.config.corrupted_decode_latency
 
     def _mark_tracked(self, line: LLCLine, bank, now: int) -> None:
         """Move a valid line into the corrupted (tracking) state."""
@@ -73,38 +71,18 @@ class InLLCHome(BaseHome):
         line.state = LLC_CORRUPTED
         bank.data_writes += 1  # the borrowed bits are written in the data array
 
-    def _restore_line(self, line: LLCLine, bank, now: int) -> None:
-        """Return a line to the unowned valid state (last copy gone)."""
-        if self.observer.enabled:
-            self.observer.emit("llc:restore", cycle=now, addr=line.tag)
-        line.coh = None
-        line.stra = None
-        if self.tag_extended:
-            return
-        line.state = LLC_DIRTY if line.underlying_dirty else LLC_CLEAN
-        line.underlying_dirty = False
-        bank.data_writes += 1
-
-    def _fill_llc(self, addr: int, now: int) -> LLCLine:
-        bank = self.banks[addr % self.num_banks]
-        line, victim = bank.insert_block(addr, LLC_CLEAN)
-        if victim is not None:
-            self._handle_llc_victim(victim, now)
-        return line
-
     def _handle_llc_victim(self, victim: LLCLine, now: int) -> None:
+        """An evicted LLC line: write back its dirty data; a tracked
+        (corrupted) block is first reconstructed and back-invalidated."""
         self._flush_residency(victim)
-        if victim.coh is not None and not victim.coh.is_idle:
-            self._evict_tracked_victim(victim, now)
-        elif victim.state is LLC_DIRTY or victim.underlying_dirty:
-            if self.observer.enabled:
-                self.observer.emit("llc:evict_dirty", cycle=now, addr=victim.tag)
-            self._dram_write(victim.tag, now)
-
-    def _evict_tracked_victim(self, victim: LLCLine, now: int) -> None:
-        """Reconstruct and back-invalidate an evicted corrupted block."""
         addr = victim.tag
         coh = victim.coh
+        if coh is None or (coh.owner is None and not coh.sharers):
+            if victim.state is LLC_DIRTY or victim.underlying_dirty:
+                if self.observer.enabled:
+                    self.observer.emit("llc:evict_dirty", cycle=now, addr=addr)
+                self._dram_write(addr, now)
+            return
         dirty = victim.underlying_dirty
         holders = coh.holders()
         if self.observer.enabled:
@@ -157,60 +135,67 @@ class InLLCHome(BaseHome):
             if line is None or line.coh is None:
                 raise ProtocolError(f"upgrade for untracked block {addr:#x}")
             stats.upgrades += 1
-            self._record_stra(line, shared_read=False)
+            line.stra.record_other()
             return self._serve_upgrade(core, addr, line, bank, home, now)
 
-        if line is None:
+        if line is None or line.coh is None:
+            # Untracked: two hops, through memory and an LLC fill on a miss.
             stats.two_hop += 1
-            latency = self._two_hop(core, home) + self._dram_fetch(addr, now)
-            line = self._fill_llc(addr, now)
-            return latency, self._take_ownership(core, kind, line, bank, now)
-        if line.coh is None:
-            stats.two_hop += 1
-            return (
-                self._two_hop(core, home),
-                self._take_ownership(core, kind, line, bank, now),
+            latency = (
+                2 * self._latency[core * self._tiles + home] + self._hit_latency_data
             )
-        shared_read = kind is not WRITE and line.coh.is_shared
-        self._record_stra(line, shared_read)
-        if kind is not WRITE:
+            if line is None:
+                stats.llc_misses += 1
+                latency += 2 * self._memory_latency[home] + self.dram.access(
+                    addr, now, False
+                )
+                line, victim = bank.insert_block(addr, LLC_CLEAN)
+                if victim is not None:
+                    self._handle_llc_victim(victim, now)
+            return latency, self._take_ownership(core, kind, line, bank, now)
+        # Tracked in the line, whose STRA counters travel with its CohInfo.
+        coh = line.coh
+        if kind is WRITE:
+            line.stra.record_other()
+        else:
             line.total_reads += 1
-            if shared_read:
+            if coh.sharers:
                 line.fwd_reads += 1
-        if line.coh.is_exclusive:
+                line.stra.record_shared_read()
+            else:
+                line.stra.record_other()
+        if coh.owner is not None:
             result = self._serve_tracked_exclusive(core, addr, kind, line, bank, home)
         else:
             result = self._serve_tracked_shared(core, addr, kind, line, home, now)
-        line.note_holders(line.coh)
+        line.note_holders(coh)
         return result
 
-    @staticmethod
-    def _record_stra(line: LLCLine, shared_read: bool) -> None:
-        if line.stra is None:
-            return
-        if shared_read:
-            line.stra.record_shared_read()
-        else:
-            line.stra.record_other()
-
     def _take_ownership(self, core, kind, line, bank, now) -> PrivateState:
-        """A request to an unowned valid block: the requester takes it.
+        """A request to an unowned valid block: the requester takes it and
+        the line starts tracking it (corrupted, unless tag-extended).
         Returns the state granted to the requester."""
         if kind is WRITE:
             line.coh = CohInfo(owner=core)
             fill_state = MODIFIED
-        elif kind is IFETCH:
-            line.coh = CohInfo(sharers=1 << core)
-            fill_state = SHARED
         else:
-            line.coh = CohInfo(owner=core)
-            fill_state = EXCLUSIVE
-        line.stra = StraCounters(limit=self.stra_limit)
-        line.stra.record_other()
-        self._mark_tracked(line, bank, now)
-        line.sharers_seen |= 1 << core
-        if kind is not WRITE:
+            if kind is IFETCH:
+                line.coh = CohInfo(sharers=1 << core)
+                fill_state = SHARED
+            else:
+                line.coh = CohInfo(owner=core)
+                fill_state = EXCLUSIVE
             line.total_reads += 1
+        # This access is the counters' first "other" access. Counters are
+        # at least two bits wide (TinySpec), so one count cannot saturate.
+        line.stra = StraCounters(oac=1, limit=self.stra_limit)
+        if self.observer.enabled:
+            self.observer.emit("llc:mark_tracked", cycle=now, addr=line.tag)
+        if not self.tag_extended:
+            line.underlying_dirty = line.underlying_dirty or line.state is LLC_DIRTY
+            line.state = LLC_CORRUPTED
+            bank.data_writes += 1  # the borrowed bits are written in the data array
+        line.sharers_seen |= 1 << core
         self.traffic.data(PROCESSOR)
         return fill_state
 
@@ -222,10 +207,10 @@ class InLLCHome(BaseHome):
                 f"core {core} missed on block {addr:#x} it supposedly owns"
             )
         self.stats.three_hop += 1
-        latency = self._three_hop(core, home, owner, self._corrupted_extra(line))
-        self.traffic.control(COHERENCE)  # forward
+        extra = self._decode_latency if line.state is LLC_CORRUPTED else 0
+        latency = self._three_hop(core, home, owner, extra)
+        self.traffic.control(COHERENCE, 2)  # forward, busy-clear
         self.traffic.data(PROCESSOR)  # owner -> requester
-        self.traffic.control(COHERENCE)  # busy-clear
         if kind is WRITE:
             prior = self.cores[owner].invalidate(addr)
             if prior is INVALID:
@@ -246,7 +231,7 @@ class InLLCHome(BaseHome):
     def _serve_tracked_shared(self, core, addr, kind, line, home, now):
         stats = self.stats
         coh = line.coh
-        extra = self._corrupted_extra(line)
+        extra = self._decode_latency if line.state is LLC_CORRUPTED else 0
         if kind is WRITE:
             holders = coh.sharer_list()
             forwarder = self._closest_sharer(coh, home)
@@ -265,11 +250,11 @@ class InLLCHome(BaseHome):
                 if prior is INVALID:
                     raise ProtocolError(f"stale sharer for block {addr:#x}")
                 stats.invalidations += 1
-                self.traffic.control(COHERENCE)  # invalidation
                 if holder == forwarder:
+                    self.traffic.control(COHERENCE)  # invalidation
                     self.traffic.data(PROCESSOR)  # special ack
                 else:
-                    self.traffic.control(COHERENCE)  # ack
+                    self.traffic.control(COHERENCE, 2)  # invalidation, ack
             coh.set_owner(core)
             return latency, MODIFIED
         if self.tag_extended:
@@ -290,9 +275,8 @@ class InLLCHome(BaseHome):
             else:
                 stats.lengthened_data += 1
             latency = self._three_hop(core, home, forwarder, extra)
-            self.traffic.control(COHERENCE)
+            self.traffic.control(COHERENCE, 2)  # forward, busy-clear
             self.traffic.data(PROCESSOR)
-            self.traffic.control(COHERENCE)
         coh.add_sharer(core)
         return latency, SHARED
 
@@ -303,7 +287,7 @@ class InLLCHome(BaseHome):
                 f"core {core} upgrades block {addr:#x} it is not recorded "
                 f"sharing"
             )
-        extra = self._corrupted_extra(line)
+        extra = self._decode_latency if line.state is LLC_CORRUPTED else 0
         holders = [h for h in coh.sharer_list() if h != core]
         inval_path = self._invalidation_latency(home, holders, core)
         for holder in holders:
@@ -311,8 +295,7 @@ class InLLCHome(BaseHome):
             if prior is INVALID:
                 raise ProtocolError(f"stale sharer for block {addr:#x}")
             self.stats.invalidations += 1
-            self.traffic.control(COHERENCE)
-            self.traffic.control(COHERENCE)
+            self.traffic.control(COHERENCE, 2)  # invalidation, ack
         coh.set_owner(core)
         self.traffic.control(PROCESSOR)
         request_leg = (
@@ -339,33 +322,45 @@ class InLLCHome(BaseHome):
             )
         bank = self.banks[addr % self.num_banks]
         line, _ = bank.lookup(addr, touch=False)
+        traffic = self.traffic
         if line is None or line.coh is None:
             # The line (and its tracking) was concurrently evicted and the
-            # holders back-invalidated; nothing to update.
-            self.traffic.control(WRITEBACK)
-            self.traffic.control(WRITEBACK)
+            # holders back-invalidated; nothing to update. The notice and
+            # its acknowledgement.
+            traffic.control(WRITEBACK, 2)
             return
-        coh = line.coh
+        # Control messages: the acknowledgement, plus the notice itself
+        # unless it carries data or the borrowed bits.
+        controls = 1
         if state is MODIFIED:
-            self.traffic.data(WRITEBACK)
+            traffic.data(WRITEBACK)
             line.underlying_dirty = True
             bank.data_writes += 1
         elif state is EXCLUSIVE and not self.tag_extended:
             # The notice carries the borrowed bits for reconstruction.
-            self.traffic.partial(WRITEBACK)
+            traffic.partial(WRITEBACK)
         else:
-            self.traffic.control(WRITEBACK)
-        coh.remove(core)
-        if coh.is_idle:
-            if (
-                state is SHARED
-                and not self.tag_extended
-            ):
+            controls = 2
+        coh = line.coh
+        if coh.owner == core:
+            coh.owner = None
+        coh.sharers &= ~(1 << core)
+        if coh.owner is None and not coh.sharers:
+            if state is SHARED and not self.tag_extended:
                 # Last sharer: the LLC requests the borrowed bits back.
-                self.traffic.control(WRITEBACK)
-                self.traffic.partial(WRITEBACK)
-            self._restore_line(line, bank, now)
-        self.traffic.control(WRITEBACK)  # acknowledgement
+                controls += 1
+                traffic.partial(WRITEBACK)
+            # The last copy is gone: the line returns to the unowned
+            # valid state.
+            if self.observer.enabled:
+                self.observer.emit("llc:restore", cycle=now, addr=line.tag)
+            line.coh = None
+            line.stra = None
+            if not self.tag_extended:
+                line.state = LLC_DIRTY if line.underlying_dirty else LLC_CLEAN
+                line.underlying_dirty = False
+                bank.data_writes += 1
+        traffic.control(WRITEBACK, controls)
 
     # ------------------------------------------------------------------
     # Invariants
@@ -500,54 +495,69 @@ class TinyHome(InLLCHome):
             else:
                 if line is None or line.coh is None:
                     raise ProtocolError(f"upgrade for untracked block {addr:#x}")
-                self._record_stra(line, shared_read=False)
+                line.stra.record_other()
                 latency, fill_state = self._serve_upgrade(
                     core, addr, line, bank, home, now
                 )
         elif entry is not None:
             if self.observer.enabled:
                 self.observer.emit("tiny:hit", cycle=now, core=core, addr=addr)
-            shared_read = kind is not WRITE and entry.coh.is_shared
+            coh = entry.coh
+            shared_read = kind is not WRITE and coh.sharers != 0
             latency, fill_state = self._serve_via_tracker(
-                core, addr, kind, entry.coh, entry.stra, line, bank, home, now,
+                core, addr, kind, coh, entry.stra, line, bank, home, now,
                 shared_read, via_spill=False,
             )
-            if entry.coh.is_idle:
+            if coh.owner is None and not coh.sharers:
                 self.tiny.remove(addr)
         elif spill is not None:
             if self.observer.enabled:
                 self.observer.emit("tiny:spill_hit", cycle=now, core=core, addr=addr)
-            shared_read = kind is not WRITE and spill.coh.is_shared
+            coh = spill.coh
+            shared_read = kind is not WRITE and coh.sharers != 0
             latency, fill_state = self._serve_via_tracker(
-                core, addr, kind, spill.coh, spill.stra, line, bank, home, now,
+                core, addr, kind, coh, spill.stra, line, bank, home, now,
                 shared_read, via_spill=True,
             )
             if kind is WRITE:
                 latency += self.config.llc_data_latency
                 self._unspill_into_line(spill, line, bank, now)
-            elif spill.coh.is_idle:
+            elif coh.owner is None and not coh.sharers:
                 bank.remove(spill)
         elif line is None or line.coh is None:
+            # Untracked: two hops, through memory and an LLC fill on a miss.
             stats.two_hop += 1
+            latency = (
+                2 * self._latency[core * self._tiles + home] + self._hit_latency_data
+            )
             if line is None:
                 miss = True
-                latency = self._two_hop(core, home) + self._dram_fetch(addr, now)
-                line = self._fill_llc(addr, now)
-            else:
-                latency = self._two_hop(core, home)
+                stats.llc_misses += 1
+                latency += 2 * self._memory_latency[home] + self.dram.access(
+                    addr, now, False
+                )
+                line, victim = bank.insert_block(addr, LLC_CLEAN)
+                if victim is not None:
+                    self._handle_llc_victim(victim, now)
             fill_state = self._take_ownership(core, kind, line, bank, now)
             if kind is IFETCH:
                 # Allocation situation (ii): an instruction read to an
                 # unowned block (§IV).
                 self._consider_tracking(addr, line, bank, home, now)
         else:
-            shared_read = kind is not WRITE and line.coh.is_shared
-            self._record_stra(line, shared_read)
-            if kind is not WRITE:
+            # Tracked in the line, whose STRA counters travel with its CohInfo.
+            coh = line.coh
+            if kind is WRITE:
+                line.stra.record_other()
+            else:
                 line.total_reads += 1
-                if shared_read:
+                if coh.sharers:
+                    shared_read = True
                     line.fwd_reads += 1
-            if line.coh.is_exclusive:
+                    line.stra.record_shared_read()
+                else:
+                    line.stra.record_other()
+            if coh.owner is not None:
                 latency, fill_state = self._serve_tracked_exclusive(
                     core, addr, kind, line, bank, home
                 )
@@ -555,7 +565,7 @@ class TinyHome(InLLCHome):
                 latency, fill_state = self._serve_tracked_shared(
                     core, addr, kind, line, home, now
                 )
-            line.note_holders(line.coh)
+            line.note_holders(coh)
             if kind is not WRITE:
                 # Allocation situation (i): a read to a corrupted block.
                 self._consider_tracking(addr, line, bank, home, now)
@@ -588,18 +598,17 @@ class TinyHome(InLLCHome):
             line.total_reads += 1
             if shared_read:
                 line.fwd_reads += 1
+        owner = coh.owner
         if kind is WRITE:
-            if coh.is_exclusive:
-                owner = coh.owner
+            if owner is not None:
                 if owner == core:
                     raise ProtocolError(
                         f"core {core} missed on owned block {addr:#x}"
                     )
                 stats.three_hop += 1
                 latency = self._three_hop(core, home, owner)
-                self.traffic.control(COHERENCE)
+                self.traffic.control(COHERENCE, 2)  # forward, busy-clear
                 self.traffic.data(PROCESSOR)
-                self.traffic.control(COHERENCE)
                 prior = self.cores[owner].invalidate(addr)
                 if prior is INVALID:
                     raise ProtocolError(f"stale owner for block {addr:#x}")
@@ -621,8 +630,7 @@ class TinyHome(InLLCHome):
                     if prior is INVALID:
                         raise ProtocolError(f"stale sharer for block {addr:#x}")
                     stats.invalidations += 1
-                    self.traffic.control(COHERENCE)
-                    self.traffic.control(COHERENCE)
+                    self.traffic.control(COHERENCE, 2)  # invalidation, ack
                 latency = max(
                     base,
                     self._latency[core * self._tiles + home]
@@ -631,15 +639,13 @@ class TinyHome(InLLCHome):
                 )
             coh.set_owner(core)
             fill_state = MODIFIED
-        elif coh.is_exclusive:
-            owner = coh.owner
+        elif owner is not None:
             if owner == core:
                 raise ProtocolError(f"core {core} missed on owned block {addr:#x}")
             stats.three_hop += 1
             latency = self._three_hop(core, home, owner)
-            self.traffic.control(COHERENCE)
+            self.traffic.control(COHERENCE, 2)  # forward, busy-clear
             self.traffic.data(PROCESSOR)
-            self.traffic.control(COHERENCE)
             prior = self.cores[owner].downgrade(addr)
             if prior is MODIFIED:
                 self.traffic.data(WRITEBACK)
@@ -667,9 +673,8 @@ class TinyHome(InLLCHome):
                 forwarder = self._closest_sharer(coh, home)
                 stats.three_hop += 1
                 latency = self._three_hop(core, home, forwarder)
-                self.traffic.control(COHERENCE)
+                self.traffic.control(COHERENCE, 2)  # forward, busy-clear
                 self.traffic.data(PROCESSOR)
-                self.traffic.control(COHERENCE)
             coh.add_sharer(core)
             fill_state = SHARED
         if line is not None:
@@ -689,8 +694,7 @@ class TinyHome(InLLCHome):
             if prior is INVALID:
                 raise ProtocolError(f"stale sharer for block {addr:#x}")
             self.stats.invalidations += 1
-            self.traffic.control(COHERENCE)
-            self.traffic.control(COHERENCE)
+            self.traffic.control(COHERENCE, 2)  # invalidation, ack
         coh.set_owner(core)
         self.traffic.control(PROCESSOR)
         request_leg = self._latency[core * self._tiles + home] + self._hit_latency_tag
@@ -874,30 +878,29 @@ class TinyHome(InLLCHome):
                 # Tracked in the LLC line (or untracked): the in-LLC path.
                 super().handle_private_eviction(core, addr, state, now)
                 return
+            coh = spill.coh
+        else:
+            coh = entry.coh
         if self.observer.enabled:
             self.observer.emit(
                 "req:evict_notice", cycle=now, core=core, addr=addr, state=state.name
             )
-        self._notice_traffic(state, partial=False)
-        if entry is not None:
-            entry.coh.remove(core)
-            if entry.coh.is_idle:
-                self.tiny.remove(addr)
+        # The notice (carrying the data of an M copy) and its acknowledgement.
+        if state is MODIFIED:
+            self.traffic.data(WRITEBACK)
+            self.traffic.control(WRITEBACK)
         else:
-            spill.coh.remove(core)
-            if spill.coh.is_idle:
+            self.traffic.control(WRITEBACK, 2)
+        if coh.owner == core:
+            coh.owner = None
+        coh.sharers &= ~(1 << core)
+        if coh.owner is None and not coh.sharers:
+            if entry is not None:
+                self.tiny.remove(addr)
+            else:
                 bank.remove(spill)
         if state is MODIFIED:
             self._deposit_dirty(addr, bank, now)
-
-    def _notice_traffic(self, state: PrivateState, partial: bool) -> None:
-        if state is MODIFIED:
-            self.traffic.data(WRITEBACK)
-        elif partial:
-            self.traffic.partial(WRITEBACK)
-        else:
-            self.traffic.control(WRITEBACK)
-        self.traffic.control(WRITEBACK)  # acknowledgement
 
     def _deposit_dirty(self, addr, bank, now) -> None:
         line, _ = bank.lookup(addr, touch=False)

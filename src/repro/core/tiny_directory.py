@@ -25,7 +25,7 @@ import enum
 
 from repro.coherence.info import CohInfo
 from repro.core.gnru import TICK_CYCLES, GenerationEstimator
-from repro.core.stra import StraCounters
+from repro.core.stra import NUM_CATEGORIES, StraCounters
 from repro.errors import ConfigError
 
 #: Slices at or below this many entries become fully associative
@@ -89,34 +89,6 @@ class _TinySlice:
                     entry.ep_bit = True
                 entry.r_bit = False
 
-    def find(self, set_index: int, addr: int) -> "TinyEntry | None":
-        for entry in self.sets[set_index]:
-            if entry is not None and entry.addr == addr:
-                return entry
-        return None
-
-    def choose_victim_way(self, set_index: int, gnru: bool) -> "tuple[int, TinyEntry | None]":
-        """Pick the allocation way per the DSTRA(+gNRU) rules.
-
-        Returns ``(way, entry)``; ``entry`` is None when a free way
-        exists (allocation is then unconditional).
-        """
-        ways = self.sets[set_index]
-        for way, entry in enumerate(ways):
-            if entry is None:
-                return way, None
-        categories = [entry.stra.category() for entry in ways]
-        lowest = min(categories)
-        candidates = [
-            way for way, category in enumerate(categories) if category == lowest
-        ]
-        if gnru:
-            with_ep = [way for way in candidates if ways[way].ep_bit]
-            if with_ep:
-                candidates = with_ep
-        way = candidates[0]
-        return way, ways[way]
-
 
 class TinyDirectory:
     """The banked tiny directory."""
@@ -174,10 +146,6 @@ class TinyDirectory:
         self.evictions = 0
         self.declined = 0
 
-    def _locate(self, addr: int) -> "tuple[_TinySlice, int]":
-        slice_ = self._slices[addr % self.num_banks]
-        return slice_, (addr // self.num_banks) % slice_.num_sets
-
     def lookup(self, addr: int, now: int) -> "TinyEntry | None":
         """Find the entry tracking ``addr``; updates gNRU reuse state.
 
@@ -216,24 +184,50 @@ class TinyDirectory:
         ``victim`` carries the displaced entry's tracking state, which the
         caller must transfer to the victim block's LLC line (or spill, or
         back-invalidate).
+
+        A free way (the lowest one) is taken unconditionally. In a full
+        set, one pass over the ways computes each entry's STRA category
+        once and picks the victim: the first way of the lowest category,
+        or under gNRU the first such way with EP set if there is one. It
+        is replaced only when its category is below ``category``, or
+        under gNRU equal to it with EP set.
         """
-        slice_, set_index = self._locate(addr)
-        slice_.advance(now)
-        gnru = self.policy is AllocationPolicy.DSTRA_GNRU
-        way, incumbent = slice_.choose_victim_way(set_index, gnru)
-        if incumbent is not None:
-            incumbent_category = incumbent.stra.category()
-            allowed = incumbent_category < category or (
-                gnru and incumbent_category == category and incumbent.ep_bit
-            )
-            if not allowed:
+        num_banks = self.num_banks
+        slice_ = self._slices[addr % num_banks]
+        estimator = slice_.estimator
+        if estimator is not None and now // TICK_CYCLES > estimator.ticks_seen:
+            slice_.advance(now)
+        ways = slice_.sets[(addr // num_banks) % slice_.num_sets]
+        incumbent = None
+        if None in ways:
+            way = ways.index(None)
+        else:
+            # Only a gNRU slice keeps a generation clock.
+            gnru = estimator is not None
+            lowest = NUM_CATEGORIES
+            way = ep_way = -1
+            for index, entry in enumerate(ways):
+                entry_category = entry.stra.category()
+                if entry_category < lowest:
+                    lowest = entry_category
+                    way = index
+                    ep_way = index if entry.ep_bit else -1
+                elif entry_category == lowest and ep_way < 0 and entry.ep_bit:
+                    ep_way = index
+            if gnru and ep_way >= 0:
+                way = ep_way
+            incumbent = ways[way]
+            if not (
+                lowest < category
+                or (gnru and lowest == category and incumbent.ep_bit)
+            ):
                 self.declined += 1
                 return None, None
             self.evictions += 1
         entry = TinyEntry(addr, coh, stra)
-        if slice_.estimator is not None:
-            entry.tlast = slice_.estimator.t
-        slice_.sets[set_index][way] = entry
+        if estimator is not None:
+            entry.tlast = estimator.t
+        ways[way] = entry
         self.allocations += 1
         return entry, incumbent
 
@@ -243,14 +237,19 @@ class TinyDirectory:
         Used for eviction-notice processing, which must not refresh the
         gNRU reuse bit of a dying block.
         """
-        slice_, set_index = self._locate(addr)
-        return slice_.find(set_index, addr)
+        num_banks = self.num_banks
+        slice_ = self._slices[addr % num_banks]
+        for entry in slice_.sets[(addr // num_banks) % slice_.num_sets]:
+            if entry is not None and entry.addr == addr:
+                return entry
+        return None
 
     def remove(self, addr: int) -> "TinyEntry | None":
         """Drop the entry for ``addr`` (block lost its last holder, or its
         state moved elsewhere)."""
-        slice_, set_index = self._locate(addr)
-        ways = slice_.sets[set_index]
+        num_banks = self.num_banks
+        slice_ = self._slices[addr % num_banks]
+        ways = slice_.sets[(addr // num_banks) % slice_.num_sets]
         for way, entry in enumerate(ways):
             if entry is not None and entry.addr == addr:
                 ways[way] = None

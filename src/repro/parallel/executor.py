@@ -333,6 +333,8 @@ def run_sweep(
     :func:`repro.analysis.cache.mark_failed`; the parent policy's own
     ``failures`` list is *not* extended here, so the figure-render pass
     that follows reports each failure exactly as the serial path would.
+    A later sweep in the same process drops the registration of every
+    point it computes, so it computes that point again.
     Under a strict policy the first failure (submission order) is
     re-raised after the sweep drains.
 
@@ -417,6 +419,11 @@ def run_sweep(
             resumed_points += 1
         else:
             pending.append((index, point))
+    # A point this sweep computes must not replay a failure an earlier
+    # sweep in this process registered for it (fork workers inherit the
+    # registry too).
+    for _, point in pending:
+        result_cache.unmark_failed(point.key())
 
     if jobs <= 1 or len(pending) <= 1:
         for index, point in pending:

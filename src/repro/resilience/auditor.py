@@ -21,9 +21,15 @@ auditing on or off.
 
 from __future__ import annotations
 
-import os
 import sys
 
+from repro.argtypes import (
+    SWITCH_OFF,
+    SWITCH_ON,
+    audit_interval,
+    invalid_switches,
+    switch_value,
+)
 from repro.errors import InvariantViolation, ProtocolError
 from repro.resilience.recorder import FlightRecorder
 from repro.telemetry import attach_observer
@@ -83,25 +89,24 @@ def auditor_from_env() -> "ProtocolAuditor | None":
 
     ``REPRO_AUDIT`` accepts ``on``/``1``/``yes``/``true`` (default
     interval), a positive integer audit interval, or
-    ``off``/``0``/``no``/``false``/unset to disable. Anything else —
-    a typo like ``ture``, a negative interval — disables auditing too,
-    but *loudly*: a warning on stderr, never a silent None, so a
-    misconfigured environment cannot masquerade as a clean audit.
+    ``off``/``0``/``no``/``false``/unset to disable (the values live in
+    :mod:`repro.argtypes`). The figure CLI refuses anything else before
+    it runs; here, for library callers, anything else — a typo like
+    ``ture``, a negative interval — disables auditing too, but *loudly*:
+    a warning on stderr, never a silent None, so a misconfigured
+    environment cannot masquerade as a clean audit.
     """
-    raw = os.environ.get("REPRO_AUDIT", "").strip().lower()
-    if not raw or raw in ("off", "0", "no", "false"):
+    value = switch_value("REPRO_AUDIT")
+    if not value or value in SWITCH_OFF:
         return None
-    if raw in ("on", "1", "yes", "true"):
+    if value in SWITCH_ON:
         return ProtocolAuditor()
-    try:
-        interval = int(raw)
-    except ValueError:
-        interval = -1
-    if interval <= 0:
-        print(
-            f"repro: ignoring invalid REPRO_AUDIT={raw!r} (expected "
-            f"on/off or a positive audit interval); auditing is DISABLED",
-            file=sys.stderr,
-        )
+    interval = audit_interval(value)
+    if interval is None:
+        for problem in invalid_switches("REPRO_AUDIT"):
+            print(
+                f"repro: ignoring {problem}; auditing is DISABLED",
+                file=sys.stderr,
+            )
         return None
     return ProtocolAuditor(interval=interval)

@@ -36,6 +36,7 @@ import json
 import os
 import sys
 
+from repro.argtypes import SWITCH_OFF, TRACE_ON, invalid_switches, switch_value
 from repro.telemetry.events import TraceEvent
 
 #: Default JSONL trace path when ``REPRO_TRACE_OUT`` is unset.
@@ -230,33 +231,32 @@ def merge_worker_traces(base: "str | None" = None) -> int:
 
 def jsonl_trace_enabled() -> bool:
     """True when ``REPRO_TRACE`` selects the JSONL backend."""
-    raw = os.environ.get("REPRO_TRACE", "").strip().lower()
-    return raw in ("jsonl", "on", "1", "yes", "true")
+    return switch_value("REPRO_TRACE") in TRACE_ON
 
 
 def tracer_from_env() -> "Tracer | None":
     """Build a tracer from ``REPRO_TRACE``, or None when disabled.
 
-    Accepted values: ``jsonl`` (or ``on``/``1``/``yes``/``true``) for
-    the JSONL backend writing to ``REPRO_TRACE_OUT`` (default
-    ``trace.jsonl``); ``off``/``0``/``no``/``false``/unset to disable.
-    Anything else disables tracing too, but *loudly*: a warning on
-    stderr, never a silent None, mirroring
+    Accepted values (:data:`repro.argtypes.TRACE_ON` and
+    :data:`~repro.argtypes.SWITCH_OFF`): ``jsonl`` (or
+    ``on``/``1``/``yes``/``true``) for the JSONL backend writing to
+    ``REPRO_TRACE_OUT`` (default ``trace.jsonl``);
+    ``off``/``0``/``no``/``false``/unset to disable. The figure CLI and
+    ``verify`` refuse anything else before they run; here, for library
+    callers, anything else disables tracing too, but *loudly*: a warning
+    on stderr, never a silent None, mirroring
     :func:`repro.resilience.auditor.auditor_from_env`. There is no
     ring selector: a tracer built here is closed with its run, so
     nothing could read the ring; callers that want a
     :class:`RingBufferSink` build their own :class:`Tracer`.
     """
-    raw = os.environ.get("REPRO_TRACE", "").strip().lower()
-    if not raw or raw in ("off", "0", "no", "false"):
+    value = switch_value("REPRO_TRACE")
+    if not value or value in SWITCH_OFF:
         return None
-    if raw in ("jsonl", "on", "1", "yes", "true"):
+    if value in TRACE_ON:
         return Tracer(JsonlSink(trace_output_path()))
-    print(
-        f"repro: ignoring invalid REPRO_TRACE={raw!r} (expected jsonl "
-        f"or off); tracing is DISABLED",
-        file=sys.stderr,
-    )
+    for problem in invalid_switches("REPRO_TRACE"):
+        print(f"repro: ignoring {problem}; tracing is DISABLED", file=sys.stderr)
     return None
 
 

@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from repro.argtypes import at_least, unknown_knobs
+from repro.argtypes import at_least, invalid_switches, unknown_knobs
 from repro.verify.coverage import (
     CoverageMap,
     coverage_fraction,
@@ -291,6 +291,8 @@ def main(argv: "list[str] | None" = None) -> int:
 
     args = build_parser().parse_args(argv)
     unknown = unknown_knobs()
+    if not (args.trace or args.trace_out):
+        unknown += invalid_switches("REPRO_TRACE")
     if unknown:
         for problem in unknown:
             print(f"repro: {problem}", file=sys.stderr)

@@ -19,14 +19,14 @@ from repro.sim.system import System
 from repro.workloads.generator import generate_streams
 
 #: Python calls per access of barnes (8 cores, 4,000 steady accesses,
-#: seed 1) under each scheme. Measured: sparse 16.35, in-LLC 14.51,
-#: tiny 19.56, MgD 26.38, Stash 24.82 (Python 3.11).
+#: seed 1) under each scheme. Measured: sparse 14.95, in-LLC 9.50,
+#: tiny 12.63, MgD 24.95, Stash 23.33 (Python 3.11).
 BUDGETS = {
-    "sparse": 16.8,
-    "in_llc": 14.9,
-    "tiny": 20.1,
-    "mgd": 27.1,
-    "stash": 25.5,
+    "sparse": 15.4,
+    "in_llc": 9.7,
+    "tiny": 13.0,
+    "mgd": 25.6,
+    "stash": 24.0,
 }
 
 #: The schemes as the figures configure them.

@@ -211,6 +211,50 @@ class TestInvalidKnobs:
         assert "Fig. 7" in capsys.readouterr().out
 
 
+class TestInvalidSwitches:
+    """An invalid ``REPRO_TRACE`` or ``REPRO_AUDIT`` is refused before
+    anything runs, naming the variable and its accepted values, instead
+    of a run that goes ahead untraced or unaudited."""
+
+    FIGURE = ["fig07", "--scale", "quick", "--apps", "compress"]
+    VERIFY = ["verify", "--litmus", "--scheme", "sparse"]
+    EXPECTED = {"REPRO_TRACE": "jsonl", "REPRO_AUDIT": "a positive audit interval"}
+
+    @pytest.mark.parametrize(
+        "argv, name, value",
+        [
+            (FIGURE, "REPRO_TRACE", "ring"),
+            (FIGURE, "REPRO_TRACE", "maybe"),
+            (FIGURE, "REPRO_AUDIT", "maybe"),
+            (FIGURE, "REPRO_AUDIT", "-5"),
+            (VERIFY, "REPRO_TRACE", "ring"),
+            (VERIFY, "REPRO_TRACE", "maybe"),
+        ],
+        ids=["figure-trace-ring", "figure-trace-maybe", "figure-audit-maybe",
+             "figure-audit-negative", "verify-trace-ring", "verify-trace-maybe"],
+    )
+    def test_refused_before_anything_runs(
+        self, tmp_path, capsys, monkeypatch, argv, name, value
+    ):
+        for knob in ("REPRO_TRACE", "REPRO_TRACE_OUT", "REPRO_AUDIT"):
+            monkeypatch.delenv(knob, raising=False)
+        monkeypatch.setenv(name, value)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"invalid {name}={value!r}" in captured.err
+        assert self.EXPECTED[name] in captured.err
+        assert "off" in captured.err
+        assert list(tmp_path.iterdir()) == []  # no result-cache entry
+
+    def test_audit_flag_overrides_the_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_AUDIT", "maybe")
+        code = main(self.FIGURE + ["--audit"])
+        assert code == 0
+        assert "REPRO_AUDIT" not in capsys.readouterr().err
+
+
 class TestObservingNeedsColdCache:
     """A cached point is replayed, not simulated, so tracing or auditing
     on a warm cache is refused instead of silently observing nothing."""

@@ -268,6 +268,29 @@ class TestHarnessSemanticsInWorkers:
         [failure] = render_policy.failures
         assert "synthetic failure" in failure.error
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_next_sweep_computes_a_point_the_last_one_failed(self, monkeypatch, jobs):
+        from repro.analysis import runner
+
+        real_run_app = runner.run_app
+
+        def boom(app, scheme, scale=None, config=None):
+            raise RuntimeError("synthetic failure")
+
+        points = _points()[:1]
+        monkeypatch.setattr("repro.analysis.runner.run_app", boom)
+        first = run_sweep(points, jobs=jobs, policy=HarnessPolicy(keep_going=True))
+        [failure] = first.failures
+        assert "synthetic failure" in failure.error
+        # The failure was transient: the next sweep in this process, with
+        # the first one's failure marks still registered, computes the
+        # point instead of replaying them.
+        monkeypatch.setattr("repro.analysis.runner.run_app", real_run_app)
+        second = run_sweep(points, jobs=jobs, policy=HarnessPolicy(keep_going=True))
+        assert second.failures == []
+        assert not second.results[0].meta.get("failed")
+        assert pending_points(points) == []
+
 
 class TestProfiles:
     def test_profiles_and_summary(self, tmp_path):

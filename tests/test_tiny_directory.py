@@ -1,6 +1,7 @@
 """Unit tests for the tiny directory and its allocation policies (§IV)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.coherence.info import CohInfo
 from repro.core.gnru import TICK_CYCLES
@@ -8,6 +9,7 @@ from repro.core.stra import StraCounters
 from repro.core.tiny_directory import (
     AllocationPolicy,
     TinyDirectory,
+    TinyEntry,
     FULLY_ASSOC_THRESHOLD,
 )
 from repro.errors import ConfigError
@@ -167,3 +169,153 @@ class TestStructure:
         tiny.try_allocate(1, 1, CohInfo(sharers=1), stra_of_category(1), 0)
         assert tiny.find_quiet(0) is not None
         assert tiny.find_quiet(1) is not None
+
+
+# ----------------------------------------------------------------------
+# The victim choice against a reference of the §IV-A rule
+# ----------------------------------------------------------------------
+
+
+def reference_choose_victim_way(ways, gnru):
+    """The DSTRA(+gNRU) way choice as the rule reads, in two passes.
+
+    Returns ``(way, incumbent)``: the first free way and None, else the
+    first way of the lowest STRA category and its entry, where under
+    gNRU the first such way with EP set wins if there is one.
+    """
+    for way, entry in enumerate(ways):
+        if entry is None:
+            return way, None
+    categories = [entry.stra.category() for entry in ways]
+    lowest = min(categories)
+    candidates = [way for way, category in enumerate(categories) if category == lowest]
+    if gnru:
+        with_ep = [way for way in candidates if ways[way].ep_bit]
+        if with_ep:
+            candidates = with_ep
+    way = candidates[0]
+    return way, ways[way]
+
+
+def reference_try_allocate(tiny, addr, category, coh, stra, now):
+    """``TinyDirectory.try_allocate`` by the rule: the incumbent is
+    replaced only by a higher category, or under gNRU by an equal one
+    when its EP bit is set. Returns ``(entry, victim, way)``."""
+    slice_ = tiny._slices[addr % tiny.num_banks]
+    slice_.advance(now)
+    ways = slice_.sets[(addr // tiny.num_banks) % slice_.num_sets]
+    gnru = tiny.policy is AllocationPolicy.DSTRA_GNRU
+    way, incumbent = reference_choose_victim_way(ways, gnru)
+    if incumbent is not None:
+        incumbent_category = incumbent.stra.category()
+        if not (
+            incumbent_category < category
+            or (gnru and incumbent_category == category and incumbent.ep_bit)
+        ):
+            tiny.declined += 1
+            return None, None, None
+        tiny.evictions += 1
+    entry = TinyEntry(addr, coh, stra)
+    if slice_.estimator is not None:
+        entry.tlast = slice_.estimator.t
+    ways[way] = entry
+    tiny.allocations += 1
+    return entry, incumbent, way
+
+
+#: One STRAC/OAC pair per category C0..C7.
+CATEGORY_PAIRS = [(0, 5), (1, 1), (3, 1), (7, 1), (15, 1), (31, 1), (63, 1), (9, 0)]
+counter_pairs = st.one_of(
+    st.sampled_from(CATEGORY_PAIRS),
+    st.tuples(st.integers(0, 63), st.integers(0, 63)),
+)
+#: An entry's (STRAC, OAC), EP bit and R bit.
+entry_states = st.tuples(counter_pairs, st.booleans(), st.booleans())
+
+
+@st.composite
+def slices(draw):
+    """A tiny directory geometry and the contents of one set of it: full
+    in about half the examples, otherwise with some free ways."""
+    banks = draw(st.sampled_from([1, 2]))
+    per_slice = draw(st.sampled_from([1, 2, 3, 8, 16, 32, 64]))
+    assoc = draw(st.sampled_from([2, 4, 8]))
+    policy = draw(st.sampled_from(list(AllocationPolicy)))
+    ways_per_set = TinyDirectory(
+        per_slice * banks, banks, policy, assoc=assoc
+    )._slices[0].assoc
+    ways = draw(st.lists(entry_states, min_size=ways_per_set, max_size=ways_per_set))
+    if draw(st.booleans()):
+        for way in draw(st.sets(st.integers(0, ways_per_set - 1), min_size=1)):
+            ways[way] = None
+    addr = draw(st.integers(0, 1 << 12))
+    return banks, per_slice, assoc, policy, ways, addr
+
+
+def build_tiny(banks, per_slice, assoc, policy, ways, addr):
+    """A directory whose set holding ``addr`` has the drawn contents."""
+    tiny = TinyDirectory(
+        per_slice * banks, banks, policy, assoc=assoc, default_generation_ticks=2
+    )
+    slice_ = tiny._slices[addr % banks]
+    target = slice_.sets[(addr // banks) % slice_.num_sets]
+    for way, state in enumerate(ways):
+        if state is None:
+            continue
+        (strac, oac), ep_bit, r_bit = state
+        # Resident blocks of the same set, other than ``addr``.
+        resident = addr + banks * slice_.num_sets * (way + 1)
+        entry = TinyEntry(resident, CohInfo(sharers=1), StraCounters(strac, oac))
+        entry.ep_bit = ep_bit
+        entry.r_bit = r_bit
+        target[way] = entry
+    return tiny
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=slices(),
+    category=st.integers(0, 7),
+    now=st.sampled_from(
+        [0, TICK_CYCLES - 1, TICK_CYCLES, 2 * TICK_CYCLES, 40 * TICK_CYCLES]
+    ),
+)
+def test_try_allocate_follows_the_reference_rule(case, category, now):
+    tiny = build_tiny(*case)
+    reference = build_tiny(*case)
+    addr = case[-1]
+    coh, stra = CohInfo(sharers=2), stra_of_category(category)
+    slice_ = tiny._slices[addr % tiny.num_banks]
+    ways = slice_.sets[(addr // tiny.num_banks) % slice_.num_sets]
+    before = list(ways)
+
+    entry, victim = tiny.try_allocate(addr, category, coh, stra, now)
+    ref_entry, ref_victim, ref_way = reference_try_allocate(
+        reference, addr, category, coh, stra, now
+    )
+
+    counters = ("allocations", "evictions", "declined")
+    assert [getattr(tiny, name) for name in counters] == [
+        getattr(reference, name) for name in counters
+    ]
+    if ref_entry is None:
+        assert entry is None and victim is None
+        assert ways == before
+    else:
+        way = ways.index(entry)
+        assert way == ref_way
+        assert (entry.addr, entry.coh, entry.stra, entry.tlast) == (
+            ref_entry.addr, ref_entry.coh, ref_entry.stra, ref_entry.tlast,
+        )
+        assert (victim is None) == (ref_victim is None)
+        if victim is not None:
+            assert victim is before[way]
+            assert victim.addr == ref_victim.addr
+    # The generation clock moved both slices alike (R/EP of every entry).
+    ref_slice = reference._slices[addr % reference.num_banks]
+    ref_ways = ref_slice.sets[(addr // reference.num_banks) % ref_slice.num_sets]
+    assert [
+        None if e is None else (e.addr, e.r_bit, e.ep_bit, e.tlast) for e in ways
+    ] == [
+        None if e is None else (e.addr, e.r_bit, e.ep_bit, e.tlast) for e in ref_ways
+    ]
