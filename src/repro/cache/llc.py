@@ -283,11 +283,14 @@ class LLCBank:
         """Number of resident lines (data + spilled)."""
         return len(self._blocks) + len(self._spills)
 
-    def iter_lines(self):
-        """Yield every resident line, set by set in the order the sets
-        were first filled, LRU first within a set."""
+    def iter_lines(self) -> "list[LLCLine]":
+        """Every resident line, set by set in the order the sets were
+        first filled, LRU first within a set: one list, built in one
+        pass (the end-of-run residency flush walks every bank)."""
         blocks = self._blocks
         spills = self._spills
-        for keys in self._sets.values():
-            for key in keys:
-                yield blocks[key] if key >= 0 else spills[~key]
+        return [
+            blocks[key] if key >= 0 else spills[~key]
+            for keys in self._sets.values()
+            for key in keys
+        ]

@@ -238,7 +238,13 @@ class PrivateCore:
         state = self.states.pop(addr, INVALID)
         if state is not INVALID:
             self.l2[addr % self.l2_sets].remove(addr)
-        self._drop_from_l1s(addr)
+        set_index = addr % self.l1_sets
+        lines = self.il1.get(set_index)
+        if lines and addr in lines:
+            lines.remove(addr)
+        lines = self.dl1.get(set_index)
+        if lines and addr in lines:
+            lines.remove(addr)
         return state
 
     def downgrade(self, addr: int) -> PrivateState:
@@ -255,15 +261,6 @@ class PrivateCore:
             )
         self.states[addr] = SHARED
         return prior
-
-    def _drop_from_l1s(self, addr: int) -> None:
-        set_index = addr % self.l1_sets
-        lines = self.il1.get(set_index)
-        if lines and addr in lines:
-            lines.remove(addr)
-        lines = self.dl1.get(set_index)
-        if lines and addr in lines:
-            lines.remove(addr)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -14,6 +14,11 @@ set. The reference bits are kept as their complement because an insert
 and every touching lookup set the bit, and only a full set's victim
 search clears it: most resident tags are referenced, so the set of
 unreferenced ones stays small.
+
+The sparse and multi-grain directories probe these tables themselves on
+their per-transaction paths (``_sets``, ``_payloads``,
+``_unreferenced``), so that finding an entry is one call: a change to
+the layout changes them too.
 """
 
 from __future__ import annotations
@@ -60,29 +65,14 @@ class SetAssocArray:
             self._unreferenced.discard(tag)
         return self._payloads.get(tag)
 
-    def choose_victim(self, tag: int) -> "int | None":
-        """The tag an insertion of ``tag`` would evict, or None while its
-        set still has a free way.
-
-        When every way of the set is referenced, this clears the set's
-        reference bits and returns the first way.
-        """
-        lines = self._sets.get(tag % self.num_sets)
-        if lines is None or len(lines) < self.assoc:
-            return None
-        unreferenced = self._unreferenced
-        if unreferenced:
-            for way_tag in lines:
-                if way_tag in unreferenced:
-                    return way_tag
-        unreferenced.update(lines)
-        return lines[0]
-
     def insert(self, tag: int, payload: object) -> "tuple[int, object] | None":
         """Insert ``tag`` with ``payload``; returns the evicted
         ``(tag, payload)``, if any.
 
         The caller must have established that ``tag`` is not present.
+        A full set gives up its first unreferenced way; when every way
+        is referenced, the set's reference bits are cleared and the
+        first way goes.
         """
         set_index = tag % self.num_sets
         lines = self._sets.get(set_index)
@@ -90,9 +80,15 @@ class SetAssocArray:
             lines = self._sets[set_index] = []
         evicted = None
         if len(lines) >= self.assoc:
-            victim = self.choose_victim(tag)
+            unreferenced = self._unreferenced
+            for victim in lines:
+                if victim in unreferenced:
+                    break
+            else:
+                unreferenced.update(lines)
+                victim = lines[0]
             lines.remove(victim)
-            self._unreferenced.discard(victim)
+            unreferenced.discard(victim)
             evicted = victim, self._payloads.pop(victim)
         lines.append(tag)
         self._payloads[tag] = payload

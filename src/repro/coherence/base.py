@@ -21,7 +21,7 @@ from repro.cache.private_cache import PrivateCore
 from repro.coherence.info import CohInfo
 from repro.errors import InvariantViolation
 from repro.interconnect.mesh import Mesh2D
-from repro.interconnect.traffic import COHERENCE, TrafficMeter
+from repro.interconnect.traffic import COHERENCE_CONTROL, COHERENCE_DATA
 from repro.memory.dram import DramModel
 from repro.core.stra import stra_category
 from repro.sim.config import SystemConfig
@@ -46,7 +46,7 @@ class BaseHome:
         "dram",
         "cores",
         "stats",
-        "traffic",
+        "_messages",
         "observer",
         "num_banks",
         "banks",
@@ -71,7 +71,10 @@ class BaseHome:
         self.dram = dram
         self.cores = cores
         self.stats = stats
-        self.traffic: TrafficMeter = stats.traffic
+        # The traffic meter's message counts by slot: a transaction counts
+        # each message with ``self._messages[COHERENCE_CONTROL] += 1`` and
+        # the like (repro.interconnect.traffic's slot names), not a call.
+        self._messages: "list[int]" = stats.traffic.counts
         #: Where protocol transitions are announced: the shared disabled
         #: tracer unless attach_observer installs a tracer, coverage map
         #: or flight recorder (see repro.telemetry.sinks).
@@ -165,14 +168,6 @@ class BaseHome:
     # DRAM
     # ------------------------------------------------------------------
 
-    def _dram_fetch(self, addr: int, now: int) -> int:
-        """Fetch a block from memory (an LLC miss); returns the added
-        latency."""
-        self.stats.llc_misses += 1
-        return 2 * self._memory_latency[addr % self.num_banks] + self.dram.access(
-            addr, now, False
-        )
-
     def _dram_write(self, addr: int, now: int) -> None:
         """Write a block back to memory (off the critical path)."""
         self.dram.access(addr, now, is_write=True)
@@ -198,6 +193,7 @@ class BaseHome:
         holder, the ack carrying data for an M holder.
         """
         had_dirty = False
+        messages = self._messages
         for holder in coh.holders():
             if holder == except_core:
                 continue
@@ -217,14 +213,14 @@ class BaseHome:
                 self.observer.emit(
                     f"inval:{prior.value}->I", cycle=now, core=holder, addr=addr
                 )
-            self.traffic.control(COHERENCE)  # invalidation
             if prior is MODIFIED:
                 had_dirty = True
-                self.traffic.data(COHERENCE)  # ack + data
+                messages[COHERENCE_CONTROL] += 1  # invalidation
+                messages[COHERENCE_DATA] += 1  # ack + data
                 if not data_to_requester:
                     self._store_dirty_data(addr, now)
             else:
-                self.traffic.control(COHERENCE)  # ack
+                messages[COHERENCE_CONTROL] += 2  # invalidation, ack
             self.stats.invalidations += 1
         coh.clear()
         return had_dirty
@@ -273,10 +269,26 @@ class BaseHome:
             self.stats.flush_residency(line)
 
     def finalize(self) -> None:
-        """Flush residency statistics of still-resident LLC lines."""
+        """Flush residency statistics of still-resident LLC lines.
+
+        The common residency is counted in place, as in
+        :meth:`_flush_residency`; the other data lines go through it in
+        the banks' set order, which is the order their ``stra:classify``
+        events take.
+        """
+        common = 0
         for bank in self.banks:
             for line in bank.iter_lines():
-                self._flush_residency(line)
+                if line.state is LLC_SPILLED_ENTRY:
+                    continue
+                seen = line.sharers_seen
+                if line.fwd_reads or seen & (seen - 1):
+                    self._flush_residency(line)
+                else:
+                    common += 1
+        stats = self.stats
+        stats.blocks_allocated += common
+        stats.sharer_bins[0] += common
 
     # ------------------------------------------------------------------
     # Interface implemented by scheme controllers
@@ -311,3 +323,29 @@ class BaseHome:
     def check_invariants(self) -> None:
         """Verify tracker/private-cache agreement (tests only)."""
         raise NotImplementedError
+
+    def _check_single_writer(self) -> None:
+        """No block is held exclusively by one core while any other core
+        caches it."""
+        exclusive_holder: "dict[int, int]" = {}
+        holders: "dict[int, list[int]]" = {}
+        for core in self.cores:
+            for addr, state in core.resident_blocks():
+                holders.setdefault(addr, []).append(core.core_id)
+                if state.is_exclusive:
+                    if addr in exclusive_holder:
+                        raise InvariantViolation(
+                            f"block {addr:#x} exclusively held by both "
+                            f"{exclusive_holder[addr]} and {core.core_id}",
+                            addr=addr,
+                            cores=(exclusive_holder[addr], core.core_id),
+                        )
+                    exclusive_holder[addr] = core.core_id
+        for addr, holder in exclusive_holder.items():
+            if len(holders[addr]) > 1:
+                raise InvariantViolation(
+                    f"block {addr:#x} held exclusively by {holder} while "
+                    f"also cached by {holders[addr]}",
+                    addr=addr,
+                    cores=tuple(holders[addr]),
+                )

@@ -23,7 +23,16 @@ from repro.core.spill import DynamicSpillPolicy, SpillConfig
 from repro.core.stra import StraCounters
 from repro.core.tiny_directory import TinyDirectory
 from repro.errors import InvariantViolation, ProtocolError
-from repro.interconnect.traffic import COHERENCE, PROCESSOR, WRITEBACK
+from repro.interconnect.traffic import (
+    COHERENCE_CONTROL,
+    COHERENCE_DATA,
+    COHERENCE_PARTIAL,
+    PROCESSOR_CONTROL,
+    PROCESSOR_DATA,
+    WRITEBACK_CONTROL,
+    WRITEBACK_DATA,
+    WRITEBACK_PARTIAL,
+)
 from repro.types import (
     EXCLUSIVE,
     IFETCH,
@@ -90,19 +99,20 @@ class InLLCHome(BaseHome):
                 "llc:evict_tracked", cycle=now, addr=addr, holders=holders
             )
         had_modified = False
+        messages = self._messages
         for holder in holders:
             prior = self.cores[holder].invalidate(addr)
-            self.traffic.control(COHERENCE)  # invalidation
             if prior is MODIFIED:
                 had_modified = True
-                self.traffic.data(COHERENCE)  # data response
+                messages[COHERENCE_CONTROL] += 1  # invalidation
+                messages[COHERENCE_DATA] += 1  # data response
             else:
-                self.traffic.control(COHERENCE)  # ack
+                messages[COHERENCE_CONTROL] += 2  # invalidation, ack
             self.stats.invalidations += 1
             self.stats.back_invalidations += 1
         if not self.tag_extended and not had_modified and holders:
             # One holder supplies the borrowed bits for reconstruction.
-            self.traffic.partial(COHERENCE)
+            messages[COHERENCE_PARTIAL] += 1
         if dirty or had_modified:
             self._dram_write(addr, now)
         coh.clear()
@@ -128,7 +138,7 @@ class InLLCHome(BaseHome):
                 "req:upgrade" if upgrade else f"req:{kind.name.lower()}",
                 cycle=now, core=core, addr=addr,
             )
-        self.traffic.control(PROCESSOR)
+        self._messages[PROCESSOR_CONTROL] += 1
         line, _ = bank.lookup(addr)
 
         if upgrade:
@@ -196,7 +206,7 @@ class InLLCHome(BaseHome):
             line.state = LLC_CORRUPTED
             bank.data_writes += 1  # the borrowed bits are written in the data array
         line.sharers_seen |= 1 << core
-        self.traffic.data(PROCESSOR)
+        self._messages[PROCESSOR_DATA] += 1
         return fill_state
 
     def _serve_tracked_exclusive(self, core, addr, kind, line, bank, home):
@@ -209,8 +219,9 @@ class InLLCHome(BaseHome):
         self.stats.three_hop += 1
         extra = self._decode_latency if line.state is LLC_CORRUPTED else 0
         latency = self._three_hop(core, home, owner, extra)
-        self.traffic.control(COHERENCE, 2)  # forward, busy-clear
-        self.traffic.data(PROCESSOR)  # owner -> requester
+        messages = self._messages
+        messages[COHERENCE_CONTROL] += 2  # forward, busy-clear
+        messages[PROCESSOR_DATA] += 1  # owner -> requester
         if kind is WRITE:
             prior = self.cores[owner].invalidate(addr)
             if prior is INVALID:
@@ -222,7 +233,7 @@ class InLLCHome(BaseHome):
         if prior is MODIFIED:
             # Dirty data is deposited in the (corrupted) LLC line's
             # intact data portion.
-            self.traffic.data(WRITEBACK)
+            messages[WRITEBACK_DATA] += 1
             line.underlying_dirty = True
             bank.data_writes += 1
         coh.add_sharer(core)
@@ -251,17 +262,17 @@ class InLLCHome(BaseHome):
                     raise ProtocolError(f"stale sharer for block {addr:#x}")
                 stats.invalidations += 1
                 if holder == forwarder:
-                    self.traffic.control(COHERENCE)  # invalidation
-                    self.traffic.data(PROCESSOR)  # special ack
+                    self._messages[COHERENCE_CONTROL] += 1  # invalidation
+                    self._messages[PROCESSOR_DATA] += 1  # special ack
                 else:
-                    self.traffic.control(COHERENCE, 2)  # invalidation, ack
+                    self._messages[COHERENCE_CONTROL] += 2  # invalidation, ack
             coh.set_owner(core)
             return latency, MODIFIED
         if self.tag_extended:
             # The LLC data is intact: serve in two hops.
             stats.two_hop += 1
             latency = self._two_hop(core, home)
-            self.traffic.data(PROCESSOR)
+            self._messages[PROCESSOR_DATA] += 1
         else:
             if self.observer.enabled:
                 self.observer.emit(
@@ -275,8 +286,8 @@ class InLLCHome(BaseHome):
             else:
                 stats.lengthened_data += 1
             latency = self._three_hop(core, home, forwarder, extra)
-            self.traffic.control(COHERENCE, 2)  # forward, busy-clear
-            self.traffic.data(PROCESSOR)
+            self._messages[COHERENCE_CONTROL] += 2  # forward, busy-clear
+            self._messages[PROCESSOR_DATA] += 1
         coh.add_sharer(core)
         return latency, SHARED
 
@@ -295,9 +306,9 @@ class InLLCHome(BaseHome):
             if prior is INVALID:
                 raise ProtocolError(f"stale sharer for block {addr:#x}")
             self.stats.invalidations += 1
-            self.traffic.control(COHERENCE, 2)  # invalidation, ack
+            self._messages[COHERENCE_CONTROL] += 2  # invalidation, ack
         coh.set_owner(core)
-        self.traffic.control(PROCESSOR)
+        self._messages[PROCESSOR_CONTROL] += 1
         request_leg = (
             self._latency[core * self._tiles + home] + self._hit_latency_tag + extra
         )
@@ -322,23 +333,23 @@ class InLLCHome(BaseHome):
             )
         bank = self.banks[addr % self.num_banks]
         line, _ = bank.lookup(addr, touch=False)
-        traffic = self.traffic
+        messages = self._messages
         if line is None or line.coh is None:
             # The line (and its tracking) was concurrently evicted and the
             # holders back-invalidated; nothing to update. The notice and
             # its acknowledgement.
-            traffic.control(WRITEBACK, 2)
+            messages[WRITEBACK_CONTROL] += 2
             return
         # Control messages: the acknowledgement, plus the notice itself
         # unless it carries data or the borrowed bits.
         controls = 1
         if state is MODIFIED:
-            traffic.data(WRITEBACK)
+            messages[WRITEBACK_DATA] += 1
             line.underlying_dirty = True
             bank.data_writes += 1
         elif state is EXCLUSIVE and not self.tag_extended:
             # The notice carries the borrowed bits for reconstruction.
-            traffic.partial(WRITEBACK)
+            messages[WRITEBACK_PARTIAL] += 1
         else:
             controls = 2
         coh = line.coh
@@ -349,7 +360,7 @@ class InLLCHome(BaseHome):
             if state is SHARED and not self.tag_extended:
                 # Last sharer: the LLC requests the borrowed bits back.
                 controls += 1
-                traffic.partial(WRITEBACK)
+                messages[WRITEBACK_PARTIAL] += 1
             # The last copy is gone: the line returns to the unowned
             # valid state.
             if self.observer.enabled:
@@ -360,7 +371,7 @@ class InLLCHome(BaseHome):
                 line.state = LLC_DIRTY if line.underlying_dirty else LLC_CLEAN
                 line.underlying_dirty = False
                 bank.data_writes += 1
-        traffic.control(WRITEBACK, controls)
+        messages[WRITEBACK_CONTROL] += controls
 
     # ------------------------------------------------------------------
     # Invariants
@@ -373,30 +384,6 @@ class InLLCHome(BaseHome):
         if line is not None and line.coh is not None and line.coh.holds(core):
             return True
         return spill is not None and spill.coh.holds(core)
-
-    def _check_single_writer(self) -> None:
-        exclusive_holder: "dict[int, int]" = {}
-        holders: "dict[int, list[int]]" = {}
-        for core in self.cores:
-            for addr, state in core.resident_blocks():
-                holders.setdefault(addr, []).append(core.core_id)
-                if state.is_exclusive:
-                    if addr in exclusive_holder:
-                        raise InvariantViolation(
-                            f"block {addr:#x} exclusively held by both "
-                            f"{exclusive_holder[addr]} and {core.core_id}",
-                            addr=addr,
-                            cores=(exclusive_holder[addr], core.core_id),
-                        )
-                    exclusive_holder[addr] = core.core_id
-        for addr, holder in exclusive_holder.items():
-            if len(holders[addr]) > 1:
-                raise InvariantViolation(
-                    f"block {addr:#x} held exclusively by {holder} while "
-                    f"also cached by {holders[addr]}",
-                    addr=addr,
-                    cores=tuple(holders[addr]),
-                )
 
     def check_invariants(self) -> None:
         for bank in self.banks:
@@ -470,7 +457,7 @@ class TinyHome(InLLCHome):
                 "req:upgrade" if upgrade else f"req:{kind.name.lower()}",
                 cycle=now, core=core, addr=addr,
             )
-        self.traffic.control(PROCESSOR)
+        self._messages[PROCESSOR_CONTROL] += 1
         entry = self.tiny.lookup(addr, now)
         line, spill = bank.lookup(addr)
         shared_read = False
@@ -607,8 +594,8 @@ class TinyHome(InLLCHome):
                     )
                 stats.three_hop += 1
                 latency = self._three_hop(core, home, owner)
-                self.traffic.control(COHERENCE, 2)  # forward, busy-clear
-                self.traffic.data(PROCESSOR)
+                self._messages[COHERENCE_CONTROL] += 2  # forward, busy-clear
+                self._messages[PROCESSOR_DATA] += 1
                 prior = self.cores[owner].invalidate(addr)
                 if prior is INVALID:
                     raise ProtocolError(f"stale owner for block {addr:#x}")
@@ -624,13 +611,13 @@ class TinyHome(InLLCHome):
                     if line_valid
                     else self._three_hop(core, home, self._closest_sharer(coh, home))
                 )
-                self.traffic.data(PROCESSOR)
+                self._messages[PROCESSOR_DATA] += 1
                 for holder in holders:
                     prior = self.cores[holder].invalidate(addr)
                     if prior is INVALID:
                         raise ProtocolError(f"stale sharer for block {addr:#x}")
                     stats.invalidations += 1
-                    self.traffic.control(COHERENCE, 2)  # invalidation, ack
+                    self._messages[COHERENCE_CONTROL] += 2  # invalidation, ack
                 latency = max(
                     base,
                     self._latency[core * self._tiles + home]
@@ -644,11 +631,11 @@ class TinyHome(InLLCHome):
                 raise ProtocolError(f"core {core} missed on owned block {addr:#x}")
             stats.three_hop += 1
             latency = self._three_hop(core, home, owner)
-            self.traffic.control(COHERENCE, 2)  # forward, busy-clear
-            self.traffic.data(PROCESSOR)
+            self._messages[COHERENCE_CONTROL] += 2  # forward, busy-clear
+            self._messages[PROCESSOR_DATA] += 1
             prior = self.cores[owner].downgrade(addr)
             if prior is MODIFIED:
-                self.traffic.data(WRITEBACK)
+                self._messages[WRITEBACK_DATA] += 1
                 if line is not None:
                     line.underlying_dirty = True
                     bank.data_writes += 1
@@ -660,7 +647,7 @@ class TinyHome(InLLCHome):
             if line_valid:
                 stats.two_hop += 1
                 latency = self._two_hop(core, home)
-                self.traffic.data(PROCESSOR)
+                self._messages[PROCESSOR_DATA] += 1
                 if via_spill and shared_read:
                     stats.spill_saved += 1
             else:
@@ -673,8 +660,8 @@ class TinyHome(InLLCHome):
                 forwarder = self._closest_sharer(coh, home)
                 stats.three_hop += 1
                 latency = self._three_hop(core, home, forwarder)
-                self.traffic.control(COHERENCE, 2)  # forward, busy-clear
-                self.traffic.data(PROCESSOR)
+                self._messages[COHERENCE_CONTROL] += 2  # forward, busy-clear
+                self._messages[PROCESSOR_DATA] += 1
             coh.add_sharer(core)
             fill_state = SHARED
         if line is not None:
@@ -694,9 +681,9 @@ class TinyHome(InLLCHome):
             if prior is INVALID:
                 raise ProtocolError(f"stale sharer for block {addr:#x}")
             self.stats.invalidations += 1
-            self.traffic.control(COHERENCE, 2)  # invalidation, ack
+            self._messages[COHERENCE_CONTROL] += 2  # invalidation, ack
         coh.set_owner(core)
-        self.traffic.control(PROCESSOR)
+        self._messages[PROCESSOR_CONTROL] += 1
         request_leg = self._latency[core * self._tiles + home] + self._hit_latency_tag
         if holders:
             self.stats.three_hop += 1
@@ -771,7 +758,7 @@ class TinyHome(InLLCHome):
         line.underlying_dirty = False
         if was_corrupted:
             # The forwarded target also ships the borrowed bits to the LLC.
-            self.traffic.partial(COHERENCE)
+            self._messages[COHERENCE_PARTIAL] += 1
             bank.data_writes += 1
 
     def _rehome_victim(self, victim_entry, now) -> None:
@@ -820,14 +807,15 @@ class TinyHome(InLLCHome):
                 "llc:back_invalidate", cycle=now, addr=addr, holders=coh.holders()
             )
         had_dirty = False
+        messages = self._messages
         for holder in coh.holders():
             prior = self.cores[holder].invalidate(addr)
-            self.traffic.control(COHERENCE)
             if prior is MODIFIED:
                 had_dirty = True
-                self.traffic.data(COHERENCE)
+                messages[COHERENCE_CONTROL] += 1  # invalidation
+                messages[COHERENCE_DATA] += 1  # data response
             else:
-                self.traffic.control(COHERENCE)
+                messages[COHERENCE_CONTROL] += 2  # invalidation, ack
             self.stats.invalidations += 1
             self.stats.back_invalidations += 1
         if had_dirty:
@@ -887,10 +875,10 @@ class TinyHome(InLLCHome):
             )
         # The notice (carrying the data of an M copy) and its acknowledgement.
         if state is MODIFIED:
-            self.traffic.data(WRITEBACK)
-            self.traffic.control(WRITEBACK)
+            self._messages[WRITEBACK_DATA] += 1
+            self._messages[WRITEBACK_CONTROL] += 1
         else:
-            self.traffic.control(WRITEBACK, 2)
+            self._messages[WRITEBACK_CONTROL] += 2
         if coh.owner == core:
             coh.owner = None
         coh.sharers &= ~(1 << core)

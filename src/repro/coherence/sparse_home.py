@@ -22,14 +22,20 @@ from repro.coherence.info import CohInfo
 from repro.directory.mgd import BLOCKS_PER_REGION, MultiGrainDirectory, RegionEntry
 from repro.directory.stash import StashState
 from repro.errors import InvariantViolation, ProtocolError
-from repro.interconnect.traffic import COHERENCE, PROCESSOR, WRITEBACK
+from repro.interconnect.traffic import (
+    COHERENCE_CONTROL,
+    COHERENCE_DATA,
+    PROCESSOR_CONTROL,
+    PROCESSOR_DATA,
+    WRITEBACK_CONTROL,
+    WRITEBACK_DATA,
+)
 from repro.types import (
     EXCLUSIVE,
     IFETCH,
     INVALID,
     LLC_CLEAN,
     LLC_DIRTY,
-    LLC_INVALID,
     MODIFIED,
     SHARED,
     WRITE,
@@ -40,7 +46,12 @@ from repro.types import (
 
 
 class SparseHome(BaseHome):
-    """Baseline MESI home node with a sparse directory."""
+    """Baseline MESI home node with a sparse directory.
+
+    A sparse-family home keeps its LLC lines in the clean and dirty
+    states only: the corrupted and spilled states belong to the in-LLC
+    homes, and no home puts a line in the invalid state.
+    """
 
     __slots__ = ("directory",)
 
@@ -74,16 +85,17 @@ class SparseHome(BaseHome):
 
     def _after_update(self, addr: int, coh: CohInfo, now: int) -> None:
         """Hook called after mutating a tracked block's CohInfo."""
-        if coh.is_idle:
+        if coh.owner is None and not coh.sharers:
             self._drop(addr, coh, now)
 
     def _back_invalidate(self, addr: int, coh: CohInfo, now: int) -> None:
         """Invalidate every private copy of an evicted tracking entry."""
+        holders = coh.holders()
         if self.observer.enabled:
             self.observer.emit(
-                "dir:back_invalidate", cycle=now, addr=addr, holders=coh.holders()
+                "dir:back_invalidate", cycle=now, addr=addr, holders=holders
             )
-        self.stats.back_invalidations += len(coh.holders())
+        self.stats.back_invalidations += len(holders)
         self._invalidate_holders(addr, coh, now)
 
     # ------------------------------------------------------------------
@@ -102,15 +114,15 @@ class SparseHome(BaseHome):
         if victim.state is LLC_DIRTY:
             self._dram_write(victim.tag, now)
 
-    def _ensure_llc_data(self, addr: int, dirty: bool, now: int) -> None:
-        """Deposit written-back data into the LLC (allocate on absence)."""
+    def _ensure_llc_data(self, addr: int, now: int) -> None:
+        """Deposit written-back dirty data into the LLC (allocating the
+        line when it is absent)."""
         bank = self.banks[addr % self.num_banks]
         line, _ = bank.lookup(addr, touch=False)
         if line is None:
-            self._fill_llc(addr, LLC_DIRTY if dirty else LLC_CLEAN, now)
+            self._fill_llc(addr, LLC_DIRTY, now)
         else:
-            if dirty:
-                line.state = LLC_DIRTY
+            line.state = LLC_DIRTY
             bank.data_writes += 1
 
     # ------------------------------------------------------------------
@@ -134,7 +146,8 @@ class SparseHome(BaseHome):
                 "req:upgrade" if upgrade else f"req:{kind.name.lower()}",
                 cycle=now, core=core, addr=addr,
             )
-        self.traffic.control(PROCESSOR)  # the request
+        messages = self._messages
+        messages[PROCESSOR_CONTROL] += 1  # the request
         coh = self._find(addr, core, now)
         line, _ = bank.lookup(addr)
 
@@ -142,40 +155,44 @@ class SparseHome(BaseHome):
             stats.upgrades += 1
             return self._serve_upgrade(core, addr, coh, home, now)
 
+        if coh is None or (coh.owner is None and not coh.sharers):
+            # Untracked: no private copies anywhere. Two hops, through
+            # memory and an LLC fill on a miss.
+            stats.two_hop += 1
+            latency = (
+                2 * self._latency[core * self._tiles + home] + self._hit_latency_data
+            )
+            if line is None:
+                stats.llc_misses += 1
+                latency += 2 * self._memory_latency[home] + self.dram.access(
+                    addr, now, False
+                )
+                line, victim = bank.insert_block(addr, LLC_CLEAN)
+                if victim is not None:
+                    self._handle_llc_victim(victim, now)
+            if kind is WRITE:
+                coh = CohInfo(owner=core)
+                fill_state = MODIFIED
+            else:
+                line.total_reads += 1
+                if kind is IFETCH:
+                    coh = CohInfo(sharers=1 << core)
+                    fill_state = SHARED
+                else:
+                    coh = CohInfo(owner=core)
+                    fill_state = EXCLUSIVE
+            self._install(addr, coh, now)
+            line.sharers_seen |= 1 << core
+            messages[PROCESSOR_DATA] += 1  # the data response
+            return latency, fill_state
+
         if line is not None and kind is not WRITE:
             line.total_reads += 1
-            if coh is not None and coh.is_shared:
+            if coh.sharers:
                 line.fwd_reads += 1
-
-        if coh is None or coh.is_idle:
-            return self._serve_untracked(core, addr, kind, line, home, now)
-        if coh.is_exclusive:
+        if coh.owner is not None:
             return self._serve_exclusive(core, addr, kind, coh, home, now)
         return self._serve_shared(core, addr, kind, coh, line, home, now)
-
-    # -- untracked: no private copies anywhere ---------------------------
-
-    def _serve_untracked(self, core, addr, kind, line, home, now):
-        self.stats.two_hop += 1
-        latency = self._two_hop(core, home)
-        if line is None or line.state is LLC_INVALID:
-            latency += self._dram_fetch(addr, now)
-            line = self._fill_llc(addr, LLC_CLEAN, now)
-            if kind is not WRITE:
-                line.total_reads += 1
-        if kind is WRITE:
-            coh = CohInfo(owner=core)
-            fill_state = MODIFIED
-        elif kind is IFETCH:
-            coh = CohInfo(sharers=1 << core)
-            fill_state = SHARED
-        else:
-            coh = CohInfo(owner=core)
-            fill_state = EXCLUSIVE
-        self._install(addr, coh, now)
-        line.sharers_seen |= 1 << core
-        self.traffic.data(PROCESSOR)  # the data response
-        return latency, fill_state
 
     # -- exclusively owned by another core -------------------------------
 
@@ -185,27 +202,29 @@ class SparseHome(BaseHome):
             raise ProtocolError(
                 f"core {core} missed on block {addr:#x} it supposedly owns"
             )
-        self.stats.three_hop += 1
+        stats = self.stats
+        stats.three_hop += 1
         latency = self._three_hop(core, home, owner)
         if self.observer.enabled:
             self.observer.emit("dir:fwd_exclusive", cycle=now, core=core, addr=addr)
-        self.traffic.control(COHERENCE)  # forwarded request
-        self.traffic.data(PROCESSOR)  # owner -> requester data
-        self.traffic.control(COHERENCE)  # busy-clear to home
+        messages = self._messages
+        messages[COHERENCE_CONTROL] += 2  # forwarded request, busy-clear
+        messages[PROCESSOR_DATA] += 1  # owner -> requester data
         if kind is WRITE:
             prior = self.cores[owner].invalidate(addr)
             if prior is INVALID:
                 raise ProtocolError(f"stale owner for block {addr:#x}")
-            self.stats.invalidations += 1
-            coh.set_owner(core)
+            stats.invalidations += 1
+            coh.owner = core
             fill_state = MODIFIED
         else:
             prior = self.cores[owner].downgrade(addr)
             if prior is MODIFIED:
                 # The downgrade deposits the dirty block at the home LLC.
-                self.traffic.data(WRITEBACK)
-                self._ensure_llc_data(addr, dirty=True, now=now)
-            coh.add_sharer(core)
+                messages[WRITEBACK_DATA] += 1
+                self._ensure_llc_data(addr, now)
+            coh.owner = None
+            coh.sharers = 1 << owner | 1 << core
             fill_state = SHARED
         self._after_update(addr, coh, now)
         return latency, fill_state
@@ -213,55 +232,57 @@ class SparseHome(BaseHome):
     # -- shared by one or more cores --------------------------------------
 
     def _serve_shared(self, core, addr, kind, coh, line, home, now):
-        line_valid = line is not None and line.state in (
-            LLC_CLEAN,
-            LLC_DIRTY,
-        )
+        stats = self.stats
+        messages = self._messages
         if kind is WRITE:
             if self.observer.enabled:
                 self.observer.emit("dir:write_shared", cycle=now, core=core, addr=addr)
             holders = coh.sharer_list()
             inval_path = self._invalidation_latency(home, holders, core)
-            if line_valid:
-                self.stats.two_hop += 1
-                base = self._two_hop(core, home)
+            if line is not None:
+                stats.two_hop += 1
+                base = (
+                    2 * self._latency[core * self._tiles + home]
+                    + self._hit_latency_data
+                )
             else:
-                self.stats.three_hop += 1
+                stats.three_hop += 1
                 forwarder = self._closest_sharer(coh, home)
                 base = self._three_hop(core, home, forwarder)
-                self.traffic.control(COHERENCE)
-            self.traffic.data(PROCESSOR)
+                messages[COHERENCE_CONTROL] += 1
+            messages[PROCESSOR_DATA] += 1
             self._invalidate_holders(addr, coh, now, data_to_requester=True)
-            coh.set_owner(core)
-            fill_state = MODIFIED
+            coh.owner = core  # the invalidations cleared the sharers
             latency = max(
                 base,
                 self._latency[core * self._tiles + home]
                 + self._hit_latency_tag
                 + inval_path,
             )
-        else:
-            if line_valid:
-                self.stats.two_hop += 1
-                latency = self._two_hop(core, home)
-                self.traffic.data(PROCESSOR)
-            else:
-                # Non-inclusive LLC lost the clean copy: forward to the
-                # elected sharer and refill the LLC alongside.
-                self.stats.three_hop += 1
-                forwarder = self._closest_sharer(coh, home)
-                latency = self._three_hop(core, home, forwarder)
-                self.traffic.control(COHERENCE)
-                self.traffic.data(PROCESSOR)
-                self.traffic.control(COHERENCE)
-                self.traffic.data(WRITEBACK)  # LLC refill
-                line = self._fill_llc(addr, LLC_CLEAN, now)
-            coh.add_sharer(core)
-            fill_state = SHARED
+            if line is not None:
+                line.sharers_seen |= 1 << core
+            self._after_update(addr, coh, now)
+            return latency, MODIFIED
         if line is not None:
-            line.note_holders(coh)
+            stats.two_hop += 1
+            latency = (
+                2 * self._latency[core * self._tiles + home] + self._hit_latency_data
+            )
+            messages[PROCESSOR_DATA] += 1
+        else:
+            # Non-inclusive LLC lost the clean copy: forward to the
+            # elected sharer and refill the LLC alongside.
+            stats.three_hop += 1
+            forwarder = self._closest_sharer(coh, home)
+            latency = self._three_hop(core, home, forwarder)
+            messages[COHERENCE_CONTROL] += 2
+            messages[PROCESSOR_DATA] += 1
+            messages[WRITEBACK_DATA] += 1  # LLC refill
+            line = self._fill_llc(addr, LLC_CLEAN, now)
+        coh.sharers |= 1 << core
+        line.sharers_seen |= coh.sharers
         self._after_update(addr, coh, now)
-        return latency, fill_state
+        return latency, SHARED
 
     # -- S -> M upgrades ----------------------------------------------------
 
@@ -273,22 +294,23 @@ class SparseHome(BaseHome):
                 f"core {core} upgrades block {addr:#x} the tracker does not "
                 f"record it sharing"
             )
+        stats = self.stats
+        messages = self._messages
         holders = [h for h in coh.sharer_list() if h != core]
         inval_path = self._invalidation_latency(home, holders, core)
         for holder in holders:
             prior = self.cores[holder].invalidate(addr)
             if prior is INVALID:
                 raise ProtocolError(f"stale sharer for block {addr:#x}")
-            self.traffic.control(COHERENCE)
-            self.traffic.control(COHERENCE)
-            self.stats.invalidations += 1
+            messages[COHERENCE_CONTROL] += 2  # invalidation, ack
+            stats.invalidations += 1
         coh.set_owner(core)
-        self.traffic.control(PROCESSOR)  # grant
+        messages[PROCESSOR_CONTROL] += 1  # grant
         request_leg = self._latency[core * self._tiles + home] + self._hit_latency_tag
         if holders:
-            self.stats.three_hop += 1
+            stats.three_hop += 1
         else:
-            self.stats.two_hop += 1
+            stats.two_hop += 1
         self._after_update(addr, coh, now)
         reply = self._latency[home * self._tiles + core]
         return request_leg + max(reply, inval_path), None
@@ -304,16 +326,20 @@ class SparseHome(BaseHome):
             self.observer.emit(
                 "req:evict_notice", cycle=now, core=core, addr=addr, state=state.name
             )
+        messages = self._messages
+        # The notice (carrying the data of an M copy) and its acknowledgement.
         if state is MODIFIED:
-            self.traffic.data(WRITEBACK)
-            self._ensure_llc_data(addr, dirty=True, now=now)
+            messages[WRITEBACK_DATA] += 1
+            messages[WRITEBACK_CONTROL] += 1
+            self._ensure_llc_data(addr, now)
         else:
-            self.traffic.control(WRITEBACK)
-        self.traffic.control(WRITEBACK)  # acknowledgement
+            messages[WRITEBACK_CONTROL] += 2
         coh = self._find(addr, core, now)
         if coh is None:
             return
-        coh.remove(core)
+        if coh.owner == core:
+            coh.owner = None
+        coh.sharers &= ~(1 << core)
         self._after_update(addr, coh, now)
 
     # ------------------------------------------------------------------
@@ -357,30 +383,6 @@ class SparseHome(BaseHome):
                         cores=(core.core_id,),
                     )
 
-    def _check_single_writer(self) -> None:
-        exclusive_holder: "dict[int, int]" = {}
-        holders: "dict[int, list[int]]" = {}
-        for core in self.cores:
-            for addr, state in core.resident_blocks():
-                holders.setdefault(addr, []).append(core.core_id)
-                if state.is_exclusive:
-                    if addr in exclusive_holder:
-                        raise InvariantViolation(
-                            f"block {addr:#x} exclusively held by both "
-                            f"{exclusive_holder[addr]} and {core.core_id}",
-                            addr=addr,
-                            cores=(exclusive_holder[addr], core.core_id),
-                        )
-                    exclusive_holder[addr] = core.core_id
-        for addr, holder in exclusive_holder.items():
-            if len(holders[addr]) > 1:
-                raise InvariantViolation(
-                    f"block {addr:#x} held exclusively by {holder} while "
-                    f"also cached by {holders[addr]}",
-                    addr=addr,
-                    cores=tuple(holders[addr]),
-                )
-
 
 class SharedOnlyHome(SparseHome):
     """Idealized design tracking only shared blocks in the directory.
@@ -417,7 +419,7 @@ class SharedOnlyHome(SparseHome):
             self.directory.remove(addr)
 
     def _after_update(self, addr, coh, now):
-        if coh.is_idle:
+        if coh.owner is None and not coh.sharers:
             self._drop(addr, coh, now)
             return
         if addr in self._unbounded:
@@ -461,7 +463,12 @@ class SharedOnlyHome(SparseHome):
 
 
 class StashHome(SparseHome):
-    """Stash directory: drop private entries, broadcast to recover."""
+    """Stash directory: drop private entries, broadcast to recover.
+
+    Each request or eviction notice reads the stash's owner map with one
+    dict operation, in place (``self.stash._stashed``); the
+    :class:`StashState` methods serve the invariant checks and tests.
+    """
 
     __slots__ = ("stash",)
 
@@ -478,13 +485,12 @@ class StashHome(SparseHome):
         if victim is None:
             return
         vaddr, vcoh = victim
-        if vcoh.is_exclusive:
+        owner = vcoh.owner
+        if owner is not None:
             # Leave the private copy in place, untracked.
             if self.observer.enabled:
-                self.observer.emit(
-                    "stash:stash", cycle=now, core=vcoh.owner, addr=vaddr
-                )
-            self.stash.stash(vaddr, vcoh.owner)
+                self.observer.emit("stash:stash", cycle=now, core=owner, addr=vaddr)
+            self.stash._stashed[vaddr] = owner
         else:
             self._back_invalidate(vaddr, vcoh, now)
 
@@ -492,7 +498,7 @@ class StashHome(SparseHome):
         coh = self.directory.lookup(addr)
         if coh is not None:
             return coh
-        holder = self.stash.owner_of(addr)
+        holder = self.stash._stashed.pop(addr, None)
         if holder is None:
             return None
         # Broadcast recovery: query every core, collect responses. Its
@@ -500,11 +506,8 @@ class StashHome(SparseHome):
         # transaction: a known gap, pinned by a strict xfail test.
         if self.observer.enabled:
             self.observer.emit("stash:recover", cycle=now, core=holder, addr=addr)
-        self.stash.unstash(addr)
         self.stats.broadcasts += 1
-        num_cores = self.config.num_cores
-        self.traffic.control(COHERENCE, count=num_cores)
-        self.traffic.control(COHERENCE, count=num_cores)
+        self._messages[COHERENCE_CONTROL] += 2 * self.config.num_cores
         if not self.cores[holder].holds(addr):
             # The stashed copy was silently gone (should not happen: all
             # evictions are notified); treat as untracked.
@@ -514,10 +517,11 @@ class StashHome(SparseHome):
         return self.directory.lookup(addr)
 
     def handle_private_eviction(self, core, addr, state, now):
-        if self.stash.owner_of(addr) == core:
+        stashed = self.stash._stashed
+        if stashed.get(addr) == core:
             if self.observer.enabled:
                 self.observer.emit("stash:unstash", cycle=now, core=core, addr=addr)
-            self.stash.unstash(addr)
+            del stashed[addr]
         super().handle_private_eviction(core, addr, state, now)
 
     def _tracks(self, addr, core):
@@ -540,30 +544,33 @@ class StashHome(SparseHome):
 class MgdHome(SparseHome):
     """Multi-grain directory home: region entries for private data."""
 
-    __slots__ = ("_region_hit",)
+    __slots__ = ("_region",)
 
     def __init__(self, config, mesh, dram, cores, stats, directory) -> None:
         if not isinstance(directory, MultiGrainDirectory):
             raise ProtocolError("MgdHome requires a MultiGrainDirectory")
         super().__init__(config, mesh, dram, cores, stats, directory)
-        self._region_hit: "RegionEntry | None" = None
+        #: The region entry the current request's :meth:`_find` probed
+        #: (None when there was none), or False when it found a block
+        #: entry and did not probe the region.
+        self._region: "RegionEntry | None | bool" = False
 
     def _find(self, addr, core, now):
-        self._region_hit = None
-        coh = self.directory.lookup_block(addr)
+        directory = self.directory
+        coh = directory.lookup_block(addr)
         if coh is not None:
+            self._region = False
             return coh
-        region_entry = self.directory.lookup_region(addr)
-        if region_entry is None:
-            return None
-        if region_entry.owner == core:
-            # The owner extends its own private region.
-            self._region_hit = region_entry
-            return None
-        # Another core touches a privately tracked region: demote the
-        # region to block-grain entries.
-        self._demote_region(addr, region_entry, now)
-        return self.directory.lookup_block(addr)
+        region_entry = directory.lookup_region(addr)
+        if region_entry is not None and region_entry.owner != core:
+            # Another core touches a privately tracked region: demote the
+            # region to block-grain entries.
+            self._demote_region(addr, region_entry, now)
+            self._region = None
+            return directory.lookup_block(addr)
+        # None, or the requester's own private region, which it extends.
+        self._region = region_entry
+        return None
 
     def _demote_region(self, addr, region_entry, now) -> None:
         # The demotion's extra tag lookup (llc_tag_latency) is not charged
@@ -571,31 +578,30 @@ class MgdHome(SparseHome):
         owner = region_entry.owner
         if self.observer.enabled:
             self.observer.emit("mgd:region_demote", cycle=now, core=owner, addr=addr)
-        region = self.directory.region_of(addr)
-        self.directory.remove_region(region)
+        region = addr // BLOCKS_PER_REGION
+        directory = self.directory
+        directory.remove_region(region)
         for baddr in region_entry.blocks(region):
             state = self.cores[owner].state_of(baddr)
             if state is INVALID:
                 continue
-            self.traffic.control(COHERENCE)
+            self._messages[COHERENCE_CONTROL] += 1
             if self.observer.enabled:
                 self.observer.emit(
                     "mgd:demote_alloc", cycle=now, core=owner, addr=baddr
                 )
-            victim = self.directory.allocate_block(baddr, CohInfo(owner=owner))
-            self._handle_mgd_victim(victim, now)
+            victim = directory.allocate_block(baddr, CohInfo(owner=owner))
+            if victim is not None:
+                self._handle_mgd_victim(victim, now)
 
     def _install(self, addr, coh, now):
-        if coh.is_exclusive:
-            region = self.directory.region_of(addr)
+        owner = coh.owner
+        if owner is not None:
+            entry = self._region
+            if entry is False:
+                entry = self.directory.lookup_region(addr)
             offset = addr % BLOCKS_PER_REGION
-            if self._region_hit is not None and self._region_hit.owner == coh.owner:
-                if self.observer.enabled:
-                    self.observer.emit("mgd:region_extend", cycle=now, addr=addr)
-                self._region_hit.presence |= 1 << offset
-                return
-            entry = self.directory.lookup_region(addr)
-            if entry is not None and entry.owner == coh.owner:
+            if entry is not None and entry.owner == owner:
                 if self.observer.enabled:
                     self.observer.emit("mgd:region_extend", cycle=now, addr=addr)
                 entry.presence |= 1 << offset
@@ -604,71 +610,79 @@ class MgdHome(SparseHome):
                 if self.observer.enabled:
                     self.observer.emit("mgd:region_alloc", cycle=now, addr=addr)
                 victim = self.directory.allocate_region(
-                    region, RegionEntry(coh.owner, 1 << offset)
+                    addr // BLOCKS_PER_REGION, RegionEntry(owner, 1 << offset)
                 )
-                self._handle_mgd_victim(victim, now)
+                if victim is not None:
+                    self._handle_mgd_victim(victim, now)
                 return
         if self.observer.enabled:
             self.observer.emit("mgd:block_alloc", cycle=now, addr=addr)
         victim = self.directory.allocate_block(addr, coh)
-        self._handle_mgd_victim(victim, now)
+        if victim is not None:
+            self._handle_mgd_victim(victim, now)
 
     def _handle_mgd_victim(self, victim, now) -> None:
-        if victim is None:
-            return
         kind, key, payload = victim
         if kind == "block":
             self._back_invalidate(key, payload, now)
-        else:
-            owner = payload.owner
-            if self.observer.enabled:
-                self.observer.emit(
-                    "mgd:evict_region", cycle=now, core=owner,
-                    addr=key * BLOCKS_PER_REGION,
-                )
-            for baddr in payload.blocks(key):
-                state = self.cores[owner].invalidate(baddr)
-                if state is INVALID:
-                    continue
-                self.stats.invalidations += 1
-                self.stats.back_invalidations += 1
-                self.traffic.control(COHERENCE)
-                if state is MODIFIED:
-                    self.traffic.data(COHERENCE)
-                    self._store_dirty_data(baddr, now)
-                else:
-                    self.traffic.control(COHERENCE)
+            return
+        owner = payload.owner
+        if self.observer.enabled:
+            self.observer.emit(
+                "mgd:evict_region", cycle=now, core=owner,
+                addr=key * BLOCKS_PER_REGION,
+            )
+        # The region's owner gives up every present block: one
+        # invalidation each, acknowledged with data for an M copy. The
+        # counts are added once for the region.
+        cache = self.cores[owner]
+        invalidated = dirty = 0
+        for baddr in payload.blocks(key):
+            state = cache.invalidate(baddr)
+            if state is INVALID:
+                continue
+            invalidated += 1
+            if state is MODIFIED:
+                dirty += 1
+                self._store_dirty_data(baddr, now)
+        stats = self.stats
+        stats.invalidations += invalidated
+        stats.back_invalidations += invalidated
+        messages = self._messages
+        messages[COHERENCE_CONTROL] += 2 * invalidated - dirty
+        messages[COHERENCE_DATA] += dirty
 
     def _drop(self, addr, coh, now):
         self.directory.remove_block(addr)
-
-    def _after_update(self, addr, coh, now):
-        if coh.is_idle:
-            self._drop(addr, coh, now)
 
     def handle_private_eviction(self, core, addr, state, now):
         if self.observer.enabled:
             self.observer.emit(
                 "req:evict_notice", cycle=now, core=core, addr=addr, state=state.name
             )
+        messages = self._messages
         if state is MODIFIED:
-            self.traffic.data(WRITEBACK)
-            self._ensure_llc_data(addr, dirty=True, now=now)
+            messages[WRITEBACK_DATA] += 1
+            messages[WRITEBACK_CONTROL] += 1
+            self._ensure_llc_data(addr, now)
         else:
-            self.traffic.control(WRITEBACK)
-        self.traffic.control(WRITEBACK)
-        coh = self.directory.lookup_block(addr)
+            messages[WRITEBACK_CONTROL] += 2
+        directory = self.directory
+        coh = directory.lookup_block(addr)
         if coh is not None:
-            coh.remove(core)
-            self._after_update(addr, coh, now)
+            if coh.owner == core:
+                coh.owner = None
+            coh.sharers &= ~(1 << core)
+            if coh.owner is None and not coh.sharers:
+                directory.remove_block(addr)
             return
-        region_entry = self.directory.lookup_region(addr)
+        region_entry = directory.lookup_region(addr)
         if region_entry is not None and region_entry.owner == core:
             if self.observer.enabled:
                 self.observer.emit("mgd:region_shrink", cycle=now, core=core, addr=addr)
             region_entry.presence &= ~(1 << (addr % BLOCKS_PER_REGION))
             if region_entry.presence == 0:
-                self.directory.remove_region(self.directory.region_of(addr))
+                directory.remove_region(addr // BLOCKS_PER_REGION)
 
     def _tracks(self, addr, core):
         coh = self.directory.peek_block(addr)

@@ -95,18 +95,29 @@ class MultiGrainDirectory:
     # -- block-grain entries -------------------------------------------
 
     def lookup_block(self, addr: int, touch: bool = True) -> "CohInfo | None":
-        """Find a block-grain entry for ``addr``."""
+        """Find a block-grain entry for ``addr``.
+
+        Probes the slice's tables itself; with ``touch``, a hit sets the
+        entry's NRU reference bit.
+        """
         num_banks = self.num_banks
-        return self._slices[addr % num_banks].lookup(
-            (addr // num_banks) << 1, touch
-        )
+        slice_ = self._slices[addr % num_banks]
+        key = (addr // num_banks) << 1
+        coh = slice_._payloads.get(key)
+        if coh is not None and touch and slice_._unreferenced:
+            slice_._unreferenced.discard(key)
+        return coh
 
     def lookup_region(self, addr: int, touch: bool = True) -> "RegionEntry | None":
-        """Find the region entry covering ``addr``."""
+        """Find the region entry covering ``addr`` (probing as
+        :meth:`lookup_block` does)."""
         region = addr // BLOCKS_PER_REGION
-        return self._slices[region * BLOCKS_PER_REGION % self.num_banks].lookup(
-            region << 1 | 1, touch
-        )
+        slice_ = self._slices[region * BLOCKS_PER_REGION % self.num_banks]
+        key = region << 1 | 1
+        entry = slice_._payloads.get(key)
+        if entry is not None and touch and slice_._unreferenced:
+            slice_._unreferenced.discard(key)
+        return entry
 
     def peek_block(self, addr: int) -> "CohInfo | None":
         """Quiet :meth:`lookup_block` (invariant checks, fault injection)."""

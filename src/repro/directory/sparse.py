@@ -68,12 +68,20 @@ class SparseDirectory:
         self.evictions = 0
 
     def lookup(self, addr: int, touch: bool = True) -> "CohInfo | None":
-        """Return the tracking info for ``addr``, or None when untracked."""
+        """Return the tracking info for ``addr``, or None when untracked.
+
+        Probes the slice's tables itself (one call per lookup); with
+        ``touch``, a hit sets the entry's NRU reference bit.
+        """
         num_banks = self.num_banks
-        coh = self._slices[addr % num_banks].lookup(addr // num_banks, touch)
+        slice_ = self._slices[addr % num_banks]
+        tag = addr // num_banks
+        coh = slice_._payloads.get(tag)
         if coh is None:
             self.misses += 1
             return None
+        if touch and slice_._unreferenced:
+            slice_._unreferenced.discard(tag)
         self.hits += 1
         return coh
 
@@ -84,23 +92,44 @@ class SparseDirectory:
         auditing a run never perturbs its statistics.
         """
         num_banks = self.num_banks
-        return self._slices[addr % num_banks].lookup(addr // num_banks, False)
+        return self._slices[addr % num_banks]._payloads.get(addr // num_banks)
 
     def allocate(self, addr: int, coh: CohInfo) -> "tuple[int, CohInfo] | None":
         """Install a tracking entry for ``addr``.
 
         Returns the evicted ``(addr, CohInfo)`` pair when a victim entry
         had to be replaced; the caller must invalidate its private copies.
+        Inserts into the slice's tables itself, with
+        :meth:`SetAssocArray.insert`'s NRU rule.
         """
         num_banks = self.num_banks
         bank = addr % num_banks
-        evicted = self._slices[bank].insert(addr // num_banks, coh)
+        tag = addr // num_banks
+        slice_ = self._slices[bank]
         self.allocations += 1
-        if evicted is None:
+        payloads = slice_._payloads
+        set_index = tag % slice_.num_sets
+        lines = slice_._sets.get(set_index)
+        if lines is None:
+            slice_._sets[set_index] = [tag]
+            payloads[tag] = coh
             return None
-        self.evictions += 1
-        tag, victim = evicted
-        return tag * num_banks + bank, victim
+        evicted = None
+        if len(lines) >= slice_.assoc:
+            unreferenced = slice_._unreferenced
+            for victim in lines:
+                if victim in unreferenced:
+                    break
+            else:
+                unreferenced.update(lines)
+                victim = lines[0]
+            lines.remove(victim)
+            unreferenced.discard(victim)
+            self.evictions += 1
+            evicted = victim * num_banks + bank, payloads.pop(victim)
+        lines.append(tag)
+        payloads[tag] = coh
+        return evicted
 
     def remove(self, addr: int) -> "CohInfo | None":
         """Drop the entry for ``addr`` (block has no private copies left)."""

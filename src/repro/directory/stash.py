@@ -20,17 +20,14 @@ from __future__ import annotations
 class StashState:
     """The set of privately cached blocks whose entries were dropped."""
 
-    __slots__ = ("_stashed", "stashed_total", "broadcasts")
+    __slots__ = ("_stashed",)
 
     def __init__(self) -> None:
         self._stashed: "dict[int, int]" = {}
-        self.stashed_total = 0
-        self.broadcasts = 0
 
     def stash(self, addr: int, owner: int) -> None:
         """Mark ``addr`` as cached by ``owner`` but untracked."""
         self._stashed[addr] = owner
-        self.stashed_total += 1
 
     def is_stashed(self, addr: int) -> bool:
         """True when ``addr`` is privately cached but untracked."""

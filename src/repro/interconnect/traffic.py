@@ -56,28 +56,45 @@ for _slot, _member in enumerate(MessageClass):
     _member.partial_slot = _slot + 2 * len(MessageClass)
 del _slot, _member
 
+# Every (class, kind) slot under a module-level name. Per-transaction
+# code counts a message by adding to the meter's ``counts`` list at one
+# of these indexes (``counts[COHERENCE_CONTROL] += 2``), with no call.
+PROCESSOR_CONTROL = PROCESSOR.slot
+WRITEBACK_CONTROL = WRITEBACK.slot
+COHERENCE_CONTROL = COHERENCE.slot
+PROCESSOR_DATA = PROCESSOR.data_slot
+WRITEBACK_DATA = WRITEBACK.data_slot
+COHERENCE_DATA = COHERENCE.data_slot
+PROCESSOR_PARTIAL = PROCESSOR.partial_slot
+WRITEBACK_PARTIAL = WRITEBACK.partial_slot
+COHERENCE_PARTIAL = COHERENCE.partial_slot
+
 
 class TrafficMeter:
     """Accumulates interconnect messages and bytes per :class:`MessageClass`.
 
-    The home controllers count several messages per transaction, so
-    :meth:`control`, :meth:`data` and :meth:`partial` each add to one
-    message count per (class, kind) in a flat list; the bytes are
-    derived from those counts when read. Messages of any other size
+    Messages are counted per (class, kind) in the flat list
+    :attr:`counts`; the bytes are derived from those counts when read.
+    The home controllers add to :attr:`counts` directly at the
+    module-level slot names (``COHERENCE_CONTROL``, ...), several times
+    per transaction; :meth:`control`, :meth:`data` and :meth:`partial`
+    do the same for other callers. Messages of any other size
     (:meth:`record`) and a loaded snapshot (:meth:`load`) land in one
     bytes/messages pair per class.
     """
 
-    __slots__ = ("_counts", "_bytes", "_messages")
+    __slots__ = ("counts", "_bytes", "_messages")
 
     def __init__(self) -> None:
-        self._counts = [0] * (3 * len(MessageClass))
+        #: Messages per (class, kind), indexed by the slot names. Cleared
+        #: in place, so a reference to it stays valid across warmup.
+        self.counts = [0] * (3 * len(MessageClass))
         self._bytes = [0] * len(MessageClass)
         self._messages = [0] * len(MessageClass)
 
     def clear(self) -> None:
         """Zero all counters in place (warmup boundary)."""
-        for counters in (self._counts, self._bytes, self._messages):
+        for counters in (self.counts, self._bytes, self._messages):
             counters[:] = [0] * len(counters)
 
     def record(self, message_class: MessageClass, size_bytes: int, count: int = 1) -> None:
@@ -88,19 +105,19 @@ class TrafficMeter:
 
     def control(self, message_class: MessageClass, count: int = 1) -> None:
         """Record control (header-only) messages."""
-        self._counts[message_class.slot] += count
+        self.counts[message_class.slot] += count
 
     def data(self, message_class: MessageClass, count: int = 1) -> None:
         """Record full data messages."""
-        self._counts[message_class.data_slot] += count
+        self.counts[message_class.data_slot] += count
 
     def partial(self, message_class: MessageClass, count: int = 1) -> None:
         """Record partial-block reconstruction messages."""
-        self._counts[message_class.partial_slot] += count
+        self.counts[message_class.partial_slot] += count
 
     def bytes_for(self, message_class: MessageClass) -> int:
         """Total bytes recorded for ``message_class``."""
-        counts = self._counts
+        counts = self.counts
         return (
             CONTROL_BYTES * counts[message_class.slot]
             + DATA_BYTES * counts[message_class.data_slot]
@@ -110,7 +127,7 @@ class TrafficMeter:
 
     def messages_for(self, message_class: MessageClass) -> int:
         """Total message count recorded for ``message_class``."""
-        counts = self._counts
+        counts = self.counts
         return (
             counts[message_class.slot]
             + counts[message_class.data_slot]

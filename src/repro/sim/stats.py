@@ -58,8 +58,9 @@ class SimStats:
     def reset(self) -> None:
         """Zero every counter in place (end of warmup).
 
-        The :class:`TrafficMeter` object is cleared rather than replaced
-        because home controllers hold a direct reference to it.
+        The :class:`TrafficMeter` object is cleared in place rather than
+        replaced because home controllers hold a direct reference to its
+        ``counts`` list.
         Per-residency counts already accumulated on live LLC lines are
         intentionally kept: a block's sharing history spans the warmup
         boundary, just as it does in the paper's measurements.

@@ -180,7 +180,11 @@ class TestLatencyTablesAgainstMeshMethods:
                 )
             addr = rng.randrange(1 << 24)
             now = step * 40
-            assert home._dram_fetch(addr, now) == (
-                2 * mesh.memory_latency(addr % home.num_banks)
+            # An LLC miss's memory leg, as the homes compute it inline.
+            bank = addr % home.num_banks
+            assert 2 * home._memory_latency[bank] + home.dram.access(
+                addr, now, False
+            ) == (
+                2 * mesh.memory_latency(bank)
                 + twin_dram.access(addr, now, is_write=False)
             )

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.cache.sets import SetAssocArray
 from repro.coherence.info import CohInfo
 from repro.directory.mgd import BLOCKS_PER_REGION, MultiGrainDirectory, RegionEntry
 from repro.directory.sparse import FULLY_ASSOC_THRESHOLD, SparseDirectory
@@ -71,6 +72,37 @@ class TestSparseDirectory:
         directory.allocate(4, CohInfo(owner=1))
         assert directory.occupancy() == 2
         assert {addr for addr, _ in directory.iter_entries()} == {3, 4}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_replaces_as_the_set_array_does(self, seed):
+        """lookup and allocate work on the slices' tables themselves; the
+        hits, reference bits and victims must be SetAssocArray's."""
+        rng = random.Random(seed)
+        banks = 2
+        directory = SparseDirectory(64, banks, assoc=4)  # 8 sets x 4 ways a slice
+        reference = [SetAssocArray(8, 4) for _ in range(banks)]
+        resident = set()
+        for _ in range(800):
+            addr = rng.randrange(160)
+            bank, tag = addr % banks, addr // banks
+            if addr in resident and rng.random() < 0.2:
+                assert directory.remove(addr) is reference[bank].remove(tag)
+                resident.discard(addr)
+                continue
+            assert directory.lookup(addr) is reference[bank].lookup(tag)
+            if addr in resident:
+                continue
+            coh = CohInfo(owner=rng.randrange(4))
+            expected = reference[bank].insert(tag, coh)
+            evicted = directory.allocate(addr, coh)
+            if expected is None:
+                assert evicted is None
+            else:
+                victim = expected[0] * banks + bank
+                assert evicted == (victim, expected[1])
+                resident.discard(victim)
+            resident.add(addr)
+        assert directory.evictions > 0
 
 
 class TestZCacheDirectory:
@@ -202,5 +234,4 @@ class TestStashState:
         stash.stash(1, 0)
         stash.stash(2, 1)
         stash.unstash(1)
-        assert stash.stashed_total == 2
         assert stash.count() == 1

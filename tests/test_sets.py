@@ -21,7 +21,7 @@ class TestBasics:
         array.insert(1, "a")
         array.insert(9, "b")
         # Tag 5 maps to set 5 % 4 == 1, the full set holding 1 and 9.
-        assert array.choose_victim(5) == 1
+        assert array.insert(5, "c") == (1, "a")
 
     def test_remove_returns_line(self):
         array = SetAssocArray(2, 2)
@@ -75,9 +75,9 @@ class TestNRU:
         array = SetAssocArray(1, 2)
         array.insert(1, "a")
         array.insert(2, "b")
-        array.choose_victim(3)  # all referenced: clears bits
+        array.insert(3, "c")  # all referenced: clears bits, evicts 1
         remaining = [tag for tag, _ in array.iter_lines()]
-        # The victim line was not evicted by choose_victim; all bits are
-        # now cleared.
-        assert remaining == [1, 2]
-        assert all(tag in array._unreferenced for tag in remaining)
+        assert remaining == [2, 3]
+        # The survivor's bit was cleared; the new tag's is set.
+        assert 2 in array._unreferenced
+        assert 3 not in array._unreferenced

@@ -31,6 +31,9 @@ SCHEMES = {
     "tiny": TinySpec(ratio=1 / 32, policy="gnru", spill=True),
     "mgd": MgdSpec(),
     "stash": StashSpec(),
+    # Two sparse-family variants that share SparseHome's transaction path.
+    "shared_only": SparseSpec(ratio=1 / 16, shared_only=True),
+    "zcache": SparseSpec(ratio=1 / 16, zcache=True),
 }
 
 
