@@ -81,7 +81,6 @@ from repro.telemetry import (
     attach_observer,
     merge_worker_traces,
     read_trace,
-    tracer_from_env,
     write_bench_point,
 )
 from repro.types import Access, AccessKind
@@ -99,13 +98,11 @@ from repro.workloads.capture import (
     TraceWriter,
     load_capture,
     save_capture,
-    trace_fingerprint,
 )
 from repro.workloads.generator import (
     SyntheticTraceGenerator,
     clear_trace_cache,
     generate_streams,
-    load_streams,
     trace_cache_stats,
 )
 from repro.workloads.profiles import APPLICATIONS, PROFILES, WorkloadProfile, profile
@@ -154,7 +151,6 @@ __all__ = [
     "graceful_scope",
     "harness",
     "load_capture",
-    "load_streams",
     "merge_worker_traces",
     "profile",
     "read_trace",
@@ -170,8 +166,6 @@ __all__ = [
     "save_capture",
     "scale_from_env",
     "trace_cache_stats",
-    "trace_fingerprint",
-    "tracer_from_env",
     "write_bench_point",
     "__version__",
 ]

@@ -28,33 +28,34 @@ minimal replayable sub-traces; see ``docs/verification.md`` and
 Each figure is printed as a text table (the same output the benchmark
 harness produces). Results are cached under ``.repro_cache/``.
 
+``--scale`` (or ``REPRO_SCALE``) picks the run-scale preset.
 ``--jobs N`` (or ``REPRO_JOBS``) fans the figures' independent
 (app, scheme, scale) points out over N worker processes before
 rendering; results are bit-identical to a serial run. ``--profile``
 prints a per-sweep summary plus cProfile stats of the slowest computed
-point. ``--audit`` enables the online protocol auditor (equivalent to
-setting ``REPRO_AUDIT=on``); a tripped invariant fails its run, and
-``--keep-going`` records per-run failures and keeps sweeping instead of
-aborting on the first one; see ``docs/resilience.md``. Sweeps journal
-per-point completion next to the result cache, and ``--resume`` skips
-the journaled points of an interrupted sweep; see ``docs/harness.md``.
+point. ``--audit`` runs the online protocol auditor every 1,000
+accesses; a tripped invariant fails its run, and ``--keep-going``
+records per-run failures and keeps sweeping instead of aborting on the
+first one; see ``docs/resilience.md``. Sweeps journal per-point
+completion next to the result cache, and ``--resume`` skips the
+journaled points of an interrupted sweep; see ``docs/harness.md``.
 
 ``--trace`` writes a structured JSONL event trace of every run; render
 traces with ``python tools/trace_report.py``. See ``docs/telemetry.md``.
-A cached point is replayed, not simulated, so ``--trace``,
-``--trace-out`` and ``--audit`` (or ``REPRO_TRACE`` / ``REPRO_AUDIT``
-turning them on) exit 2 when any requested point is already in the
-result cache: point ``REPRO_CACHE_DIR`` at a fresh directory, or set
-``REPRO_CACHE=off``.
+``--audit``, ``--trace`` and ``--trace-out`` reach every run, pool
+workers included, through the harness policy. A cached point is
+replayed, not simulated, so they exit 2 when any requested point is
+already in the result cache: point ``REPRO_CACHE_DIR`` at a fresh
+directory, or set ``REPRO_CACHE=off``.
 
 ``--timeout`` must be above 0 seconds, ``--retries`` at least 0 and
 ``--jobs`` at least 1; any other value is a usage error (exit 2). So
 is a ``REPRO_JOBS`` that is not an integer of at least 1 (when
-``--jobs`` is not given), a ``REPRO_CACHE`` other than ``on``, ``off``,
-``0`` or ``no``, a ``REPRO_TRACE`` or ``REPRO_AUDIT`` that is not one of
-the values :mod:`repro.argtypes` accepts (when ``--trace``,
-``--trace-out`` or ``--audit`` does not set it), and any ``REPRO_*``
-variable not in :data:`repro.argtypes.KNOBS`.
+``--jobs`` is not given), a ``REPRO_SCALE`` that names no preset (when
+``--scale`` is not given), a ``REPRO_CACHE`` other than ``on``,
+``off``, ``0`` or ``no``, a ``REPRO_FAULTS`` or ``REPRO_FAULT_SEED``
+that :func:`repro.resilience.parse_fault_env` refuses, and any
+``REPRO_*`` variable not in :data:`repro.argtypes.KNOBS`.
 """
 
 from __future__ import annotations
@@ -65,8 +66,13 @@ import sys
 
 from repro.analysis import experiments
 from repro.analysis.cache import CACHE_OFF, cache_dir, cache_enabled
-from repro.analysis.runner import HarnessPolicy, RunScale, harness
-from repro.argtypes import at_least, invalid_switches, unknown_knobs
+from repro.analysis.runner import (
+    SCALES,
+    HarnessPolicy,
+    harness,
+    scale_from_env,
+)
+from repro.argtypes import at_least, unknown_knobs
 from repro.errors import ShutdownRequested
 from repro.parallel import (
     SweepJournal,
@@ -84,8 +90,8 @@ from repro.parallel.shutdown import (
     graceful_scope,
     resume_hint,
 )
-from repro.resilience import auditor_from_env
-from repro.telemetry import tracer_from_env
+from repro.resilience import DEFAULT_AUDIT_INTERVAL, parse_fault_env
+from repro.telemetry import DEFAULT_TRACE_OUT
 
 #: CLI name -> (experiment callable, positional args).
 FIGURES = {
@@ -118,13 +124,6 @@ FIGURES = {
     "ablation-stra": (experiments.ablation_stra_width, ()),
 }
 
-_SCALES = {
-    "quick": RunScale.quick,
-    "default": RunScale.default,
-    "full": RunScale.full,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -140,9 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--all", action="store_true", help="run every figure")
     parser.add_argument(
         "--scale",
-        choices=sorted(_SCALES),
-        default="default",
-        help="simulation scale preset",
+        choices=sorted(SCALES),
+        default=None,
+        help="simulation scale preset (default: REPRO_SCALE, else default)",
     )
     parser.add_argument(
         "--apps",
@@ -153,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--audit",
         action="store_true",
-        help="run the online protocol auditor (same as REPRO_AUDIT=on)",
+        help="run the online protocol auditor every "
+        f"{DEFAULT_AUDIT_INTERVAL} accesses",
     )
     parser.add_argument(
         "--resume",
@@ -200,13 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         action="store_true",
         help="write a structured JSONL trace of every computed run "
-        "(same as REPRO_TRACE=jsonl; see docs/telemetry.md)",
+        "(see docs/telemetry.md)",
     )
     parser.add_argument(
         "--trace-out",
         metavar="PATH",
-        help="trace destination (default trace.jsonl; same as "
-        "REPRO_TRACE_OUT=PATH; implies --trace)",
+        help=f"trace destination (default {DEFAULT_TRACE_OUT}; implies "
+        "--trace)",
     )
     return parser
 
@@ -216,17 +216,18 @@ def _invalid_knobs(args) -> "list[str]":
     the program never reads (a typo, or a retired knob) or a value it
     cannot honour.
 
-    ``REPRO_JOBS`` counts only when ``--jobs`` is not given,
-    ``REPRO_TRACE`` only without ``--trace``/``--trace-out`` and
-    ``REPRO_AUDIT`` only without ``--audit``: those flags set them.
+    ``REPRO_JOBS`` counts only when ``--jobs`` is not given and
+    ``REPRO_SCALE`` only when ``--scale`` is not: those flags win.
     """
     problems = unknown_knobs()
-    switches = []
-    if not (args.trace or args.trace_out):
-        switches.append("REPRO_TRACE")
-    if not args.audit:
-        switches.append("REPRO_AUDIT")
-    problems += invalid_switches(*switches)
+    if args.scale is None:
+        try:
+            scale_from_env()
+        except ValueError as err:
+            problems.append(str(err))
+    _plan, problem = parse_fault_env()
+    if problem is not None:
+        problems.append(problem)
     raw = os.environ.get("REPRO_JOBS", "").strip()
     if args.jobs is None and raw and parse_jobs(raw) is None:
         problems.append(
@@ -274,12 +275,8 @@ def _observing(args) -> "list[str]":
         flags.append("--trace")
     if args.trace_out:
         flags.append("--trace-out")
-    if not flags and tracer_from_env() is not None:
-        flags.append(f"REPRO_TRACE={os.environ['REPRO_TRACE']}")
     if args.audit:
         flags.append("--audit")
-    elif auditor_from_env() is not None:
-        flags.append(f"REPRO_AUDIT={os.environ['REPRO_AUDIT']}")
     return flags
 
 
@@ -364,15 +361,8 @@ def main(argv: "list[str] | None" = None) -> int:
         )
         return 2
     observing = _observing(args) if cache_enabled() else []
-    if args.audit:
-        os.environ["REPRO_AUDIT"] = "on"
-    if args.trace or args.trace_out:
-        os.environ["REPRO_TRACE"] = "jsonl"
-    if args.trace_out:
-        os.environ["REPRO_TRACE_OUT"] = args.trace_out
-    scale = _SCALES[args.scale]()
+    scale = SCALES[args.scale]() if args.scale else scale_from_env()
     if observing:
-        # Planned after the environment is final: it is part of the keys.
         points = _plan(names, scale, args)
         cached = len(points) - len(pending_points(points))
         if cached:
@@ -388,6 +378,8 @@ def main(argv: "list[str] | None" = None) -> int:
         keep_going=args.keep_going,
         timeout_s=args.timeout,
         max_retries=args.retries,
+        audit=args.audit,
+        trace_out=args.trace_out or (DEFAULT_TRACE_OUT if args.trace else None),
     )
     jobs = resolve_jobs(args.jobs)
     failed_figures = []

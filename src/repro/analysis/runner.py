@@ -16,7 +16,7 @@ import contextlib
 import os
 from dataclasses import dataclass, field
 
-from repro.resilience.auditor import auditor_from_env
+from repro.resilience.auditor import ProtocolAuditor
 from repro.resilience.faults import injector_from_env
 from repro.sim.deadline import deadline_scope
 from repro.sim.config import SystemConfig
@@ -24,7 +24,7 @@ from repro.sim.engine import run_trace
 from repro.sim.results import RunResult
 from repro.sim.stats import SimStats
 from repro.sim.system import System
-from repro.telemetry import tracer_from_env
+from repro.telemetry import JsonlSink, Tracer, trace_output_path
 from repro.workloads.generator import generate_streams
 from repro.workloads.profiles import WorkloadProfile, profile
 
@@ -35,9 +35,8 @@ class RunScale:
 
     The paper simulates 128 cores for billions of instructions; the
     benchmark harness defaults to a proportionally scaled machine that
-    preserves every capacity ratio (see DESIGN.md §1). Set the
-    ``REPRO_SCALE`` environment variable to ``quick`` / ``default`` /
-    ``full`` to pick a preset.
+    preserves every capacity ratio (see DESIGN.md §1). :data:`SCALES`
+    names the presets that ``--scale`` and ``REPRO_SCALE`` pick from.
     """
 
     num_cores: int = 32
@@ -92,6 +91,14 @@ class RunScale:
         )
 
 
+#: The run-scale presets by name, for ``--scale`` and ``REPRO_SCALE``.
+SCALES = {
+    "quick": RunScale.quick,
+    "default": RunScale.default,
+    "full": RunScale.full,
+}
+
+
 def scale_from_env() -> RunScale:
     """Resolve the run scale from ``REPRO_SCALE`` (default: ``default``).
 
@@ -99,16 +106,12 @@ def scale_from_env() -> RunScale:
     otherwise change every number without a word.
     """
     raw = os.environ.get("REPRO_SCALE", "").strip()
-    name = raw.lower() or "default"
-    if name == "quick":
-        return RunScale.quick()
-    if name == "full":
-        return RunScale.full()
-    if name == "default":
-        return RunScale.default()
-    raise ValueError(
-        f"unknown REPRO_SCALE={raw!r}: expected quick, default or full"
-    )
+    preset = SCALES.get(raw.lower() or "default")
+    if preset is None:
+        raise ValueError(
+            f"invalid REPRO_SCALE={raw!r} (expected quick, default or full)"
+        )
+    return preset()
 
 
 def run_app(
@@ -116,6 +119,9 @@ def run_app(
     scheme,
     scale: "RunScale | None" = None,
     config: "SystemConfig | None" = None,
+    *,
+    audit: bool = False,
+    trace_out: "str | None" = None,
 ) -> RunResult:
     """Simulate one application under one coherence-tracking scheme.
 
@@ -125,19 +131,25 @@ def run_app(
         scale: run size; defaults to :func:`scale_from_env`.
         config: full config override; when given, ``scale.num_cores`` is
             ignored and only the trace length/seed are used.
+        audit: run the online protocol auditor (``--audit``).
+        trace_out: append a JSONL event trace of the run to this path
+            (``--trace``/``--trace-out``); None traces nothing.
     """
     scale = scale or scale_from_env()
     if isinstance(app, str):
         app = profile(app)
     if config is None:
         config = scale.make_config(scheme)
-    tracer = tracer_from_env()
+    tracer = Tracer(JsonlSink(trace_output_path(trace_out))) if trace_out else None
     streams = generate_streams(app, config, scale.total_accesses, seed=scale.seed)
     injector = injector_from_env()
     system = System(config, fault_injector=injector)
     try:
         stats = run_trace(
-            system, streams, auditor=auditor_from_env(), tracer=tracer
+            system,
+            streams,
+            auditor=ProtocolAuditor() if audit else None,
+            tracer=tracer,
         )
     finally:
         if tracer is not None:
@@ -192,6 +204,11 @@ class HarnessPolicy:
     timeout_s: "float | None" = None
     #: Additional attempts after the first failure.
     max_retries: int = 0
+    #: Run the online protocol auditor in every run (``--audit``).
+    audit: bool = False
+    #: Append each run's JSONL event trace to this path (``--trace``,
+    #: ``--trace-out``); None traces nothing.
+    trace_out: "str | None" = None
     failures: "list[RunFailure]" = field(default_factory=list)
 
 
@@ -240,7 +257,8 @@ def run_app_guarded(
     for _attempt in range(attempts):
         try:
             with deadline_scope(policy.timeout_s):
-                return run_app(app, scheme, scale, config)
+                return run_app(app, scheme, scale, config,
+                               audit=policy.audit, trace_out=policy.trace_out)
         except KeyboardInterrupt:
             raise
         except Exception as err:  # noqa: BLE001 - harness boundary

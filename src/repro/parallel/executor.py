@@ -18,9 +18,12 @@ its runs precomputed. The harness semantics of
   :func:`repro.analysis.cache.mark_failed` so the render pass replays
   them without recomputing, and under a strict policy the first failure
   (in submission order, for determinism) is re-raised in the parent;
-* **audit mode** — ``REPRO_*`` environment (audit, scale, cache
-  location) is snapshotted at submission time and re-applied in each
-  worker, so ``--audit`` sweeps audit every worker's runs.
+* **audit and trace** — the policy's ``audit`` and ``trace_out``
+  travel to each worker with its point, like the timeout and retries,
+  so ``--audit`` sweeps audit every worker's runs and ``--trace``
+  sweeps trace them (into per-worker part files merged afterwards).
+  The ``REPRO_*`` environment (scale, cache location, faults) is
+  snapshotted at submission time and re-applied in each worker.
 
 Determinism: a parallel sweep produces **bit-identical** statistics to
 the serial path. Every point's random seed derives from its own
@@ -49,6 +52,7 @@ to journal-less operation instead of aborting it, and the report's
 from __future__ import annotations
 
 import builtins
+import dataclasses
 import os
 import signal
 import sys
@@ -70,7 +74,7 @@ from repro.parallel.points import SweepPoint, dedupe_points
 from repro.parallel.profiling import RunProfile, SweepSummary, summarize
 from repro.sim.results import RunResult
 from repro.sim.stats import SimStats
-from repro.telemetry import jsonl_trace_enabled, merge_worker_traces
+from repro.telemetry import merge_worker_traces, sinks
 
 
 def parse_jobs(raw: str) -> "int | None":
@@ -117,6 +121,8 @@ def run_tasks(fn, payloads: "list", jobs: "int | None" = None) -> "list":
     callable; ``payloads`` and results must pickle. ``jobs <= 1`` (or a
     single payload) runs inline with identical semantics; the result
     list is aligned with ``payloads`` regardless of completion order.
+    Tasks that trace write per-worker part files in the pool; the
+    caller merges them (:func:`repro.telemetry.merge_worker_traces`).
     """
     jobs = min(resolve_jobs(jobs), max(1, len(payloads)))
     if jobs <= 1 or len(payloads) <= 1:
@@ -125,14 +131,11 @@ def run_tasks(fn, payloads: "list", jobs: "int | None" = None) -> "list":
         max_workers=jobs,
         # Same initializer as run_sweep: without it, spawn/forkserver
         # children would run with a default environment and silently
-        # ignore the parent's REPRO_* settings (audit, scale, cache).
+        # ignore the parent's REPRO_* settings (scale, cache, faults).
         initializer=_init_worker,
         initargs=(_repro_env(),),
     ) as pool:
-        results = list(pool.map(fn, payloads))
-    if jsonl_trace_enabled():
-        merge_worker_traces()
-    return results
+        return list(pool.map(fn, payloads))
 
 
 @dataclass
@@ -166,8 +169,9 @@ class SweepReport:
 # ----------------------------------------------------------------------
 
 def _init_worker(env: "dict[str, str]") -> None:
-    """Pool initializer: re-apply the parent's ``REPRO_*`` environment
-    and the default SIGTERM action.
+    """Pool initializer: re-apply the parent's ``REPRO_*`` environment,
+    mark the process as a pool worker and restore the default SIGTERM
+    action.
 
     With the default ``fork`` start method the environment is inherited
     anyway; re-applying it keeps spawn/forkserver children (and any env
@@ -181,7 +185,7 @@ def _init_worker(env: "dict[str, str]") -> None:
     # Traced workers write per-process <trace>.<pid>.part files; the
     # parent fans them into the base trace after the sweep (see
     # repro.telemetry.merge_worker_traces).
-    os.environ["REPRO_TRACE_WORKER"] = "1"
+    sinks.IN_POOL_WORKER = True
     # A forked worker inherits graceful_scope's SIGTERM handler, which
     # turns the pool's terminate() into an exception the worker reports
     # before it takes the next point. The default action stops it.
@@ -232,14 +236,13 @@ def _execute_point(index: int, point: SweepPoint, policy: HarnessPolicy,
     return result, profile
 
 
-def _run_point(index: int, point: SweepPoint, timeout_s, max_retries: int,
+def _run_point(index: int, point: SweepPoint, policy: HarnessPolicy,
                profile_dir: "str | None"):
-    """Top-level pool task (must be picklable by reference)."""
-    policy = HarnessPolicy(
-        keep_going=True,  # failures travel back as data, never tracebacks
-        timeout_s=timeout_s,
-        max_retries=max_retries,
-    )
+    """Top-level pool task (must be picklable by reference).
+
+    ``policy`` is the parent's, under ``keep_going`` so that failures
+    travel back as data, never tracebacks, with an empty failure list.
+    """
     result, profile = _execute_point(index, point, policy, profile_dir)
     return result, profile, policy.failures
 
@@ -318,7 +321,7 @@ def run_sweep(
             clamped to the number of unique points. ``jobs <= 1`` runs
             inline in this process with identical semantics.
         policy: harness policy applied per worker (timeout, retries,
-            keep-going); defaults to the active policy.
+            keep-going, audit, trace); defaults to the active policy.
         profile_dir: when given, each computed point runs under cProfile
             and dumps its stats there (the ``--profile`` machinery).
         journal: when given, every completed point is appended to this
@@ -436,6 +439,8 @@ def run_sweep(
             del policy.failures[seen:]
             finish_point(index, point, result, profile, point_failures)
     else:
+        worker_policy = dataclasses.replace(policy, keep_going=True,
+                                            failures=[])
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_init_worker,
@@ -443,8 +448,8 @@ def run_sweep(
         ) as pool:
             try:
                 futures = {
-                    pool.submit(_run_point, index, point, policy.timeout_s,
-                                policy.max_retries, profile_dir): (index, point)
+                    pool.submit(_run_point, index, point, worker_policy,
+                                profile_dir): (index, point)
                     for index, point in pending
                 }
                 for future in as_completed(futures):
@@ -475,8 +480,8 @@ def run_sweep(
                 _kill_pool(pool)
                 raise
 
-    if jsonl_trace_enabled():
-        merge_worker_traces()
+    if policy.trace_out:
+        merge_worker_traces(policy.trace_out)
 
     # Failure reporting stays deterministic (submission order) no matter
     # which worker finished or died first.

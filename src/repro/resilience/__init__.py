@@ -17,11 +17,7 @@ Three cooperating layers keep the simulator trustworthy:
 See ``docs/resilience.md`` for the fault model and knobs.
 """
 
-from repro.resilience.auditor import (
-    DEFAULT_AUDIT_INTERVAL,
-    ProtocolAuditor,
-    auditor_from_env,
-)
+from repro.resilience.auditor import DEFAULT_AUDIT_INTERVAL, ProtocolAuditor
 from repro.resilience.faults import (
     Fault,
     FaultInjector,
@@ -29,6 +25,7 @@ from repro.resilience.faults import (
     FaultPlan,
     InjectedFault,
     injector_from_env,
+    parse_fault_env,
     plan_from_env,
     tracking_location,
 )
@@ -43,8 +40,8 @@ __all__ = [
     "FlightRecorder",
     "InjectedFault",
     "ProtocolAuditor",
-    "auditor_from_env",
     "injector_from_env",
+    "parse_fault_env",
     "plan_from_env",
     "tracking_location",
 ]

@@ -12,8 +12,8 @@ raised :class:`~repro.errors.InvariantViolation` is enriched with the
 corrupted block's home bank and the last few events the recorder
 captured for it.
 
-Auditing is opt-in (``--audit`` on the CLI, or ``REPRO_AUDIT=on`` /
-``REPRO_AUDIT=<interval>`` in the environment). All audit-time state
+Auditing is opt-in (``--audit`` on the CLI, which audits every
+:data:`DEFAULT_AUDIT_INTERVAL` accesses). All audit-time state
 inspection uses quiet lookups, so enabling it does not change any
 simulated statistic: a clean run produces bit-identical results with
 auditing on or off.
@@ -21,15 +21,6 @@ auditing on or off.
 
 from __future__ import annotations
 
-import sys
-
-from repro.argtypes import (
-    SWITCH_OFF,
-    SWITCH_ON,
-    audit_interval,
-    invalid_switches,
-    switch_value,
-)
 from repro.errors import InvariantViolation, ProtocolError
 from repro.resilience.recorder import FlightRecorder
 from repro.telemetry import attach_observer
@@ -83,30 +74,3 @@ class ProtocolAuditor:
                 err.history = self.recorder.history(err.addr)
         return err
 
-
-def auditor_from_env() -> "ProtocolAuditor | None":
-    """Build an auditor from ``REPRO_AUDIT``, or None when disabled.
-
-    ``REPRO_AUDIT`` accepts ``on``/``1``/``yes``/``true`` (default
-    interval), a positive integer audit interval, or
-    ``off``/``0``/``no``/``false``/unset to disable (the values live in
-    :mod:`repro.argtypes`). The figure CLI refuses anything else before
-    it runs; here, for library callers, anything else — a typo like
-    ``ture``, a negative interval — disables auditing too, but *loudly*:
-    a warning on stderr, never a silent None, so a misconfigured
-    environment cannot masquerade as a clean audit.
-    """
-    value = switch_value("REPRO_AUDIT")
-    if not value or value in SWITCH_OFF:
-        return None
-    if value in SWITCH_ON:
-        return ProtocolAuditor()
-    interval = audit_interval(value)
-    if interval is None:
-        for problem in invalid_switches("REPRO_AUDIT"):
-            print(
-                f"repro: ignoring {problem}; auditing is DISABLED",
-                file=sys.stderr,
-            )
-        return None
-    return ProtocolAuditor(interval=interval)

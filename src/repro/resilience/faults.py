@@ -343,27 +343,25 @@ class FaultInjector:
                 )
 
 
-def plan_from_env() -> "FaultPlan | None":
-    """Build a :class:`FaultPlan` from ``REPRO_FAULTS``, or None.
+def parse_fault_env() -> "tuple[FaultPlan | None, str | None]":
+    """The :class:`FaultPlan` ``REPRO_FAULTS`` describes, or the problem
+    with it: ``(plan, None)``, ``(None, problem)``, or ``(None, None)``
+    when injection is off (unset, ``off``, ``0``, ``no``, ``false`` or
+    ``none``).
 
     ``REPRO_FAULTS`` is a comma-separated list of ``kind@after_access``
     entries (e.g. ``corrupt_directory_entry@8000,flip_sharer_bit@12000``;
     ``@after_access`` defaults to 1), with the target address/core left
     to the plan's seeded RNG. ``REPRO_FAULT_SEED`` (integer, default 0)
-    seeds target resolution. Malformed entries warn on stderr and
-    disable injection entirely — a chaos run must never silently turn
-    into a clean run.
+    seeds target resolution. The figure CLI refuses a problem before
+    anything runs; :func:`plan_from_env` warns about it.
     """
     raw = os.environ.get("REPRO_FAULTS", "").strip()
     if not raw or raw.lower() in ("off", "0", "no", "false", "none"):
-        return None
+        return None, None
 
-    def _reject(reason: str) -> None:
-        print(
-            f"repro: ignoring invalid REPRO_FAULTS={raw!r} ({reason}); "
-            f"fault injection is DISABLED",
-            file=sys.stderr,
-        )
+    def problem(reason: str) -> "tuple[None, str]":
+        return None, f"invalid REPRO_FAULTS={raw!r} ({reason})"
 
     faults = []
     for item in raw.split(","):
@@ -374,8 +372,7 @@ def plan_from_env() -> "FaultPlan | None":
         try:
             kind = FaultKind(name)
         except ValueError:
-            _reject(f"unknown fault kind {name!r}")
-            return None
+            return problem(f"unknown fault kind {name!r}")
         after_access = 1
         if position:
             try:
@@ -383,21 +380,33 @@ def plan_from_env() -> "FaultPlan | None":
             except ValueError:
                 after_access = -1
             if after_access < 0:
-                _reject(f"bad access position {position!r}")
-                return None
+                return problem(f"bad access position {position!r}")
         faults.append(Fault(kind, after_access=after_access))
     if not faults:
-        _reject("no faults listed")
-        return None
+        return problem("no faults listed")
     seed_raw = os.environ.get("REPRO_FAULT_SEED", "").strip()
-    seed = 0
-    if seed_raw:
-        try:
-            seed = int(seed_raw)
-        except ValueError:
-            _reject(f"bad REPRO_FAULT_SEED {seed_raw!r}")
-            return None
-    return FaultPlan(faults=tuple(faults), seed=seed)
+    try:
+        seed = int(seed_raw) if seed_raw else 0
+    except ValueError:
+        return None, (
+            f"invalid REPRO_FAULT_SEED={seed_raw!r} (expected an integer)"
+        )
+    return FaultPlan(faults=tuple(faults), seed=seed), None
+
+
+def plan_from_env() -> "FaultPlan | None":
+    """The plan of :func:`parse_fault_env`, or None.
+
+    A problem warns on stderr and disables injection entirely — a chaos
+    run must never silently turn into a clean run.
+    """
+    plan, problem = parse_fault_env()
+    if problem is not None:
+        print(
+            f"repro: ignoring {problem}; fault injection is DISABLED",
+            file=sys.stderr,
+        )
+    return plan
 
 
 def injector_from_env() -> "FaultInjector | None":

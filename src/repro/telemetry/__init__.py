@@ -28,12 +28,9 @@ from repro.telemetry.sinks import (
     RingBufferSink,
     Tracer,
     attach_observer,
-    jsonl_trace_enabled,
     merge_worker_traces,
     read_trace,
-    trace_base_path,
     trace_output_path,
-    tracer_from_env,
 )
 from repro.telemetry.bench import bench_dir_from_env, write_bench_point
 
@@ -49,12 +46,9 @@ __all__ = [
     "RingBufferSink",
     "Tracer",
     "attach_observer",
-    "jsonl_trace_enabled",
     "merge_worker_traces",
     "read_trace",
-    "trace_base_path",
     "trace_output_path",
-    "tracer_from_env",
     "bench_dir_from_env",
     "write_bench_point",
 ]

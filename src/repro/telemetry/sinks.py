@@ -34,12 +34,10 @@ from __future__ import annotations
 import glob
 import json
 import os
-import sys
 
-from repro.argtypes import SWITCH_OFF, TRACE_ON, invalid_switches, switch_value
 from repro.telemetry.events import TraceEvent
 
-#: Default JSONL trace path when ``REPRO_TRACE_OUT`` is unset.
+#: Default JSONL trace path of ``--trace`` without ``--trace-out``.
 DEFAULT_TRACE_OUT = "trace.jsonl"
 
 #: Default ring-buffer capacity (events retained).
@@ -184,30 +182,29 @@ def attach_observer(system, observer) -> None:
 
 
 # ----------------------------------------------------------------------
-# Environment mirror and worker fan-in
+# Worker fan-in
 # ----------------------------------------------------------------------
 
-def trace_base_path() -> str:
-    """The JSONL trace destination (``REPRO_TRACE_OUT`` or the default)."""
-    return os.environ.get("REPRO_TRACE_OUT", "").strip() or DEFAULT_TRACE_OUT
+#: True in a :mod:`repro.parallel` pool worker, whose initializer sets
+#: it: traced runs there write per-process part files (see
+#: :func:`trace_output_path`).
+IN_POOL_WORKER = False
 
 
-def trace_output_path() -> str:
-    """Where *this process* should write its JSONL trace.
+def trace_output_path(base: str) -> str:
+    """Where *this process* should write a JSONL trace bound for ``base``.
 
-    Pool workers (flagged by ``REPRO_TRACE_WORKER``, set by the
-    :mod:`repro.parallel` worker initializer) write per-process
+    Pool workers (:data:`IN_POOL_WORKER`) write per-process
     ``<base>.<pid>.part`` files; :func:`merge_worker_traces` fans them
     into the base file afterwards. Everyone else writes the base file
     directly.
     """
-    base = trace_base_path()
-    if os.environ.get("REPRO_TRACE_WORKER"):
+    if IN_POOL_WORKER:
         return f"{base}.{os.getpid()}.part"
     return base
 
 
-def merge_worker_traces(base: "str | None" = None) -> int:
+def merge_worker_traces(base: str) -> int:
     """Append every ``<base>.*.part`` worker trace into ``<base>``.
 
     Parts are concatenated in sorted filename order (stable across
@@ -217,7 +214,6 @@ def merge_worker_traces(base: "str | None" = None) -> int:
     that need a global order sort on ``(addr, seq)`` or ``cycle``, as
     ``tools/trace_report.py`` does.
     """
-    base = base or trace_base_path()
     parts = sorted(glob.glob(f"{base}.*.part"))
     if not parts:
         return 0
@@ -227,37 +223,6 @@ def merge_worker_traces(base: "str | None" = None) -> int:
                 out.write(handle.read())
             os.unlink(part)
     return len(parts)
-
-
-def jsonl_trace_enabled() -> bool:
-    """True when ``REPRO_TRACE`` selects the JSONL backend."""
-    return switch_value("REPRO_TRACE") in TRACE_ON
-
-
-def tracer_from_env() -> "Tracer | None":
-    """Build a tracer from ``REPRO_TRACE``, or None when disabled.
-
-    Accepted values (:data:`repro.argtypes.TRACE_ON` and
-    :data:`~repro.argtypes.SWITCH_OFF`): ``jsonl`` (or
-    ``on``/``1``/``yes``/``true``) for the JSONL backend writing to
-    ``REPRO_TRACE_OUT`` (default ``trace.jsonl``);
-    ``off``/``0``/``no``/``false``/unset to disable. The figure CLI and
-    ``verify`` refuse anything else before they run; here, for library
-    callers, anything else disables tracing too, but *loudly*: a warning
-    on stderr, never a silent None, mirroring
-    :func:`repro.resilience.auditor.auditor_from_env`. There is no
-    ring selector: a tracer built here is closed with its run, so
-    nothing could read the ring; callers that want a
-    :class:`RingBufferSink` build their own :class:`Tracer`.
-    """
-    value = switch_value("REPRO_TRACE")
-    if not value or value in SWITCH_OFF:
-        return None
-    if value in TRACE_ON:
-        return Tracer(JsonlSink(trace_output_path()))
-    for problem in invalid_switches("REPRO_TRACE"):
-        print(f"repro: ignoring {problem}; tracing is DISABLED", file=sys.stderr)
-    return None
 
 
 def read_trace(path: "str | os.PathLike") -> "list[TraceEvent]":

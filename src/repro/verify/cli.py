@@ -15,7 +15,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from repro.argtypes import at_least, invalid_switches, unknown_knobs
+from repro.argtypes import at_least, unknown_knobs
+from repro.telemetry import DEFAULT_TRACE_OUT, merge_worker_traces
 from repro.verify.coverage import (
     CoverageMap,
     coverage_fraction,
@@ -123,13 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         action="store_true",
         help="write a structured JSONL trace of every verify schedule "
-        "(same as REPRO_TRACE=jsonl; see docs/telemetry.md)",
+        "(see docs/telemetry.md)",
     )
     parser.add_argument(
         "--trace-out",
         metavar="PATH",
-        help="trace destination (default trace.jsonl; same as "
-        "REPRO_TRACE_OUT=PATH; implies --trace)",
+        help=f"trace destination (default {DEFAULT_TRACE_OUT}; implies "
+        "--trace)",
     )
     return parser
 
@@ -139,9 +140,9 @@ def _selected_schemes(args) -> "dict[str, object]":
     return {name: default_verify_spec(name) for name in names}
 
 
-def _run_replay(path: Path) -> int:
+def _run_replay(path: Path, trace_out: "str | None") -> int:
     payload = load_reproducer(path)
-    result = replay(payload)
+    result = replay(payload, trace_out=trace_out)
     expected = payload.get("violation", "")
     if result.failed:
         print(f"reproduced: {result.violation}")
@@ -152,9 +153,9 @@ def _run_replay(path: Path) -> int:
     return 1
 
 
-def _run_litmus_phase(schemes, coverage) -> int:
+def _run_litmus_phase(schemes, coverage, trace_out) -> int:
     failures = 0
-    outcomes = run_litmus(schemes, coverage=coverage)
+    outcomes = run_litmus(schemes, coverage=coverage, trace_out=trace_out)
     by_scheme: "Counter[str]" = Counter()
     for outcome in outcomes:
         by_scheme[outcome.scheme] += 1
@@ -170,7 +171,7 @@ def _run_litmus_phase(schemes, coverage) -> int:
     return failures
 
 
-def _fuzz_payloads(args, schemes) -> "list[dict]":
+def _fuzz_payloads(args, schemes, trace_out) -> "list[dict]":
     payloads = []
     for name, spec in schemes.items():
         payloads.append(
@@ -184,6 +185,7 @@ def _fuzz_payloads(args, schemes) -> "list[dict]":
                 "l2_kb": FUZZ_L2_KB,
                 "audit_interval": args.audit_interval,
                 "plan": None,
+                "trace_out": trace_out,
             }
         )
         for index in range(args.faults):
@@ -198,16 +200,19 @@ def _fuzz_payloads(args, schemes) -> "list[dict]":
                     "l2_kb": FUZZ_L2_KB,
                     "audit_interval": args.audit_interval,
                     "plan": fault_plan_for(name, args.seed, index),
+                    "trace_out": trace_out,
                 }
             )
     return payloads
 
 
-def _run_fuzz_phase(args, schemes, coverage) -> int:
+def _run_fuzz_phase(args, schemes, coverage, trace_out) -> int:
     from repro.parallel import run_tasks
 
-    payloads = _fuzz_payloads(args, schemes)
+    payloads = _fuzz_payloads(args, schemes, trace_out)
     results = run_tasks(fuzz_task, payloads, jobs=args.jobs)
+    if trace_out:
+        merge_worker_traces(trace_out)
     failures = 0
     for payload, result in zip(payloads, results):
         scheme = result["scheme"]
@@ -287,23 +292,15 @@ def _coverage_gate(args, coverage) -> int:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    import os
-
     args = build_parser().parse_args(argv)
     unknown = unknown_knobs()
-    if not (args.trace or args.trace_out):
-        unknown += invalid_switches("REPRO_TRACE")
     if unknown:
         for problem in unknown:
             print(f"repro: {problem}", file=sys.stderr)
         return 2
-    if args.trace or args.trace_out:
-        # Via the environment so fuzz pool workers trace too.
-        os.environ["REPRO_TRACE"] = "jsonl"
-    if args.trace_out:
-        os.environ["REPRO_TRACE_OUT"] = args.trace_out
+    trace_out = args.trace_out or (DEFAULT_TRACE_OUT if args.trace else None)
     if args.replay is not None:
-        return _run_replay(args.replay)
+        return _run_replay(args.replay, trace_out)
     schemes = _selected_schemes(args)
     run_litmus_phase = args.litmus or not args.fuzz
     run_fuzz_phase = args.fuzz or not args.litmus
@@ -312,9 +309,9 @@ def main(argv: "list[str] | None" = None) -> int:
     }
     failures = 0
     if run_litmus_phase:
-        failures += _run_litmus_phase(schemes, coverage)
+        failures += _run_litmus_phase(schemes, coverage, trace_out)
     if run_fuzz_phase:
-        failures += _run_fuzz_phase(args, schemes, coverage)
+        failures += _run_fuzz_phase(args, schemes, coverage, trace_out)
     failures += _coverage_gate(args, coverage)
     if failures:
         print(f"verify: {failures} failure(s)")

@@ -316,13 +316,16 @@ def fuzz_run(
     plan: "FaultPlan | None" = None,
     collect_coverage: bool = True,
     shrink: bool = True,
+    trace_out: "str | None" = None,
 ) -> FuzzResult:
     """One seeded fuzz run (optionally fault-mutated), with shrinking.
 
     The schedule is generated round by round; with coverage on, each
     round's bias profile is steered toward uncovered transitions by
     running the growing schedule incrementally. On failure the
-    triggering prefix is shrunk to a minimal reproducer.
+    triggering prefix is shrunk to a minimal reproducer. With
+    ``trace_out``, every schedule run (steering probes and shrink
+    replays included) appends its JSONL event trace there.
     """
     from repro.sim.config import SystemConfig
 
@@ -348,6 +351,7 @@ def fuzz_run(
                 merge_plan(schedule, plan) if plan is not None else schedule,
                 spec=spec, num_cores=num_cores, l1_kb=l1_kb, l2_kb=l2_kb,
                 seed=seed, audit_interval=audit_interval, coverage=probe,
+                trace_out=trace_out,
             )
             covered = probe.covered()
             if probe_result.failed:
@@ -358,6 +362,7 @@ def fuzz_run(
         full,
         spec=spec, num_cores=num_cores, l1_kb=l1_kb, l2_kb=l2_kb,
         seed=seed, audit_interval=audit_interval, coverage=coverage,
+        trace_out=trace_out,
     )
     out = FuzzResult(
         scheme=scheme,
@@ -380,6 +385,7 @@ def fuzz_run(
             candidate,
             spec=spec, num_cores=num_cores, l1_kb=l1_kb, l2_kb=l2_kb,
             seed=seed, audit_interval=audit_interval, oracle=True,
+            trace_out=trace_out,
         )
         return replay.failed
 
@@ -407,6 +413,7 @@ def fuzz_task(payload: dict) -> dict:
         audit_interval=payload.get("audit_interval", DEFAULT_VERIFY_AUDIT_INTERVAL),
         plan=payload.get("plan"),
         collect_coverage=payload.get("collect_coverage", True),
+        trace_out=payload.get("trace_out"),
     )
     from repro.verify.steps import step_to_dict
 

@@ -8,8 +8,8 @@ litmus engine, the fuzzer, the shrinker, and reproducer replay all
 drive schedules through :func:`run_schedule`.
 
 The auditor's flight recorder, an optional
-:class:`~repro.verify.coverage.CoverageMap` and, under
-``REPRO_TRACE``, a tracer all hear the same protocol transitions
+:class:`~repro.verify.coverage.CoverageMap` and, given a ``trace_out``
+path (``--trace``), a JSONL tracer all hear the same protocol transitions
 (:func:`repro.telemetry.attach_observer`); the harness adds the
 requester-side ``mesi:*`` transitions to that stream. Every inspection
 the harness performs (oracle pre-probes, MESI transition derivation)
@@ -26,7 +26,7 @@ from repro.resilience.auditor import ProtocolAuditor
 from repro.resilience.faults import FaultInjector, FaultPlan, InjectedFault
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
-from repro.telemetry import attach_observer, tracer_from_env
+from repro.telemetry import JsonlSink, Tracer, attach_observer, trace_output_path
 from repro.types import Access
 from repro.verify.coverage import CoverageMap
 from repro.verify.oracle import ValueOracle
@@ -140,6 +140,7 @@ def run_schedule(
     audit_interval: int = DEFAULT_VERIFY_AUDIT_INTERVAL,
     oracle: bool = True,
     coverage: "CoverageMap | None" = None,
+    trace_out: "str | None" = None,
 ) -> ScheduleResult:
     """Run ``steps`` on a fresh (or supplied) system under monitoring.
 
@@ -147,14 +148,16 @@ def run_schedule(
     end the run and are reported as the result's ``violation``; a
     :class:`~repro.errors.FaultInjectionError` (the fault pseudo-step's
     target is gone — typical while shrinking away its setup) ends the
-    run cleanly with ``fault_unapplied`` set.
+    run cleanly with ``fault_unapplied`` set. With ``trace_out``, the
+    run's JSONL event trace is appended to that path.
     """
     if system is None:
         if spec is None:
             raise ValueError("run_schedule needs a system or a scheme spec")
         system = build_system(spec, num_cores, l1_kb, l2_kb, seed=seed)
-    tracer = tracer_from_env()
-    if tracer is not None:
+    tracer = None
+    if trace_out:
+        tracer = Tracer(JsonlSink(trace_output_path(trace_out)))
         attach_observer(system, tracer)
     harness = VerifyHarness(
         system,

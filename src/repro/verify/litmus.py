@@ -234,11 +234,13 @@ def run_litmus(
     schemes: "dict[str, object]",
     coverage: "dict[str, CoverageMap] | None" = None,
     tests: "tuple[LitmusTest, ...]" = LITMUS_TESTS,
+    trace_out: "str | None" = None,
 ) -> "list[LitmusOutcome]":
     """Run every applicable (test, scheme) pair; returns all outcomes.
 
     ``coverage`` maps scheme name to a :class:`CoverageMap` that
-    accumulates transitions across the scheme's tests.
+    accumulates transitions across the scheme's tests; with
+    ``trace_out``, every run appends its JSONL event trace there.
     """
     outcomes = []
     for scheme_name, spec in schemes.items():
@@ -254,6 +256,7 @@ def run_litmus(
                 audit_interval=1,  # invariants after every step
                 oracle=True,
                 coverage=cmap,
+                trace_out=trace_out,
             )
             outcomes.append(
                 LitmusOutcome(

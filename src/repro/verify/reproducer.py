@@ -113,8 +113,11 @@ def load_reproducer(path) -> dict:
     return payload
 
 
-def replay(payload: dict):
-    """Re-run a loaded reproducer; returns the :class:`ScheduleResult`."""
+def replay(payload: dict, trace_out: "str | None" = None):
+    """Re-run a loaded reproducer; returns the :class:`ScheduleResult`.
+
+    With ``trace_out``, the run appends its JSONL event trace there.
+    """
     spec = spec_from_dict(payload["scheme"], dict(payload["spec"]))
     geometry = payload["geometry"]
     steps = [step_from_dict(entry) for entry in payload["steps"]]
@@ -129,4 +132,5 @@ def replay(payload: dict):
             payload.get("audit_interval", DEFAULT_VERIFY_AUDIT_INTERVAL)
         ),
         oracle=True,
+        trace_out=trace_out,
     )

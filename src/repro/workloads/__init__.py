@@ -7,17 +7,12 @@ from repro.workloads.profiles import (
     APPLICATIONS,
     profile,
 )
-from repro.workloads.generator import (
-    SyntheticTraceGenerator,
-    generate_streams,
-    load_streams,
-)
+from repro.workloads.generator import SyntheticTraceGenerator, generate_streams
 from repro.workloads.capture import (
     TraceReader,
     TraceWriter,
     load_capture,
     save_capture,
-    trace_fingerprint,
 )
 
 __all__ = [
@@ -30,7 +25,5 @@ __all__ = [
     "TraceWriter",
     "generate_streams",
     "load_capture",
-    "load_streams",
     "save_capture",
-    "trace_fingerprint",
 ]

@@ -19,10 +19,8 @@ Reading and writing both stream frame-by-frame — a reader never holds
 more than one decompressed core stream beyond what it yields, and a
 writer flushes each core as it is handed over. Convenience wrappers
 (:func:`save_capture` / :func:`load_capture`) cover the common
-whole-trace case; :func:`load_capture` is what
-:func:`repro.workloads.generator.generate_streams` uses under
-``REPRO_TRACE_FILE``, making replayed runs bit-identical to live
-generation.
+whole-trace case; streams read back with :func:`load_capture` replay
+bit-identically to the live generation that recorded them.
 
 Layout::
 
@@ -40,7 +38,6 @@ from 0).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import zlib
@@ -447,19 +444,3 @@ def profile_from_header(header: dict):
     }
     return WorkloadProfile(**fields)
 
-
-def trace_fingerprint(path) -> str:
-    """Content hash of a trace file (sha256 hex digest).
-
-    This is what keys the per-process workload cache for replayed
-    traces: two files with the same path but different bytes never
-    alias, and the same content is recognized wherever it lives.
-    """
-    digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as handle:
-            for chunk in iter(lambda: handle.read(1 << 16), b""):
-                digest.update(chunk)
-    except OSError as err:
-        raise TraceError(f"cannot read trace file {path}: {err}") from err
-    return digest.hexdigest()

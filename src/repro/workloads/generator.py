@@ -20,15 +20,12 @@ Generation is deterministic for a given (profile, config, seed).
 
 from __future__ import annotations
 
-import os
-import sys
 import zlib
 from collections import OrderedDict
-from pathlib import Path
 
 import numpy as np
 
-from repro.errors import ConfigError, TraceError
+from repro.errors import ConfigError
 from repro.sim.config import SystemConfig
 from repro.sim.deadline import CHECK_STRIDE as _DEADLINE_STRIDE
 from repro.sim.deadline import check_deadline
@@ -275,43 +272,13 @@ class SyntheticTraceGenerator:
 # Per-process trace cache
 # ----------------------------------------------------------------------
 
-#: Environment variable sizing the per-process trace cache: an integer
-#: capacity, or ``off``/``0`` to disable memoization entirely.
-ENV_TRACE_CACHE = "REPRO_TRACE_CACHE"
-
-#: Path to an ``.rtrace`` capture; when set, :func:`generate_streams`
-#: *replays* that file instead of generating, making the run
-#: bit-identical to the live run that recorded it.
-ENV_TRACE_FILE = "REPRO_TRACE_FILE"
-
-#: Directory to record generated streams into; each distinct
-#: (profile, cores, accesses, seed) point is written once as
-#: ``<profile>-c<cores>-a<accesses>-s<seed>.rtrace``.
-ENV_TRACE_RECORD = "REPRO_TRACE_RECORD"
-
-_DEFAULT_CACHE_CAPACITY = 8
+#: Stream sets the per-process trace cache keeps (least recently used
+#: first out).
+TRACE_CACHE_CAPACITY = 8
 
 _trace_cache: "OrderedDict[tuple, list]" = OrderedDict()
 _trace_cache_hits = 0
 _trace_cache_misses = 0
-
-
-def _cache_capacity() -> int:
-    raw = os.environ.get(ENV_TRACE_CACHE)
-    if raw is None:
-        return _DEFAULT_CACHE_CAPACITY
-    value = raw.strip().lower()
-    if value in ("off", "false", "no"):
-        return 0
-    try:
-        return max(0, int(value))
-    except ValueError:
-        print(
-            f"repro: ignoring unrecognized {ENV_TRACE_CACHE}={raw!r} "
-            f"(expected an integer or off)",
-            file=sys.stderr,
-        )
-        return _DEFAULT_CACHE_CAPACITY
 
 
 def clear_trace_cache() -> None:
@@ -331,79 +298,6 @@ def trace_cache_stats() -> "dict[str, int]":
     }
 
 
-def _cache_insert(key: tuple, streams: "list[list[Access]]", capacity: int) -> None:
-    _trace_cache[key] = streams
-    while len(_trace_cache) > capacity:
-        _trace_cache.popitem(last=False)
-
-
-def load_streams(path, config: SystemConfig) -> "list[list[Access]]":
-    """Load per-core streams from an ``.rtrace`` capture for replay.
-
-    Results are memoized in the same per-process LRU cache as generated
-    streams, keyed on *trace-file identity* — the absolute path plus a
-    content hash — so overwriting a file at the same path never serves
-    the previous file's streams, while re-reading unchanged content is
-    free. Raises :class:`~repro.errors.TraceError` when the capture's
-    core count disagrees with ``config`` (a replay on the wrong geometry
-    would silently misattribute every access).
-    """
-    global _trace_cache_hits, _trace_cache_misses
-    from repro.workloads.capture import load_capture, trace_fingerprint
-
-    capacity = _cache_capacity()
-    key = None
-    if capacity > 0:
-        key = ("trace-file", os.path.abspath(path), trace_fingerprint(path))
-        cached = _trace_cache.get(key)
-        if cached is not None:
-            _trace_cache_hits += 1
-            _trace_cache.move_to_end(key)
-            return cached
-        _trace_cache_misses += 1
-    streams, header = load_capture(path)
-    if header["num_cores"] != config.num_cores:
-        raise TraceError(
-            f"trace file {path} was recorded on {header['num_cores']} cores "
-            f"but the configured system has {config.num_cores}"
-        )
-    if key is not None:
-        _cache_insert(key, streams, capacity)
-    return streams
-
-
-def _maybe_record(
-    streams: "list[list[Access]]",
-    app: WorkloadProfile,
-    config: SystemConfig,
-    total_accesses: int,
-    seed: int,
-) -> None:
-    """Record ``streams`` under ``REPRO_TRACE_RECORD`` if not yet captured."""
-    record_dir = os.environ.get(ENV_TRACE_RECORD)
-    if not record_dir:
-        return
-    from repro.workloads.capture import save_capture
-
-    path = Path(record_dir) / (
-        f"{app.name}-c{config.num_cores}-a{total_accesses}-s{seed}.rtrace"
-    )
-    if path.exists():
-        return
-    save_capture(
-        path,
-        streams,
-        profile=app,
-        seed=seed,
-        total_accesses=total_accesses,
-        geometry={
-            "num_cores": config.num_cores,
-            "l2_blocks": config.l2_blocks,
-            "llc_blocks": config.llc_blocks,
-        },
-    )
-
-
 def generate_streams(
     app: "WorkloadProfile | str",
     config: SystemConfig,
@@ -417,29 +311,18 @@ def generate_streams(
     sweep revisiting the same (app, scale, seed) point reuses the exact
     stream objects instead of regenerating them. Streams are treated as
     immutable by every consumer — the engine only reads them — which is
-    what makes sharing the objects safe. Capacity is ``REPRO_TRACE_CACHE``
-    (default 8 entries, LRU; ``off`` disables caching).
+    what makes sharing the objects safe. The cache keeps the
+    :data:`TRACE_CACHE_CAPACITY` most recently used stream sets.
 
-    Two environment hooks feed the record/replay workflow (see
-    ``docs/verification.md``): ``REPRO_TRACE_FILE`` replays a recorded
-    ``.rtrace`` capture instead of generating (cached on file identity,
-    path + content hash, via :func:`load_streams`), and
-    ``REPRO_TRACE_RECORD`` writes each freshly seen point into the named
-    directory — including on cache hits, so a warm process still records.
+    To run recorded streams instead, load an ``.rtrace`` capture with
+    :func:`repro.workloads.capture.load_capture` and hand its streams to
+    the engine (see ``docs/verification.md``).
     """
     global _trace_cache_hits, _trace_cache_misses
     from repro.workloads.profiles import profile as lookup
 
-    trace_file = os.environ.get(ENV_TRACE_FILE)
-    if trace_file:
-        return load_streams(trace_file, config)
     if isinstance(app, str):
         app = lookup(app)
-    capacity = _cache_capacity()
-    if capacity <= 0:
-        streams = SyntheticTraceGenerator(app, config, seed).generate(total_accesses)
-        _maybe_record(streams, app, config, total_accesses, seed)
-        return streams
     # Generation depends only on the profile (frozen, hashable) and these
     # derived config fields — see SyntheticTraceGenerator.__init__.
     key = (
@@ -454,10 +337,10 @@ def generate_streams(
     if cached is not None:
         _trace_cache_hits += 1
         _trace_cache.move_to_end(key)
-        _maybe_record(cached, app, config, total_accesses, seed)
         return cached
     _trace_cache_misses += 1
     streams = SyntheticTraceGenerator(app, config, seed).generate(total_accesses)
-    _maybe_record(streams, app, config, total_accesses, seed)
-    _cache_insert(key, streams, capacity)
+    _trace_cache[key] = streams
+    while len(_trace_cache) > TRACE_CACHE_CAPACITY:
+        _trace_cache.popitem(last=False)
     return streams

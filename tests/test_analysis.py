@@ -107,3 +107,25 @@ class TestDiskCache:
         monkeypatch.setenv("REPRO_CACHE", "off")
         cached_run("compress", SparseSpec(ratio=2.0), SMALL)
         assert not list(tmp_path.iterdir())
+
+    def test_no_variable_swaps_a_points_streams(self, tmp_path, monkeypatch):
+        # Regression: a capture named in the environment used to replace
+        # the streams of any run, and the replayed stats were published
+        # under the synthetic point's key, so every later clean run of
+        # that point read the capture's numbers from the cache.
+        from pathlib import Path
+
+        capture = Path(__file__).parent / "corpus" / "private-heavy.rtrace"
+        scale = RunScale(num_cores=8, total_accesses=3_000)
+        monkeypatch.setenv("REPRO_CACHE", "on")
+        dumps = []
+        for name, value in (("set", str(capture)), ("unset", None)):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / name))
+            if value is None:
+                monkeypatch.delenv("REPRO_TRACE_FILE", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_TRACE_FILE", value)
+            result = cached_run("barnes", SparseSpec(ratio=2.0), scale)
+            assert not result.meta.get("cached")  # a fresh cache
+            dumps.append(result.stats.dump())
+        assert dumps[0] == dumps[1]

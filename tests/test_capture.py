@@ -27,7 +27,6 @@ from repro.workloads.capture import (
     load_capture,
     profile_from_header,
     save_capture,
-    trace_fingerprint,
 )
 from repro.workloads.profiles import profile
 
@@ -280,17 +279,3 @@ def test_reader_streams_in_core_order(tmp_path):
     with TraceReader(path) as reader:
         cores = [core for core, _stream in reader.streams()]
     assert cores == [0, 1, 2]
-
-
-# ----------------------------------------------------------------------
-# Fingerprints
-# ----------------------------------------------------------------------
-
-def test_fingerprint_tracks_content_not_path(tmp_path):
-    a = tmp_path / "a.rtrace"
-    b = tmp_path / "b.rtrace"
-    save_capture(a, [[Access(0, 1, AccessKind.READ, 0)]], seed=1)
-    save_capture(b, [[Access(0, 1, AccessKind.READ, 0)]], seed=1)
-    assert trace_fingerprint(a) == trace_fingerprint(b)
-    save_capture(b, [[Access(0, 2, AccessKind.READ, 0)]], seed=1)
-    assert trace_fingerprint(a) != trace_fingerprint(b)

@@ -163,11 +163,14 @@ def test_stale_documented_env_var_detected(checker):
     assert any("REPRO_GONE" in p and "never" in p for p in problems)
 
 
-def test_internal_env_vars_exempt(checker):
+def test_written_env_var_is_not_exempt(checker):
+    # No REPRO_* name is internal plumbing: one the source only sets
+    # must be documented too.
     module, root = checker
     source = root / "src" / "repro" / "knobs.py"
-    source.write_text("import os\nos.environ['REPRO_TRACE_WORKER'] = '1'\n")
-    assert module.check_env_vars() == []
+    source.write_text("import os\nos.environ['REPRO_PLUMBING'] = '1'\n")
+    problems = module.check_env_vars()
+    assert any("REPRO_PLUMBING" in p and "undocumented" in p for p in problems)
 
 
 def test_knob_list_drift_detected(checker):

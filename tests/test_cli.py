@@ -1,22 +1,28 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
-import os
-
 import pytest
 
 from repro.__main__ import FIGURES, main
+from repro.argtypes import KNOBS
 from repro.telemetry import read_trace
+
+#: Knobs the program no longer reads: ``--audit``, ``--trace`` and
+#: ``--trace-out`` reach runs as arguments, and no variable swaps a
+#: run's streams.
+RETIRED_KNOBS = (
+    "REPRO_AUDIT",
+    "REPRO_TRACE",
+    "REPRO_TRACE_CACHE",
+    "REPRO_TRACE_FILE",
+    "REPRO_TRACE_OUT",
+    "REPRO_TRACE_RECORD",
+    "REPRO_TRACE_WORKER",
+)
 
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    # main() writes flags such as --audit into os.environ for pool
-    # workers; undo that so they cannot leak into later tests.
-    saved = dict(os.environ)
-    yield
-    os.environ.clear()
-    os.environ.update(saved)
 
 
 class TestCli:
@@ -49,17 +55,26 @@ class TestCli:
 
 
 class TestResilienceFlags:
-    def test_audit_flag_sets_env(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_AUDIT", raising=False)
-        code = main(["fig07", "--scale", "quick", "--apps", "compress",
-                     "--audit"])
+    def test_audit_flag_reaches_every_run(self, capsys, monkeypatch):
+        from repro.analysis import runner
+
+        real_run_app = runner.run_app
+        seen = []
+
+        def spy(app, scheme, scale=None, config=None, **observers):
+            seen.append(observers)
+            return real_run_app(app, scheme, scale, config, **observers)
+
+        monkeypatch.setattr("repro.analysis.runner.run_app", spy)
+        code = main(["fig05", "--scale", "quick", "--apps", "compress",
+                     "--audit", "--jobs", "1"])
         assert code == 0
-        assert os.environ.get("REPRO_AUDIT") == "on"
+        assert seen == [{"audit": True, "trace_out": None}] * 2
 
     def test_keep_going_reports_failures_and_exits_nonzero(
         self, capsys, monkeypatch
     ):
-        def boom(app, scheme, scale=None, config=None):
+        def boom(app, scheme, scale=None, config=None, **observers):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr("repro.analysis.runner.run_app", boom)
@@ -71,7 +86,7 @@ class TestResilienceFlags:
         assert "run(s) failed" in captured.err
 
     def test_without_keep_going_failures_abort(self, monkeypatch):
-        def boom(app, scheme, scale=None, config=None):
+        def boom(app, scheme, scale=None, config=None, **observers):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr("repro.analysis.runner.run_app", boom)
@@ -79,19 +94,18 @@ class TestResilienceFlags:
             main(["fig07", "--scale", "quick", "--apps", "compress"])
 
     def test_audited_sweep_runs_clean(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_AUDIT", "on")
-        code = main(["fig07", "--scale", "quick", "--apps", "compress"])
+        code = main(["fig07", "--scale", "quick", "--apps", "compress",
+                     "--audit"])
         assert code == 0
 
     def test_injected_corruption_fails_the_point(self, capsys, monkeypatch):
-        # The environment the fault-detection smoke uses: the auditor
+        # The command the fault-detection smoke runs: the auditor
         # catches the corrupted entry, and the run fails instead of
         # finishing with a clean-looking table.
         monkeypatch.setenv("REPRO_FAULTS", "corrupt_directory_entry@10000")
-        monkeypatch.setenv("REPRO_AUDIT", "1000")
         monkeypatch.delenv("REPRO_FAULT_SEED", raising=False)
         code = main(["fig07", "--scale", "quick", "--apps", "barnes",
-                     "--keep-going"])
+                     "--keep-going", "--audit"])
         captured = capsys.readouterr()
         assert code == 1
         assert "FAILED barnes/" in captured.out
@@ -137,9 +151,11 @@ class TestCacheOff:
 
 
 class TestInvalidKnobs:
-    """A ``REPRO_JOBS`` or ``REPRO_CACHE`` value the CLI cannot honour,
-    or a ``REPRO_*`` name the program never reads, is a usage error that
-    names the knob, never silently ignored."""
+    """A ``REPRO_JOBS``, ``REPRO_SCALE``, ``REPRO_CACHE``,
+    ``REPRO_FAULTS`` or ``REPRO_FAULT_SEED`` value the CLI cannot
+    honour, or a ``REPRO_*`` name the program never reads, is a usage
+    error that names the knob before anything runs, never silently
+    ignored."""
 
     @pytest.mark.parametrize(
         "name, value",
@@ -149,17 +165,38 @@ class TestInvalidKnobs:
             ("REPRO_JOBS", "-3"),
             ("REPRO_CACHE", "false"),
             ("REPRO_CACHE", "of"),
+            ("REPRO_SCALE", "bogus"),
+            ("REPRO_FAULTS", "corrupt_dir@100"),  # unknown kind
+            ("REPRO_FAULTS", "flip_sharer_bit@-5"),  # negative position
+            ("REPRO_FAULTS", ","),  # an empty list
         ],
     )
     def test_invalid_value_is_a_usage_error(
-        self, capsys, monkeypatch, name, value
+        self, tmp_path, capsys, monkeypatch, name, value
     ):
         monkeypatch.setenv(name, value)
-        code = main(["fig07", "--scale", "quick", "--apps", "compress"])
+        argv = ["fig07", "--apps", "compress"]
+        if name != "REPRO_SCALE":
+            argv += ["--scale", "quick"]
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert f"invalid {name}={value!r}" in captured.err
+        assert list(tmp_path.iterdir()) == []  # no result-cache entry
+
+    def test_invalid_fault_seed_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_FAULTS", "flip_sharer_bit@10")
+        monkeypatch.setenv("REPRO_FAULT_SEED", "lots")
+        code = main(["fig07", "--scale", "quick", "--apps", "compress",
+                     "--audit"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "invalid REPRO_FAULT_SEED='lots'" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "name, value",
@@ -169,12 +206,14 @@ class TestInvalidKnobs:
             ("REPRO_FAST", "off"),
             ("REPRO_HEARTBEAT", "2.5"),
             ("REPRO_AUDTI", "on"),
+            *((name, "on") for name in RETIRED_KNOBS),
         ],
         ids=["retired-metrics", "retired-recovery", "retired-fast",
-             "retired-heartbeat", "typo"],
+             "retired-heartbeat", "typo",
+             *(f"retired-{name[6:].lower()}" for name in RETIRED_KNOBS)],
     )
     def test_unknown_name_is_a_usage_error(
-        self, capsys, monkeypatch, name, value
+        self, tmp_path, capsys, monkeypatch, name, value
     ):
         monkeypatch.setenv(name, value)
         code = main(["fig07", "--scale", "quick", "--apps", "compress"])
@@ -182,7 +221,8 @@ class TestInvalidKnobs:
         assert code == 2
         assert captured.out == ""
         assert f"unknown {name}:" in captured.err
-        assert "REPRO_AUDIT" in captured.err  # the known knobs are listed
+        assert "REPRO_SCALE" in captured.err  # the known knobs are listed
+        assert list(tmp_path.iterdir()) == []  # no result-cache entry
 
     def test_every_knob_is_accepted(self, monkeypatch):
         from repro.__main__ import _invalid_knobs, build_parser
@@ -200,6 +240,12 @@ class TestInvalidKnobs:
         assert code == 0
         assert "REPRO_JOBS" not in capsys.readouterr().err
 
+    def test_scale_flag_overrides_the_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "bogus")
+        code = main(["fig07", "--scale", "quick", "--apps", "compress"])
+        assert code == 0
+        assert "REPRO_SCALE" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["ON", "No"])
     def test_cache_values_are_case_insensitive(
         self, capsys, monkeypatch, value
@@ -211,81 +257,28 @@ class TestInvalidKnobs:
         assert "Fig. 7" in capsys.readouterr().out
 
 
-class TestInvalidSwitches:
-    """An invalid ``REPRO_TRACE`` or ``REPRO_AUDIT`` is refused before
-    anything runs, naming the variable and its accepted values, instead
-    of a run that goes ahead untraced or unaudited."""
-
-    FIGURE = ["fig07", "--scale", "quick", "--apps", "compress"]
-    VERIFY = ["verify", "--litmus", "--scheme", "sparse"]
-    EXPECTED = {"REPRO_TRACE": "jsonl", "REPRO_AUDIT": "a positive audit interval"}
-
-    @pytest.mark.parametrize(
-        "argv, name, value",
-        [
-            (FIGURE, "REPRO_TRACE", "ring"),
-            (FIGURE, "REPRO_TRACE", "maybe"),
-            (FIGURE, "REPRO_AUDIT", "maybe"),
-            (FIGURE, "REPRO_AUDIT", "-5"),
-            (VERIFY, "REPRO_TRACE", "ring"),
-            (VERIFY, "REPRO_TRACE", "maybe"),
-        ],
-        ids=["figure-trace-ring", "figure-trace-maybe", "figure-audit-maybe",
-             "figure-audit-negative", "verify-trace-ring", "verify-trace-maybe"],
-    )
-    def test_refused_before_anything_runs(
-        self, tmp_path, capsys, monkeypatch, argv, name, value
-    ):
-        for knob in ("REPRO_TRACE", "REPRO_TRACE_OUT", "REPRO_AUDIT"):
-            monkeypatch.delenv(knob, raising=False)
-        monkeypatch.setenv(name, value)
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert f"invalid {name}={value!r}" in captured.err
-        assert self.EXPECTED[name] in captured.err
-        assert "off" in captured.err
-        assert list(tmp_path.iterdir()) == []  # no result-cache entry
-
-    def test_audit_flag_overrides_the_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_AUDIT", "maybe")
-        code = main(self.FIGURE + ["--audit"])
-        assert code == 0
-        assert "REPRO_AUDIT" not in capsys.readouterr().err
-
-
 class TestObservingNeedsColdCache:
     """A cached point is replayed, not simulated, so tracing or auditing
     on a warm cache is refused instead of silently observing nothing."""
 
     @pytest.mark.parametrize(
-        "extra, env, warm, flag",
+        "extra, warm, flag",
         [
-            (["--trace"], {}, True, "--trace"),
-            (["--trace-out", "TRACE"], {}, True, "--trace-out"),
-            (["--audit"], {}, True, "--audit"),
-            ([], {"REPRO_TRACE": "jsonl"}, True, "REPRO_TRACE=jsonl"),
-            ([], {"REPRO_AUDIT": "on"}, True, "REPRO_AUDIT=on"),
-            (["--trace", "--trace-out", "TRACE"], {}, False, None),
-            # Regression: REPRO_TRACE=ring won over the flag, no file.
-            (["--trace-out", "TRACE"], {"REPRO_TRACE": "ring"}, False, None),
+            (["--trace"], True, "--trace"),
+            (["--trace-out", "TRACE"], True, "--trace-out"),
+            (["--audit"], True, "--audit"),
+            (["--trace", "--trace-out", "TRACE"], False, None),
         ],
-        ids=["trace", "trace-out", "audit", "trace-env", "audit-env", "cold",
-             "cold-ring"],
+        ids=["trace", "trace-out", "audit", "cold"],
     )
     def test_observing_a_warm_cache_is_refused(
-        self, tmp_path, capsys, monkeypatch, extra, env, warm, flag
+        self, tmp_path, capsys, monkeypatch, extra, warm, flag
     ):
-        for name in ("REPRO_TRACE", "REPRO_TRACE_OUT", "REPRO_AUDIT"):
-            monkeypatch.delenv(name, raising=False)
         argv = ["fig07", "--scale", "quick", "--apps", "compress"]
         trace = tmp_path / "t.jsonl"
         extra = [str(trace) if arg == "TRACE" else arg for arg in extra]
         if warm:
             assert main(argv) == 0  # warm the cache
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
         capsys.readouterr()
         code = main(argv + extra)
         captured = capsys.readouterr()
@@ -328,3 +321,101 @@ class TestFlagRanges:
         assert captured.out == ""
         assert flag in captured.err
         assert f"got {value}" in captured.err
+
+
+# ----------------------------------------------------------------------
+# One row per knob: what setting it does
+# ----------------------------------------------------------------------
+
+FIGURE = ["fig07", "--scale", "quick", "--apps", "compress"]
+
+
+def _bench_dir_row(tmp_path, monkeypatch, capsys):
+    from repro.telemetry import bench_dir_from_env, write_bench_point
+
+    out = tmp_path / "bench"
+    monkeypatch.setenv("REPRO_BENCH_DIR", str(out))
+    write_bench_point(bench_dir_from_env(), "row", seconds=1.0)
+    assert [path.name for path in out.iterdir()] == ["BENCH_row.json"]
+
+
+def _cache_row(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_CACHE", "off")
+    assert main(FIGURE) == 0
+    assert "Fig. 7" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []  # no result-cache entry
+
+
+def _cache_dir_row(tmp_path, monkeypatch, capsys):
+    elsewhere = tmp_path / "elsewhere"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(elsewhere))
+    assert main(FIGURE) == 0
+    assert list(elsewhere.glob("*.json"))
+
+
+def _faults_row(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_FAULTS", "corrupt_directory_entry@10000")
+    code = main(["fig07", "--scale", "quick", "--apps", "barnes",
+                 "--keep-going", "--audit"])
+    assert code == 1
+    assert "InvariantViolation" in capsys.readouterr().out
+
+
+def _fault_seed_row(tmp_path, monkeypatch, capsys):
+    from repro.analysis.cache import point_key
+    from repro.analysis.runner import RunScale
+    from repro.sim.config import SparseSpec
+
+    monkeypatch.setenv("REPRO_FAULTS", "flip_sharer_bit@10")
+    keys = set()
+    for seed in ("1", "2"):
+        monkeypatch.setenv("REPRO_FAULT_SEED", seed)
+        keys.add(point_key("barnes", SparseSpec(ratio=2.0), RunScale.quick()))
+    assert len(keys) == 2
+
+
+def _jobs_row(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_JOBS", "2")
+    assert main(["fig05", "--scale", "quick", "--apps", "compress"]) == 0
+    assert "jobs=2" in capsys.readouterr().err
+
+
+def _scale_row(tmp_path, monkeypatch, capsys):
+    flagged = tmp_path / "flagged"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(flagged))
+    assert main(FIGURE) == 0
+    quick = capsys.readouterr().out
+    by_env = tmp_path / "by-env"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(by_env))
+    monkeypatch.setenv("REPRO_SCALE", "quick")
+    assert main(["fig07", "--apps", "compress"]) == 0
+    assert capsys.readouterr().out == quick
+    # Same cache keys: the run's scale is the quick preset.
+    names = sorted(path.name for path in flagged.glob("*.json"))
+    assert names and sorted(path.name for path in by_env.glob("*.json")) == names
+
+
+#: ``KNOBS`` entry -> a row asserting what setting it does.
+KNOB_ROWS = {
+    "REPRO_BENCH_DIR": _bench_dir_row,
+    "REPRO_CACHE": _cache_row,
+    "REPRO_CACHE_DIR": _cache_dir_row,
+    "REPRO_FAULTS": _faults_row,
+    "REPRO_FAULT_SEED": _fault_seed_row,
+    "REPRO_JOBS": _jobs_row,
+    "REPRO_SCALE": _scale_row,
+}
+
+
+class TestKnobs:
+    """Every knob the CLIs accept has an observable effect."""
+
+    def test_every_knob_has_a_row(self):
+        assert set(KNOB_ROWS) == set(KNOBS)
+
+    @pytest.mark.parametrize("name", sorted(KNOB_ROWS))
+    def test_knob_has_its_effect(self, tmp_path, capsys, monkeypatch, name):
+        for knob in KNOBS:
+            if knob != "REPRO_CACHE_DIR":
+                monkeypatch.delenv(knob, raising=False)
+        KNOB_ROWS[name](tmp_path, monkeypatch, capsys)

@@ -11,15 +11,10 @@ Three layers of pinning on ``tests/corpus/*.rtrace``:
 
       python -m pytest tests/test_corpus_golden.py --update-snapshots
 
-* **bit-identical replay** — a run fed by ``REPRO_TRACE_FILE`` publishes
-  byte-identical statistics to the live seeded run that recorded the
-  trace, for every scheme, on the engine and on the per-access
-  reference loop (``reference_engine.py``).
-
-Plus the trace-cache regression: the per-process cache keys replayed
-traces on *file identity* (path + content hash), so overwriting a trace
-in place or calling :func:`clear_trace_cache` can never serve stale
-streams.
+* **bit-identical replay** — streams read back with ``load_capture``
+  publish byte-identical statistics to the live seeded run that
+  recorded the trace, for every scheme, on the engine and on the
+  per-access reference loop (``reference_engine.py``).
 """
 
 import json
@@ -31,17 +26,9 @@ from reference_engine import reference_trace
 from repro.sim.config import SystemConfig
 from repro.sim.engine import run_trace
 from repro.sim.system import System
-from repro.types import Access, AccessKind
 from repro.verify.differential import ALL_SCHEMES
 from repro.verify.reproducer import default_verify_spec
-from repro.workloads.capture import load_capture, save_capture
-from repro.workloads.generator import (
-    ENV_TRACE_FILE,
-    clear_trace_cache,
-    generate_streams,
-    load_streams,
-    trace_cache_stats,
-)
+from repro.workloads.capture import load_capture
 from repro.workloads.scenarios import SCENARIOS, scenario_streams
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -140,8 +127,8 @@ def test_corpus_grid_matches_snapshot(update_snapshots):
 # Bit-identical replay
 # ----------------------------------------------------------------------
 
-def test_replay_is_bit_identical_across_lanes(monkeypatch):
-    """REPRO_TRACE_FILE replay == live generation, byte for byte.
+def test_replay_is_bit_identical_across_lanes():
+    """Capture replay == live generation, byte for byte.
 
     The acceptance criterion of the record/replay pipeline: for a corpus
     trace, every scheme's published statistics dump is byte-identical
@@ -150,15 +137,9 @@ def test_replay_is_bit_identical_across_lanes(monkeypatch):
     """
     name = "private-heavy"
     scenario = SCENARIOS[name]
-    path = corpus_path(name)
     live_streams = scenario_streams(scenario)
 
-    clear_trace_cache()
-    monkeypatch.setenv(ENV_TRACE_FILE, str(path))
-    # The app/accesses/seed arguments are decoys: with REPRO_TRACE_FILE
-    # set, generate_streams must replay the capture and nothing else.
-    replayed = generate_streams("barnes", scenario.config(), 999, seed=999)
-    monkeypatch.delenv(ENV_TRACE_FILE)
+    replayed, _header = load_capture(corpus_path(name))
     assert replayed == live_streams
 
     for scheme in ALL_SCHEMES:
@@ -176,74 +157,3 @@ def test_replay_is_bit_identical_across_lanes(monkeypatch):
         assert again == reference, (
             f"engine and reference loop differ for {scheme}"
         )
-
-
-def test_replay_rejects_geometry_mismatch(monkeypatch):
-    path = corpus_path("private-heavy")
-    clear_trace_cache()
-    monkeypatch.setenv(ENV_TRACE_FILE, str(path))
-    from repro.errors import TraceError
-
-    with pytest.raises(TraceError, match="cores"):
-        generate_streams(
-            "barnes", SystemConfig(num_cores=4, l1_kb=1, l2_kb=4), 100
-        )
-
-
-# ----------------------------------------------------------------------
-# Trace-cache file identity (regression)
-# ----------------------------------------------------------------------
-
-def _toy_capture(path, addr):
-    save_capture(
-        path,
-        [
-            [Access(0, addr, AccessKind.READ, 0)],
-            [Access(1, addr + 1, AccessKind.WRITE, 0)],
-        ],
-    )
-    return path
-
-
-def test_cache_keys_on_content_not_just_path(tmp_path, monkeypatch):
-    """Overwriting a trace at the same path must never serve stale streams."""
-    monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
-    config = SystemConfig(num_cores=2, l1_kb=1, l2_kb=4)
-    path = tmp_path / "same-name.rtrace"
-    clear_trace_cache()
-
-    _toy_capture(path, addr=100)
-    first = load_streams(path, config)
-    assert first[0][0].addr == 100
-    # Warm: same content is a cache hit, same objects.
-    assert load_streams(path, config) is first
-    assert trace_cache_stats()["hits"] == 1
-
-    _toy_capture(path, addr=200)
-    second = load_streams(path, config)
-    assert second[0][0].addr == 200, "stale cache entry served after overwrite"
-    assert second is not first
-
-
-def test_clear_trace_cache_resets_replay_entries(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
-    config = SystemConfig(num_cores=2, l1_kb=1, l2_kb=4)
-    path = _toy_capture(tmp_path / "t.rtrace", addr=5)
-    clear_trace_cache()
-
-    streams = load_streams(path, config)
-    assert trace_cache_stats() == {"hits": 0, "misses": 1, "entries": 1}
-    clear_trace_cache()
-    assert trace_cache_stats() == {"hits": 0, "misses": 0, "entries": 0}
-    # A fresh load after the clear re-reads the file and still agrees.
-    assert load_streams(path, config) == streams
-    assert trace_cache_stats()["misses"] == 1
-
-
-def test_cache_disabled_still_replays_correctly(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
-    config = SystemConfig(num_cores=2, l1_kb=1, l2_kb=4)
-    path = _toy_capture(tmp_path / "nocache.rtrace", addr=9)
-    clear_trace_cache()
-    assert load_streams(path, config)[0][0].addr == 9
-    assert trace_cache_stats()["entries"] == 0

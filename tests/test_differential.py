@@ -327,6 +327,36 @@ def test_cli_unknown_knob_is_a_usage_error(small_trace, monkeypatch, capsys):
     assert "unknown REPRO_AUDTI:" in captured.err
 
 
+#: Knobs the program no longer reads: ``--audit``, ``--trace`` and
+#: ``--trace-out`` reach runs as arguments, and no variable swaps a
+#: run's streams.
+RETIRED_KNOBS = (
+    "REPRO_AUDIT",
+    "REPRO_TRACE",
+    "REPRO_TRACE_CACHE",
+    "REPRO_TRACE_FILE",
+    "REPRO_TRACE_OUT",
+    "REPRO_TRACE_RECORD",
+    "REPRO_TRACE_WORKER",
+)
+
+
+@pytest.mark.parametrize("name", RETIRED_KNOBS)
+def test_cli_retired_knob_is_a_usage_error(
+    small_trace, tmp_path, monkeypatch, capsys, name
+):
+    monkeypatch.setenv(name, "on")
+    out = tmp_path / "reports"
+    assert diff_main(
+        ["--trace", str(small_trace), "--schemes", "sparse,tiny",
+         "--out", str(out)]
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown {name}:" in captured.err
+    assert not out.exists()  # no report written
+
+
 def test_cli_unknown_fault_kind(small_trace, capsys):
     assert diff_main(
         ["--trace", str(small_trace), "--fault", "melt_the_llc"]

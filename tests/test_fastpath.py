@@ -29,7 +29,7 @@ from repro.sim.engine import run_trace
 from repro.sim.system import System
 from repro.telemetry import RingBufferSink, Tracer
 from repro.workloads.generator import (
-    ENV_TRACE_CACHE,
+    TRACE_CACHE_CAPACITY,
     clear_trace_cache,
     generate_streams,
     trace_cache_stats,
@@ -146,31 +146,19 @@ class TestTraceCache:
         )
         assert tiny is sparse
 
-    def test_env_off_disables(self, monkeypatch):
-        monkeypatch.setenv(ENV_TRACE_CACHE, "off")
+    def test_capacity_evicts_lru(self):
         config = small_config(SparseSpec())
-        first = generate_streams("bodytrack", config, 1000, seed=7)
-        second = generate_streams("bodytrack", config, 1000, seed=7)
-        assert second is not first
-        assert trace_cache_stats()["entries"] == 0
-
-    def test_capacity_evicts_lru(self, monkeypatch):
-        monkeypatch.setenv(ENV_TRACE_CACHE, "1")
-        config = small_config(SparseSpec())
-        first = generate_streams("bodytrack", config, 1000, seed=1)
-        generate_streams("bodytrack", config, 1000, seed=2)
-        assert trace_cache_stats()["entries"] == 1
+        first = generate_streams("bodytrack", config, 1000, seed=0)
+        second = generate_streams("bodytrack", config, 1000, seed=1)
+        # Touch seed=0 again: seed=1 is now the least recently used.
+        assert generate_streams("bodytrack", config, 1000, seed=0) is first
+        for seed in range(2, TRACE_CACHE_CAPACITY + 1):
+            generate_streams("bodytrack", config, 1000, seed=seed)
+        assert trace_cache_stats()["entries"] == TRACE_CACHE_CAPACITY
+        assert generate_streams("bodytrack", config, 1000, seed=0) is first
         refetched = generate_streams("bodytrack", config, 1000, seed=1)
-        assert refetched is not first  # seed=1 was evicted by seed=2
-
-    def test_unrecognized_capacity_warns_and_defaults(
-        self, monkeypatch, capsys
-    ):
-        monkeypatch.setenv(ENV_TRACE_CACHE, "many")
-        config = small_config(SparseSpec())
-        first = generate_streams("bodytrack", config, 1000, seed=7)
-        assert generate_streams("bodytrack", config, 1000, seed=7) is first
-        assert ENV_TRACE_CACHE in capsys.readouterr().err
+        assert refetched is not second  # seed=1 was evicted
+        assert refetched == second
 
 
 def _load_compare_bench():

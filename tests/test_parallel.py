@@ -213,10 +213,10 @@ class TestHarnessSemanticsInWorkers:
 
         real_run_app = runner.run_app
 
-        def flaky(app, scheme, scale=None, config=None):
+        def flaky(app, scheme, scale=None, config=None, **observers):
             if app == "barnes":
                 raise RuntimeError("synthetic failure")
-            return real_run_app(app, scheme, scale, config)
+            return real_run_app(app, scheme, scale, config, **observers)
 
         # Pool workers fork after the patch, so they inherit it.
         monkeypatch.setattr("repro.analysis.runner.run_app", flaky)
@@ -241,7 +241,7 @@ class TestHarnessSemanticsInWorkers:
             run_sweep(points, jobs=2, policy=HarnessPolicy(timeout_s=0.2))
 
     def test_failed_points_replay_without_recompute(self, monkeypatch):
-        def boom(app, scheme, scale=None, config=None):
+        def boom(app, scheme, scale=None, config=None, **observers):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr("repro.analysis.runner.run_app", boom)
@@ -255,7 +255,7 @@ class TestHarnessSemanticsInWorkers:
         # The failed runs were never cached...
         assert pending_points(points) == points
 
-        def forbidden(app, scheme, scale=None, config=None):
+        def forbidden(app, scheme, scale=None, config=None, **observers):
             raise AssertionError("marked point must not recompute")
 
         monkeypatch.setattr("repro.analysis.runner.run_app", forbidden)
@@ -274,7 +274,7 @@ class TestHarnessSemanticsInWorkers:
 
         real_run_app = runner.run_app
 
-        def boom(app, scheme, scale=None, config=None):
+        def boom(app, scheme, scale=None, config=None, **observers):
             raise RuntimeError("synthetic failure")
 
         points = _points()[:1]

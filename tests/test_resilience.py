@@ -36,7 +36,6 @@ from repro.resilience import (
     FaultPlan,
     FlightRecorder,
     ProtocolAuditor,
-    auditor_from_env,
 )
 from repro.sim.config import (
     InLLCSpec,
@@ -172,45 +171,6 @@ class TestAuditIntervalRange:
         system = build_system(SparseSpec(ratio=2.0))
         with pytest.raises(ValueError, match=f"got {interval}"):
             VerifyHarness(system, audit_interval=interval)
-
-
-class TestAuditorFromEnv:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AUDIT", raising=False)
-        assert auditor_from_env() is None
-
-    @pytest.mark.parametrize("value", ["off", "0", "no", "false"])
-    def test_explicitly_disabled(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_AUDIT", value)
-        assert auditor_from_env() is None
-
-    @pytest.mark.parametrize("value", ["on", "1", "yes", "true"])
-    def test_enabled(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_AUDIT", value)
-        auditor = auditor_from_env()
-        assert auditor is not None
-
-    def test_numeric_interval(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUDIT", "123")
-        assert auditor_from_env().interval == 123
-
-    @pytest.mark.parametrize("value", ["ture", "-5", "0x10", "1.5"])
-    def test_invalid_value_warns_instead_of_silently_disabling(
-        self, monkeypatch, capsys, value
-    ):
-        # Regression: "ture" (typo for "true") or "-5" used to disable
-        # auditing without a word — a chaos run silently became clean.
-        monkeypatch.setenv("REPRO_AUDIT", value)
-        assert auditor_from_env() is None
-        err = capsys.readouterr().err
-        assert "REPRO_AUDIT" in err and value in err
-        assert "DISABLED" in err
-
-    @pytest.mark.parametrize("value", ["off", "0", "no", "false", ""])
-    def test_explicit_off_does_not_warn(self, monkeypatch, capsys, value):
-        monkeypatch.setenv("REPRO_AUDIT", value)
-        assert auditor_from_env() is None
-        assert capsys.readouterr().err == ""
 
 
 class TestFaultPlanFromEnv:
@@ -443,7 +403,7 @@ class TestHardenedHarness:
     def test_keep_going_collects_failures(self, monkeypatch):
         calls = []
 
-        def boom(app, scheme, scale=None, config=None):
+        def boom(app, scheme, scale=None, config=None, **observers):
             calls.append(app)
             raise RuntimeError("synthetic failure")
 
@@ -460,7 +420,7 @@ class TestHardenedHarness:
         assert len(calls) == 2  # one retry
 
     def test_without_keep_going_the_error_propagates(self, monkeypatch):
-        def boom(app, scheme, scale=None, config=None):
+        def boom(app, scheme, scale=None, config=None, **observers):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr("repro.analysis.runner.run_app", boom)
@@ -473,7 +433,7 @@ class TestHardenedHarness:
             "repro.analysis.runner", fromlist=["run_app"]
         ).run_app
 
-        def flaky(app, scheme, scale=None, config=None):
+        def flaky(app, scheme, scale=None, config=None, **observers):
             attempts.append(1)
             if len(attempts) == 1:
                 raise RuntimeError("transient")

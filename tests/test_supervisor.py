@@ -63,7 +63,7 @@ def _kill_once(tmp_path, monkeypatch, app="ocean_cp", code=42, after=None):
     marker.write_text("armed")
     real_run_app = runner.run_app
 
-    def killer(app_arg, scheme, scale=None, config=None):
+    def killer(app_arg, scheme, scale=None, config=None, **observers):
         name = app_arg if isinstance(app_arg, str) else app_arg.name
         if name == app and marker.exists():
             deadline = time.monotonic() + 60
@@ -71,7 +71,7 @@ def _kill_once(tmp_path, monkeypatch, app="ocean_cp", code=42, after=None):
                 time.sleep(0.01)
             marker.unlink()
             os._exit(code)
-        return real_run_app(app_arg, scheme, scale, config)
+        return real_run_app(app_arg, scheme, scale, config, **observers)
 
     # Pool workers fork after the patch, so they inherit it.
     monkeypatch.setattr("repro.analysis.runner.run_app", killer)
@@ -84,11 +84,11 @@ def _kill_always(monkeypatch, app="ocean_cp", code=42):
 
     real_run_app = runner.run_app
 
-    def poison(app_arg, scheme, scale=None, config=None):
+    def poison(app_arg, scheme, scale=None, config=None, **observers):
         name = app_arg if isinstance(app_arg, str) else app_arg.name
         if name == app:
             os._exit(code)
-        return real_run_app(app_arg, scheme, scale, config)
+        return real_run_app(app_arg, scheme, scale, config, **observers)
 
     monkeypatch.setattr("repro.analysis.runner.run_app", poison)
 
@@ -205,10 +205,10 @@ class TestResume:
         computed = []
         real_run_app = runner.run_app
 
-        def counting(app_arg, scheme, scale=None, config=None):
+        def counting(app_arg, scheme, scale=None, config=None, **observers):
             name = app_arg if isinstance(app_arg, str) else app_arg.name
             computed.append(name)
-            return real_run_app(app_arg, scheme, scale, config)
+            return real_run_app(app_arg, scheme, scale, config, **observers)
 
         monkeypatch.setattr("repro.analysis.runner.run_app", counting)
         report = run_sweep(points, jobs=1, journal=journal, resume=True)
@@ -228,16 +228,16 @@ class TestResume:
                               points[0].scheme_name,
                               "RunTimeoutError: run exceeded 600s", 2)
 
-        def forbidden(app_arg, scheme, scale=None, config=None):
+        def forbidden(app_arg, scheme, scale=None, config=None, **observers):
             raise AssertionError("journaled-failed point must not recompute")
 
         real_run_app = runner.run_app
 
-        def guarded(app_arg, scheme, scale=None, config=None):
+        def guarded(app_arg, scheme, scale=None, config=None, **observers):
             name = app_arg if isinstance(app_arg, str) else app_arg.name
             if name == points[0].app:
-                return forbidden(app_arg, scheme, scale, config)
-            return real_run_app(app_arg, scheme, scale, config)
+                return forbidden(app_arg, scheme, scale, config, **observers)
+            return real_run_app(app_arg, scheme, scale, config, **observers)
 
         monkeypatch.setattr("repro.analysis.runner.run_app", guarded)
         report = run_sweep(points, jobs=1,
@@ -298,12 +298,13 @@ class TestRunTasksInitializer:
     def test_workers_receive_harness_configuration(self):
         # Regression: run_tasks built its pool without the initializer,
         # so spawn/forkserver workers silently dropped REPRO_* settings.
-        # Only the initializer sets REPRO_TRACE_WORKER (the parent never
-        # does), so seeing it in every worker proves the fix.
-        assert run_tasks(_probe_worker, [0, 1], jobs=2) == ["1", "1"]
+        # Only the initializer marks a process as a pool worker (the
+        # parent never is one), so seeing the mark in every worker
+        # proves the fix.
+        assert run_tasks(_probe_worker, [0, 1], jobs=2) == [True, True]
 
     def test_inline_path_unchanged(self):
-        assert run_tasks(_probe_worker, [0], jobs=2) == [None]
+        assert run_tasks(_probe_worker, [0], jobs=2) == [False]
 
     def test_workers_die_on_terminate(self):
         # Regression: a worker forked inside graceful_scope inherited its
@@ -315,7 +316,9 @@ class TestRunTasksInitializer:
 
 
 def _probe_worker(_payload):
-    return os.environ.get("REPRO_TRACE_WORKER")
+    from repro.telemetry import sinks
+
+    return sinks.IN_POOL_WORKER
 
 
 def _sigterm_is_default(_payload):

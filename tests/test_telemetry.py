@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import pathlib
 import sys
 from collections import Counter
@@ -39,7 +40,7 @@ from repro.telemetry import (
     attach_observer,
     merge_worker_traces,
     read_trace,
-    tracer_from_env,
+    trace_output_path,
     write_bench_point,
 )
 from repro.verify import CoverageMap, ValueOracle
@@ -221,42 +222,27 @@ class TestTraceCapture:
 
 
 class TestWorkerTraceFanIn:
-    def test_parts_merge_sorted_and_deleted(self, tmp_path, monkeypatch):
+    def test_parts_merge_sorted_and_deleted(self, tmp_path):
         base = tmp_path / "trace.jsonl"
-        monkeypatch.setenv("REPRO_TRACE_OUT", str(base))
         base.write_text('{"seq":1,"kind":"txn:start"}\n')
         for pid, seq in [(222, 2), (111, 3)]:
             part = tmp_path / f"trace.jsonl.{pid}.part"
             part.write_text(f'{{"seq":{seq},"kind":"txn:finish"}}\n')
-        merged = merge_worker_traces()
+        merged = merge_worker_traces(str(base))
         assert merged == 2
         assert not list(tmp_path.glob("*.part"))
         # Sorted filename order: 111 before 222.
         assert [e.seq for e in read_trace(base)] == [1, 3, 2]
 
-    def test_merge_without_parts_is_a_noop(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_OUT", str(tmp_path / "none.jsonl"))
-        assert merge_worker_traces() == 0
+    def test_merge_without_parts_is_a_noop(self, tmp_path):
+        assert merge_worker_traces(str(tmp_path / "none.jsonl")) == 0
 
+    def test_pool_worker_writes_a_part_file(self, monkeypatch):
+        from repro.telemetry import sinks
 
-class TestEnvBuilders:
-    def test_unset_means_disabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert tracer_from_env() is None
-
-    def test_jsonl_and_ring_selectors(self, monkeypatch, tmp_path):
-        # jsonl is the one backend; ring values are invalid (below).
-        monkeypatch.setenv("REPRO_TRACE_OUT", str(tmp_path / "t.jsonl"))
-        monkeypatch.setenv("REPRO_TRACE", "jsonl")
-        tracer = tracer_from_env()
-        assert isinstance(tracer.sink, JsonlSink)
-
-    def test_invalid_trace_warns_and_disables(self, monkeypatch, capsys):
-        # A ring built here would be closed with its run, unread.
-        for value in ("csv", "ring", "ring:128"):
-            monkeypatch.setenv("REPRO_TRACE", value)
-            assert tracer_from_env() is None
-            assert "REPRO_TRACE" in capsys.readouterr().err
+        assert trace_output_path("t.jsonl") == "t.jsonl"
+        monkeypatch.setattr(sinks, "IN_POOL_WORKER", True)
+        assert trace_output_path("t.jsonl") == f"t.jsonl.{os.getpid()}.part"
 
 
 class TestBenchPoints:

@@ -30,6 +30,19 @@ from repro.verify.cli import main as verify_main
 from repro.verify.litmus import LITMUS_TESTS
 from repro.verify.reproducer import SCHEME_SPECS
 
+#: Knobs the program no longer reads: ``--audit``, ``--trace`` and
+#: ``--trace-out`` reach runs as arguments, and no variable swaps a
+#: run's streams.
+RETIRED_KNOBS = (
+    "REPRO_AUDIT",
+    "REPRO_TRACE",
+    "REPRO_TRACE_CACHE",
+    "REPRO_TRACE_FILE",
+    "REPRO_TRACE_OUT",
+    "REPRO_TRACE_RECORD",
+    "REPRO_TRACE_WORKER",
+)
+
 ALL_SCHEMES = sorted(SCHEME_SPECS)
 
 
@@ -301,14 +314,23 @@ class TestCli:
         assert captured.out == ""
         assert "unknown REPRO_AUDTI:" in captured.err
 
-    def test_trace_out_overrides_a_ring_selector(
-        self, capsys, monkeypatch, tmp_path
+    @pytest.mark.parametrize("name", RETIRED_KNOBS)
+    def test_retired_knob_is_a_usage_error(
+        self, capsys, monkeypatch, tmp_path, name
     ):
+        monkeypatch.setenv(name, "on")
+        out = tmp_path / "out"
+        rc = verify_main(["--litmus", "--scheme", "sparse", "--out", str(out),
+                          "--trace-out", str(tmp_path / "v.jsonl")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"unknown {name}:" in captured.err
+        assert list(tmp_path.iterdir()) == []  # no trace, no reproducer
+
+    def test_trace_out_writes_the_trace(self, capsys, tmp_path):
         from repro.telemetry import read_trace
 
-        # main() writes both variables; monkeypatch restores them.
-        monkeypatch.setenv("REPRO_TRACE", "ring")
-        monkeypatch.delenv("REPRO_TRACE_OUT", raising=False)
         trace = tmp_path / "v.jsonl"
         rc = verify_main(["--litmus", "--scheme", "sparse", "--out",
                           str(tmp_path), "--trace-out", str(trace)])

@@ -6,7 +6,7 @@ Three phases, all small enough for a CI job:
 1. **Detection smoke** — for every scheme family, run one application
    with a directory corruption injected mid-trace
    (``REPRO_FAULTS=corrupt_directory_entry@...``) under the online
-   auditor (``REPRO_AUDIT``) and assert the run raises
+   auditor (``run_app(..., audit=True)``) and assert the run raises
    :class:`~repro.errors.InvariantViolation` naming the corrupted
    address, instead of finishing as if it were clean.
 2. **Worker-kill smoke** — run a small journaled keep-going sweep (no
@@ -43,7 +43,6 @@ if multiprocessing.get_start_method(allow_none=True) is None:
 
 #: The detection phase's environment; the later phases run without it.
 FAULT_ENV = {
-    "REPRO_AUDIT": "1000",
     "REPRO_FAULTS": "corrupt_directory_entry@10000",
     "REPRO_FAULT_SEED": "11",
 }
@@ -77,7 +76,7 @@ def detection_smoke() -> None:
     try:
         for label, spec in _build_schemes():
             try:
-                run_app("barnes", spec)
+                run_app("barnes", spec, audit=True)
             except InvariantViolation as err:
                 assert err.addr is not None, f"{label}: no address in {err}"
                 print(f"detection[{label}]: {err.message} at {err.addr:#x}")
@@ -95,12 +94,12 @@ _KILL_MARKER: "pathlib.Path | None" = None
 _REAL_RUN_APP = None
 
 
-def _killer_run_app(app, scheme, scale=None, config=None):
+def _killer_run_app(app, scheme, scale=None, config=None, **observers):
     name = app if isinstance(app, str) else app.name
     if name == "ocean_cp" and _KILL_MARKER is not None and _KILL_MARKER.exists():
         _KILL_MARKER.unlink()
         os._exit(71)
-    return _REAL_RUN_APP(app, scheme, scale, config)
+    return _REAL_RUN_APP(app, scheme, scale, config, **observers)
 
 
 def worker_kill_smoke() -> None:

@@ -53,12 +53,6 @@ FLAG_PAIRS = [
     ("src/repro/verify/diff_cli.py", "docs/verification.md"),
 ]
 
-#: ``REPRO_*`` environment variables that are implementation plumbing,
-#: not user surface; exempt from the documentation requirement.
-ENV_INTERNAL = {
-    "REPRO_TRACE_WORKER",  # set by the pool to route worker trace parts
-}
-
 #: The module whose ``KNOBS`` tuple lists every ``REPRO_*`` name read.
 KNOBS_MODULE = "src/repro/argtypes.py"
 
@@ -198,10 +192,10 @@ _ENV_VAR = re.compile(r"\bREPRO_[A-Z_]+\b")
 def check_env_vars() -> "list[str]":
     """Keep the ``REPRO_*`` surface and its documentation in lockstep.
 
-    Every variable the simulator reads must be mentioned somewhere in
-    README.md or ``docs/*.md`` (except :data:`ENV_INTERNAL`), and every
-    variable the docs mention must still exist in the source, so a
-    renamed knob cannot leave its old name lingering in the docs.
+    Every ``REPRO_*`` name in the simulator's source must be mentioned
+    somewhere in README.md or ``docs/*.md``, and every variable the docs
+    mention must still exist in the source, so a renamed knob cannot
+    leave its old name lingering in the docs.
     """
     in_src: "set[str]" = set()
     for path in sorted((REPO / "src").rglob("*.py")):
@@ -210,7 +204,7 @@ def check_env_vars() -> "list[str]":
     for path in doc_files():
         in_docs |= set(_ENV_VAR.findall(path.read_text()))
     problems = []
-    for var in sorted(in_src - in_docs - ENV_INTERNAL):
+    for var in sorted(in_src - in_docs):
         problems.append(f"docs: environment variable {var} is undocumented")
     for var in sorted(in_docs - in_src):
         problems.append(

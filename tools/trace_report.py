@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Render a JSONL trace as a per-address transaction timeline.
 
-Input is the file ``--trace`` / ``REPRO_TRACE=jsonl`` produces (one
+Input is the file ``--trace`` / ``--trace-out`` produces (one
 :class:`repro.telemetry.TraceEvent` JSON object per line). Output is a
 kind summary followed by a per-address timeline: the busiest addresses
 (or those named with ``--addr``), each with its events in simulated
