@@ -6,12 +6,13 @@ figure's series as a text table; pytest-benchmark records the wall time.
 Results are cached under ``.repro_cache/`` so figures sharing runs (all
 normalized figures share the 2x baselines) do not recompute them.
 
-Figure point lists are submitted through the parallel sweep executor
-(:mod:`repro.parallel`): the experiment is planned once to harvest its
-(app, scheme, scale) points, the uncached points are fanned out over
-``REPRO_JOBS`` worker processes (default: all cores), and the figure is
-then rendered from the warm cache — bit-identical to a serial run, but
-wall-clock bound by the slowest point instead of the sum of all points.
+Figure point lists go through the parallel sweep executor
+(:mod:`repro.parallel`), the way the figure CLI runs them: the
+experiment is planned once to harvest its (app, scheme, scale) points,
+the uncached points are swept over ``REPRO_JOBS`` worker processes
+(default: all cores; inline at one), and the figure is then rendered
+from the sweep's report — bit-identical to a serial run, but wall-clock
+bound by the slowest point instead of the sum of all points.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import time
 
 import pytest
 
-from repro.analysis.cache import cache_enabled
 from repro.parallel import collect_points, pending_points, resolve_jobs, run_sweep
 from repro.telemetry import bench_dir_from_env, write_bench_point
 
@@ -30,9 +30,8 @@ from repro.telemetry import bench_dir_from_env, write_bench_point
 def figure_runner(benchmark, request):
     """Run an experiment function once and print its rendered table.
 
-    When more than one worker is available (``REPRO_JOBS`` or cpu
-    count) and the result cache is enabled, the experiment's uncached
-    points are executed through the parallel sweep executor first.
+    The experiment's uncached points are swept first; pytest-benchmark
+    times the render, which takes them from the sweep's report.
 
     With ``REPRO_BENCH_DIR`` set, each benchmark additionally persists
     a ``BENCH_<test>.json`` perf point (wall-clock seconds, computed
@@ -42,16 +41,12 @@ def figure_runner(benchmark, request):
 
     def run(experiment, *args, **kwargs):
         jobs = resolve_jobs()
-        computed = 0
         started = time.perf_counter()
-        if jobs > 1 and cache_enabled():
-            points = pending_points(collect_points(experiment, *args, **kwargs))
-            if points:
-                computed = len(points)
-                run_sweep(points, jobs=jobs)
-        figure = benchmark.pedantic(
-            lambda: experiment(*args, **kwargs), rounds=1, iterations=1
-        )
+        points = pending_points(collect_points(experiment, *args, **kwargs))
+        with run_sweep(points, jobs=jobs).serve():
+            figure = benchmark.pedantic(
+                lambda: experiment(*args, **kwargs), rounds=1, iterations=1
+            )
         elapsed = time.perf_counter() - started
         bench_dir = bench_dir_from_env()
         if bench_dir is not None:
@@ -59,7 +54,7 @@ def figure_runner(benchmark, request):
                 bench_dir,
                 request.node.name,
                 seconds=round(elapsed, 3),
-                computed_points=computed,
+                computed_points=len(points),
                 scale=os.environ.get("REPRO_SCALE", "default"),
                 jobs=jobs,
                 experiment=getattr(experiment, "__name__", str(experiment)),

@@ -28,17 +28,20 @@ minimal replayable sub-traces; see ``docs/verification.md`` and
 Each figure is printed as a text table (the same output the benchmark
 harness produces). Results are cached under ``.repro_cache/``.
 
-``--scale`` (or ``REPRO_SCALE``) picks the run-scale preset.
-``--jobs N`` (or ``REPRO_JOBS``) fans the figures' independent
-(app, scheme, scale) points out over N worker processes before
-rendering; results are bit-identical to a serial run. ``--profile``
-prints a per-sweep summary plus cProfile stats of the slowest computed
+``--scale`` (or ``REPRO_SCALE``) picks the run-scale preset. The CLI
+plans every requested figure, computes their uncached (app, scheme,
+scale) points once through :func:`repro.parallel.run_sweep` (over
+``--jobs N`` or ``REPRO_JOBS`` worker processes, inline at one), then
+renders each figure from the sweep's report; results are bit-identical
+at every job count, with the result cache on or off. ``--profile``
+prints a per-point table plus cProfile stats of the slowest computed
 point. ``--audit`` runs the online protocol auditor every 1,000
 accesses; a tripped invariant fails its run, and ``--keep-going``
 records per-run failures and keeps sweeping instead of aborting on the
 first one; see ``docs/resilience.md``. Sweeps journal per-point
 completion next to the result cache, and ``--resume`` skips the
-journaled points of an interrupted sweep; see ``docs/harness.md``.
+journaled points of an interrupted sweep (it needs the result cache);
+see ``docs/harness.md``.
 
 ``--trace`` writes a structured JSONL event trace of every run; render
 traces with ``python tools/trace_report.py``. See ``docs/telemetry.md``.
@@ -61,8 +64,10 @@ that :func:`repro.resilience.parse_fault_env` refuses, and any
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+import tempfile
 
 from repro.analysis import experiments
 from repro.analysis.cache import CACHE_OFF, cache_dir, cache_enabled
@@ -81,7 +86,6 @@ from repro.parallel import (
     pending_points,
     print_slowest_profile,
     render_profiles_table,
-    resolve_jobs,
     run_sweep,
 )
 from repro.parallel.executor import parse_jobs
@@ -241,43 +245,14 @@ def _invalid_knobs(args) -> "list[str]":
     return problems
 
 
-def _needs_cache(args) -> "list[str]":
-    """The flags given that only the sweep executor honours.
-
-    The executor runs only with the result cache on, so under
-    ``REPRO_CACHE=off`` these would be accepted and silently ignored.
-    The CPU-count default of ``--jobs`` is not a flag given.
-    """
-    flags = []
-    if args.jobs is not None:
-        if args.jobs > 1:
-            flags.append(f"--jobs {args.jobs}")
-    else:
-        raw = os.environ.get("REPRO_JOBS", "").strip()
-        # Unset means the CPU count; _invalid_knobs refused the rest.
-        if raw and int(raw) > 1:
-            flags.append(f"REPRO_JOBS={raw}")
-    if args.profile:
-        flags.append("--profile")
-    if args.resume:
-        flags.append("--resume")
-    return flags
-
-
-def _observing(args) -> "list[str]":
-    """The tracing and auditing requests given.
-
-    A cached point is replayed from the result cache, not simulated, so
-    none of them could observe it.
-    """
-    flags = []
-    if args.trace:
-        flags.append("--trace")
-    if args.trace_out:
-        flags.append("--trace-out")
-    if args.audit:
-        flags.append("--audit")
-    return flags
+def _figure(name, scale, args):
+    """The experiment call that renders figure ``name``, as a callable
+    of no arguments."""
+    fn, extra = FIGURES[name]
+    kwargs = {"apps": args.apps} if args.apps else {}
+    if name == "fig03z":
+        kwargs["zcache"] = True
+    return lambda: fn(*extra, scale, **kwargs)
 
 
 def _plan(names, scale, args) -> list:
@@ -285,40 +260,41 @@ def _plan(names, scale, args) -> list:
     the result cache for, deduplicated."""
     points = []
     for name in names:
-        fn, extra = FIGURES[name]
-        kwargs = {"apps": args.apps} if args.apps else {}
-        if name == "fig03z":
-            kwargs["zcache"] = True
-        points.extend(collect_points(fn, *extra, scale, **kwargs))
+        points.extend(collect_points(_figure(name, scale, args)))
     return dedupe_points(points)
 
 
-def _prewarm(names, scale, args, policy, jobs: int) -> None:
-    """Plan the figures' point lists and fan them out over the pool.
+def _sweep(points, args, policy):
+    """Compute ``points`` through :func:`repro.parallel.run_sweep`.
 
-    Drops the already-cached points of :func:`_plan` and executes the
-    rest through :func:`repro.parallel.run_sweep`. The figure-render
-    pass that follows then runs entirely from cache, so figure output
-    (and failure reporting) is identical to a serial run.
+    Prints the sweep summary on stderr when there was anything to
+    compute and, under ``--profile``, the per-point table and the
+    slowest point's cProfile stats. With the result cache off the
+    ``.prof`` files go to a temporary directory, removed afterwards.
     """
-    points = pending_points(_plan(names, scale, args))
-    if not points and not args.profile:
-        return
-    profile_dir = str(cache_dir() / "profiles") if args.profile else None
-    journal = SweepJournal.default() if cache_enabled() else None
-    report = run_sweep(points, jobs=jobs, policy=policy,
-                       profile_dir=profile_dir,
-                       journal=journal, resume=args.resume)
-    print(report.summary().render(), file=sys.stderr)
-    if args.resume and report.resumed_points:
-        print(
-            f"resumed: {report.resumed_points} journaled point(s) skipped",
-            file=sys.stderr,
-        )
-    if args.profile:
-        if report.profiles:
-            print(render_profiles_table(report.profiles))
-        print_slowest_profile(report.profiles)
+    with contextlib.ExitStack() as stack:
+        profile_dir = None
+        if args.profile:
+            profile_dir = (
+                str(cache_dir() / "profiles") if cache_enabled()
+                else stack.enter_context(tempfile.TemporaryDirectory())
+            )
+        journal = SweepJournal.default() if cache_enabled() else None
+        report = run_sweep(points, jobs=args.jobs, policy=policy,
+                           profile_dir=profile_dir,
+                           journal=journal, resume=args.resume)
+        if points or args.profile:
+            print(report.summary().render(), file=sys.stderr)
+        if args.resume and report.resumed_points:
+            print(
+                f"resumed: {report.resumed_points} journaled point(s) skipped",
+                file=sys.stderr,
+            )
+        if args.profile:
+            if report.profiles:
+                print(render_profiles_table(report.profiles))
+            print_slowest_profile(report.profiles)
+    return report
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -350,30 +326,16 @@ def main(argv: "list[str] | None" = None) -> int:
         for problem in invalid:
             print(f"repro: {problem}", file=sys.stderr)
         return 2
-    ignored = [] if cache_enabled() else _needs_cache(args)
-    if ignored:
+    if args.resume and not cache_enabled():
         print(
-            f"repro: {', '.join(ignored)} cannot work with REPRO_CACHE=off: "
-            "the sweep executor needs the result cache. For a cold run, set "
+            "repro: --resume cannot work with REPRO_CACHE=off: its sweep "
+            "journal points into the result cache. For a cold run, set "
             "REPRO_CACHE_DIR to a fresh directory instead, e.g. "
             "REPRO_CACHE_DIR=$(mktemp -d)",
             file=sys.stderr,
         )
         return 2
-    observing = _observing(args) if cache_enabled() else []
     scale = SCALES[args.scale]() if args.scale else scale_from_env()
-    if observing:
-        points = _plan(names, scale, args)
-        cached = len(points) - len(pending_points(points))
-        if cached:
-            print(
-                f"repro: {', '.join(observing)} cannot observe the {cached} "
-                f"point(s) already in the result cache: cached points are "
-                "replayed, not simulated. Set REPRO_CACHE_DIR to a fresh "
-                "directory instead, e.g. REPRO_CACHE_DIR=$(mktemp -d)",
-                file=sys.stderr,
-            )
-            return 2
     policy = HarnessPolicy(
         keep_going=args.keep_going,
         timeout_s=args.timeout,
@@ -381,30 +343,42 @@ def main(argv: "list[str] | None" = None) -> int:
         audit=args.audit,
         trace_out=args.trace_out or (DEFAULT_TRACE_OUT if args.trace else None),
     )
-    jobs = resolve_jobs(args.jobs)
+    # A cached point is replayed from the result cache, not simulated,
+    # so none of these could observe it.
+    observing = [flag for flag, given in (("--trace", args.trace),
+                                          ("--trace-out", args.trace_out),
+                                          ("--audit", args.audit)) if given]
     failed_figures = []
     try:
         with graceful_scope(), harness(policy):
-            if (jobs > 1 or args.profile or args.resume) and cache_enabled():
-                _prewarm(names, scale, args, policy, jobs)
-            for name in names:
-                fn, extra = FIGURES[name]
-                kwargs = {"apps": args.apps} if args.apps else {}
-                if name == "fig03z":
-                    kwargs["zcache"] = True
-                seen = len(policy.failures)
-                try:
-                    figure = fn(*extra, scale, **kwargs)
-                except Exception as err:  # noqa: BLE001 - sweep boundary
-                    if not args.keep_going:
-                        raise
-                    failed_figures.append(name)
-                    print(f"{name}: FAILED ({type(err).__name__}: {err})")
+            points = _plan(names, scale, args)
+            pending = pending_points(points)
+            cached = len(points) - len(pending)
+            if observing and cached:
+                print(
+                    f"repro: {', '.join(observing)} cannot observe the "
+                    f"{cached} point(s) already in the result cache: cached "
+                    "points are replayed, not simulated. Set REPRO_CACHE_DIR "
+                    "to a fresh directory instead, e.g. "
+                    "REPRO_CACHE_DIR=$(mktemp -d)",
+                    file=sys.stderr,
+                )
+                return 2
+            with _sweep(pending, args, policy).serve():
+                for name in names:
+                    seen = len(policy.failures)
+                    try:
+                        figure = _figure(name, scale, args)()
+                    except Exception as err:  # noqa: BLE001 - sweep boundary
+                        if not args.keep_going:
+                            raise
+                        failed_figures.append(name)
+                        print(f"{name}: FAILED ({type(err).__name__}: {err})")
+                        print()
+                        continue
+                    figure.failures.extend(policy.failures[seen:])
+                    print(figure.render())
                     print()
-                    continue
-                figure.failures.extend(policy.failures[seen:])
-                print(figure.render())
-                print()
     except ShutdownRequested as shutdown:
         # Everything already computed is journaled (and cached); tell
         # the operator how to pick the sweep back up, and exit with the

@@ -23,23 +23,25 @@ through this module, and two processes racing on the same point both
 publish complete, identical entries (runs are deterministic), with the
 last ``os.replace`` winning.
 
-Two hooks exist for the parallel sweep engine:
+One hook exists for the parallel sweep engine: inside an
+:func:`answering` scope, :func:`cached_run` first asks the scope's
+callable for the point, and simulates or reads the cache only when it
+answers None. Two scopes use it:
 
-* :func:`recording_points` flips :func:`cached_run` into a planning
-  mode that records the requested (app, scheme, scale) points instead
-  of simulating, so an experiment's point list can be harvested and
-  fanned out over a worker pool (see :mod:`repro.parallel.planner`).
-* :func:`mark_failed` registers a point that already exhausted its
-  attempts in a pool worker; under a ``keep_going`` policy a later
-  :func:`cached_run` for that point replays the recorded failure
-  instead of recomputing (and timing out / crashing) a second time,
-  until :func:`unmark_failed` drops it (a later sweep computing it).
+* :func:`recording_points` records the requested (app, scheme, scale)
+  points instead of simulating, so an experiment's point list can be
+  harvested and fanned out over a worker pool (see
+  :mod:`repro.parallel.planner`);
+* :meth:`repro.parallel.SweepReport.serve` answers each swept point
+  from the sweep's report, so a figure rendered in that scope neither
+  reads the swept points back from disk nor recomputes one that failed
+  (its failure is appended to the active policy instead). Outside the
+  scope nothing of the sweep is left.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import json
 import os
@@ -47,12 +49,7 @@ import pathlib
 import sys
 import tempfile
 
-from repro.analysis.runner import (
-    RunFailure,
-    RunScale,
-    active_policy,
-    run_app_guarded,
-)
+from repro.analysis.runner import RunScale, run_app_guarded
 from repro.errors import ArtifactWriteError
 from repro.sim.results import RunResult
 from repro.sim.stats import SimStats
@@ -76,7 +73,8 @@ def cache_enabled() -> bool:
     return os.environ.get("REPRO_CACHE", "on").lower() not in CACHE_OFF
 
 
-def _key(app: str, scheme, scale: RunScale) -> str:
+def point_key(app: str, scheme, scale: RunScale) -> str:
+    """The stable cache key of one (app, scheme, scale) sweep point."""
     payload = f"v{CACHE_VERSION}|{app}|{scheme!r}|{scale!r}"
     faults = os.environ.get("REPRO_FAULTS", "").strip()
     if faults:
@@ -90,28 +88,37 @@ def _key(app: str, scheme, scale: RunScale) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
-def point_key(app: str, scheme, scale: RunScale) -> str:
-    """The stable cache key of one (app, scheme, scale) sweep point."""
-    return _key(app, scheme, scale)
-
-
 def has_entry(app: str, scheme, scale: RunScale) -> bool:
     """True when a published cache entry exists for this point."""
     if not cache_enabled():
         return False
-    return (cache_dir() / f"{_key(app, scheme, scale)}.json").exists()
+    return (cache_dir() / f"{point_key(app, scheme, scale)}.json").exists()
 
 
 # ----------------------------------------------------------------------
-# Planning mode and worker-failure replay (repro.parallel hooks)
+# Answering scopes: planning mode and sweep reports (repro.parallel hooks)
 # ----------------------------------------------------------------------
 
-#: When not None, :func:`cached_run` records points here instead of
-#: simulating (see :func:`recording_points`).
-_RECORDER: "list[tuple] | None" = None
+#: When not None, :func:`cached_run` asks this callable for each point
+#: first (see :func:`answering`).
+_ANSWER = None
 
-#: Points a pool worker already failed on, keyed by :func:`point_key`.
-_FAILED_MARKS: "dict[str, RunFailure]" = {}
+
+@contextlib.contextmanager
+def answering(answer):
+    """Let ``answer(app, scheme, scale)`` answer :func:`cached_run`.
+
+    Inside the ``with`` body :func:`cached_run` returns what ``answer``
+    returns for the point, and runs as usual when it returns None.
+    Scopes restore the previous callable on exit, so they nest.
+    """
+    global _ANSWER
+    previous = _ANSWER
+    _ANSWER = answer
+    try:
+        yield
+    finally:
+        _ANSWER = previous
 
 
 @contextlib.contextmanager
@@ -122,16 +129,16 @@ def recording_points():
     ``(app, scheme, scale)`` tuple to the yielded list and returns a
     cheap placeholder result (``meta["planned"]``, ``cycles == 1`` so
     normalizations stay finite). No simulation runs and no cache I/O
-    happens. Scopes restore the previous recorder on exit, so they nest.
+    happens.
     """
-    global _RECORDER
-    previous = _RECORDER
     recorded: "list[tuple]" = []
-    _RECORDER = recorded
-    try:
+
+    def record(app: str, scheme, scale: RunScale) -> RunResult:
+        recorded.append((app, scheme, scale))
+        return _planning_result(app, scheme)
+
+    with answering(record):
         yield recorded
-    finally:
-        _RECORDER = previous
 
 
 def _planning_result(app: str, scheme) -> RunResult:
@@ -142,39 +149,6 @@ def _planning_result(app: str, scheme) -> RunResult:
         scheme=getattr(scheme, "name", type(scheme).__name__),
         stats=stats,
         meta={"planned": True},
-    )
-
-
-def mark_failed(key: str, failure: RunFailure) -> None:
-    """Register a point whose pool-worker run exhausted its attempts.
-
-    Under a ``keep_going`` harness policy, :func:`cached_run` replays
-    the failure for that point — appending a copy to the active policy's
-    ``failures`` and returning a placeholder result, exactly as a serial
-    recompute would, but without paying for the doomed run again.
-    """
-    _FAILED_MARKS[key] = failure
-
-
-def clear_failed_marks() -> None:
-    """Forget all :func:`mark_failed` registrations (tests, new sweeps)."""
-    _FAILED_MARKS.clear()
-
-
-def unmark_failed(key: str) -> None:
-    """Forget the :func:`mark_failed` registration of one point, so the
-    next :func:`cached_run` of it computes instead of replaying."""
-    _FAILED_MARKS.pop(key, None)
-
-
-def _replay_failure(app: str, scheme, failure: RunFailure) -> RunResult:
-    policy = active_policy()
-    policy.failures.append(dataclasses.replace(failure))
-    return RunResult(
-        app=app,
-        scheme=getattr(scheme, "name", type(scheme).__name__),
-        stats=SimStats(),
-        meta={"failed": True, "error": failure.error},
     )
 
 
@@ -256,25 +230,21 @@ def cached_run(app: str, scheme, scale: "RunScale | None" = None) -> RunResult:
     ``keep_going`` harness policy applies here too; failed placeholder
     results are returned but never written to the cache.
 
-    Inside a :func:`recording_points` scope the point is recorded and a
-    placeholder returned instead (planning mode). Points registered via
-    :func:`mark_failed` replay their failure under a ``keep_going``
-    policy rather than recomputing.
+    Inside an :func:`answering` scope the scope's callable answers
+    first: :func:`recording_points` records the point and returns a
+    placeholder (planning mode), and a sweep report's ``serve()``
+    returns the point's swept result.
     """
     from repro.analysis.runner import scale_from_env
 
     scale = scale or scale_from_env()
-    if _RECORDER is not None:
-        _RECORDER.append((app, scheme, scale))
-        return _planning_result(app, scheme)
+    if _ANSWER is not None:
+        answer = _ANSWER(app, scheme, scale)
+        if answer is not None:
+            return answer
     if not cache_enabled():
         return run_app_guarded(app, scheme, scale)
-    key = _key(app, scheme, scale)
-    if _FAILED_MARKS and active_policy().keep_going:
-        failure = _FAILED_MARKS.get(key)
-        if failure is not None:
-            return _replay_failure(app, scheme, failure)
-    path = cache_dir() / f"{key}.json"
+    path = cache_dir() / f"{point_key(app, scheme, scale)}.json"
     cached = _load_entry(path)
     if cached is not None:
         return cached

@@ -27,15 +27,29 @@ KNOBS = (
 )
 
 
-def unknown_knobs() -> "list[str]":
-    """One problem line per ``REPRO_*`` variable set that the program
-    never reads: a typo, or a retired knob. Nothing would read it, so a
-    CLI refuses it rather than run as if it were honoured."""
+#: The knobs ``verify`` and ``diff`` accept: all but the fault knobs,
+#: whose job their own flags do. ``REPRO_SCALE`` and ``REPRO_CACHE``
+#: change nothing there (they run at their own geometry and never
+#: cache) but stay accepted, so one environment serves every command.
+VERIFY_KNOBS = tuple(
+    name for name in KNOBS if name not in ("REPRO_FAULTS", "REPRO_FAULT_SEED")
+)
+
+
+def unknown_knobs(reads: "tuple[str, ...]" = KNOBS,
+                  instead: str = "") -> "list[str]":
+    """One problem line per ``REPRO_*`` variable set that the calling
+    CLI does not read: a typo, a retired knob, or a knob of ``KNOBS``
+    missing from ``reads``, whose line points to the flag ``instead``.
+    Nothing would read it, so the CLI refuses it rather than run as if
+    it were honoured."""
     return [
+        f"{name} is not read by this command; use {instead} instead"
+        if name in KNOBS else
         f"unknown {name}: the program reads no such variable "
-        f"(its REPRO_* knobs are {', '.join(KNOBS)})"
+        f"(this command's REPRO_* knobs are {', '.join(reads)})"
         for name in sorted(os.environ)
-        if name.startswith("REPRO_") and name not in KNOBS
+        if name.startswith("REPRO_") and name not in reads
     ]
 
 

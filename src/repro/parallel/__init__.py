@@ -13,10 +13,12 @@ Typical use::
     points = collect_points(experiments.fig01_sparse_sizes, scale)
     report = run_sweep(points, jobs=4)
     print(report.summary().render())
-    figure = experiments.fig01_sparse_sizes(scale)  # all cache hits
+    with report.serve():  # every point from the report
+        figure = experiments.fig01_sparse_sizes(scale)
 
-The CLI (``python -m repro --jobs N``) and the benchmark drivers use
-exactly this plan/execute/render split. See ``docs/harness.md``.
+The CLI (``python -m repro``, at every ``--jobs``) and the benchmark
+drivers use exactly this plan/execute/render split. See
+``docs/harness.md``.
 """
 
 from repro.parallel.executor import SweepReport, resolve_jobs, run_sweep, run_tasks

@@ -14,10 +14,10 @@ its runs precomputed. The harness semantics of
   ``policy.max_retries`` extra times before reporting a failure;
 * **keep-going** — worker failures come back as data
   (:class:`~repro.analysis.runner.RunFailure`); under a ``keep_going``
-  parent policy they are registered with
-  :func:`repro.analysis.cache.mark_failed` so the render pass replays
-  them without recomputing, and under a strict policy the first failure
-  (in submission order, for determinism) is re-raised in the parent;
+  parent policy they land in the report, whose :meth:`SweepReport.serve`
+  scope replays them to a render pass without recomputing, and under a
+  strict policy the first failure (in submission order, for
+  determinism) is re-raised in the parent;
 * **audit and trace** — the policy's ``audit`` and ``trace_out``
   travel to each worker with its point, like the timeout and retries,
   so ``--audit`` sweeps audit every worker's runs and ``--trace``
@@ -52,6 +52,7 @@ to journal-less operation instead of aborting it, and the report's
 from __future__ import annotations
 
 import builtins
+import contextlib
 import dataclasses
 import os
 import signal
@@ -148,7 +149,8 @@ class SweepReport:
     results: "list[RunResult]"
     #: One profile per point, aligned with :attr:`points`.
     profiles: "list[RunProfile]"
-    #: Failures collected across workers (submission order).
+    #: Failures collected across workers: one per failed result, in
+    #: submission order.
     failures: "list[RunFailure]" = field(default_factory=list)
     wall_s: float = 0.0
     jobs: int = 1
@@ -162,6 +164,34 @@ class SweepReport:
         return summarize(
             self.profiles, self.jobs, self.wall_s, self.journal_disabled
         )
+
+    def serve(self):
+        """A scope in which :func:`~repro.analysis.cache.cached_run`
+        answers each swept point from this report.
+
+        A render pass inside it takes every point from memory, so it
+        works with the result cache off. A failed point appends a copy
+        of its :class:`~repro.analysis.runner.RunFailure` to the active
+        policy, as a serial recompute would, and returns the failed
+        placeholder without running again. Points the sweep did not
+        cover run as usual.
+        """
+        failures = iter(self.failures)
+        served = {
+            point.key(): (result,
+                          next(failures) if result.meta.get("failed") else None)
+            for point, result in zip(self.points, self.results)
+        }
+
+        def answer(app, scheme, scale) -> "RunResult | None":
+            result, failure = served.get(
+                result_cache.point_key(app, scheme, scale), (None, None)
+            )
+            if failure is not None:
+                active_policy().failures.append(dataclasses.replace(failure))
+            return result
+
+        return result_cache.answering(answer)
 
 
 # ----------------------------------------------------------------------
@@ -196,22 +226,14 @@ def _execute_point(index: int, point: SweepPoint, policy: HarnessPolicy,
                    profile_dir: "str | None"):
     """Run one point under ``policy``; return (result, profile)."""
     profiler = None
+    if profile_dir is not None and not point.is_cached():
+        import cProfile
+
+        profiler = cProfile.Profile()
     stats_path = None
     start = time.perf_counter()
-    with harness(policy):
-        if profile_dir is not None and not point.is_cached():
-            import cProfile
-
-            profiler = cProfile.Profile()
-            profiler.enable()
-            try:
-                result = result_cache.cached_run(point.app, point.scheme,
-                                                 point.scale)
-            finally:
-                profiler.disable()
-        else:
-            result = result_cache.cached_run(point.app, point.scheme,
-                                             point.scale)
+    with harness(policy), profiler or contextlib.nullcontext():
+        result = result_cache.cached_run(point.app, point.scheme, point.scale)
     wall = time.perf_counter() - start
     cache_hit = bool(result.meta.get("cached"))
     failed = bool(result.meta.get("failed"))
@@ -331,15 +353,12 @@ def run_sweep(
             load straight from the result cache, ``failed`` points
             replay their recorded failure — and compute only the rest.
 
-    Under a ``keep_going`` policy, worker failures end up in the
-    report's ``failures`` and are registered via
-    :func:`repro.analysis.cache.mark_failed`; the parent policy's own
-    ``failures`` list is *not* extended here, so the figure-render pass
-    that follows reports each failure exactly as the serial path would.
-    A later sweep in the same process drops the registration of every
-    point it computes, so it computes that point again.
-    Under a strict policy the first failure (submission order) is
-    re-raised after the sweep drains.
+    Under a ``keep_going`` policy, failures end up in the report's
+    ``failures``; the parent policy's own ``failures`` list is *not*
+    extended here, so a render pass under :meth:`SweepReport.serve`
+    reports each failure exactly as the serial path would. Under a
+    strict policy the first failure (submission order) is re-raised
+    after the sweep drains.
 
     A worker that dies breaks the pool, and every point it took down
     (each point not finished by then) fails with an error naming
@@ -422,19 +441,14 @@ def run_sweep(
             resumed_points += 1
         else:
             pending.append((index, point))
-    # A point this sweep computes must not replay a failure an earlier
-    # sweep in this process registered for it (fork workers inherit the
-    # registry too).
-    for _, point in pending:
-        result_cache.unmark_failed(point.key())
 
     if jobs <= 1 or len(pending) <= 1:
         for index, point in pending:
             seen = len(policy.failures)
             result, profile = _execute_point(index, point, policy,
                                              profile_dir)
-            # Hand new failures to the report/registry; the render pass
-            # owns appending them to the policy (parity with the pool).
+            # Hand new failures to the report; the render pass owns
+            # appending them to the policy (parity with the pool).
             point_failures = list(policy.failures[seen:])
             del policy.failures[seen:]
             finish_point(index, point, result, profile, point_failures)
@@ -487,11 +501,8 @@ def run_sweep(
     # which worker finished or died first.
     indexed_failures.sort(key=lambda item: item[0])
     failures = [failure for _, failure in indexed_failures]
-    if failures:
-        if not policy.keep_going:
-            raise _rebuild_error(failures[0])
-        for index, failure in indexed_failures:
-            result_cache.mark_failed(points[index].key(), failure)
+    if failures and not policy.keep_going:
+        raise _rebuild_error(failures[0])
 
     return SweepReport(
         points=points,

@@ -25,6 +25,7 @@ from repro.resilience.faults import (
     FaultPlan,
     InjectedFault,
     injector_from_env,
+    parse_fault,
     parse_fault_env,
     plan_from_env,
     tracking_location,
@@ -41,6 +42,7 @@ __all__ = [
     "InjectedFault",
     "ProtocolAuditor",
     "injector_from_env",
+    "parse_fault",
     "parse_fault_env",
     "plan_from_env",
     "tracking_location",

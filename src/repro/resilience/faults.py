@@ -343,18 +343,44 @@ class FaultInjector:
                 )
 
 
+def parse_fault(text: str) -> Fault:
+    """One ``kind[@after_access]`` entry (``@after_access`` defaults to
+    1) as a :class:`Fault` whose target the plan's seeded RNG picks.
+
+    The one grammar of ``REPRO_FAULTS`` entries and ``diff --fault``:
+    raises :class:`ValueError` naming an unknown kind or a position
+    that is not an integer of at least 0.
+    """
+    name, _, position = text.strip().lower().partition("@")
+    try:
+        kind = FaultKind(name)
+    except ValueError:
+        raise ValueError(
+            f"unknown fault kind {name!r}; choose from "
+            f"{', '.join(k.value for k in FaultKind)}"
+        ) from None
+    after_access = 1
+    if position:
+        try:
+            after_access = int(position)
+        except ValueError:
+            after_access = -1
+        if after_access < 0:
+            raise ValueError(f"bad access position {position!r}")
+    return Fault(kind, after_access=after_access)
+
+
 def parse_fault_env() -> "tuple[FaultPlan | None, str | None]":
     """The :class:`FaultPlan` ``REPRO_FAULTS`` describes, or the problem
     with it: ``(plan, None)``, ``(None, problem)``, or ``(None, None)``
     when injection is off (unset, ``off``, ``0``, ``no``, ``false`` or
     ``none``).
 
-    ``REPRO_FAULTS`` is a comma-separated list of ``kind@after_access``
-    entries (e.g. ``corrupt_directory_entry@8000,flip_sharer_bit@12000``;
-    ``@after_access`` defaults to 1), with the target address/core left
-    to the plan's seeded RNG. ``REPRO_FAULT_SEED`` (integer, default 0)
-    seeds target resolution. The figure CLI refuses a problem before
-    anything runs; :func:`plan_from_env` warns about it.
+    ``REPRO_FAULTS`` is a comma-separated list of :func:`parse_fault`
+    entries (e.g. ``corrupt_directory_entry@8000,flip_sharer_bit@12000``).
+    ``REPRO_FAULT_SEED`` (integer, default 0) seeds target resolution.
+    The figure CLI refuses a problem before anything runs;
+    :func:`plan_from_env` warns about it.
     """
     raw = os.environ.get("REPRO_FAULTS", "").strip()
     if not raw or raw.lower() in ("off", "0", "no", "false", "none"):
@@ -363,25 +389,10 @@ def parse_fault_env() -> "tuple[FaultPlan | None, str | None]":
     def problem(reason: str) -> "tuple[None, str]":
         return None, f"invalid REPRO_FAULTS={raw!r} ({reason})"
 
-    faults = []
-    for item in raw.split(","):
-        item = item.strip().lower()
-        if not item:
-            continue
-        name, _, position = item.partition("@")
-        try:
-            kind = FaultKind(name)
-        except ValueError:
-            return problem(f"unknown fault kind {name!r}")
-        after_access = 1
-        if position:
-            try:
-                after_access = int(position)
-            except ValueError:
-                after_access = -1
-            if after_access < 0:
-                return problem(f"bad access position {position!r}")
-        faults.append(Fault(kind, after_access=after_access))
+    try:
+        faults = [parse_fault(item) for item in raw.split(",") if item.strip()]
+    except ValueError as err:
+        return problem(str(err))
     if not faults:
         return problem("no faults listed")
     seed_raw = os.environ.get("REPRO_FAULT_SEED", "").strip()

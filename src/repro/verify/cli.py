@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from repro.argtypes import at_least, unknown_knobs
+from repro.argtypes import VERIFY_KNOBS, at_least, unknown_knobs
 from repro.telemetry import DEFAULT_TRACE_OUT, merge_worker_traces
 from repro.verify.coverage import (
     CoverageMap,
@@ -293,7 +293,7 @@ def _coverage_gate(args, coverage) -> int:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
-    unknown = unknown_knobs()
+    unknown = unknown_knobs(VERIFY_KNOBS, instead="verify --faults N")
     if unknown:
         for problem in unknown:
             print(f"repro: {problem}", file=sys.stderr)

@@ -27,9 +27,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.argtypes import at_least, unknown_knobs
+from repro.argtypes import VERIFY_KNOBS, at_least, unknown_knobs
 from repro.errors import ReproError
-from repro.resilience.faults import Fault, FaultKind, FaultPlan
+from repro.resilience.faults import FaultPlan, parse_fault
 from repro.verify.differential import (
     ALL_SCHEMES,
     DEFAULT_DIFF_AUDIT_INTERVAL,
@@ -138,27 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_faults(args) -> "FaultPlan | None":
-    if not args.fault:
-        return None
-    faults = []
-    for item in args.fault:
-        name, _, position = item.strip().lower().partition("@")
-        try:
-            kind = FaultKind(name)
-        except ValueError:
-            raise ReproError(
-                f"unknown fault kind {name!r} (choose from "
-                f"{', '.join(k.value for k in FaultKind)})"
-            ) from None
-        try:
-            after = int(position) if position else 1
-        except ValueError:
-            raise ReproError(f"bad fault position {position!r}") from None
-        faults.append(Fault(kind, after_access=after))
-    return FaultPlan(faults=tuple(faults), seed=args.fault_seed)
-
-
 def _parse_schemes(args) -> "tuple[str, ...] | None":
     if not args.schemes:
         return None
@@ -239,7 +218,8 @@ def _print_report(report: dict) -> None:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
-    unknown = unknown_knobs()
+    unknown = unknown_knobs(VERIFY_KNOBS,
+                            instead="diff --fault KIND@N --fault-seed S")
     if unknown:
         for problem in unknown:
             print(f"python -m repro diff: {problem}", file=sys.stderr)
@@ -254,7 +234,13 @@ def main(argv: "list[str] | None" = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        plan = _parse_faults(args)
+        faults = []
+        for item in args.fault or ():
+            try:
+                faults.append(parse_fault(item))
+            except ValueError as err:
+                raise ReproError(f"invalid --fault {item!r} ({err})") from None
+        plan = FaultPlan(tuple(faults), seed=args.fault_seed) if faults else None
         schemes = _parse_schemes(args)
         traces = _collect_traces(args.trace)
         failures = 0

@@ -85,6 +85,35 @@ class TestResilienceFlags:
         assert "FAILED" in captured.out or "FAILED" in captured.err
         assert "run(s) failed" in captured.err
 
+    def test_shared_failing_point_runs_once(self, capsys, monkeypatch):
+        # fig01 and fig04 both normalize to barnes's 2x-sparse baseline.
+        # At one job that failing point is simulated once, and both
+        # figures report its failure.
+        from repro.sim.config import SparseSpec
+        from repro.sim.results import RunResult
+        from repro.sim.stats import SimStats
+
+        baseline = SparseSpec(ratio=2.0)
+        calls = []
+
+        def fake(app, scheme, scale=None, config=None, **observers):
+            calls.append((app, scheme))
+            if scheme == baseline:
+                raise RuntimeError("synthetic failure")
+            stats = SimStats()
+            stats.cycles = 1
+            return RunResult(app=app, scheme=scheme.name, stats=stats)
+
+        monkeypatch.setattr("repro.analysis.runner.run_app", fake)
+        code = main(["fig01", "fig04", "--scale", "quick", "--apps", "barnes",
+                     "--keep-going", "--jobs", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert calls.count(("barnes", baseline)) == 1
+        assert captured.out.count(
+            "FAILED barnes/sparse: RuntimeError: synthetic failure") == 2
+        assert "2 run(s) failed" in captured.err
+
     def test_without_keep_going_failures_abort(self, monkeypatch):
         def boom(app, scheme, scale=None, config=None, **observers):
             raise RuntimeError("synthetic failure")
@@ -115,39 +144,50 @@ class TestResilienceFlags:
 
 
 class TestCacheOff:
-    """With ``REPRO_CACHE=off`` the sweep executor never runs, so the
-    flags only it honours are refused instead of silently ignored."""
+    """With ``REPRO_CACHE=off`` the figure CLI still sweeps and renders
+    from the sweep's report, so the executor's flags work and print the
+    cached run's figures; only ``--resume``, whose journal points into
+    the cache, is refused."""
 
     @pytest.mark.parametrize(
         "extra, env, flag",
         [
-            (["--jobs", "2"], {}, "--jobs 2"),
-            ([], {"REPRO_JOBS": "2"}, "REPRO_JOBS=2"),
-            (["--profile"], {}, "--profile"),
+            (["--jobs", "2"], {}, None),
+            ([], {"REPRO_JOBS": "2"}, None),
+            (["--profile"], {}, None),
             (["--resume"], {}, "--resume"),
             ([], {}, None),
         ],
         ids=["jobs-flag", "jobs-env", "profile", "resume", "default-jobs"],
     )
     def test_executor_flags_need_the_cache(
-        self, capsys, monkeypatch, extra, env, flag
+        self, tmp_path, tmp_path_factory, capsys, monkeypatch, extra, env, flag
     ):
-        monkeypatch.setenv("REPRO_CACHE", "off")
+        argv = ["fig07", "--scale", "quick", "--apps", "compress"]
         monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("on")))
+        assert main(argv) == 0
+        cache_on = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE", "off")
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        code = main(["fig07", "--scale", "quick", "--apps", "compress", *extra])
+        code = main([*argv, *extra])
         captured = capsys.readouterr()
         if flag is None:
-            # The CPU-count default of --jobs stays silent.
             assert code == 0
-            assert "Fig. 7" in captured.out
+            if "--profile" in extra:
+                # The profile tables come before the figures.
+                assert captured.out.endswith(cache_on)
+            else:
+                assert captured.out == cache_on
             assert "REPRO_CACHE" not in captured.err
         else:
             assert code == 2
             assert captured.out == ""
             assert flag in captured.err
             assert "REPRO_CACHE_DIR" in captured.err
+        assert list(tmp_path.iterdir()) == []  # nothing under the cache dir
 
 
 class TestInvalidKnobs:

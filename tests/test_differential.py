@@ -364,6 +364,52 @@ def test_cli_unknown_fault_kind(small_trace, capsys):
     assert "unknown fault kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, value", [("REPRO_FAULTS", "bogus_kind@5"), ("REPRO_FAULT_SEED", "3")]
+)
+def test_cli_fault_knob_is_a_usage_error(
+    small_trace, tmp_path, monkeypatch, capsys, name, value
+):
+    # diff seeds faults with its own flags; the figure CLI's fault knobs
+    # would be accepted and ignored.
+    monkeypatch.setenv(name, value)
+    out = tmp_path / "reports"
+    assert diff_main(
+        ["--trace", str(small_trace), "--schemes", "sparse,tiny",
+         "--out", str(out)]
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{name} is not read" in captured.err
+    assert "diff --fault KIND@N --fault-seed S" in captured.err
+    assert not out.exists()  # no report written
+
+
+@pytest.mark.parametrize(
+    "fault, problem",
+    [
+        ("drop_private_copy@-5", "bad access position '-5'"),
+        ("drop_private_copy@x", "bad access position 'x'"),
+        ("melt_the_llc@5", "unknown fault kind 'melt_the_llc'"),
+    ],
+    ids=["negative-position", "non-integer-position", "unknown-kind"],
+)
+def test_cli_invalid_fault_is_a_usage_error(
+    small_trace, tmp_path, capsys, fault, problem
+):
+    # The grammar REPRO_FAULTS uses: a negative position is refused, not
+    # run as @1.
+    out = tmp_path / "reports"
+    assert diff_main(
+        ["--trace", str(small_trace), "--schemes", "sparse", "--fault",
+         fault, "--jobs", "1", "--out", str(out)]
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid --fault {fault!r} ({problem}" in captured.err
+    assert not out.exists()
+
+
 def test_all_schemes_constant_matches_specs():
     assert set(ALL_SCHEMES) == {"sparse", "in_llc", "tiny", "mgd", "stash"}
     for name in ALL_SCHEMES:

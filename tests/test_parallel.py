@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.analysis import cache as result_cache
-from repro.analysis.cache import cached_run, clear_failed_marks
+from repro.analysis.cache import cached_run
 from repro.analysis.runner import (
     HarnessPolicy,
     RunScale,
@@ -52,9 +52,6 @@ def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_CACHE", "on")
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    clear_failed_marks()
-    yield
-    clear_failed_marks()
 
 
 class TestResolveJobs:
@@ -250,7 +247,7 @@ class TestHarnessSemanticsInWorkers:
         report = run_sweep(points, jobs=2, policy=policy)
         assert len(report.failures) == 2
         # run_sweep leaves the parent policy untouched; the render pass
-        # owns failure accounting via the replay registry.
+        # owns failure accounting via the report's serve() scope.
         assert not policy.failures
         # The failed runs were never cached...
         assert pending_points(points) == points
@@ -263,10 +260,17 @@ class TestHarnessSemanticsInWorkers:
         # instead of recomputing the doomed run.
         point = points[0]
         with harness(HarnessPolicy(keep_going=True)) as render_policy:
-            replayed = cached_run(point.app, point.scheme, point.scale)
+            with report.serve():
+                replayed = cached_run(point.app, point.scheme, point.scale)
         assert replayed.meta.get("failed")
         [failure] = render_policy.failures
         assert "synthetic failure" in failure.error
+        # Outside the scope nothing of the sweep is left: the point
+        # recomputes.
+        with harness(HarnessPolicy(keep_going=True)) as later:
+            cached_run(point.app, point.scheme, point.scale)
+        [failure] = later.failures
+        assert "must not recompute" in failure.error
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_next_sweep_computes_a_point_the_last_one_failed(self, monkeypatch, jobs):
@@ -282,9 +286,8 @@ class TestHarnessSemanticsInWorkers:
         first = run_sweep(points, jobs=jobs, policy=HarnessPolicy(keep_going=True))
         [failure] = first.failures
         assert "synthetic failure" in failure.error
-        # The failure was transient: the next sweep in this process, with
-        # the first one's failure marks still registered, computes the
-        # point instead of replaying them.
+        # The failure was transient: the next sweep in this process
+        # computes the point; nothing of the first sweep replays it.
         monkeypatch.setattr("repro.analysis.runner.run_app", real_run_app)
         second = run_sweep(points, jobs=jobs, policy=HarnessPolicy(keep_going=True))
         assert second.failures == []

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.analysis import cache as result_cache
-from repro.analysis.cache import cached_run, clear_failed_marks, point_key
+from repro.analysis.cache import cached_run, point_key
 from repro.analysis.runner import (
     HarnessPolicy,
     RunFailure,
@@ -72,13 +72,10 @@ def _points(scale=SCALE):
 
 @pytest.fixture
 def isolated_cache(tmp_path, monkeypatch):
-    """An isolated cache dir, the cache on, and no failure marks."""
+    """An isolated cache dir and the cache on."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_CACHE", "on")
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    clear_failed_marks()
-    yield
-    clear_failed_marks()
 
 
 def _build(spec, fault_kind=None, num_cores: int = 8):

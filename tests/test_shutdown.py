@@ -14,7 +14,6 @@ import signal
 import pytest
 
 from repro.analysis import cache as result_cache
-from repro.analysis.cache import clear_failed_marks
 from repro.analysis.runner import HarnessPolicy, RunScale, run_app_guarded
 from repro.errors import ShutdownRequested
 from repro.parallel import SweepJournal, SweepPoint, run_sweep
@@ -41,13 +40,10 @@ def _points(scale=SCALE):
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
-    """An isolated cache dir, the cache on, and no failure marks."""
+    """An isolated cache dir and the cache on."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_CACHE", "on")
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    clear_failed_marks()
-    yield
-    clear_failed_marks()
 
 
 class TestShutdown:

@@ -19,7 +19,6 @@ import time
 
 import pytest
 
-from repro.analysis.cache import clear_failed_marks
 from repro.analysis.runner import HarnessPolicy, RunScale
 from repro.parallel import (
     SweepJournal,
@@ -49,9 +48,6 @@ def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_CACHE", "on")
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    clear_failed_marks()
-    yield
-    clear_failed_marks()
 
 
 def _kill_once(tmp_path, monkeypatch, app="ocean_cp", code=42, after=None):
@@ -279,7 +275,6 @@ def _rerun_after_worker_kill(tmp_path, monkeypatch, resume: bool) -> None:
     missing = [point for point in points if not point.is_cached()]
     assert points[1] in missing
     assert set(missing) <= set(_failed(report))
-    clear_failed_marks()  # as in the new process of a rerun command
     again = run_sweep(points, jobs=2, policy=HarnessPolicy(keep_going=True),
                       journal=journal, resume=resume)
     assert not again.failures

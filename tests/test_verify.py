@@ -328,6 +328,25 @@ class TestCli:
         assert f"unknown {name}:" in captured.err
         assert list(tmp_path.iterdir()) == []  # no trace, no reproducer
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("REPRO_FAULTS", "bogus_kind@5"), ("REPRO_FAULT_SEED", "3")],
+    )
+    def test_fault_knob_is_a_usage_error(
+        self, capsys, monkeypatch, tmp_path, name, value
+    ):
+        # verify seeds its fault runs with --faults; the figure CLI's
+        # fault knobs would be accepted and ignored.
+        monkeypatch.setenv(name, value)
+        rc = verify_main(["--litmus", "--scheme", "sparse", "--out",
+                          str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"{name} is not read" in captured.err
+        assert "verify --faults N" in captured.err
+        assert list(tmp_path.iterdir()) == []  # no reproducer
+
     def test_trace_out_writes_the_trace(self, capsys, tmp_path):
         from repro.telemetry import read_trace
 

@@ -107,7 +107,6 @@ def worker_kill_smoke() -> None:
     rerun computes them, and every point matches a clean sweep."""
     global _KILL_MARKER, _REAL_RUN_APP
     import repro.analysis.runner as runner_mod
-    from repro.analysis.cache import clear_failed_marks
     from repro.analysis.runner import HarnessPolicy, scale_from_env
     from repro.parallel import SweepJournal, SweepPoint, run_sweep
     from repro.sim.config import SparseSpec, TinySpec
@@ -128,7 +127,6 @@ def worker_kill_smoke() -> None:
     _KILL_MARKER.write_text("armed")
     _REAL_RUN_APP = runner_mod.run_app
     runner_mod.run_app = _killer_run_app  # fork workers inherit this
-    clear_failed_marks()
     try:
         report = run_sweep(points, jobs=2, policy=keep_going, journal=journal)
     finally:
@@ -145,7 +143,6 @@ def worker_kill_smoke() -> None:
     assert not any(point.key() in journaled for point in lost), (
         "a point lost to the dead worker was journaled"
     )
-    clear_failed_marks()  # as in the new process of a rerun command
     rerun = run_sweep(points, jobs=2, policy=keep_going, journal=journal,
                       resume=True)
     assert not rerun.failures, f"rerun failed: {rerun.failures}"
