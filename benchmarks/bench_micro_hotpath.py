@@ -37,6 +37,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.sim.config import SparseSpec, SystemConfig, TinySpec
+from repro.sim.deadline import collector_paused
 from repro.sim.engine import run_trace
 from repro.sim.system import System
 from repro.telemetry import write_bench_point
@@ -88,13 +89,10 @@ def _best_of(fn, repeats: int) -> float:
     best = None
     for _ in range(repeats):
         gc.collect()
-        gc.disable()
-        try:
+        with collector_paused():
             started = time.perf_counter()
             fn()
             elapsed = time.perf_counter() - started
-        finally:
-            gc.enable()
         if best is None or elapsed < best:
             best = elapsed
     return best

@@ -28,9 +28,11 @@ KNOBS = (
 
 
 #: The knobs ``verify`` and ``diff`` accept: all but the fault knobs,
-#: whose job their own flags do. ``REPRO_SCALE`` and ``REPRO_CACHE``
-#: change nothing there (they run at their own geometry and never
-#: cache) but stay accepted, so one environment serves every command.
+#: whose job their own flags do. Of these they read only
+#: ``REPRO_JOBS``. ``REPRO_SCALE``, ``REPRO_CACHE``, ``REPRO_CACHE_DIR``
+#: and ``REPRO_BENCH_DIR`` change nothing there (they run at their own
+#: geometry, never cache and write no perf points) but stay accepted,
+#: so one environment serves every command.
 VERIFY_KNOBS = tuple(
     name for name in KNOBS if name not in ("REPRO_FAULTS", "REPRO_FAULT_SEED")
 )

@@ -19,11 +19,16 @@ identically on every platform, in any thread, and in pool workers.
 
 Scopes nest: an inner scope can only tighten the effective deadline,
 never extend the outer one.
+
+The same loops run under :func:`collector_paused`: they allocate an
+object per access, none of which takes part in a reference cycle, so
+the cyclic garbage collector would scan them without ever freeing one.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import time
 
 from repro.errors import RunTimeoutError
@@ -70,3 +75,26 @@ def check_deadline() -> None:
         raise RunTimeoutError(
             f"run exceeded {armed[1]:g}s wall-clock limit"
         )
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector for the ``with`` body.
+
+    The collector is re-enabled on exit, also when the body raises,
+    but only if it was enabled on entry: a caller that disabled it (a
+    timing harness) keeps it disabled.
+
+    Refcounting still frees every object the body drops; only objects
+    in a reference cycle would outlive the pause, until the next
+    collection. Stream generation and trace runs make none (rule 12 of
+    docs/performance.md), so all the pause saves is the collector's
+    scans of the objects they keep.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

@@ -24,7 +24,10 @@ The loop also honours the harness deadline
 the armed wall-clock limit and raises
 :class:`~repro.errors.RunTimeoutError` once exceeded, which is what
 makes per-run timeouts work inside process-pool workers. It is the
-engine's one wall-clock limit.
+engine's one wall-clock limit. A run pauses the cyclic garbage
+collector (:func:`~repro.sim.deadline.collector_paused`): nothing it
+allocates per access or per transaction takes part in a reference
+cycle, so refcounting frees all of it.
 
 There is one loop for every run. An unobserved run takes the inlined
 private-hit path: a hit costs an L1 list test, a state-dict lookup and
@@ -41,7 +44,7 @@ from __future__ import annotations
 import heapq
 
 from repro.errors import InvariantViolation, ProtocolError, TraceError
-from repro.sim.deadline import CHECK_STRIDE, check_deadline
+from repro.sim.deadline import CHECK_STRIDE, check_deadline, collector_paused
 from repro.sim.stats import SimStats
 from repro.sim.system import System
 from repro.telemetry import NULL_TRACER, attach_observer
@@ -108,7 +111,8 @@ class TraceEngine:
         ``limit`` stops the run after that many accesses (every access
         when None). The warmup window is a fraction of the accesses the
         run executes, so a bounded run equals a full run of the streams
-        cut at :attr:`executed`.
+        cut at :attr:`executed`. The cyclic collector is paused for the
+        run, observed or not, and its finalize.
 
         An unobserved access mirrors :meth:`System._access` exactly, but
         a private hit costs an inlined L1 list test, one state-dict
@@ -124,6 +128,14 @@ class TraceEngine:
         ``heappushpop``, which returns the same earliest access a push
         and a pop would.
         """
+        # A with block, not a decorator: a decorated run would carry the
+        # __wrapped__ attribute by which perfbench/spans.py recognizes
+        # its own timing wrappers.
+        with collector_paused():
+            return self._run(limit)
+
+    def _run(self, limit: "int | None") -> SimStats:
+        """:meth:`run`'s loop, entered with the collector paused."""
         system = self.system
         stats = system.stats
         config = system.config

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import zlib
 from collections import OrderedDict
+from itertools import repeat
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.sim.config import SystemConfig
 from repro.sim.deadline import CHECK_STRIDE as _DEADLINE_STRIDE
-from repro.sim.deadline import check_deadline
-from repro.types import Access, AccessKind
+from repro.sim.deadline import check_deadline, collector_paused
+from repro.types import IFETCH, READ, WRITE, Access
 from repro.workloads.profiles import WorkloadProfile
 
 # Region base block addresses; spans are generous enough never to overlap
@@ -75,6 +76,9 @@ _REGION_SHARED = 1
 _REGION_HOT = 2
 _REGION_CODE = 3
 _REGION_STREAM = 4
+
+#: Access kind by code: 0 read, 1 write, 2 instruction fetch.
+_KINDS = np.array([READ, WRITE, IFETCH], dtype=object)
 
 
 def _zipf_pmf(count: int, exponent: float) -> np.ndarray:
@@ -140,38 +144,53 @@ class SyntheticTraceGenerator:
         This keeps cold (first-touch) misses inside the engine's warmup
         window, so measured miss rates reflect steady-state behaviour
         instead of trace length.
+
+        Each core reads its private region in order, then the pool
+        blocks whose sharer window starts at it, then every
+        ``num_cores``-th hot block, then fetches every
+        ``num_cores``-th code block, each region in index order.
         """
         cores = self.config.num_cores
         gap = self.profile.cpi_gap
-        streams: "list[list[Access]]" = [[] for _ in range(cores)]
-        for c in range(cores):
-            base = _PRIVATE_BASE + c * _PRIVATE_SPAN
-            for offset in range(self.private_blocks):
-                streams[c].append(Access(c, base + offset, AccessKind.READ, gap))
-        for i in range(self.pool_blocks):
-            c = int(self._pool_start[i])
-            streams[c].append(Access(c, _pool_addr(i), AccessKind.READ, gap))
-        for i in range(self.hot_blocks):
-            c = i % cores
-            streams[c].append(Access(c, _hot_addr(i), AccessKind.READ, gap))
-        for i in range(self.code_blocks):
-            c = i % cores
-            streams[c].append(Access(c, _code_addr(i), AccessKind.IFETCH, gap))
+        pool_ends = np.cumsum(np.bincount(self._pool_start, minlength=cores))
+        pool_addrs = _pool_addr(np.argsort(self._pool_start, kind="stable")).tolist()
+        hot_end = _hot_addr(self.hot_blocks)
+        code_end = _code_addr(self.code_blocks)
+        step = _SHARED_STRIDE * cores
+        streams: "list[list[Access]]" = []
+        low = 0
+        for c, high in enumerate(pool_ends.tolist()):
+            private = _PRIVATE_BASE + c * _PRIVATE_SPAN
+            stream = list(map(
+                Access, repeat(c), range(private, private + self.private_blocks),
+                repeat(READ), repeat(gap),
+            ))
+            stream.extend(map(
+                Access, repeat(c), pool_addrs[low:high], repeat(READ), repeat(gap),
+            ))
+            low = high
+            stream.extend(map(
+                Access, repeat(c), range(_hot_addr(c), hot_end, step),
+                repeat(READ), repeat(gap),
+            ))
+            stream.extend(map(
+                Access, repeat(c), range(_code_addr(c), code_end, step),
+                repeat(IFETCH), repeat(gap),
+            ))
+            streams.append(stream)
         return streams
 
-    def generate(self, total_accesses: int) -> "list[list[Access]]":
-        """Generate ``total_accesses`` accesses split into per-core streams.
+    def _draw(self, n: int) -> "tuple[np.ndarray, ...]":
+        """Draw ``n`` steady-state accesses from the profile's mix.
 
-        The returned streams start with an initialization pass over every
-        region (see :meth:`_init_pass`) followed by ``total_accesses``
-        steady-state accesses drawn from the profile's mix.
+        Returns the arrays ``(region, core, addr, is_write, is_ifetch,
+        gaps)``, one entry per access in draw order. A streaming
+        access's ``addr`` is 0: its block depends on how many streaming
+        accesses its core made before it, which :meth:`generate` counts.
         """
-        if total_accesses <= 0:
-            raise ConfigError("total_accesses must be positive")
         profile = self.profile
         rng = self._rng
         cores = self.config.num_cores
-        n = total_accesses
 
         mix = np.array(
             [
@@ -237,34 +256,63 @@ class SyntheticTraceGenerator:
             addr[mask] = _code_addr(idx)
             is_ifetch[mask] = True
 
-        # -- streaming (assembled with per-core counters below) ----------------
+        # -- streaming (addresses counted per core in generate) ----------------
         stream_mask = region == _REGION_STREAM
         is_write[stream_mask] = uniform[stream_mask] < profile.write_fraction_private
+        return region, core, addr, is_write, is_ifetch, gaps
 
-        streams = self._init_pass()
-        stream_cursor = [0] * cores
-        core_list = core.tolist()
-        addr_list = addr.tolist()
-        region_list = region.tolist()
-        write_list = is_write.tolist()
-        ifetch_list = is_ifetch.tolist()
-        gap_list = gaps.tolist()
-        for i in range(n):
-            if i % _DEADLINE_STRIDE == 0:
-                check_deadline()
-            c = core_list[i]
-            if region_list[i] == _REGION_STREAM:
-                a = _STREAM_BASE + c * _STREAM_SPAN + stream_cursor[c]
-                stream_cursor[c] += 1
-            else:
-                a = addr_list[i]
-            if ifetch_list[i]:
-                kind = AccessKind.IFETCH
-            elif write_list[i]:
-                kind = AccessKind.WRITE
-            else:
-                kind = AccessKind.READ
-            streams[c].append(Access(c, a, kind, gap_list[i]))
+    def generate(self, total_accesses: int) -> "list[list[Access]]":
+        """Generate ``total_accesses`` accesses split into per-core streams.
+
+        The returned streams start with an initialization pass over every
+        region (see :meth:`_init_pass`) followed by ``total_accesses``
+        steady-state accesses drawn from the profile's mix, each core's
+        in draw order.
+
+        The streams are assembled per core from the drawn arrays, with
+        no Python work per access but the :class:`Access` constructor,
+        and with the cyclic collector paused: the accesses make no
+        reference cycles. tests/reference_generator.py keeps the
+        per-access loop they are held to.
+        """
+        if total_accesses <= 0:
+            raise ConfigError("total_accesses must be positive")
+        cores = self.config.num_cores
+        region, core, addr, is_write, is_ifetch, gaps = self._draw(total_accesses)
+        # Each core's accesses, in draw order, in one run of positions.
+        order = np.argsort(core, kind="stable")
+        core = core[order]
+        addr = addr[order]
+        counts = np.bincount(core, minlength=cores)
+        ends = np.cumsum(counts)
+        # A streaming access reads its core's next unused stream block:
+        # its cursor is the streaming accesses before it in its core's
+        # run, a running total less the total where the run starts.
+        streaming = region[order] == _REGION_STREAM
+        before = np.concatenate(([0], np.cumsum(streaming)))
+        cursor = before[:-1] - before[ends - counts][core]
+        addr[streaming] = (
+            _STREAM_BASE + core[streaming] * _STREAM_SPAN + cursor[streaming]
+        )
+        codes = is_write.astype(np.intp)
+        codes[is_ifetch] = 2
+        addrs = addr.tolist()
+        kinds = _KINDS[codes[order]].tolist()
+        gap_list = gaps[order].tolist()
+
+        with collector_paused():
+            streams = self._init_pass()
+            start = 0
+            for c, end in enumerate(ends.tolist()):
+                stream = streams[c]
+                for low in range(start, end, _DEADLINE_STRIDE):
+                    check_deadline()
+                    high = min(low + _DEADLINE_STRIDE, end)
+                    stream.extend(map(
+                        Access, repeat(c), addrs[low:high], kinds[low:high],
+                        gap_list[low:high],
+                    ))
+                start = end
         return streams
 
 

@@ -7,6 +7,11 @@ unlike a timing it can gate every change. Each budget is the count
 measured when it was set plus 3%; a change that adds per-access calls
 to a scheme's path fails here, by name. The counter is
 tools/count_calls.py's, which also counts the benchmark's workloads.
+
+Trace generation makes about one call per access (the ``Access``
+constructor) however it assembles its streams, so it is held to a
+budget of bytecodes per generated access instead, with a wider margin
+(see ``GENERATION_BUDGET``).
 """
 
 import importlib.util
@@ -18,7 +23,8 @@ from repro.analysis.runner import RunScale
 from repro.sim.config import InLLCSpec, MgdSpec, SparseSpec, StashSpec, SystemConfig
 from repro.sim.engine import run_trace
 from repro.sim.system import System
-from repro.workloads.generator import generate_streams
+from repro.workloads.generator import SyntheticTraceGenerator, generate_streams
+from repro.workloads.profiles import profile
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "count_calls.py"
 _spec = importlib.util.spec_from_file_location("count_calls", _TOOL)
@@ -47,6 +53,18 @@ BUDGETS = {
         "stash": 10.9,
     },
 }
+
+#: Bytecodes per generated access, initialization pass included (8
+#: cores, 4,000 steady accesses, seed 1). Measured (Python 3.11): barnes
+#: 14.58, TPC-C 14.42; appending one access at a time read 55.34 and
+#: 49.55. This budget is not the count plus 3%. A call count depends
+#: on the program, but a bytecode count also follows the interpreter's
+#: instruction set, which changes from one Python version to the next,
+#: and the suite also runs on 3.10 and 3.12, where the count was not
+#: measured. So the budget is set to fail a return to per-access
+#: assembly (more than three times the count) and lets smaller drift,
+#: up to about 5 bytecodes per access, pass.
+GENERATION_BUDGET = 20.0
 
 #: The schemes as the figures configure them.
 SCHEMES = {
@@ -82,6 +100,21 @@ def test_calls_per_access_within_budget(name):
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 def test_tpcc_calls_per_access_within_budget(name):
     _check("TPC-C", name)
+
+
+@pytest.mark.parametrize("app", sorted(BUDGETS))
+def test_generation_bytecodes_per_access_within_budget(app):
+    config = SystemConfig(num_cores=8, l1_kb=8, l2_kb=32, scheme=SparseSpec(ratio=2.0))
+    generator = SyntheticTraceGenerator(profile(app), config, seed=1)
+    streams = []
+    bytecodes = count_calls_tool.count_bytecodes(
+        lambda: streams.extend(generator.generate(4_000))
+    )
+    measured = bytecodes / sum(len(stream) for stream in streams)
+    assert measured <= GENERATION_BUDGET, (
+        f"{app}: {measured:.2f} bytecodes per generated access, "
+        f"budget {GENERATION_BUDGET}"
+    )
 
 
 def test_counter_counts_python_calls_and_bytecodes():

@@ -347,6 +347,24 @@ class TestCli:
         assert "verify --faults N" in captured.err
         assert list(tmp_path.iterdir()) == []  # no reproducer
 
+    def test_unused_directory_knobs_are_accepted(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # verify never caches and writes no perf points: both directory
+        # knobs are accepted, so one environment serves every command,
+        # and nothing lands in either directory.
+        cache, bench = tmp_path / "cache", tmp_path / "bench"
+        cache.mkdir()
+        bench.mkdir()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(bench))
+        rc = verify_main(["--litmus", "--scheme", "sparse", "--out",
+                          str(tmp_path / "out")])
+        assert rc == 0
+        assert "verify: OK" in capsys.readouterr().out
+        assert list(cache.iterdir()) == []
+        assert list(bench.iterdir()) == []
+
     def test_trace_out_writes_the_trace(self, capsys, tmp_path):
         from repro.telemetry import read_trace
 

@@ -1,7 +1,13 @@
 """Unit tests for workload profiles and the synthetic trace generator."""
 
-import pytest
+import importlib.util
+from pathlib import Path
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from reference_generator import generate_reference
+from repro.analysis.runner import RunScale
 from repro.errors import ConfigError
 from repro.sim.config import SparseSpec, SystemConfig
 from repro.types import AccessKind
@@ -170,3 +176,88 @@ class TestGenerator:
         for app in APPLICATIONS:
             streams = generate_streams(app, config, 500, seed=1)
             assert sum(len(s) for s in streams) > 500
+
+
+def _micro_private_hit() -> WorkloadProfile:
+    """The hot-path microbenchmark's profile, imported, not copied."""
+    benchmarks = Path(__file__).resolve().parent.parent / "benchmarks"
+    spec = importlib.util.spec_from_file_location(
+        "bench_micro_hotpath", benchmarks / "bench_micro_hotpath.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.MICRO_PRIVATE_HIT
+
+
+def _fields(streams) -> list:
+    """Each access's core, address, kind and gap, and the type of each."""
+    return [
+        [
+            (acc.core, acc.addr, acc.kind, acc.gap,
+             type(acc.core), type(acc.addr), type(acc.kind), type(acc.gap))
+            for acc in stream
+        ]
+        for stream in streams
+    ]
+
+
+def _assert_matches_reference(app, config, total, seed) -> None:
+    generated = SyntheticTraceGenerator(app, config, seed).generate(total)
+    reference = generate_reference(SyntheticTraceGenerator(app, config, seed), total)
+    assert _fields(generated) == _fields(reference)
+
+
+@st.composite
+def _profiles(draw) -> WorkloadProfile:
+    # Integer weights, so every subset of the five regions occurs,
+    # streaming included, each region alone too.
+    weights = draw(
+        st.lists(st.integers(0, 4), min_size=5, max_size=5).filter(any)
+    )
+    fractions = [weight / sum(weights) for weight in weights]
+    return WorkloadProfile(
+        "hypothesis",
+        "a random region mix",
+        *fractions,
+        private_region_factor=draw(st.sampled_from([0.05, 0.9, 1.5])),
+        pool_factor=draw(st.sampled_from([0.005, 0.02])),
+        hot_blocks_per_core=draw(st.sampled_from([0.5, 4.0])),
+        code_blocks_per_core=draw(st.sampled_from([0.5, 8.0])),
+        write_fraction_private=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        write_fraction_shared=draw(st.sampled_from([0.0, 0.15])),
+        hot_write_fraction=draw(st.sampled_from([0.0, 0.01])),
+        private_zipf_exponent=draw(st.sampled_from([0.0, 0.55, 1.1])),
+        hot_zipf_exponent=draw(st.sampled_from([0.0, 0.8])),
+        cpi_gap=draw(st.integers(0, 40)),
+    )
+
+
+class TestAssemblyMatchesReference:
+    """``generate`` assembles each core's stream from the drawn arrays;
+    tests/reference_generator.py appends the same draws one access at a
+    time. The two must agree access by access, in value and in type."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        app=_profiles(),
+        cores=st.sampled_from([2, 4, 8, 16]),
+        total=st.integers(1, 3000),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_profiles(self, app, cores, total, seed):
+        config = SystemConfig(
+            num_cores=cores, l1_kb=1, l2_kb=4, scheme=SparseSpec()
+        )
+        _assert_matches_reference(app, config, total, seed)
+
+    @pytest.mark.parametrize("app", [*APPLICATIONS, "micro_private_hit"])
+    def test_every_application_at_quick_scale(self, app):
+        scale = RunScale.quick()
+        config = scale.make_config(SparseSpec())
+        app = _micro_private_hit() if app == "micro_private_hit" else profile(app)
+        for seed in (0, 1):
+            _assert_matches_reference(app, config, scale.total_accesses, seed)

@@ -10,11 +10,19 @@ it, and prints them per access, per scheme and over all points::
 
     python tools/count_calls.py --workload shared [--seed N]
 
+With ``--generate`` it counts the workload's trace generation instead
+(``generate_streams`` with a cold trace cache, as perfbench times it)
+and prints them per generated access, initialization pass included,
+per application and over all traces::
+
+    python tools/count_calls.py --generate --workload private-hit
+
 Calls are ``sys.setprofile`` "call" events (Python frames; a generator
 resume counts as a call). Bytecodes are ``sys.settrace`` opcode events
 of a second run of each point, which is about 30 times slower than an
 untraced run. tests/test_call_budget.py holds each scheme's calls per
-access to a budget with :func:`count_calls`.
+access to a budget with :func:`count_calls`, and generation's bytecodes
+per generated access with :func:`count_bytecodes`.
 """
 
 from __future__ import annotations
@@ -104,6 +112,32 @@ def count_workload(name: str, seed: int) -> "list[dict]":
     return rows
 
 
+def count_generation(name: str, seed: int) -> "list[dict]":
+    """One row per trace of workload ``name``: its application, the
+    accesses generated, and the calls and bytecodes generating it took."""
+    from repro.analysis.runner import RunScale
+    from repro.workloads.generator import clear_trace_cache, generate_streams
+
+    suite = _suite()
+    workload = suite.WORKLOADS[name]
+    scale = dataclasses.replace(RunScale.quick(), seed=seed)
+    config = scale.make_config(suite.figure_schemes(scale, workload.schemes)[0])
+    rows = []
+    for app in workload.apps:
+        row = {"label": app}
+        for counter in (count_calls, count_bytecodes):
+            clear_trace_cache()
+            streams = []
+            row[counter.__name__[len("count_"):]] = counter(
+                lambda: streams.extend(generate_streams(
+                    suite._profile(app), config, workload.accesses, seed=seed
+                ))
+            )
+            row["accesses"] = sum(len(stream) for stream in streams)
+        rows.append(row)
+    return rows
+
+
 def _per_access(rows, key: str) -> str:
     return f"{sum(row[key] for row in rows) / sum(row['accesses'] for row in rows):.2f}"
 
@@ -117,17 +151,28 @@ def main(argv=None) -> int:
         choices=sorted(name for name, w in suite.WORKLOADS.items() if not w.sweep),
     )
     parser.add_argument("--seed", type=int, default=suite.DEFAULT_SEED)
+    parser.add_argument(
+        "--generate",
+        action="store_true",
+        help="count the workload's trace generation, not its runs",
+    )
     args = parser.parse_args(argv)
-    rows = count_workload(args.workload, args.seed)
-    print(f"{args.workload}, seed {args.seed}: per access")
-    print(f"{'scheme':<8} {'accesses':>9} {'calls':>7} {'bytecodes':>9}")
-    schemes = list(dict.fromkeys(row["scheme"] for row in rows))
-    for name, group in [(s, [r for r in rows if r["scheme"] == s]) for s in schemes] + [
-        ("all", rows)
-    ]:
+    if args.generate:
+        rows = count_generation(args.workload, args.seed)
+        column, what = "app", "per generated access"
+        groups = [(row["label"], [row]) for row in rows]
+    else:
+        rows = count_workload(args.workload, args.seed)
+        column, what = "scheme", "per access"
+        schemes = list(dict.fromkeys(row["scheme"] for row in rows))
+        groups = [(s, [r for r in rows if r["scheme"] == s]) for s in schemes]
+    width = max(8, *(len(name) for name, _ in groups))
+    print(f"{args.workload}, seed {args.seed}: {what}")
+    print(f"{column:<{width}} {'accesses':>9} {'calls':>7} {'bytecodes':>9}")
+    for name, group in groups + [("all", rows)]:
         accesses = sum(row["accesses"] for row in group)
         print(
-            f"{name:<8} {accesses:>9} {_per_access(group, 'calls'):>7} "
+            f"{name:<{width}} {accesses:>9} {_per_access(group, 'calls'):>7} "
             f"{_per_access(group, 'bytecodes'):>9}"
         )
     return 0
