@@ -83,7 +83,7 @@ from repro.telemetry import (
     read_trace,
     write_bench_point,
 )
-from repro.types import Access, AccessKind
+from repro.types import AccessKind
 from repro.verify import (
     CoverageMap,
     ValueOracle,
@@ -110,7 +110,6 @@ from repro.workloads.profiles import APPLICATIONS, PROFILES, WorkloadProfile, pr
 __version__ = "1.0.0"
 
 __all__ = [
-    "Access",
     "AccessKind",
     "APPLICATIONS",
     "CoverageMap",

@@ -43,16 +43,20 @@ from __future__ import annotations
 
 import heapq
 
-from repro.errors import InvariantViolation, ProtocolError, TraceError
+from repro.errors import InvariantViolation, ProtocolError
 from repro.sim.deadline import CHECK_STRIDE, check_deadline, collector_paused
 from repro.sim.stats import SimStats
 from repro.sim.system import System
 from repro.telemetry import NULL_TRACER, attach_observer
-from repro.types import Access, AccessKind, PrivateState
+from repro.types import AccessKind, PrivateState
 
 
 class TraceEngine:
     """Interleaves per-core access streams over a :class:`System`.
+
+    ``streams[c]`` is core ``c``'s stream, a list of ``(addr, kind,
+    gap)`` tuples; no more streams than the system has cores. An access
+    carries no core id, so none can name a core outside the system.
 
     ``warmup_fraction`` of the accesses are executed to populate the
     caches and directories but excluded from the reported statistics,
@@ -65,7 +69,7 @@ class TraceEngine:
     def __init__(
         self,
         system: System,
-        streams: "list[list[Access]]",
+        streams: "list[list[tuple]]",
         warmup_fraction: float = 0.4,
         auditor=None,
         oracle=None,
@@ -126,7 +130,7 @@ class TraceEngine:
         yields the statistics per-access counting would. Each access
         hands the core's next one back to the heap with one
         ``heappushpop``, which returns the same earliest access a push
-        and a pop would.
+        and a pop would. An access costs one tuple unpack to read.
         """
         # A with block, not a decorator: a decorated run would carry the
         # __wrapped__ attribute by which perfbench/spans.py recognizes
@@ -159,7 +163,6 @@ class TraceEngine:
         access = system.access
         l1_latency = config.l1_latency
         hit_latency = config.l1_latency + config.l2_latency
-        num_cores = config.num_cores
         read_kind = AccessKind.READ
         write_kind = AccessKind.WRITE
         shared_state = PrivateState.SHARED
@@ -211,46 +214,37 @@ class TraceEngine:
             while item is not None:
                 clock, core_id, index = item
                 stream = streams[core_id]
-                acc = stream[index]
-                issue_time = clock + acc.gap
+                addr, kind, gap = stream[index]
+                issue_time = clock + gap
                 if observed:
                     if tracing:
                         tracer.emit(
                             "txn:start",
                             cycle=issue_time,
-                            core=acc.core,
-                            addr=acc.addr,
-                            op=acc.kind.name,
+                            core=core_id,
+                            addr=addr,
+                            op=kind.name,
                         )
                     pre_state = (
-                        oracle.pre_state(system, acc.core, acc.addr)
+                        oracle.pre_state(system, core_id, addr)
                         if oracle is not None
                         else None
                     )
-                    latency = access(acc, issue_time)
+                    latency = access(core_id, addr, kind, issue_time)
                     processed += 1
                     if oracle is not None:
-                        oracle.observe(
-                            system, acc.core, acc.addr, acc.kind, pre_state
-                        )
+                        oracle.observe(system, core_id, addr, kind, pre_state)
                     done = issue_time + latency
                     if tracing:
                         tracer.emit(
                             "txn:finish",
                             cycle=done,
-                            core=acc.core,
-                            addr=acc.addr,
+                            core=core_id,
+                            addr=addr,
                             latency=latency,
                         )
                 else:
-                    acc_core = acc.core
-                    if not 0 <= acc_core < num_cores:
-                        raise TraceError(
-                            f"access from core {acc_core} outside the system"
-                        )
-                    kind = acc.kind
-                    addr = acc.addr
-                    il1, dl1, l2, states, core = core_tables[acc_core]
+                    il1, dl1, l2, states, core = core_tables[core_id]
                     if kind is read_kind:
                         reads += 1
                         l1 = dl1
@@ -275,16 +269,16 @@ class TraceEngine:
                     if state is None:
                         if in_l1:
                             raise ProtocolError(
-                                f"core {acc_core}: block {addr:#x} in L1 "
+                                f"core {core_id}: block {addr:#x} in L1 "
                                 f"but not L2"
                             )
                         latency, fill_state = handle_access(
-                            acc_core, addr, kind, issue_time, False
+                            core_id, addr, kind, issue_time, False
                         )
                         victim = core.fill(addr, kind, fill_state)
                         if victim is not None:
                             handle_eviction(
-                                acc_core, victim[0], victim[1], issue_time
+                                core_id, victim[0], victim[1], issue_time
                             )
                         latency += hit_latency
                     else:
@@ -294,7 +288,7 @@ class TraceEngine:
                             lines.append(addr)
                         if kind is write_kind and state is shared_state:
                             latency = handle_access(
-                                acc_core, addr, kind, issue_time, True
+                                core_id, addr, kind, issue_time, True
                             )[0]
                             core.complete_upgrade(addr)
                             latency += l1_latency
@@ -384,7 +378,7 @@ def _executed(streams, heap, item, processed: int) -> "list[int]":
 
 def run_trace(
     system: System,
-    streams: "list[list[Access]]",
+    streams: "list[list[tuple]]",
     warmup_fraction: float = 0.4,
     auditor=None,
     oracle=None,

@@ -28,17 +28,17 @@ from repro.sim.config import (
     TinySpec,
 )
 from repro.sim.stats import SimStats
-from repro.types import Access
+from repro.types import AccessKind
 
 
 class System:
     """One simulated chip-multiprocessor.
 
     The public surface is small: construct with a
-    :class:`~repro.sim.config.SystemConfig`, feed
-    :class:`~repro.types.Access` records through :meth:`access` (or use
-    :func:`repro.sim.engine.run_trace`), then :meth:`finalize` and read
-    :attr:`stats`.
+    :class:`~repro.sim.config.SystemConfig`, feed accesses through
+    :meth:`access` one ``(core, addr, kind)`` at a time (or run per-core
+    streams with :func:`repro.sim.engine.run_trace`), then
+    :meth:`finalize` and read :attr:`stats`.
     """
 
     def __init__(self, config: SystemConfig, fault_injector=None) -> None:
@@ -121,21 +121,22 @@ class System:
     # The access path
     # ------------------------------------------------------------------
 
-    def access(self, acc: Access, now: int) -> int:
-        """Process one access at cycle ``now``; returns its latency."""
-        latency = self._access(acc, now)
+    def access(self, core: int, addr: int, kind: AccessKind, now: int) -> int:
+        """Process one access of ``core`` to block ``addr`` at cycle
+        ``now``; returns its latency."""
+        latency = self._access(core, addr, kind, now)
         self.access_index += 1
         if self.fault_injector is not None:
             self.fault_injector.on_access(self)
         return latency
 
-    def _access(self, acc: Access, now: int) -> int:
+    def _access(self, core_id: int, addr: int, kind: AccessKind, now: int) -> int:
         config = self.config
-        if not 0 <= acc.core < config.num_cores:
-            raise TraceError(f"access from core {acc.core} outside the system")
-        self.stats.on_access(acc.kind)
-        core = self.cores[acc.core]
-        probe = core.probe(acc.addr, acc.kind)
+        if not 0 <= core_id < config.num_cores:
+            raise TraceError(f"access from core {core_id} outside the system")
+        self.stats.on_access(kind)
+        core = self.cores[core_id]
+        probe = core.probe(addr, kind)
         if probe.is_hit:
             if probe.level == "l1":
                 self.stats.l1_hits += 1
@@ -144,20 +145,20 @@ class System:
             return config.l1_latency + config.l2_latency
         upgrade = probe.needs_upgrade
         latency, fill_state = self.home.handle_access(
-            acc.core, acc.addr, acc.kind, now, upgrade
+            core_id, addr, kind, now, upgrade
         )
         if upgrade:
-            core.complete_upgrade(acc.addr)
+            core.complete_upgrade(addr)
             return config.l1_latency + latency
-        victim = core.fill(acc.addr, acc.kind, fill_state)
+        victim = core.fill(addr, kind, fill_state)
         if victim is not None:
             victim_addr, victim_state = victim
             injector = self.fault_injector
             if injector is None or not injector.intercept_eviction(
-                acc.core, victim_addr
+                core_id, victim_addr
             ):
                 self.home.handle_private_eviction(
-                    acc.core, victim_addr, victim_state, now
+                    core_id, victim_addr, victim_state, now
                 )
         return config.l1_latency + config.l2_latency + latency
 

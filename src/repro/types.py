@@ -4,6 +4,11 @@ The simulator works at cache-block granularity. A *block address* is the
 physical address with the block-offset bits stripped (i.e. ``addr >>
 log2(block_size)``). All structures in this package index blocks by their
 block address, never by byte address; helpers here convert between the two.
+
+A trace access has no class: a trace is one list per core, indexed by
+core, and each access in it is an exact ``(addr, kind, gap)`` tuple of
+a block address, an :class:`AccessKind` and the compute cycles the core
+spends before issuing it (see :mod:`repro.workloads.generator`).
 """
 
 from __future__ import annotations
@@ -100,42 +105,3 @@ def byte_address(block_addr: int) -> int:
     """Return the first byte address of block ``block_addr``."""
     return block_addr << BLOCK_SHIFT
 
-
-class Access:
-    """A single memory access in a trace.
-
-    Attributes:
-        core: issuing core id, in ``[0, num_cores)``.
-        addr: block address (not byte address).
-        kind: read / write / instruction fetch.
-        gap: compute cycles the core spends before issuing this access;
-            models the non-memory work between consecutive accesses and is
-            the knob through which workload CPI enters the timing model.
-
-    Implemented with ``__slots__`` rather than a dataclass because traces
-    hold hundreds of thousands of these.
-    """
-
-    __slots__ = ("core", "addr", "kind", "gap")
-
-    def __init__(self, core: int, addr: int, kind: AccessKind, gap: int = 0) -> None:
-        self.core = core
-        self.addr = addr
-        self.kind = kind
-        self.gap = gap
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Access):
-            return NotImplemented
-        return (
-            self.core == other.core
-            and self.addr == other.addr
-            and self.kind == other.kind
-            and self.gap == other.gap
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Access(core={self.core}, addr={self.addr:#x}, "
-            f"kind={self.kind.value}, gap={self.gap})"
-        )

@@ -27,7 +27,6 @@ from repro.resilience.faults import FaultInjector, FaultPlan, InjectedFault
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
 from repro.telemetry import JsonlSink, Tracer, attach_observer, trace_output_path
-from repro.types import Access
 from repro.verify.coverage import CoverageMap
 from repro.verify.oracle import ValueOracle
 from repro.verify.steps import AccessStep, FaultStep
@@ -90,7 +89,7 @@ class VerifyHarness:
         kind = step.access_kind()
         private = self.system.cores[core]
         pre = private.state_of(addr)
-        latency = self.system.access(Access(core, addr, kind), self.now)
+        latency = self.system.access(core, addr, kind, self.now)
         # The auditor's recorder is always attached, so this is never off.
         self.system.home.observer.emit(
             f"mesi:{pre.value}->{private.state_of(addr).value}:{step.kind}",

@@ -15,6 +15,11 @@ on any scheme:
   (zigzag address deltas, gap and kind packed into one integer) and
   zlib-compressed, so a few thousand accesses land well under 50 KB.
 
+A frame's index is its core, so a record carries no core id: streams
+go in and come out as the simulator holds them, one list per core of
+exact ``(addr, kind, gap)`` tuples. A frame decodes in bulk, with no
+Python call per access.
+
 Reading and writing both stream frame-by-frame — a reader never holds
 more than one decompressed core stream beyond what it yields, and a
 writer flushes each core as it is handed over. Convenience wrappers
@@ -41,10 +46,11 @@ import dataclasses
 import json
 import os
 import zlib
+from itertools import accumulate
 from pathlib import Path
 
 from repro.errors import ArtifactWriteError, TraceError
-from repro.types import Access, AccessKind
+from repro.types import AccessKind
 
 #: File magic; deliberately distinct from any common archive format.
 MAGIC = b"RTRC"
@@ -80,20 +86,21 @@ def _write_varint(out: bytearray, value: int) -> None:
             return
 
 
-def _read_varint(buf: bytes, pos: int) -> "tuple[int, int]":
-    """Decode one LEB128 integer at ``pos``; returns (value, new_pos)."""
-    result = 0
-    shift = 0
-    length = len(buf)
-    while True:
-        if pos >= length:
-            raise TraceError("truncated varint")
-        byte = buf[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
+def _read_varints(buf: bytes) -> "list[int]":
+    """Decode every LEB128 integer of ``buf``, back to back."""
+    values = []
+    append = values.append
+    value = shift = 0
+    for byte in buf:
+        value |= (byte & 0x7F) << shift
+        if byte & 0x80:
+            shift += 7
+        else:
+            append(value)
+            value = shift = 0
+    if shift:
+        raise TraceError("truncated varint")
+    return values
 
 
 def _zigzag(value: int) -> int:
@@ -102,8 +109,9 @@ def _zigzag(value: int) -> int:
 
 
 def _unzigzag(value: int) -> int:
-    """Inverse of :func:`_zigzag`."""
-    return (value >> 1) if not value & 1 else -((value + 1) >> 1)
+    """Inverse of :func:`_zigzag`; :class:`TraceReader` applies the same
+    expression to a whole frame inline."""
+    return (value >> 1) ^ -(value & 1)
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +185,8 @@ class TraceWriter:
             raise
 
     def write_stream(self, core: int, accesses) -> None:
-        """Encode and append one core's access stream."""
+        """Encode and append core ``core``'s ``(addr, kind, gap)``
+        accesses."""
         if self._closed:
             raise TraceError("writer is closed")
         if core != self._next_core:
@@ -188,17 +197,12 @@ class TraceWriter:
         records = bytearray()
         previous_addr = 0
         count = 0
-        for acc in accesses:
-            if acc.core != core:
-                raise TraceError(
-                    f"stream {core} contains an access issued by core "
-                    f"{acc.core}"
-                )
-            if acc.gap < 0:
-                raise TraceError(f"negative access gap {acc.gap}")
-            _write_varint(records, (acc.gap << 2) | KIND_CODES[acc.kind])
-            _write_varint(records, _zigzag(acc.addr - previous_addr))
-            previous_addr = acc.addr
+        for addr, kind, gap in accesses:
+            if gap < 0:
+                raise TraceError(f"negative access gap {gap}")
+            _write_varint(records, (gap << 2) | KIND_CODES[kind])
+            _write_varint(records, _zigzag(addr - previous_addr))
+            previous_addr = addr
             count += 1
         payload = zlib.compress(bytes(records), _ZLIB_LEVEL)
         frame = bytearray()
@@ -327,7 +331,8 @@ class TraceReader:
             shift += 7
 
     def streams(self):
-        """Yield ``(core, list[Access])`` for each frame, in core order."""
+        """Yield ``(core, stream)`` for each frame, in core order; a
+        stream is a list of ``(addr, kind, gap)`` tuples."""
         while self._frames_read < self.num_cores:
             core = self._frames_read
             count = self._read_frame_varint("frame record count")
@@ -340,31 +345,30 @@ class TraceReader:
                     f"trace file {self.path}: core {core} frame is corrupt: "
                     f"{err}"
                 ) from err
-            stream = []
-            pos = 0
-            previous_addr = 0
-            for _ in range(count):
-                packed, pos = _read_varint(records, pos)
-                kind_code = packed & 0x3
-                try:
-                    kind = KIND_DECODE[kind_code]
-                except KeyError:
-                    raise TraceError(
-                        f"trace file {self.path}: unknown access kind code "
-                        f"{kind_code}"
-                    ) from None
-                delta, pos = _read_varint(records, pos)
-                previous_addr += _unzigzag(delta)
-                stream.append(Access(core, previous_addr, kind, packed >> 2))
-            if pos != len(records):
+            values = _read_varints(records)
+            if len(values) != 2 * count:
                 raise TraceError(
-                    f"trace file {self.path}: core {core} frame has "
-                    f"{len(records) - pos} trailing bytes"
+                    f"trace file {self.path}: core {core} frame holds "
+                    f"{len(values)} varints for {count} records"
                 )
+            packed = values[::2]
+            try:
+                kinds = [KIND_DECODE[code & 0x3] for code in packed]
+            except KeyError as err:
+                raise TraceError(
+                    f"trace file {self.path}: unknown access kind code "
+                    f"{err.args[0]}"
+                ) from None
+            # Each address is the running sum of the deltas, each
+            # unzigzagged as _unzigzag does.
+            addrs = accumulate(
+                [(delta >> 1) ^ -(delta & 1) for delta in values[1::2]]
+            )
+            stream = list(zip(addrs, kinds, [code >> 2 for code in packed]))
             self._frames_read += 1
             yield core, stream
 
-    def read_all(self) -> "list[list[Access]]":
+    def read_all(self) -> "list[list[tuple]]":
         """Decode every remaining frame into per-core streams."""
         return [stream for _, stream in self.streams()]
 
@@ -393,7 +397,7 @@ def _profile_payload(profile):
 
 def save_capture(
     path,
-    streams: "list[list[Access]]",
+    streams: "list[list[tuple]]",
     *,
     profile=None,
     seed: "int | None" = None,
@@ -416,7 +420,7 @@ def save_capture(
     return Path(path)
 
 
-def load_capture(path) -> "tuple[list[list[Access]], dict]":
+def load_capture(path) -> "tuple[list[list[tuple]], dict]":
     """Read a capture written by :class:`TraceWriter`.
 
     Returns ``(streams, header)``; raises :class:`TraceError` on any

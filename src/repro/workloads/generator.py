@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import zlib
 from collections import OrderedDict
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.errors import ConfigError
 from repro.sim.config import SystemConfig
 from repro.sim.deadline import CHECK_STRIDE as _DEADLINE_STRIDE
 from repro.sim.deadline import check_deadline, collector_paused
-from repro.types import IFETCH, READ, WRITE, Access
+from repro.types import IFETCH, READ, WRITE
 from repro.workloads.profiles import WorkloadProfile
 
 # Region base block addresses; spans are generous enough never to overlap
@@ -137,7 +137,7 @@ class SyntheticTraceGenerator:
 
     # ------------------------------------------------------------------
 
-    def _init_pass(self) -> "list[list[Access]]":
+    def _init_pass(self) -> "list[list[tuple]]":
         """The initialization phase: touch every block of every region
         once, the way a real program's setup loop faults in its data.
 
@@ -157,25 +157,21 @@ class SyntheticTraceGenerator:
         hot_end = _hot_addr(self.hot_blocks)
         code_end = _code_addr(self.code_blocks)
         step = _SHARED_STRIDE * cores
-        streams: "list[list[Access]]" = []
+        streams: "list[list[tuple]]" = []
         low = 0
         for c, high in enumerate(pool_ends.tolist()):
             private = _PRIVATE_BASE + c * _PRIVATE_SPAN
-            stream = list(map(
-                Access, repeat(c), range(private, private + self.private_blocks),
-                repeat(READ), repeat(gap),
+            stream = list(zip(
+                range(private, private + self.private_blocks), repeat(READ),
+                repeat(gap),
             ))
-            stream.extend(map(
-                Access, repeat(c), pool_addrs[low:high], repeat(READ), repeat(gap),
-            ))
+            stream.extend(zip(pool_addrs[low:high], repeat(READ), repeat(gap)))
             low = high
-            stream.extend(map(
-                Access, repeat(c), range(_hot_addr(c), hot_end, step),
-                repeat(READ), repeat(gap),
+            stream.extend(zip(
+                range(_hot_addr(c), hot_end, step), repeat(READ), repeat(gap),
             ))
-            stream.extend(map(
-                Access, repeat(c), range(_code_addr(c), code_end, step),
-                repeat(IFETCH), repeat(gap),
+            stream.extend(zip(
+                range(_code_addr(c), code_end, step), repeat(IFETCH), repeat(gap),
             ))
             streams.append(stream)
         return streams
@@ -261,19 +257,20 @@ class SyntheticTraceGenerator:
         is_write[stream_mask] = uniform[stream_mask] < profile.write_fraction_private
         return region, core, addr, is_write, is_ifetch, gaps
 
-    def generate(self, total_accesses: int) -> "list[list[Access]]":
+    def generate(self, total_accesses: int) -> "list[list[tuple]]":
         """Generate ``total_accesses`` accesses split into per-core streams.
 
-        The returned streams start with an initialization pass over every
-        region (see :meth:`_init_pass`) followed by ``total_accesses``
-        steady-state accesses drawn from the profile's mix, each core's
-        in draw order.
+        ``streams[c]`` is core ``c``'s list of ``(addr, kind, gap)``
+        tuples. It starts with an initialization pass over every region
+        (see :meth:`_init_pass`), followed by core ``c``'s share of the
+        ``total_accesses`` steady-state accesses drawn from the
+        profile's mix, in draw order.
 
-        The streams are assembled per core from the drawn arrays, with
-        no Python work per access but the :class:`Access` constructor,
-        and with the cyclic collector paused: the accesses make no
-        reference cycles. tests/reference_generator.py keeps the
-        per-access loop they are held to.
+        The streams are assembled per core from the drawn arrays by
+        ``zip``, with no Python call per access, and with the cyclic
+        collector paused: the tuples make no reference cycles.
+        tests/reference_generator.py keeps the per-access loop they are
+        held to.
         """
         if total_accesses <= 0:
             raise ConfigError("total_accesses must be positive")
@@ -296,23 +293,18 @@ class SyntheticTraceGenerator:
         )
         codes = is_write.astype(np.intp)
         codes[is_ifetch] = 2
-        addrs = addr.tolist()
-        kinds = _KINDS[codes[order]].tolist()
-        gap_list = gaps[order].tolist()
+        accesses = zip(
+            addr.tolist(), _KINDS[codes[order]].tolist(), gaps[order].tolist()
+        )
 
         with collector_paused():
             streams = self._init_pass()
-            start = 0
-            for c, end in enumerate(ends.tolist()):
-                stream = streams[c]
-                for low in range(start, end, _DEADLINE_STRIDE):
+            for stream, count in zip(streams, counts.tolist()):
+                for low in range(0, count, _DEADLINE_STRIDE):
                     check_deadline()
-                    high = min(low + _DEADLINE_STRIDE, end)
-                    stream.extend(map(
-                        Access, repeat(c), addrs[low:high], kinds[low:high],
-                        gap_list[low:high],
-                    ))
-                start = end
+                    stream.extend(
+                        islice(accesses, min(_DEADLINE_STRIDE, count - low))
+                    )
         return streams
 
 
@@ -351,7 +343,7 @@ def generate_streams(
     config: SystemConfig,
     total_accesses: int,
     seed: int = 0,
-) -> "list[list[Access]]":
+) -> "list[list[tuple]]":
     """One-call helper: build a generator and produce streams.
 
     Results are memoized per process (keyed on the profile, the config

@@ -9,7 +9,7 @@ import pytest
 
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
-from repro.types import Access, AccessKind
+from repro.types import AccessKind
 
 try:
     from hypothesis import HealthCheck, settings as hypothesis_settings
@@ -74,7 +74,7 @@ class Driver:
         return self._go(core, addr, AccessKind.IFETCH)
 
     def _go(self, core: int, addr: int, kind: AccessKind) -> int:
-        latency = self.system.access(Access(core, addr, kind), self.now)
+        latency = self.system.access(core, addr, kind, self.now)
         self.now += max(1, latency)
         return latency
 

@@ -45,31 +45,31 @@ def run_reference(engine: TraceEngine) -> SimStats:
     processed = 0
     while heap:
         clock, core, index = heapq.heappop(heap)
-        acc = engine.streams[core][index]
-        issue_time = clock + acc.gap
+        addr, kind, gap = engine.streams[core][index]
+        issue_time = clock + gap
         if tracer.enabled:
             tracer.emit(
                 "txn:start",
                 cycle=issue_time,
-                core=acc.core,
-                addr=acc.addr,
-                op=acc.kind.name,
+                core=core,
+                addr=addr,
+                op=kind.name,
             )
         pre_state = (
-            oracle.pre_state(system, acc.core, acc.addr)
+            oracle.pre_state(system, core, addr)
             if oracle is not None
             else None
         )
-        latency = system.access(acc, issue_time)
+        latency = system.access(core, addr, kind, issue_time)
         if oracle is not None:
-            oracle.observe(system, acc.core, acc.addr, acc.kind, pre_state)
+            oracle.observe(system, core, addr, kind, pre_state)
         done = issue_time + latency
         if tracer.enabled:
             tracer.emit(
                 "txn:finish",
                 cycle=done,
-                core=acc.core,
-                addr=acc.addr,
+                core=core,
+                addr=addr,
                 latency=latency,
             )
         if done > finish:

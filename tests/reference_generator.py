@@ -6,8 +6,8 @@
 streams one access at a time: the initialization pass block by block,
 then each drawn access with its core's streaming cursor counted as it
 goes. It is the oracle the generator's per-core assembly is held to:
-tests/test_workloads.py requires the two to produce the same accesses,
-field by field and type by type.
+tests/test_workloads.py requires the two to produce the same
+``(addr, kind, gap)`` tuples, element by element and type by type.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.errors import ConfigError
 from repro.sim.deadline import CHECK_STRIDE as _DEADLINE_STRIDE
 from repro.sim.deadline import check_deadline
-from repro.types import Access, AccessKind
+from repro.types import AccessKind
 from repro.workloads.generator import (
     _PRIVATE_BASE,
     _PRIVATE_SPAN,
@@ -29,30 +29,30 @@ from repro.workloads.generator import (
 )
 
 
-def _init_pass(generator: SyntheticTraceGenerator) -> "list[list[Access]]":
+def _init_pass(generator: SyntheticTraceGenerator) -> "list[list[tuple]]":
     """Every block of every region once, appended access by access."""
     cores = generator.config.num_cores
     gap = generator.profile.cpi_gap
-    streams: "list[list[Access]]" = [[] for _ in range(cores)]
+    streams: "list[list[tuple]]" = [[] for _ in range(cores)]
     for c in range(cores):
         base = _PRIVATE_BASE + c * _PRIVATE_SPAN
         for offset in range(generator.private_blocks):
-            streams[c].append(Access(c, base + offset, AccessKind.READ, gap))
+            streams[c].append((base + offset, AccessKind.READ, gap))
     for i in range(generator.pool_blocks):
         c = int(generator._pool_start[i])
-        streams[c].append(Access(c, _pool_addr(i), AccessKind.READ, gap))
+        streams[c].append((_pool_addr(i), AccessKind.READ, gap))
     for i in range(generator.hot_blocks):
         c = i % cores
-        streams[c].append(Access(c, _hot_addr(i), AccessKind.READ, gap))
+        streams[c].append((_hot_addr(i), AccessKind.READ, gap))
     for i in range(generator.code_blocks):
         c = i % cores
-        streams[c].append(Access(c, _code_addr(i), AccessKind.IFETCH, gap))
+        streams[c].append((_code_addr(i), AccessKind.IFETCH, gap))
     return streams
 
 
 def generate_reference(
     generator: SyntheticTraceGenerator, total_accesses: int
-) -> "list[list[Access]]":
+) -> "list[list[tuple]]":
     """``generator``'s streams for ``total_accesses``, assembled one
     access at a time. ``generator`` must be fresh: drawing advances its
     random state, as :meth:`SyntheticTraceGenerator.generate` does."""
@@ -85,5 +85,5 @@ def generate_reference(
             kind = AccessKind.WRITE
         else:
             kind = AccessKind.READ
-        streams[c].append(Access(c, a, kind, gap_list[i]))
+        streams[c].append((a, kind, gap_list[i]))
     return streams

@@ -1,7 +1,8 @@
 """Property-based tests (hypothesis) on the ``.rtrace`` capture format.
 
 The format's contract is simple to state and worth pinning hard: any
-per-core access streams round-trip bit-exactly through save/load, and
+per-core streams of ``(addr, kind, gap)`` tuples round-trip exactly
+through save/load, element by element and type by type, and
 any structurally damaged file — truncated anywhere, wrong magic, wrong
 version, corrupt header — is rejected with :class:`TraceError`, never
 decoded into silently wrong streams.
@@ -14,13 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import TraceError
-from repro.types import Access, AccessKind
+from repro.types import AccessKind
 from repro.workloads.capture import (
     CAPTURE_VERSION,
     MAGIC,
     TraceReader,
     TraceWriter,
-    _read_varint,
+    _read_varints,
     _unzigzag,
     _write_varint,
     _zigzag,
@@ -29,6 +30,7 @@ from repro.workloads.capture import (
     save_capture,
 )
 from repro.workloads.profiles import profile
+from test_stream_format import assert_exact_format
 
 FORMAT = settings(
     max_examples=40,
@@ -58,13 +60,6 @@ streams_strategy = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
-def build_streams(raw):
-    return [
-        [Access(core, addr, kind, gap) for addr, kind, gap in stream]
-        for core, stream in enumerate(raw)
-    ]
-
-
 # ----------------------------------------------------------------------
 # Encoding primitives
 # ----------------------------------------------------------------------
@@ -76,13 +71,12 @@ def test_zigzag_round_trip(value):
     assert _unzigzag(folded) == value
 
 
-@given(value=st.integers(min_value=0, max_value=1 << 70))
-def test_varint_round_trip(value):
+@given(values=st.lists(st.integers(min_value=0, max_value=1 << 70), max_size=8))
+def test_varint_round_trip(values):
     buf = bytearray()
-    _write_varint(buf, value)
-    decoded, pos = _read_varint(bytes(buf), 0)
-    assert decoded == value
-    assert pos == len(buf)
+    for value in values:
+        _write_varint(buf, value)
+    assert _read_varints(bytes(buf)) == values
 
 
 def test_varint_rejects_negative():
@@ -94,7 +88,7 @@ def test_varint_rejects_truncation():
     buf = bytearray()
     _write_varint(buf, 1 << 40)
     with pytest.raises(TraceError, match="truncated varint"):
-        _read_varint(bytes(buf[:-1]), 0)
+        _read_varints(bytes(buf[:-1]))
 
 
 # ----------------------------------------------------------------------
@@ -102,13 +96,13 @@ def test_varint_rejects_truncation():
 # ----------------------------------------------------------------------
 
 @FORMAT
-@given(raw=streams_strategy)
-def test_round_trip_arbitrary_streams(raw, tmp_path):
-    streams = build_streams(raw)
+@given(streams=streams_strategy)
+def test_round_trip_arbitrary_streams(streams, tmp_path):
     path = tmp_path / "trace.rtrace"
     save_capture(path, streams, seed=3)
     loaded, header = load_capture(path)
     assert loaded == streams
+    assert_exact_format(loaded)
     assert header["num_cores"] == len(streams)
     assert header["seed"] == 3
     assert header["format_version"] == CAPTURE_VERSION
@@ -125,7 +119,7 @@ def test_round_trip_empty_streams(tmp_path):
 
 def test_round_trip_single_access(tmp_path):
     path = tmp_path / "one.rtrace"
-    streams = [[Access(0, 123456789, AccessKind.WRITE, 7)]]
+    streams = [[(123456789, AccessKind.WRITE, 7)]]
     save_capture(path, streams)
     loaded, _header = load_capture(path)
     assert loaded == streams
@@ -136,7 +130,7 @@ def test_header_provenance_round_trip(tmp_path):
     app = profile("barnes")
     save_capture(
         path,
-        [[Access(0, 1, AccessKind.READ, 0)]],
+        [[(1, AccessKind.READ, 0)]],
         profile=app,
         seed=9,
         total_accesses=1,
@@ -156,9 +150,8 @@ def test_header_provenance_round_trip(tmp_path):
 # ----------------------------------------------------------------------
 
 @FORMAT
-@given(raw=streams_strategy, cut=st.floats(min_value=0.0, max_value=1.0))
-def test_any_truncation_is_rejected(raw, cut, tmp_path):
-    streams = build_streams(raw)
+@given(streams=streams_strategy, cut=st.floats(min_value=0.0, max_value=1.0))
+def test_any_truncation_is_rejected(streams, cut, tmp_path):
     path = tmp_path / "whole.rtrace"
     save_capture(path, streams)
     blob = path.read_bytes()
@@ -172,7 +165,7 @@ def test_any_truncation_is_rejected(raw, cut, tmp_path):
 def test_bad_magic_is_rejected(tmp_path):
     path = tmp_path / "bad.rtrace"
     good = tmp_path / "good.rtrace"
-    save_capture(good, [[Access(0, 1, AccessKind.READ, 0)]])
+    save_capture(good, [[(1, AccessKind.READ, 0)]])
     blob = good.read_bytes()
     path.write_bytes(b"NOPE" + blob[len(MAGIC):])
     with pytest.raises(TraceError, match="bad magic"):
@@ -182,7 +175,7 @@ def test_bad_magic_is_rejected(tmp_path):
 def test_future_version_is_rejected(tmp_path):
     path = tmp_path / "future.rtrace"
     good = tmp_path / "good.rtrace"
-    save_capture(good, [[Access(0, 1, AccessKind.READ, 0)]])
+    save_capture(good, [[(1, AccessKind.READ, 0)]])
     blob = good.read_bytes()
     future = (CAPTURE_VERSION + 1).to_bytes(2, "big")
     path.write_bytes(blob[:4] + future + blob[6:])
@@ -223,6 +216,40 @@ def test_missing_file_is_a_trace_error(tmp_path):
         load_capture(tmp_path / "nope.rtrace")
 
 
+def _one_frame_capture(path, count: int, values) -> None:
+    """A one-core capture whose frame declares ``count`` records and
+    holds the varints ``values``, however many that is."""
+    records = bytearray()
+    for value in values:
+        _write_varint(records, value)
+    payload = zlib.compress(bytes(records))
+    frame = bytearray()
+    _write_varint(frame, count)
+    _write_varint(frame, len(payload))
+    writer = TraceWriter(path, 1)
+    writer._file.write(bytes(frame) + payload)
+    writer._next_core = 1
+    writer.close()
+
+
+def test_frame_varints_must_match_its_record_count(tmp_path):
+    path = tmp_path / "count.rtrace"
+    # One record is two varints: (gap << 2) | kind, then the address delta.
+    _one_frame_capture(path, 1, [(3 << 2) | 1, 8])
+    assert load_capture(path)[0] == [[(4, AccessKind.WRITE, 3)]]
+    for count, values in ((2, [0, 8]), (1, [0, 8, 0]), (1, [0])):
+        _one_frame_capture(path, count, values)
+        with pytest.raises(TraceError, match="varints for"):
+            load_capture(path)
+
+
+def test_unknown_kind_code_is_rejected(tmp_path):
+    path = tmp_path / "kind.rtrace"
+    _one_frame_capture(path, 2, [0, 2, (1 << 2) | 3, 2])
+    with pytest.raises(TraceError, match="unknown access kind code 3"):
+        load_capture(path)
+
+
 # ----------------------------------------------------------------------
 # Writer discipline
 # ----------------------------------------------------------------------
@@ -234,17 +261,10 @@ def test_writer_enforces_core_order(tmp_path):
     writer._abort()
 
 
-def test_writer_rejects_foreign_access(tmp_path):
-    writer = TraceWriter(tmp_path / "foreign.rtrace", 2)
-    with pytest.raises(TraceError, match="issued by core"):
-        writer.write_stream(0, [Access(1, 5, AccessKind.READ, 0)])
-    writer._abort()
-
-
 def test_writer_rejects_negative_gap(tmp_path):
     writer = TraceWriter(tmp_path / "gap.rtrace", 1)
     with pytest.raises(TraceError, match="negative access gap"):
-        writer.write_stream(0, [Access(0, 5, AccessKind.READ, -1)])
+        writer.write_stream(0, [(5, AccessKind.READ, -1)])
     writer._abort()
 
 
@@ -271,9 +291,9 @@ def test_writer_context_manager_cleans_up_on_error(tmp_path):
 def test_reader_streams_in_core_order(tmp_path):
     path = tmp_path / "ordered.rtrace"
     streams = [
-        [Access(0, 10, AccessKind.READ, 0)],
+        [(10, AccessKind.READ, 0)],
         [],
-        [Access(2, 20, AccessKind.WRITE, 1)],
+        [(20, AccessKind.WRITE, 1)],
     ]
     save_capture(path, streams)
     with TraceReader(path) as reader:

@@ -7,21 +7,24 @@ docs/performance.md): a cycle made under the pause would live until
 the next collection. These tests hold that premise, with
 ``gc.collect()`` finding nothing after each run, and check that the
 pause leaves the collector as it found it, also when a run raises.
+On exit the pause moves what survived it into the oldest generation,
+so no young collection scans it again.
 """
 
 import gc
+import weakref
 
 import pytest
 
 from repro.analysis.runner import RunScale
-from repro.errors import RunTimeoutError, TraceError
+from repro.errors import ProtocolError, RunTimeoutError
 from repro.resilience.auditor import ProtocolAuditor
 from repro.sim import engine as engine_module
 from repro.sim.deadline import collector_paused, deadline_scope
 from repro.sim.engine import TraceEngine, run_trace
 from repro.sim.system import System
 from repro.telemetry import RingBufferSink, Tracer
-from repro.types import READ, Access
+from repro.types import READ
 from repro.workloads import generator as generator_module
 from repro.workloads.generator import SyntheticTraceGenerator
 from repro.workloads.profiles import profile
@@ -88,9 +91,12 @@ def test_generation_and_run_loops_run_paused(monkeypatch):
 
 
 def test_a_run_that_raises_reenables_the_collector():
-    streams = [[Access(99, 0x40, READ, 1)]]
-    with pytest.raises(TraceError):
-        run_trace(System(_config()), streams)
+    # A block in core 0's L1 but not in its L2 breaks inclusion, which
+    # the engine's inlined private lookup reports.
+    system = System(_config())
+    system.cores[0].dl1[0x40 % system.config.l1_sets] = [0x40]
+    with pytest.raises(ProtocolError, match="in L1 but not L2"):
+        run_trace(system, [[(0x40, READ, 1)]])
     assert gc.isenabled()
 
 
@@ -120,6 +126,56 @@ def test_a_run_entered_with_the_collector_disabled_leaves_it_disabled():
     assert not gc.isenabled()
     SyntheticTraceGenerator(profile("barnes"), _config(), seed=1).generate(100)
     assert not gc.isenabled()
+
+
+class _Node:
+    """A collector-tracked object that can be weakly referenced."""
+
+
+def test_what_a_pause_made_leaves_the_young_generations():
+    with collector_paused():
+        made = [_Node() for _ in range(2000)]
+        streams = _streams()
+    # No automatic collection may move the fresh object on.
+    gc.disable()
+    fresh = _Node()
+    young = {id(obj) for generation in (0, 1) for obj in gc.get_objects(generation)}
+    gc.enable()
+    assert id(fresh) in young
+    kept = [*made, streams, *streams, *streams[0]]
+    assert all(gc.is_tracked(obj) for obj in kept)
+    assert not any(id(obj) in young for obj in kept)
+
+
+def test_a_cycle_made_under_a_pause_is_still_freed_by_a_collection():
+    with collector_paused():
+        node = _Node()
+        node.self = node
+        ref = weakref.ref(node)
+        del node
+    assert ref() is not None
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_pause_keeps_a_disabled_collector_and_frozen_objects():
+    gc.disable()
+    with collector_paused():
+        made = [_Node() for _ in range(10)]
+    assert not gc.isenabled()
+    young = {id(obj) for obj in gc.get_objects(0)}
+    assert all(id(obj) in young for obj in made)
+    gc.enable()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        with collector_paused():
+            pass
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
 
 
 def test_scopes_nest():

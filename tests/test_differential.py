@@ -14,7 +14,7 @@ import pytest
 from repro.errors import TraceError
 from repro.resilience.faults import Fault, FaultKind, FaultPlan
 from repro.sim.config import SystemConfig
-from repro.types import Access, AccessKind
+from repro.types import AccessKind
 from repro.verify.diff_cli import main as diff_main
 from repro.verify.differential import (
     ALL_SCHEMES,

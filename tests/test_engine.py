@@ -7,7 +7,7 @@ from repro.resilience import ProtocolAuditor
 from repro.sim.config import SparseSpec, SystemConfig, TinySpec
 from repro.sim.engine import TraceEngine, run_trace
 from repro.sim.system import System
-from repro.types import Access, AccessKind
+from repro.types import AccessKind
 from repro.verify import ValueOracle
 from repro.verify.differential import truncate_streams
 from repro.workloads.generator import generate_streams
@@ -17,20 +17,20 @@ def small_system() -> System:
     return System(SystemConfig(num_cores=4, l1_kb=1, l2_kb=4, scheme=SparseSpec(ratio=2.0)))
 
 
-def reads(core, addrs, gap=5):
-    return [Access(core, addr, AccessKind.READ, gap) for addr in addrs]
+def reads(addrs, gap=5):
+    return [(addr, AccessKind.READ, gap) for addr in addrs]
 
 
 class TestEngineBasics:
     def test_runs_all_accesses(self):
         system = small_system()
-        streams = [reads(0, range(10)), reads(1, range(100, 110))]
+        streams = [reads(range(10)), reads(range(100, 110))]
         stats = run_trace(system, streams, warmup_fraction=0.0)
         assert stats.accesses == 20
 
     def test_execution_time_is_max_core_clock(self):
         system = small_system()
-        streams = [reads(0, range(50)), reads(1, [100])]
+        streams = [reads(range(50)), reads([100])]
         stats = run_trace(system, streams, warmup_fraction=0.0)
         assert stats.cycles > 50 * 5  # at least the busy core's gaps
 
@@ -46,7 +46,7 @@ class TestEngineBasics:
 
     def test_empty_streams_allowed(self):
         system = small_system()
-        stats = run_trace(system, [[], reads(1, range(5))], warmup_fraction=0.0)
+        stats = run_trace(system, [[], reads(range(5))], warmup_fraction=0.0)
         assert stats.accesses == 5
 
 
@@ -54,7 +54,7 @@ class TestWarmup:
     def test_warmup_excluded_from_stats(self):
         def run(warmup):
             system = small_system()
-            streams = [reads(0, range(40))]
+            streams = [reads(range(40))]
             return run_trace(system, streams, warmup_fraction=warmup)
 
         cold = run(0.0)
@@ -67,16 +67,16 @@ class TestWarmup:
     def test_warmup_preserves_traffic_meter_identity(self):
         system = small_system()
         meter = system.stats.traffic
-        run_trace(system, [reads(0, range(20))], warmup_fraction=0.5)
+        run_trace(system, [reads(range(20))], warmup_fraction=0.5)
         assert system.stats.traffic is meter
         assert meter.total_bytes > 0
 
     def test_cycles_measure_post_warmup_region(self):
         system = small_system()
-        streams = [reads(0, range(100))]
+        streams = [reads(range(100))]
         stats = run_trace(system, streams, warmup_fraction=0.5)
         system2 = small_system()
-        full = run_trace(system2, [reads(0, range(100))], warmup_fraction=0.0)
+        full = run_trace(system2, [reads(range(100))], warmup_fraction=0.0)
         assert 0 < stats.cycles < full.cycles
 
 
@@ -95,14 +95,14 @@ class TestEdgeCases:
 
     def test_single_access_stream(self):
         system = small_system()
-        stats = run_trace(system, [reads(0, [0x40])], warmup_fraction=0.4)
+        stats = run_trace(system, [reads([0x40])], warmup_fraction=0.4)
         assert stats.accesses == 1
         assert stats.cycles > 0
 
     def test_single_access_with_high_warmup_still_measures_it(self):
         # int(1 * 0.99) == 0 warmup accesses, so the one access counts.
         system = small_system()
-        stats = run_trace(system, [reads(0, [0x40])], warmup_fraction=0.99)
+        stats = run_trace(system, [reads([0x40])], warmup_fraction=0.99)
         assert stats.accesses == 1
         assert stats.cycles >= 0
 
@@ -110,13 +110,13 @@ class TestEdgeCases:
         # int(10 * 0.99) == 9: the clamp must leave >= 1 measured access
         # and a non-negative cycle count.
         system = small_system()
-        stats = run_trace(system, [reads(0, range(10))], warmup_fraction=0.99)
+        stats = run_trace(system, [reads(range(10))], warmup_fraction=0.99)
         assert stats.accesses >= 1
         assert stats.cycles >= 0
 
     def test_zero_warmup_measures_everything(self):
         system = small_system()
-        stats = run_trace(system, [reads(0, range(7)), reads(1, range(7))],
+        stats = run_trace(system, [reads(range(7)), reads(range(7))],
                           warmup_fraction=0.0)
         assert stats.accesses == 14
 
@@ -132,7 +132,7 @@ class TestDeterminism:
     def test_same_trace_same_result(self):
         def run():
             system = small_system()
-            streams = [reads(c, range(c * 100, c * 100 + 30)) for c in range(4)]
+            streams = [reads(range(c * 100, c * 100 + 30)) for c in range(4)]
             return run_trace(system, streams).cycles
 
         assert run() == run()

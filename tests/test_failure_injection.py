@@ -34,7 +34,7 @@ from repro.sim.config import (
 )
 from repro.sim.engine import run_trace
 from repro.sim.system import System
-from repro.types import Access, AccessKind, PrivateState
+from repro.types import AccessKind, PrivateState
 from repro.verify.harness import run_schedule
 from repro.verify.steps import FaultStep, R, W
 from repro.workloads.generator import generate_streams
@@ -204,7 +204,7 @@ class TestProtocolErrorPaths:
     def test_access_from_unknown_core_rejected(self):
         d = Driver(make_system(SparseSpec(ratio=2.0)))
         with pytest.raises(TraceError):
-            d.system.access(Access(99, 0x40, AccessKind.READ), 0)
+            d.system.access(99, 0x40, AccessKind.READ, 0)
 
     def test_forward_to_vanished_owner_detected(self):
         d = faulted_driver(

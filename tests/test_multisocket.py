@@ -13,7 +13,7 @@ from repro.multisocket.system import (
     build_multisocket_system,
 )
 from repro.sim.config import SparseSpec, TinySpec
-from repro.types import Access, AccessKind
+from repro.types import AccessKind
 from repro.verify import (
     AccessStep,
     CoverageMap,
@@ -56,8 +56,8 @@ class TestBehaviour:
         kinds = [AccessKind.READ, AccessKind.WRITE, AccessKind.IFETCH]
         now = 0
         for _ in range(steps):
-            acc = Access(rng.randrange(4), rng.randrange(300), rng.choice(kinds))
-            now += system.access(acc, now)
+            core, addr = rng.randrange(4), rng.randrange(300)
+            now += system.access(core, addr, rng.choice(kinds), now)
         system.check_invariants()
         return system
 
@@ -75,8 +75,8 @@ class TestBehaviour:
         """A socket-forwarded read pays inter-socket link latency."""
         config = MultiSocketConfig(num_sockets=4, socket_cache_kb=16)
         system = build_multisocket_system(config)
-        system.access(Access(0, 0x40, AccessKind.READ), 0)
-        forwarded = system.access(Access(1, 0x40, AccessKind.READ), 100)
+        system.access(0, 0x40, AccessKind.READ, 0)
+        forwarded = system.access(1, 0x40, AccessKind.READ, 100)
         assert forwarded >= INTER_SOCKET_HOP_CYCLES
 
 
@@ -191,8 +191,9 @@ class TestConformance:
         bare = self._system(spec)
         now = 0
         for step in steps:
-            acc = Access(step.core, step.addr, step.access_kind())
-            now += max(1, bare.access(acc, now))
+            now += max(
+                1, bare.access(step.core, step.addr, step.access_kind(), now)
+            )
 
         monitored = self._system(spec)
         harness = VerifyHarness(

@@ -12,7 +12,7 @@ from repro.sim.config import (
     StashSpec,
     TinySpec,
 )
-from repro.types import Access, AccessKind
+from repro.types import AccessKind
 
 SLOW = settings(
     max_examples=25,
@@ -33,7 +33,7 @@ def run_and_check(scheme, trace):
     system = make_system(scheme)
     now = 0
     for core, addr, kind in trace:
-        latency = system.access(Access(core, addr, kind), now)
+        latency = system.access(core, addr, kind, now)
         assert latency > 0
         now += latency
     system.check_invariants()
@@ -89,11 +89,11 @@ class TestProtocolInvariants:
         """After a write, the writer holds M until someone else accesses
         the block; a subsequent read from another core always succeeds."""
         system = run_and_check(SparseSpec(ratio=2.0), trace)
-        system.access(Access(0, 5, AccessKind.WRITE), 10**9)
+        system.access(0, 5, AccessKind.WRITE, 10**9)
         from repro.types import PrivateState
 
         assert system.cores[0].state_of(5) is PrivateState.MODIFIED
-        system.access(Access(1, 5, AccessKind.READ), 10**9 + 100)
+        system.access(1, 5, AccessKind.READ, 10**9 + 100)
         assert system.cores[1].state_of(5) is PrivateState.SHARED
         system.check_invariants()
 
@@ -168,7 +168,7 @@ class TestLatencyProperties:
             system = make_system(SparseSpec(ratio=2.0))
             streams = [[] for _ in range(4)]
             for core, addr, kind in accesses:
-                streams[core].append(Access(core, addr, kind, gap=1))
+                streams[core].append((addr, kind, 1))
             return run_trace(system, streams, warmup_fraction=0.0).cycles
 
         assert cycles(trace) <= cycles(trace + trace[-1:])

@@ -48,7 +48,7 @@ from repro.sim.config import (
 from repro.sim.engine import run_trace
 from repro.sim.system import System
 from repro.telemetry import NULL_TRACER
-from repro.types import Access, AccessKind
+from repro.types import AccessKind
 from repro.workloads.capture import TraceWriter
 from repro.workloads.generator import generate_streams
 from repro.workloads.profiles import profile
@@ -380,7 +380,7 @@ class TestCaptureWriteFailure:
     def test_stream_write_failure_cleans_tmp(self, tmp_path):
         writer = TraceWriter(tmp_path / "t.rtrace", num_cores=1)
         writer._file = self._ExplodingFile(writer._file)
-        accesses = [Access(0, 4, AccessKind.READ)]
+        accesses = [(4, AccessKind.READ, 0)]
         with pytest.raises(ArtifactWriteError):
             writer.write_stream(0, accesses)
         assert not writer._tmp.exists()

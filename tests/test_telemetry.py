@@ -121,9 +121,9 @@ class TestBitIdentity:
         seen = []
         access = System.access
 
-        def counted(system, acc, now):
-            seen.append(acc)
-            return access(system, acc, now)
+        def counted(system, core, addr, kind, now):
+            seen.append(addr)
+            return access(system, core, addr, kind, now)
 
         monkeypatch.setattr(System, "access", counted)
         if observer is None:

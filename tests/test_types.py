@@ -1,7 +1,6 @@
 """Unit tests for the common value types."""
 
 from repro.types import (
-    Access,
     AccessKind,
     BLOCK_SIZE,
     LLCState,
@@ -49,17 +48,6 @@ class TestAddressConversion:
         assert BLOCK_SIZE == 64
 
 
-class TestAccess:
-    def test_fields(self):
-        acc = Access(3, 0x10, AccessKind.WRITE, gap=7)
-        assert (acc.core, acc.addr, acc.kind, acc.gap) == (3, 0x10, AccessKind.WRITE, 7)
-
-    def test_default_gap_zero(self):
-        assert Access(0, 0, AccessKind.READ).gap == 0
-
-    def test_equality(self):
-        assert Access(1, 2, AccessKind.READ) == Access(1, 2, AccessKind.READ)
-        assert Access(1, 2, AccessKind.READ) != Access(1, 2, AccessKind.WRITE)
-
+class TestLLCState:
     def test_llc_states_distinct(self):
         assert len({state.value for state in LLCState}) == len(list(LLCState))

@@ -189,7 +189,6 @@ class TestBitIdentity:
         simulated machine: cycles and stats stay bit-identical."""
         from repro.sim.config import SystemConfig
         from repro.sim.system import System
-        from repro.types import Access
 
         steps = [R(0, 9), W(1, 9), R(2, 9), W(0, 3), R(1, 3), R(3, 9), W(2, 3)]
         spec = default_verify_spec("tiny")
@@ -197,7 +196,7 @@ class TestBitIdentity:
         bare = System(SystemConfig(num_cores=4, l1_kb=1, l2_kb=4, scheme=spec))
         now = 0
         for step in steps:
-            now += max(1, bare.access(Access(step.core, step.addr, step.access_kind()), now))
+            now += max(1, bare.access(step.core, step.addr, step.access_kind(), now))
 
         monitored = run_schedule(
             steps, spec=spec, audit_interval=1, coverage=CoverageMap()

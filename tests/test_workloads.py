@@ -111,38 +111,37 @@ class TestGenerator:
     def test_cores_only_touch_their_private_region(self):
         streams = self._streams()
         for core, stream in enumerate(streams):
-            for acc in stream:
-                assert acc.core == core
-                if _PRIVATE_BASE <= acc.addr < _POOL_BASE:
-                    region = (acc.addr - _PRIVATE_BASE) // ((1 << 24) + 32 * 17)
+            for addr, _kind, _gap in stream:
+                if _PRIVATE_BASE <= addr < _POOL_BASE:
+                    region = (addr - _PRIVATE_BASE) // ((1 << 24) + 32 * 17)
                     assert region == core
 
     def test_stream_addresses_never_repeat(self):
         streams = self._streams(app="314.mgrid", total=4000)
         seen = set()
         for stream in streams:
-            for acc in stream:
-                if acc.addr >= _STREAM_BASE:
-                    assert acc.addr not in seen
-                    seen.add(acc.addr)
+            for addr, _kind, _gap in stream:
+                if addr >= _STREAM_BASE:
+                    assert addr not in seen
+                    seen.add(addr)
         assert seen
 
     def test_code_accesses_are_ifetches(self):
         streams = self._streams(app="SPECWeb-B", total=4000)
         for stream in streams:
-            for acc in stream:
-                if _CODE_BASE <= acc.addr < _STREAM_BASE:
-                    assert acc.kind is AccessKind.IFETCH
+            for addr, kind, _gap in stream:
+                if _CODE_BASE <= addr < _STREAM_BASE:
+                    assert kind is AccessKind.IFETCH
 
     def test_hot_blocks_mostly_reads(self):
         streams = self._streams(app="barnes", total=6000)
         hot = [
-            acc
+            kind
             for stream in streams
-            for acc in stream
-            if _HOT_BASE <= acc.addr < _CODE_BASE
+            for addr, kind, _gap in stream
+            if _HOT_BASE <= addr < _CODE_BASE
         ]
-        writes = sum(1 for acc in hot if acc.kind is AccessKind.WRITE)
+        writes = sum(1 for kind in hot if kind is AccessKind.WRITE)
         assert hot and writes / len(hot) < 0.1
 
     def test_pool_sharer_windows_respected(self):
@@ -151,18 +150,18 @@ class TestGenerator:
         streams = generator.generate(6000)
         stride = 97
         touched = {}
-        for stream in streams:
-            for acc in stream:
-                if _POOL_BASE <= acc.addr < _HOT_BASE:
-                    index = (acc.addr - _POOL_BASE) // stride
-                    touched.setdefault(index, set()).add(acc.core)
+        for core, stream in enumerate(streams):
+            for addr, _kind, _gap in stream:
+                if _POOL_BASE <= addr < _HOT_BASE:
+                    index = (addr - _POOL_BASE) // stride
+                    touched.setdefault(index, set()).add(core)
         for index, cores in touched.items():
             width = int(generator._pool_width[index])
             assert len(cores) <= width
 
     def test_gaps_near_profile_cpi(self):
         streams = self._streams(total=5000)
-        gaps = [acc.gap for stream in streams for acc in stream]
+        gaps = [gap for stream in streams for _addr, _kind, gap in stream]
         average = sum(gaps) / len(gaps)
         assert abs(average - profile("bodytrack").cpi_gap) < 3
 
@@ -190,13 +189,9 @@ def _micro_private_hit() -> WorkloadProfile:
 
 
 def _fields(streams) -> list:
-    """Each access's core, address, kind and gap, and the type of each."""
+    """Each access, its type, and the type of each of its fields."""
     return [
-        [
-            (acc.core, acc.addr, acc.kind, acc.gap,
-             type(acc.core), type(acc.addr), type(acc.kind), type(acc.gap))
-            for acc in stream
-        ]
+        [(access, type(access), *map(type, access)) for access in stream]
         for stream in streams
     ]
 
@@ -235,7 +230,8 @@ def _profiles(draw) -> WorkloadProfile:
 class TestAssemblyMatchesReference:
     """``generate`` assembles each core's stream from the drawn arrays;
     tests/reference_generator.py appends the same draws one access at a
-    time. The two must agree access by access, in value and in type."""
+    time. The two must agree access by access, in value and in type:
+    the reference appends exact ``(int, AccessKind, int)`` tuples."""
 
     @settings(
         max_examples=60,

@@ -21,8 +21,8 @@ Calls are ``sys.setprofile`` "call" events (Python frames; a generator
 resume counts as a call). Bytecodes are ``sys.settrace`` opcode events
 of a second run of each point, which is about 30 times slower than an
 untraced run. tests/test_call_budget.py holds each scheme's calls per
-access to a budget with :func:`count_calls`, and generation's bytecodes
-per generated access with :func:`count_bytecodes`.
+access, and generation's calls per generated access, to budgets with
+:func:`count_calls`.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 
 def count_calls(run) -> int:
