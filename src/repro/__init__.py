@@ -89,16 +89,10 @@ from repro.verify import (
     ValueOracle,
     diff_trace,
     fuzz_run,
-    replay_subtrace,
     run_litmus,
     run_schedule,
 )
-from repro.workloads.capture import (
-    TraceReader,
-    TraceWriter,
-    load_capture,
-    save_capture,
-)
+from repro.workloads.capture import load_capture, save_capture
 from repro.workloads.generator import (
     SyntheticTraceGenerator,
     clear_trace_cache,
@@ -135,8 +129,6 @@ __all__ = [
     "TinySpec",
     "TraceEngine",
     "TraceEvent",
-    "TraceReader",
-    "TraceWriter",
     "Tracer",
     "ValueOracle",
     "WorkloadProfile",
@@ -153,7 +145,6 @@ __all__ = [
     "merge_worker_traces",
     "profile",
     "read_trace",
-    "replay_subtrace",
     "resume_hint",
     "run_app",
     "run_app_guarded",

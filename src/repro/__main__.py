@@ -77,7 +77,7 @@ from repro.analysis.runner import (
     harness,
     scale_from_env,
 )
-from repro.argtypes import at_least, unknown_knobs
+from repro.argtypes import at_least, invalid_jobs, unknown_knobs
 from repro.errors import ShutdownRequested
 from repro.parallel import (
     SweepJournal,
@@ -88,7 +88,6 @@ from repro.parallel import (
     render_profiles_table,
     run_sweep,
 )
-from repro.parallel.executor import parse_jobs
 from repro.parallel.shutdown import (
     EXIT_INTERRUPTED,
     graceful_scope,
@@ -223,7 +222,7 @@ def _invalid_knobs(args) -> "list[str]":
     ``REPRO_JOBS`` counts only when ``--jobs`` is not given and
     ``REPRO_SCALE`` only when ``--scale`` is not: those flags win.
     """
-    problems = unknown_knobs()
+    problems = unknown_knobs() + invalid_jobs(args.jobs)
     if args.scale is None:
         try:
             scale_from_env()
@@ -232,11 +231,6 @@ def _invalid_knobs(args) -> "list[str]":
     _plan, problem = parse_fault_env()
     if problem is not None:
         problems.append(problem)
-    raw = os.environ.get("REPRO_JOBS", "").strip()
-    if args.jobs is None and raw and parse_jobs(raw) is None:
-        problems.append(
-            f"invalid REPRO_JOBS={raw!r} (expected an integer >= 1)"
-        )
     raw = os.environ.get("REPRO_CACHE", "")
     if raw and raw.lower() not in ("on", *CACHE_OFF):
         problems.append(

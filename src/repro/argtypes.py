@@ -3,7 +3,8 @@
 The figure CLI (``python -m repro``), ``python -m repro verify`` and
 ``python -m repro diff`` refuse an out-of-range number the same way: a
 usage error (exit 2) that names the flag. They refuse a ``REPRO_*``
-variable the program never reads the same way too, naming the variable.
+variable the program never reads the same way too, naming the variable,
+and a ``REPRO_JOBS`` that is not a worker count.
 The checks live apart from ``repro.__main__`` so the subcommands need
 not import the figure registry to use them.
 """
@@ -53,6 +54,24 @@ def unknown_knobs(reads: "tuple[str, ...]" = KNOBS,
         for name in sorted(os.environ)
         if name.startswith("REPRO_") and name not in reads
     ]
+
+
+def parse_jobs(raw: str) -> "int | None":
+    """``raw`` as a worker count, or None unless it is an integer >= 1."""
+    try:
+        jobs = int(raw)
+    except ValueError:
+        return None
+    return jobs if jobs >= 1 else None
+
+
+def invalid_jobs(jobs: "int | None") -> "list[str]":
+    """A problem line for a ``REPRO_JOBS`` that is not an integer >= 1,
+    unless ``--jobs`` gave ``jobs``: the flag wins."""
+    raw = os.environ.get("REPRO_JOBS", "").strip()
+    if jobs is None and raw and parse_jobs(raw) is None:
+        return [f"invalid REPRO_JOBS={raw!r} (expected an integer >= 1)"]
+    return []
 
 
 def at_least(convert, low, inclusive: bool = True, at_most=None):

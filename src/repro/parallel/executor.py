@@ -69,6 +69,7 @@ from repro.analysis.runner import (
     active_policy,
     harness,
 )
+from repro.argtypes import parse_jobs
 from repro.errors import ArtifactWriteError, ShutdownRequested
 from repro.parallel.journal import SweepJournal
 from repro.parallel.points import SweepPoint, dedupe_points
@@ -78,20 +79,11 @@ from repro.sim.stats import SimStats
 from repro.telemetry import merge_worker_traces, sinks
 
 
-def parse_jobs(raw: str) -> "int | None":
-    """``raw`` as a worker count, or None unless it is an integer >= 1."""
-    try:
-        jobs = int(raw)
-    except ValueError:
-        return None
-    return jobs if jobs >= 1 else None
-
-
 def resolve_jobs(jobs: "int | None" = None) -> int:
     """Resolve the worker count: explicit > ``REPRO_JOBS`` > cpu count.
 
     A ``REPRO_JOBS`` that is not an integer >= 1 is ignored with a
-    warning on stderr (the figure CLI refuses it instead).
+    warning on stderr (the command-line interfaces refuse it instead).
     """
     if jobs is None:
         raw = os.environ.get("REPRO_JOBS", "").strip()

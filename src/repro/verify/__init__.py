@@ -35,7 +35,6 @@ from repro.verify.differential import (
     MonitoredRun,
     bisect_divergence,
     diff_trace,
-    replay_subtrace,
     run_monitored,
     tolerance_for,
     truncate_streams,
@@ -82,7 +81,6 @@ __all__ = [
     "MonitoredRun",
     "bisect_divergence",
     "diff_trace",
-    "replay_subtrace",
     "run_monitored",
     "tolerance_for",
     "truncate_streams",

@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from repro.argtypes import VERIFY_KNOBS, at_least, unknown_knobs
+from repro.argtypes import VERIFY_KNOBS, at_least, invalid_jobs, unknown_knobs
 from repro.telemetry import DEFAULT_TRACE_OUT, merge_worker_traces
 from repro.verify.coverage import (
     CoverageMap,
@@ -293,9 +293,10 @@ def _coverage_gate(args, coverage) -> int:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
-    unknown = unknown_knobs(VERIFY_KNOBS, instead="verify --faults N")
-    if unknown:
-        for problem in unknown:
+    problems = unknown_knobs(VERIFY_KNOBS, instead="verify --faults N")
+    problems += invalid_jobs(args.jobs)
+    if problems:
+        for problem in problems:
             print(f"repro: {problem}", file=sys.stderr)
         return 2
     trace_out = args.trace_out or (DEFAULT_TRACE_OUT if args.trace else None)

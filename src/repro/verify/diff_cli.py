@@ -27,7 +27,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.argtypes import VERIFY_KNOBS, at_least, unknown_knobs
+from repro.argtypes import VERIFY_KNOBS, at_least, invalid_jobs, unknown_knobs
 from repro.errors import ReproError
 from repro.resilience.faults import FaultPlan, parse_fault
 from repro.verify.differential import (
@@ -218,10 +218,11 @@ def _print_report(report: dict) -> None:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
-    unknown = unknown_knobs(VERIFY_KNOBS,
-                            instead="diff --fault KIND@N --fault-seed S")
-    if unknown:
-        for problem in unknown:
+    problems = unknown_knobs(VERIFY_KNOBS,
+                             instead="diff --fault KIND@N --fault-seed S")
+    problems += invalid_jobs(args.jobs)
+    if problems:
+        for problem in problems:
             print(f"python -m repro diff: {problem}", file=sys.stderr)
         return 2
     try:

@@ -56,7 +56,7 @@ from repro.parallel import run_tasks
 from repro.resilience.auditor import ProtocolAuditor
 from repro.resilience.faults import Fault, FaultInjector, FaultKind, FaultPlan
 from repro.sim.config import SystemConfig
-from repro.sim.engine import TraceEngine, run_trace
+from repro.sim.engine import TraceEngine
 from repro.sim.system import System
 from repro.verify.oracle import ValueOracle
 from repro.verify.reproducer import (
@@ -175,6 +175,8 @@ class MonitoredRun:
     executed: "list[int]" = field(default_factory=list)
     #: Faults the injector actually applied, as dicts.
     injected: "list[dict]" = field(default_factory=list)
+    #: The run's finalized ``SimStats.dump()`` when ok, else None.
+    stats: "dict | None" = None
 
 
 def _check_final_image(system, oracle: ValueOracle) -> None:
@@ -218,6 +220,11 @@ def run_monitored(
     monotone divergence probe: once a corruption has been injected,
     every longer prefix still fails. The engine's per-stream executed
     counts let a failing run be truncated into a replayable sub-trace.
+
+    A clean run carries its stats dump, which equals an unobserved
+    run's (the engine's observed path is pinned bit-identical to it).
+    With no warmup cut the measured window is the whole trace, so the
+    :data:`EXACT_KEYS` identity holds across schemes.
     """
     config = SystemConfig(
         num_cores=len(streams), l1_kb=l1_kb, l2_kb=l2_kb, scheme=spec
@@ -234,7 +241,7 @@ def run_monitored(
     )
     violation: "ProtocolError | None" = None
     try:
-        engine.run(limit=limit)
+        stats = engine.run(limit=limit).dump()
         _check_final_image(system, oracle)
     except ProtocolError as err:
         violation = err
@@ -262,27 +269,8 @@ def run_monitored(
             }
             for rec in (injector.injected if injector is not None else [])
         ],
+        stats=stats if violation is None else None,
     )
-
-
-def run_stats(
-    spec,
-    streams,
-    *,
-    l1_kb: int = DIFF_L1_KB,
-    l2_kb: int = DIFF_L2_KB,
-):
-    """One clean, unobserved run; returns the finalized stats dump.
-
-    No warmup cut (``warmup_fraction=0``): the measured window must be
-    the whole trace for the :data:`EXACT_KEYS` identity to hold across
-    schemes.
-    """
-    config = SystemConfig(
-        num_cores=len(streams), l1_kb=l1_kb, l2_kb=l2_kb, scheme=spec
-    )
-    stats = run_trace(System(config), streams, warmup_fraction=0.0)
-    return stats.dump()
 
 
 # ----------------------------------------------------------------------
@@ -386,35 +374,12 @@ def save_subtrace(
     )
 
 
-def replay_subtrace(path) -> MonitoredRun:
-    """Re-run a saved sub-trace under its recorded scheme and faults."""
-    streams, header = load_capture(path)
-    info = (header.get("meta") or {}).get("differential")
-    if not info:
-        raise TraceError(
-            f"{path} is not a differential sub-trace (no meta.differential)"
-        )
-    spec = spec_from_dict(info["scheme"], dict(info["spec"]))
-    plan = (
-        plan_from_dict(info["fault_plan"]) if info.get("fault_plan") else None
-    )
-    geometry = header.get("geometry") or {}
-    return run_monitored(
-        info["scheme"],
-        spec,
-        streams,
-        fault_plan=plan,
-        l1_kb=int(geometry.get("l1_kb", DIFF_L1_KB)),
-        l2_kb=int(geometry.get("l2_kb", DIFF_L2_KB)),
-    )
-
-
 # ----------------------------------------------------------------------
 # Per-scheme worker (fanned through repro.parallel)
 # ----------------------------------------------------------------------
 
 def diff_task(payload: dict) -> dict:
-    """Run one scheme over one trace: stats + monitored (+ bisection).
+    """Run one scheme over one trace, monitored (+ bisection).
 
     Top-level and dict-in/dict-out so :func:`repro.parallel.run_tasks`
     can ship it to pool workers.
@@ -449,15 +414,11 @@ def diff_task(payload: dict) -> dict:
         "violation_kind": run.violation_kind,
         "processed": run.processed,
         "injected": run.injected,
-        "stats": None,
+        "stats": run.stats,
         "reproducer": None,
         "reproducer_accesses": None,
     }
-    if run.ok:
-        result["stats"] = run_stats(
-            spec, streams, l1_kb=l1_kb, l2_kb=l2_kb
-        )
-    elif payload.get("bisect") and payload.get("out"):
+    if not run.ok and payload.get("bisect") and payload.get("out"):
         limit, minimal = bisect_divergence(
             scheme,
             spec,

@@ -8,12 +8,7 @@ from repro.workloads.profiles import (
     profile,
 )
 from repro.workloads.generator import SyntheticTraceGenerator, generate_streams
-from repro.workloads.capture import (
-    TraceReader,
-    TraceWriter,
-    load_capture,
-    save_capture,
-)
+from repro.workloads.capture import load_capture, save_capture
 
 __all__ = [
     "WorkloadProfile",
@@ -21,8 +16,6 @@ __all__ = [
     "APPLICATIONS",
     "profile",
     "SyntheticTraceGenerator",
-    "TraceReader",
-    "TraceWriter",
     "generate_streams",
     "load_capture",
     "save_capture",

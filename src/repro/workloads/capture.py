@@ -17,15 +17,11 @@ on any scheme:
 
 A frame's index is its core, so a record carries no core id: streams
 go in and come out as the simulator holds them, one list per core of
-exact ``(addr, kind, gap)`` tuples. A frame decodes in bulk, with no
-Python call per access.
-
-Reading and writing both stream frame-by-frame — a reader never holds
-more than one decompressed core stream beyond what it yields, and a
-writer flushes each core as it is handed over. Convenience wrappers
-(:func:`save_capture` / :func:`load_capture`) cover the common
-whole-trace case; streams read back with :func:`load_capture` replay
-bit-identically to the live generation that recorded them.
+exact ``(addr, kind, gap)`` tuples. A capture is small, so
+:func:`save_capture` and :func:`load_capture` handle it whole, and each
+frame is encoded and decoded in bulk, with no Python call per access.
+Streams read back with :func:`load_capture` replay bit-identically to
+the live generation that recorded them.
 
 Layout::
 
@@ -37,7 +33,7 @@ Layout::
 Record encoding, inside a decompressed frame payload: per access, one
 varint ``(gap << 2) | kind_code`` followed by the zigzag-varint delta
 of the block address from the previous record's address (starting
-from 0).
+from 0). The kind codes are the indices of :data:`KINDS`.
 """
 
 from __future__ import annotations
@@ -58,9 +54,8 @@ MAGIC = b"RTRC"
 #: Capture format version. Bump on any incompatible layout change.
 CAPTURE_VERSION = 1
 
-#: Integer encoding of access kinds.
-KIND_CODES = {AccessKind.READ: 0, AccessKind.WRITE: 1, AccessKind.IFETCH: 2}
-KIND_DECODE = {code: kind for kind, code in KIND_CODES.items()}
+#: The access kinds, indexed by their code; code 3 is invalid.
+KINDS = (AccessKind.READ, AccessKind.WRITE, AccessKind.IFETCH)
 
 #: zlib level, pinned so identical content always produces identical
 #: frames within one environment (the corpus staleness check compares
@@ -68,22 +63,20 @@ KIND_DECODE = {code: kind for kind, code in KIND_CODES.items()}
 _ZLIB_LEVEL = 6
 
 
-# ----------------------------------------------------------------------
-# Varint primitives
-# ----------------------------------------------------------------------
-
-def _write_varint(out: bytearray, value: int) -> None:
-    """Append ``value`` (unsigned) as LEB128."""
-    if value < 0:
-        raise TraceError(f"cannot varint-encode negative value {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+def _encode_varints(values) -> bytes:
+    """Every integer of ``values`` as LEB128, back to back."""
+    out = bytearray()
+    append = out.append
+    try:
+        for value in values:
+            while value > 0x7F:
+                append(value & 0x7F | 0x80)
+                value >>= 7
+            append(value)
+    except ValueError:
+        # bytearray.append refuses the negative value that ends a loop.
+        raise TraceError(f"cannot varint-encode negative value {value}") from None
+    return bytes(out)
 
 
 def _read_varints(buf: bytes) -> "list[int]":
@@ -103,288 +96,31 @@ def _read_varints(buf: bytes) -> "list[int]":
     return values
 
 
-def _zigzag(value: int) -> int:
-    """Fold a signed integer onto unsigned: 0, -1, 1, -2 -> 0, 1, 2, 3."""
-    return (value << 1) if value >= 0 else ((-value) << 1) - 1
+def _encode_frame(stream) -> bytes:
+    """One core's frame: record count, payload length and payload."""
+    values = [0] * (2 * len(stream))
+    if stream:
+        addrs, kinds, gaps = zip(*stream)
+        if min(gaps) < 0:
+            raise TraceError(f"negative access gap {min(gaps)}")
+        read, write, ifetch = KINDS
+        codes = [
+            0 if kind is read else 1 if kind is write else 2 if kind is ifetch
+            else 3
+            for kind in kinds
+        ]
+        if 3 in codes:
+            raise TraceError(f"unknown access kind {kinds[codes.index(3)]!r}")
+        values[::2] = [(gap << 2) | code for gap, code in zip(gaps, codes)]
+        # Zigzag folds each signed address delta onto the unsigned
+        # integers: 0, -1, 1, -2 -> 0, 1, 2, 3.
+        deltas = [addr - previous for addr, previous in zip(addrs, (0, *addrs))]
+        values[1::2] = [
+            delta << 1 if delta >= 0 else (-delta << 1) - 1 for delta in deltas
+        ]
+    payload = zlib.compress(_encode_varints(values), _ZLIB_LEVEL)
+    return _encode_varints((len(stream), len(payload))) + payload
 
-
-def _unzigzag(value: int) -> int:
-    """Inverse of :func:`_zigzag`; :class:`TraceReader` applies the same
-    expression to a whole frame inline."""
-    return (value >> 1) ^ -(value & 1)
-
-
-# ----------------------------------------------------------------------
-# Streaming writer
-# ----------------------------------------------------------------------
-
-class TraceWriter:
-    """Streams per-core access frames into an ``.rtrace`` file.
-
-    Frames must be written in core order ``0 .. num_cores - 1`` (one
-    :meth:`write_stream` call per core, empty streams included);
-    :meth:`close` verifies every frame was written. The file is written
-    to a sibling temp path and moved into place on close, so a crashed
-    writer never leaves a truncated trace behind.
-    """
-
-    def __init__(
-        self,
-        path,
-        num_cores: int,
-        *,
-        profile=None,
-        seed: "int | None" = None,
-        total_accesses: "int | None" = None,
-        geometry: "dict | None" = None,
-        meta: "dict | None" = None,
-    ) -> None:
-        if num_cores <= 0:
-            raise TraceError("a trace needs at least one core stream")
-        self.path = Path(path)
-        self.num_cores = num_cores
-        self._next_core = 0
-        self._closed = False
-        header = {
-            "format_version": CAPTURE_VERSION,
-            "num_cores": num_cores,
-            "profile": _profile_payload(profile),
-            "seed": seed,
-            "total_accesses": total_accesses,
-            "geometry": dict(geometry) if geometry else None,
-            "meta": dict(meta) if meta else {},
-        }
-        self._tmp = self.path.with_name(self.path.name + ".tmp")
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = open(self._tmp, "wb")
-        except OSError as err:
-            raise ArtifactWriteError(
-                f"cannot create trace file {self.path}: {err}",
-                path=str(self.path),
-            ) from err
-        try:
-            self._file.write(MAGIC)
-            self._file.write(CAPTURE_VERSION.to_bytes(2, "big"))
-            blob = zlib.compress(
-                json.dumps(header, sort_keys=True).encode(), _ZLIB_LEVEL
-            )
-            self._file.write(len(blob).to_bytes(4, "big"))
-            self._file.write(blob)
-        except OSError as err:
-            # Disk full (ENOSPC) and friends: remove the partial temp
-            # file and surface a structured, catchable error instead of
-            # littering ``*.tmp`` next to the target.
-            self._abort()
-            raise ArtifactWriteError(
-                f"cannot write trace file {self.path}: {err}",
-                path=str(self.path),
-            ) from err
-        except BaseException:
-            self._abort()
-            raise
-
-    def write_stream(self, core: int, accesses) -> None:
-        """Encode and append core ``core``'s ``(addr, kind, gap)``
-        accesses."""
-        if self._closed:
-            raise TraceError("writer is closed")
-        if core != self._next_core:
-            raise TraceError(
-                f"frames must be written in core order: expected core "
-                f"{self._next_core}, got {core}"
-            )
-        records = bytearray()
-        previous_addr = 0
-        count = 0
-        for addr, kind, gap in accesses:
-            if gap < 0:
-                raise TraceError(f"negative access gap {gap}")
-            _write_varint(records, (gap << 2) | KIND_CODES[kind])
-            _write_varint(records, _zigzag(addr - previous_addr))
-            previous_addr = addr
-            count += 1
-        payload = zlib.compress(bytes(records), _ZLIB_LEVEL)
-        frame = bytearray()
-        _write_varint(frame, count)
-        _write_varint(frame, len(payload))
-        try:
-            self._file.write(bytes(frame))
-            self._file.write(payload)
-        except OSError as err:
-            self._abort()
-            raise ArtifactWriteError(
-                f"cannot write trace file {self.path}: {err}",
-                path=str(self.path),
-            ) from err
-        except BaseException:
-            self._abort()
-            raise
-        self._next_core += 1
-
-    def close(self) -> None:
-        """Finish the file; raises if any core frame is missing."""
-        if self._closed:
-            return
-        if self._next_core != self.num_cores:
-            self._abort()
-            raise TraceError(
-                f"trace writer closed after {self._next_core} of "
-                f"{self.num_cores} core frames"
-            )
-        self._closed = True
-        try:
-            self._file.flush()
-            os.fsync(self._file.fileno())
-            self._file.close()
-            os.replace(self._tmp, self.path)
-        except OSError as err:
-            self._abort()
-            raise ArtifactWriteError(
-                f"cannot finalize trace file {self.path}: {err}",
-                path=str(self.path),
-            ) from err
-
-    def _abort(self) -> None:
-        self._closed = True
-        try:
-            self._file.close()
-        finally:
-            self._tmp.unlink(missing_ok=True)
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self._abort()
-
-
-# ----------------------------------------------------------------------
-# Streaming reader
-# ----------------------------------------------------------------------
-
-class TraceReader:
-    """Reads an ``.rtrace`` file frame by frame.
-
-    The header is parsed eagerly (so provenance is available before any
-    records are decoded); core streams are decoded lazily by iterating
-    :meth:`streams`. Every structural problem — bad magic, unsupported
-    version, truncation anywhere, unknown kind codes — raises
-    :class:`~repro.errors.TraceError`.
-    """
-
-    def __init__(self, path) -> None:
-        self.path = Path(path)
-        try:
-            self._file = open(self.path, "rb")
-        except OSError as err:
-            raise TraceError(f"cannot read trace file {path}: {err}") from err
-        try:
-            magic = self._file.read(len(MAGIC))
-            if magic != MAGIC:
-                raise TraceError(
-                    f"{path} is not a repro trace file (bad magic {magic!r})"
-                )
-            version_raw = self._read_exact(2, "format version")
-            version = int.from_bytes(version_raw, "big")
-            if version != CAPTURE_VERSION:
-                raise TraceError(
-                    f"trace file {path} has format version {version}; this "
-                    f"build reads version {CAPTURE_VERSION}"
-                )
-            header_len = int.from_bytes(self._read_exact(4, "header length"), "big")
-            blob = self._read_exact(header_len, "header")
-            try:
-                self.header = json.loads(zlib.decompress(blob).decode())
-            except (zlib.error, UnicodeDecodeError, json.JSONDecodeError) as err:
-                raise TraceError(
-                    f"trace file {path} has a corrupt header: {err}"
-                ) from err
-            self.num_cores = self.header.get("num_cores")
-            if not isinstance(self.num_cores, int) or self.num_cores <= 0:
-                raise TraceError(
-                    f"trace file {path} declares invalid core count "
-                    f"{self.num_cores!r}"
-                )
-        except BaseException:
-            self._file.close()
-            raise
-        self._frames_read = 0
-
-    def _read_exact(self, n: int, what: str) -> bytes:
-        data = self._file.read(n)
-        if len(data) != n:
-            raise TraceError(f"trace file {self.path} is truncated ({what})")
-        return data
-
-    def _read_frame_varint(self, what: str) -> int:
-        result = 0
-        shift = 0
-        while True:
-            byte = self._read_exact(1, what)[0]
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
-
-    def streams(self):
-        """Yield ``(core, stream)`` for each frame, in core order; a
-        stream is a list of ``(addr, kind, gap)`` tuples."""
-        while self._frames_read < self.num_cores:
-            core = self._frames_read
-            count = self._read_frame_varint("frame record count")
-            payload_len = self._read_frame_varint("frame payload length")
-            payload = self._read_exact(payload_len, f"core {core} frame")
-            try:
-                records = zlib.decompress(payload)
-            except zlib.error as err:
-                raise TraceError(
-                    f"trace file {self.path}: core {core} frame is corrupt: "
-                    f"{err}"
-                ) from err
-            values = _read_varints(records)
-            if len(values) != 2 * count:
-                raise TraceError(
-                    f"trace file {self.path}: core {core} frame holds "
-                    f"{len(values)} varints for {count} records"
-                )
-            packed = values[::2]
-            try:
-                kinds = [KIND_DECODE[code & 0x3] for code in packed]
-            except KeyError as err:
-                raise TraceError(
-                    f"trace file {self.path}: unknown access kind code "
-                    f"{err.args[0]}"
-                ) from None
-            # Each address is the running sum of the deltas, each
-            # unzigzagged as _unzigzag does.
-            addrs = accumulate(
-                [(delta >> 1) ^ -(delta & 1) for delta in values[1::2]]
-            )
-            stream = list(zip(addrs, kinds, [code >> 2 for code in packed]))
-            self._frames_read += 1
-            yield core, stream
-
-    def read_all(self) -> "list[list[tuple]]":
-        """Decode every remaining frame into per-core streams."""
-        return [stream for _, stream in self.streams()]
-
-    def close(self) -> None:
-        self._file.close()
-
-    def __enter__(self) -> "TraceReader":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-# ----------------------------------------------------------------------
-# Whole-trace conveniences
-# ----------------------------------------------------------------------
 
 def _profile_payload(profile):
     """Serialize a profile for the header: full record, or pass a dict."""
@@ -405,46 +141,140 @@ def save_capture(
     geometry: "dict | None" = None,
     meta: "dict | None" = None,
 ) -> Path:
-    """Write per-core ``streams`` to ``path``; returns the path."""
-    with TraceWriter(
-        path,
-        len(streams),
-        profile=profile,
-        seed=seed,
-        total_accesses=total_accesses,
-        geometry=geometry,
-        meta=meta,
-    ) as writer:
-        for core, stream in enumerate(streams):
-            writer.write_stream(core, stream)
-    return Path(path)
+    """Write per-core ``streams`` to ``path``; returns the path.
+
+    The file is written whole to a sibling ``.tmp`` file, synced and
+    moved into place, so no reader ever sees a partial capture. An
+    ``OSError`` on the way (``ENOSPC`` and friends) raises
+    :class:`~repro.errors.ArtifactWriteError` once the temp file is
+    gone; the target is left as it was.
+    """
+    if not streams:
+        raise TraceError("a trace needs at least one core stream")
+    header = {
+        "format_version": CAPTURE_VERSION,
+        "num_cores": len(streams),
+        "profile": _profile_payload(profile),
+        "seed": seed,
+        "total_accesses": total_accesses,
+        "geometry": dict(geometry) if geometry else None,
+        "meta": dict(meta) if meta else {},
+    }
+    blob = zlib.compress(json.dumps(header, sort_keys=True).encode(), _ZLIB_LEVEL)
+    data = b"".join([
+        MAGIC,
+        CAPTURE_VERSION.to_bytes(2, "big"),
+        len(blob).to_bytes(4, "big"),
+        blob,
+        *map(_encode_frame, streams),
+    ])
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle = open(tmp, "wb")
+    except OSError as err:
+        raise ArtifactWriteError(
+            f"cannot create trace file {path}: {err}", path=str(path)
+        ) from err
+    try:
+        try:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        finally:
+            handle.close()
+        os.replace(tmp, path)
+    except BaseException as err:
+        tmp.unlink(missing_ok=True)
+        if isinstance(err, OSError):
+            raise ArtifactWriteError(
+                f"cannot write trace file {path}: {err}", path=str(path)
+            ) from err
+        raise
+    return path
+
+
+def _take(data: bytes, pos: int, size: int, path, what: str) -> bytes:
+    """``size`` bytes of ``data`` from ``pos``, or a truncation error."""
+    chunk = data[pos:pos + size]
+    if len(chunk) != size:
+        raise TraceError(f"trace file {path} is truncated ({what})")
+    return chunk
+
+
+def _varint_at(data: bytes, pos: int, path, what: str) -> "tuple[int, int]":
+    """The LEB128 integer at ``data[pos]`` and the position after it."""
+    value = shift = 0
+    for pos in range(pos, len(data)):
+        byte = data[pos]
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, pos + 1
+        shift += 7
+    raise TraceError(f"trace file {path} is truncated ({what})")
 
 
 def load_capture(path) -> "tuple[list[list[tuple]], dict]":
-    """Read a capture written by :class:`TraceWriter`.
+    """Read a capture written by :func:`save_capture`.
 
-    Returns ``(streams, header)``; raises :class:`TraceError` on any
-    malformed, truncated, or version-incompatible file.
+    Returns ``(streams, header)``. Every structural problem — an
+    unreadable file, bad magic, another format version, truncation
+    anywhere, a corrupt header or frame, an unknown kind code — raises
+    :class:`~repro.errors.TraceError`.
     """
-    with TraceReader(path) as reader:
-        return reader.read_all(), reader.header
-
-
-def profile_from_header(header: dict):
-    """Rebuild the generating :class:`WorkloadProfile` from a header.
-
-    Returns None when the trace carries no profile provenance.
-    """
-    from repro.workloads.profiles import WorkloadProfile
-
-    payload = header.get("profile")
-    if not payload:
-        return None
-    # JSON round-trips tuples as lists; restore them so the rebuilt
-    # (frozen) profile stays hashable and compares equal to the original.
-    fields = {
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in payload.items()
-    }
-    return WorkloadProfile(**fields)
-
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as err:
+        raise TraceError(f"cannot read trace file {path}: {err}") from err
+    magic = data[:len(MAGIC)]
+    if magic != MAGIC:
+        raise TraceError(f"{path} is not a repro trace file (bad magic {magic!r})")
+    version = int.from_bytes(_take(data, 4, 2, path, "format version"), "big")
+    if version != CAPTURE_VERSION:
+        raise TraceError(
+            f"trace file {path} has format version {version}; this "
+            f"build reads version {CAPTURE_VERSION}"
+        )
+    header_len = int.from_bytes(_take(data, 6, 4, path, "header length"), "big")
+    try:
+        header = json.loads(
+            zlib.decompress(_take(data, 10, header_len, path, "header")).decode()
+        )
+    except (zlib.error, UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise TraceError(f"trace file {path} has a corrupt header: {err}") from err
+    num_cores = header.get("num_cores")
+    if not isinstance(num_cores, int) or num_cores <= 0:
+        raise TraceError(
+            f"trace file {path} declares invalid core count {num_cores!r}"
+        )
+    pos = 10 + header_len
+    streams = []
+    for core in range(num_cores):
+        count, pos = _varint_at(data, pos, path, "frame record count")
+        size, pos = _varint_at(data, pos, path, "frame payload length")
+        payload = _take(data, pos, size, path, f"core {core} frame")
+        pos += size
+        try:
+            values = _read_varints(zlib.decompress(payload))
+        except zlib.error as err:
+            raise TraceError(
+                f"trace file {path}: core {core} frame is corrupt: {err}"
+            ) from err
+        if len(values) != 2 * count:
+            raise TraceError(
+                f"trace file {path}: core {core} frame holds "
+                f"{len(values)} varints for {count} records"
+            )
+        packed = values[::2]
+        try:
+            kinds = [KINDS[code & 0x3] for code in packed]
+        except IndexError:
+            raise TraceError(
+                f"trace file {path}: unknown access kind code 3"
+            ) from None
+        # Each address is the running sum of the unzigzagged deltas.
+        addrs = accumulate([(delta >> 1) ^ -(delta & 1) for delta in values[1::2]])
+        streams.append(list(zip(addrs, kinds, [code >> 2 for code in packed])))
+    return streams, header

@@ -12,8 +12,8 @@ Trace generation runs no Python code per access. It is held to two
 budgets per generated access that per-trace work stays far below:
 Python calls (``GENERATION_BUDGET``) and bytecodes
 (``GENERATION_BYTECODE_BUDGET``), which also see a per-access loop
-that makes no call. Decoding a capture makes no Python call per access
-(``DECODE_BUDGET``).
+that makes no call. Saving and loading a capture make no Python call
+per access (``CAPTURE_BUDGET``).
 """
 
 import importlib.util
@@ -28,7 +28,7 @@ from repro.analysis.runner import RunScale
 from repro.sim.config import InLLCSpec, MgdSpec, SparseSpec, StashSpec, SystemConfig
 from repro.sim.engine import run_trace
 from repro.sim.system import System
-from repro.workloads.capture import load_capture
+from repro.workloads.capture import load_capture, save_capture
 from repro.workloads.generator import SyntheticTraceGenerator, generate_streams
 from repro.workloads.profiles import profile
 from repro.workloads.scenarios import SCENARIOS
@@ -103,13 +103,14 @@ GENERATION_BUDGET = 0.05
 #: and numpy's wrappers, grow about fourfold.
 GENERATION_BYTECODE_BUDGET = 2.0
 
-#: Python calls per decoded access of each corpus capture in
+#: Python calls per encoded or decoded access of each corpus capture in
 #: tests/corpus/ (8 or 16 frames, one per core, of 3,288-4,128
-#: accesses). Measured (Python 3.11): 0.031-0.052, every call made once
-#: per file or once per frame; decoding an object per access read 4.04
-#: on multisocket.rtrace. The budget fails any Python call per access,
-#: or per ten.
-DECODE_BUDGET = 0.1
+#: accesses). Measured (Python 3.11): saving 0.027-0.039 and loading
+#: 0.017-0.030, every call made once per file or once per frame;
+#: encoding record by record read 4.02 per access and decoding an object
+#: per access 4.04, both on multisocket.rtrace. The budget fails any
+#: Python call per access, or per ten.
+CAPTURE_BUDGET = 0.1
 
 #: The schemes as the figures configure them.
 SCHEMES = {
@@ -200,9 +201,24 @@ def test_capture_decoding_calls_per_access_within_budget(name):
     loaded = []
     calls = count_calls_tool.count_calls(lambda: loaded.append(load_capture(path)))
     measured = calls / sum(len(stream) for stream in loaded[0][0])
-    assert measured <= DECODE_BUDGET, (
+    assert measured <= CAPTURE_BUDGET, (
         f"{name}: {measured:.3f} Python calls per decoded access, "
-        f"budget {DECODE_BUDGET}"
+        f"budget {CAPTURE_BUDGET}"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_capture_encoding_calls_per_access_within_budget(name, tmp_path):
+    streams, header = load_capture(ROOT / "tests" / "corpus" / f"{name}.rtrace")
+    calls = count_calls_tool.count_calls(lambda: save_capture(
+        tmp_path / f"{name}.rtrace", streams, profile=header["profile"],
+        seed=header["seed"], total_accesses=header["total_accesses"],
+        geometry=header["geometry"], meta=header["meta"],
+    ))
+    measured = calls / sum(len(stream) for stream in streams)
+    assert measured <= CAPTURE_BUDGET, (
+        f"{name}: {measured:.3f} Python calls per encoded access, "
+        f"budget {CAPTURE_BUDGET}"
     )
 
 

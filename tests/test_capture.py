@@ -2,12 +2,14 @@
 
 The format's contract is simple to state and worth pinning hard: any
 per-core streams of ``(addr, kind, gap)`` tuples round-trip exactly
-through save/load, element by element and type by type, and
-any structurally damaged file — truncated anywhere, wrong magic, wrong
-version, corrupt header — is rejected with :class:`TraceError`, never
-decoded into silently wrong streams.
+through save/load, element by element and type by type; re-saving a
+committed corpus capture reproduces its bytes, so the layout has not
+moved; and any structurally damaged file — truncated anywhere, wrong
+magic, wrong version, corrupt header — is rejected with
+:class:`TraceError`, never decoded into silently wrong streams.
 """
 
+import dataclasses
 import json
 import zlib
 
@@ -19,18 +21,14 @@ from repro.types import AccessKind
 from repro.workloads.capture import (
     CAPTURE_VERSION,
     MAGIC,
-    TraceReader,
-    TraceWriter,
+    _encode_varints,
     _read_varints,
-    _unzigzag,
-    _write_varint,
-    _zigzag,
     load_capture,
-    profile_from_header,
     save_capture,
 )
 from repro.workloads.profiles import profile
-from test_stream_format import assert_exact_format
+from repro.workloads.scenarios import SCENARIOS
+from test_stream_format import CORPUS_DIR, assert_exact_format
 
 FORMAT = settings(
     max_examples=40,
@@ -65,30 +63,30 @@ streams_strategy = st.integers(min_value=1, max_value=4).flatmap(
 # ----------------------------------------------------------------------
 
 @given(value=st.integers(min_value=-(1 << 62), max_value=1 << 62))
-def test_zigzag_round_trip(value):
-    folded = _zigzag(value)
-    assert folded >= 0
-    assert _unzigzag(folded) == value
+def test_zigzag_round_trip(value, tmp_path_factory):
+    # An address delta of ``value`` is zigzag-folded onto an unsigned
+    # varint on the way out and unfolded on the way back.
+    path = tmp_path_factory.getbasetemp() / "zigzag.rtrace"
+    first = 1 << 62
+    stream = [(first, AccessKind.READ, 0), (first + value, AccessKind.READ, 0)]
+    save_capture(path, [stream])
+    assert load_capture(path)[0] == [stream]
 
 
 @given(values=st.lists(st.integers(min_value=0, max_value=1 << 70), max_size=8))
 def test_varint_round_trip(values):
-    buf = bytearray()
-    for value in values:
-        _write_varint(buf, value)
-    assert _read_varints(bytes(buf)) == values
+    assert _read_varints(_encode_varints(values)) == values
 
 
 def test_varint_rejects_negative():
-    with pytest.raises(TraceError):
-        _write_varint(bytearray(), -1)
+    with pytest.raises(TraceError, match="negative value -1"):
+        _encode_varints([5, -1])
 
 
 def test_varint_rejects_truncation():
-    buf = bytearray()
-    _write_varint(buf, 1 << 40)
+    buf = _encode_varints([1 << 40])
     with pytest.raises(TraceError, match="truncated varint"):
-        _read_varints(bytes(buf[:-1]))
+        _read_varints(buf[:-1])
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +136,8 @@ def test_header_provenance_round_trip(tmp_path):
         meta={"note": "hello"},
     )
     _streams, header = load_capture(path)
-    assert profile_from_header(header) == app
+    # JSON carries the profile's tuples as lists.
+    assert header["profile"] == json.loads(json.dumps(dataclasses.asdict(app)))
     assert header["seed"] == 9
     assert header["total_accesses"] == 1
     assert header["geometry"] == {"num_cores": 1, "l1_kb": 1, "l2_kb": 4}
@@ -219,17 +218,18 @@ def test_missing_file_is_a_trace_error(tmp_path):
 def _one_frame_capture(path, count: int, values) -> None:
     """A one-core capture whose frame declares ``count`` records and
     holds the varints ``values``, however many that is."""
-    records = bytearray()
-    for value in values:
-        _write_varint(records, value)
-    payload = zlib.compress(bytes(records))
-    frame = bytearray()
-    _write_varint(frame, count)
-    _write_varint(frame, len(payload))
-    writer = TraceWriter(path, 1)
-    writer._file.write(bytes(frame) + payload)
-    writer._next_core = 1
-    writer.close()
+    header = zlib.compress(
+        json.dumps({"format_version": CAPTURE_VERSION, "num_cores": 1}).encode()
+    )
+    payload = zlib.compress(_encode_varints(values))
+    path.write_bytes(
+        MAGIC
+        + CAPTURE_VERSION.to_bytes(2, "big")
+        + len(header).to_bytes(4, "big")
+        + header
+        + _encode_varints([count, len(payload)])
+        + payload
+    )
 
 
 def test_frame_varints_must_match_its_record_count(tmp_path):
@@ -254,48 +254,37 @@ def test_unknown_kind_code_is_rejected(tmp_path):
 # Writer discipline
 # ----------------------------------------------------------------------
 
-def test_writer_enforces_core_order(tmp_path):
-    writer = TraceWriter(tmp_path / "order.rtrace", 2)
-    with pytest.raises(TraceError, match="core order"):
-        writer.write_stream(1, [])
-    writer._abort()
-
-
 def test_writer_rejects_negative_gap(tmp_path):
-    writer = TraceWriter(tmp_path / "gap.rtrace", 1)
-    with pytest.raises(TraceError, match="negative access gap"):
-        writer.write_stream(0, [(5, AccessKind.READ, -1)])
-    writer._abort()
+    with pytest.raises(TraceError, match="negative access gap -1"):
+        save_capture(tmp_path / "gap.rtrace", [[(5, AccessKind.READ, -1)]])
+    assert list(tmp_path.iterdir()) == []  # neither the file nor a .tmp
 
 
-def test_incomplete_writer_leaves_no_file(tmp_path):
-    path = tmp_path / "partial.rtrace"
-    writer = TraceWriter(path, 4)
-    writer.write_stream(0, [])
-    with pytest.raises(TraceError, match="core frames"):
-        writer.close()
-    assert not path.exists()
-    assert not path.with_name(path.name + ".tmp").exists()
+@pytest.mark.parametrize(
+    "streams, problem",
+    [
+        ([], "at least one core stream"),
+        ([[(5, AccessKind.READ, 0), (6, "write", 0)]], "unknown access kind 'write'"),
+    ],
+    ids=["no-streams", "unknown-kind"],
+)
+def test_writer_rejects_what_it_cannot_encode(tmp_path, streams, problem):
+    with pytest.raises(TraceError, match=problem):
+        save_capture(tmp_path / "bad.rtrace", streams)
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_writer_context_manager_cleans_up_on_error(tmp_path):
-    path = tmp_path / "ctx.rtrace"
-    with pytest.raises(RuntimeError):
-        with TraceWriter(path, 2) as writer:
-            writer.write_stream(0, [])
-            raise RuntimeError("boom")
-    assert not path.exists()
-    assert not path.with_name(path.name + ".tmp").exists()
-
-
-def test_reader_streams_in_core_order(tmp_path):
-    path = tmp_path / "ordered.rtrace"
-    streams = [
-        [(10, AccessKind.READ, 0)],
-        [],
-        [(20, AccessKind.WRITE, 1)],
-    ]
-    save_capture(path, streams)
-    with TraceReader(path) as reader:
-        cores = [core for core, _stream in reader.streams()]
-    assert cores == [0, 1, 2]
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_resaving_a_corpus_capture_reproduces_its_bytes(tmp_path, name):
+    committed = CORPUS_DIR / f"{name}.rtrace"
+    streams, header = load_capture(committed)
+    resaved = save_capture(
+        tmp_path / committed.name,
+        streams,
+        profile=header["profile"],
+        seed=header["seed"],
+        total_accesses=header["total_accesses"],
+        geometry=header["geometry"],
+        meta=header["meta"],
+    )
+    assert resaved.read_bytes() == committed.read_bytes()

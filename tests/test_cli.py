@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import FIGURES, main
@@ -279,6 +281,44 @@ class TestInvalidKnobs:
                      "--jobs", "1"])
         assert code == 0
         assert "REPRO_JOBS" not in capsys.readouterr().err
+
+    #: One command per CLI that takes ``--jobs``: the figure CLI's
+    #: refusal above holds for ``verify`` (litmus and fuzz) and ``diff``.
+    SUBCOMMANDS = {
+        "verify-litmus": ["verify", "--litmus", "--scheme", "sparse"],
+        "verify-fuzz": ["verify", "--fuzz", "--scheme", "sparse",
+                        "--steps", "50"],
+        "diff": ["diff", "--trace",
+                 str(Path(__file__).parent / "corpus" / "private-heavy.rtrace"),
+                 "--schemes", "sparse"],
+    }
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_subcommands_refuse_an_invalid_jobs_value(
+        self, tmp_path, capsys, monkeypatch, command, value
+    ):
+        monkeypatch.setenv("REPRO_JOBS", value)
+        out = tmp_path / "out"
+        code = main([*self.SUBCOMMANDS[command], "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"invalid REPRO_JOBS={value!r}" in captured.err
+        assert "ignoring" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_subcommand_jobs_flag_overrides_the_env(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        code = main([*self.SUBCOMMANDS[command], "--jobs", "1",
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "OK" in captured.out
+        assert "REPRO_JOBS" not in captured.err
 
     def test_scale_flag_overrides_the_env(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "bogus")

@@ -8,13 +8,13 @@ sub-trace is replayed — both through the API and the CLI.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.errors import TraceError
 from repro.resilience.faults import Fault, FaultKind, FaultPlan
 from repro.sim.config import SystemConfig
-from repro.types import AccessKind
 from repro.verify.diff_cli import main as diff_main
 from repro.verify.differential import (
     ALL_SCHEMES,
@@ -25,14 +25,14 @@ from repro.verify.differential import (
     diff_trace,
     plan_from_dict,
     plan_to_dict,
-    replay_subtrace,
     run_monitored,
-    run_stats,
     tolerance_for,
     truncate_streams,
 )
+from repro.sim.engine import TraceEngine, run_trace
+from repro.sim.system import System
 from repro.verify.reproducer import default_verify_spec
-from repro.workloads.capture import save_capture
+from repro.workloads.capture import load_capture, save_capture
 from repro.workloads.generator import SyntheticTraceGenerator
 from repro.workloads.profiles import profile
 
@@ -110,7 +110,7 @@ def test_seeded_fault_is_detected(small_streams):
 
 def test_exact_keys_are_scheme_independent(small_streams):
     dumps = [
-        run_stats(default_verify_spec(name), small_streams)
+        run_monitored(name, default_verify_spec(name), small_streams).stats
         for name in ("sparse", "tiny", "stash")
     ]
     for key in EXACT_KEYS:
@@ -141,18 +141,18 @@ def test_fault_flagged_bisected_and_replayable(small_trace, tmp_path):
         assert result["reproducer"] is not None
         assert result["reproducer_accesses"] <= 64
 
-    # The minimal sub-trace must re-trigger the violation on replay...
+    # The minimal sub-trace must re-trigger the violation when handed
+    # straight back to diff_trace, which picks up the scheme, spec, and
+    # fault plan pinned in its header.
     reproducer = report["schemes"]["tiny"]["reproducer"]
-    rerun = replay_subtrace(reproducer)
-    assert not rerun.ok
-    assert rerun.scheme == "tiny"
-
-    # ...including when handed straight back to diff_trace, which must
-    # pick up the scheme, spec, and fault plan pinned in its header.
     sub_report = diff_trace(reproducer, jobs=1)
     assert tuple(sub_report["schemes"]) == ("tiny",)
     assert sub_report["ok"], sub_report["failures"]
     assert sub_report["detection"]["detected"] == ["tiny"]
+    rerun = sub_report["schemes"]["tiny"]
+    assert not rerun["ok"]
+    assert rerun["violation"]
+    assert rerun["stats"] is None
 
     # And the JSON report landed next to the reproducers.
     report_path = tmp_path / f"diff-{small_trace.stem}.json"
@@ -233,9 +233,55 @@ def test_malformed_plan_payload_raises():
         plan_from_dict({"faults": [{"kind": "no_such_kind"}]})
 
 
-def test_replay_subtrace_rejects_plain_traces(small_trace):
-    with pytest.raises(TraceError, match="not a differential sub-trace"):
-        replay_subtrace(small_trace)
+def test_plain_trace_runs_every_requested_scheme_clean(small_trace):
+    # Only a sub-trace's header pins a scheme and a fault plan: a plain
+    # capture runs each requested scheme, expecting no divergence.
+    report = diff_trace(small_trace, ("tiny", "sparse"), jobs=1)
+    assert report["ok"], report["failures"]
+    assert sorted(report["schemes"]) == ["sparse", "tiny"]
+    assert "detection" not in report
+    assert all(result["ok"] for result in report["schemes"].values())
+
+
+# ----------------------------------------------------------------------
+# One simulation per (trace, scheme)
+# ----------------------------------------------------------------------
+
+CORPUS_TRACE = Path(__file__).parent / "corpus" / "private-heavy.rtrace"
+
+
+def test_clean_report_stats_equal_an_unobserved_run():
+    streams, header = load_capture(CORPUS_TRACE)
+    geometry = header["geometry"]
+    report = diff_trace(CORPUS_TRACE, jobs=1)
+    assert report["ok"], report["failures"]
+    assert sorted(report["schemes"]) == sorted(ALL_SCHEMES)
+    for name in ALL_SCHEMES:
+        config = SystemConfig(
+            num_cores=len(streams),
+            l1_kb=geometry["l1_kb"],
+            l2_kb=geometry["l2_kb"],
+            scheme=default_verify_spec(name),
+        )
+        expected = run_trace(System(config), streams, warmup_fraction=0.0)
+        assert report["schemes"][name]["stats"] == expected.dump(), name
+
+
+def test_clean_diff_runs_each_scheme_once(small_trace, monkeypatch):
+    runs = []
+    real_run = TraceEngine.run
+
+    def counting_run(self, limit=None):
+        runs.append(self.system.config.scheme.name)
+        return real_run(self, limit)
+
+    monkeypatch.setattr(TraceEngine, "run", counting_run)
+    report = diff_trace(small_trace, jobs=1)
+    assert report["ok"], report["failures"]
+    assert sorted(runs) == sorted(
+        default_verify_spec(name).name for name in ALL_SCHEMES
+    )
+    assert len(set(runs)) == len(ALL_SCHEMES)
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +334,15 @@ def test_cli_fault_detection_bisects(small_trace, tmp_path, capsys):
     assert "reproducer" in printed
     reproducers = list(out.glob("repro-*.rtrace"))
     assert len(reproducers) == 1
-    assert not replay_subtrace(reproducers[0]).ok
+    # The sub-trace replays through the same command, under the scheme
+    # and fault plan its header records, and must be detected again.
+    assert diff_main(
+        ["--trace", str(reproducers[0]), "--jobs", "1",
+         "--out", str(tmp_path / "replays")]
+    ) == 0
+    printed = capsys.readouterr().out
+    assert "tiny: DIVERGED" in printed
+    assert "diff: OK (1 trace(s))" in printed
 
 
 def test_cli_usage_errors(tmp_path, capsys):

@@ -49,7 +49,8 @@ from repro.sim.engine import run_trace
 from repro.sim.system import System
 from repro.telemetry import NULL_TRACER
 from repro.types import AccessKind
-from repro.workloads.capture import TraceWriter
+from repro.workloads import capture as capture_module
+from repro.workloads.capture import save_capture
 from repro.workloads.generator import generate_streams
 from repro.workloads.profiles import profile
 
@@ -355,18 +356,17 @@ class TestJournalWriteFailure:
 
 
 class TestCaptureWriteFailure:
+    """``save_capture`` turns a failed write into ``ArtifactWriteError``
+    and leaves neither its ``.tmp`` file nor the target behind."""
+
+    STREAMS = [[(4, AccessKind.READ, 0)]]
+
     class _ExplodingFile:
         def __init__(self, real):
             self._real = real
 
         def write(self, data):
             raise OSError(errno.ENOSPC, "No space left on device")
-
-        def flush(self):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        def fileno(self):
-            return self._real.fileno()
 
         def close(self):
             self._real.close()
@@ -375,25 +375,26 @@ class TestCaptureWriteFailure:
         blocking_file = tmp_path / "not-a-dir"
         blocking_file.write_text("x")
         with pytest.raises(ArtifactWriteError):
-            TraceWriter(blocking_file / "t.rtrace", num_cores=1)
+            save_capture(blocking_file / "t.rtrace", self.STREAMS)
 
-    def test_stream_write_failure_cleans_tmp(self, tmp_path):
-        writer = TraceWriter(tmp_path / "t.rtrace", num_cores=1)
-        writer._file = self._ExplodingFile(writer._file)
-        accesses = [(4, AccessKind.READ, 0)]
-        with pytest.raises(ArtifactWriteError):
-            writer.write_stream(0, accesses)
-        assert not writer._tmp.exists()
-        assert not writer.path.exists()
+    def test_stream_write_failure_cleans_tmp(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            capture_module, "open",
+            lambda path, mode: self._ExplodingFile(open(path, mode)),
+            raising=False,
+        )
+        with pytest.raises(ArtifactWriteError, match="No space left"):
+            save_capture(tmp_path / "t.rtrace", self.STREAMS)
+        assert list(tmp_path.iterdir()) == []
 
-    def test_finalize_failure_cleans_tmp(self, tmp_path):
-        writer = TraceWriter(tmp_path / "t.rtrace", num_cores=1)
-        writer.write_stream(0, [])
-        writer._file = self._ExplodingFile(writer._file)
-        with pytest.raises(ArtifactWriteError):
-            writer.close()
-        assert not writer._tmp.exists()
-        assert not writer.path.exists()
+    def test_finalize_failure_cleans_tmp(self, tmp_path, monkeypatch):
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(capture_module.os, "fsync", failing_fsync)
+        with pytest.raises(ArtifactWriteError, match="Input/output error"):
+            save_capture(tmp_path / "t.rtrace", self.STREAMS)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHardenedHarness:

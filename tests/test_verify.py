@@ -346,6 +346,33 @@ class TestCli:
         assert "verify --faults N" in captured.err
         assert list(tmp_path.iterdir()) == []  # no reproducer
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    @pytest.mark.parametrize("phase", ["--litmus", "--fuzz"])
+    def test_invalid_jobs_knob_is_a_usage_error(
+        self, capsys, monkeypatch, tmp_path, phase, value
+    ):
+        # As in the figure CLI: neither ignored (the litmus phase runs
+        # no pool) nor replaced by the CPU count with a warning.
+        monkeypatch.setenv("REPRO_JOBS", value)
+        rc = verify_main([phase, "--scheme", "sparse", "--steps", "50",
+                          "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"invalid REPRO_JOBS={value!r}" in captured.err
+        assert list(tmp_path.iterdir()) == []  # no reproducer
+
+    def test_jobs_flag_overrides_the_jobs_knob(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        rc = verify_main(["--fuzz", "--scheme", "sparse", "--steps", "50",
+                          "--jobs", "1", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "verify: OK" in captured.out
+        assert "REPRO_JOBS" not in captured.err
+
     def test_unused_directory_knobs_are_accepted(
         self, capsys, monkeypatch, tmp_path
     ):

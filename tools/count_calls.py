@@ -11,9 +11,10 @@ it, and prints them per access, per scheme and over all points::
     python tools/count_calls.py --workload shared [--seed N]
 
 With ``--generate`` it counts the workload's trace generation instead
-(``generate_streams`` with a cold trace cache, as perfbench times it)
-and prints them per generated access, initialization pass included,
-per application and over all traces::
+(``generate_streams`` with a cold trace cache, as perfbench times it,
+after one throwaway trace takes the process's one-time imports) and
+prints them per generated access, initialization pass included, per
+application and over all traces::
 
     python tools/count_calls.py --generate --workload private-hit
 
@@ -123,6 +124,9 @@ def count_generation(name: str, seed: int) -> "list[dict]":
     workload = suite.WORKLOADS[name]
     scale = dataclasses.replace(RunScale.quick(), seed=seed)
     config = scale.make_config(suite.figure_schemes(scale, workload.schemes)[0])
+    # A throwaway trace first: the imports a process makes on its first
+    # generation are no application's cost.
+    generate_streams(suite._profile(workload.apps[0]), config, 100, seed=seed + 1)
     rows = []
     for app in workload.apps:
         row = {"label": app}
