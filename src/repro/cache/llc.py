@@ -165,7 +165,9 @@ class LLCBank:
         Returns ``(data_line, spill_line)``; either may be None. Counts
         one tag lookup, touching or not. With ``touch``, recency is
         updated with the paper's ordering: the spilled entry first, then
-        the data block, leaving the data block more recent.
+        the data block, leaving the data block more recent. The in-LLC
+        and tiny homes make the same probe, count and touches in their
+        own frames on every request and notice.
         """
         self.tag_lookups += 1
         line = self._blocks.get(addr)
@@ -205,7 +207,9 @@ class LLCBank:
 
         The caller (the home controller) is responsible for handling the
         victim: writing back dirty data, reconstructing corrupted blocks,
-        transferring or dropping spilled entries.
+        transferring or dropping spilled entries. The in-LLC and tiny
+        homes fill their untracked misses the same way in their own
+        frames.
         """
         if state is LLC_SPILLED_ENTRY:
             raise ProtocolError("use insert_spill for spilled tracking entries")

@@ -185,6 +185,9 @@ class PrivateCore:
         Returns the L2 victim, which must be reported to its home LLC
         bank, as an ``(addr, state)`` pair, or None when a way was free.
         The victim's L1 copies are removed to preserve inclusion.
+        :meth:`TraceEngine.run` inlines the literal twin of this method
+        (and of :meth:`_l1_fill` and :meth:`complete_upgrade`);
+        :meth:`System.access` and the reference loop call it.
         """
         if state is INVALID:
             raise ProtocolError("cannot fill a block in state I")

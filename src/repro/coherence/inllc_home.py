@@ -129,9 +129,18 @@ class InLLCHome(BaseHome):
         now: int,
         upgrade: bool = False,
     ) -> "tuple[int, PrivateState | None]":
+        """Serve a private miss or upgrade in one frame.
+
+        The bank is probed here, as :meth:`LLCBank.lookup` would (one
+        tag lookup; the line becomes MRU of its set); an in-LLC home
+        never spills, so no spilled entry is touched first. An untracked
+        miss fetches from DRAM, fills the LLC as
+        :meth:`LLCBank.insert_block` would and takes ownership here too.
+        """
         stats = self.stats
         stats.llc_transactions += 1
-        home = addr % self.num_banks
+        num_banks = self.num_banks
+        home = addr % num_banks
         bank = self.banks[home]
         if self.observer.enabled:
             self.observer.emit(
@@ -139,7 +148,14 @@ class InLLCHome(BaseHome):
                 cycle=now, core=core, addr=addr,
             )
         self._messages[PROCESSOR_CONTROL] += 1
-        line, _ = bank.lookup(addr)
+        bank.tag_lookups += 1
+        blocks = bank._blocks
+        line = blocks.get(addr)
+        set_index = (addr // num_banks) % bank.num_sets
+        keys = bank._sets.get(set_index)
+        if line is not None and keys[-1] != addr:
+            keys.remove(addr)
+            keys.append(addr)
 
         if upgrade:
             if line is None or line.coh is None:
@@ -159,10 +175,45 @@ class InLLCHome(BaseHome):
                 latency += 2 * self._memory_latency[home] + self.dram.access(
                     addr, now, False
                 )
-                line, victim = bank.insert_block(addr, LLC_CLEAN)
+                # The fill; the probe just missed, so the block is not
+                # resident.
+                if keys is None:
+                    keys = bank._sets[set_index] = []
+                victim = None
+                if len(keys) >= bank.assoc:
+                    key = keys.pop(0)
+                    victim = blocks.pop(key) if key >= 0 else bank._spills.pop(~key)
+                line = blocks[addr] = LLCLine(addr, LLC_CLEAN)
+                keys.append(addr)
+                bank.fills += 1
+                bank.data_writes += 1
                 if victim is not None:
                     self._handle_llc_victim(victim, now)
-            return latency, self._take_ownership(core, kind, line, bank, now)
+            # The requester takes the unowned block and the line starts
+            # tracking it (corrupted, unless tag-extended). This access is
+            # the STRA counters' first "other" access; counters are at
+            # least two bits wide (TinySpec), so one count cannot saturate.
+            if kind is WRITE:
+                line.coh = CohInfo(owner=core)
+                fill_state = MODIFIED
+            else:
+                if kind is IFETCH:
+                    line.coh = CohInfo(sharers=1 << core)
+                    fill_state = SHARED
+                else:
+                    line.coh = CohInfo(owner=core)
+                    fill_state = EXCLUSIVE
+                line.total_reads += 1
+            line.stra = StraCounters(oac=1, limit=self.stra_limit)
+            if self.observer.enabled:
+                self.observer.emit("llc:mark_tracked", cycle=now, addr=addr)
+            if not self.tag_extended:
+                line.underlying_dirty = line.underlying_dirty or line.state is LLC_DIRTY
+                line.state = LLC_CORRUPTED
+                bank.data_writes += 1  # the borrowed bits are written in the data array
+            line.sharers_seen |= 1 << core
+            self._messages[PROCESSOR_DATA] += 1
+            return latency, fill_state
         # Tracked in the line, whose STRA counters travel with its CohInfo.
         coh = line.coh
         if kind is WRITE:
@@ -178,36 +229,11 @@ class InLLCHome(BaseHome):
             result = self._serve_tracked_exclusive(core, addr, kind, line, bank, home)
         else:
             result = self._serve_tracked_shared(core, addr, kind, line, home, now)
-        line.note_holders(coh)
+        # The residency record (LLCLine.note_holders).
+        line.sharers_seen |= coh.sharers
+        if coh.owner is not None:
+            line.sharers_seen |= 1 << coh.owner
         return result
-
-    def _take_ownership(self, core, kind, line, bank, now) -> PrivateState:
-        """A request to an unowned valid block: the requester takes it and
-        the line starts tracking it (corrupted, unless tag-extended).
-        Returns the state granted to the requester."""
-        if kind is WRITE:
-            line.coh = CohInfo(owner=core)
-            fill_state = MODIFIED
-        else:
-            if kind is IFETCH:
-                line.coh = CohInfo(sharers=1 << core)
-                fill_state = SHARED
-            else:
-                line.coh = CohInfo(owner=core)
-                fill_state = EXCLUSIVE
-            line.total_reads += 1
-        # This access is the counters' first "other" access. Counters are
-        # at least two bits wide (TinySpec), so one count cannot saturate.
-        line.stra = StraCounters(oac=1, limit=self.stra_limit)
-        if self.observer.enabled:
-            self.observer.emit("llc:mark_tracked", cycle=now, addr=line.tag)
-        if not self.tag_extended:
-            line.underlying_dirty = line.underlying_dirty or line.state is LLC_DIRTY
-            line.state = LLC_CORRUPTED
-            bank.data_writes += 1  # the borrowed bits are written in the data array
-        line.sharers_seen |= 1 << core
-        self._messages[PROCESSOR_DATA] += 1
-        return fill_state
 
     def _serve_tracked_exclusive(self, core, addr, kind, line, bank, home):
         coh = line.coh
@@ -332,7 +358,9 @@ class InLLCHome(BaseHome):
                 "req:evict_notice", cycle=now, core=core, addr=addr, state=state.name
             )
         bank = self.banks[addr % self.num_banks]
-        line, _ = bank.lookup(addr, touch=False)
+        # LLCBank.lookup(addr, touch=False), in this frame.
+        bank.tag_lookups += 1
+        line = bank._blocks.get(addr)
         messages = self._messages
         if line is None or line.coh is None:
             # The line (and its tracking) was concurrently evicted and the
@@ -448,9 +476,20 @@ class TinyHome(InLLCHome):
         now: int,
         upgrade: bool = False,
     ) -> "tuple[int, PrivateState | None]":
+        """Serve a private miss or upgrade in one frame.
+
+        The bank is probed here, as :meth:`LLCBank.lookup` would: one
+        tag lookup finds the data line and the spilled entry, which
+        share a tag, and touches the spilled entry, then the line. An
+        untracked miss fetches from DRAM, fills the LLC as
+        :meth:`LLCBank.insert_block` would and takes ownership here, and
+        the bank's spill policy counts the access here, as
+        :meth:`DynamicSpillPolicy.record_access` would.
+        """
         stats = self.stats
         stats.llc_transactions += 1
-        home = addr % self.num_banks
+        num_banks = self.num_banks
+        home = addr % num_banks
         bank = self.banks[home]
         if self.observer.enabled:
             self.observer.emit(
@@ -459,10 +498,26 @@ class TinyHome(InLLCHome):
             )
         self._messages[PROCESSOR_CONTROL] += 1
         entry = self.tiny.lookup(addr, now)
-        line, spill = bank.lookup(addr)
+        bank.tag_lookups += 1
+        blocks = bank._blocks
+        line = blocks.get(addr)
+        spills = bank._spills
+        spill = spills.get(addr) if spills else None
+        set_index = (addr // num_banks) % bank.num_sets
+        keys = bank._sets.get(set_index)
+        if spill is not None:
+            # E_B first, then B: B stays the more recent (§IV-B1).
+            if keys[-1] != ~addr:
+                keys.remove(~addr)
+                keys.append(~addr)
+            if line is not None:
+                keys.remove(addr)
+                keys.append(addr)
+        elif line is not None and keys[-1] != addr:
+            keys.remove(addr)
+            keys.append(addr)
         shared_read = False
         miss = False
-
         if upgrade:
             stats.upgrades += 1
             if entry is not None:
@@ -523,10 +578,41 @@ class TinyHome(InLLCHome):
                 latency += 2 * self._memory_latency[home] + self.dram.access(
                     addr, now, False
                 )
-                line, victim = bank.insert_block(addr, LLC_CLEAN)
+                # The fill; the probe just missed, so the block is not
+                # resident.
+                if keys is None:
+                    keys = bank._sets[set_index] = []
+                victim = None
+                if len(keys) >= bank.assoc:
+                    key = keys.pop(0)
+                    victim = blocks.pop(key) if key >= 0 else spills.pop(~key)
+                line = blocks[addr] = LLCLine(addr, LLC_CLEAN)
+                keys.append(addr)
+                bank.fills += 1
+                bank.data_writes += 1
                 if victim is not None:
                     self._handle_llc_victim(victim, now)
-            fill_state = self._take_ownership(core, kind, line, bank, now)
+            # The requester takes the unowned block and the corrupted line
+            # tracks it, as in InLLCHome.handle_access.
+            if kind is WRITE:
+                line.coh = CohInfo(owner=core)
+                fill_state = MODIFIED
+            else:
+                if kind is IFETCH:
+                    line.coh = CohInfo(sharers=1 << core)
+                    fill_state = SHARED
+                else:
+                    line.coh = CohInfo(owner=core)
+                    fill_state = EXCLUSIVE
+                line.total_reads += 1
+            line.stra = StraCounters(oac=1, limit=self.stra_limit)
+            if self.observer.enabled:
+                self.observer.emit("llc:mark_tracked", cycle=now, addr=addr)
+            line.underlying_dirty = line.underlying_dirty or line.state is LLC_DIRTY
+            line.state = LLC_CORRUPTED
+            bank.data_writes += 1  # the borrowed bits are written in the data array
+            line.sharers_seen |= 1 << core
+            self._messages[PROCESSOR_DATA] += 1
             if kind is IFETCH:
                 # Allocation situation (ii): an instruction read to an
                 # unowned block (§IV).
@@ -552,17 +638,31 @@ class TinyHome(InLLCHome):
                 latency, fill_state = self._serve_tracked_shared(
                     core, addr, kind, line, home, now
                 )
-            line.note_holders(coh)
+            line.sharers_seen |= coh.sharers
+            if coh.owner is not None:
+                line.sharers_seen |= 1 << coh.owner
             if kind is not WRITE:
                 # Allocation situation (i): a read to a corrupted block.
                 self._consider_tracking(addr, line, bank, home, now)
 
         if self.spill_enabled:
-            self.spill_policies[home].record_access(
-                (addr // self.num_banks) % bank.num_sets in bank.sample_sets,
-                miss,
-                shared_read,
-            )
+            # The bank's observation window counts the access.
+            policy = self.spill_policies[home]
+            policy._accesses += 1
+            if miss:
+                policy._misses += 1
+            if shared_read:
+                policy._shared_reads += 1
+            if set_index in bank.sample_sets:
+                policy._sample_accesses += 1
+                if miss:
+                    policy._sample_misses += 1
+            else:
+                policy._spill_accesses += 1
+                if miss:
+                    policy._spill_misses += 1
+            if policy._accesses >= policy.config.window_accesses:
+                policy._end_window()
         return latency, fill_state
 
     # ------------------------------------------------------------------
@@ -665,7 +765,9 @@ class TinyHome(InLLCHome):
             coh.add_sharer(core)
             fill_state = SHARED
         if line is not None:
-            line.note_holders(coh)
+            line.sharers_seen |= coh.sharers
+            if coh.owner is not None:
+                line.sharers_seen |= 1 << coh.owner
         return latency, fill_state
 
     def _serve_tracked_upgrade(self, core, addr, coh, home):
@@ -858,27 +960,71 @@ class TinyHome(InLLCHome):
     def handle_private_eviction(
         self, core: int, addr: int, state: PrivateState, now: int
     ) -> None:
-        entry = self.tiny.find_quiet(addr)
-        bank = self.banks[addr % self.num_banks]
-        if entry is None:
-            _, spill = bank.lookup(addr, touch=False)
-            if spill is None:
-                # Tracked in the LLC line (or untracked): the in-LLC path.
-                super().handle_private_eviction(core, addr, state, now)
-                return
-            coh = spill.coh
-        else:
-            coh = entry.coh
-        if self.observer.enabled:
-            self.observer.emit(
+        """Serve an eviction notice in one frame: the tiny index, the
+        spilled entries and the data lines are probed once each.
+
+        A notice for a block the tiny directory tracks counts no tag
+        lookup (plus one for a dirty copy's data deposit). A spilled
+        entry's probe counts one. A block tracked in its LLC line, or
+        not at all, takes the in-LLC notice and counts two: the spilled
+        entry's probe and the line's, although one tag access finds both
+        (a known double count, see docs/protocol.md).
+        """
+        observer = self.observer
+        if observer.enabled:
+            observer.emit(
                 "req:evict_notice", cycle=now, core=core, addr=addr, state=state.name
             )
+        bank = self.banks[addr % self.num_banks]
+        entry = self.tiny._index.get(addr)
+        line = bank._blocks.get(addr)
+        messages = self._messages
+        if entry is not None:
+            coh = entry.coh
+        else:
+            spills = bank._spills
+            spill = spills.get(addr) if spills else None
+            if spill is None:
+                # In-LLC's notice (InLLCHome.handle_private_eviction
+                # without tag extension), in this frame.
+                bank.tag_lookups += 2
+                if line is None or line.coh is None:
+                    messages[WRITEBACK_CONTROL] += 2
+                    return
+                controls = 1
+                if state is MODIFIED:
+                    messages[WRITEBACK_DATA] += 1
+                    line.underlying_dirty = True
+                    bank.data_writes += 1
+                elif state is EXCLUSIVE:
+                    messages[WRITEBACK_PARTIAL] += 1
+                else:
+                    controls = 2
+                coh = line.coh
+                if coh.owner == core:
+                    coh.owner = None
+                coh.sharers &= ~(1 << core)
+                if coh.owner is None and not coh.sharers:
+                    if state is SHARED:
+                        controls += 1
+                        messages[WRITEBACK_PARTIAL] += 1
+                    if observer.enabled:
+                        observer.emit("llc:restore", cycle=now, addr=addr)
+                    line.coh = None
+                    line.stra = None
+                    line.state = LLC_DIRTY if line.underlying_dirty else LLC_CLEAN
+                    line.underlying_dirty = False
+                    bank.data_writes += 1
+                messages[WRITEBACK_CONTROL] += controls
+                return
+            bank.tag_lookups += 1
+            coh = spill.coh
         # The notice (carrying the data of an M copy) and its acknowledgement.
         if state is MODIFIED:
-            self._messages[WRITEBACK_DATA] += 1
-            self._messages[WRITEBACK_CONTROL] += 1
+            messages[WRITEBACK_DATA] += 1
+            messages[WRITEBACK_CONTROL] += 1
         else:
-            self._messages[WRITEBACK_CONTROL] += 2
+            messages[WRITEBACK_CONTROL] += 2
         if coh.owner == core:
             coh.owner = None
         coh.sharers &= ~(1 << core)
@@ -888,18 +1034,17 @@ class TinyHome(InLLCHome):
             else:
                 bank.remove(spill)
         if state is MODIFIED:
-            self._deposit_dirty(addr, bank, now)
-
-    def _deposit_dirty(self, addr, bank, now) -> None:
-        line, _ = bank.lookup(addr, touch=False)
-        if line is not None:
-            if line.state is LLC_CORRUPTED:
-                line.underlying_dirty = True
+            # The dirty data goes to the LLC line, else to memory; the
+            # deposit counts its own tag lookup.
+            bank.tag_lookups += 1
+            if line is not None:
+                if line.state is LLC_CORRUPTED:
+                    line.underlying_dirty = True
+                else:
+                    line.state = LLC_DIRTY
+                bank.data_writes += 1
             else:
-                line.state = LLC_DIRTY
-            bank.data_writes += 1
-        else:
-            self._dram_write(addr, now)
+                self._dram_write(addr, now)
 
     # ------------------------------------------------------------------
     # Invariants

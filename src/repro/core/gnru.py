@@ -33,6 +33,17 @@ B_MAX = 1024
 class GenerationEstimator:
     """Per-slice generation clock and reuse-interval estimator."""
 
+    __slots__ = (
+        "default_generation_ticks",
+        "adaptive",
+        "t",
+        "acc",
+        "samples",
+        "ticks_seen",
+        "_gen_remaining",
+        "generations",
+    )
+
     def __init__(self, default_generation_ticks: int = 16, adaptive: bool = True) -> None:
         if default_generation_ticks < 1:
             default_generation_ticks = 1

@@ -45,6 +45,22 @@ class SpillConfig:
 class DynamicSpillPolicy:
     """Per-bank spill admission control."""
 
+    __slots__ = (
+        "config",
+        "threshold_index",
+        "delta",
+        "_accesses",
+        "_misses",
+        "_shared_reads",
+        "_sample_accesses",
+        "_sample_misses",
+        "_spill_accesses",
+        "_spill_misses",
+        "windows",
+        "threshold_decreases",
+        "threshold_increases",
+    )
+
     def __init__(self, config: "SpillConfig | None" = None) -> None:
         self.config = config or SpillConfig()
         self.threshold_index = self.config.initial_threshold
@@ -72,7 +88,11 @@ class DynamicSpillPolicy:
         is_miss: bool,
         is_shared_read: bool,
     ) -> None:
-        """Account one non-writeback LLC access to this bank."""
+        """Account one non-writeback LLC access to this bank.
+
+        :meth:`TinyHome.handle_access` counts its accesses into the
+        window counters in its own frame, the same way.
+        """
         self._accesses += 1
         if is_miss:
             self._misses += 1

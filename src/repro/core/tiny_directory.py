@@ -26,7 +26,7 @@ import enum
 from repro.coherence.info import CohInfo
 from repro.core.gnru import TICK_CYCLES, GenerationEstimator
 from repro.core.stra import NUM_CATEGORIES, StraCounters
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 
 #: Slices at or below this many entries become fully associative
 #: (Table I / Section V: the 1/128x and 1/256x sizes).
@@ -91,13 +91,20 @@ class _TinySlice:
 
 
 class TinyDirectory:
-    """The banked tiny directory."""
+    """The banked tiny directory.
+
+    Each slice keeps its entries in way lists, which fix the free-way
+    order, the victim choice and the generation-boundary walk. Beside
+    them one dict per directory maps each live entry's address to the
+    entry, so finding an entry is one dict probe.
+    """
 
     __slots__ = (
         "policy",
         "num_banks",
         "entries_per_slice",
         "_slices",
+        "_index",
         "hits",
         "misses",
         "allocations",
@@ -139,6 +146,9 @@ class TinyDirectory:
             )
             for _ in range(num_banks)
         ]
+        #: Address -> the live entry tracking it (every entry of the way
+        #: lists, and nothing else).
+        self._index: "dict[int, TinyEntry]" = {}
         # -- statistics (Figs. 16-18) ------------------------------------
         self.hits = 0
         self.misses = 0
@@ -150,25 +160,24 @@ class TinyDirectory:
         """Find the entry tracking ``addr``; updates gNRU reuse state.
 
         A hit marks the entry accessed: R set, EP cleared, timestamp
-        updated. The slice is probed here, in one method; the generation
-        clock is called only when a gNRU tick has passed since its last
-        advance, or when the entry's timestamp is stale.
+        updated. The entry is one index probe; the generation clock is
+        called only when a gNRU tick has passed since its last advance,
+        or when the entry's timestamp is stale.
         """
-        num_banks = self.num_banks
-        slice_ = self._slices[addr % num_banks]
+        slice_ = self._slices[addr % self.num_banks]
         estimator = slice_.estimator
         if estimator is not None and now // TICK_CYCLES > estimator.ticks_seen:
             slice_.advance(now)
-        for entry in slice_.sets[(addr // num_banks) % slice_.num_sets]:
-            if entry is not None and entry.addr == addr:
-                entry.r_bit = True
-                entry.ep_bit = False
-                if estimator is not None and entry.tlast != estimator.t:
-                    entry.tlast = estimator.observe_access(entry.tlast)
-                self.hits += 1
-                return entry
-        self.misses += 1
-        return None
+        entry = self._index.get(addr)
+        if entry is None:
+            self.misses += 1
+            return None
+        entry.r_bit = True
+        entry.ep_bit = False
+        if estimator is not None and entry.tlast != estimator.t:
+            entry.tlast = estimator.observe_access(entry.tlast)
+        self.hits += 1
+        return entry
 
     def try_allocate(
         self,
@@ -192,6 +201,9 @@ class TinyDirectory:
         is replaced only when its category is below ``category``, or
         under gNRU equal to it with EP set.
         """
+        tracked = self._index
+        if addr in tracked:
+            raise ProtocolError(f"block {addr:#x} already has a tiny-directory entry")
         num_banks = self.num_banks
         slice_ = self._slices[addr % num_banks]
         estimator = slice_.estimator
@@ -224,7 +236,8 @@ class TinyDirectory:
                 self.declined += 1
                 return None, None
             self.evictions += 1
-        entry = TinyEntry(addr, coh, stra)
+            del tracked[incumbent.addr]
+        entry = tracked[addr] = TinyEntry(addr, coh, stra)
         if estimator is not None:
             entry.tlast = estimator.t
         ways[way] = entry
@@ -237,37 +250,26 @@ class TinyDirectory:
         Used for eviction-notice processing, which must not refresh the
         gNRU reuse bit of a dying block.
         """
-        num_banks = self.num_banks
-        slice_ = self._slices[addr % num_banks]
-        for entry in slice_.sets[(addr // num_banks) % slice_.num_sets]:
-            if entry is not None and entry.addr == addr:
-                return entry
-        return None
+        return self._index.get(addr)
 
     def remove(self, addr: int) -> "TinyEntry | None":
         """Drop the entry for ``addr`` (block lost its last holder, or its
         state moved elsewhere)."""
-        num_banks = self.num_banks
-        slice_ = self._slices[addr % num_banks]
-        ways = slice_.sets[(addr // num_banks) % slice_.num_sets]
-        for way, entry in enumerate(ways):
-            if entry is not None and entry.addr == addr:
-                ways[way] = None
-                return entry
-        return None
+        entry = self._index.pop(addr, None)
+        if entry is not None:
+            num_banks = self.num_banks
+            slice_ = self._slices[addr % num_banks]
+            ways = slice_.sets[(addr // num_banks) % slice_.num_sets]
+            ways[ways.index(entry)] = None
+        return entry
 
     def occupancy(self) -> int:
         """Number of live entries."""
-        return sum(
-            1
-            for slice_ in self._slices
-            for ways in slice_.sets
-            for entry in ways
-            if entry is not None
-        )
+        return len(self._index)
 
     def iter_entries(self):
-        """Yield every live entry (for invariants and tests)."""
+        """Yield every live entry (for invariants and tests), slice by
+        slice and set by set in way order."""
         for slice_ in self._slices:
             for ways in slice_.sets:
                 for entry in ways:

@@ -42,6 +42,17 @@ BLOCKS_PER_ROW = 16
 class DramModel:
     """Multi-channel open-page DRAM with per-bank row-buffer tracking."""
 
+    __slots__ = (
+        "num_channels",
+        "banks_per_channel",
+        "_num_banks",
+        "_open_row",
+        "_channel_free_at",
+        "reads",
+        "writes",
+        "row_hits",
+    )
+
     def __init__(self, num_channels: int = 8, banks_per_channel: int = 8) -> None:
         if num_channels <= 0 or banks_per_channel <= 0:
             raise ConfigError("DRAM channels and banks must be positive")

@@ -124,7 +124,13 @@ class TraceEngine:
         allocation, no per-access stats method calls, no home dispatch.
         The inlined lookup is the literal twin of
         :meth:`PrivateCore.classify` (same recency touches, same L1
-        promotion, same silent E->M upgrade, same inclusion check). The
+        promotion, same silent E->M upgrade, same inclusion check). A
+        miss's fill, an L2 hit's promotion and an upgrade's completion
+        are the literal twins of :meth:`PrivateCore.fill`,
+        :meth:`PrivateCore._l1_fill` and
+        :meth:`PrivateCore.complete_upgrade`, so a miss makes no call
+        into the private hierarchy; the L2 victim goes to the home's
+        eviction notice as an address and a state. The
         batched counters commute with everything the miss path touches,
         so flushing them at the warmup boundary and at end of trace
         yields the statistics per-access counting would. Each access
@@ -168,17 +174,18 @@ class TraceEngine:
         shared_state = PrivateState.SHARED
         exclusive_state = PrivateState.EXCLUSIVE
         modified_state = PrivateState.MODIFIED
+        invalid_state = PrivateState.INVALID
         handle_access = home.handle_access
         handle_eviction = home.handle_private_eviction
         heappop = heapq.heappop
         heappushpop = heapq.heappushpop
-        # Per-core lookup tables: (il1, dl1, l2, states, core). Every
-        # core has the geometry the config gives.
+        # Per-core lookup tables: (il1, dl1, l2, states). Every core has
+        # the geometry the config gives.
         l1_sets = config.l1_sets
+        l1_assoc = config.l1_assoc
         l2_sets = config.l2_sets
-        core_tables = [
-            (core.il1, core.dl1, core.l2, core.states, core) for core in cores
-        ]
+        l2_assoc = config.l2_assoc
+        core_tables = [(core.il1, core.dl1, core.l2, core.states) for core in cores]
         total = sum(len(stream) for stream in streams)
         if limit is not None:
             if limit < 0:
@@ -244,7 +251,7 @@ class TraceEngine:
                             latency=latency,
                         )
                 else:
-                    il1, dl1, l2, states, core = core_tables[core_id]
+                    il1, dl1, l2, states = core_tables[core_id]
                     if kind is read_kind:
                         reads += 1
                         l1 = dl1
@@ -255,16 +262,17 @@ class TraceEngine:
                         ifetches += 1
                         l1 = il1
                     # -- inlined PrivateCore.classify; its miss and upgrade
-                    # -- branches make System._access's home calls --------
-                    lines = l1.get(addr % l1_sets)
+                    # -- branches make System._access's home calls, then
+                    # -- PrivateCore.fill's or complete_upgrade's work ----
+                    l1_lines = l1.get(addr % l1_sets)
                     in_l1 = False
-                    if lines:
-                        if lines[-1] == addr:
+                    if l1_lines:
+                        if l1_lines[-1] == addr:
                             in_l1 = True
-                        elif addr in lines:
+                        elif addr in l1_lines:
                             in_l1 = True
-                            lines.remove(addr)
-                            lines.append(addr)
+                            l1_lines.remove(addr)
+                            l1_lines.append(addr)
                     state = states.get(addr)
                     if state is None:
                         if in_l1:
@@ -275,10 +283,40 @@ class TraceEngine:
                         latency, fill_state = handle_access(
                             core_id, addr, kind, issue_time, False
                         )
-                        victim = core.fill(addr, kind, fill_state)
-                        if victim is not None:
+                        # -- inlined PrivateCore.fill: install in the L2,
+                        # -- dropping its LRU victim from every level,
+                        # -- then as MRU of the L1 set --------------------
+                        if fill_state is invalid_state:
+                            raise ProtocolError("cannot fill a block in state I")
+                        victim_state = None
+                        set_index = addr % l2_sets
+                        lines = l2.get(set_index)
+                        if lines is None:
+                            lines = l2[set_index] = []
+                        elif len(lines) >= l2_assoc:
+                            victim = lines.pop(0)
+                            set_index = victim % l1_sets
+                            victim_lines = il1.get(set_index)
+                            if victim_lines and victim in victim_lines:
+                                victim_lines.remove(victim)
+                            victim_lines = dl1.get(set_index)
+                            if victim_lines and victim in victim_lines:
+                                victim_lines.remove(victim)
+                            victim_state = states.pop(victim)
+                        lines.append(addr)
+                        states[addr] = fill_state
+                        # A home only ever removes blocks from this core's
+                        # L1 sets, so the probed list is still the set's.
+                        if l1_lines is None:
+                            l1[addr % l1_sets] = [addr]
+                        else:
+                            if len(l1_lines) >= l1_assoc:
+                                del l1_lines[0]
+                            l1_lines.append(addr)
+                        # -- end inlined fill -----------------------------
+                        if victim_state is not None:
                             handle_eviction(
-                                core_id, victim[0], victim[1], issue_time
+                                core_id, victim, victim_state, issue_time
                             )
                         latency += hit_latency
                     else:
@@ -290,7 +328,13 @@ class TraceEngine:
                             latency = handle_access(
                                 core_id, addr, kind, issue_time, True
                             )[0]
-                            core.complete_upgrade(addr)
+                            # -- inlined PrivateCore.complete_upgrade ----
+                            if states.get(addr) is not shared_state:
+                                raise ProtocolError(
+                                    f"core {core_id}: upgrade completion "
+                                    f"for block {addr:#x} not held in S"
+                                )
+                            states[addr] = modified_state
                             latency += l1_latency
                         else:
                             if kind is write_kind and state is exclusive_state:
@@ -299,8 +343,15 @@ class TraceEngine:
                                 l1_hits += 1
                                 latency = l1_latency
                             else:
-                                # L2 hit: promote into the L1.
-                                core._l1_fill(l1, addr)
+                                # L2 hit: promote into the L1 (inlined
+                                # PrivateCore._l1_fill; the LRU way leaves
+                                # silently, the L2 still holds it).
+                                if l1_lines is None:
+                                    l1[addr % l1_sets] = [addr]
+                                else:
+                                    if len(l1_lines) >= l1_assoc:
+                                        del l1_lines[0]
+                                    l1_lines.append(addr)
                                 l2_hits += 1
                                 latency = hit_latency
                     # -- end inlined classify -------------------------------

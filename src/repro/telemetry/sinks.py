@@ -105,6 +105,8 @@ class JsonlSink:
 class NullTracer:
     """Observation disabled: the shared default, every guard short-circuits."""
 
+    __slots__ = ()
+
     enabled = False
 
     def emit(self, kind: str, **context) -> None:  # pragma: no cover - no-op

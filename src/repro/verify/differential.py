@@ -52,7 +52,7 @@ from repro.errors import (
     ProtocolError,
     TraceError,
 )
-from repro.parallel import run_tasks
+from repro.parallel import resolve_jobs, run_tasks
 from repro.resilience.auditor import ProtocolAuditor
 from repro.resilience.faults import Fault, FaultInjector, FaultKind, FaultPlan
 from repro.sim.config import SystemConfig
@@ -382,7 +382,9 @@ def diff_task(payload: dict) -> dict:
     """Run one scheme over one trace, monitored (+ bisection).
 
     Top-level and dict-in/dict-out so :func:`repro.parallel.run_tasks`
-    can ship it to pool workers.
+    can ship it to pool workers, which decode the trace themselves; a
+    task run inline takes the streams its caller decoded, under
+    ``payload["streams"]``.
     """
     trace = payload["trace"]
     scheme = payload["scheme"]
@@ -397,7 +399,9 @@ def diff_task(payload: dict) -> dict:
         if payload.get("fault_plan")
         else None
     )
-    streams, _header = load_capture(trace)
+    streams = payload.get("streams")
+    if streams is None:
+        streams, _header = load_capture(trace)
     run = run_monitored(
         scheme,
         spec,
@@ -475,7 +479,7 @@ def diff_trace(
     stay within the pairwise stat tolerances.
     """
     trace = Path(trace)
-    _streams, header = load_capture(trace)
+    streams, header = load_capture(trace)
     geometry = header.get("geometry") or {}
     l1_kb = int(geometry.get("l1_kb", DIFF_L1_KB))
     l2_kb = int(geometry.get("l2_kb", DIFF_L2_KB))
@@ -508,6 +512,12 @@ def diff_trace(
         }
         for name in schemes
     ]
+    jobs = min(resolve_jobs(jobs), len(payloads))
+    if jobs == 1:
+        # The tasks run inline (run_tasks): they share the streams
+        # decoded here instead of decoding the trace again each.
+        for payload in payloads:
+            payload["streams"] = streams
     results = run_tasks(diff_task, payloads, jobs=jobs)
     by_scheme = {result["scheme"]: result for result in results}
 

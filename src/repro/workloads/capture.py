@@ -220,8 +220,8 @@ def load_capture(path) -> "tuple[list[list[tuple]], dict]":
 
     Returns ``(streams, header)``. Every structural problem — an
     unreadable file, bad magic, another format version, truncation
-    anywhere, a corrupt header or frame, an unknown kind code — raises
-    :class:`~repro.errors.TraceError`.
+    anywhere, a corrupt header or frame, an unknown kind code, bytes
+    after the last frame — raises :class:`~repro.errors.TraceError`.
     """
     try:
         with open(path, "rb") as handle:
@@ -277,4 +277,9 @@ def load_capture(path) -> "tuple[list[list[tuple]], dict]":
         # Each address is the running sum of the unzigzagged deltas.
         addrs = accumulate([(delta >> 1) ^ -(delta & 1) for delta in values[1::2]])
         streams.append(list(zip(addrs, kinds, [code >> 2 for code in packed])))
+    if pos != len(data):
+        raise TraceError(
+            f"trace file {path} has {len(data) - pos} trailing bytes after "
+            f"its last frame"
+        )
     return streams, header

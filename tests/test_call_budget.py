@@ -52,32 +52,39 @@ MICRO_PRIVATE_HIT = _load(
 
 #: Python calls per access of barnes and of TPC-C (8 cores, 4,000
 #: steady accesses, seed 1) under each scheme. Measured (Python 3.11):
-#: barnes sparse 7.76, in-LLC 6.95, tiny 10.06, MgD 12.53, Stash 11.09;
-#: TPC-C sparse 9.93, in-LLC 7.71, tiny 10.80, MgD 13.37, Stash 10.58.
-#: TPC-C is the run whose Stash broadcasts and MgD region evictions
-#: come from shared-pool writes.
+#: barnes sparse 6.97, in-LLC 4.30, tiny 6.42, tiny DSTRA 6.27, tiny
+#: DSTRA+gNRU 6.31, MgD 11.67, Stash 10.20; TPC-C sparse 9.06, in-LLC
+#: 4.50, tiny 6.10, tiny DSTRA 6.08, tiny DSTRA+gNRU 6.13, MgD 12.43,
+#: Stash 9.68. TPC-C is the run whose Stash broadcasts and MgD region
+#: evictions come from shared-pool writes. ``tiny`` is fig13's
+#: +DynSpill column, ``tiny_dstra`` and ``tiny_gnru`` its two columns
+#: without spilling.
 #:
 #: The micro_private_hit row is perfbench's ``private-hit`` workload:
 #: quick scale, 300,000 steady accesses, seed 1, 99% of them L1 hits
-#: the engine serves with no call. Measured (Python 3.11): 0.153. A
+#: the engine serves with no call. Measured (Python 3.11): 0.135. A
 #: Python call per private hit would add about 0.97.
 BUDGETS = {
     "barnes": {
-        "sparse": 8.0,
-        "in_llc": 7.2,
-        "tiny": 10.4,
-        "mgd": 12.9,
-        "stash": 11.4,
+        "sparse": 7.2,
+        "in_llc": 4.4,
+        "tiny": 6.6,
+        "tiny_dstra": 6.5,
+        "tiny_gnru": 6.5,
+        "mgd": 12.0,
+        "stash": 10.5,
     },
     "TPC-C": {
-        "sparse": 10.2,
-        "in_llc": 7.9,
-        "tiny": 11.1,
-        "mgd": 13.8,
-        "stash": 10.9,
+        "sparse": 9.3,
+        "in_llc": 4.6,
+        "tiny": 6.3,
+        "tiny_dstra": 6.3,
+        "tiny_gnru": 6.3,
+        "mgd": 12.8,
+        "stash": 10.0,
     },
     "micro_private_hit": {
-        "sparse": 0.158,
+        "sparse": 0.139,
     },
 }
 
@@ -117,6 +124,8 @@ SCHEMES = {
     "sparse": SparseSpec(ratio=2.0),
     "in_llc": InLLCSpec(tag_extended=False),
     "tiny": RunScale.quick().tiny_spec(1 / 256, "gnru", spill=True),
+    "tiny_dstra": RunScale.quick().tiny_spec(1 / 256, "dstra"),
+    "tiny_gnru": RunScale.quick().tiny_spec(1 / 256, "gnru"),
     "mgd": MgdSpec(ratio=1 / 8),
     "stash": StashSpec(ratio=1 / 32),
 }

@@ -5,7 +5,7 @@ per-core streams of ``(addr, kind, gap)`` tuples round-trip exactly
 through save/load, element by element and type by type; re-saving a
 committed corpus capture reproduces its bytes, so the layout has not
 moved; and any structurally damaged file — truncated anywhere, wrong
-magic, wrong version, corrupt header — is rejected with
+magic, wrong version, corrupt header, trailing bytes — is rejected with
 :class:`TraceError`, never decoded into silently wrong streams.
 """
 
@@ -159,6 +159,16 @@ def test_any_truncation_is_rejected(streams, cut, tmp_path):
     broken.write_bytes(blob[:keep])
     with pytest.raises(TraceError):
         load_capture(broken)
+
+
+def test_trailing_bytes_are_rejected(tmp_path):
+    # A capture padded by a bad copy, or another file concatenated to
+    # it, decodes its frames fine; the bytes after the last one are not
+    # part of any capture.
+    padded = tmp_path / "padded.rtrace"
+    padded.write_bytes((CORPUS_DIR / "private-heavy.rtrace").read_bytes() + b"\x00junk")
+    with pytest.raises(TraceError, match="5 trailing bytes after its last frame"):
+        load_capture(padded)
 
 
 def test_bad_magic_is_rejected(tmp_path):

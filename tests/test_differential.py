@@ -284,6 +284,25 @@ def test_clean_diff_runs_each_scheme_once(small_trace, monkeypatch):
     assert len(set(runs)) == len(ALL_SCHEMES)
 
 
+def test_inline_diff_decodes_the_trace_once(monkeypatch):
+    # The five inline tasks share the streams diff_trace decoded to read
+    # the header; pool workers would decode their own.
+    import repro.verify.differential as differential
+
+    decoded = []
+
+    def counting_load(path):
+        decoded.append(path)
+        return load_capture(path)
+
+    monkeypatch.setattr(differential, "load_capture", counting_load)
+    trace = Path(__file__).parent / "corpus" / "private-heavy.rtrace"
+    report = diff_trace(trace, jobs=1)
+    assert report["ok"], report["failures"]
+    assert sorted(report["schemes"]) == sorted(ALL_SCHEMES)
+    assert len(decoded) == 1
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------

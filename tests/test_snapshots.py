@@ -12,6 +12,7 @@ and commit the diff. Hashes (not raw dumps) keep the checked-in file
 small while still pinning every counter bit-exactly.
 """
 
+import enum
 import hashlib
 import json
 from pathlib import Path
@@ -19,7 +20,17 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.runner import RunScale, run_app
-from repro.sim.config import InLLCSpec, MgdSpec, SparseSpec, StashSpec, TinySpec
+from repro.core.spill import SpillConfig
+from repro.sim.config import (
+    InLLCSpec,
+    MgdSpec,
+    SparseSpec,
+    StashSpec,
+    SystemConfig,
+    TinySpec,
+)
+from repro.sim.stats import SimStats
+from repro.sim.system import System
 
 SNAPSHOT_PATH = Path(__file__).parent / "snapshots" / "stats_quick.json"
 
@@ -77,3 +88,71 @@ def test_snapshot_runs_are_deterministic():
     first = _fingerprint(run_app("compress", SparseSpec(), scale=scale))
     second = _fingerprint(run_app("compress", SparseSpec(), scale=scale))
     assert first == second
+
+
+# ----------------------------------------------------------------------
+# No instance __dict__ in the per-access object graph
+# ----------------------------------------------------------------------
+
+#: Simulator objects that keep an instance ``__dict__``: ``SimStats``,
+#: whose ``reset()`` re-runs ``__init__``, and the configuration
+#: dataclasses, read when the system is built.
+DICT_EXEMPT = (
+    SimStats, SystemConfig, SpillConfig, SparseSpec, InLLCSpec, TinySpec, MgdSpec,
+    StashSpec,
+)
+
+
+def _simulator_objects(system):
+    """Every simulator object reachable from ``system``'s home: the
+    banks, cores, DRAM, mesh, directories, tiny slices, estimators,
+    spill policies and traffic meter, found through slots (and the
+    attributes of the exempt objects), lists and dicts."""
+    seen = set()
+    todo = [system.home]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif type(obj).__module__.startswith("repro.") and not isinstance(
+            obj, enum.Enum
+        ):
+            yield obj
+            for cls in type(obj).__mro__:
+                for name in cls.__dict__.get("__slots__", ()):
+                    if hasattr(obj, name):
+                        todo.append(getattr(obj, name))
+            if isinstance(obj, DICT_EXEMPT):
+                todo.extend(vars(obj).values())
+
+
+#: Classes each scheme's walk must reach, beyond every home's parts.
+REACHED = {
+    "sparse": {"SparseDirectory", "SetAssocArray"},
+    "tiny": {"TinyDirectory", "_TinySlice", "GenerationEstimator", "DynamicSpillPolicy"},
+    "mgd": {"MultiGrainDirectory"},
+    "stash": {"SparseDirectory", "StashState"},
+    "zcache": {"ZCacheDirectory"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_per_access_objects_have_no_instance_dict(name):
+    system = System(RunScale.quick().make_config(SCHEMES[name]))
+    objects = list(_simulator_objects(system))
+    reached = {type(obj).__name__ for obj in objects}
+    expected = {"LLCBank", "PrivateCore", "DramModel", "Mesh2D", "TrafficMeter"}
+    assert expected | REACHED.get(name, set()) <= reached
+    with_dict = sorted(
+        {
+            type(obj).__name__
+            for obj in objects
+            if not isinstance(obj, DICT_EXEMPT) and hasattr(obj, "__dict__")
+        }
+    )
+    assert with_dict == [], f"{name}: instance __dict__ on {with_dict}"

@@ -1,5 +1,7 @@
 """Unit tests for the tiny directory and its allocation policies (§IV)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,7 @@ from repro.core.tiny_directory import (
     TinyEntry,
     FULLY_ASSOC_THRESHOLD,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 
 
 def stra_of_category(category: int) -> StraCounters:
@@ -163,6 +165,13 @@ class TestStructure:
         assert tiny.occupancy() == 3
         assert {entry.addr for entry in tiny.iter_entries()} == {0, 1, 2}
 
+    def test_allocating_a_tracked_block_is_refused(self):
+        tiny = make_tiny()
+        tiny.try_allocate(1, 1, CohInfo(sharers=1), stra_of_category(1), 0)
+        with pytest.raises(ProtocolError, match="already has a tiny-directory entry"):
+            tiny.try_allocate(1, 7, CohInfo(sharers=2), stra_of_category(7), 0)
+        assert (tiny.allocations, tiny.occupancy()) == (1, 1)
+
     def test_banked_distribution(self):
         tiny = TinyDirectory(8, 2, AllocationPolicy.DSTRA, assoc=4)
         tiny.try_allocate(0, 1, CohInfo(sharers=1), stra_of_category(1), 0)
@@ -269,6 +278,8 @@ def build_tiny(banks, per_slice, assoc, policy, ways, addr):
         entry.ep_bit = ep_bit
         entry.r_bit = r_bit
         target[way] = entry
+        # The directory's address index holds every entry of its ways.
+        tiny._index[resident] = entry
     return tiny
 
 
@@ -319,3 +330,126 @@ def test_try_allocate_follows_the_reference_rule(case, category, now):
     ] == [
         None if e is None else (e.addr, e.r_bit, e.ep_bit, e.tlast) for e in ref_ways
     ]
+
+
+# ----------------------------------------------------------------------
+# The address index against the way scans it replaced
+# ----------------------------------------------------------------------
+
+
+def _ways_of(tiny, addr):
+    slice_ = tiny._slices[addr % tiny.num_banks]
+    return slice_, slice_.sets[(addr // tiny.num_banks) % slice_.num_sets]
+
+
+def scan_lookup(tiny, addr, now):
+    """``TinyDirectory.lookup`` as a scan of the set's ways (its code
+    before the directory kept an address index)."""
+    slice_, ways = _ways_of(tiny, addr)
+    estimator = slice_.estimator
+    if estimator is not None and now // TICK_CYCLES > estimator.ticks_seen:
+        slice_.advance(now)
+    for entry in ways:
+        if entry is not None and entry.addr == addr:
+            entry.r_bit = True
+            entry.ep_bit = False
+            if estimator is not None and entry.tlast != estimator.t:
+                entry.tlast = estimator.observe_access(entry.tlast)
+            tiny.hits += 1
+            return entry
+    tiny.misses += 1
+    return None
+
+
+def scan_find_quiet(tiny, addr):
+    """``TinyDirectory.find_quiet`` as a scan of the set's ways."""
+    for entry in _ways_of(tiny, addr)[1]:
+        if entry is not None and entry.addr == addr:
+            return entry
+    return None
+
+
+def scan_remove(tiny, addr):
+    """``TinyDirectory.remove`` as a scan of the set's ways."""
+    ways = _ways_of(tiny, addr)[1]
+    for way, entry in enumerate(ways):
+        if entry is not None and entry.addr == addr:
+            ways[way] = None
+            return entry
+    return None
+
+
+def _state(tiny):
+    """Every way of every set: None, or the entry's address and gNRU
+    state; then the counters."""
+    ways = [
+        None if entry is None else (entry.addr, entry.r_bit, entry.ep_bit, entry.tlast)
+        for slice_ in tiny._slices
+        for set_ways in slice_.sets
+        for entry in set_ways
+    ]
+    counters = (tiny.hits, tiny.misses, tiny.allocations, tiny.evictions, tiny.declined)
+    return ways, counters
+
+
+def _addr(entry):
+    return None if entry is None else entry.addr
+
+
+@pytest.mark.parametrize("policy", list(AllocationPolicy))
+@pytest.mark.parametrize("seed", range(6))
+def test_index_agrees_with_the_way_scans(policy, seed):
+    """Random lookups, quiet finds, removals and allocations, with STRA
+    counters that move between them: after every step the index holds
+    exactly the live entries of the way lists, and every hit, victim and
+    declined count equals the scanning reference's."""
+    rng = random.Random(seed)
+    banks = rng.choice([1, 2, 4])
+    # 2 and 16 entries a slice are fully associative; 64 is 8 sets of 8.
+    entries = banks * rng.choice([2, 16, 64])
+    tiny = TinyDirectory(entries, banks, policy, default_generation_ticks=2)
+    reference = TinyDirectory(entries, banks, policy, default_generation_ticks=2)
+    now = 0
+    for _ in range(1500):
+        now += rng.choice([0, 7, 300, TICK_CYCLES // 2, 3 * TICK_CYCLES])
+        addr = rng.randrange(3 * entries)
+        op = rng.random()
+        if op < 0.35:
+            got, expected = tiny.lookup(addr, now), scan_lookup(reference, addr, now)
+        elif op < 0.5:
+            got, expected = tiny.find_quiet(addr), scan_find_quiet(reference, addr)
+        elif op < 0.65:
+            got, expected = tiny.remove(addr), scan_remove(reference, addr)
+        elif op < 0.75:
+            # A tracked block's counters move (both directories share
+            # the entry's counters).
+            live = list(tiny.iter_entries())
+            if live:
+                stra = rng.choice(live).stra
+                if rng.random() < 0.6:
+                    stra.record_shared_read()
+                else:
+                    stra.record_other()
+            got = expected = None
+        elif scan_find_quiet(reference, addr) is None:
+            # The home allocates only for a block the directory lacks.
+            coh = CohInfo(sharers=1)
+            stra = StraCounters(*rng.choice(CATEGORY_PAIRS))
+            category = rng.randrange(8)
+            entry, victim = tiny.try_allocate(addr, category, coh, stra, now)
+            ref_entry, ref_victim, _way = reference_try_allocate(
+                reference, addr, category, coh, stra, now
+            )
+            got, expected = (_addr(entry), _addr(victim)), (
+                _addr(ref_entry), _addr(ref_victim),
+            )
+            assert got == expected
+            got = expected = None
+        else:
+            got = expected = None
+        assert _addr(got) == _addr(expected)
+        assert _state(tiny) == _state(reference)
+        live = list(tiny.iter_entries())
+        assert len(tiny._index) == len(live) == tiny.occupancy()
+        assert all(tiny._index.get(entry.addr) is entry for entry in live)
+    assert tiny.hits and tiny.allocations

@@ -10,6 +10,13 @@ it, and prints them per access, per scheme and over all points::
 
     python tools/count_calls.py --workload shared [--seed N]
 
+``--workload fig13-sweep`` counts the sweep's points one after another
+in this process: the figure's plan over the sweep's applications at the
+quick scale and the seed, each trace built as ``run_app`` builds it.
+Its rows are scheme variants, 2x sparse and the figure's three tiny
+columns (whose specs all carry the name ``tiny``), then the tiny
+columns together.
+
 With ``--generate`` it counts the workload's trace generation instead
 (``generate_streams`` with a cold trace cache, as perfbench times it,
 after one throwaway trace takes the process's one-time imports) and
@@ -84,33 +91,71 @@ def _suite():
     return suite
 
 
-def count_workload(name: str, seed: int) -> "list[dict]":
-    """One row per point of workload ``name``: its label, scheme,
-    accesses, calls and bytecodes."""
+#: The tiny-directory columns of the sweep's figure, by row label.
+TINY_VARIANTS = ("tiny DSTRA", "DSTRA+gNRU", "+DynSpill")
+
+
+def _variant(spec) -> str:
+    """A sweep row's label: the scheme variant, as the figure's columns
+    tell them apart."""
+    if spec.name == "sparse":
+        return f"{spec.ratio:g}x sparse"
+    if spec.name == "tiny":
+        if spec.spill:
+            return TINY_VARIANTS[2]
+        return TINY_VARIANTS[1] if spec.policy == "gnru" else TINY_VARIANTS[0]
+    return spec.name
+
+
+def _runs(name: str, seed: int):
+    """Yield ``(app, scheme, config, streams)`` for each point of
+    workload ``name``, in the order perfbench runs them."""
     from repro.analysis.runner import RunScale
-    from repro.sim.engine import run_trace
-    from repro.sim.system import System
     from repro.workloads.generator import generate_streams
+    from repro.workloads.profiles import profile
 
     suite = _suite()
     workload = suite.WORKLOADS[name]
     scale = dataclasses.replace(RunScale.quick(), seed=seed)
+    if workload.sweep:
+        from repro.__main__ import FIGURES
+        from repro.parallel import collect_points
+
+        fn, extra = FIGURES[suite.SWEEP_FIGURE]
+        for point in collect_points(fn, *extra, scale, apps=list(workload.apps)):
+            config = point.scale.make_config(point.scheme)
+            streams = generate_streams(
+                profile(point.app), config, point.scale.total_accesses,
+                seed=point.scale.seed,
+            )
+            yield point.app, _variant(point.scheme), config, streams
+        return
     schemes = suite.figure_schemes(scale, workload.schemes)
-    rows = []
     for app in workload.apps:
         streams = generate_streams(
             suite._profile(app), scale.make_config(schemes[0]), workload.accesses,
             seed=seed,
         )
         for spec in schemes:
-            row = {"label": f"{app}/{spec.name}", "scheme": spec.name}
-            for counter in (count_calls, count_bytecodes):
-                system = System(scale.make_config(spec))
-                row[counter.__name__[len("count_"):]] = counter(
-                    lambda: run_trace(system, streams)
-                )
-                row["accesses"] = system.access_index
-            rows.append(row)
+            yield app, spec.name, scale.make_config(spec), streams
+
+
+def count_workload(name: str, seed: int) -> "list[dict]":
+    """One row per point of workload ``name``: its label, scheme,
+    accesses, calls and bytecodes."""
+    from repro.sim.engine import run_trace
+    from repro.sim.system import System
+
+    rows = []
+    for app, scheme, config, streams in _runs(name, seed):
+        row = {"label": f"{app}/{scheme}", "scheme": scheme}
+        for counter in (count_calls, count_bytecodes):
+            system = System(config)
+            row[counter.__name__[len("count_"):]] = counter(
+                lambda: run_trace(system, streams)
+            )
+            row["accesses"] = system.access_index
+        rows.append(row)
     return rows
 
 
@@ -124,6 +169,7 @@ def count_generation(name: str, seed: int) -> "list[dict]":
     workload = suite.WORKLOADS[name]
     scale = dataclasses.replace(RunScale.quick(), seed=seed)
     config = scale.make_config(suite.figure_schemes(scale, workload.schemes)[0])
+    accesses = scale.total_accesses if workload.sweep else workload.accesses
     # A throwaway trace first: the imports a process makes on its first
     # generation are no application's cost.
     generate_streams(suite._profile(workload.apps[0]), config, 100, seed=seed + 1)
@@ -135,7 +181,7 @@ def count_generation(name: str, seed: int) -> "list[dict]":
             streams = []
             row[counter.__name__[len("count_"):]] = counter(
                 lambda: streams.extend(generate_streams(
-                    suite._profile(app), config, workload.accesses, seed=seed
+                    suite._profile(app), config, accesses, seed=seed
                 ))
             )
             row["accesses"] = sum(len(stream) for stream in streams)
@@ -150,11 +196,7 @@ def _per_access(rows, key: str) -> str:
 def main(argv=None) -> int:
     suite = _suite()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--workload",
-        default="shared",
-        choices=sorted(name for name, w in suite.WORKLOADS.items() if not w.sweep),
-    )
+    parser.add_argument("--workload", default="shared", choices=sorted(suite.WORKLOADS))
     parser.add_argument("--seed", type=int, default=suite.DEFAULT_SEED)
     parser.add_argument(
         "--generate",
@@ -171,6 +213,9 @@ def main(argv=None) -> int:
         column, what = "scheme", "per access"
         schemes = list(dict.fromkeys(row["scheme"] for row in rows))
         groups = [(s, [r for r in rows if r["scheme"] == s]) for s in schemes]
+        tiny = [row for row in rows if row["scheme"] in TINY_VARIANTS]
+        if tiny:
+            groups.append(("tiny, all", tiny))
     width = max(8, *(len(name) for name, _ in groups))
     print(f"{args.workload}, seed {args.seed}: {what}")
     print(f"{column:<{width}} {'accesses':>9} {'calls':>7} {'bytecodes':>9}")
