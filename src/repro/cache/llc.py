@@ -67,12 +67,6 @@ class LLCLine:
         #: All reads during residency (denominator of the STRA ratio).
         self.total_reads = 0
 
-    def note_holders(self, coh) -> None:
-        """Fold the block's current holders into the residency record."""
-        self.sharers_seen |= coh.sharers
-        if coh.owner is not None:
-            self.sharers_seen |= 1 << coh.owner
-
     def distinct_sharers(self) -> int:
         """Distinct cores that held the block during this residency."""
         return bin(self.sharers_seen).count("1")

@@ -23,24 +23,6 @@ from repro.types import (
 )
 
 
-class ProbeResult:
-    """Outcome of probing the private hierarchy for an access."""
-
-    __slots__ = ("level", "needs_upgrade")
-
-    def __init__(self, level: str, needs_upgrade: bool = False) -> None:
-        #: "l1", "l2", or "miss".
-        self.level = level
-        #: True when the block is held in S but the access is a write, so
-        #: an upgrade request must be sent to the home bank.
-        self.needs_upgrade = needs_upgrade
-
-    @property
-    def is_hit(self) -> bool:
-        """True when the access completes within the private hierarchy."""
-        return self.level != "miss" and not self.needs_upgrade
-
-
 class PrivateCore:
     """The private cache hierarchy of one core.
 
@@ -89,39 +71,38 @@ class PrivateCore:
     # Lookup path
     # ------------------------------------------------------------------
 
-    #: :meth:`classify` return codes.
+    #: :meth:`probe` return codes.
     MISS = 0
     L1_HIT = 1
     L2_HIT = 2
     UPGRADE_L1 = 3
     UPGRADE_L2 = 4
 
-    def classify(self, addr: int, kind: AccessKind) -> int:
+    def probe(self, addr: int, kind: AccessKind) -> int:
         """Probe the hierarchy for an access; returns an int code.
-
-        The allocation-free twin of :meth:`probe` — identical side effects
-        (recency touches in both levels, L1 promotion on an L2 hit, the
-        silent E->M write upgrade, the inclusion check) but an int code
-        instead of a :class:`ProbeResult` allocation. This is the single
-        hottest call in the simulator: L1 membership compares the MRU
-        way, then tests the rest of the set with one list containment
-        check; L2 residency is one dict lookup; and a block moves to MRU
-        only when it is not already last.
 
         Codes: ``MISS`` (0), ``L1_HIT`` (1), ``L2_HIT`` (2, promoted
         into the L1), ``UPGRADE_L1``/``UPGRADE_L2`` (3/4: held in S but
-        the access is a write, so the home must serve an upgrade).
+        the access is a write, so the home must serve an upgrade). A
+        write that finds the block in E silently upgrades it to M.
+        Nothing is filled on a miss.
+
+        This is the single hottest lookup in the simulator, and
+        :meth:`TraceEngine.run` inlines its literal twin: L1 membership
+        compares the MRU way, then tests the rest of the set with one
+        list containment check; L2 residency is one dict lookup; and a
+        block moves to MRU only when it is not already last.
         """
         l1 = self.il1 if kind is IFETCH else self.dl1
-        lines = l1.get(addr % self.l1_sets)
+        l1_lines = l1.get(addr % self.l1_sets)
         in_l1 = False
-        if lines:
-            if lines[-1] == addr:
+        if l1_lines:
+            if l1_lines[-1] == addr:
                 in_l1 = True
-            elif addr in lines:
+            elif addr in l1_lines:
                 in_l1 = True
-                lines.remove(addr)
-                lines.append(addr)
+                l1_lines.remove(addr)
+                l1_lines.append(addr)
         state = self.states.get(addr)
         if state is None:
             if in_l1:
@@ -140,40 +121,15 @@ class PrivateCore:
                 self.states[addr] = MODIFIED
         if in_l1:
             return 1
-        # L2 hit: promote into L1 (inclusive, so no notice is needed for
-        # the L1 victim -- the L2 still holds it).
-        self._l1_fill(l1, addr)
+        # L2 hit: promote into the L1 as MRU of its set. The L1's LRU
+        # way leaves silently (inclusive, so the L2 still holds it).
+        if l1_lines is None:
+            l1[addr % self.l1_sets] = [addr]
+        else:
+            if len(l1_lines) >= self.l1_assoc:
+                del l1_lines[0]
+            l1_lines.append(addr)
         return 2
-
-    def probe(self, addr: int, kind: AccessKind) -> ProbeResult:
-        """Probe the hierarchy for an access without filling anything.
-
-        On an L2 hit the block is promoted into the appropriate L1. A
-        write that finds the block in S state reports ``needs_upgrade``;
-        a write that finds it in E state silently upgrades to M.
-        Delegates to :meth:`classify`, whose hit logic the engine's
-        unobserved path inlines.
-        """
-        code = self.classify(addr, kind)
-        if code == 0:
-            return ProbeResult("miss")
-        if code == 3:
-            return ProbeResult("l1", needs_upgrade=True)
-        if code == 4:
-            return ProbeResult("l2", needs_upgrade=True)
-        return ProbeResult("l1" if code == 1 else "l2")
-
-    def _l1_fill(self, l1: "dict[int, list[int]]", addr: int) -> None:
-        """Install ``addr`` as MRU of its L1 set; the LRU way leaves
-        silently (the L2 still holds it)."""
-        set_index = addr % self.l1_sets
-        lines = l1.get(set_index)
-        if lines is None:
-            l1[set_index] = [addr]
-            return
-        if len(lines) >= self.l1_assoc:
-            del lines[0]
-        lines.append(addr)
 
     # ------------------------------------------------------------------
     # Fill and state-change paths (driven by the home controller)
@@ -186,8 +142,8 @@ class PrivateCore:
         bank, as an ``(addr, state)`` pair, or None when a way was free.
         The victim's L1 copies are removed to preserve inclusion.
         :meth:`TraceEngine.run` inlines the literal twin of this method
-        (and of :meth:`_l1_fill` and :meth:`complete_upgrade`);
-        :meth:`System.access` and the reference loop call it.
+        (and of :meth:`complete_upgrade`); :meth:`System.access` and the
+        reference loop call it.
         """
         if state is INVALID:
             raise ProtocolError("cannot fill a block in state I")

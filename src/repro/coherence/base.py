@@ -19,9 +19,13 @@ from __future__ import annotations
 from repro.cache.llc import LLCBank, LLCLine
 from repro.cache.private_cache import PrivateCore
 from repro.coherence.info import CohInfo
-from repro.errors import InvariantViolation
+from repro.errors import InvariantViolation, ProtocolError
 from repro.interconnect.mesh import Mesh2D
-from repro.interconnect.traffic import COHERENCE_CONTROL, COHERENCE_DATA
+from repro.interconnect.traffic import (
+    COHERENCE_CONTROL,
+    COHERENCE_DATA,
+    PROCESSOR_CONTROL,
+)
 from repro.memory.dram import DramModel
 from repro.core.stra import stra_category
 from repro.sim.config import SystemConfig
@@ -224,6 +228,41 @@ class BaseHome:
             self.stats.invalidations += 1
         coh.clear()
         return had_dirty
+
+    def _serve_upgrade(
+        self, core: int, addr: int, coh: "CohInfo | None", home: int, extra: int = 0
+    ) -> "tuple[int, None]":
+        """Grant ``core``'s S->M upgrade of ``addr``, which ``coh`` tracks.
+
+        The other sharers are invalidated in parallel with the grant;
+        ``extra`` adds LLC serialization to the request leg (the decode
+        of a corrupted line). Returns ``(latency, None)``.
+        """
+        if coh is None or not coh.holds(core):
+            raise ProtocolError(
+                f"core {core} upgrades block {addr:#x} the tracker does not "
+                f"record it sharing"
+            )
+        stats = self.stats
+        messages = self._messages
+        holders = [h for h in coh.sharer_list() if h != core]
+        inval_path = self._invalidation_latency(home, holders, core)
+        for holder in holders:
+            prior = self.cores[holder].invalidate(addr)
+            if prior is INVALID:
+                raise ProtocolError(f"stale sharer for block {addr:#x}")
+            messages[COHERENCE_CONTROL] += 2  # invalidation, ack
+            stats.invalidations += 1
+        coh.set_owner(core)
+        messages[PROCESSOR_CONTROL] += 1  # grant
+        if holders:
+            stats.three_hop += 1
+        else:
+            stats.two_hop += 1
+        request_leg = (
+            self._latency[core * self._tiles + home] + self._hit_latency_tag + extra
+        )
+        return request_leg + max(self._latency[home * self._tiles + core], inval_path), None
 
     def _store_dirty_data(self, addr: int, now: int) -> None:
         """Deposit retrieved dirty data in the LLC line or in memory."""

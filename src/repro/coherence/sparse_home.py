@@ -153,7 +153,11 @@ class SparseHome(BaseHome):
 
         if upgrade:
             stats.upgrades += 1
-            return self._serve_upgrade(core, addr, coh, home, now)
+            if self.observer.enabled:
+                self.observer.emit("dir:upgrade", cycle=now, core=core, addr=addr)
+            result = self._serve_upgrade(core, addr, coh, home)
+            self._after_update(addr, coh, now)
+            return result
 
         if coh is None or (coh.owner is None and not coh.sharers):
             # Untracked: no private copies anywhere. Two hops, through
@@ -283,37 +287,6 @@ class SparseHome(BaseHome):
         line.sharers_seen |= coh.sharers
         self._after_update(addr, coh, now)
         return latency, SHARED
-
-    # -- S -> M upgrades ----------------------------------------------------
-
-    def _serve_upgrade(self, core, addr, coh, home, now):
-        if self.observer.enabled:
-            self.observer.emit("dir:upgrade", cycle=now, core=core, addr=addr)
-        if coh is None or not coh.holds(core):
-            raise ProtocolError(
-                f"core {core} upgrades block {addr:#x} the tracker does not "
-                f"record it sharing"
-            )
-        stats = self.stats
-        messages = self._messages
-        holders = [h for h in coh.sharer_list() if h != core]
-        inval_path = self._invalidation_latency(home, holders, core)
-        for holder in holders:
-            prior = self.cores[holder].invalidate(addr)
-            if prior is INVALID:
-                raise ProtocolError(f"stale sharer for block {addr:#x}")
-            messages[COHERENCE_CONTROL] += 2  # invalidation, ack
-            stats.invalidations += 1
-        coh.set_owner(core)
-        messages[PROCESSOR_CONTROL] += 1  # grant
-        request_leg = self._latency[core * self._tiles + home] + self._hit_latency_tag
-        if holders:
-            stats.three_hop += 1
-        else:
-            stats.two_hop += 1
-        self._after_update(addr, coh, now)
-        reply = self._latency[home * self._tiles + core]
-        return request_leg + max(reply, inval_path), None
 
     # ------------------------------------------------------------------
     # Eviction notices

@@ -90,7 +90,7 @@ class DynamicSpillPolicy:
     ) -> None:
         """Account one non-writeback LLC access to this bank.
 
-        :meth:`TinyHome.handle_access` counts its accesses into the
+        :meth:`InLLCHome.handle_access` counts its accesses into the
         window counters in its own frame, the same way.
         """
         self._accesses += 1

@@ -120,14 +120,12 @@ class TraceEngine:
 
         An unobserved access mirrors :meth:`System._access` exactly, but
         a private hit costs an inlined L1 list test, one state-dict
-        lookup and a handful of local-variable updates — no ProbeResult
-        allocation, no per-access stats method calls, no home dispatch.
-        The inlined lookup is the literal twin of
-        :meth:`PrivateCore.classify` (same recency touches, same L1
-        promotion, same silent E->M upgrade, same inclusion check). A
-        miss's fill, an L2 hit's promotion and an upgrade's completion
-        are the literal twins of :meth:`PrivateCore.fill`,
-        :meth:`PrivateCore._l1_fill` and
+        lookup and a handful of local-variable updates — no probe call,
+        no per-access stats method calls, no home dispatch. The inlined
+        lookup is the literal twin of :meth:`PrivateCore.probe` (same
+        recency touches, same L1 promotion, same silent E->M upgrade,
+        same inclusion check). A miss's fill and an upgrade's completion
+        are the literal twins of :meth:`PrivateCore.fill` and
         :meth:`PrivateCore.complete_upgrade`, so a miss makes no call
         into the private hierarchy; the L2 victim goes to the home's
         eviction notice as an address and a state. The
@@ -261,7 +259,7 @@ class TraceEngine:
                     else:
                         ifetches += 1
                         l1 = il1
-                    # -- inlined PrivateCore.classify; its miss and upgrade
+                    # -- inlined PrivateCore.probe; its miss and upgrade
                     # -- branches make System._access's home calls, then
                     # -- PrivateCore.fill's or complete_upgrade's work ----
                     l1_lines = l1.get(addr % l1_sets)
@@ -343,9 +341,9 @@ class TraceEngine:
                                 l1_hits += 1
                                 latency = l1_latency
                             else:
-                                # L2 hit: promote into the L1 (inlined
-                                # PrivateCore._l1_fill; the LRU way leaves
-                                # silently, the L2 still holds it).
+                                # L2 hit: promote into the L1 (the LRU
+                                # way leaves silently, the L2 still holds
+                                # it).
                                 if l1_lines is None:
                                     l1[addr % l1_sets] = [addr]
                                 else:
@@ -354,7 +352,7 @@ class TraceEngine:
                                     l1_lines.append(addr)
                                 l2_hits += 1
                                 latency = hit_latency
-                    # -- end inlined classify -------------------------------
+                    # -- end inlined probe ----------------------------------
                     done = issue_time + latency
                     processed += 1
                 if done > finish:

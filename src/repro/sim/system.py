@@ -136,14 +136,14 @@ class System:
             raise TraceError(f"access from core {core_id} outside the system")
         self.stats.on_access(kind)
         core = self.cores[core_id]
-        probe = core.probe(addr, kind)
-        if probe.is_hit:
-            if probe.level == "l1":
-                self.stats.l1_hits += 1
-                return config.l1_latency
+        code = core.probe(addr, kind)
+        if code == 1:  # L1 hit
+            self.stats.l1_hits += 1
+            return config.l1_latency
+        if code == 2:  # L2 hit
             self.stats.l2_hits += 1
             return config.l1_latency + config.l2_latency
-        upgrade = probe.needs_upgrade
+        upgrade = code != 0  # held in S, written
         latency, fill_state = self.home.handle_access(
             core_id, addr, kind, now, upgrade
         )

@@ -52,13 +52,13 @@ MICRO_PRIVATE_HIT = _load(
 
 #: Python calls per access of barnes and of TPC-C (8 cores, 4,000
 #: steady accesses, seed 1) under each scheme. Measured (Python 3.11):
-#: barnes sparse 6.97, in-LLC 4.30, tiny 6.42, tiny DSTRA 6.27, tiny
-#: DSTRA+gNRU 6.31, MgD 11.67, Stash 10.20; TPC-C sparse 9.06, in-LLC
-#: 4.50, tiny 6.10, tiny DSTRA 6.08, tiny DSTRA+gNRU 6.13, MgD 12.43,
-#: Stash 9.68. TPC-C is the run whose Stash broadcasts and MgD region
-#: evictions come from shared-pool writes. ``tiny`` is fig13's
-#: +DynSpill column, ``tiny_dstra`` and ``tiny_gnru`` its two columns
-#: without spilling.
+#: barnes sparse 6.97, in-LLC 4.30, tag-extended in-LLC 3.99, tiny 6.42,
+#: tiny DSTRA 6.27, tiny DSTRA+gNRU 6.31, MgD 11.67, Stash 10.20; TPC-C
+#: sparse 9.06, in-LLC 4.50, tag-extended in-LLC 4.34, tiny 6.10, tiny
+#: DSTRA 6.08, tiny DSTRA+gNRU 6.13, MgD 12.43, Stash 9.68. TPC-C is the
+#: run whose Stash broadcasts and MgD region evictions come from
+#: shared-pool writes. ``tiny`` is fig13's +DynSpill column,
+#: ``tiny_dstra`` and ``tiny_gnru`` its two columns without spilling.
 #:
 #: The micro_private_hit row is perfbench's ``private-hit`` workload:
 #: quick scale, 300,000 steady accesses, seed 1, 99% of them L1 hits
@@ -68,6 +68,7 @@ BUDGETS = {
     "barnes": {
         "sparse": 7.2,
         "in_llc": 4.4,
+        "in_llc_tag": 4.1,
         "tiny": 6.6,
         "tiny_dstra": 6.5,
         "tiny_gnru": 6.5,
@@ -77,6 +78,7 @@ BUDGETS = {
     "TPC-C": {
         "sparse": 9.3,
         "in_llc": 4.6,
+        "in_llc_tag": 4.5,
         "tiny": 6.3,
         "tiny_dstra": 6.3,
         "tiny_gnru": 6.3,
@@ -123,6 +125,7 @@ CAPTURE_BUDGET = 0.1
 SCHEMES = {
     "sparse": SparseSpec(ratio=2.0),
     "in_llc": InLLCSpec(tag_extended=False),
+    "in_llc_tag": InLLCSpec(tag_extended=True),
     "tiny": RunScale.quick().tiny_spec(1 / 256, "gnru", spill=True),
     "tiny_dstra": RunScale.quick().tiny_spec(1 / 256, "dstra"),
     "tiny_gnru": RunScale.quick().tiny_spec(1 / 256, "gnru"),

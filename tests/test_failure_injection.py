@@ -135,6 +135,50 @@ class TestInvariantCheckersFire:
             d.system.check_invariants()
 
 
+class TestStaleHoldersTrip:
+    """A back-invalidation that finds a recorded holder without a copy
+    raises, as the sparse family's does, instead of counting an
+    invalidation and clearing the record."""
+
+    def test_inllc_line_eviction_trips_on_a_stale_sharer(self):
+        d = faulted_driver(
+            InLLCSpec(),
+            Fault(kind=FaultKind.DROP_PRIVATE_COPY, after_access=2,
+                  addr=0, core=1),
+        )
+        d.read(0, 0)
+        d.read(1, 0)  # corrupted shared {0, 1}; core 1's copy is dropped
+        config = d.system.config
+        stride = config.num_banks * config.llc_sets_per_bank  # same LLC set
+        with pytest.raises(InvariantViolation, match="stale tracking entry") as err:
+            for k in range(1, config.llc_assoc + 1):
+                d.read(2, k * stride)  # the last fill evicts block 0's line
+        assert (err.value.addr, err.value.cores) == (0, (1,))
+
+    def test_tiny_victim_without_its_line_trips_on_a_stale_holder(self):
+        d = faulted_driver(
+            TinySpec(ratio=1 / 16, policy="dstra"),
+            Fault(kind=FaultKind.DROP_PRIVATE_COPY, after_access=1,
+                  addr=0, core=0),
+        )
+        d.ifetch(0, 0)  # a tiny entry tracks block 0; the copy is dropped
+        home = d.system.home
+        config = d.system.config
+        stride = config.num_banks * config.llc_sets_per_bank
+        for k in range(1, config.llc_assoc + 1):
+            d.read(2, k * stride)  # evicts block 0's untracked LLC line
+        assert home.banks[0].peek(0) == (None, None)
+        assert home.tiny.find_quiet(0) is not None
+        tiny_stride = config.num_banks * home.tiny._slices[0].num_sets
+        with pytest.raises(InvariantViolation, match="stale tracking entry") as err:
+            # Blocks of block 0's tiny set, whose shared reads rank them
+            # above its entry, until one displaces it.
+            for k in range(1, 40):
+                for core in (1, 3, 2):
+                    d.ifetch(core, 7 * stride + k * tiny_stride)
+        assert (err.value.addr, err.value.cores) == (0, (0,))
+
+
 class TestInjectorMechanics:
     def test_fault_applies_at_declared_access(self):
         d = faulted_driver(

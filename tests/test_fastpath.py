@@ -4,7 +4,7 @@ The engine's inlined private-hit path (`TraceEngine.run`) is an
 optimization with a hard contract: for any workload, scheme, and seed,
 its statistics must equal those of the per-access reference loop in
 ``reference_engine.py`` byte for byte. These tests are the tripwire —
-if the inlined hit logic ever drifts from ``PrivateCore.classify``, the
+if the inlined hit logic ever drifts from ``PrivateCore.probe``, the
 cross-scheme identity tests fail. That every observer sees every access
 is checked in ``test_telemetry.py``.
 """

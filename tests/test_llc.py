@@ -182,14 +182,6 @@ class TestStructure:
 
 
 class TestResidencyStats:
-    def test_note_holders_accumulates_distinct_cores(self):
-        bank = make_bank()
-        line, _ = bank.insert_block(0, LLCState.CLEAN)
-        line.note_holders(CohInfo(sharers=0b011))
-        line.note_holders(CohInfo(owner=3))
-        line.note_holders(CohInfo(sharers=0b010))
-        assert line.distinct_sharers() == 3
-
     def test_counters_start_zero(self):
         bank = make_bank()
         line, _ = bank.insert_block(0, LLCState.CLEAN)

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cache.private_cache import PrivateCore
+
+MISS, L1_HIT, L2_HIT = PrivateCore.MISS, PrivateCore.L1_HIT, PrivateCore.L2_HIT
+UPGRADE_L1, UPGRADE_L2 = PrivateCore.UPGRADE_L1, PrivateCore.UPGRADE_L2
 from repro.errors import ConfigError, ProtocolError
 from repro.types import AccessKind, PrivateState
 
@@ -14,42 +17,44 @@ def make_core(l1_sets=2, l1_assoc=2, l2_sets=4, l2_assoc=2) -> PrivateCore:
 class TestProbe:
     def test_miss_when_empty(self):
         core = make_core()
-        assert core.probe(0x10, AccessKind.READ).level == "miss"
+        assert core.probe(0x10, AccessKind.READ) == MISS
 
     def test_l1_hit_after_fill(self):
         core = make_core()
         core.fill(0x10, AccessKind.READ, PrivateState.EXCLUSIVE)
-        assert core.probe(0x10, AccessKind.READ).level == "l1"
+        assert core.probe(0x10, AccessKind.READ) == L1_HIT
 
     def test_ifetch_and_data_use_separate_l1s(self):
         core = make_core()
         core.fill(0x10, AccessKind.READ, PrivateState.SHARED)
         # The block is in dL1 + L2; an ifetch probe hits only at L2.
-        assert core.probe(0x10, AccessKind.IFETCH).level == "l2"
+        assert core.probe(0x10, AccessKind.IFETCH) == L2_HIT
 
     def test_l2_hit_promotes_to_l1(self):
         core = make_core()
         core.fill(0x10, AccessKind.IFETCH, PrivateState.SHARED)
-        assert core.probe(0x10, AccessKind.READ).level == "l2"
-        assert core.probe(0x10, AccessKind.READ).level == "l1"
+        assert core.probe(0x10, AccessKind.READ) == L2_HIT
+        assert core.probe(0x10, AccessKind.READ) == L1_HIT
 
     def test_write_to_shared_needs_upgrade(self):
         core = make_core()
         core.fill(0x10, AccessKind.READ, PrivateState.SHARED)
-        probe = core.probe(0x10, AccessKind.WRITE)
-        assert probe.needs_upgrade and not probe.is_hit
+        assert core.probe(0x10, AccessKind.WRITE) == UPGRADE_L1
+        assert core.state_of(0x10) is PrivateState.SHARED
+        core.fill(0x20, AccessKind.IFETCH, PrivateState.SHARED)
+        # Held in S in the L2 only: the write still needs an upgrade.
+        assert core.probe(0x20, AccessKind.WRITE) == UPGRADE_L2
 
     def test_write_to_exclusive_silently_modifies(self):
         core = make_core()
         core.fill(0x10, AccessKind.READ, PrivateState.EXCLUSIVE)
-        probe = core.probe(0x10, AccessKind.WRITE)
-        assert probe.is_hit
+        assert core.probe(0x10, AccessKind.WRITE) == L1_HIT
         assert core.state_of(0x10) is PrivateState.MODIFIED
 
     def test_write_to_modified_hits(self):
         core = make_core()
         core.fill(0x10, AccessKind.WRITE, PrivateState.MODIFIED)
-        assert core.probe(0x10, AccessKind.WRITE).is_hit
+        assert core.probe(0x10, AccessKind.WRITE) == L1_HIT
 
 
 class TestFillAndEvict:
@@ -70,7 +75,7 @@ class TestFillAndEvict:
         core.fill(1, AccessKind.READ, PrivateState.EXCLUSIVE)
         core.fill(2, AccessKind.READ, PrivateState.EXCLUSIVE)
         # Block 0 left the L2, so it must not linger in any L1.
-        assert core.probe(0, AccessKind.READ).level == "miss"
+        assert core.probe(0, AccessKind.READ) == MISS
 
     def test_no_notice_when_way_free(self):
         core = make_core()
@@ -135,7 +140,7 @@ class TestLRU:
         core.fill(1, AccessKind.READ, PrivateState.SHARED)
         core.fill(2, AccessKind.READ, PrivateState.SHARED)
         # An L1 hit makes block 1 the MRU block of the L2 set too.
-        assert core.probe(1, AccessKind.READ).level == "l1"
+        assert core.probe(1, AccessKind.READ) == L1_HIT
         victim = core.fill(3, AccessKind.READ, PrivateState.SHARED)
         assert victim[0] == 2
 
@@ -164,17 +169,17 @@ class TestLRU:
         # Block 1 leaves the full L1 without a notice; the L2 keeps it.
         assert core.fill(3, AccessKind.READ, PrivateState.SHARED) is None
         assert core.holds(1)
-        assert core.probe(1, AccessKind.READ).level == "l2"
-        assert core.probe(1, AccessKind.READ).level == "l1"
+        assert core.probe(1, AccessKind.READ) == L2_HIT
+        assert core.probe(1, AccessKind.READ) == L1_HIT
         # Promoting block 1 pushed block 2, the L1's LRU way, out of it.
-        assert core.probe(2, AccessKind.READ).level == "l2"
+        assert core.probe(2, AccessKind.READ) == L2_HIT
 
     def test_resident_blocks_yield_each_block_once_lru_first(self):
         core = make_core(l2_sets=2, l2_assoc=2)
         core.fill(2, AccessKind.READ, PrivateState.SHARED)
         core.fill(1, AccessKind.WRITE, PrivateState.MODIFIED)
         core.fill(4, AccessKind.READ, PrivateState.EXCLUSIVE)
-        assert core.probe(2, AccessKind.READ).level == "l1"
+        assert core.probe(2, AccessKind.READ) == L1_HIT
         # Set by set in the order the sets were first filled, LRU first.
         assert list(core.resident_blocks()) == [
             (4, PrivateState.EXCLUSIVE),

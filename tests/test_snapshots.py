@@ -45,6 +45,11 @@ SCHEMES = {
     # Two sparse-family variants that share SparseHome's transaction path.
     "shared_only": SparseSpec(ratio=1 / 16, shared_only=True),
     "zcache": SparseSpec(ratio=1 / 16, zcache=True),
+    # The variants the in-LLC home serves besides the two above: tag
+    # extension, and fig13's two 1/256x tiny columns without spilling.
+    "in_llc_tag": InLLCSpec(tag_extended=True),
+    "tiny_dstra": RunScale.quick().tiny_spec(1 / 256, "dstra"),
+    "tiny_gnru": RunScale.quick().tiny_spec(1 / 256, "gnru"),
 }
 
 
